@@ -127,18 +127,23 @@ class CompatibleSystem:
 
     def min_pairwise_gap(self, n=128, seed=0):
         """Smallest FS gap between distinct assigned domains (sampled; exact arcs)."""
-        items = list(self.domains.items())
+        doms = list(self.domains.values())
         best = math.inf
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i][1], items[j][1]
-                if _is_arc(a) and _is_arc(b):
-                    best = min(best, a.arc().gap_to(b.arc()))
-                else:
-                    pa = np.vstack([a.boundary_points(n, seed), a.interior_points(n, seed)])
-                    pb = np.vstack([b.boundary_points(n, seed), b.interior_points(n, seed)])
-                    best = min(best, float(np.min(fubini_study_many(pa, pb))))
+        for i in range(len(doms)):
+            for j in range(i + 1, len(doms)):
+                best = min(best, pair_gap(doms[i], doms[j], n, n, seed))
         return best
+
+
+def pair_gap(a: ProperDomain, b: ProperDomain, n_boundary: int, n_interior: int,
+             seed: int) -> float:
+    """FS gap between two domains: exact for arcs, else the minimum over
+    ``n_boundary`` boundary and ``n_interior`` interior samples of each."""
+    if _is_arc(a) and _is_arc(b):
+        return a.arc().gap_to(b.arc())
+    pa = np.vstack([a.boundary_points(n_boundary, seed), a.interior_points(n_interior, seed)])
+    pb = np.vstack([b.boundary_points(n_boundary, seed), b.interior_points(n_interior, seed)])
+    return float(np.min(fubini_study_many(pa, pb)))
 
 
 def _is_arc(dom):

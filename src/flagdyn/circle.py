@@ -6,6 +6,10 @@ metric, which coincides with the Fubini-Study metric in dimension 2.
 Projective 2x2 matrices act by Mobius maps; images of arcs are arcs and
 are computed from endpoint images, so containment tests and margins on
 RP^1 are exact up to roundoff (no sampling).
+
+The two primitives: ``arc_between`` (an arc from its endpoints, with
+the choice of side) and ``uncovered`` (the circular sweep for gaps,
+also behind ``cover_circle``).
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ class Arc:
             self.center + self.radius
         ) % HALF_TURN
 
+    def complement(self) -> "Arc":
+        """Closure of the complementary arc (same endpoints, other side)."""
+        return Arc(self.center + HALF_TURN / 2, HALF_TURN / 2 - self.radius)
+
     def expand(self, eps: float) -> "Arc":
         r = self.radius + eps
         if r >= HALF_TURN / 2:
@@ -86,6 +94,18 @@ class Arc:
         return max(0.0, angle_dist(self.center, other.center) - self.radius - other.radius)
 
 
+def arc_between(a: float, b: float, through: float | None = None) -> Arc:
+    """The shorter closed arc with endpoints a, b, or with ``through``
+    given, the one of the two containing it (within 1e-12)."""
+    d = (b - a) % HALF_TURN
+    if d > HALF_TURN / 2:
+        a, d = b, HALF_TURN - d
+    arc = Arc(a + d / 2, d / 2)
+    if through is None or arc.contains_angle(through, slack=1e-12):
+        return arc
+    return arc.complement()
+
+
 def mobius_arc(m, arc: Arc) -> Arc:
     """Image arc under a projective 2x2 matrix.
 
@@ -94,98 +114,64 @@ def mobius_arc(m, arc: Arc) -> Arc:
     which of the two complementary arcs is the image).
     """
     lo, hi = arc.endpoints()
-    a = mobius_angle(m, lo)
-    b = mobius_angle(m, hi)
-    mid = mobius_angle(m, arc.center)
-    # the image arc has endpoints {a, b}; pick the side containing mid
-    c1, r1 = _arc_from_endpoints(a, b)
-    if Arc(c1, r1).contains_angle(mid, slack=1e-12):
-        return Arc(c1, r1)
-    c2 = (c1 + HALF_TURN / 2) % HALF_TURN
-    return Arc(c2, HALF_TURN / 2 - r1)
+    return arc_between(mobius_angle(m, lo), mobius_angle(m, hi),
+                       through=mobius_angle(m, arc.center))
 
 
-def _arc_from_endpoints(a: float, b: float):
-    """Center/radius of the shorter arc with endpoints a, b."""
-    d = (b - a) % HALF_TURN
-    if d <= HALF_TURN / 2:
-        return (a + d / 2) % HALF_TURN, d / 2
-    d2 = HALF_TURN - d
-    return (b + d2 / 2) % HALF_TURN, d2 / 2
+def uncovered(arcs, tol: float = 1e-12):
+    """Uncovered intervals (lo, hi) of RP^1 left by closed arcs, in sweep order.
+
+    Pieces ((c - r) mod pi, 2r) are swept from the first left endpoint
+    ``start`` to ``start + pi`` (so hi may exceed pi); pieces running past
+    pi also cover the start. Gaps no wider than ``tol`` count as covered;
+    no arcs leave the gap (0, pi).
+    """
+    pieces = sorted(((a.center - a.radius) % HALF_TURN, 2 * a.radius) for a in arcs)
+    if not pieces:
+        return [(0.0, HALF_TURN)]
+    start = pieces[0][0]
+    pos = max(start, max(lo + length for lo, length in pieces) - HALF_TURN)
+    gaps = []
+    for lo, length in pieces + [(start + HALF_TURN, 0.0)]:
+        if lo > pos + tol:
+            gaps.append((pos, lo))
+        pos = max(pos, lo + length)
+    return gaps
 
 
 def cover_circle(arcs):
-    """Greedy minimal subcover of RP^1 by closed arcs.
+    """Greedy minimal subcover of RP^1 by closed arcs (Lee and Lee, IPL 1984).
 
-    Returns indices of a subfamily covering the circle, or None if the
-    input family does not cover. Standard circular interval covering:
-    start from the arc covering a fixed point with the farthest reach,
-    then repeatedly take the arc extending coverage farthest.
+    Returns distinct indices of a covering subfamily, or None if the family
+    leaves a gap. Starts on the arc reaching farthest past angle 0 (or past
+    the first left endpoint if no arc wraps), then repeatedly takes the arc
+    extending coverage farthest.
     """
-    if not arcs:
+    if uncovered(arcs):
         return None
-    intervals = []
-    for i, arc in enumerate(arcs):
-        lo = arc.center - arc.radius
-        hi = arc.center + arc.radius
-        intervals.append((lo % HALF_TURN, (hi - lo), i))
-    # arcs covering angle 0 (i.e. lo + length wraps past a multiple of pi)
-    start_candidates = [
-        (lo + length, i) for lo, length, i in intervals if lo + length >= HALF_TURN
-    ]
-    if not start_candidates:
-        # no arc covers angle 0: rotate frame to the first left endpoint
-        base = min(lo for lo, _, _ in intervals)
-        shifted = [((lo - base) % HALF_TURN, length, i) for lo, length, i in intervals]
-        start_candidates = [
-            (lo + length, i) for lo, length, i in shifted if lo <= 1e-12
-        ]
-        if not start_candidates:
-            return None
-        intervals = shifted
-    reach, first = max(start_candidates)
+    tol = 1e-12  # the default gap tolerance of uncovered()
+    pieces = sorted(
+        ((a.center - a.radius) % HALF_TURN, 2 * a.radius, i) for i, a in enumerate(arcs)
+    )
+    wrapping = [(lo + length - HALF_TURN, i, lo) for lo, length, i in pieces
+                if lo + length >= HALF_TURN]
+    if wrapping:
+        # coverage is closed when it comes back to the start arc's left end
+        covered_to, first, end = max(wrapping)
+    else:
+        start = pieces[0][0]
+        covered_to, first = max((lo + length, i) for lo, length, i in pieces
+                                if lo <= start + tol)
+        end = start + HALF_TURN
     chosen = [first]
-    covered_to = reach % HALF_TURN
-    if reach - HALF_TURN >= min(lo for lo, _, _ in intervals):
-        pass
-    guard = 0
-    while guard < len(intervals) + 2:
-        guard += 1
-        # done when the chosen arcs wrap all the way around
-        total = covered_to
-        start_lo = intervals[[x[2] for x in intervals].index(chosen[0])][0]
-        if total >= start_lo and _wraps(arcs, chosen):
-            return chosen
-        extend = [
-            (lo + length, i)
-            for lo, length, i in intervals
-            if lo <= covered_to + 1e-12 and lo + length > covered_to
-        ]
-        if not extend:
-            return None
-        reach, nxt = max(extend)
-        chosen.append(nxt)
-        covered_to = reach
-        if covered_to >= HALF_TURN + intervals[[x[2] for x in intervals].index(chosen[0])][0]:
-            return chosen
-    return chosen if _wraps(arcs, chosen) else None
-
-
-def _wraps(arcs, chosen):
-    """Check that the chosen closed arcs cover RP^1 (by uncovered-gap scan)."""
-    events = []
-    for i in chosen:
-        lo = (arcs[i].center - arcs[i].radius) % HALF_TURN
-        hi = lo + 2 * arcs[i].radius
-        events.append((lo, hi))
-    events.sort()
-    # unroll twice around the circle
-    unrolled = events + [(lo + HALF_TURN, hi + HALF_TURN) for lo, hi in events]
-    covered = events[0][0]
-    for lo, hi in unrolled:
-        if lo > covered + 1e-12:
-            return False
-        covered = max(covered, hi)
-        if covered >= events[0][0] + HALF_TURN:
-            return True
-    return covered >= events[0][0] + HALF_TURN
+    best = (covered_to, first)
+    j = 0
+    # the family covers, so each step strictly extends coverage
+    while covered_to + tol < end:
+        while j < len(pieces) and pieces[j][0] <= covered_to + tol:
+            lo, length, i = pieces[j]
+            best = max(best, (lo + length, i))
+            j += 1
+        covered_to, i = best
+        chosen.append(i)
+    return chosen

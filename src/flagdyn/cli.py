@@ -50,7 +50,7 @@ def _write(outdir: Path, name: str, text: str):
     return path
 
 
-def _run_certify(cfg: RunConfig, seed: int, outdir: Path, threads: int = 1):
+def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
     rho = cfg.presentation()
     graph = cfg.graph()
     system = cfg.system(epsilon=graph.epsilon)
@@ -61,7 +61,7 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path, threads: int = 1):
         n_interior=cfg.budgets["interior_samples"],
         element_cap=cfg.budgets["element_cap"],
         seed=seed,
-        metadata={"config_hash": cfg.config_hash, "seed": seed, "threads": threads},
+        metadata={"config_hash": cfg.config_hash, "seed": seed},
     )
     if cert.ok:
         cert.divergence = check_divergence(graph, system, rho, seed=seed)
@@ -99,7 +99,7 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path, threads: int = 1):
 def cmd_certify(args):
     cfg = RunConfig.load(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    ok, cert, _ = _run_certify(cfg, seed, Path(args.out), args.threads)
+    ok, cert, _ = _run_certify(cfg, seed, Path(args.out))
     first = cert.first_failure()
     if ok:
         print(f"PASS min margin {_fmt(cert.min_margin)}")
@@ -118,7 +118,7 @@ def cmd_limitset(args):
         system = cfg.system(epsilon=graph.epsilon)
         cert = None
     else:
-        ok, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir, args.threads)
+        ok, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
         if not ok:
             print("refusing to sample an uncertified system (pass --skip-certify to override)")
             return 1
@@ -179,7 +179,7 @@ def cmd_rates(args):
     cfg = RunConfig.load(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
     outdir = Path(args.out)
-    ok, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir, args.threads)
+    ok, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
     if not ok:
         print("certification failed; no rates computed")
         return 1
@@ -371,8 +371,6 @@ def build_parser():
         if needs_config:
             p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism knob (reductions stay order-deterministic)")
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("certify", help="verify all compatibility inclusions")

@@ -346,10 +346,6 @@ class QuasigeodesicReport:
     ok: bool
 
 
-def coned_distance(graph: ConedGraph, w1: Word, w2: Word, radius: int) -> int:
-    return graph.distance(w1, w2, radius)
-
-
 def quasigeodesic_check(graph: ConedGraph, prefixes, radius: int,
                         d_max: int) -> QuasigeodesicReport:
     """Hausdorff distance between path prefixes and a BFS geodesic.

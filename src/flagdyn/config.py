@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton
+from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
 from .domains import ChartBall, ConvexPolytope, SampledSet
 from .errors import ConfigError
 from .linalg import Matrix
@@ -233,19 +233,7 @@ class RunConfig:
         failures = []
         for entry in self.raw.get("delta_separation", []):
             a, b, gap = entry[0], entry[1], float(entry[2])
-            da, db = system.domain(a), system.domain(b)
-            from .automaton import _is_arc
-
-            if _is_arc(da) and _is_arc(db):
-                actual = da.arc().gap_to(db.arc())
-            else:
-                import numpy as _np
-
-                from .projgeom import fubini_study_many
-
-                pa = _np.vstack([da.boundary_points(64, 0), da.interior_points(32, 0)])
-                pb = _np.vstack([db.boundary_points(64, 0), db.interior_points(32, 0)])
-                actual = float(_np.min(fubini_study_many(pa, pb)))
+            actual = pair_gap(system.domain(a), system.domain(b), 64, 32, 0)
             if actual < gap:
                 failures.append((a, b, gap, actual))
         return failures

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import sampling
-from .circle import Arc, angle_of
+from .circle import Arc, angle_of, arc_between
 from .errors import BadOrder, NotInDomain, NotNested, NotStrictlyNested
 from .projgeom import (
     ProjHyperplane,
@@ -141,13 +141,8 @@ class ChartBall(ProperDomain):
         lo = chart_point(self.chart, self.center - self.radius)
         hi = chart_point(self.chart, self.center + self.radius)
         mid = chart_point(self.chart, self.center)
-        a, b = angle_of(lo.coords), angle_of(hi.coords)
-        from .circle import _arc_from_endpoints
-
-        c1, r1 = _arc_from_endpoints(a, b)
-        if Arc(c1, r1).contains_angle(angle_of(mid.coords), slack=1e-12):
-            return Arc(c1, r1)
-        return Arc((c1 + math.pi / 2) % math.pi, math.pi / 2 - r1)
+        return arc_between(angle_of(lo.coords), angle_of(hi.coords),
+                           through=angle_of(mid.coords))
 
 
 class ConvexPolytope(ProperDomain):

@@ -50,7 +50,6 @@ class PrefixProduct:
 
     def push(self, m: Matrix):
         self.arr = self.arr @ m.arr
-        self.logdet += m.dim * 0.0  # canonical factors have |det| = 1
         self._since_renorm += 1
         if self._since_renorm >= RENORM_EVERY or np.max(np.abs(self.arr)) > 1e12:
             self._renorm()

@@ -31,7 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton
-from .circle import HALF_TURN, Arc, angle_dist, angle_of, mobius_angle, mobius_arc
+from .circle import (
+    HALF_TURN,
+    Arc,
+    angle_dist,
+    angle_of,
+    arc_between,
+    cover_circle,
+    mobius_angle,
+    mobius_arc,
+    uncovered,
+)
 from .errors import SynthesisFailed
 from .systems import arc_ball
 from .words import GroupPresentation, Word, concat, invert_word, word_str
@@ -93,13 +103,8 @@ def _fundamental_interval(rho: GroupPresentation, t_name: str, p_angle: float) -
     tq = mobius_angle(t, q)
     if angle_dist(q, tq) < 1e-12:
         raise SynthesisFailed("declared peripheral generator fixes the antipode", p_angle)
-    from .circle import _arc_from_endpoints
-
-    c, r = _arc_from_endpoints(q, tq)
-    if Arc(c, r).contains_angle(p_angle):
-        c = (c + HALF_TURN / 2) % HALF_TURN
-        r = HALF_TURN / 2 - r
-    return Arc(c, r)
+    arc = arc_between(q, tq)
+    return arc.complement() if arc.contains_angle(p_angle) else arc
 
 
 def _arc_hull_containing(arcs, anchor: float) -> Arc:
@@ -109,16 +114,7 @@ def _arc_hull_containing(arcs, anchor: float) -> Arc:
     pieces: valid because the intermediate coset translates fill the
     space between the extreme pieces and the anchor.
     """
-    pieces = [((a.center - a.radius) % HALF_TURN, 2 * a.radius) for a in arcs]
-    pieces.append((anchor % HALF_TURN, 0.0))
-    pieces.sort()
-    gaps = []
-    pos = pieces[0][0]
-    start = pos
-    for lo, length in pieces + [(start + HALF_TURN, 0.0)]:
-        if lo > pos + 1e-15:
-            gaps.append((pos, lo))
-        pos = max(pos, lo + length)
+    gaps = uncovered(list(arcs) + [Arc(anchor, 0.0)], tol=1e-15)
     if not gaps:
         raise SynthesisFailed("neighborhood union wraps the whole circle", anchor)
     g_lo, g_hi = max(gaps, key=lambda g: g[1] - g[0])
@@ -259,9 +255,6 @@ class _ConicalSearcher:
         if not np.any(ok):
             return None
         i = int(np.argmax(ok))
-        cv, rv = self._image_arcs(
-            pulls[i : i + 1].repeat(1), p.delta
-        )
         mat = self.mats[i]
         v_arc = mobius_arc(mat, Arc(float(pulls[i]), p.delta))
         w_arc = Arc(float(cw[i]), float(rw[i]))
@@ -370,10 +363,10 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
     if require_cover:
         for _ in range(params.max_parabolic_rounds):
             arcs = [pv["v"] for pv in parabolic.values()] + [c.v for c in conical]
-            gap = _first_gap(arcs)
-            if gap is None:
+            gaps = uncovered(arcs)
+            if not gaps:
                 break
-            g_lo, g_hi = gap
+            g_lo, g_hi = (x % HALF_TURN for x in gaps[0])
             width = (g_hi - g_lo) % HALF_TURN
             progress = False
             # conical retries across the gap (inner arcs can be tiny)
@@ -415,17 +408,13 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
 
         arcs = [pv["v"] for pv in parabolic.values()] + [c.v for c in conical]
         owners = list(parabolic.keys()) + list(range(len(conical)))
-        from .circle import cover_circle
-
         picked = cover_circle(arcs)
         if picked is None:
-            gap = _first_gap(arcs)
             raise SynthesisFailed(
                 "inner neighborhoods do not cover the boundary circle",
-                None if gap is None else gap[0],
+                uncovered(arcs)[0][0] % HALF_TURN,
             )
         chosen_conical = []
-        keep_par = set(parabolic)  # parabolic vertices always stay
         for i in picked:
             if not isinstance(owners[i], str):
                 chosen_conical.append(conical[owners[i]])
@@ -505,20 +494,6 @@ def _materialize(rho, parabolic, v_hats, p_name, t_name, coset_word, p_angle,
         "w": w_q,
     }
     v_hats[vid] = v_hat
-
-
-def _first_gap(arcs):
-    """One uncovered (lo, hi) interval of the circle, or None if covered."""
-    if not arcs:
-        return (0.0, HALF_TURN)
-    pieces = sorted(((a.center - a.radius) % HALF_TURN, 2 * a.radius) for a in arcs)
-    start = pieces[0][0]
-    pos = start
-    for lo, length in pieces + [(start + HALF_TURN, 0.0)]:
-        if lo > pos + 1e-12:
-            return (pos % HALF_TURN, lo % HALF_TURN if lo < HALF_TURN else lo - HALF_TURN)
-        pos = max(pos, lo + length)
-    return None
 
 
 def _nearest_in_gap(angles, g_lo, g_hi):

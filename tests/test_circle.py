@@ -1,0 +1,116 @@
+import math
+import random
+
+import pytest
+
+from flagdyn.circle import Arc, arc_between, cover_circle, uncovered
+
+PI = math.pi
+UNIT = PI / 16  # snapped families: endpoints on multiples of pi/16
+
+
+def test_arc_between_shorter_side_and_through():
+    arc = arc_between(0.1, 0.5)
+    assert (arc.center, arc.radius) == pytest.approx((0.3, 0.2))
+    # the same endpoints listed the other way round give the same arc
+    swapped = arc_between(0.5, 0.1)
+    assert (swapped.center, swapped.radius) == pytest.approx((0.3, 0.2))
+    # across the wrap of RP^1 at pi
+    wrap = arc_between(PI - 0.1, 0.2)
+    assert wrap.radius == pytest.approx(0.15)
+    assert wrap.contains_angle(0.0) and not wrap.contains_angle(PI / 2)
+    # a point off the shorter arc selects the complement
+    other = arc_between(0.1, 0.5, through=2.0)
+    assert other == arc.complement()
+    assert other.contains_angle(2.0) and not other.contains_angle(0.3)
+    assert arc_between(0.1, 0.5, through=0.3) == arc
+
+
+def test_uncovered_reports_gaps_in_sweep_order():
+    arcs = [Arc(0.5, 0.2), Arc(2.0, 0.3)]
+    gaps = uncovered(arcs)
+    assert len(gaps) == 2
+    (a_lo, a_hi), (b_lo, b_hi) = gaps
+    assert (a_lo, a_hi) == pytest.approx((0.7, 1.7))
+    # the second gap runs past pi, up to the first left endpoint plus pi
+    assert (b_lo, b_hi) == pytest.approx((2.3, 0.3 + PI))
+    assert uncovered([Arc(0.5, 0.2), Arc(0.5 + PI / 2, PI / 2 - 0.2)]) == []
+    assert uncovered([]) == [(0.0, PI)]
+
+
+def test_uncovered_counts_arcs_running_past_pi_at_the_sweep_start():
+    # the first left endpoint is 0.2, but [0, 3.8 - pi] (about 0.66) is
+    # covered by the arc from 2.8 that runs past pi; (0.4, 0.5) is not a gap
+    wrap = Arc(3.3, 0.5)
+    arcs = [Arc(0.3, 0.1), Arc(1.75, 1.25), wrap]
+    assert uncovered(arcs) == []
+    assert sorted(cover_circle(arcs)) == [1, 2]
+    gaps = uncovered([Arc(0.3, 0.1), wrap])
+    assert len(gaps) == 1
+    assert gaps[0] == pytest.approx((3.8 - PI, 2.8))
+
+
+def test_cover_circle_closing_on_start_arc_picks_it_once():
+    arcs = [Arc(5 * UNIT, UNIT), Arc(13 * UNIT, 7 * UNIT)]
+    assert cover_circle(arcs) == [1, 0]
+
+
+def _snapped_covers(family):
+    """Exact oracle on the pi/16 grid: integer (center, radius) pairs.
+
+    Closed arcs with endpoints on the grid cover the circle iff each of
+    the 16 unit cells has its midpoint inside one arc.
+    """
+    for k in range(16):
+        mid2 = 2 * k + 1  # cell midpoint, in units of pi/32
+        if not any(min((mid2 - 2 * c) % 32, (2 * c - mid2) % 32) <= 2 * r
+                   for c, r in family):
+            return False
+    return True
+
+
+def test_cover_circle_snapped_families():
+    rng = random.Random(20220515)
+    covering = 0
+    for _ in range(20000):
+        family = [(rng.randrange(16), rng.randrange(1, 8))
+                  for _ in range(rng.randrange(1, 7))]
+        picked = cover_circle([Arc(c * UNIT, r * UNIT) for c, r in family])
+        if not _snapped_covers(family):
+            assert picked is None, family
+            continue
+        covering += 1
+        assert picked is not None, family
+        assert len(set(picked)) == len(picked), (family, picked)
+        assert _snapped_covers([family[i] for i in picked]), (family, picked)
+    assert covering > 1000
+
+
+def _covers_general(family):
+    """Oracle for arcs with distinct endpoints: the union covers RP^1 iff
+    each arc's right endpoint lies strictly inside another arc."""
+    def inside(theta, c, r):
+        d = abs(theta - c) % PI
+        return min(d, PI - d) < r
+
+    return bool(family) and all(
+        any(inside(c + r, c2, r2) for j, (c2, r2) in enumerate(family) if j != i)
+        for i, (c, r) in enumerate(family)
+    )
+
+
+def test_cover_circle_general_position_families():
+    rng = random.Random(7)
+    covering = 0
+    for _ in range(5000):
+        family = [(rng.uniform(0, PI), rng.uniform(0.01, 0.6 * PI / 2))
+                  for _ in range(rng.randrange(1, 12))]
+        picked = cover_circle([Arc(c, r) for c, r in family])
+        if not _covers_general(family):
+            assert picked is None, family
+            continue
+        covering += 1
+        assert picked is not None, family
+        assert len(set(picked)) == len(picked), (family, picked)
+        assert _covers_general([family[i] for i in picked]), (family, picked)
+    assert covering > 500

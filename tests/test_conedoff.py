@@ -3,7 +3,6 @@ import pytest
 from flagdyn.conedoff import (
     ConedGraph,
     Presentation,
-    coned_distance,
     free_reduce,
     quasigeodesic_check,
 )
@@ -47,39 +46,39 @@ def test_free_reduce():
 
 
 def test_generator_distance(f2_rel_a):
-    assert coned_distance(f2_rel_a, (), parse_word("a"), 5) == 1
-    assert coned_distance(f2_rel_a, (), parse_word("b"), 5) == 1
+    assert f2_rel_a.distance((), parse_word("a"), 5) == 1
+    assert f2_rel_a.distance((), parse_word("b"), 5) == 1
 
 
 def test_coset_collapse(f2_rel_a):
     # all powers of the peripheral generator sit at distance 2 via the cone
     for n in (2, 5, 10, 16):
-        assert coned_distance(f2_rel_a, (), parse_word(f"a^{n}"), 6) == 2
+        assert f2_rel_a.distance((), parse_word(f"a^{n}"), 6) == 2
     # and any two elements of one coset are within distance 2
-    assert coned_distance(f2_rel_a, parse_word("b a^3"), parse_word("b a^-7"), 6) == 2
+    assert f2_rel_a.distance(parse_word("b a^3"), parse_word("b a^-7"), 6) == 2
 
 
 def test_cone_hop_composite(f2_rel_a):
     # b, cone hop across a^10, b again
-    assert coned_distance(f2_rel_a, (), parse_word("b a^10 b"), 10) == 4
+    assert f2_rel_a.distance((), parse_word("b a^10 b"), 10) == 4
 
 
 def test_plain_free_group_distances(f2_plain):
-    assert coned_distance(f2_plain, (), parse_word("a b a b^-1"), 10) == 4
-    assert coned_distance(f2_plain, parse_word("a"), parse_word("a b"), 10) == 1
+    assert f2_plain.distance((), parse_word("a b a b^-1"), 10) == 4
+    assert f2_plain.distance(parse_word("a"), parse_word("a b"), 10) == 1
 
 
 def test_metric_axioms_sampled(f2_rel_a):
     words = [parse_word(w) for w in ["", "a", "b", "a b", "b a^4", "a^3 b^-1"]]
     for x in words:
         for y in words:
-            dxy = coned_distance(f2_rel_a, x, y, 10)
-            assert dxy == coned_distance(f2_rel_a, y, x, 10)
+            dxy = f2_rel_a.distance(x, y, 10)
+            assert dxy == f2_rel_a.distance(y, x, 10)
             if x == y:
                 assert dxy == 0
             for z in words:
-                dxz = coned_distance(f2_rel_a, x, z, 10)
-                dzy = coned_distance(f2_rel_a, z, y, 10)
+                dxz = f2_rel_a.distance(x, z, 10)
+                dzy = f2_rel_a.distance(z, y, 10)
                 assert dxy <= dxz + dzy
 
 
