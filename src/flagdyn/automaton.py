@@ -24,7 +24,7 @@ import numpy as np
 from . import circle
 from .domains import ChartBall, ProperDomain
 from .errors import BaseFails, EvaluationError, MissingDomain
-from .projgeom import ProjPoint, act_many, fubini_study_many
+from .projgeom import ProjPoint, act_many, chart_point, fubini_study_many
 from .sampling import kronecker, sphere_points
 from .words import GroupPresentation, Word, concat, word_str
 
@@ -268,13 +268,9 @@ def _neighborhood_samples(dom: ProperDomain, eps: float, n_boundary: int,
                           n_interior: int, seed: int):
     """Sample points of N(U, eps): interior, boundary, and pushed boundary."""
     bnd_coords = dom.boundary_coords(n_boundary, seed)
-    bnd = dom.boundary_points(n_boundary, seed)
+    bnd = chart_point(dom.chart, bnd_coords)
     interior = dom.interior_points(n_interior, seed)
-    normals = dom.outward_normals(bnd_coords)
-    from .projgeom import chart_basis
-
-    B = chart_basis(dom.chart)
-    amb_dirs = normals @ B
+    amb_dirs = dom.outward_normals(bnd_coords) @ dom.chart.basis
     # orthonormalize the push direction against the base point
     dots = np.sum(amb_dirs * bnd, axis=1, keepdims=True)
     tang = amb_dirs - dots * bnd
@@ -286,18 +282,7 @@ def _neighborhood_samples(dom: ProperDomain, eps: float, n_boundary: int,
 def _containment_margin(system_dom: ProperDomain, pts: np.ndarray, n_boundary: int,
                         seed: int):
     """Worst signed FS margin of the point cloud inside the domain."""
-    from .projgeom import affine_chart
-
-    coords = []
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for i, row in enumerate(pts):
-        try:
-            coords.append(affine_chart(system_dom.chart, ProjPoint(row)))
-        except Exception:
-            inside[i] = False
-            coords.append(np.zeros(system_dom.dim - 1))
-    coords = np.array(coords)
-    inside &= system_dom.contains_coords(coords, slack=0.0)
+    inside = system_dom.contains_points(pts)
     bnd = system_dom.boundary_points(max(n_boundary, 128), seed)
     dists = np.min(fubini_study_many(pts, bnd), axis=1)
     signed = np.where(inside, dists, -dists)
@@ -417,11 +402,7 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
             # an escape point only witnesses PROPER inclusion when the
             # inclusion itself holds: an isometry label produces escapes
             # without nesting and must come back inconclusive
-            img_closure = act_many(m, closure_w)
-            included = all(
-                U_v.contains(ProjPoint(row), slack=1e-12) for row in img_closure
-            )
-            if not included:
+            if not np.all(U_v.contains_points(act_many(m, closure_w), slack=1e-12)):
                 out.append(DivergenceWitness(edge, word, None, 0.0, False))
                 continue
             pre = act_many(m.inv(), probes)
@@ -434,18 +415,10 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
                     if margin > best:
                         best, found = margin, ProjPoint(row)
             else:
-                from .projgeom import affine_chart
-
-                for row in pre:
-                    try:
-                        c = affine_chart(U_w.chart, ProjPoint(row))
-                        inside = bool(U_w.contains_coords(c[None, :], slack=1e-12)[0])
-                    except Exception:
-                        inside = False
-                    if not inside:
-                        found = ProjPoint(row)
-                        best = 1e-12
-                        break
+                outside = ~U_w.contains_points(pre, slack=1e-12)
+                if np.any(outside):
+                    found = ProjPoint(pre[np.argmax(outside)])
+                    best = 1e-12
             out.append(DivergenceWitness(edge, word, found, best, found is not None))
     return out
 

@@ -8,6 +8,7 @@ byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -16,15 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .automaton import check_divergence, enumerate_paths, verify_compatibility
+from .automaton import (
+    check_divergence,
+    enumerate_paths,
+    peripheral_stability_probe,
+    verify_compatibility,
+)
 from .config import RunConfig
-from .domains import zimmer_metric
+from .domains import ChartBall, zimmer_metric
 from .dynamics import contracting_limit, limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
 from .linalg import flag_divergent, gap_trace
-from .projgeom import ProjPoint, chart_point
+from .projgeom import ProjHyperplane, ProjPoint, chart_point
 from .synth import SynthesisParams, synthesize_rp1
-from .words import parse_word
+from .words import parse_word, word_str
 
 
 def _fmt(x):
@@ -215,8 +221,6 @@ def cmd_probe(args):
         raise ConfigError("probe command needs a probe section with a t_grid")
     graph = cfg.graph()
     system = cfg.system(epsilon=graph.epsilon)
-    from .automaton import peripheral_stability_probe
-
     results, first_fail = peripheral_stability_probe(
         cfg.family(), graph, system, spec["t_grid"],
         n_boundary=cfg.budgets["boundary_samples"],
@@ -245,9 +249,14 @@ def cmd_synthesize(args):
     outdir = Path(args.out)
     if cfg.dimension != 2:
         raise ConfigError("synthesis requires dimension 2")
-    rho = cfg.presentation()
     spec = cfg.raw.get("synthesis", {})
-    params = SynthesisParams(**{k: v for k, v in spec.items()})
+    if not isinstance(spec, dict):
+        raise ConfigError("synthesis section must be an object")
+    unknown = sorted(set(spec) - {f.name for f in dataclasses.fields(SynthesisParams)})
+    if unknown:
+        raise ConfigError(f"unknown synthesis keys: {', '.join(unknown)}")
+    rho = cfg.presentation()
+    params = SynthesisParams(**spec)
     res = synthesize_rp1(rho, params)
     cert = verify_compatibility(
         res.graph, res.system, rho,
@@ -294,8 +303,6 @@ def cmd_synthesize(args):
 
 
 def _word_text(word):
-    from .words import word_str
-
     return "" if not word else word_str(word)
 
 
@@ -337,11 +344,7 @@ def cmd_hilbert(args):
         a, b = args.interval
         if not b > a:
             raise ConfigError("interval must satisfy a < b")
-        from .projgeom import ProjHyperplane
-
         h = ProjHyperplane([0.0, 1.0])
-        from .domains import ChartBall
-
         omega = ChartBall(h, [(a + b) / 2], (b - a) / 2)
         x = chart_point(h, [args.points[0]])
         y = chart_point(h, [args.points[1]])

@@ -11,6 +11,7 @@ otherwise.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,10 +53,8 @@ class Presentation:
 
 def _int_canon(m):
     """Canonical integer projective representative: gcd-reduced, sign-fixed."""
-    import math as _math
-
     flat = [m[0][0], m[0][1], m[1][0], m[1][1]]
-    g = _math.gcd(*(abs(x) for x in flat))
+    g = math.gcd(*(abs(x) for x in flat))
     if g > 1:
         flat = [x // g for x in flat]
     lead = next((x for x in flat if x != 0), 0)

@@ -144,6 +144,8 @@ class RunConfig:
                     pnames = {p["name"] for p in raw.get("peripherals", [])}
                     if v.get("peripheral") not in pnames:
                         raise ConfigError(f"vertex {v['id']} references unknown peripheral")
+                elif "word" not in v:
+                    raise ConfigError(f"singleton vertex {v['id']} needs a word")
 
     # -- construction ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Proper domains, dual domains, and the cross-ratio metric.
+"""Proper domains, their dual covectors, and the cross-ratio metric.
 
 A proper domain is an open set whose closure lies in one affine chart.
 For balls and convex polytopes in a chart the metric is computed exactly
@@ -21,10 +21,9 @@ from .projgeom import (
     ProjHyperplane,
     ProjPoint,
     affine_chart,
-    chart_basis,
     chart_point,
-    chart_points_many,
     fubini_study_many,
+    in_chart,
 )
 
 NESTING_MARGIN_DEFAULT = 1e-3
@@ -43,12 +42,17 @@ class ProperDomain:
         """Vectorized chart-coordinate containment for an (n, k) array."""
         raise NotImplementedError
 
+    def contains_points(self, pts, slack=0.0) -> np.ndarray:
+        """Containment mask of an (n, d) array of ambient rows.
+
+        Rows incident to the chart hyperplane lie outside every domain.
+        """
+        inside = in_chart(self.chart, pts)
+        inside[inside] = self.contains_coords(affine_chart(self.chart, pts[inside]), slack)
+        return inside
+
     def contains(self, p: ProjPoint, slack=0.0) -> bool:
-        try:
-            c = affine_chart(self.chart, p)
-        except Exception:
-            return False
-        return bool(self.contains_coords(c[None, :], slack)[0])
+        return bool(self.contains_points(p.coords[None, :], slack)[0])
 
     def boundary_coords(self, n, seed=0):
         raise NotImplementedError
@@ -57,10 +61,14 @@ class ProperDomain:
         raise NotImplementedError
 
     def boundary_points(self, n, seed=0):
-        return chart_points_many(self.chart, self.boundary_coords(n, seed))
+        return chart_point(self.chart, self.boundary_coords(n, seed))
 
     def interior_points(self, n, seed=0):
-        return chart_points_many(self.chart, self.interior_coords(n, seed))
+        return chart_point(self.chart, self.interior_coords(n, seed))
+
+    def dual_covectors(self, n, seed=0):
+        """Up to n unit covectors of hyperplanes missing the closure."""
+        raise NotImplementedError
 
     def center_point(self) -> ProjPoint:
         raise NotImplementedError
@@ -143,6 +151,18 @@ class ChartBall(ProperDomain):
         mid = chart_point(self.chart, self.center)
         return arc_between(angle_of(lo.coords), angle_of(hi.coords),
                            through=angle_of(mid.coords))
+
+    def dual_covectors(self, n, seed=0):
+        h = self.chart
+        dirs = sampling.sphere_points(max(4, n // 12), self.dim - 1, seed + 3)
+        offsets = self.radius * np.concatenate(
+            [2.0 ** (-3 * np.arange(1, 9)), np.array([0.5, 1.0, 4.0])]
+        )
+        # supporting hyperplane in each direction, pushed out by each offset
+        covs = [u @ h.basis - (float(u @ self.center) + self.radius + s) * h.covector
+                for u in dirs for s in offsets]
+        arr = np.array(([h.covector] + covs)[:n])
+        return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
 class ConvexPolytope(ProperDomain):
@@ -244,9 +264,32 @@ class ConvexPolytope(ProperDomain):
 
     def facet_functionals(self):
         """Homogeneous covectors of facet hyperplanes, negative on the interior."""
-        B = chart_basis(self.chart)
-        covs = self.normals @ B - self.offsets[:, None] * self.chart.covector[None, :]
+        h = self.chart
+        covs = self.normals @ h.basis - self.offsets[:, None] * h.covector[None, :]
         return covs / np.linalg.norm(covs, axis=1, keepdims=True)
+
+    def dual_covectors(self, n, seed=0):
+        # dual polytope V-representation: facet functionals normalized against
+        # an interior point span the separating hyperplanes by positive combos
+        covs = self.facet_functionals()
+        x0 = self.center_point().coords
+        vals = covs @ x0
+        covs = covs * np.where(vals > 0, -1.0, 1.0)[:, None]
+        covs = covs / np.abs(covs @ x0)[:, None]
+        m = covs.shape[0]
+        mean = np.mean(covs, axis=0)
+        out = [self.chart.covector]
+        # near-extreme schedule: approach each facet geometrically
+        for j in range(1, 9):
+            t = 2.0 ** (-3 * j)
+            for f in range(m):
+                out.append((1 - t) * covs[f] + t * mean)
+        k = max(0, n - len(out))
+        if k:
+            w = sampling.simplex_weights(k, m, seed + 7)
+            out.extend(list(w @ covs))
+        arr = np.array(out[:n])
+        return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
 class SampledSet(ProperDomain):
@@ -295,84 +338,11 @@ class SampledSet(ProperDomain):
     def center_point(self):
         return self.members[0].center_point()
 
-
-# ---------------------------------------------------------------------------
-# dual domains
-
-
-class DualDomain:
-    """Deterministic sampler of hyperplanes opposite to the parent's closure."""
-
-    def __init__(self, parent: ProperDomain):
-        self.parent = parent
-
-    def sample_covectors(self, n, seed=0):
-        p = self.parent
-        if isinstance(p, ConvexPolytope):
-            return self._polytope_covectors(p, n, seed)
-        if isinstance(p, ChartBall):
-            return self._ball_covectors(p, n, seed)
-        if isinstance(p, SampledSet):
-            return self._union_covectors(p, n, seed)
-        raise TypeError(f"unsupported parent kind {type(p)}")
-
-    def sample(self, n, seed=0):
-        return [ProjHyperplane(w) for w in self.sample_covectors(n, seed)]
-
-    @staticmethod
-    def _polytope_covectors(p, n, seed):
-        # dual polytope V-representation: facet functionals normalized against
-        # an interior point span the separating hyperplanes by positive combos
-        covs = p.facet_functionals()
-        x0 = p.center_point().coords
-        vals = covs @ x0
-        covs = covs * np.where(vals > 0, -1.0, 1.0)[:, None]
-        covs = covs / np.abs(covs @ x0)[:, None]
-        m = covs.shape[0]
-        mean = np.mean(covs, axis=0)
-        out = [p.chart.covector]
-        # near-extreme schedule: approach each facet geometrically
-        for j in range(1, 9):
-            t = 2.0 ** (-3 * j)
-            for f in range(m):
-                out.append((1 - t) * covs[f] + t * mean)
-        k = max(0, n - len(out))
-        if k:
-            w = sampling.simplex_weights(k, m, seed + 7)
-            out.extend(list(w @ covs))
-        arr = np.array(out[:n] if len(out) > n else out)
-        return arr / np.linalg.norm(arr, axis=1, keepdims=True)
-
-    @staticmethod
-    def _ball_covectors(p, n, seed):
-        k = p.dim - 1
-        B = chart_basis(p.chart)
-        n_dirs = max(4, n // 12)
-        dirs = sampling.sphere_points(n_dirs, k, seed + 3)
-        offsets = p.radius * np.concatenate(
-            [2.0 ** (-3 * np.arange(1, 9)), np.array([0.5, 1.0, 4.0])]
-        )
-        out = [p.chart.covector]
-        for u in dirs:
-            base = u @ B
-            for s in offsets:
-                cov = base - (float(u @ p.center) + p.radius + s) * p.chart.covector
-                out.append(cov)
-                if len(out) >= n:
-                    break
-            if len(out) >= n:
-                break
-        arr = np.array(out)
-        return arr / np.linalg.norm(arr, axis=1, keepdims=True)
-
-    @staticmethod
-    def _union_covectors(p, n, seed):
-        cands = []
-        for i, m in enumerate(p.members):
-            cands.append(DualDomain._ball_covectors(m, n, seed + 13 * i))
-        cands = np.vstack(cands)
+    def dual_covectors(self, n, seed=0):
+        cands = np.vstack([m.dual_covectors(n, seed + 13 * i) for i, m in enumerate(self.members)])
         closure = np.vstack(
-            [p.boundary_points(max(64, 8 * len(p.members)), seed), p.interior_points(64, seed)]
+            [self.boundary_points(max(64, 8 * len(self.members)), seed),
+             self.interior_points(64, seed)]
         )
         vals = cands @ closure.T
         sep = np.all(vals > 1e-9, axis=1) | np.all(vals < -1e-9, axis=1)
@@ -424,7 +394,7 @@ def zimmer_metric_sampled(omega: ProperDomain, x: ProjPoint, y: ProjPoint,
     sup_w log|w(x)/w(y)|, so ``budget`` hyperplane samples probe
     budget**2 pairs.
     """
-    covs = DualDomain(omega).sample_covectors(budget, seed)
+    covs = omega.dual_covectors(budget, seed)
     vx = covs @ x.coords
     vy = covs @ y.coords
     ok = (np.abs(vx) > 1e-300) & (np.abs(vy) > 1e-300)
@@ -450,14 +420,13 @@ def diameter(outer: ProperDomain, inner, budget: int = 256, seed: int = 0) -> fl
         pts = np.asarray(inner, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-    proj = [ProjPoint(row) for row in pts]
-    for p in proj:
-        if not outer.contains(p, slack=1e-9):
-            raise NotNested("inner sample escapes the outer domain")
-    if len(proj) == 1:
+    if not np.all(outer.contains_points(pts, slack=1e-9)):
+        raise NotNested("inner sample escapes the outer domain")
+    m = len(pts)
+    if m == 1:
         return 0.0
     best = 0.0
-    m = len(proj)
+    proj = [ProjPoint(row) for row in pts]
     if m * (m - 1) // 2 <= 4 * budget:
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     else:
@@ -475,12 +444,9 @@ def nesting_margin(inner: ProperDomain, outer: ProperDomain, n: int = 128, seed:
     Also requires every inner closure sample to satisfy the outer oracle.
     """
     ib = inner.boundary_points(n, seed)
-    ob = outer.boundary_points(max(n, 256), seed + 1)
-    inside = outer.contains_coords(
-        np.array([affine_chart(outer.chart, ProjPoint(r)) for r in ib]), slack=0.0
-    )
-    if not np.all(inside):
+    if not np.all(outer.contains_points(ib)):
         return -1.0
+    ob = outer.boundary_points(max(n, 256), seed + 1)
     return float(np.min(fubini_study_many(ib, ob)))
 
 
@@ -500,19 +466,19 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
     )
     # pull boundary-adjacent samples strictly inside
     pts = 0.995 * pts + 0.005 * np.asarray(inner.center)[None, :]
-    proj = chart_points_many(inner.chart, pts)
     m = pts.shape[0]
     idx = sampling.kronecker(budget, 2, seed + 17)
     best = math.inf
-    outer_chart_pts = np.array(
-        [affine_chart(outer.chart, ProjPoint(r)) for r in proj]
-    )
+
+    def to_outer(coords):
+        """Outer chart coordinates of an (n, k) array of inner chart coordinates."""
+        return affine_chart(outer.chart, chart_point(inner.chart, coords))
+
+    outer_chart_pts = to_outer(pts)
+
     def pair_ratio(pa, pb):
+        oa, ob = to_outer(np.array([pa, pb]))
         try:
-            amb_a = chart_points_many(inner.chart, pa[None, :])[0]
-            amb_b = chart_points_many(inner.chart, pb[None, :])[0]
-            oa = affine_chart(outer.chart, ProjPoint(amb_a))
-            ob = affine_chart(outer.chart, ProjPoint(amb_b))
             ci = _log_cr_from_section(*inner.section(pa, pb))
             co = _log_cr_from_section(*outer.section(oa, ob))
             if co < 1e-9:
@@ -542,11 +508,17 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
     anchors = np.vstack(
         [np.asarray(inner.center)[None, :], inner.interior_coords(max(16, budget // 8), seed + 29)]
     )
-    for p_in in anchors:
-        for u in dirs:
-            r = _finsler_ratio_at(inner, outer, p_in, u)
+    q_in = anchors[:, None, :] + 1e-6 * dirs[None, :, :]
+    p_out = to_outer(anchors)
+    q_out = to_outer(q_in.reshape(-1, k)).reshape(q_in.shape)
+    for i, p_in in enumerate(anchors):
+        for j, q in enumerate(q_in[i]):
+            try:
+                r = _finsler_ratio(inner, outer, p_in, p_out[i], q - p_in, q_out[i, j] - p_out[i])
+            except NotInDomain:
+                continue
             if r < best:
-                best, incumbent = r, (p_in.copy(), p_in + 1e-6 * u)
+                best, incumbent = r, (p_in.copy(), q.copy())
     # seeded stochastic pair descent around the incumbent
     if incumbent is not None:
         rng = np.random.default_rng(seed + 41)
@@ -572,19 +544,6 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
             if not improved:
                 step *= 0.5
     return best
-
-
-def _finsler_ratio_at(inner, outer, p_in, direction, h=1e-6):
-    """Finsler ratio at a chart point along a unit chart direction."""
-    try:
-        p_amb = chart_points_many(inner.chart, p_in[None, :])[0]
-        p_out = affine_chart(outer.chart, ProjPoint(p_amb))
-        q_in = p_in + h * direction
-        q_amb = chart_points_many(inner.chart, q_in[None, :])[0]
-        q_out = affine_chart(outer.chart, ProjPoint(q_amb))
-        return _finsler_ratio(inner, outer, p_in, p_out, q_in - p_in, q_out - p_out)
-    except NotInDomain:
-        return math.inf
 
 
 def _finsler_ratio(inner, outer, p_in, p_out, d_in, d_out):

@@ -19,7 +19,7 @@ from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
 from .domains import ChartBall, ProperDomain, zimmer_metric
 from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
-from .linalg import Matrix, svd
+from .linalg import Matrix, exterior_power, gap_trace, svd
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -316,8 +316,6 @@ def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
     data must shrink U when U avoids the limiting repelling hyperplane.
     Inconclusive verdicts are allowed and labeled.
     """
-    from .linalg import exterior_power, gap_trace as raw_gap_trace
-
     if k != 1:
         seq = [exterior_power(m, k) for m in seq]
     pts = np.vstack([U.boundary_points(n_samples, seed), U.interior_points(n_samples, seed)])
@@ -326,7 +324,7 @@ def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
         img = act_many(m, pts)
         diams.append(float(np.max(fubini_study_many(img, img))))
         limits.append(ProjPoint(np.mean(img * np.sign(img @ img[0])[:, None], axis=0)))
-    gaps = raw_gap_trace(seq, 1)
+    gaps = gap_trace(seq, 1)
 
     contraction = diams[-1] < diam_tol
     divergence = gaps[-1] > gap_threshold

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
 
 INCIDENCE_TOL = 1e-10
 OPPOSITION_TOL = 1e-6
+CHART_TOL = 1e-12
 
 
 def _canonical_unit(vec):
@@ -80,6 +82,13 @@ class ProjHyperplane:
 
     def __repr__(self):
         return f"ProjHyperplane({np.round(self.covector, 6).tolist()})"
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """``chart_basis`` of this hyperplane, computed on first use and kept."""
+        b = chart_basis(self)
+        b.setflags(write=False)
+        return b
 
 
 @dataclass(frozen=True)
@@ -171,7 +180,8 @@ def chart_basis(h: ProjHyperplane) -> np.ndarray:
 
     Gram-Schmidt over the standard basis in index order, skipping the
     basis vector most aligned with the covector. Rows are the d-1
-    completion vectors.
+    completion vectors. Charts read it through ``ProjHyperplane.basis``,
+    which runs this once per hyperplane.
     """
     d = h.dim
     skip = int(np.argmax(np.abs(h.covector)))
@@ -189,29 +199,42 @@ def chart_basis(h: ProjHyperplane) -> np.ndarray:
     return np.array(rows[1:])
 
 
-def affine_chart(h: ProjHyperplane, p: ProjPoint) -> np.ndarray:
-    """Coordinates of p in the chart of points off h.
+def in_chart(h: ProjHyperplane, rows) -> np.ndarray:
+    """Mask of the rows of a (d,) or (n, d) array that lie in the chart of h.
 
-    The lift of p is scaled so its covector component is 1; the returned
-    d-1 coefficients are taken against the deterministic orthonormal
-    completion of the covector.
+    A row is incident to h, and so outside the chart, when |h . p| <=
+    CHART_TOL for its unit representative p.
     """
-    denom = float(h.covector @ p.coords)
-    if abs(denom) <= 1e-12:
+    rows = np.asarray(rows, dtype=float)
+    return np.abs(rows @ h.covector) > CHART_TOL * np.linalg.norm(rows, axis=-1)
+
+
+def affine_chart(h: ProjHyperplane, p) -> np.ndarray:
+    """Coordinates of points in the chart of points off h.
+
+    ``p`` is a ProjPoint or a (d,) row, giving d-1 coordinates, or an
+    (n, d) array of rows, giving an (n, d-1) array. Each lift is scaled so
+    its covector component is 1; the coefficients are taken against the
+    orthonormal completion ``h.basis``. Raises NotInChart if any point is
+    incident to h (see ``in_chart``).
+    """
+    rows = np.asarray(p.coords if isinstance(p, ProjPoint) else p, dtype=float)
+    if not np.all(in_chart(h, rows)):
         raise NotInChart("point incident to the chart hyperplane")
-    lift = p.coords / denom
-    return chart_basis(h) @ lift
+    lifts = rows / (rows @ h.covector)[..., None]
+    return lifts @ h.basis.T
 
 
-def chart_point(h: ProjHyperplane, coords) -> ProjPoint:
-    """Inverse of ``affine_chart``."""
-    lift = h.covector + np.asarray(coords, dtype=float) @ chart_basis(h)
-    return ProjPoint(lift)
+def chart_point(h: ProjHyperplane, coords):
+    """Inverse of ``affine_chart``.
 
-
-def chart_points_many(h: ProjHyperplane, coords) -> np.ndarray:
-    """Vectorized ``chart_point`` for an (n, d-1) array; returns unit rows."""
-    lifts = h.covector[None, :] + np.asarray(coords, dtype=float) @ chart_basis(h)
+    A (d-1,) coordinate vector gives a ProjPoint; an (n, d-1) array gives
+    the (n, d) array of unit rows.
+    """
+    coords = np.asarray(coords, dtype=float)
+    lifts = h.covector + coords @ h.basis
+    if coords.ndim == 1:
+        return ProjPoint(lifts)
     return lifts / np.linalg.norm(lifts, axis=1, keepdims=True)
 
 

@@ -15,7 +15,7 @@ from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton
 from .circle import vec_of
 from .domains import ChartBall
 from .linalg import Matrix
-from .projgeom import ProjHyperplane
+from .projgeom import ProjHyperplane, affine_chart
 from .words import GroupPresentation, Peripheral, parse_word
 
 
@@ -176,10 +176,7 @@ def jordan_domains(radius: float = JORDAN_BALL_RADIUS):
     m = jordan_conjugator()
     u_a = ChartBall(ProjHyperplane([1.0, 0, 0, 0]), [0.0, 0.0, 0.0], radius)
     chart_b = ProjHyperplane(m[:, 0])
-    from .projgeom import ProjPoint, affine_chart
-
-    center_b = affine_chart(chart_b, ProjPoint(m[:, 0]))
-    u_b = ChartBall(chart_b, center_b, radius)
+    u_b = ChartBall(chart_b, affine_chart(chart_b, m[:, 0]), radius)
     return {"va": u_a, "vb": u_b}
 
 

@@ -143,3 +143,25 @@ def test_separation_table_checked(tmp_path):
     assert run(["certify", "--config", bad, "--out", tmp_path]) == 1
     report = (tmp_path / "certificate_report.txt").read_text()
     assert "separation table FAILURES" in report
+
+
+def _config_error(args, capsys):
+    code = run(args)
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith("config error:") and "Traceback" not in err
+
+
+def test_unknown_synthesis_key_is_config_error(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "pgl2z.json").read_text())
+    raw["synthesis"] = {**raw.get("synthesis", {}), "no_such_key": 1}
+    bad = tmp_path / "synth.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error(["synthesize", "--config", bad, "--out", tmp_path], capsys)
+
+
+def test_singleton_without_word_is_config_error(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "schottky.json").read_text())
+    del raw["graph"]["vertices"][0]["word"]
+    bad = tmp_path / "noword.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error(["certify", "--config", bad, "--out", tmp_path], capsys)

@@ -6,7 +6,6 @@ import pytest
 from flagdyn.domains import (
     ChartBall,
     ConvexPolytope,
-    DualDomain,
     SampledSet,
     _log_cr_from_section,
     contraction_factor,
@@ -17,8 +16,16 @@ from flagdyn.domains import (
     zimmer_metric,
     zimmer_metric_sampled,
 )
-from flagdyn.errors import BadOrder, NotInDomain, NotNested, NotStrictlyNested
-from flagdyn.projgeom import ProjHyperplane, ProjPoint, chart_point, opposition_margin
+import flagdyn.projgeom as projgeom
+from flagdyn.errors import BadOrder, NotInChart, NotInDomain, NotNested, NotStrictlyNested
+from flagdyn.projgeom import (
+    ProjHyperplane,
+    ProjPoint,
+    affine_chart,
+    chart_point,
+    in_chart,
+    opposition_margin,
+)
 
 H2 = ProjHyperplane([0.0, 1.0])
 H3 = ProjHyperplane([0.0, 0.0, 1.0])
@@ -133,13 +140,13 @@ def test_dual_domain_separating():
     rng = np.random.default_rng(3)
     poly = rand_polygon(rng)
     closure = np.vstack([poly.boundary_points(128, 0), poly.interior_points(64, 0)])
-    for h in DualDomain(poly).sample(512, seed=1):
+    for h in map(ProjHyperplane, poly.dual_covectors(512, seed=1)):
         margins = [opposition_margin(ProjPoint(row), h) for row in closure]
         assert min(margins) > 0
 
     ball = ChartBall(H3, [0.2, 0.1], 0.4)
     closure_b = np.vstack([ball.boundary_points(128, 0), ball.interior_points(64, 0)])
-    for h in DualDomain(ball).sample(256, seed=2):
+    for h in map(ProjHyperplane, ball.dual_covectors(256, seed=2)):
         vals = closure_b @ h.covector
         assert np.all(vals > 0) or np.all(vals < 0)
 
@@ -232,6 +239,22 @@ def test_nesting_margin_sign():
     assert nesting_margin(outer, inner) < 0
 
 
+def _touching_outer_chart():
+    # the inner boundary point [1 : 0] lies on the outer chart's hyperplane
+    inner = ChartBall(ProjHyperplane([1.0, 0.0]), [0.5], 0.5)
+    outer = ChartBall(ProjHyperplane([0.0, 1.0]), [0.0], 1.0)
+    return inner, outer
+
+
+def test_nesting_margin_point_on_outer_chart_hyperplane():
+    assert nesting_margin(*_touching_outer_chart()) < 0
+
+
+def test_contraction_factor_point_on_outer_chart_hyperplane():
+    with pytest.raises(NotStrictlyNested):
+        contraction_factor(*_touching_outer_chart())
+
+
 # --- the projective line contraction constant ---------------------------------
 
 
@@ -310,3 +333,79 @@ def test_finsler_factor_interval():
     assert f == pytest.approx(2.0)
     f = finsler_factor(omega, np.array([0.5]), np.array([1.0]))
     assert f == pytest.approx(1 / 1.5 + 1 / 0.5)
+
+
+# --- array chart map and containment oracle ------------------------------------
+
+
+def _gram_schmidt_basis(h):
+    """Chart basis rebuilt from its definition: Gram-Schmidt over e_0..e_{d-1}
+    in index order, skipping the index of the largest |h_i|."""
+    d = len(h)
+    skip = int(np.argmax(np.abs(h)))
+    done = [h]
+    for i in range(d):
+        if i != skip:
+            v = np.eye(d)[i] - sum(float(r @ np.eye(d)[i]) * r for r in done)
+            done.append(v / math.sqrt(float(v @ v)))
+    return np.array(done[1:])
+
+
+def _chart_rows(d, seed):
+    """Seeded rows: random ones, ones near a unit chart ball, ones on the hyperplane."""
+    rng = np.random.default_rng(seed)
+    h = ProjHyperplane(rng.normal(size=d))
+    free = rng.normal(size=(64, d))
+    near = chart_point(h, rng.uniform(-1.2, 1.2, (64, d - 1)))
+    on = rng.normal(size=(8, d))
+    on -= np.outer(on @ h.covector, h.covector)
+    rows = np.vstack([free, near, on])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    incident = np.arange(len(rows)) >= 128
+    return h, rows, incident
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_array_chart_matches_formula_and_flags_incident_rows(d):
+    h, rows, incident = _chart_rows(d, seed=10 + d)
+    assert np.array_equal(in_chart(h, rows), ~incident)
+    B = _gram_schmidt_basis(h.covector)
+    off = rows[~incident]
+    want = np.array([B @ (p / float(h.covector @ p)) for p in off])
+    np.testing.assert_allclose(affine_chart(h, off), want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(NotInChart):
+        affine_chart(h, rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_containment_oracle_matches_per_row_contains_coords(d):
+    h, rows, incident = _chart_rows(d, seed=20 + d)
+    rng = np.random.default_rng(30 + d)
+    k = d - 1
+    ball = ChartBall(h, rng.uniform(-0.2, 0.2, k), 0.7)
+    poly = ConvexPolytope(h, rng.uniform(-0.8, 0.8, (2 * d + 2, k)))
+    union = SampledSet([ChartBall(h, np.full(k, -0.3), 0.4), ChartBall(h, np.full(k, 0.3), 0.4)])
+    B = _gram_schmidt_basis(h.covector)
+    for dom in (ball, poly, union):
+        for slack in (0.0, 1e-9):
+            got = dom.contains_points(rows, slack=slack)
+            want = [
+                not inc and bool(dom.contains_coords((B @ (p / float(h.covector @ p)))[None, :],
+                                                     slack)[0])
+                for p, inc in zip(rows, incident)
+            ]
+            assert got.tolist() == want
+            assert 0 < np.sum(got) < np.sum(~incident)
+
+
+def test_chart_basis_runs_once_per_hyperplane(monkeypatch):
+    calls = []
+    real = projgeom.chart_basis
+    monkeypatch.setattr(projgeom, "chart_basis", lambda h: calls.append(h) or real(h))
+    h, rows, incident = _chart_rows(4, seed=40)
+    ball = ChartBall(h, [0.0, 0.0, 0.0], 0.5)
+    for _ in range(3):
+        ball.contains_points(rows)
+        affine_chart(h, rows[~incident])
+        ball.boundary_points(16)
+    assert calls == [h]

@@ -1,4 +1,5 @@
-"""flagdyn modules import no private (underscore) names from one another."""
+"""flagdyn modules import no private (underscore) names from one another,
+and import one another only at module level."""
 
 import ast
 from pathlib import Path
@@ -18,7 +19,29 @@ def _private_imports(path):
                 yield f"{path.name}:{node.lineno}: {alias.name} from {'.' * node.level}{module}"
 
 
+def _is_flagdyn_import(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "flagdyn"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "flagdyn" for alias in node.names)
+    return False
+
+
+def _function_local_imports(path):
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if _is_flagdyn_import(node):
+                yield f"{path.name}:{node.lineno}: import inside {fn.name}()"
+
+
 def test_no_private_names_imported_across_modules():
     assert len(list(SRC.glob("*.py"))) > 10
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _private_imports(path)]
+    assert found == []
+
+
+def test_no_function_local_flagdyn_imports():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _function_local_imports(path)]
     assert found == []
