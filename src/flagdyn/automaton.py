@@ -279,11 +279,12 @@ def _neighborhood_samples(dom: ProperDomain, eps: float, n_boundary: int,
     return np.vstack([interior, bnd, pushed])
 
 
-def _containment_margin(system_dom: ProperDomain, pts: np.ndarray, n_boundary: int,
-                        seed: int):
-    """Worst signed FS margin of the point cloud inside the domain."""
+def _containment_margin(system_dom: ProperDomain, pts: np.ndarray, bnd: np.ndarray):
+    """Worst signed FS margin of the point cloud inside the domain.
+
+    ``bnd`` is a boundary sample of the domain, drawn once per edge.
+    """
     inside = system_dom.contains_points(pts)
-    bnd = system_dom.boundary_points(max(n_boundary, 128), seed)
     dists = np.min(fubini_study_many(pts, bnd), axis=1)
     signed = np.where(inside, dists, -dists)
     return float(np.min(signed))
@@ -326,10 +327,11 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
                 _accumulate(per_element_margin[v], per_element_diam[v], i, margin, img.radius)
         else:
             pts = _neighborhood_samples(U_w, eps, n_boundary, n_interior, seed)
+            bnd = U_v.boundary_points(max(n_boundary, 128), seed + 1)
             for i, word in enumerate(words):
                 m = rho.evaluate(word)
                 img = act_many(m, pts)
-                margin = _containment_margin(U_v, img, n_boundary, seed + 1)
+                margin = _containment_margin(U_v, img, bnd)
                 records.append(
                     EdgeRecord(edge, word, margin, margin > 0, pts.shape[0], False)
                 )

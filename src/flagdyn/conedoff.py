@@ -4,19 +4,24 @@ Each peripheral coset gains a cone vertex at distance 1 from its
 elements, so any two elements of one coset are at distance 2. Balls are
 generated lazily and truncated: coset members are materialized within a
 declared power window, and searches refuse (OutOfBall) rather than
-silently answer beyond the truncated ball. Element equality uses free
-reduction for declared free presentations and canonical matrices
-otherwise.
+silently answer beyond the truncated ball. Elements of declared free
+presentations are free-reduced letter tuples; elements of PGL(2, Z)
+presentations are exact canonical 2x2 integer tuples. Either way an
+element is its own key.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import OutOfBall
-from .words import GroupPresentation, Word, normalize_word, word_str
+from .linalg import exact_matmul
+from .words import GroupPresentation, Word, normalize_word
+
+# bench/tracer.py counts coned-graph products through this module-level name
+_int_mul = exact_matmul
+
+_IDENTITY_2X2 = ((1, 0), (0, 1))
 
 
 def _letters(word: Word):
@@ -43,40 +48,24 @@ class Presentation:
 
     generators: list  # generator names
     peripherals: list  # (peripheral name, generator name) pairs, cyclic
-    kind: str = "free"  # 'free': reduced words; 'matrix': canonical matrices
+    kind: str = "free"  # 'free': reduced words; 'matrix': exact PGL(2, Z) tuples
     rho: GroupPresentation | None = None
 
     def __post_init__(self):
-        if self.kind == "matrix" and self.rho is None:
+        if self.kind != "matrix":
+            return
+        if self.rho is None:
             raise ValueError("matrix presentations need an evaluation map")
-
-
-def _int_canon(m):
-    """Canonical integer projective representative: gcd-reduced, sign-fixed."""
-    flat = [m[0][0], m[0][1], m[1][0], m[1][1]]
-    g = math.gcd(*(abs(x) for x in flat))
-    if g > 1:
-        flat = [x // g for x in flat]
-    lead = next((x for x in flat if x != 0), 0)
-    if lead < 0:
-        flat = [-x for x in flat]
-    return ((flat[0], flat[1]), (flat[2], flat[3]))
-
-
-def _int_mul(a, b):
-    return _int_canon(
-        (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-        )
-    )
+        for name, g in self.rho.generators.items():
+            if g.dim != 2 or g.exact is None:
+                raise ValueError(f"generator {name} is not an exact integer 2x2 matrix")
 
 
 class ConedGraph:
     """Lazy truncated coned-off Cayley graph with BFS distances.
 
-    Integer 2x2 presentations use exact tuple arithmetic on the hot path;
-    everything else goes through canonical Matrix objects.
+    Free presentations multiply by free reduction; matrix presentations
+    by the exact integer kernel of ``linalg``.
     """
 
     def __init__(self, pres: Presentation, truncation: int = 24,
@@ -84,148 +73,83 @@ class ConedGraph:
         self.pres = pres
         self.truncation = truncation
         self.max_nodes = max_nodes
-        self._elems = {}  # element key -> payload (letters, Matrix, or int tuple)
-        self._fast = False
+        self._elems = {}  # interned elements, each its own key
         if pres.kind == "matrix":
-            gens = pres.rho.generators
-            self._fast = pres.rho.dim == 2 and all(
-                g.exact is not None for g in gens.values()
-            )
-            if self._fast:
-                self._gen_tuples = {}
-                for name, g in gens.items():
-                    e = g.exact
-                    self._gen_tuples[(name, 1)] = _int_canon(e)
-                    (a, b), (c, d) = e
-                    self._gen_tuples[(name, -1)] = _int_canon(((d, -b), (-c, a)))
+            self._gen_tuples = {}
+            for name, g in pres.rho.generators.items():
+                self._gen_tuples[(name, 1)] = g.exact
+                self._gen_tuples[(name, -1)] = g.inv().exact
             self._powers = {}
             for p_name, t_name in pres.peripherals:
-                if self._fast:
-                    pows = {0: ((1, 0), (0, 1))}
-                    tp = self._gen_tuples[(t_name, 1)]
-                    tn = self._gen_tuples[(t_name, -1)]
-                    for j in range(1, truncation + 1):
-                        pows[j] = _int_mul(pows[j - 1], tp)
-                        pows[-j] = _int_mul(pows[-(j - 1)], tn)
-                else:
-                    t = pres.rho.generators[t_name]
-                    pows = {0: pres.rho.evaluate(())}
-                    t_inv = t.inv()
-                    for j in range(1, truncation + 1):
-                        pows[j] = pows[j - 1] @ t
-                        pows[-j] = pows[-(j - 1)] @ t_inv
+                pows = {0: _IDENTITY_2X2}
+                tp = self._gen_tuples[(t_name, 1)]
+                tn = self._gen_tuples[(t_name, -1)]
+                for j in range(1, truncation + 1):
+                    pows[j] = _int_mul(pows[j - 1], tp)
+                    pows[-j] = _int_mul(pows[-(j - 1)], tn)
                 self._powers[p_name] = pows
-        self._id_key = self._intern(self._identity())
 
     # -- element plumbing ---------------------------------------------------
 
-    def _identity(self):
-        if self.pres.kind == "free":
-            return ()
-        if self._fast:
-            return ((1, 0), (0, 1))
-        return self.pres.rho.evaluate(())
-
-    def _key(self, payload):
-        if self.pres.kind == "free" or self._fast:
-            return payload
-        return payload.key()
-
-    def _intern(self, payload):
-        k = self._key(payload)
-        self._elems.setdefault(k, payload)
-        return k
+    def _intern(self, elem):
+        return self._elems.setdefault(elem, elem)
 
     def node_of_word(self, word: Word):
         word = normalize_word(word)
         if self.pres.kind == "free":
             return ("e", self._intern(free_reduce(_letters(word))))
-        if self._fast:
-            out = ((1, 0), (0, 1))
-            for name, exp in word:
-                step = self._gen_tuples[(name, 1 if exp > 0 else -1)]
-                for _ in range(abs(exp)):
-                    out = _int_mul(out, step)
-            return ("e", self._intern(out))
-        return ("e", self._intern(self.pres.rho.evaluate(word)))
+        out = _IDENTITY_2X2
+        for name, exp in word:
+            step = self._gen_tuples[(name, 1 if exp > 0 else -1)]
+            for _ in range(abs(exp)):
+                out = _int_mul(out, step)
+        return ("e", self._intern(out))
 
-    def _mul_gen(self, payload, name, sign):
+    def _mul_gen(self, elem, name, sign):
         if self.pres.kind == "free":
-            return free_reduce(payload + ((name, sign),))
-        if self._fast:
-            return _int_mul(payload, self._gen_tuples[(name, sign)])
-        return payload @ self.pres.rho.power(name, sign)
+            return free_reduce(elem + ((name, sign),))
+        return _int_mul(elem, self._gen_tuples[(name, sign)])
 
-    def _coset_key(self, payload, p_name, t_name):
+    def _coset_key(self, elem, p_name, t_name):
         """Canonical key of the coset g<t>, valid within the power window."""
         if self.pres.kind == "free":
-            letters = list(payload)
+            letters = list(elem)
             while letters and letters[-1][0] == t_name:
                 letters.pop()
             return tuple(letters)
         pows = self._powers[p_name]
-        if self._fast:
-            return min(
-                _int_mul(payload, pows[j])
-                for j in range(-self.truncation, self.truncation + 1)
-            )
-        return min(self._key(payload @ pows[j]) for j in range(-self.truncation, self.truncation + 1))
+        return min(_int_mul(elem, pows[j]) for j in range(-self.truncation, self.truncation + 1))
 
     # -- BFS ----------------------------------------------------------------
 
     def neighbors(self, node):
-        kind = node[0]
-        if kind == "e":
-            payload = self._elems[node[1]]
+        if node[0] == "e":
+            elem = node[1]
             out = []
             for name in self.pres.generators:
                 for sign in (1, -1):
-                    out.append(("e", self._intern(self._mul_gen(payload, name, sign))))
+                    out.append(("e", self._intern(self._mul_gen(elem, name, sign))))
             for p_name, t_name in self.pres.peripherals:
-                out.append(("c", p_name, self._coset_key(payload, p_name, t_name), node[1]))
+                out.append(("c", p_name, self._coset_key(elem, p_name, t_name), elem))
             return out
         # cone vertex: members of the coset through the discovered base
-        _, p_name, _, base_key = node
-        payload = self._elems[base_key]
-        t_name = dict(self.pres.peripherals)[p_name]
+        _, p_name, _, base = node
         out = []
         if self.pres.kind == "free":
+            t_name = dict(self.pres.peripherals)[p_name]
             for j in range(-self.truncation, self.truncation + 1):
-                w = free_reduce(tuple(payload) + ((t_name, 1 if j > 0 else -1),) * abs(j))
+                w = free_reduce(base + ((t_name, 1 if j > 0 else -1),) * abs(j))
                 out.append(("e", self._intern(w)))
-        elif self._fast:
-            pows = self._powers[p_name]
-            for j in range(-self.truncation, self.truncation + 1):
-                out.append(("e", self._intern(_int_mul(payload, pows[j]))))
         else:
             pows = self._powers[p_name]
             for j in range(-self.truncation, self.truncation + 1):
-                out.append(("e", self._intern(payload @ pows[j])))
+                out.append(("e", self._intern(_int_mul(base, pows[j]))))
         return out
 
     @staticmethod
     def _node_id(node):
         # cone nodes carry their discovery base; identity ignores it
         return node[:3]
-
-    def ball(self, radius: int, center_word: Word = ()):
-        """BFS ball: {node id: distance}; raises OutOfBall past max_nodes."""
-        start = self.node_of_word(center_word)
-        dist = {self._node_id(start): 0}
-        frontier = deque([start])
-        while frontier:
-            node = frontier.popleft()
-            d = dist[self._node_id(node)]
-            if d >= radius:
-                continue
-            for nb in self.neighbors(node):
-                nid = self._node_id(nb)
-                if nid not in dist:
-                    if len(dist) >= self.max_nodes:
-                        raise OutOfBall(f"ball exceeds {self.max_nodes} nodes")
-                    dist[nid] = d + 1
-                    frontier.append(nb)
-        return dist
 
     def _levels_from(self, starts):
         """Multi-source BFS state generator helpers."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
 from .domains import ChartBall, ConvexPolytope, SampledSet
-from .errors import ConfigError
+from .errors import ConfigError, SingularInput
 from .linalg import Matrix
 from .projgeom import ProjHyperplane
 from .systems import arc_ball
@@ -152,7 +152,10 @@ class RunConfig:
     def presentation(self, t: float = 0.0) -> GroupPresentation:
         gens = {}
         for g in self.raw.get("generators", []):
-            gens[g["name"]] = _matrix(g["matrix"], t)
+            try:
+                gens[g["name"]] = _matrix(g["matrix"], t)
+            except SingularInput as exc:
+                raise ConfigError(f"generator {g['name']}: {exc}") from exc
         for d in self.raw.get("derived", []):
             base = GroupPresentation(dim=self.dimension, generators=dict(gens))
             gens[d["name"]] = base.evaluate(parse_word(d["word"]))

@@ -50,6 +50,8 @@ class PrefixProduct:
 
     def push(self, m: Matrix):
         self.arr = self.arr @ m.arr
+        if np.linalg.det(m.arr) < 0:
+            self.det_sign = -self.det_sign
         self._since_renorm += 1
         if self._since_renorm >= RENORM_EVERY or np.max(np.abs(self.arr)) > 1e12:
             self._renorm()
@@ -167,8 +169,10 @@ def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSys
             y = circle.vec_of(target.center + target.radius)
             (X, Y), (nx, ny) = prefix.apply(np.array([x, y]))
             det_xy = prefix.det_sign * math.exp(prefix.logdet) * _det2(x, y) / (nx * ny)
+            # Pluecker: [XY][AB] = [XA][YB] - [XB][YA], so the cross ratio
+            # [XB][YA] / ([XA][YB]) is 1 - t
             t = det_xy * detAB / (_det2(X, A) * _det2(Y, B))
-            diameters.append(abs(math.log1p(t)) if t > -1 else math.inf)
+            diameters.append(abs(math.log1p(-t)) if t < 1 else math.inf)
             gaps.append(prefix.gap(1))
             last_pair = (X, Y, det_xy)
         X, Y, det_xy = last_pair

@@ -2,9 +2,12 @@
 
 Matrices are stored as canonical projective representatives: scaled to
 unit |det| and sign-normalized so equal elements of PGL(d, R) compare
-equal. Singular values come from a one-sided Jacobi iteration with a
-fixed cyclic sweep order, so all derived quantities (Cartan vectors,
-root gaps, attracting data) are deterministic across runs.
+equal. Integral input also keeps an exact integer representative;
+``exact_canonical`` and ``exact_matmul`` are the one exact kernel, shared
+with the coned-off graph of PGL(2, Z). Singular values come from a
+one-sided Jacobi iteration with a fixed cyclic sweep order, so all
+derived quantities (Cartan vectors, root gaps, attracting data) are
+deterministic across runs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,41 @@ MAX_DIM = 20
 MAX_EXT_DIM = 200
 _JACOBI_SWEEP_CAP = 100
 _JACOBI_TOL = 1e-15
+
+
+def exact_canonical(flat, d):
+    """Canonical PGL(d, Z) representative of row-major integer entries.
+
+    Divides out the gcd and makes the first nonzero entry positive, so
+    equal elements give equal d-tuples of row tuples.
+    """
+    g = math.gcd(*flat)
+    if g > 1:
+        flat = [x // g for x in flat]
+    for x in flat:
+        if x:
+            if x < 0:
+                flat = [-y for y in flat]
+            break
+    if d == 2:
+        return ((flat[0], flat[1]), (flat[2], flat[3]))
+    return tuple(tuple(flat[i:i + d]) for i in range(0, d * d, d))
+
+
+def exact_matmul(a, b):
+    """Canonical product of two exact integer matrices given as row tuples.
+
+    The 2x2 product is unrolled: the coned-off graph of PGL(2, Z) makes
+    millions of these.
+    """
+    if len(a) == 2:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return exact_canonical((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                                a10 * b00 + a11 * b10, a10 * b01 + a11 * b11), 2)
+    cols = tuple(zip(*b))
+    return exact_canonical([sum(x * y for x, y in zip(row, col)) for row in a for col in cols],
+                           len(a))
 
 
 def _sign_canonical(arr):
@@ -54,18 +92,10 @@ class Matrix:
         exact = None
         raw = np.array(entries)
         if raw.dtype.kind in "iu" or (
-            raw.dtype == object and all(isinstance(x, int) for x in raw.reshape(-1))
+            raw.dtype == object and all(isinstance(x, int) for x in raw.flat)
         ):
-            ints = [[int(x) for x in row] for row in raw]
-            g = math.gcd(*(abs(v) for row in ints for v in row))
-            if g > 1:
-                ints = [[v // g for v in row] for row in ints]
-            flat = [v for row in ints for v in row]
-            lead = next((v for v in flat if v != 0), 0)
-            if lead < 0:
-                ints = [[-v for v in row] for row in ints]
-            exact = tuple(tuple(row) for row in ints)
-            a = np.array(ints, dtype=float)
+            exact = exact_canonical([int(x) for x in raw.flat], d)
+            a = np.array(exact, dtype=float)
         self.exact = exact
 
         # pre-scale by the sup norm so slogdet survives huge dynamic range
@@ -92,14 +122,7 @@ class Matrix:
 
     def __matmul__(self, other):
         if self.exact is not None and other.exact is not None:
-            prod = [
-                [
-                    sum(self.exact[i][k] * other.exact[k][j] for k in range(self.dim))
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
-            return Matrix(np.array(prod, dtype=object))
+            return Matrix(np.array(exact_matmul(self.exact, other.exact), dtype=object))
         return Matrix(self.arr @ other.arr, _trusted=True)
 
     def inv(self):

@@ -144,6 +144,8 @@ class GroupPresentation:
             return self._powers[key]
         if name not in self.generators:
             raise EvaluationError(f"unknown generator {name}")
+        if exp == 0:
+            return self._cache[()]
         base = self.generators[name] if exp > 0 else self.generators[name].inv()
         out = base
         for _ in range(abs(exp) - 1):

@@ -165,3 +165,14 @@ def test_singleton_without_word_is_config_error(tmp_path, capsys):
     bad = tmp_path / "noword.json"
     bad.write_text(json.dumps(raw))
     assert _config_error(["certify", "--config", bad, "--out", tmp_path], capsys)
+
+
+@pytest.mark.parametrize("command", ["certify", "gaps", "rates"])
+def test_singular_generator_is_config_error(tmp_path, capsys, command):
+    raw = json.loads((CONFIGS / "single_loop.json").read_text())
+    raw["generators"][0]["matrix"] = [[1, 2], [2, 4]]
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(raw))
+    assert run([command, "--config", bad, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: generator g") and "Traceback" not in err

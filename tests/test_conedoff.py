@@ -149,3 +149,13 @@ def test_pgl2z_distances(pgl2z):
 def test_pgl2z_relation_identified(pgl2z):
     # (st)^3 = id in PGL(2, Z)
     assert pgl2z.distance((), parse_word("s t s t s t"), 6) == 0
+
+
+def test_matrix_presentation_rejects_inexact_generators():
+    float_rho = GroupPresentation(dim=2, generators={"t": Matrix([[1, 1], [0, 1]]),
+                                                     "h": Matrix([[2.0, 0.0], [0.0, 0.5]])})
+    with pytest.raises(ValueError, match="generator h"):
+        Presentation(generators=["t", "h"], peripherals=[], kind="matrix", rho=float_rho)
+    rho3 = GroupPresentation(dim=3, generators={"u": Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])})
+    with pytest.raises(ValueError, match="generator u"):
+        Presentation(generators=["u"], peripherals=[], kind="matrix", rho=rho3)

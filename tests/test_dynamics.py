@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import flagdyn.systems as systems
-from flagdyn.automaton import enumerate_paths, verify_compatibility
-from flagdyn.domains import ChartBall
+from flagdyn.automaton import CompatibleSystem, GPath, enumerate_paths, verify_compatibility
+from flagdyn.domains import ChartBall, zimmer_metric
 from flagdyn.dynamics import (
     attracting_data,
     contracting_limit,
@@ -20,7 +20,7 @@ from flagdyn.linalg import Matrix
 from flagdyn.projgeom import ProjHyperplane, ProjPoint, fubini_study
 from flagdyn.systems import arc_ball, jordan_block_matrix, rotation2, schottky_graph, \
     schottky_presentation, schottky_system, single_loop_system
-from flagdyn.words import parse_word
+from flagdyn.words import GroupPresentation, parse_word
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +333,18 @@ def test_equivariance_corrupted_rep_fails(certified_schottky):
 
 def test_radius_floor_positive():
     assert radius_floor(2) == pytest.approx(2e-15)
+
+
+@pytest.mark.parametrize("diag", [(4.0, 0.25), (-4.0, 0.25)])
+def test_rp1_diameters_match_zimmer_metric_of_image_endpoints(diag):
+    # the engine's cross-ratio identity against the line-section metric of
+    # the image arc's endpoints; the det -1 generator checks the tracked sign
+    rho = GroupPresentation(dim=2, generators={"g": Matrix(np.diag(diag))})
+    dom = arc_ball(0.0, 0.3)
+    system = CompatibleSystem(domains={"v": dom}, epsilon=0.05)
+    path = GPath(["v"] * 4, [parse_word("g")] * 3)
+    res = contracting_limit(path, rho, system, depth=3)
+    ends = np.array([[math.cos(0.3), -math.sin(0.3)], [math.cos(0.3), math.sin(0.3)]])
+    for n, diam in enumerate(res.diameters, start=1):
+        x, y = ends @ np.linalg.matrix_power(np.diag(diag), n).T
+        assert diam == pytest.approx(zimmer_metric(dom, ProjPoint(x), ProjPoint(y)), rel=1e-9)

@@ -10,6 +10,8 @@ from flagdyn.linalg import (
     CartanVector,
     Matrix,
     cartan_projection,
+    exact_canonical,
+    exact_matmul,
     exterior_power,
     flag_divergent,
     gap_trace,
@@ -252,3 +254,55 @@ def test_exact_integer_dedup():
     b = Matrix([[1, 2], [3, 4]])
     c = Matrix([[-1, -2], [-3, -4]])
     assert a.key() == b.key() == c.key()
+
+
+def _oracle_canonical(rows):
+    """gcd-reduced, first-nonzero-positive rows; independent of linalg."""
+    flat = [v for row in rows for v in row]
+    g = 0
+    for v in flat:
+        x, y = abs(g), abs(v)
+        while y:
+            x, y = y, x % y
+        g = x
+    if g > 1:
+        flat = [v // g for v in flat]
+    lead = [v for v in flat if v != 0][:1]
+    if lead and lead[0] < 0:
+        flat = [-v for v in flat]
+    d = len(rows)
+    return tuple(tuple(flat[i * d:(i + 1) * d]) for i in range(d))
+
+
+def _oracle_product(a, b):
+    d = len(a)
+    return _oracle_canonical(
+        [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    )
+
+
+def test_exact_kernel_matches_oracle_and_matrix_product():
+    rng = np.random.default_rng(20)
+    reduced = negated = 0
+    for d in (2, 3):
+        for _ in range(400):
+            a, b = (rng.integers(-6, 7, (d, d)) * int(rng.integers(1, 4)) for _ in range(2))
+            at = tuple(tuple(int(x) for x in row) for row in a)
+            bt = tuple(tuple(int(x) for x in row) for row in b)
+            want = _oracle_product(at, bt)
+            assert exact_matmul(at, bt) == want
+            raw = [v for row in (a @ b).tolist() for v in row]
+            flat = [v for row in want for v in row]
+            reduced += flat not in (raw, [-v for v in raw])  # gcd > 1
+            negated += next((v for v in raw if v), 0) < 0
+            if round(np.linalg.det(a)) != 0 and round(np.linalg.det(b)) != 0:
+                assert Matrix(a).exact == _oracle_canonical(at)
+                assert (Matrix(a) @ Matrix(b)).exact == want
+    assert reduced > 50 and negated > 50
+
+
+def test_exact_canonical_pins():
+    # gcd 2 divided out, then the first nonzero entry (-1) made positive
+    assert exact_canonical([0, -2, 4, 6], 2) == ((0, 1), (-2, -3))
+    assert exact_canonical([-3, 0, 0, 0, -3, 0, 0, 0, -3], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert exact_matmul(((1, 1), (0, 1)), ((1, -1), (0, 1))) == ((1, 0), (0, 1))

@@ -102,3 +102,11 @@ def test_rank2_enumeration_duplicate_free():
     words = list(rho.peripheral("p").enumerate_words())
     assert len(words) == len(set(words))
     assert all(w for w in words)
+
+
+def test_power_zero_is_identity():
+    rho = GroupPresentation(dim=2, generators={"t": Matrix([[1, 1], [0, 1]])})
+    assert rho.power("t", 0).is_identity()
+    assert rho.power("t", -1).exact == ((1, -1), (0, 1))
+    with pytest.raises(EvaluationError):
+        rho.power("z", 0)
