@@ -2,16 +2,18 @@
 
 Each peripheral coset gains a cone vertex at distance 1 from its
 elements, so any two elements of one coset are at distance 2. Balls are
-generated lazily and truncated: coset members are materialized within a
-declared power window, and searches refuse (OutOfBall) rather than
-silently answer beyond the truncated ball. Elements of declared free
-presentations are free-reduced letter tuples; elements of PGL(2, Z)
-presentations are exact canonical 2x2 integer tuples. Either way an
-element is its own key.
+generated lazily and truncated: a cone vertex lists the coset members
+within a declared power window of the element it was reached from, and
+searches refuse (OutOfBall) rather than silently answer beyond the
+truncated ball. Elements of declared free presentations are free-reduced
+letter tuples; elements of PGL(2, Z) presentations are exact canonical
+2x2 integer tuples. Either way an element is its own key, and a coset
+g<t> is keyed by a normal form that costs O(1) per element.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import OutOfBall
@@ -22,6 +24,33 @@ from .words import GroupPresentation, Word, normalize_word
 _int_mul = exact_matmul
 
 _IDENTITY_2X2 = ((1, 0), (0, 1))
+
+
+def _parabolic_frame(t):
+    """(P, k) with P in SL(2, Z) and P^-1 t P = +-[[1, k], [0, 1]], k > 0.
+
+    The first column of P is the primitive integer fixed vector of the
+    parabolic t; the second completes it to a basis of Z^2.
+    """
+    (a, b), (c, d) = t
+    eps = (a + d) // 2
+    p, q = (b, eps - a) if (a - eps, b) != (0, 0) else (eps - d, c)
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    # second column (x, y) with p y - q x = 1, so P = [[p, x], [q, y]] has det 1
+    if q == 0:
+        x, y = 0, p
+    else:
+        y = pow(p, -1, abs(q))
+        x = (p * y - 1) // q
+    # k = eps * (P^-1 t P)[0][1], with P^-1 = [[y, -x], [-q, p]]
+    k = eps * (y * (a * x + b * y) - x * (c * x + d * y))
+    return ((p, x), (q, y)), abs(k)
+
+
+def _is_parabolic(t):
+    (a, b), (c, d) = t
+    return a * d - b * c == 1 and abs(a + d) == 2 and (b, c) != (0, 0)
 
 
 def _letters(word: Word):
@@ -59,6 +88,11 @@ class Presentation:
         for name, g in self.rho.generators.items():
             if g.dim != 2 or g.exact is None:
                 raise ValueError(f"generator {name} is not an exact integer 2x2 matrix")
+        for p_name, t_name in self.peripherals:
+            t = self.rho.generators.get(t_name)
+            if t is None or not _is_parabolic(t.exact):
+                raise ValueError(f"peripheral {p_name} generator {t_name} is not parabolic "
+                                 "(det 1, |trace| 2, not the identity)")
 
 
 class ConedGraph:
@@ -80,6 +114,7 @@ class ConedGraph:
                 self._gen_tuples[(name, 1)] = g.exact
                 self._gen_tuples[(name, -1)] = g.inv().exact
             self._powers = {}
+            self._frames = {}
             for p_name, t_name in pres.peripherals:
                 pows = {0: _IDENTITY_2X2}
                 tp = self._gen_tuples[(t_name, 1)]
@@ -88,6 +123,7 @@ class ConedGraph:
                     pows[j] = _int_mul(pows[j - 1], tp)
                     pows[-j] = _int_mul(pows[-(j - 1)], tn)
                 self._powers[p_name] = pows
+                self._frames[p_name] = _parabolic_frame(tp)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -111,14 +147,26 @@ class ConedGraph:
         return _int_mul(elem, self._gen_tuples[(name, sign)])
 
     def _coset_key(self, elem, p_name, t_name):
-        """Canonical key of the coset g<t>, valid within the power window."""
+        """Canonical key of the coset g<t>.
+
+        Free kind: g with its trailing t letters stripped. Matrix kind: in
+        the frame P of t, g t^j P = +-(gP)[[1, jk], [0, 1]] adds jk times
+        the first column of gP to its second, so gP with its first column
+        sign-fixed and its second column reduced modulo k times the first
+        is the same for every member of the coset.
+        """
         if self.pres.kind == "free":
             letters = list(elem)
             while letters and letters[-1][0] == t_name:
                 letters.pop()
             return tuple(letters)
-        pows = self._powers[p_name]
-        return min(_int_mul(elem, pows[j]) for j in range(-self.truncation, self.truncation + 1))
+        ((p, x), (q, y)), k = self._frames[p_name]
+        (a, b), (c, d) = elem
+        a, b, c, d = a * p + b * q, a * x + b * y, c * p + d * q, c * x + d * y
+        if a < 0 or (a == 0 and c < 0):
+            a, b, c, d = -a, -b, -c, -d
+        j = b // (k * a) if a else d // (k * c)
+        return ((a, b - j * k * a), (c, d - j * k * c))
 
     # -- BFS ----------------------------------------------------------------
 

@@ -47,6 +47,10 @@ from .systems import arc_ball
 from .words import GroupPresentation, Word, concat, invert_word, word_str
 
 
+# pool prefix ends of the staged first-hit search; the last stage is the whole pool
+_SEARCH_STAGES = (64, 512)
+
+
 @dataclass
 class SynthesisParams:
     epsilon: float = 0.05
@@ -222,14 +226,14 @@ class _ConicalSearcher:
         d = np.abs(a - b) % HALF_TURN
         return np.minimum(d, HALF_TURN - d)
 
-    def _image_arcs(self, centers, radius):
+    def _image_arcs(self, centers, radius, mats):
         """Image (center, radius) arrays of B(centers_i, radius) under mats_i."""
         lo = centers - radius
         hi = centers + radius
         out = []
         for ang in (lo, hi, centers):
             v = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            img = np.einsum("nij,nj->ni", self.mats, v)
+            img = np.einsum("nij,nj->ni", mats, v)
             out.append(self._angles(img))
         a_lo, a_hi, a_mid = out
         d = (a_hi - a_lo) % HALF_TURN
@@ -242,23 +246,32 @@ class _ConicalSearcher:
         return c, r
 
     def candidate(self, z_angle):
-        """First word expanding about z, or None."""
+        """First word expanding about z, or None.
+
+        The pool is scanned in stages (``_SEARCH_STAGES``, then the rest),
+        so a search stops at the first stage that holds a hit; the hit is
+        the first in pool order either way.
+        """
         p = self.params
         vz = np.array([math.cos(z_angle), math.sin(z_angle)])
-        pulls = self._angles(self.invs @ vz)
-        cw, rw = self._image_arcs(pulls, 2 * p.delta)
-        ok = 2 * rw < p.delta
-        if not np.any(ok):
-            return None
-        cwe, rwe = self._image_arcs(pulls, 2 * p.delta + 2 * p.epsilon)
-        ok &= self._adist(cwe, z_angle) + rwe < p.epsilon
-        if not np.any(ok):
-            return None
-        i = int(np.argmax(ok))
-        mat = self.mats[i]
-        v_arc = mobius_arc(mat, Arc(float(pulls[i]), p.delta))
-        w_arc = Arc(float(cw[i]), float(rw[i]))
-        return _Conical(self.words[i], float(z_angle), float(pulls[i]), v_arc, w_arc)
+        n = len(self.words)
+        lo = 0
+        for hi in [b for b in _SEARCH_STAGES if b < n] + [n]:
+            mats = self.mats[lo:hi]
+            pulls = self._angles(self.invs[lo:hi] @ vz)
+            cw, rw = self._image_arcs(pulls, 2 * p.delta, mats)
+            ok = np.flatnonzero(2 * rw < p.delta)
+            if ok.size:
+                cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
+                hits = ok[self._adist(cwe, z_angle) + rwe < p.epsilon]
+                if hits.size:
+                    i = int(hits[0])
+                    v_arc = mobius_arc(mats[i], Arc(float(pulls[i]), p.delta))
+                    w_arc = Arc(float(cw[i]), float(rw[i]))
+                    return _Conical(self.words[lo + i], float(z_angle), float(pulls[i]),
+                                    v_arc, w_arc)
+            lo = hi
+        return None
 
 
 @dataclass

@@ -118,7 +118,9 @@ class GroupPresentation:
         for name, m in self.generators.items():
             if m.dim != self.dim:
                 raise EvaluationError(f"generator {name} has dimension {m.dim} != {self.dim}")
-        self._cache = {(): Matrix.identity(self.dim)}
+        # an exact identity keeps products of exact generators exact
+        exact = all(m.exact is not None for m in self.generators.values())
+        self._cache = {(): Matrix(np.eye(self.dim, dtype=int if exact else float))}
         self._powers = {}
         for p in self.peripherals:
             for g in p.generators:

@@ -8,9 +8,11 @@ so the bench itself is not imported.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 from flagdyn.conedoff import ConedGraph, Presentation
+from flagdyn.synth import _ConicalSearcher
 from flagdyn.words import parse_word
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -47,3 +49,9 @@ def test_coned_graph_counts_interned_elements():
                        truncation=3)
     graph.distance((), parse_word("b a^2"), 5)
     assert len(graph._elems) > 1
+
+
+def test_image_arcs_takes_centers_first():
+    # the tracer counts synth.image_arcs.rows as len(args[1])
+    params = list(inspect.signature(_ConicalSearcher._image_arcs).parameters)
+    assert params[:2] == ["self", "centers"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flagdyn.conedoff import (
@@ -8,7 +10,13 @@ from flagdyn.conedoff import (
 )
 from flagdyn.errors import OutOfBall
 from flagdyn.linalg import Matrix
-from flagdyn.words import GroupPresentation, Peripheral, parse_word
+from flagdyn.words import GroupPresentation, Peripheral, concat, parse_word
+
+MODULAR = {
+    "t": Matrix([[1, 1], [0, 1]]),
+    "s": Matrix([[0, -1], [1, 0]]),
+    "r": Matrix([[0, 1], [1, 0]]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +35,7 @@ def f2_rel_a():
 def pgl2z():
     rho = GroupPresentation(
         dim=2,
-        generators={
-            "t": Matrix([[1, 1], [0, 1]]),
-            "s": Matrix([[0, -1], [1, 0]]),
-            "r": Matrix([[0, 1], [1, 0]]),
-        },
+        generators=dict(MODULAR),
         peripherals=[Peripheral("pt", ["t"], truncation=40, parabolic_point=[1, 0])],
     )
     pres = Presentation(generators=["t", "s", "r"], peripherals=[("pt", "t")],
@@ -159,3 +163,64 @@ def test_matrix_presentation_rejects_inexact_generators():
     rho3 = GroupPresentation(dim=3, generators={"u": Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])})
     with pytest.raises(ValueError, match="generator u"):
         Presentation(generators=["u"], peripherals=[], kind="matrix", rho=rho3)
+
+
+def test_matrix_presentation_rejects_non_parabolic_peripherals():
+    gens = dict(MODULAR, h=Matrix([[2, 1], [1, 1]]), e=Matrix([[1, 0], [0, 1]]),
+                m=Matrix([[2, 1], [1, 0]]))
+    rho = GroupPresentation(dim=2, generators=gens)
+    # hyperbolic, the identity, |trace| 2 with det -1, and the order-2 element s
+    for name in ("h", "e", "m", "s"):
+        with pytest.raises(ValueError, match=f"generator {name} is not parabolic"):
+            Presentation(generators=sorted(gens), peripherals=[("p", name)],
+                         kind="matrix", rho=rho)
+    Presentation(generators=sorted(gens), peripherals=[("p", "t")], kind="matrix", rho=rho)
+
+
+def _random_words(names, count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        w = tuple((rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 5)))
+                  for _ in range(rng.randint(0, 6)))
+        out.append(concat(w))
+    return out
+
+
+def _assert_coset_key_invariant(graph, t_name, seed):
+    (p_name, _), = graph.pres.peripherals
+    T = graph.truncation
+
+    def key(word):
+        return graph._coset_key(graph.node_of_word(word)[1], p_name, t_name)
+
+    for g in _random_words(sorted(graph.pres.generators), 25, seed):
+        k0 = key(g)
+        for k in (1, -1, T, -T, 3 * T, -3 * T, 400, -400):
+            assert key(concat(g, ((t_name, k),))) == k0, (g, k)
+        assert key(concat(g, (("s", 1),))) != k0, g
+
+
+def test_pgl2z_coset_key_is_constant_on_cosets(pgl2z):
+    _assert_coset_key_invariant(pgl2z, "t", seed=11)
+
+
+def test_pgl2z_coset_members_share_a_cone(pgl2z):
+    # members far outside each other's power window still meet at the cone
+    assert pgl2z.distance(parse_word("s t^3"), parse_word("s t^-90"), 6) == 2
+    assert pgl2z.distance((), parse_word("t^60"), 6) == 2
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("u", [[1, 2], [0, 1]]),  # t^2: k = 2
+    ("v", [[1, 0], [-1, 1]]),  # s t s^-1: fixed vector (0, 1)
+    ("w", [[-5, 12], [-3, 7]]),  # A t^3 A^-1, A = [[2, 1], [1, 1]]: k = 3
+])
+def test_coset_key_of_conjugated_or_non_unit_peripheral(name, matrix):
+    gens = dict(MODULAR, **{name: Matrix(matrix)})
+    rho = GroupPresentation(dim=2, generators=gens)
+    pres = Presentation(generators=sorted(gens), peripherals=[("p", name)],
+                        kind="matrix", rho=rho)
+    graph = ConedGraph(pres, truncation=6)
+    _assert_coset_key_invariant(graph, name, seed=5)
+    assert graph.distance(parse_word(f"r {name}^2"), parse_word(f"r {name}^-50"), 6) == 2

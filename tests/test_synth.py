@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
-from flagdyn.circle import Arc, angle_dist
+from flagdyn.circle import Arc, angle_dist, mobius_arc
 from flagdyn.errors import SynthesisFailed
 from flagdyn.linalg import Matrix
-from flagdyn.synth import SynthesisParams, _fundamental_interval, synthesize_rp1
+from flagdyn.synth import (
+    _SEARCH_STAGES,
+    SynthesisParams,
+    _ConicalSearcher,
+    _fundamental_interval,
+    synthesize_rp1,
+)
 from flagdyn.systems import schottky_presentation
 from flagdyn.words import GroupPresentation, Peripheral
 
@@ -129,3 +135,40 @@ def test_non_parabolic_declaration_fails():
     )
     with pytest.raises(SynthesisFailed):
         synthesize_rp1(rho, SynthesisParams())
+
+
+def _full_pool_candidate(searcher, z):
+    """First hit of the whole pool's mask: the search without stages."""
+    p = searcher.params
+    vz = np.array([math.cos(z), math.sin(z)])
+    pulls = searcher._angles(searcher.invs @ vz)
+    cw, rw = searcher._image_arcs(pulls, 2 * p.delta, searcher.mats)
+    cwe, rwe = searcher._image_arcs(pulls, 2 * p.delta + 2 * p.epsilon, searcher.mats)
+    ok = (2 * rw < p.delta) & (searcher._adist(cwe, z) + rwe < p.epsilon)
+    if not ok.any():
+        return None
+    i = int(np.argmax(ok))
+    v = mobius_arc(searcher.mats[i], Arc(float(pulls[i]), p.delta))
+    return (i, searcher.words[i], float(pulls[i]), (v.center, v.radius),
+            (float(cw[i]), float(rw[i])))
+
+
+def test_staged_search_returns_the_first_hit_of_the_whole_pool(modular_presentation):
+    searcher = _ConicalSearcher(modular_presentation,
+                                SynthesisParams(word_radius=4, coset_ball=1, lead_powers=6))
+    assert len(searcher.words) > _SEARCH_STAGES[0]
+    hit_at = []
+    for z in np.random.default_rng(0).uniform(0.0, math.pi, 300):
+        ref = _full_pool_candidate(searcher, float(z))
+        got = searcher.candidate(float(z))
+        if ref is None:
+            assert got is None
+            continue
+        i, word, pull, v, w = ref
+        assert got is not None
+        assert (got.word, got.pullback) == (word, pull)
+        assert (got.v.center, got.v.radius) == v
+        assert (got.w.center, got.w.radius) == w
+        hit_at.append(i)
+    assert len(hit_at) < 300
+    assert min(hit_at) < _SEARCH_STAGES[0] <= max(hit_at)

@@ -110,3 +110,17 @@ def test_power_zero_is_identity():
     assert rho.power("t", -1).exact == ((1, -1), (0, 1))
     with pytest.raises(EvaluationError):
         rho.power("z", 0)
+
+
+def test_evaluate_keeps_exactness_of_exact_generators():
+    rho = GroupPresentation(dim=2, generators={"t": Matrix([[1, 1], [0, 1]]),
+                                               "s": Matrix([[0, -1], [1, 0]])})
+    assert rho.evaluate(()).exact == ((1, 0), (0, 1))
+    assert rho.evaluate(parse_word("t")).exact == ((1, 1), (0, 1))
+    # s t^3 s^-1 = [[1, 0], [-3, 1]]
+    assert rho.evaluate(parse_word("s t^3 s^-1")).exact == ((1, 0), (-3, 1))
+    # one inexact generator makes every evaluation a float one
+    mixed = GroupPresentation(dim=2, generators={"t": Matrix([[1, 1], [0, 1]]),
+                                                 "h": Matrix([[2.0, 0.0], [0.0, 0.5]])})
+    assert mixed.evaluate(parse_word("t")).exact is None
+    assert np.allclose(mixed.evaluate(parse_word("t")).arr, [[1, 1], [0, 1]])
