@@ -71,9 +71,6 @@ class GammaGraph:
         if dead:
             raise ValueError(f"vertices with no outgoing edge: {dead}")
 
-    def out_edges(self, v):
-        return [e for e in self.edges if e[0] == v]
-
     def validate_labels(self, rho: GroupPresentation):
         """Singletons must be nonidentity; enumerations duplicate-free.
 

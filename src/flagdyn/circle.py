@@ -60,10 +60,6 @@ class Arc:
     def contains_angle(self, theta: float, slack: float = 0.0) -> bool:
         return angle_dist(theta, self.center) <= self.radius + slack
 
-    def margin_of(self, theta: float) -> float:
-        """Signed containment margin: positive inside, negative outside."""
-        return self.radius - angle_dist(theta, self.center)
-
     def endpoints(self):
         return (self.center - self.radius) % HALF_TURN, (
             self.center + self.radius
@@ -78,9 +74,6 @@ class Arc:
         if r >= HALF_TURN / 2:
             raise ValueError("expanded arc covers RP^1")
         return Arc(self.center, r)
-
-    def contains_arc(self, other: "Arc") -> bool:
-        return self.margin_of_arc(other) >= 0.0
 
     def margin_of_arc(self, other: "Arc") -> float:
         """min over points of ``other`` of this arc's containment margin."""

@@ -318,12 +318,7 @@ def cmd_gaps(args):
     count = int(spec.get("count", 100))
     k = int(spec.get("k", 1))
     threshold = float(spec.get("threshold", 5.0))
-    seq = []
-    cur = base
-    for _ in range(count):
-        seq.append(cur)
-        cur = cur @ base
-    trace = gap_trace(seq, k)
+    trace = gap_trace([base] * count, k)
     flagged = flag_divergent(trace, threshold)
     rows = ["# " + " | ".join(_header(cfg, seed, [f"word {spec['word']}", f"k {k}"])),
             "n,gap"]

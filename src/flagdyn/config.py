@@ -1,15 +1,19 @@
 """Run configuration: JSON schema, validation, and object construction.
 
 Configs are plain JSON with exact integers preserved for matrices.
-Matrix entries may be strings in the deformation parameter t (evaluated
-with a restricted namespace), which is how probe families are declared.
+Matrix entries may be strings in the deformation parameter t, which is
+how probe families are declared. They are parsed, not executed: only
+numbers, t, pi, e, + - * / ** and the functions of ``_EXPR_NAMES`` are
+evaluated; anything else is a ConfigError.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,13 +33,41 @@ _EXPR_NAMES = {
 }
 
 
+_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: math.pow, ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+}
+
+
+def _eval_expr(node, names):
+    """Evaluate a whitelisted expression tree: numbers, number-valued names,
+    one-argument calls of function-valued names, unary and binary
+    + - * / **. Anything else raises ConfigError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and isinstance(names.get(node.id), (int, float)):
+        return names[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_eval_expr(node.operand, names))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_eval_expr(node.left, names), _eval_expr(node.right, names))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and callable(names.get(node.func.id)) and len(node.args) == 1
+            and not node.keywords):
+        return names[node.func.id](_eval_expr(node.args[0], names))
+    raise ConfigError(f"disallowed expression {ast.unparse(node)!r}")
+
+
 def _entry(value, t=0.0):
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, str):
         try:
-            return float(eval(value, {"__builtins__": {}}, {**_EXPR_NAMES, "t": t}))
-        except Exception as exc:
+            return float(_eval_expr(ast.parse(value, mode="eval").body,
+                                    {**_EXPR_NAMES, "t": t}))
+        except (ConfigError, SyntaxError, RecursionError, ZeroDivisionError,
+                OverflowError, ValueError) as exc:
             raise ConfigError(f"bad matrix entry {value!r}: {exc}") from exc
     raise ConfigError(f"bad matrix entry {value!r}")
 

@@ -1,11 +1,13 @@
 """Contracting-path engine: nested-image limits, shrink rates, limit sets.
 
-Prefix products are renormalized by sup norm with the log determinant
-tracked separately, so on the projective line the image intervals, their
-metric diameters, and singular value gaps stay accurate at contraction
-scales far below machine epsilon (via determinant identities instead of
-subtractive cancellation). Reported radius bounds are floored at the
-numerical resolution; the engine never claims sub-roundoff precision.
+Prefix products (``linalg.PrefixProduct``) are renormalized by sup norm
+with the log determinant tracked separately, so on the projective line
+the image intervals and their metric diameters stay accurate at
+contraction scales far below machine epsilon (via determinant identities
+instead of subtractive cancellation). Singular value gaps come from the
+renormalized exterior powers the prefix product carries, in any
+dimension. Reported radius bounds are floored at the numerical
+resolution; the engine never claims sub-roundoff precision.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
 from .domains import ChartBall, ProperDomain, zimmer_metric
-from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
-from .linalg import Matrix, exterior_power, gap_trace, svd
+from .errors import GapTooSmall, InsufficientData, NotCertified, NotInDomain, PathNotFound
+from .linalg import Matrix, PrefixProduct, exterior_power, gap_trace, minors, svd
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -30,62 +32,11 @@ from .projgeom import (
 )
 from .words import GroupPresentation, invert_word, normalize_word, word_str
 
-RENORM_EVERY = 8
 RADIUS_FLOOR_PER_DIM = 1e-15
 
 
 def radius_floor(dim: int) -> float:
     return RADIUS_FLOOR_PER_DIM * dim
-
-
-class PrefixProduct:
-    """Running product with sup-norm renormalization and tracked log det."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.arr = np.eye(dim)
-        self.logdet = 0.0
-        self.det_sign = 1.0
-        self._since_renorm = 0
-
-    def push(self, m: Matrix):
-        self.arr = self.arr @ m.arr
-        if np.linalg.det(m.arr) < 0:
-            self.det_sign = -self.det_sign
-        self._since_renorm += 1
-        if self._since_renorm >= RENORM_EVERY or np.max(np.abs(self.arr)) > 1e12:
-            self._renorm()
-
-    def _renorm(self):
-        s = float(np.max(np.abs(self.arr)))
-        if s > 0 and math.isfinite(s):
-            self.arr = self.arr / s
-            self.logdet -= self.dim * math.log(s)
-        self._since_renorm = 0
-
-    def apply(self, coords: np.ndarray):
-        """Image unit rows and their pre-normalization norms."""
-        img = coords @ self.arr.T
-        norms = np.linalg.norm(img, axis=1)
-        return img / norms[:, None], norms
-
-    def gap(self, k: int = 1) -> float:
-        """log sigma_k/sigma_{k+1} of the running product (scale-free).
-
-        On the projective line the gap comes from the tracked determinant
-        (sigma1 * sigma2 = |det|), which stays exact far beyond the point
-        where a float determinant of the product degenerates.
-        """
-        scale = max(float(np.max(np.abs(self.arr))), 1e-300)
-        a = self.arr / scale
-        if self.dim == 2 and k == 1:
-            f2 = float(np.sum(a * a))
-            ld = self.logdet - self.dim * math.log(scale)
-            disc = f2 * f2 - 4.0 * math.exp(2 * ld)
-            s1sq = 0.5 * (f2 + math.sqrt(max(disc, 0.0)))
-            return math.log(s1sq) - ld
-        sigma = svd(Matrix(a, _trusted=True)).sigma
-        return math.log(sigma[k - 1] / sigma[k])
 
 
 @dataclass
@@ -150,7 +101,7 @@ def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSys
         raise ValueError("depth must be >= 2")
     dim = rho.dim
     U1 = system.domain(path.vertices[0])
-    prefix = PrefixProduct(dim)
+    prefix = PrefixProduct(dim, k)
     diameters, gaps = [], []
 
     rp1 = isinstance(U1, ChartBall) and dim == 2 and all(
@@ -173,7 +124,7 @@ def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSys
             # [XB][YA] / ([XA][YB]) is 1 - t
             t = det_xy * detAB / (_det2(X, A) * _det2(Y, B))
             diameters.append(abs(math.log1p(-t)) if t < 1 else math.inf)
-            gaps.append(prefix.gap(1))
+            gaps.append(prefix.gap())
             last_pair = (X, Y, det_xy)
         X, Y, det_xy = last_pair
         rbound = 0.5 * math.asin(min(1.0, abs(det_xy))) + radius_floor(dim)
@@ -203,10 +154,10 @@ def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSys
                     dmax = max(
                         dmax, zimmer_metric(U1, ProjPoint(img[i]), ProjPoint(img[-1]))
                     )
-                except Exception:
+                except NotInDomain:  # the image leaves U1: no finite diameter
                     dmax = math.inf
             diameters.append(2.0 * dmax)
-            gaps.append(prefix.gap(k))
+            gaps.append(prefix.gap())
             last_img = img
         rbound = float(np.max(fubini_study_many(last_img, last_img[-1:]))) + radius_floor(dim)
 
@@ -286,15 +237,7 @@ def attracting_data(m: Matrix, k: int = 1, gap_threshold: float = 0.1):
 
 def _pluecker(cols: np.ndarray) -> np.ndarray:
     """Plucker coordinates of a k-column frame, k-subsets in lex order."""
-    from itertools import combinations
-
-    d, k = cols.shape
-    if k == 1:
-        return cols[:, 0].copy()
-    out = []
-    for rows in combinations(range(d), k):
-        out.append(np.linalg.det(cols[list(rows), :]))
-    return np.array(out)
+    return minors(cols, cols.shape[1])[:, 0]
 
 
 @dataclass
@@ -328,7 +271,7 @@ def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
         img = act_many(m, pts)
         diams.append(float(np.max(fubini_study_many(img, img))))
         limits.append(ProjPoint(np.mean(img * np.sign(img @ img[0])[:, None], axis=0)))
-    gaps = gap_trace(seq, 1)
+    gaps = [gap_trace([m], 1)[0] for m in seq]
 
     contraction = diams[-1] < diam_tol
     divergence = gaps[-1] > gap_threshold

@@ -9,10 +9,6 @@ class SingularInput(FlagdynError):
     """Matrix determinant underflowed; the element is not invertible."""
 
 
-class NoConvergence(FlagdynError):
-    """Iterative routine exceeded its sweep cap."""
-
-
 class BadDegree(FlagdynError):
     """Exterior power degree out of range."""
 

@@ -4,26 +4,27 @@ Matrices are stored as canonical projective representatives: scaled to
 unit |det| and sign-normalized so equal elements of PGL(d, R) compare
 equal. Integral input also keeps an exact integer representative;
 ``exact_canonical`` and ``exact_matmul`` are the one exact kernel, shared
-with the coned-off graph of PGL(2, Z). Singular values come from a
-one-sided Jacobi iteration with a fixed cyclic sweep order, so all
-derived quantities (Cartan vectors, root gaps, attracting data) are
-deterministic across runs.
+with the coned-off graph of PGL(2, Z). Singular values of single
+elements come from LAPACK with sign-normalized columns. Gaps of long
+products never decompose the product: ``PrefixProduct`` accumulates the
+renormalized exterior powers a gap needs and reads each log
+sigma_1 ... sigma_j = log ||Lambda^j g|| from a top singular value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import BadDegree, NoConvergence, SingularInput
+from .errors import BadDegree, SingularInput
 
 MAX_DIM = 20
 MAX_EXT_DIM = 200
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_TOL = 1e-15
+RENORM_EVERY = 8
 
 
 def exact_canonical(flat, d):
@@ -167,60 +168,20 @@ class CartanVector:
 
 
 def svd(m: Matrix) -> SingularDecomposition:
-    """One-sided Jacobi SVD with a fixed cyclic sweep order.
+    """LAPACK SVD of a single element.
 
-    Deterministic for fixed input. Column signs of u are normalized so the
-    largest-magnitude entry of each column is nonnegative (v follows).
+    Column signs of u are normalized so the largest-magnitude entry of each
+    column is nonnegative (v follows), which makes the result deterministic.
     """
-    a = np.array(m.arr, dtype=float)
-    d = m.dim
-    w = a.copy()
-    v = np.eye(d)
-
-    converged = False
-    for _ in range(_JACOBI_SWEEP_CAP):
-        off = 0.0
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                wi = w[:, i]
-                wj = w[:, j]
-                pij = float(wi @ wj)
-                nii = float(wi @ wi)
-                njj = float(wj @ wj)
-                denom = math.sqrt(nii * njj)
-                if denom == 0.0:
-                    raise SingularInput("zero column encountered in Jacobi sweep")
-                off = max(off, abs(pij) / denom)
-                if abs(pij) <= _JACOBI_TOL * denom:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * pij, nii - njj)
-                c, s = math.cos(theta), math.sin(theta)
-                w[:, [i, j]] = w[:, [i, j]] @ np.array([[c, -s], [s, c]])
-                v[:, [i, j]] = v[:, [i, j]] @ np.array([[c, -s], [s, c]])
-        if off <= _JACOBI_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(f"Jacobi SVD did not converge in {_JACOBI_SWEEP_CAP} sweeps")
-
-    sigma = np.linalg.norm(w, axis=0)
-    if np.min(sigma) <= 0.0:
+    a = m.arr
+    u, sigma, vt = np.linalg.svd(a)
+    if sigma[-1] <= 0.0:
         raise SingularInput("vanishing singular value")
-    u = w / sigma
-
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
-
-    for col in range(d):
-        idx = int(np.argmax(np.abs(u[:, col])))
-        if u[idx, col] < 0:
-            u[:, col] = -u[:, col]
-            v[:, col] = -v[:, col]
-
-    recon = u @ np.diag(sigma) @ v.T
-    residual = float(np.max(np.abs(recon - a)))
+    cols = np.arange(m.dim)
+    signs = np.where(u[np.argmax(np.abs(u), axis=0), cols] < 0, -1.0, 1.0)
+    u = u * signs
+    v = vt.T * signs
+    residual = float(np.max(np.abs((u * sigma) @ v.T - a)))
     return SingularDecomposition(u=u, sigma=sigma, v=v, residual=residual)
 
 
@@ -237,35 +198,111 @@ def simple_root_gaps(cv: CartanVector) -> np.ndarray:
     return -np.diff(cv.mu)
 
 
+@lru_cache(maxsize=None)
+def _subsets(n, k):
+    idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+def minors(a: np.ndarray, k: int) -> np.ndarray:
+    """All k x k minors of a, rows and columns as k-subsets in lex order,
+    from one batched determinant of the stacked blocks."""
+    rows = _subsets(a.shape[0], k)
+    cols = _subsets(a.shape[1], k)
+    return np.linalg.det(a[rows[:, None, :, None], cols[None, :, None, :]])
+
+
 def exterior_power(m: Matrix, k: int) -> Matrix:
     """k-th exterior power: entry (I, J) is the (I, J) minor, k-subsets in lex order."""
     d = m.dim
     if not 1 <= k <= d - 1:
         raise BadDegree(f"k = {k} out of range for dimension {d}")
-    subsets = list(combinations(range(d), k))
-    n = len(subsets)
+    n = math.comb(d, k)
     if n > MAX_EXT_DIM:
         raise BadDegree(f"C({d},{k}) = {n} exceeds the supported cap {MAX_EXT_DIM}")
-    out = np.empty((n, n))
-    a = m.arr
-    for ii, rows in enumerate(subsets):
-        block = a[np.ix_(rows, range(d))]
-        for jj, cols in enumerate(subsets):
-            out[ii, jj] = np.linalg.det(block[:, cols])
-    return Matrix(out)
+    return Matrix(minors(m.arr, k))
 
 
-def gap_trace(seq, k: int):
-    """log(sigma_k / sigma_{k+1}) for each matrix in the sequence."""
-    if not seq:
+class PrefixProduct:
+    """Running product of unit-|det| factors with sup-norm renormalization.
+
+    ``arr`` is the product up to a positive scale, with ``logdet`` its log
+    |det| and ``det_sign`` the sign. For the gap of degree k the exterior
+    powers of degrees k - 1, k, k + 1 (those in 2..d-1) are accumulated
+    alongside, each sup-renormalized with its own running log scale. Since
+    sigma_1 ... sigma_j = ||Lambda^j g||, every gap comes from top singular
+    values only, which stay relatively accurate long after the small
+    singular values of ``arr`` have fallen below roundoff.
+    """
+
+    def __init__(self, dim: int, k: int = 1):
+        if not 1 <= k <= dim - 1:
+            raise BadDegree(f"k = {k} out of range for dimension {dim}")
+        self.dim = dim
+        self.k = k
+        self.arr = np.eye(dim)
+        self.logdet = 0.0
+        self.det_sign = 1.0
+        self._since_renorm = 0
+        self._ext = {j: [np.eye(math.comb(dim, j)), 0.0]
+                     for j in (k - 1, k, k + 1) if 2 <= j <= dim - 1}
+
+    def push(self, m: Matrix):
+        self.arr = self.arr @ m.arr
+        if np.linalg.det(m.arr) < 0:
+            self.det_sign = -self.det_sign
+        self._since_renorm += 1
+        if self._since_renorm >= RENORM_EVERY or np.max(np.abs(self.arr)) > 1e12:
+            self._renorm()
+        for j, acc in self._ext.items():
+            e = acc[0] @ minors(m.arr, j)
+            s = float(np.max(np.abs(e)))
+            acc[0] = e / s
+            acc[1] += math.log(s)
+
+    def _renorm(self):
+        s = float(np.max(np.abs(self.arr)))
+        if s > 0 and math.isfinite(s):
+            self.arr = self.arr / s
+            self.logdet -= self.dim * math.log(s)
+        self._since_renorm = 0
+
+    def apply(self, coords: np.ndarray):
+        """Image unit rows and their pre-normalization norms."""
+        img = coords @ self.arr.T
+        norms = np.linalg.norm(img, axis=1)
+        return img / norms[:, None], norms
+
+    def _log_top(self, j):
+        """log sigma_1 ... sigma_j of ``arr``; 1 for j = 0, |det| for j = d."""
+        if j == 0:
+            return 0.0
+        if j == self.dim:
+            return self.logdet
+        if j == 1:
+            return math.log(np.linalg.svd(self.arr, compute_uv=False)[0])
+        ext, scale = self._ext[j]
+        # ext * exp(scale) is Lambda^j of the unit-|det| product, which is
+        # arr * exp(-logdet / d)
+        return (math.log(np.linalg.svd(ext, compute_uv=False)[0]) + scale
+                + j * self.logdet / self.dim)
+
+    def gap(self) -> float:
+        """log sigma_k/sigma_{k+1} of the running product (scale-free)."""
+        k = self.k
+        return 2.0 * self._log_top(k) - self._log_top(k - 1) - self._log_top(k + 1)
+
+
+def gap_trace(factors, k: int):
+    """log(sigma_k / sigma_{k+1}) of each prefix product of the factors."""
+    if not factors:
         raise ValueError("empty sequence")
-    d = seq[0].dim
-    if not 1 <= k <= d - 1:
-        raise BadDegree(f"k = {k} out of range for dimension {d}")
+    prefix = PrefixProduct(factors[0].dim, k)
     trace = []
-    for m in seq:
-        sigma = svd(m).sigma
-        trace.append(float(math.log(sigma[k - 1] / sigma[k])))
+    for m in factors:
+        prefix.push(m)
+        trace.append(prefix.gap())
     return trace
 
 

@@ -2,11 +2,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flagdyn.cli import main
-from flagdyn.config import RunConfig
+from flagdyn.config import _EXPR_NAMES, RunConfig
 from flagdyn.errors import ConfigError
+from flagdyn.words import parse_word
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,6 +82,25 @@ def test_gaps_command(tmp_path):
     assert rows[1] == "n,gap"
     first = float(rows[2].split(",")[1])
     assert first == pytest.approx(2 * math.log(4), abs=1e-9)
+
+
+def test_gaps_alpha_beta_is_linear_in_n(tmp_path):
+    # the d = 4 product's sigma_2 / sigma_1 falls below roundoff by n = 5
+    raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
+    raw["gaps"] = {"word": "alpha beta", "count": 100, "k": 1}
+    cfg = tmp_path / "jordan_ab.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(["gaps", "--config", cfg, "--out", tmp_path]) == 0
+    rows = (tmp_path / "gaps.csv").read_text().splitlines()[2:]
+    trace = [float(r.split(",")[1]) for r in rows]
+    assert len(trace) == 100
+    # oracle: LAPACK on the dense cube, then the eigenvalue-modulus ratio per power
+    g = RunConfig.load(cfg).presentation().evaluate(parse_word("alpha beta")).arr
+    s = np.linalg.svd(np.linalg.matrix_power(g, 3), compute_uv=False)
+    moduli = np.sort(np.abs(np.linalg.eigvals(g)))[::-1]
+    slope = math.log(moduli[0] / moduli[1])
+    assert abs(trace[-1] - (math.log(s[0] / s[1]) + 97 * slope)) < 1e-6
+    assert all(abs(b - a - slope) < 1e-9 for a, b in zip(trace[9:], trace[10:]))
 
 
 def test_hilbert_interval():
@@ -176,3 +197,34 @@ def test_singular_generator_is_config_error(tmp_path, capsys, command):
     assert run([command, "--config", bad, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: generator g") and "Traceback" not in err
+
+
+def _eval_oracle(value, t):
+    """The former loader: Python eval in a namespace without builtins."""
+    return float(eval(value, {"__builtins__": {}}, {**_EXPR_NAMES, "t": t}))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_bundled_config_matrices_match_eval(name):
+    raw = json.loads((CONFIGS / name).read_text())
+    oracle = json.loads(json.dumps(raw))
+    for t in raw.get("probe", {}).get("t_grid", [0.0]):
+        for g in oracle["generators"]:
+            src = next(x for x in raw["generators"] if x["name"] == g["name"])["matrix"]
+            g["matrix"] = [[_eval_oracle(x, t) if isinstance(x, str) else x for x in row]
+                           for row in src]
+        got = RunConfig.load(CONFIGS / name).presentation(t).generators
+        want = RunConfig.from_dict(oracle).presentation(t).generators
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.array_equal(got[key].arr, want[key].arr)
+            assert got[key].exact == want[key].exact
+
+
+@pytest.mark.parametrize("entry", ["__import__('os')", "(1).real", "[1][0]"])
+def test_non_arithmetic_matrix_entry_is_config_error(tmp_path, capsys, entry):
+    raw = json.loads((CONFIGS / "single_loop.json").read_text())
+    raw["generators"][0]["matrix"][0][0] = entry
+    bad = tmp_path / "entry.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error(["gaps", "--config", bad, "--out", tmp_path], capsys)

@@ -348,3 +348,16 @@ def test_rp1_diameters_match_zimmer_metric_of_image_endpoints(diag):
     for n, diam in enumerate(res.diameters, start=1):
         x, y = ends @ np.linalg.matrix_power(np.diag(diag), n).T
         assert diam == pytest.approx(zimmer_metric(dom, ProjPoint(x), ProjPoint(y)), rel=1e-9)
+
+
+def test_off_domain_image_has_infinite_diameter():
+    # identity words map the far domain W to itself, outside U1 = U
+    chart = ProjHyperplane([1.0, 0.0, 0.0])
+    system = CompatibleSystem(
+        domains={"u": ChartBall(chart, [0.0, 0.0], 0.1), "w": ChartBall(chart, [5.0, 5.0], 0.1)},
+        epsilon=0.01,
+    )
+    rho = GroupPresentation(dim=3, generators={"g": Matrix.identity(3)})
+    path = GPath(["u", "w", "w"], [parse_word("g")] * 2)
+    res = contracting_limit(path, rho, system)
+    assert res.diameters == [math.inf, math.inf]

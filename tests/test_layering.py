@@ -1,5 +1,6 @@
 """flagdyn modules import no private (underscore) names from one another,
-and import one another only at module level."""
+import one another only at module level, never call eval or exec, and
+catch no exception more broadly than by its own type."""
 
 import ast
 from pathlib import Path
@@ -44,4 +45,24 @@ def test_no_private_names_imported_across_modules():
 
 def test_no_function_local_flagdyn_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _function_local_imports(path)]
+    assert found == []
+
+
+_BROAD = {"Exception", "BaseException"}
+
+
+def _unsafe_nodes(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("eval", "exec")):
+            yield f"{path.name}:{node.lineno}: {node.func.id}()"
+        elif isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(c, ast.Name) and c.id in _BROAD
+                                        for c in caught):
+                yield f"{path.name}:{node.lineno}: broad except"
+
+
+def test_no_eval_exec_or_broad_except():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _unsafe_nodes(path)]
     assert found == []

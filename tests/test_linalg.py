@@ -1,4 +1,6 @@
 import math
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,14 @@ from flagdyn.linalg import (
     exterior_power,
     flag_divergent,
     gap_trace,
+    minors,
     simple_root_gaps,
     svd,
 )
+from flagdyn.config import RunConfig
+from flagdyn.words import parse_word
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_invertible(rng, d, scale=10.0):
@@ -205,16 +212,15 @@ def test_gap_trace_identity():
 
 def test_gap_trace_diagonal_powers_exact():
     g = np.diag([2.0, 0.5])
-    seq = [Matrix(np.linalg.matrix_power(g, n)) for n in range(1, 13)]
-    trace = gap_trace(seq, 1)
+    trace = gap_trace([Matrix(g)] * 12, 1)
     assert np.allclose(trace, [2 * math.log(2) * n for n in range(1, 13)], rtol=1e-10)
     assert flag_divergent(trace, threshold=5.0)
 
 
 def test_gap_trace_unipotent_log_growth():
     # oracle: exact 2x2 singular values of [[1,n],[0,1]]
-    seq = [Matrix([[1, n], [0, 1]]) for n in range(1, 200, 10)]
-    trace = gap_trace(seq, 1)
+    # prefix products of [[1,1],[0,1]] then [[1,10],[0,1]] are [[1,n],[0,1]]
+    trace = gap_trace([Matrix([[1, 1], [0, 1]])] + [Matrix([[1, 10], [0, 1]])] * 19, 1)
     for n, g in zip(range(1, 200, 10), trace):
         s2 = (n * n + 2 + math.sqrt((n * n + 2) ** 2 - 4)) / 2
         assert abs(g - math.log(s2)) < 1e-9
@@ -224,11 +230,85 @@ def test_gap_trace_unipotent_log_growth():
 def test_jordan3_power_gaps_monotone():
     j = np.eye(3)
     j[0, 1] = j[1, 2] = 1.0
-    seq = [Matrix(np.linalg.matrix_power(j, n)) for n in range(1, 60)]
-    trace = gap_trace(seq, 1)
+    trace = gap_trace([Matrix(j)] * 59, 1)
     tail = trace[10:]
     assert all(b > a for a, b in zip(tail, tail[1:]))
     assert trace[-1] > trace[0]
+
+
+def _exact_gap_trace(rows, count):
+    """log sigma_1/sigma_2 of rows^n, n = 1..count, from exact integer powers.
+
+    sigma_1^2 + sigma_2^2 = F (squared Frobenius norm) and sigma_1 sigma_2 =
+    |det|, so sigma_1^2 = F (1 + sqrt(1 - 4 det^2 / F^2)) / 2.
+    """
+    (a, b), (c, d) = rows
+    p = [[1, 0], [0, 1]]
+    out = []
+    for _ in range(count):
+        p = [[p[0][0] * a + p[0][1] * c, p[0][0] * b + p[0][1] * d],
+             [p[1][0] * a + p[1][1] * c, p[1][0] * b + p[1][1] * d]]
+        f = sum(x * x for row in p for x in row)
+        det = abs(p[0][0] * p[1][1] - p[0][1] * p[1][0])
+        out.append(math.log(f) + math.log((1 + math.sqrt(1 - 4 * det * det / (f * f))) / 2)
+                   - math.log(det))
+    return out
+
+
+@pytest.mark.parametrize("rows", [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[5, 2], [2, 1]],
+                                  [[1, 1], [0, 1]], [[0, -1], [1, 3]], [[3, 5], [1, 2]]])
+def test_gap_trace_2x2_integer_words_match_exact_powers(rows):
+    trace = gap_trace([Matrix(rows)] * 200, 1)
+    for got, want in zip(trace, _exact_gap_trace(rows, 200), strict=True):
+        assert abs(got - want) <= 1e-14 * max(1.0, want)
+
+
+def _alpha_beta():
+    rho = RunConfig.load(CONFIGS / "jordan_diag.json").presentation()
+    return rho.evaluate(parse_word("alpha beta"))
+
+
+def test_gap_trace_d4_matches_lapack_on_short_products():
+    # dense LAPACK is accurate while sigma_1 / sigma_{k+1} of g^n is far from 1/eps
+    g = _alpha_beta()
+    rng = np.random.default_rng(23)
+    mild = Matrix(rng.uniform(-2, 2, (4, 4)) + 4 * np.eye(4))
+    for m, ks in ((g, (1, 2)), (mild, (1, 2, 3))):
+        for k in ks:
+            trace = gap_trace([m] * 3, k)
+            for n, got in enumerate(trace, start=1):
+                s = np.linalg.svd(np.linalg.matrix_power(m.arr, n), compute_uv=False)
+                assert abs(got - math.log(s[k - 1] / s[k])) < 1e-9
+
+
+def test_gap_trace_d4_grows_by_the_eigenvalue_ratio_per_power():
+    g = _alpha_beta()
+    moduli = np.sort(np.abs(np.linalg.eigvals(g.arr)))[::-1]
+    for k in (1, 2, 3):
+        trace = gap_trace([g] * 100, k)
+        slope = math.log(moduli[k - 1] / moduli[k])
+        for n in range(10, 100):
+            assert abs(trace[n] - trace[n - 1] - slope) < 1e-9
+
+
+def test_gap_trace_bad_degree():
+    with pytest.raises(BadDegree):
+        gap_trace([Matrix.identity(3)], 3)
+    with pytest.raises(BadDegree):
+        gap_trace([Matrix.identity(3)], 0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_minors_kernel_matches_per_subset_determinants(d):
+    a = np.random.default_rng(d).normal(size=(d, d))
+    for k in range(1, d + 1):
+        subsets = list(combinations(range(d), k))
+        want = np.array([[np.linalg.det(a[np.ix_(rows, cols)]) for cols in subsets]
+                         for rows in subsets])
+        assert np.array_equal(minors(a, k), want)
+    frame = a[:, :2]
+    want = np.array([np.linalg.det(frame[list(rows), :]) for rows in combinations(range(d), 2)])
+    assert np.array_equal(minors(frame, 2)[:, 0], want)
 
 
 def test_flag_divergent_requires_threshold():
