@@ -179,6 +179,9 @@ class TailDisclosure:
     def ok(self):
         return self.margins_nondecreasing and self.diameters_nonincreasing
 
+    def describe(self):
+        return f"tail {self.vertex}"
+
 
 @dataclass
 class DivergenceWitness:
@@ -298,8 +301,8 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     monotone-tail disclosure.
     """
     graph.validate_labels(rho)
-    for v in graph.vertices:
-        system.domain(v)
+    domains = {v: system.domain(v) for v in graph.vertices}
+    arcs = {v: dom.arc() for v, dom in domains.items() if _is_arc(dom)}
     eps = system.epsilon
 
     records = []
@@ -310,18 +313,17 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
 
     for edge in graph.edges:
         v, w = edge
-        U_v, U_w = system.domain(v), system.domain(w)
+        U_v, U_w = domains[v], domains[w]
         words = elements_of(graph.vertices[v], rho, cap=element_cap)
-        exact = _is_arc(U_v) and _is_arc(U_w)
-        if exact:
-            target = U_w.arc().expand(eps)
-            home = U_v.arc()
-            for i, word in enumerate(words):
-                m = rho.evaluate(word)
-                img = circle.mobius_arc(m.arr, target)
-                margin = home.margin_of_arc(img)
+        if v in arcs and w in arcs:
+            target, home = arcs[w].expand(eps), arcs[v]
+            mats = np.reshape([rho.evaluate(word).arr for word in words], (-1, 2, 2))
+            centers, radii = circle.mobius_arcs(mats, target.center, target.radius)
+            margins = home.radius - (circle.angle_dists(home.center, centers) + radii)
+            for i, (word, margin, radius) in enumerate(zip(words, margins.tolist(),
+                                                           radii.tolist())):
                 records.append(EdgeRecord(edge, word, margin, margin > 0, 2, True))
-                _accumulate(per_element_margin[v], per_element_diam[v], i, margin, img.radius)
+                _accumulate(per_element_margin[v], per_element_diam[v], i, margin, radius)
         else:
             pts = _neighborhood_samples(U_w, eps, n_boundary, n_interior, seed)
             bnd = U_v.boundary_points(max(n_boundary, 128), seed + 1)
@@ -396,6 +398,7 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
         closure_w = np.vstack(
             [U_w.boundary_points(n_samples, seed), U_w.interior_points(n_samples, seed)]
         )
+        arc_w = U_w.arc() if _is_arc(U_w) else None
         for word in words:
             m = rho.evaluate(word)
             # an escape point only witnesses PROPER inclusion when the
@@ -405,19 +408,16 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
                 out.append(DivergenceWitness(edge, word, None, 0.0, False))
                 continue
             pre = act_many(m.inv(), probes)
-            found = None
-            best = 0.0
-            if _is_arc(U_w):
-                arc = U_w.arc()
-                for row in pre:
-                    margin = -arc.margin_of_arc(circle.Arc(circle.angle_of(row), 0.0))
-                    if margin > best:
-                        best, found = margin, ProjPoint(row)
+            found, best = None, 0.0
+            if arc_w is not None:
+                escape = circle.angle_dists(circle.angles(pre), arc_w.center) - arc_w.radius
+                i = int(np.argmax(escape))
+                if escape[i] > 0:
+                    best, found = float(escape[i]), ProjPoint(pre[i])
             else:
                 outside = ~U_w.contains_points(pre, slack=1e-12)
                 if np.any(outside):
-                    found = ProjPoint(pre[np.argmax(outside)])
-                    best = 1e-12
+                    found, best = ProjPoint(pre[np.argmax(outside)]), 1e-12
             out.append(DivergenceWitness(edge, word, found, best, found is not None))
     return out
 

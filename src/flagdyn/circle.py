@@ -7,9 +7,10 @@ Projective 2x2 matrices act by Mobius maps; images of arcs are arcs and
 are computed from endpoint images, so containment tests and margins on
 RP^1 are exact up to roundoff (no sampling).
 
-The two primitives: ``arc_between`` (an arc from its endpoints, with
-the choice of side) and ``uncovered`` (the circular sweep for gaps,
-also behind ``cover_circle``).
+The array primitives: ``angles``, ``angle_dists``, ``arcs_between``
+(arcs from endpoints, with the one rule for the side) and ``mobius_arcs``
+(image arcs), whose n = 1 calls are ``arc_between`` and ``mobius_arc``;
+and ``uncovered``, the circular sweep for gaps behind ``cover_circle``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ HALF_TURN = math.pi
 
 def angle_of(vec) -> float:
     """Angle in [0, pi) of a projective point [v0 : v1]."""
-    v = np.asarray(vec, dtype=float)
-    theta = math.atan2(v[1], v[0])
-    return theta % HALF_TURN
+    return math.atan2(vec[1], vec[0]) % HALF_TURN
 
 
 def vec_of(theta: float) -> np.ndarray:
@@ -41,8 +40,7 @@ def angle_dist(a: float, b: float) -> float:
 
 def mobius_angle(m, theta: float) -> float:
     """Image angle of a projective point under a 2x2 matrix."""
-    v = m @ vec_of(theta)
-    return angle_of(v)
+    return angle_of(m @ vec_of(theta))
 
 
 @dataclass(frozen=True)
@@ -59,11 +57,6 @@ class Arc:
 
     def contains_angle(self, theta: float, slack: float = 0.0) -> bool:
         return angle_dist(theta, self.center) <= self.radius + slack
-
-    def endpoints(self):
-        return (self.center - self.radius) % HALF_TURN, (
-            self.center + self.radius
-        ) % HALF_TURN
 
     def complement(self) -> "Arc":
         """Closure of the complementary arc (same endpoints, other side)."""
@@ -87,28 +80,50 @@ class Arc:
         return max(0.0, angle_dist(self.center, other.center) - self.radius - other.radius)
 
 
-def arc_between(a: float, b: float, through: float | None = None) -> Arc:
-    """The shorter closed arc with endpoints a, b, or with ``through``
-    given, the one of the two containing it (within 1e-12)."""
+def angles(vecs) -> np.ndarray:
+    """Angles in [0, pi) of the projective points in the last axis of ``vecs``."""
+    return np.arctan2(vecs[..., 1], vecs[..., 0]) % HALF_TURN
+
+
+def angle_dists(a, b) -> np.ndarray:
+    """Elementwise distance on RP^1 of broadcast angle arrays."""
+    d = np.abs(a - b) % HALF_TURN
+    return np.minimum(d, HALF_TURN - d)
+
+
+def arcs_between(a, b, through=None):
+    """Closed arcs (centers, radii) with endpoints a_i, b_i: the shorter, or
+    with ``through`` given, the one containing through_i (within 1e-12)."""
     d = (b - a) % HALF_TURN
-    if d > HALF_TURN / 2:
-        a, d = b, HALF_TURN - d
-    arc = Arc(a + d / 2, d / 2)
-    if through is None or arc.contains_angle(through, slack=1e-12):
-        return arc
-    return arc.complement()
+    wide = d > HALF_TURN / 2
+    d = np.where(wide, HALF_TURN - d, d)
+    centers = (np.where(wide, b, a) + d / 2) % HALF_TURN
+    radii = d / 2
+    if through is None:
+        return centers, radii
+    other = angle_dists(through, centers) > radii + 1e-12
+    return (np.where(other, (centers + HALF_TURN / 2) % HALF_TURN, centers),
+            np.where(other, HALF_TURN / 2 - radii, radii))
+
+
+def arc_between(a: float, b: float, through: float | None = None) -> Arc:
+    """``arcs_between`` for one pair of endpoints."""
+    return Arc(*map(float, arcs_between(a, b, through)))
+
+
+def mobius_arcs(mats, centers, radii):
+    """Image arcs (centers, radii) of B(centers_i, radii_i) under the 2x2
+    mats_i: the endpoint images bound it, the center image picks the side."""
+    centers = np.broadcast_to(centers, mats.shape[:1])
+    ends = [angles(np.einsum("nij,nj->ni", mats, np.stack([np.cos(t), np.sin(t)], axis=1)))
+            for t in (centers - radii, centers + radii, centers)]
+    return arcs_between(*ends)
 
 
 def mobius_arc(m, arc: Arc) -> Arc:
-    """Image arc under a projective 2x2 matrix.
-
-    Mobius maps send arcs to arcs; the image is reconstructed from the
-    images of the endpoints and of the center (the center image selects
-    which of the two complementary arcs is the image).
-    """
-    lo, hi = arc.endpoints()
-    return arc_between(mobius_angle(m, lo), mobius_angle(m, hi),
-                       through=mobius_angle(m, arc.center))
+    """``mobius_arcs`` for one matrix."""
+    c, r = mobius_arcs(np.asarray(m)[None], arc.center, arc.radius)
+    return Arc(float(c[0]), float(r[0]))
 
 
 def uncovered(arcs, tol: float = 1e-12):

@@ -81,38 +81,38 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
             f"diameters nonincreasing = {t.diameters_nonincreasing} "
             f"({t.checked} elements checked; heuristic, disclosed)"
         )
-    if sep_failures:
+    sep_lines = [f"{a} vs {b}: required {want}, measured {_fmt(got)}"
+                 for a, b, want, got in sep_failures]
+    if sep_lines:
         report.append("separation table FAILURES:")
-        for a, b, want, got in sep_failures:
-            report.append(f"  {a} vs {b}: required {want}, measured {_fmt(got)}")
+        report.extend("  " + line for line in sep_lines)
     inconclusive = [d for d in cert.divergence if not d.conclusive]
     if cert.divergence:
         report.append(
             f"divergence witnesses: {len(cert.divergence) - len(inconclusive)}"
             f"/{len(cert.divergence)} conclusive"
         )
-    verdict = cert.ok and not sep_failures
-    report.append(f"verdict {'PASS' if verdict else 'FAIL'}")
-    if not verdict and cert.first_failure() is not None:
-        first = cert.first_failure()
-        desc = first.describe() if hasattr(first, "describe") else f"tail {first.vertex}"
-        report.append(f"first failing record: {desc}")
+    # the first failing record, else the first separation failure; None on a pass
+    first = cert.first_failure()
+    failure = (first.describe() if first is not None
+               else f"separation {sep_lines[0]}" if sep_lines else None)
+    report.append(f"verdict {'FAIL' if failure else 'PASS'}")
+    if failure:
+        report.append(f"first failing record: {failure}")
     _write(outdir, "certificate_report.txt", "\n".join(report) + "\n")
     _write(outdir, "certificate.json", json.dumps(cert.to_dict(), indent=1, sort_keys=True))
-    return verdict, cert, (rho, graph, system)
+    return failure, cert, (rho, graph, system)
 
 
 def cmd_certify(args):
     cfg = RunConfig.load(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    ok, cert, _ = _run_certify(cfg, seed, Path(args.out))
-    first = cert.first_failure()
-    if ok:
-        print(f"PASS min margin {_fmt(cert.min_margin)}")
-        return 0
-    desc = first.describe() if hasattr(first, "describe") else getattr(first, "vertex", "?")
-    print(f"FAIL first failing record: {desc}")
-    return 1
+    failure, cert, _ = _run_certify(cfg, seed, Path(args.out))
+    if failure:
+        print(f"FAIL first failing record: {failure}")
+        return 1
+    print(f"PASS min margin {_fmt(cert.min_margin)}")
+    return 0
 
 
 def cmd_limitset(args):
@@ -124,8 +124,8 @@ def cmd_limitset(args):
         system = cfg.system(epsilon=graph.epsilon)
         cert = None
     else:
-        ok, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
-        if not ok:
+        failure, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
+        if failure:
             print("refusing to sample an uncertified system (pass --skip-certify to override)")
             return 1
     depth = cfg.budgets["depth"]
@@ -185,8 +185,8 @@ def cmd_rates(args):
     cfg = RunConfig.load(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
     outdir = Path(args.out)
-    ok, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
-    if not ok:
+    failure, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
+    if failure:
         print("certification failed; no rates computed")
         return 1
     spec = cfg.raw.get("rates", {})
@@ -231,11 +231,8 @@ def cmd_probe(args):
     report = _header(cfg, seed)
     for t, cert in results:
         line = f"t = {_fmt(t)}: {'pass' if cert.ok else 'FAIL'} (min margin {_fmt(cert.min_margin)})"
-        if not cert.ok and cert.first_failure() is not None:
-            f = cert.first_failure()
-            line += "  first failure: " + (
-                f.describe() if hasattr(f, "describe") else f"tail {f.vertex}"
-            )
+        if not cert.ok:
+            line += "  first failure: " + cert.first_failure().describe()
         report.append(line)
     report.append(f"first failing t: {first_fail}")
     _write(outdir, "probe.txt", "\n".join(report) + "\n")
@@ -311,12 +308,15 @@ def cmd_gaps(args):
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
     outdir = Path(args.out)
     spec = cfg.raw.get("gaps")
-    if not spec:
+    if not spec or "word" not in spec:
         raise ConfigError("gaps command needs a gaps section ({word, count, k})")
-    rho = cfg.presentation()
-    base = rho.evaluate(parse_word(spec["word"]))
     count = int(spec.get("count", 100))
     k = int(spec.get("k", 1))
+    if count < 1 or not 1 <= k <= cfg.dimension - 1:
+        raise ConfigError(f"gaps needs count >= 1 and k in 1..{cfg.dimension - 1}, "
+                          f"got count {count}, k {k}")
+    rho = cfg.presentation()
+    base = rho.evaluate(parse_word(spec["word"]))
     threshold = float(spec.get("threshold", 5.0))
     trace = gap_trace([base] * count, k)
     flagged = flag_divergent(trace, threshold)
@@ -336,6 +336,8 @@ def cmd_gaps(args):
 
 def cmd_hilbert(args):
     if args.interval is not None:
+        if args.points is None:
+            raise ConfigError("--interval needs --points X Y")
         a, b = args.interval
         if not b > a:
             raise ConfigError("interval must satisfy a < b")
@@ -344,6 +346,8 @@ def cmd_hilbert(args):
         x = chart_point(h, [args.points[0]])
         y = chart_point(h, [args.points[1]])
     else:
+        if args.config is None:
+            raise ConfigError("hilbert needs --config or --interval")
         cfg = RunConfig.load(args.config)
         spec = cfg.raw.get("hilbert")
         if not spec:

@@ -108,14 +108,15 @@ def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSys
         isinstance(system.domain(v), ChartBall) for v in path.vertices
     )
     if rp1:
-        home = U1.arc()
+        arcs = {v: system.domain(v).arc() for v in set(path.vertices[:depth + 1])}
+        home = arcs[path.vertices[0]]
         A = circle.vec_of(home.center - home.radius)
         B = circle.vec_of(home.center + home.radius)
         detAB = _det2(A, B)
         last_pair = None
         for n in range(1, depth + 1):
             prefix.push(rho.evaluate(path.words[n - 1]))
-            target = system.domain(path.vertices[n]).arc()
+            target = arcs[path.vertices[n]]
             x = circle.vec_of(target.center - target.radius)
             y = circle.vec_of(target.center + target.radius)
             (X, Y), (nx, ny) = prefix.apply(np.array([x, y]))

@@ -25,7 +25,6 @@ system passes certification by construction, with margins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +34,29 @@ from .circle import (
     HALF_TURN,
     Arc,
     angle_dist,
+    angle_dists,
     angle_of,
+    angles,
     arc_between,
     cover_circle,
     mobius_angle,
     mobius_arc,
+    mobius_arcs,
     uncovered,
+    vec_of,
 )
 from .errors import SynthesisFailed
 from .systems import arc_ball
-from .words import GroupPresentation, Word, concat, invert_word, word_str
+from .words import GroupPresentation, Word, concat, word_str
 
 
 # pool prefix ends of the staged first-hit search; the last stage is the whole pool
 _SEARCH_STAGES = (64, 512)
+
+
+def _adjugates(mats):
+    """2x2 adjugates [[d, -b], [-c, a]]: the inverse Mobius maps."""
+    return np.stack([mats[..., ::-1, 1], mats[..., ::-1, 0]], -2) * [[1, -1], [-1, 1]]
 
 
 @dataclass
@@ -161,13 +169,13 @@ def _parabolic_vertex(rho, t_name, coset_word, p_angle, K_p, params):
             f"no cofinite tail for coset {word_str(coset_word)} <{t_name}>", q_angle
         )
 
+    powers = [*range(n0, n0 + params.tail_window + 1), n0 + 8, n0 + 16]
+    mats = np.array([rho.evaluate(concat(coset_word, ((t_name, sign * n),))).arr
+                     for n in powers for sign in (1, -1)])
+
     def hull(base_arc):
-        arcs = []
-        for n in list(range(n0, n0 + params.tail_window + 1)) + [n0 + 8, n0 + 16]:
-            for sign in (1, -1):
-                g = rho.evaluate(concat(coset_word, ((t_name, sign * n),)))
-                arcs.append(mobius_arc(g.arr, base_arc))
-        return _arc_hull_containing(arcs, q_angle)
+        images = mobius_arcs(mats, base_arc.center, base_arc.radius)
+        return _arc_hull_containing([Arc(*map(float, cr)) for cr in zip(*images)], q_angle)
 
     w_q = hull(w_hat)
     v_q = hull(v_hat)
@@ -215,35 +223,11 @@ class _ConicalSearcher:
         pool.extend(w for _, _, _, w in syllable)
         self.words = pool
         self.mats = np.array([rho.evaluate(w).arr for w in self.words])
-        self.invs = np.array([rho.evaluate(invert_word(w)).arr for w in self.words])
-
-    @staticmethod
-    def _angles(vecs):
-        return np.arctan2(vecs[..., 1], vecs[..., 0]) % HALF_TURN
-
-    @staticmethod
-    def _adist(a, b):
-        d = np.abs(a - b) % HALF_TURN
-        return np.minimum(d, HALF_TURN - d)
+        self.invs = _adjugates(self.mats)
 
     def _image_arcs(self, centers, radius, mats):
         """Image (center, radius) arrays of B(centers_i, radius) under mats_i."""
-        lo = centers - radius
-        hi = centers + radius
-        out = []
-        for ang in (lo, hi, centers):
-            v = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            img = np.einsum("nij,nj->ni", mats, v)
-            out.append(self._angles(img))
-        a_lo, a_hi, a_mid = out
-        d = (a_hi - a_lo) % HALF_TURN
-        short = d <= HALF_TURN / 2
-        c1 = np.where(short, (a_lo + d / 2), (a_hi + (HALF_TURN - d) / 2)) % HALF_TURN
-        r1 = np.where(short, d / 2, (HALF_TURN - d) / 2)
-        inside = self._adist(a_mid, c1) <= r1 + 1e-12
-        c = np.where(inside, c1, (c1 + HALF_TURN / 2) % HALF_TURN)
-        r = np.where(inside, r1, HALF_TURN / 2 - r1)
-        return c, r
+        return mobius_arcs(mats, centers, radius)
 
     def candidate(self, z_angle):
         """First word expanding about z, or None.
@@ -253,17 +237,17 @@ class _ConicalSearcher:
         the first in pool order either way.
         """
         p = self.params
-        vz = np.array([math.cos(z_angle), math.sin(z_angle)])
+        vz = vec_of(z_angle)
         n = len(self.words)
         lo = 0
         for hi in [b for b in _SEARCH_STAGES if b < n] + [n]:
             mats = self.mats[lo:hi]
-            pulls = self._angles(self.invs[lo:hi] @ vz)
+            pulls = angles(self.invs[lo:hi] @ vz)
             cw, rw = self._image_arcs(pulls, 2 * p.delta, mats)
             ok = np.flatnonzero(2 * rw < p.delta)
             if ok.size:
                 cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
-                hits = ok[self._adist(cwe, z_angle) + rwe < p.epsilon]
+                hits = ok[angle_dists(cwe, z_angle) + rwe < p.epsilon]
                 if hits.size:
                     i = int(hits[0])
                     v_arc = mobius_arc(mats[i], Arc(float(pulls[i]), p.delta))
@@ -293,7 +277,7 @@ def _coset_candidates(rho, t_name, p_angle, params):
     """
     short = _word_ball(rho, params.coset_ball, include_identity=True)
     pts = {}
-    base = np.array([math.cos(p_angle), math.sin(p_angle)])
+    base = vec_of(p_angle)
     mats_short = {w: rho.evaluate(w).arr for w in short}
     for v in short:
         pv = mats_short[v] @ base
@@ -303,7 +287,7 @@ def _coset_candidates(rho, t_name, p_angle, params):
             for u in short:
                 full = concat(u, a_word, v)
                 vec = mats_short[u] @ pa
-                ang = float(np.arctan2(vec[1], vec[0]) % HALF_TURN)
+                ang = float(angles(vec))
                 key = round(ang / 1e-9)
                 # keep a few least-skewed representatives per point: distinct
                 # cosets can share a parabolic point and cover different sides
@@ -393,13 +377,13 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
             if progress:
                 continue
             # otherwise materialize coset vertices near the gap, nearest first
-            for p_name, (t_name, p_angle, K_p, angles, words) in pools.items():
+            for p_name, (t_name, p_angle, K_p, cands, words) in pools.items():
                 for _attempt in range(8):
-                    j = _nearest_in_gap(angles, g_lo, g_hi)
+                    j = _nearest_in_gap(cands, g_lo, g_hi)
                     if j is None:
                         break
                     word_j = words.pop(j)
-                    angles.pop(j)
+                    cands.pop(j)
                     key = f"p:{p_name}:{word_str(word_j)}"
                     if key in parabolic:
                         continue
@@ -460,8 +444,7 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
         if vid in parabolic:
             source_set = v_hats[vid]
         else:
-            mat_inv = rho.evaluate(invert_word(label.word)).arr
-            source_set = mobius_arc(mat_inv, inner[vid])
+            source_set = mobius_arc(_adjugates(rho.evaluate(label.word).arr), inner[vid])
         for wid in vertices:
             if source_set.intersects(inner[wid]):
                 edges.append((vid, wid))
@@ -509,14 +492,10 @@ def _materialize(rho, parabolic, v_hats, p_name, t_name, coset_word, p_angle,
     v_hats[vid] = v_hat
 
 
-def _nearest_in_gap(angles, g_lo, g_hi):
+def _nearest_in_gap(cands, g_lo, g_hi):
     """Index of the candidate angle inside the gap closest to its middle."""
     width = (g_hi - g_lo) % HALF_TURN
+    cands = np.asarray(cands, dtype=float)
+    inside = np.flatnonzero((cands - g_lo) % HALF_TURN <= width + 1e-12)
     mid = (g_lo + width / 2) % HALF_TURN
-    best, best_d = None, None
-    for j, a in enumerate(angles):
-        if (a - g_lo) % HALF_TURN <= width + 1e-12:
-            d = angle_dist(a, mid)
-            if best is None or d < best_d:
-                best, best_d = j, d
-    return best
+    return int(inside[np.argmin(angle_dists(cands[inside], mid))]) if inside.size else None

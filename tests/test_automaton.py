@@ -5,10 +5,12 @@ import pytest
 
 import flagdyn.systems as systems
 from flagdyn.automaton import (
+    Certificate,
     CompatibleSystem,
     GammaGraph,
     ParabolicFamily,
     Singleton,
+    TailDisclosure,
     check_divergence,
     elements_of,
     enumerate_paths,
@@ -161,6 +163,13 @@ def test_jordan_base_certifies(jordan_setup):
     assert cert.ok
     assert cert.min_margin > 0.05
     assert all(t.ok for t in cert.tails)
+
+
+def test_tail_failure_describes_itself():
+    cert = Certificate(records=[], tails=[TailDisclosure("p", True, False, 8)],
+                       epsilon=0.1, budgets={})
+    assert not cert.ok
+    assert cert.first_failure().describe() == "tail p"
 
 
 def test_probe_diagonalizable_path_stays_stable(jordan_setup):

@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from flagdyn.circle import Arc, arc_between, cover_circle, uncovered
+from flagdyn.circle import Arc, arc_between, cover_circle, mobius_arc, mobius_arcs, uncovered
 
 PI = math.pi
 UNIT = PI / 16  # snapped families: endpoints on multiples of pi/16
@@ -24,6 +25,39 @@ def test_arc_between_shorter_side_and_through():
     assert other == arc.complement()
     assert other.contains_angle(2.0) and not other.contains_angle(0.3)
     assert arc_between(0.1, 0.5, through=0.3) == arc
+
+
+def _oracle_angle(m, theta):
+    """Image angle of theta under m, in [0, pi), by plain math.atan2."""
+    x, y = math.cos(theta), math.sin(theta)
+    return math.atan2(m[1][0] * x + m[1][1] * y, m[0][0] * x + m[0][1] * y) % PI
+
+
+def _oracle_dist(a, b):
+    d = abs(a - b) % PI
+    return min(d, PI - d)
+
+
+def test_mobius_arcs_against_sampled_images():
+    rng = np.random.default_rng(20221)
+    n = 300
+    mats = rng.normal(size=(n, 2, 2))
+    centers = rng.uniform(0.0, PI, n)
+    radii = rng.uniform(0.02, PI / 2 - 0.02, n)
+    got_c, got_r = mobius_arcs(mats, centers, radii)
+    assert np.sum(np.linalg.det(mats) < 0) > n // 4
+    assert np.sum(got_r > PI / 4) > n // 4  # images on the long side
+    for i in range(n):
+        m = mats[i].tolist()
+        c, r = float(got_c[i]), float(got_r[i])
+        lo, hi = centers[i] - radii[i], centers[i] + radii[i]
+        for k in range(2001):
+            a = _oracle_angle(m, lo + (hi - lo) * k / 2000)
+            assert _oracle_dist(a, c) <= r + 1e-12, (i, k)
+        for end in (lo, hi):
+            assert abs(_oracle_dist(_oracle_angle(m, end), c) - r) <= 1e-12, i
+        one = mobius_arc(mats[i], Arc(centers[i], radii[i]))
+        assert (one.center, one.radius) == (got_c[i], got_r[i])
 
 
 def test_uncovered_reports_gaps_in_sweep_order():

@@ -107,6 +107,11 @@ def test_hilbert_interval():
     assert run(["hilbert", "--interval", -1, 1, "--points", 0, 0.5]) == 0
 
 
+@pytest.mark.parametrize("args", [["--interval", -1, 1], []])
+def test_hilbert_without_points_or_domain_is_config_error(capsys, args):
+    assert _config_error(["hilbert"] + args, capsys)
+
+
 def test_probe_commands(tmp_path):
     assert run(["probe", "--config", CONFIGS / "jordan_diag.json", "--out", tmp_path]) == 0
     assert run(["probe", "--config", CONFIGS / "jordan_split.json", "--out", tmp_path]) == 1
@@ -228,3 +233,26 @@ def test_non_arithmetic_matrix_entry_is_config_error(tmp_path, capsys, entry):
     bad = tmp_path / "entry.json"
     bad.write_text(json.dumps(raw))
     assert _config_error(["gaps", "--config", bad, "--out", tmp_path], capsys)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda gaps: gaps.pop("word"),
+    lambda gaps: gaps.update(count=0),
+    lambda gaps: gaps.update(k=2),  # k must lie in 1..d-1, and d = 2
+], ids=["no-word", "count-0", "k-out-of-range"])
+def test_bad_gaps_section_is_config_error(tmp_path, capsys, edit):
+    raw = json.loads((CONFIGS / "single_loop.json").read_text())
+    edit(raw["gaps"])
+    bad = tmp_path / "gaps.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error(["gaps", "--config", bad, "--out", tmp_path], capsys)
+
+
+def test_separation_only_failure_is_named(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "schottky.json").read_text())
+    raw["delta_separation"] = [["a+", "b+", 3.0]]
+    bad = tmp_path / "sep.json"
+    bad.write_text(json.dumps(raw))
+    assert run(["certify", "--config", bad, "--out", tmp_path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL first failing record: separation a+ vs b+: required 3.0")

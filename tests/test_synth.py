@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flagdyn import circle
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
 from flagdyn.circle import Arc, angle_dist, mobius_arc
 from flagdyn.errors import SynthesisFailed
@@ -141,10 +142,10 @@ def _full_pool_candidate(searcher, z):
     """First hit of the whole pool's mask: the search without stages."""
     p = searcher.params
     vz = np.array([math.cos(z), math.sin(z)])
-    pulls = searcher._angles(searcher.invs @ vz)
-    cw, rw = searcher._image_arcs(pulls, 2 * p.delta, searcher.mats)
-    cwe, rwe = searcher._image_arcs(pulls, 2 * p.delta + 2 * p.epsilon, searcher.mats)
-    ok = (2 * rw < p.delta) & (searcher._adist(cwe, z) + rwe < p.epsilon)
+    pulls = circle.angles(searcher.invs @ vz)
+    cw, rw = circle.mobius_arcs(searcher.mats, pulls, 2 * p.delta)
+    cwe, rwe = circle.mobius_arcs(searcher.mats, pulls, 2 * p.delta + 2 * p.epsilon)
+    ok = (2 * rw < p.delta) & (circle.angle_dists(cwe, z) + rwe < p.epsilon)
     if not ok.any():
         return None
     i = int(np.argmax(ok))
