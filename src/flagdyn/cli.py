@@ -308,7 +308,7 @@ def cmd_gaps(args):
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
     outdir = Path(args.out)
     spec = cfg.raw.get("gaps")
-    if not spec or "word" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("word"), str):
         raise ConfigError("gaps command needs a gaps section ({word, count, k})")
     count = int(spec.get("count", 100))
     k = int(spec.get("k", 1))

@@ -1,14 +1,16 @@
 """Truncated coned-off Cayley graphs and quasigeodesic measurements.
 
-Each peripheral coset gains a cone vertex at distance 1 from its
-elements, so any two elements of one coset are at distance 2. Balls are
-generated lazily and truncated: a cone vertex lists the coset members
-within a declared power window of the element it was reached from, and
-searches refuse (OutOfBall) rather than silently answer beyond the
-truncated ball. Elements of declared free presentations are free-reduced
-letter tuples; elements of PGL(2, Z) presentations are exact canonical
-2x2 integer tuples. Either way an element is its own key, and a coset
-g<t> is keyed by a normal form that costs O(1) per element.
+Each peripheral coset g<t> has a canonical representative rep and one
+cone vertex, adjacent to exactly the members rep t^j with |j| <=
+truncation; an element lists its cone only when it is one of them. The
+graph is undirected and depends only on the presentation and the
+truncation, not on search order. Two members of one window are at
+distance 2; a member beyond the window of its representative is not
+adjacent to the cone, and searches refuse (OutOfBall) rather than
+silently answer beyond the truncated ball. Elements of declared free
+presentations are free-reduced letter tuples; elements of PGL(2, Z)
+presentations are exact canonical 2x2 integer tuples. Either way an
+element is its own key, and its coset's representative costs O(1).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import OutOfBall
-from .linalg import exact_matmul
+from .linalg import exact_canonical, exact_matmul
 from .words import GroupPresentation, Word, normalize_word
 
 # bench/tracer.py counts coned-graph products through this module-level name
@@ -53,14 +55,6 @@ def _is_parabolic(t):
     return a * d - b * c == 1 and abs(a + d) == 2 and (b, c) != (0, 0)
 
 
-def _letters(word: Word):
-    out = []
-    for name, exp in word:
-        step = 1 if exp > 0 else -1
-        out.extend([(name, step)] * abs(exp))
-    return out
-
-
 def free_reduce(letters):
     out = []
     for let in letters:
@@ -81,16 +75,23 @@ class Presentation:
     rho: GroupPresentation | None = None
 
     def __post_init__(self):
-        if self.kind != "matrix":
+        if self.kind not in ("free", "matrix"):
+            raise ValueError(f"unknown presentation kind {self.kind!r}")
+        for p_name, t_name in self.peripherals:
+            if t_name not in self.generators:
+                raise ValueError(f"peripheral {p_name} generator {t_name} is not a generator")
+        if self.kind == "free":
             return
         if self.rho is None:
             raise ValueError("matrix presentations need an evaluation map")
+        for name in self.generators:
+            if name not in self.rho.generators:
+                raise ValueError(f"generator {name} has no matrix in the evaluation map")
         for name, g in self.rho.generators.items():
             if g.dim != 2 or g.exact is None:
                 raise ValueError(f"generator {name} is not an exact integer 2x2 matrix")
         for p_name, t_name in self.peripherals:
-            t = self.rho.generators.get(t_name)
-            if t is None or not _is_parabolic(t.exact):
+            if not _is_parabolic(self.rho.generators[t_name].exact):
                 raise ValueError(f"peripheral {p_name} generator {t_name} is not parabolic "
                                  "(det 1, |trace| 2, not the identity)")
 
@@ -98,8 +99,11 @@ class Presentation:
 class ConedGraph:
     """Lazy truncated coned-off Cayley graph with BFS distances.
 
-    Free presentations multiply by free reduction; matrix presentations
-    by the exact integer kernel of ``linalg``.
+    Undirected: element nodes ``("e", g)`` are joined to ``g x^+-1`` for
+    each generator x, and cone nodes ``("c", p_name, rep)`` to ``rep t^j``
+    for |j| <= truncation. Free presentations multiply by free
+    reduction; matrix presentations by the exact integer kernel of
+    ``linalg``.
     """
 
     def __init__(self, pres: Presentation, truncation: int = 24,
@@ -108,121 +112,90 @@ class ConedGraph:
         self.truncation = truncation
         self.max_nodes = max_nodes
         self._elems = {}  # interned elements, each its own key
-        if pres.kind == "matrix":
-            self._gen_tuples = {}
-            for name, g in pres.rho.generators.items():
-                self._gen_tuples[(name, 1)] = g.exact
-                self._gen_tuples[(name, -1)] = g.inv().exact
-            self._powers = {}
-            self._frames = {}
-            for p_name, t_name in pres.peripherals:
-                pows = {0: _IDENTITY_2X2}
-                tp = self._gen_tuples[(t_name, 1)]
-                tn = self._gen_tuples[(t_name, -1)]
-                for j in range(1, truncation + 1):
-                    pows[j] = _int_mul(pows[j - 1], tp)
-                    pows[-j] = _int_mul(pows[-(j - 1)], tn)
-                self._powers[p_name] = pows
-                self._frames[p_name] = _parabolic_frame(tp)
-
-    # -- element plumbing ---------------------------------------------------
+        if pres.kind == "free":
+            self._identity = ()
+            self._mul = lambda g, h: free_reduce(g + h)
+            self._gens = {(name, s): ((name, s),) for name in pres.generators for s in (1, -1)}
+        else:
+            self._identity = _IDENTITY_2X2
+            # looked up per call, so a wrapped _int_mul sees every product
+            self._mul = lambda g, h: _int_mul(g, h)
+            self._gens = {}
+            for name in pres.generators:
+                g = pres.rho.generators[name]
+                self._gens[(name, 1)], self._gens[(name, -1)] = g.exact, g.inv().exact
+            self._frames = {p_name: _parabolic_frame(self._gens[(t_name, 1)])
+                            for p_name, t_name in pres.peripherals}
+        self._powers = {}
+        for p_name, t_name in pres.peripherals:
+            pows = {0: self._identity}
+            for j in range(1, truncation + 1):
+                pows[j] = self._mul(pows[j - 1], self._gens[(t_name, 1)])
+                pows[-j] = self._mul(pows[1 - j], self._gens[(t_name, -1)])
+            self._powers[p_name] = pows
 
     def _intern(self, elem):
         return self._elems.setdefault(elem, elem)
 
     def node_of_word(self, word: Word):
-        word = normalize_word(word)
-        if self.pres.kind == "free":
-            return ("e", self._intern(free_reduce(_letters(word))))
-        out = _IDENTITY_2X2
-        for name, exp in word:
-            step = self._gen_tuples[(name, 1 if exp > 0 else -1)]
+        out = self._identity
+        for name, exp in normalize_word(word):
+            step = self._gens[(name, 1 if exp > 0 else -1)]
             for _ in range(abs(exp)):
-                out = _int_mul(out, step)
+                out = self._mul(out, step)
         return ("e", self._intern(out))
 
-    def _mul_gen(self, elem, name, sign):
-        if self.pres.kind == "free":
-            return free_reduce(elem + ((name, sign),))
-        return _int_mul(elem, self._gen_tuples[(name, sign)])
-
     def _coset_key(self, elem, p_name, t_name):
-        """Canonical key of the coset g<t>.
+        """(rep, j) with elem = rep t^j and rep the same on all of elem<t>.
 
-        Free kind: g with its trailing t letters stripped. Matrix kind: in
-        the frame P of t, g t^j P = +-(gP)[[1, jk], [0, 1]] adds jk times
-        the first column of gP to its second, so gP with its first column
-        sign-fixed and its second column reduced modulo k times the first
-        is the same for every member of the coset.
+        Free kind: rep is elem with its trailing t letters stripped and j
+        their signed count. Matrix kind: in the frame P of t, g t^j P =
+        +-(gP)[[1, jk], [0, 1]] adds jk times the first column of gP to its
+        second, so gP with its first column sign-fixed and its second
+        column reduced modulo k times the first is a normal form N of the
+        coset; j is the quotient of that reduction and rep = N P^-1.
         """
         if self.pres.kind == "free":
-            letters = list(elem)
-            while letters and letters[-1][0] == t_name:
-                letters.pop()
-            return tuple(letters)
+            n = len(elem)
+            while n and elem[n - 1][0] == t_name:
+                n -= 1
+            return elem[:n], sum(s for _, s in elem[n:])
         ((p, x), (q, y)), k = self._frames[p_name]
         (a, b), (c, d) = elem
         a, b, c, d = a * p + b * q, a * x + b * y, c * p + d * q, c * x + d * y
         if a < 0 or (a == 0 and c < 0):
             a, b, c, d = -a, -b, -c, -d
         j = b // (k * a) if a else d // (k * c)
-        return ((a, b - j * k * a), (c, d - j * k * c))
+        b, d = b - j * k * a, d - j * k * c
+        # N P^-1 with P^-1 = [[y, -x], [-q, p]]
+        return exact_canonical((a * y - b * q, b * p - a * x, c * y - d * q, d * p - c * x), 2), j
 
     # -- BFS ----------------------------------------------------------------
 
     def neighbors(self, node):
         if node[0] == "e":
             elem = node[1]
-            out = []
-            for name in self.pres.generators:
-                for sign in (1, -1):
-                    out.append(("e", self._intern(self._mul_gen(elem, name, sign))))
+            out = [("e", self._intern(self._mul(elem, g))) for g in self._gens.values()]
             for p_name, t_name in self.pres.peripherals:
-                out.append(("c", p_name, self._coset_key(elem, p_name, t_name), elem))
+                rep, j = self._coset_key(elem, p_name, t_name)
+                if abs(j) <= self.truncation:
+                    out.append(("c", p_name, rep))
             return out
-        # cone vertex: members of the coset through the discovered base
-        _, p_name, _, base = node
-        out = []
-        if self.pres.kind == "free":
-            t_name = dict(self.pres.peripherals)[p_name]
-            for j in range(-self.truncation, self.truncation + 1):
-                w = free_reduce(base + ((t_name, 1 if j > 0 else -1),) * abs(j))
-                out.append(("e", self._intern(w)))
-        else:
-            pows = self._powers[p_name]
-            for j in range(-self.truncation, self.truncation + 1):
-                out.append(("e", self._intern(_int_mul(base, pows[j]))))
-        return out
-
-    @staticmethod
-    def _node_id(node):
-        # cone nodes carry their discovery base; identity ignores it
-        return node[:3]
-
-    def _levels_from(self, starts):
-        """Multi-source BFS state generator helpers."""
-        dist = {}
-        parents = {}
-        frontier = []
-        for s in starts:
-            nid = self._node_id(s)
-            if nid not in dist:
-                dist[nid] = 0
-                parents[nid] = None
-                frontier.append(s)
-        return dist, parents, frontier
+        _, p_name, rep = node
+        pows = self._powers[p_name]
+        return [("e", self._intern(self._mul(rep, pows[j])))
+                for j in range(-self.truncation, self.truncation + 1)]
 
     def _expand_level(self, dist, parents, frontier):
         nxt = []
         for node in frontier:
-            d = dist[self._node_id(node)]
+            d = dist[node] + 1
             for nb in self.neighbors(node):
-                nid = self._node_id(nb)
-                if nid not in dist:
+                if nb not in dist:
                     if len(dist) >= self.max_nodes:
                         raise OutOfBall(f"search exceeds {self.max_nodes} nodes")
-                    dist[nid] = d + 1
-                    parents[nid] = self._node_id(node)
+                    dist[nb] = d
+                    parents[nb] = node
                     nxt.append(nb)
         return nxt
 
@@ -232,81 +205,66 @@ class ConedGraph:
         Bidirectional search; OutOfBall when no connection within the
         radius (or the node budget) is found.
         """
-        d, _, _ = self._bidirectional(w1, w2, radius)
-        return d
+        return self._bidirectional(w1, w2, radius)[0]
 
     def geodesic(self, w1: Word, w2: Word, radius: int):
-        """One shortest path as a list of node ids (endpoints included)."""
-        d, meet, (da, pa, db, pb) = self._bidirectional(w1, w2, radius)
-        left = []
+        """One shortest path as a list of nodes (endpoints included)."""
+        _, meet, pa, pb = self._bidirectional(w1, w2, radius)
+        path = []
         cur = meet
         while cur is not None:
-            left.append(cur)
+            path.append(cur)
             cur = pa[cur]
-        left.reverse()
+        path.reverse()
         cur = pb[meet]
         while cur is not None:
-            left.append(cur)
+            path.append(cur)
             cur = pb[cur]
-        return left
+        return path
 
     def _bidirectional(self, w1: Word, w2: Word, radius: int):
+        """Full-level BFS from both ends, stopped when the balls first meet.
+
+        Before the last expansion the balls (radii La - 1 and Lb, say)
+        were disjoint, so the distance is at least La + Lb; after it the
+        node at distance La along a shortest path lies in both. So every
+        common node is a midpoint of a geodesic of length La + Lb.
+        """
         a = self.node_of_word(w1)
         b = self.node_of_word(w2)
-        if self._node_id(a) == self._node_id(b):
-            return 0, self._node_id(a), ({self._node_id(a): 0}, {self._node_id(a): None},
-                                         {self._node_id(b): 0}, {self._node_id(b): None})
-        da, pa, fa = self._levels_from([a])
-        db, pb, fb = self._levels_from([b])
-        best = None
-        meet = None
-        steps = 0
-        while (fa or fb) and steps <= radius + 1:
-            steps += 1
-            if fa and (not fb or len(fa) <= len(fb)):
+        da, pa, fa = {a: 0}, {a: None}, [a]
+        db, pb, fb = {b: 0}, {b: None}, [b]
+        reach = 0
+        common = [a] if a == b else []
+        while not common and fa and fb and reach < radius:
+            reach += 1
+            if len(fa) <= len(fb):
                 fa = self._expand_level(da, pa, fa)
+                common = [n for n in fa if n in db]
             else:
                 fb = self._expand_level(db, pb, fb)
-            common = set(da) & set(db)
-            if common:
-                cand = min(da[n] + db[n] for n in common)
-                best = cand
-                meet = min((n for n in common if da[n] + db[n] == cand), key=str)
-                # keep expanding while strictly shorter crossings appear
-                improved = True
-                while improved and (fa or fb):
-                    fa = self._expand_level(da, pa, fa) if fa else fa
-                    fb = self._expand_level(db, pb, fb) if fb else fb
-                    common = set(da) & set(db)
-                    cand = min(da[n] + db[n] for n in common)
-                    improved = cand < best
-                    if improved:
-                        best = cand
-                        meet = min((n for n in common if da[n] + db[n] == cand), key=str)
-                if best > radius:
-                    raise OutOfBall(f"distance {best} exceeds radius {radius}")
-                return best, meet, (da, pa, db, pb)
-        raise OutOfBall(f"no path within radius {radius}")
+                common = [n for n in fb if n in da]
+        if not common:
+            raise OutOfBall(f"no path within radius {radius}")
+        return reach, min(common, key=str), pa, pb
 
     def set_distances(self, sources, targets, cap: int):
-        """Min distance from each target to the source set (multi-source BFS)."""
-        dist, parents, frontier = self._levels_from(sources)
-        want = {self._node_id(t) for t in targets}
-        out = {}
-        level = 0
-        while frontier and len(out) < len(want) and level <= cap:
-            for nid in list(want - set(out)):
-                if nid in dist:
-                    out[nid] = dist[nid]
-            level += 1
+        """Distance from each target to the source set (multi-source BFS).
+
+        OutOfBall for a target farther than cap + 1.
+        """
+        dist = dict.fromkeys(sources, 0)
+        parents = dict.fromkeys(dist)
+        frontier = list(dist)
+        want = set(targets)
+        for _ in range(cap + 1):
+            if not frontier or want <= dist.keys():
+                break
             frontier = self._expand_level(dist, parents, frontier)
-        for nid in want - set(out):
-            if nid in dist:
-                out[nid] = dist[nid]
-        missing = want - set(out)
+        missing = want - dist.keys()
         if missing:
             raise OutOfBall(f"{len(missing)} targets beyond depth cap {cap}")
-        return out
+        return {n: dist[n] for n in want}
 
 
 @dataclass
@@ -322,8 +280,9 @@ def quasigeodesic_check(graph: ConedGraph, prefixes, radius: int,
     """Hausdorff distance between path prefixes and a BFS geodesic.
 
     The geodesic runs from the identity to the farthest prefix; the
-    Hausdorff distance is measured in the truncated coned graph and
-    compared against ``d_max``.
+    Hausdorff distance between its vertices (cone vertices included) and
+    the prefixes is measured in the truncated coned graph and compared
+    against ``d_max``.
     """
     prefixes = [normalize_word(w) for w in prefixes]
     if () not in prefixes:
@@ -332,27 +291,10 @@ def quasigeodesic_check(graph: ConedGraph, prefixes, radius: int,
     far = int(max(range(len(prefixes)), key=lambda i: dists[i]))
     geo = graph.geodesic((), prefixes[far], radius)
     prefix_nodes = [graph.node_of_word(w) for w in prefixes]
-    geo_nodes = []
-    seen = set()
-    for nid in geo:
-        if nid not in seen:
-            seen.add(nid)
-            geo_nodes.append(nid)
-
-    # geodesic node ids need live payloads for BFS restarts: group elements
-    # keep theirs, cone ids are re-disclosed through their neighbors, so
-    # measure with the element nodes of the geodesic plus both endpoints
-    geo_elem_nodes = [n for n in geo_nodes if n[0] == "e"]
     cap = d_max + 2
-    to_geo = graph.set_distances(
-        [("e", n[1]) for n in geo_elem_nodes], prefix_nodes, cap
-    )
-    to_pref = graph.set_distances(
-        prefix_nodes, [("e", n[1]) for n in geo_elem_nodes], cap
-    )
-    d1 = max(to_geo.values(), default=0)
-    d2 = max(to_pref.values(), default=0)
-    measured = max(d1, d2)
+    to_geo = graph.set_distances(geo, prefix_nodes, cap)
+    to_pref = graph.set_distances(prefix_nodes, geo, cap)
+    measured = max(max(to_geo.values()), max(to_pref.values()))
     return QuasigeodesicReport(
         measured_d=int(measured),
         farthest_distance=int(dists[far]),

@@ -72,6 +72,12 @@ def _entry(value, t=0.0):
     raise ConfigError(f"bad matrix entry {value!r}")
 
 
+def _text(value, what):
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _matrix(rows, t=0.0):
     if all(isinstance(x, int) for row in rows for x in row):
         return Matrix(np.array(rows, dtype=object))
@@ -148,8 +154,10 @@ class RunConfig:
 
     def _validate_refs(self):
         raw = self.raw
-        gen_names = {g["name"] for g in raw.get("generators", [])}
-        gen_names |= {d["name"] for d in raw.get("derived", [])}
+        gen_names = {_text(g.get("name"), "generator name")
+                     for g in raw.get("generators", []) + raw.get("derived", [])}
+        for d in raw.get("derived", []):
+            _text(d.get("word"), f"derived generator {d['name']} word")
         for g in raw.get("generators", []):
             rows = g.get("matrix")
             if (
@@ -164,20 +172,31 @@ class RunConfig:
                     raise ConfigError(f"peripheral {p.get('name')} references unknown generator {g}")
         graph = raw.get("graph")
         if graph is not None:
-            ids = {v["id"] for v in graph.get("vertices", [])}
+            pnames = {p["name"] for p in raw.get("peripherals", [])}
+            ids = set()
+            for v in graph.get("vertices", []):
+                vid = _text(v.get("id"), "graph vertex id")
+                ids.add(vid)
+                if v.get("type") == "parabolic":
+                    if v.get("peripheral") not in pnames:
+                        raise ConfigError(f"vertex {vid} references unknown peripheral")
+                elif "word" not in v:
+                    raise ConfigError(f"singleton vertex {vid} needs a word")
+                for key in ("word", "coset_word"):
+                    if key in v:
+                        _text(v[key], f"vertex {vid} {key}")
+                excluded = v.get("excluded", [])
+                if not isinstance(excluded, list):
+                    raise ConfigError(f"vertex {vid} excluded must be a list of words")
+                for w in excluded:
+                    _text(w, f"vertex {vid} excluded word")
             for e in graph.get("edges", []):
-                if e[0] not in ids or e[1] not in ids:
+                if not (isinstance(e, (list, tuple)) and len(e) == 2
+                        and all(isinstance(x, str) and x in ids for x in e)):
                     raise ConfigError(f"edge {e} references unknown vertex")
             for vid in raw.get("domains", {}):
                 if vid not in ids:
                     raise ConfigError(f"domain assigned to unknown vertex {vid}")
-            for v in graph.get("vertices", []):
-                if v.get("type") == "parabolic":
-                    pnames = {p["name"] for p in raw.get("peripherals", [])}
-                    if v.get("peripheral") not in pnames:
-                        raise ConfigError(f"vertex {v['id']} references unknown peripheral")
-                elif "word" not in v:
-                    raise ConfigError(f"singleton vertex {v['id']} needs a word")
 
     # -- construction ----------------------------------------------------------
 

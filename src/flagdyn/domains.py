@@ -102,6 +102,7 @@ class ChartBall(ProperDomain):
             raise ValueError("center has wrong chart dimension")
         self.radius = float(radius)
         self.seed = seed
+        self._arc = None
 
     @property
     def dim(self):
@@ -143,14 +144,16 @@ class ChartBall(ProperDomain):
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def arc(self) -> Arc:
-        """Exact arc representation (projective line domains only)."""
+        """Exact arc representation (projective line domains only), built once."""
         if self.dim != 2:
             raise ValueError("arc() requires dimension 2")
-        lo = chart_point(self.chart, self.center - self.radius)
-        hi = chart_point(self.chart, self.center + self.radius)
-        mid = chart_point(self.chart, self.center)
-        return arc_between(angle_of(lo.coords), angle_of(hi.coords),
-                           through=angle_of(mid.coords))
+        if self._arc is None:
+            lo = chart_point(self.chart, self.center - self.radius)
+            hi = chart_point(self.chart, self.center + self.radius)
+            mid = chart_point(self.chart, self.center)
+            self._arc = arc_between(angle_of(lo.coords), angle_of(hi.coords),
+                                    through=angle_of(mid.coords))
+        return self._arc
 
     def dual_covectors(self, n, seed=0):
         h = self.chart

@@ -63,23 +63,27 @@ def exact_matmul(a, b):
 
 
 def _sign_canonical(arr):
-    """Flip the global sign so the first entry of largest magnitude is positive."""
+    """Flip the global sign so the first entry of largest magnitude is positive.
+
+    Returns the array and whether it was flipped.
+    """
     flat = arr.reshape(-1)
     idx = int(np.argmax(np.abs(flat)))
     if flat[idx] < 0:
-        return -arr
-    return arr
+        return -arr, True
+    return arr, False
 
 
 class Matrix:
     """Invertible d x d real matrix, canonicalized as a PGL(d, R) representative.
 
-    ``arr`` holds the unit-|det|, sign-canonical float representative.
+    ``arr`` holds the unit-|det|, sign-canonical float representative and
+    ``det_sign`` the sign of its determinant (+1 when it underflows).
     ``exact`` holds the integer entries (gcd-reduced, sign-canonical) when
     the input was integral, so group elements can be deduplicated exactly.
     """
 
-    __slots__ = ("dim", "arr", "exact", "_logdet_scale")
+    __slots__ = ("dim", "arr", "exact", "det_sign", "_logdet_scale")
 
     def __init__(self, entries, _trusted=False):
         a = np.array(entries, dtype=float)
@@ -114,8 +118,11 @@ class Matrix:
             # scale to |det| = 1; the log-scale is kept for volume tracking
             self._logdet_scale = logdet / d + math.log(supnorm)
         a = a * math.exp(-self._logdet_scale)
-        self.arr = _sign_canonical(a)
+        self.arr, flipped = _sign_canonical(a)
         self.arr.setflags(write=False)
+        self.det_sign = -1.0 if sign < 0 else 1.0
+        if flipped and d % 2:
+            self.det_sign = -self.det_sign
 
     @classmethod
     def identity(cls, d):
@@ -250,8 +257,7 @@ class PrefixProduct:
 
     def push(self, m: Matrix):
         self.arr = self.arr @ m.arr
-        if np.linalg.det(m.arr) < 0:
-            self.det_sign = -self.det_sign
+        self.det_sign *= m.det_sign
         self._since_renorm += 1
         if self._since_renorm >= RENORM_EVERY or np.max(np.abs(self.arr)) > 1e12:
             self._renorm()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flagdyn import domains
 from flagdyn.cli import main
 from flagdyn.config import _EXPR_NAMES, RunConfig
 from flagdyn.errors import ConfigError
@@ -54,6 +55,19 @@ def test_limitset_seed_changes_output(tmp_path):
     run(["limitset", "--config", CONFIGS / "schottky.json", "--out", a])
     run(["limitset", "--config", CONFIGS / "schottky.json", "--out", b, "--seed", 99])
     assert (a / "limit_set.csv").read_bytes() != (b / "limit_set.csv").read_bytes()
+
+
+def test_limitset_builds_each_domain_arc_once(tmp_path, monkeypatch):
+    arc_between = domains.arc_between
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return arc_between(*args, **kwargs)
+
+    monkeypatch.setattr(domains, "arc_between", counting)
+    assert run(["limitset", "--config", CONFIGS / "schottky.json", "--out", tmp_path]) == 0
+    assert len(built) == 4  # one per domain of the four-vertex system
 
 
 def test_limitset_refuses_failing_config(tmp_path):
@@ -256,3 +270,38 @@ def test_separation_only_failure_is_named(tmp_path, capsys):
     assert run(["certify", "--config", bad, "--out", tmp_path]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL first failing record: separation a+ vs b+: required 3.0")
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(raw):
+        cur = raw
+        for key in path[:-1]:
+            cur = cur[key]
+        cur[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, command, edit", [
+    ("schottky.json", "certify", lambda raw: raw["graph"]["vertices"][0].pop("id")),
+    ("schottky.json", "certify", _set("graph", "vertices", 0, "id", None)),
+    ("schottky.json", "certify", _set("graph", "vertices", 0, "id", [])),
+    ("schottky.json", "certify", _set("graph", "vertices", 0, "word", None)),
+    ("schottky.json", "certify", _set("graph", "vertices", 0, "word", {})),
+    ("schottky.json", "certify", _set("graph", "edges", 0, 1, [])),
+    ("schottky.json", "certify", _set("graph", "edges", 0, ["a+"])),
+    ("schottky.json", "certify", _set("generators", 0, "name", [])),
+    ("jordan_diag.json", "certify", _set("graph", "vertices", 0, "coset_word", 0)),
+    ("jordan_diag.json", "certify", _set("graph", "vertices", 0, "excluded", [None])),
+    ("jordan_diag.json", "certify", _set("graph", "vertices", 0, "excluded", "a")),
+    ("jordan_diag.json", "certify", _set("derived", 0, "word", None)),
+    ("single_loop.json", "gaps", _set("gaps", "word", None)),
+    ("single_loop.json", "gaps", _set("gaps", "word", ["g"])),
+])
+def test_non_string_word_or_id_is_config_error(tmp_path, capsys, name, command, edit):
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    bad = tmp_path / "strings.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error([command, "--config", bad, "--out", tmp_path], capsys)

@@ -105,8 +105,8 @@ def test_out_of_ball(f2_plain):
 def test_geodesic_endpoints(f2_rel_a):
     geo = f2_rel_a.geodesic((), parse_word("b a^10 b"), 10)
     assert len(geo) - 1 == 4
-    assert geo[0] == f2_rel_a._node_id(f2_rel_a.node_of_word(()))
-    assert geo[-1] == f2_rel_a._node_id(f2_rel_a.node_of_word(parse_word("b a^10 b")))
+    assert geo[0] == f2_rel_a.node_of_word(())
+    assert geo[-1] == f2_rel_a.node_of_word(parse_word("b a^10 b"))
 
 
 def test_quasigeodesic_geodesic_prefixes(f2_plain):
@@ -163,6 +163,10 @@ def test_matrix_presentation_rejects_inexact_generators():
     rho3 = GroupPresentation(dim=3, generators={"u": Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])})
     with pytest.raises(ValueError, match="generator u"):
         Presentation(generators=["u"], peripherals=[], kind="matrix", rho=rho3)
+    # every matrix-kind generator needs a matrix
+    with pytest.raises(ValueError, match="generator x has no matrix"):
+        Presentation(generators=["t", "x"], peripherals=[], kind="matrix",
+                     rho=GroupPresentation(dim=2, generators=dict(MODULAR)))
 
 
 def test_matrix_presentation_rejects_non_parabolic_peripherals():
@@ -177,12 +181,23 @@ def test_matrix_presentation_rejects_non_parabolic_peripherals():
     Presentation(generators=sorted(gens), peripherals=[("p", "t")], kind="matrix", rho=rho)
 
 
-def _random_words(names, count, seed):
+def test_presentation_rejects_unknown_kind_and_names():
+    with pytest.raises(ValueError, match="unknown presentation kind 'bogus'"):
+        Presentation(generators=["a", "b"], peripherals=[], kind="bogus")
+    # a peripheral generator must be one of the generators, in either kind
+    with pytest.raises(ValueError, match="peripheral pc generator c is not a generator"):
+        Presentation(generators=["a", "b"], peripherals=[("pc", "c")], kind="free")
+    rho = GroupPresentation(dim=2, generators=dict(MODULAR))
+    with pytest.raises(ValueError, match="peripheral pc generator c is not a generator"):
+        Presentation(generators=["t", "s"], peripherals=[("pc", "c")], kind="matrix", rho=rho)
+
+
+def _random_words(names, count, seed, max_len=6):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         w = tuple((rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 5)))
-                  for _ in range(rng.randint(0, 6)))
+                  for _ in range(rng.randint(0, max_len)))
         out.append(concat(w))
     return out
 
@@ -195,10 +210,11 @@ def _assert_coset_key_invariant(graph, t_name, seed):
         return graph._coset_key(graph.node_of_word(word)[1], p_name, t_name)
 
     for g in _random_words(sorted(graph.pres.generators), 25, seed):
-        k0 = key(g)
-        for k in (1, -1, T, -T, 3 * T, -3 * T, 400, -400):
-            assert key(concat(g, ((t_name, k),))) == k0, (g, k)
-        assert key(concat(g, (("s", 1),))) != k0, g
+        rep, j = key(g)
+        assert graph._coset_key(rep, p_name, t_name) == (rep, 0), g
+        for m in (1, -1, T, -T, 3 * T, -3 * T, 400, -400):
+            assert key(concat(g, ((t_name, m),))) == (rep, j + m), (g, m)
+        assert key(concat(g, (("s", 1),)))[0] != rep, g
 
 
 def test_pgl2z_coset_key_is_constant_on_cosets(pgl2z):
@@ -206,9 +222,18 @@ def test_pgl2z_coset_key_is_constant_on_cosets(pgl2z):
 
 
 def test_pgl2z_coset_members_share_a_cone(pgl2z):
-    # members far outside each other's power window still meet at the cone
-    assert pgl2z.distance(parse_word("s t^3"), parse_word("s t^-90"), 6) == 2
-    assert pgl2z.distance((), parse_word("t^60"), 6) == 2
+    # the windows of the representatives id and s end at |j| = 24
+    assert pgl2z.distance((), parse_word("t^24"), 6) == 2
+    assert pgl2z.distance((), parse_word("t^25"), 6) == 3
+    assert pgl2z.distance(parse_word("s t^3"), parse_word("s t^-22"), 6) == 2
+    assert pgl2z._coset_key(pgl2z.node_of_word(parse_word("s t^-20"))[1], "pt", "t") == (
+        pgl2z.node_of_word(parse_word("s"))[1], -20)
+    # beyond the window a member is not adjacent to the cone
+    far = parse_word("t^60")
+    with pytest.raises(OutOfBall):
+        pgl2z.distance((), far, 6)
+    with pytest.raises(OutOfBall):
+        pgl2z.set_distances([pgl2z.node_of_word(())], [pgl2z.node_of_word(far)], 5)
 
 
 @pytest.mark.parametrize("name, matrix", [
@@ -223,4 +248,77 @@ def test_coset_key_of_conjugated_or_non_unit_peripheral(name, matrix):
                         kind="matrix", rho=rho)
     graph = ConedGraph(pres, truncation=6)
     _assert_coset_key_invariant(graph, name, seed=5)
-    assert graph.distance(parse_word(f"r {name}^2"), parse_word(f"r {name}^-50"), 6) == 2
+    assert graph.distance(parse_word(f"r {name}^2"), parse_word(f"r {name}^-4"), 6) == 2
+    assert graph.distance(parse_word(f"r {name}^2"), parse_word(f"r {name}^-7"), 6) == 3
+
+
+def _ball(graph, radius):
+    ball = {graph.node_of_word(())}
+    frontier = list(ball)
+    for _ in range(radius):
+        nxt = []
+        for n in frontier:
+            for m in graph.neighbors(n):
+                if m not in ball:
+                    ball.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return ball
+
+
+def _plain_bfs_distance(graph, a, b):
+    dist = {a: 0}
+    frontier = [a]
+    while b not in dist:
+        nxt = []
+        for n in frontier:
+            for m in graph.neighbors(n):
+                if m not in dist:
+                    dist[m] = dist[n] + 1
+                    nxt.append(m)
+        frontier = nxt
+    return dist[b]
+
+
+def _graph_of_kind(kind, truncation):
+    if kind == "free":
+        pres = Presentation(generators=["a", "b"], peripherals=[("pa", "a")], kind="free")
+    else:
+        pres = Presentation(generators=["t", "s", "r"], peripherals=[("pt", "t")],
+                            kind="matrix", rho=GroupPresentation(dim=2, generators=dict(MODULAR)))
+    return ConedGraph(pres, truncation=truncation)
+
+
+@pytest.mark.parametrize("kind, truncation", [("free", 16), ("matrix", 6)])
+def test_coned_graph_is_undirected(kind, truncation):
+    graph = _graph_of_kind(kind, truncation)
+    ball = _ball(graph, 3)
+    assert any(n[0] == "c" for n in ball)
+    for n in ball:
+        for m in graph.neighbors(n):
+            assert n in graph.neighbors(m), (n, m)
+
+
+@pytest.mark.parametrize("kind, names, max_len", [
+    ("free", ["a", "b"], 3),
+    ("matrix", ["t", "s", "r"], 5),
+])
+def test_searches_agree_with_plain_bfs(kind, names, max_len):
+    # truncation 6, so the pairs cross cone windows
+    graph = _graph_of_kind(kind, 6)
+    starts = _random_words(names, 12, seed=3, max_len=max_len)
+    steps = _random_words(names, 12, seed=4, max_len=max_len)
+    pairs = [(v, concat(v, u)) for v, u in zip(starts, steps)]
+    if kind == "free":
+        pairs += [((), parse_word("a^10")), ((), parse_word("a^10 b"))]
+    got = []
+    for v, w in pairs:
+        a, b = graph.node_of_word(v), graph.node_of_word(w)
+        d = graph.distance(v, w, 16)
+        assert graph.set_distances([a], [b], 16) == {b: d}, (v, w)
+        assert _plain_bfs_distance(graph, a, b) == d, (v, w)
+        got.append(d)
+    assert max(got) >= 3
+    if kind == "free":
+        # one cone hop to a^6, then the letters beyond the window
+        assert got[-2:] == [6, 7]

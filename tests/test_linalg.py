@@ -386,3 +386,14 @@ def test_exact_canonical_pins():
     assert exact_canonical([0, -2, 4, 6], 2) == ((0, 1), (-2, -3))
     assert exact_canonical([-3, 0, 0, 0, -3, 0, 0, 0, -3], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert exact_matmul(((1, 1), (0, 1)), ((1, -1), (0, 1))) == ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_det_sign_matches_the_determinant_of_arr(d):
+    rng = np.random.default_rng(20 + d)
+    mats = [random_invertible(rng, d) for _ in range(50)]
+    # _sign_canonical flips the leading -1: det (-1)^(d-1) after the flip
+    mats.append(Matrix(np.diag([-1.0] + [1.0] * (d - 1))))
+    for m in mats:
+        assert m.det_sign == (-1.0 if np.linalg.det(m.arr) < 0 else 1.0)
+    assert {m.det_sign for m in mats} == {-1.0, 1.0}
