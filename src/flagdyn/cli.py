@@ -23,9 +23,9 @@ from .automaton import (
     peripheral_stability_probe,
     verify_compatibility,
 )
-from .config import RunConfig
+from .config import RunConfig, number
 from .domains import ChartBall, zimmer_metric
-from .dynamics import contracting_limit, limit_set_sample, shrink_rates
+from .dynamics import contracting_limits, limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
 from .linalg import flag_divergent, gap_trace
 from .projgeom import ProjHyperplane, ProjPoint, chart_point
@@ -185,18 +185,26 @@ def cmd_rates(args):
     cfg = RunConfig.load(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
     outdir = Path(args.out)
+    spec = cfg.raw.get("rates", {})
+    if not isinstance(spec, dict):
+        raise ConfigError("rates section must be an object ({depth, paths, depth_range})")
+    depth = number(spec.get("depth", cfg.budgets["depth"]), "rates.depth", int)
+    n_paths = number(spec.get("paths", 12), "rates.paths", int)
+    dr = spec.get("depth_range", [2, depth])
+    if not isinstance(dr, list) or len(dr) != 2:
+        raise ConfigError(f"rates.depth_range must be [first, last], got {dr!r}")
+    dr = tuple(number(n, "rates.depth_range entry", int) for n in dr)
+    if depth < 2 or n_paths < 1:
+        raise ConfigError(f"rates needs depth >= 2 and paths >= 1, "
+                          f"got depth {depth}, paths {n_paths}")
     failure, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
     if failure:
         print("certification failed; no rates computed")
         return 1
-    spec = cfg.raw.get("rates", {})
-    depth = int(spec.get("depth", cfg.budgets["depth"]))
-    n_paths = int(spec.get("paths", 12))
-    dr = spec.get("depth_range", [2, depth])
     paths, _ = enumerate_paths(graph, depth, "random", rho, seed=seed, cap=n_paths)
-    results = [contracting_limit(p, rho, system, certificate=cert) for p in paths]
+    results = contracting_limits(paths, rho, system, certificate=cert)
     try:
-        rep = shrink_rates(results, depth_range=tuple(dr))
+        rep = shrink_rates(results, depth_range=dr)
     except FlagdynError as exc:
         print(f"rate fit rejected: {exc}")
         return 1
@@ -310,14 +318,14 @@ def cmd_gaps(args):
     spec = cfg.raw.get("gaps")
     if not isinstance(spec, dict) or not isinstance(spec.get("word"), str):
         raise ConfigError("gaps command needs a gaps section ({word, count, k})")
-    count = int(spec.get("count", 100))
-    k = int(spec.get("k", 1))
+    count = number(spec.get("count", 100), "gaps.count", int)
+    k = number(spec.get("k", 1), "gaps.k", int)
     if count < 1 or not 1 <= k <= cfg.dimension - 1:
         raise ConfigError(f"gaps needs count >= 1 and k in 1..{cfg.dimension - 1}, "
                           f"got count {count}, k {k}")
+    threshold = number(spec.get("threshold", 5.0), "gaps.threshold")
     rho = cfg.presentation()
     base = rho.evaluate(parse_word(spec["word"]))
-    threshold = float(spec.get("threshold", 5.0))
     trace = gap_trace([base] * count, k)
     flagged = flag_divergent(trace, threshold)
     rows = ["# " + " | ".join(_header(cfg, seed, [f"word {spec['word']}", f"k {k}"])),

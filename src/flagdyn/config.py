@@ -72,6 +72,41 @@ def _entry(value, t=0.0):
     raise ConfigError(f"bad matrix entry {value!r}")
 
 
+def number(value, what, kind=float):
+    """A numeric config field as a finite float, or an int for ``kind=int``.
+
+    Anything else (null, a string, a list, an object, a boolean, a value
+    that is not finite, a fraction for an int field) is a ConfigError.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (kind is int and value != int(value))):
+        want = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{what} must be {want}, got {value!r}")
+    return kind(value)
+
+
+def _epsilon(value):
+    eps = number(value, "graph.epsilon")
+    if eps <= 0:
+        raise ConfigError(f"graph.epsilon must be positive, got {eps!r}")
+    return eps
+
+
+def _vector(value, what, n):
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
+    return np.array([number(x, what) for x in value])
+
+
+# keys each domain kind requires
+_DOMAIN_KEYS = {
+    "arc": ("center_angle", "radius_angle"),
+    "chart_ball": ("chart", "center", "radius"),
+    "polytope": ("chart", "vertices"),
+    "union": ("members",),
+}
+
+
 def _text(value, what):
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a string, got {value!r}")
@@ -137,6 +172,9 @@ class RunConfig:
         dim = raw.get("dimension")
         if not isinstance(dim, int) or dim < 2:
             raise ConfigError("dimension must be an integer >= 2")
+        for section in ("seeds", "budgets", "tolerances"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"{section} must be an object")
         cfg = cls(
             dimension=dim,
             raw=raw,
@@ -146,6 +184,13 @@ class RunConfig:
             budgets={**cls.DEFAULT_BUDGETS, **raw.get("budgets", {})},
             tolerances={**cls.DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
         )
+        cfg.seeds["master"] = number(cfg.seeds["master"], "seeds.master", int)
+        if cfg.seeds["master"] < 0:
+            raise ConfigError("seeds.master must be a nonnegative integer")
+        for key, val in cfg.budgets.items():
+            cfg.budgets[key] = number(val, f"budgets.{key}", int)
+            if cfg.budgets[key] < 1:
+                raise ConfigError(f"budgets.{key} must be positive")
         for key, val in cfg.tolerances.items():
             if not (isinstance(val, (int, float)) and val > 0):
                 raise ConfigError(f"tolerance {key} must be positive")
@@ -214,7 +259,8 @@ class RunConfig:
             Peripheral(
                 name=p["name"],
                 generators=list(p["generators"]),
-                truncation=int(p.get("truncation", 40)),
+                truncation=number(p.get("truncation", 40),
+                                  f"peripheral {p['name']} truncation", int),
                 abelian=bool(p.get("abelian", True)),
                 parabolic_point=p.get("parabolic_point"),
             )
@@ -237,7 +283,8 @@ class RunConfig:
                 vertices[v["id"]] = ParabolicFamily(
                     coset_word=parse_word(v.get("coset_word", "")),
                     peripheral=v["peripheral"],
-                    exclude_below=int(v.get("min_power", 1)),
+                    exclude_below=number(v.get("min_power", 1),
+                                         f"vertex {v['id']} min_power", int),
                     excluded=tuple(parse_word(w) for w in v.get("excluded", [])),
                 )
             else:
@@ -249,28 +296,36 @@ class RunConfig:
             eps = 0.1 * system.min_pairwise_gap()
             if eps <= 0:
                 raise ConfigError("auto epsilon failed: assigned domains touch")
-        return GammaGraph(vertices=vertices, edges=edges, epsilon=float(eps))
+        return GammaGraph(vertices=vertices, edges=edges, epsilon=_epsilon(eps))
 
     def domain(self, spec):
-        kind = spec.get("kind")
-        if kind == "arc":
-            if self.dimension != 2:
-                raise ConfigError("arc domains require dimension 2")
-            return arc_ball(float(spec["center_angle"]), float(spec["radius_angle"]))
-        if kind == "chart_ball":
-            return ChartBall(
-                ProjHyperplane(np.asarray(spec["chart"], dtype=float)),
-                np.asarray(spec["center"], dtype=float),
-                float(spec["radius"]),
-            )
-        if kind == "polytope":
-            return ConvexPolytope(
-                ProjHyperplane(np.asarray(spec["chart"], dtype=float)),
-                np.asarray(spec["vertices"], dtype=float),
-            )
-        if kind == "union":
-            return SampledSet([self.domain(m) for m in spec["members"]])
-        raise ConfigError(f"unknown domain kind {kind!r}")
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
+            raise ConfigError(f"unknown domain kind {kind!r}")
+        missing = [key for key in _DOMAIN_KEYS[kind] if key not in spec]
+        if missing:
+            raise ConfigError(f"{kind} domain needs {', '.join(missing)}")
+        d = self.dimension
+        try:
+            if kind == "arc":
+                if d != 2:
+                    raise ConfigError("arc domains require dimension 2")
+                return arc_ball(number(spec["center_angle"], "arc center_angle"),
+                                number(spec["radius_angle"], "arc radius_angle"))
+            if kind == "union":
+                if not isinstance(spec["members"], list):
+                    raise ConfigError("union members must be a list of domains")
+                return SampledSet([self.domain(m) for m in spec["members"]])
+            chart = ProjHyperplane(_vector(spec["chart"], f"{kind} chart", d))
+            if kind == "chart_ball":
+                return ChartBall(chart, _vector(spec["center"], "chart_ball center", d - 1),
+                                 number(spec["radius"], "chart_ball radius"))
+            vertices = spec["vertices"]
+            if not isinstance(vertices, list):
+                raise ConfigError("polytope vertices must be a list of points")
+            return ConvexPolytope(chart, [_vector(v, "polytope vertex", d - 1) for v in vertices])
+        except ValueError as exc:  # out-of-range values the domain rejects
+            raise ConfigError(f"{kind} domain: {exc}") from exc
 
     def system(self, epsilon=None) -> CompatibleSystem:
         doms = {vid: self.domain(spec) for vid, spec in self.raw.get("domains", {}).items()}
@@ -281,14 +336,18 @@ class RunConfig:
             if eps == "auto":
                 sys_tmp = CompatibleSystem(domains=doms, epsilon=1.0)
                 eps = 0.1 * sys_tmp.min_pairwise_gap()
-            epsilon = float(eps)
+            epsilon = _epsilon(eps)
         return CompatibleSystem(domains=doms, epsilon=epsilon)
 
     def check_separation(self, system: CompatibleSystem):
         """User-declared FS separation table, checked not derived."""
         failures = []
         for entry in self.raw.get("delta_separation", []):
-            a, b, gap = entry[0], entry[1], float(entry[2])
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ConfigError(f"delta_separation row {entry!r} must be [id, id, gap]")
+            a = _text(entry[0], "delta_separation vertex id")
+            b = _text(entry[1], "delta_separation vertex id")
+            gap = number(entry[2], f"delta_separation gap of {a} vs {b}")
             actual = pair_gap(system.domain(a), system.domain(b), 64, 32, 0)
             if actual < gap:
                 failures.append((a, b, gap, actual))

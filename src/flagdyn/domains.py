@@ -6,6 +6,11 @@ from the two boundary points of the line section through the argument
 pair (the supremum over dual hyperplane pairs is attained at supporting
 hyperplanes of the section). For sampled unions only a lower bound over
 sampled dual pairs is available and is flagged as such.
+
+The metric works on arrays: ``zimmer_metrics`` takes two (n, d) arrays of
+points and the domains' ``chords`` take stacked lines, each row with the
+kernels of a one-row call; ``zimmer_metric`` and ``chord`` are the
+one-row calls.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ import numpy as np
 from . import sampling
 from .circle import Arc, angle_of, arc_between
 from .errors import BadOrder, NotInDomain, NotNested, NotStrictlyNested
+from .linalg import mathmap, rowdot
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
     affine_chart,
     chart_point,
+    chart_rows,
     fubini_study_many,
     in_chart,
 )
@@ -51,9 +58,6 @@ class ProperDomain:
         inside[inside] = self.contains_coords(affine_chart(self.chart, pts[inside]), slack)
         return inside
 
-    def contains(self, p: ProjPoint, slack=0.0) -> bool:
-        return bool(self.contains_points(p.coords[None, :], slack)[0])
-
     def boundary_coords(self, n, seed=0):
         raise NotImplementedError
 
@@ -73,19 +77,29 @@ class ProperDomain:
     def center_point(self) -> ProjPoint:
         raise NotImplementedError
 
-    def chord(self, coords, direction):
-        """Chord parameters (s_lo, s_hi) of the line p + s*dir, s_lo < 0 < s_hi."""
+    def chords(self, coords, directions):
+        """Chord parameters (s_lo, s_hi) of the lines p + s*dir, one per row of
+        two (n, k) arrays; NaN for a row without a chord."""
         raise NotImplementedError
+
+    def chord(self, coords, direction):
+        """Chord parameters (s_lo, s_hi) of the line p + s*dir: ``chords`` of one row."""
+        (s_lo,), (s_hi,) = self.chords(np.asarray(coords, dtype=float)[None, :],
+                                       np.asarray(direction, dtype=float)[None, :])
+        if s_lo != s_lo:  # NaN
+            raise NotInDomain("no chord through the base point")
+        return float(s_lo), float(s_hi)
 
     def section(self, x_coords, y_coords):
         """Chord of the line through a pair inside the domain.
 
         s = 0 and s = 1 are the two argument points; s_lo < 0 < 1 < s_hi.
         """
-        s_lo, s_hi = self.chord(x_coords, np.asarray(y_coords) - np.asarray(x_coords))
+        x = np.asarray(x_coords, dtype=float)
+        (s_lo,), (s_hi,) = self.chords(x[None, :], (np.asarray(y_coords) - x)[None, :])
         if not (s_lo < 0.0 < 1.0 < s_hi):
             raise NotInDomain("argument pair not inside the section")
-        return s_lo, s_hi
+        return float(s_lo), float(s_hi)
 
 
 class ChartBall(ProperDomain):
@@ -127,16 +141,14 @@ class ChartBall(ProperDomain):
     def center_point(self):
         return chart_point(self.chart, self.center)
 
-    def chord(self, coords, direction):
-        p = np.asarray(coords, dtype=float) - self.center
-        d = np.asarray(direction, dtype=float)
-        a = float(d @ d)
-        b = 2.0 * float(p @ d)
-        c = float(p @ p) - self.radius**2
-        disc = b * b - 4 * a * c
-        if a == 0.0 or disc <= 0.0:
-            raise NotInDomain("degenerate line section")
-        rt = math.sqrt(disc)
+    def chords(self, coords, directions):
+        # roots of |p + s d - center|^2 = radius^2; NaN for a degenerate section
+        p = coords - self.center
+        a = rowdot(directions, directions)
+        b = 2.0 * rowdot(p, directions)
+        disc = b * b - 4 * a * (rowdot(p, p) - self.radius**2)
+        disc[(a == 0.0) | ~(disc > 0.0)] = np.nan
+        rt = np.sqrt(disc)
         return (-b - rt) / (2 * a), (-b + rt) / (2 * a)
 
     def outward_normals(self, coords):
@@ -240,23 +252,18 @@ class ConvexPolytope(ProperDomain):
     def center_point(self):
         return chart_point(self.chart, self.center)
 
-    def chord(self, coords, direction):
-        d = np.asarray(direction, dtype=float)
-        lo, hi = -math.inf, math.inf
-        for nrm, off in zip(self.normals, self.offsets):
-            num = off - float(nrm @ coords)
-            den = float(nrm @ d)
-            if abs(den) < 1e-15:
-                if num <= 0:
-                    raise NotInDomain("line outside a facet slab")
-                continue
-            s = num / den
-            if den > 0:
-                hi = min(hi, s)
-            else:
-                lo = max(lo, s)
-        if not (lo < 0.0 < hi):
-            raise NotInDomain("base point not inside the chord")
+    def chords(self, coords, directions):
+        # facet scan: each facet not parallel to the line bounds s on one
+        # side; NaN when the line misses a parallel facet's slab or the base
+        # point is not inside the chord
+        num = self.offsets - rowdot(coords[:, None, :], self.normals)
+        den = rowdot(directions[:, None, :], self.normals)
+        parallel = abs(den) < 1e-15
+        s = num / np.where(parallel, 1.0, den)
+        hi = np.where(den >= 1e-15, s, math.inf).min(axis=1)
+        lo = np.where(den <= -1e-15, s, -math.inf).max(axis=1)
+        bad = (parallel & (num <= 0)).any(axis=1) | ~((lo < 0.0) & (0.0 < hi))
+        lo[bad] = hi[bad] = np.nan
         return lo, hi
 
     def outward_normals(self, coords):
@@ -360,49 +367,93 @@ class SampledSet(ProperDomain):
 
 
 def _log_cr_from_section(s_lo, s_hi):
-    """|log cross-ratio| of (s_lo, s_hi; 0, 1) for s_lo < 0 < 1 < s_hi.
+    """|log cross-ratio| of (s_lo, s_hi; 0, 1) for s_lo < 0 < 1 < s_hi,
+    elementwise on arrays.
 
     Stable when the chord is huge compared to the pair separation: uses
     the exact identity CR = 1 + (a-b)(y-x)/((x-a)(y-b)).
     """
     t = (s_lo - s_hi) * (1.0 - 0.0) / ((0.0 - s_lo) * (1.0 - s_hi))
-    return abs(math.log1p(t))
+    return abs(mathmap(math.log1p, t))
 
 
 def zimmer_metric(omega: ProperDomain, x: ProjPoint, y: ProjPoint, budget: int = 4096,
                   seed: int = 0) -> float:
-    """Cross-ratio metric on a proper domain.
+    """Cross-ratio metric on a proper domain: ``zimmer_metrics`` of one pair.
 
-    Exact (line-section) value for balls and polytopes; sampled lower
-    bound over dual pairs for sampled unions (``omega.exact_metric``
-    distinguishes the two).
+    Raises NotInDomain where that gives inf.
     """
-    if not omega.contains(x, slack=1e-12) or not omega.contains(y, slack=1e-12):
+    val = float(zimmer_metrics(omega, x.coords[None, :], y.coords[None, :], budget, seed)[0])
+    if val == math.inf:
         raise NotInDomain("zimmer_metric arguments must lie in the domain")
-    xc = affine_chart(omega.chart, x)
-    yc = affine_chart(omega.chart, y)
-    if float(np.linalg.norm(xc - yc)) < 1e-12:
-        return 0.0
+    return val
+
+
+def zimmer_metrics(omega: ProperDomain, xs, ys, budget: int = 4096,
+                   seed: int = 0) -> np.ndarray:
+    """Cross-ratio metric of each row pair of two (n, d) arrays of unit rows.
+
+    Exact (line-section) values for balls and polytopes; sampled lower
+    bounds over dual pairs for sampled unions (``omega.exact_metric``
+    distinguishes the two). A pair with a point outside the domain, or
+    without a line section through it, gives inf; a coincident pair
+    gives 0. Each row is computed with the kernels of a one-row call, so
+    its value does not depend on the rows beside it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    h = omega.chart
+    out = np.full(len(xs), math.inf)
+    rows = np.flatnonzero(in_chart(h, xs) & in_chart(h, ys))
+    xc, yc = chart_rows(h, xs[rows]), chart_rows(h, ys[rows])
+    inside = omega.contains_coords(xc, 1e-12) & omega.contains_coords(yc, 1e-12)
+    rows, xc, yc = rows[inside], xc[inside], yc[inside]
+    same = np.linalg.norm(xc - yc, axis=1) < 1e-12
+    out[rows[same]] = 0.0
+    rows, xc, yc = rows[~same], xc[~same], yc[~same]
+    if not len(rows):
+        return out
     if omega.exact_metric:
-        s_lo, s_hi = omega.section(xc, yc)
-        return _log_cr_from_section(s_lo, s_hi)
-    return zimmer_metric_sampled(omega, x, y, budget, seed)
+        # s = 0 and s = 1 are the two points; the pair must lie inside the chord
+        s_lo, s_hi = omega.chords(xc, yc - xc)
+        ok = (s_lo < 0.0) & (1.0 < s_hi)
+        out[rows[ok]] = _log_cr_from_section(s_lo[ok], s_hi[ok])
+        return out
+    try:
+        covs = omega.dual_covectors(budget, seed)
+    except NotInDomain:  # no separating hyperplane: no finite lower bound
+        return out
+    out[rows] = _sampled_metrics(covs, xs[rows], ys[rows])
+    return out
+
+
+def _sampled_metrics(covs, xs, ys):
+    """sup over the covectors' pairs of |log cross-ratio|, per row pair.
+
+    The supremum over pairs decomposes as sup_w log|w(y)/w(x)| plus
+    sup_w log|w(x)/w(y)|. Rows go in blocks of about 2^18 covector values.
+    """
+    step = max(1, 2**18 // len(covs))
+    out = []
+    for i in range(0, len(xs), step):
+        vx = np.matmul(covs, xs[i:i + step, :, None])[..., 0]
+        vy = np.matmul(covs, ys[i:i + step, :, None])[..., 0]
+        ok = (np.abs(vx) > 1e-300) & (np.abs(vy) > 1e-300)
+        with np.errstate(divide="ignore"):
+            ratios = np.log(np.abs(vy)) - np.log(np.abs(vx))
+        out.append(np.max(np.where(ok, ratios, -math.inf), axis=1)
+                   + np.max(np.where(ok, -ratios, -math.inf), axis=1))
+    return np.concatenate(out)
 
 
 def zimmer_metric_sampled(omega: ProperDomain, x: ProjPoint, y: ProjPoint,
                           budget: int = 4096, seed: int = 0) -> float:
     """Lower bound: sup over sampled dual pairs of |log cross-ratio|.
 
-    The supremum over pairs decomposes as sup_w log|w(y)/w(x)| plus
-    sup_w log|w(x)/w(y)|, so ``budget`` hyperplane samples probe
-    budget**2 pairs.
+    ``budget`` hyperplane samples probe budget**2 pairs.
     """
     covs = omega.dual_covectors(budget, seed)
-    vx = covs @ x.coords
-    vy = covs @ y.coords
-    ok = (np.abs(vx) > 1e-300) & (np.abs(vy) > 1e-300)
-    ratios = np.log(np.abs(vy[ok])) - np.log(np.abs(vx[ok]))
-    return float(np.max(ratios) + np.max(-ratios))
+    return float(_sampled_metrics(covs, x.coords[None, :], y.coords[None, :])[0])
 
 
 def finsler_factor(omega: ProperDomain, coords, direction) -> float:

@@ -8,6 +8,12 @@ instead of subtractive cancellation). Singular value gaps come from the
 renormalized exterior powers the prefix product carries, in any
 dimension. Reported radius bounds are floored at the numerical
 resolution; the engine never claims sub-roundoff precision.
+
+``contracting_limits`` pushes a batch of paths together: one
+(P, d, d) prefix stack, depth n of every path in one step, diameters
+from one cross-ratio array on RP^1 or one ``domains.zimmer_metrics``
+call per (home, target) vertex pair otherwise. ``contracting_limit`` is
+its one-path call, and every path's result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ import numpy as np
 
 from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
-from .domains import ChartBall, ProperDomain, zimmer_metric
-from .errors import GapTooSmall, InsufficientData, NotCertified, NotInDomain, PathNotFound
-from .linalg import Matrix, PrefixProduct, exterior_power, gap_trace, minors, svd
+from .domains import ChartBall, ProperDomain, zimmer_metrics
+from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
+from .linalg import Matrix, PrefixProduct, exterior_power, mathmap, minors, svd
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -29,6 +35,7 @@ from .projgeom import (
     act_many,
     fubini_study,
     fubini_study_many,
+    unit_rows,
 )
 from .words import GroupPresentation, invert_word, normalize_word, word_str
 
@@ -73,101 +80,159 @@ class LimitSetCloud:
     metadata: dict = field(default_factory=dict)
 
 
-def _check_certified(path: GPath, certificate):
+def _check_certified(paths, certificate):
     if certificate is None:
         return
     if not certificate.ok:
         raise NotCertified("certificate does not pass")
     certified_edges = {r.edge for r in certificate.records}
-    for e in zip(path.vertices, path.vertices[1:]):
-        if e not in certified_edges:
-            raise NotCertified(f"path edge {e} not covered by the certificate")
+    for path in paths:
+        for e in zip(path.vertices, path.vertices[1:]):
+            if e not in certified_edges:
+                raise NotCertified(f"path edge {e} not covered by the certificate")
 
 
 def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSystem,
                       depth: int | None = None, certificate=None, k: int = 1,
                       sample_budget: int = 32, seed: int = 0,
                       convergence_tol: float = 1e-9) -> PathResult:
-    """Nested-image limit of a certified path with per-depth diagnostics.
+    """``contracting_limits`` of one path."""
+    return contracting_limits([path], rho, system, depth=depth, certificate=certificate,
+                              k=k, sample_budget=sample_budget, seed=seed,
+                              convergence_tol=convergence_tol)[0]
 
-    The limit is approximated by the prefix image of the next vertex
-    domain's center (guaranteed interior). Diameters are measured in the
-    metric of the first vertex domain; gaps are the top singular gaps of
-    the prefix products.
+
+def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
+                       depth: int | None = None, certificate=None, k: int = 1,
+                       sample_budget: int = 32, seed: int = 0,
+                       convergence_tol: float = 1e-9) -> list:
+    """Nested-image limits of certified paths with per-depth diagnostics.
+
+    Each path runs to ``min(depth, path.depth)``. The limit is approximated
+    by the prefix image of the next vertex domain's center (guaranteed
+    interior). Diameters are measured in the metric of the path's first
+    vertex domain; gaps are the top singular gaps of the prefix products.
+
+    Paths of one depth and one branch (exact arcs on RP^1, or sampled
+    images) are pushed together, depth n of every path in one step, with
+    each distinct word evaluated once. A path's result does not depend on
+    the paths batched with it.
     """
-    _check_certified(path, certificate)
-    depth = path.depth if depth is None else min(depth, path.depth)
-    if depth < 2:
+    _check_certified(paths, certificate)
+    depths = [path.depth if depth is None else min(depth, path.depth) for path in paths]
+    if min(depths, default=2) < 2:
         raise ValueError("depth must be >= 2")
-    dim = rho.dim
-    U1 = system.domain(path.vertices[0])
-    prefix = PrefixProduct(dim, k)
+    mats = {}
+    for path, n in zip(paths, depths):
+        for w in path.words[:n]:
+            if w not in mats:
+                mats[w] = rho.evaluate(w)
+    groups = {}
+    for i, (path, n) in enumerate(zip(paths, depths)):
+        rp1 = rho.dim == 2 and all(isinstance(system.domain(v), ChartBall)
+                                   for v in path.vertices)
+        groups.setdefault((n, rp1), []).append(i)
+    results = [None] * len(paths)
+    for (n, rp1), idx in groups.items():
+        batch = [paths[i] for i in idx]
+        prefix = PrefixProduct(rho.dim, k, len(batch))
+        factors = [[mats[p.words[j]] for p in batch] for j in range(n)]
+        verts = [p.vertices[:n + 1] for p in batch]
+        if rp1:
+            out = _rp1_limits(prefix, factors, verts, system)
+        else:
+            out = _sampled_limits(prefix, factors, verts, system, sample_budget, seed)
+        for i, p, (limit, diams, gaps, rbound) in zip(idx, batch, out):
+            results[i] = PathResult(path=p, limit=limit, diameters=diams, gaps=gaps,
+                                    radius_bound=rbound, converged=rbound < convergence_tol)
+    return results
+
+
+def _rp1_limits(prefix, factors, verts, system):
+    """Exact branch: image arcs of the target arcs, diameters from a cross ratio.
+
+    Returns (limit, diameters, gaps, radius bound) per path.
+    """
+    depth = len(factors)
+    names = sorted(set(v for vs in verts for v in vs))
+    col = {v: i for i, v in enumerate(names)}
+    V = np.array([[col[v] for v in vs] for vs in verts])
+    arcs = [system.domain(v).arc() for v in names]
+    ends = np.array([[circle.vec_of(a.center - a.radius), circle.vec_of(a.center + a.radius)]
+                     for a in arcs])  # (vertex, endpoint, xy)
+    A, B = ends[V[:, 0], 0], ends[V[:, 0], 1]
+    detAB = _det2(A, B)
     diameters, gaps = [], []
+    for n in range(1, depth + 1):
+        prefix.push(factors[n - 1])
+        xy = ends[V[:, n]]
+        img, norms = prefix.apply(xy)
+        X, Y = img[:, 0], img[:, 1]
+        det_xy = (prefix.det_sign * mathmap(math.exp, prefix.logdet) * _det2(xy[:, 0], xy[:, 1])
+                  / (norms[:, 0] * norms[:, 1]))
+        # Pluecker: [XY][AB] = [XA][YB] - [XB][YA], so the cross ratio
+        # [XB][YA] / ([XA][YB]) is 1 - t
+        t = det_xy * detAB / (_det2(X, A) * _det2(Y, B))
+        near = t < 1
+        diam = np.full(len(t), math.inf)
+        diam[near] = np.abs(mathmap(math.log1p, -t[near]))
+        diameters.append(diam)
+        gaps.append(prefix.gap())
+    rbound = 0.5 * mathmap(math.asin, np.fmin(1.0, np.abs(det_xy))) + radius_floor(prefix.dim)
+    centers = np.array([system.domain(v).center_point().coords for v in names])
+    limit_img, _ = prefix.apply(centers[V[:, depth]][:, None, :])
+    return _per_path(limit_img[:, 0], diameters, gaps, rbound)
 
-    rp1 = isinstance(U1, ChartBall) and dim == 2 and all(
-        isinstance(system.domain(v), ChartBall) for v in path.vertices
-    )
-    if rp1:
-        arcs = {v: system.domain(v).arc() for v in set(path.vertices[:depth + 1])}
-        home = arcs[path.vertices[0]]
-        A = circle.vec_of(home.center - home.radius)
-        B = circle.vec_of(home.center + home.radius)
-        detAB = _det2(A, B)
-        last_pair = None
-        for n in range(1, depth + 1):
-            prefix.push(rho.evaluate(path.words[n - 1]))
-            target = arcs[path.vertices[n]]
-            x = circle.vec_of(target.center - target.radius)
-            y = circle.vec_of(target.center + target.radius)
-            (X, Y), (nx, ny) = prefix.apply(np.array([x, y]))
-            det_xy = prefix.det_sign * math.exp(prefix.logdet) * _det2(x, y) / (nx * ny)
-            # Pluecker: [XY][AB] = [XA][YB] - [XB][YA], so the cross ratio
-            # [XB][YA] / ([XA][YB]) is 1 - t
-            t = det_xy * detAB / (_det2(X, A) * _det2(Y, B))
-            diameters.append(abs(math.log1p(-t)) if t < 1 else math.inf)
-            gaps.append(prefix.gap())
-            last_pair = (X, Y, det_xy)
-        X, Y, det_xy = last_pair
-        rbound = 0.5 * math.asin(min(1.0, abs(det_xy))) + radius_floor(dim)
-        center = system.domain(path.vertices[depth]).center_point()
-        limit_img, _ = prefix.apply(center.coords[None, :])
-        limit = ProjPoint(limit_img[0])
-    else:
-        pts_cache = {}
-        limit = None
-        for n in range(1, depth + 1):
-            prefix.push(rho.evaluate(path.words[n - 1]))
-            U_next = system.domain(path.vertices[n])
-            key = path.vertices[n]
-            if key not in pts_cache:
-                pts_cache[key] = np.vstack(
-                    [
-                        U_next.boundary_points(sample_budget, seed),
-                        U_next.interior_points(sample_budget // 2, seed),
-                        U_next.center_point().coords[None, :],
-                    ]
-                )
-            img, _ = prefix.apply(pts_cache[key])
-            limit = ProjPoint(img[-1])
-            dmax = 0.0
-            for i in range(0, img.shape[0] - 1, 3):
-                try:
-                    dmax = max(
-                        dmax, zimmer_metric(U1, ProjPoint(img[i]), ProjPoint(img[-1]))
-                    )
-                except NotInDomain:  # the image leaves U1: no finite diameter
-                    dmax = math.inf
-            diameters.append(2.0 * dmax)
-            gaps.append(prefix.gap())
-            last_img = img
-        rbound = float(np.max(fubini_study_many(last_img, last_img[-1:]))) + radius_floor(dim)
 
-    return PathResult(path=path, limit=limit, diameters=diameters, gaps=gaps,
-                      radius_bound=rbound, converged=rbound < convergence_tol)
+def _sampled_limits(prefix, factors, verts, system, sample_budget, seed):
+    """Sampled branch: images of each target domain's samples, drawn once
+    per vertex; diameters from ``zimmer_metrics`` of every third sample
+    against the center image.
+
+    Returns (limit, diameters, gaps, radius bound) per path.
+    """
+    depth, dim = len(factors), prefix.dim
+    P = len(verts)
+    samples, diameters, gaps = {}, [], []
+    last = [None] * P
+    for n in range(1, depth + 1):
+        prefix.push(factors[n - 1])
+        pairs = {}
+        for i, vs in enumerate(verts):
+            pairs.setdefault((vs[0], vs[n]), []).append(i)
+        diam = np.empty(P)
+        for (home, target), rows in pairs.items():
+            if target not in samples:
+                U = system.domain(target)
+                samples[target] = np.vstack([
+                    U.boundary_points(sample_budget, seed),
+                    U.interior_points(sample_budget // 2, seed),
+                    U.center_point().coords[None, :],
+                ])
+            img, _ = prefix.apply(samples[target], rows)
+            for r, block in zip(rows, img):
+                last[r] = block
+            # each image point scaled as ProjPoint scales it
+            xs = unit_rows(img[:, :-1:3])
+            ys = np.broadcast_to(unit_rows(img[:, -1:]), xs.shape)
+            d = zimmer_metrics(system.domain(home), xs.reshape(-1, dim), ys.reshape(-1, dim))
+            diam[rows] = 2.0 * np.max(d.reshape(len(rows), -1), axis=1)
+        diameters.append(diam)
+        gaps.append(prefix.gap())
+    rbound = [float(np.max(fubini_study_many(img, img[-1:]))) + radius_floor(dim)
+              for img in last]
+    return _per_path([img[-1] for img in last], diameters, gaps, rbound)
+
+
+def _per_path(limits, diameters, gaps, rbound):
+    diameters = np.array(diameters).T.tolist()
+    gaps = np.array(gaps).T.tolist()
+    return [(ProjPoint(x), d, g, float(r))
+            for x, d, g, r in zip(limits, diameters, gaps, rbound)]
 
 
 def _det2(u, v):
-    return float(u[0] * v[1] - u[1] * v[0])
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98,
@@ -213,13 +278,10 @@ def limit_set_sample(graph: GammaGraph, rho: GroupPresentation,
                      convergence_tol: float = 1e-9) -> LimitSetCloud:
     """Cloud of path limits, deterministic per seed."""
     paths, _ = enumerate_paths(graph, depth, "random", rho, seed=seed, cap=count)
-    pts = []
-    n_converged = 0
-    for p in paths:
-        res = contracting_limit(p, rho, system, certificate=certificate,
-                                convergence_tol=convergence_tol)
-        n_converged += res.converged
-        pts.append((res.limit, p.code(), res.radius_bound))
+    results = contracting_limits(paths, rho, system, certificate=certificate,
+                                 convergence_tol=convergence_tol)
+    pts = [(res.limit, res.path.code(), res.radius_bound) for res in results]
+    n_converged = sum(res.converged for res in results)
     return LimitSetCloud(points=pts, depth=depth, seed=seed,
                          metadata={"count": len(pts), "converged": n_converged})
 
@@ -272,7 +334,9 @@ def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
         img = act_many(m, pts)
         diams.append(float(np.max(fubini_study_many(img, img))))
         limits.append(ProjPoint(np.mean(img * np.sign(img @ img[0])[:, None], axis=0)))
-    gaps = [gap_trace([m], 1)[0] for m in seq]
+    prefix = PrefixProduct(seq[0].dim, 1, len(seq))
+    prefix.push(seq)
+    gaps = prefix.gap().tolist()
 
     contraction = diams[-1] < diam_tol
     divergence = gaps[-1] > gap_threshold
@@ -330,28 +394,25 @@ def equivariance_check(graph: GammaGraph, rho: GroupPresentation,
     for vid, label in graph.vertices.items():
         if hasattr(label, "word"):
             word_vertex[label.word] = vid
-    defects, bounds = [], []
-    checked = 0
+    edges = set(graph.edges)
+    kept, surgered = [], []
     for res in results:
         path = res.path
         if s_word == invert_word(path.words[0]):
-            surgered = GPath(path.vertices[1:], path.words[1:])
+            surgered.append(GPath(path.vertices[1:], path.words[1:]))
         else:
             v_s = word_vertex.get(s_word)
-            if v_s is None or (v_s, path.vertices[0]) not in set(graph.edges):
+            if v_s is None or (v_s, path.vertices[0]) not in edges:
                 continue
-            surgered = GPath([v_s] + path.vertices, [s_word] + path.words)
-        res2 = contracting_limit(surgered, rho, system, certificate=certificate)
-        target = act(s_mat, res.limit)
-        defects.append(fubini_study(res2.limit, target))
-        bounds.append(res.radius_bound + res2.radius_bound)
-        checked += 1
-    if checked == 0:
+            surgered.append(GPath([v_s] + path.vertices, [s_word] + path.words))
+        kept.append(res)
+    if not kept:
         raise PathNotFound(f"no path admits surgery by {word_str(s_word)}")
-    defects = np.array(defects)
-    bounds = np.array(bounds)
+    pairs = list(zip(kept, contracting_limits(surgered, rho, system, certificate=certificate)))
+    defects = np.array([fubini_study(res2.limit, act(s_mat, res.limit)) for res, res2 in pairs])
+    bounds = np.array([res.radius_bound + res2.radius_bound for res, res2 in pairs])
     return {
-        "checked": checked,
+        "checked": len(kept),
         "max_defect": float(np.max(defects)),
         "max_bound": float(np.max(bounds)),
         "pass": bool(np.all(defects <= bounds)),

@@ -8,7 +8,11 @@ with the coned-off graph of PGL(2, Z). Singular values of single
 elements come from LAPACK with sign-normalized columns. Gaps of long
 products never decompose the product: ``PrefixProduct`` accumulates the
 renormalized exterior powers a gap needs and reads each log
-sigma_1 ... sigma_j = log ||Lambda^j g|| from a top singular value.
+sigma_1 ... sigma_j = log ||Lambda^j g|| from a top singular value. It
+holds a stack of P products, one per path, and pushes them together;
+``gap_trace`` is its P = 1 use. ``rowdot`` and ``mathmap`` are the
+row-by-row kernels that keep a batched row bit-identical to its one-row
+computation.
 """
 
 from __future__ import annotations
@@ -220,6 +224,29 @@ def minors(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.det(a[rows[:, None, :, None], cols[None, :, None, :]])
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two broadcastable (..., n) arrays.
+
+    Each one is its own 1-D BLAS dot, the kernel of ``a[i] @ b[i]``: a
+    matrix product of the stacked rows would round some rows differently
+    depending on how many rows it is given.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def mathmap(fn, values):
+    """``fn`` from ``math`` on each entry of an array (on a float, just ``fn``).
+
+    numpy's vectorized exp and log differ from ``math`` in the last bit on
+    some inputs; batched results stay bit-identical to one-row calls that
+    use ``math``.
+    """
+    if isinstance(values, float):
+        return fn(values)
+    values = np.asarray(values, dtype=float)
+    return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
 def exterior_power(m: Matrix, k: int) -> Matrix:
     """k-th exterior power: entry (I, J) is the (I, J) minor, k-subsets in lex order."""
     d = m.dim
@@ -232,70 +259,96 @@ def exterior_power(m: Matrix, k: int) -> Matrix:
 
 
 class PrefixProduct:
-    """Running product of unit-|det| factors with sup-norm renormalization.
+    """Running products of P paths' unit-|det| factors, renormalized by sup norm.
 
-    ``arr`` is the product up to a positive scale, with ``logdet`` its log
-    |det| and ``det_sign`` the sign. For the gap of degree k the exterior
-    powers of degrees k - 1, k, k + 1 (those in 2..d-1) are accumulated
-    alongside, each sup-renormalized with its own running log scale. Since
+    Row p of ``arr`` (shape (P, d, d)) is path p's product up to a positive
+    scale, with ``logdet[p]`` its log |det| and ``det_sign[p]`` the sign.
+    For the gap of degree k the exterior powers of degrees k - 1, k, k + 1
+    (those in 2..d-1) are accumulated alongside as (P, C, C) stacks, each
+    sup-renormalized with its own running log scale per path. Since
     sigma_1 ... sigma_j = ||Lambda^j g||, every gap comes from top singular
     values only, which stay relatively accurate long after the small
     singular values of ``arr`` have fallen below roundoff.
+
+    Each path renormalizes on its own counter and every product is a
+    per-path LAPACK/BLAS call, so a path's values do not depend on the
+    paths stacked beside it. The Lambda^j blocks of a factor are computed
+    once per distinct ``Matrix`` object.
     """
 
-    def __init__(self, dim: int, k: int = 1):
+    def __init__(self, dim: int, k: int = 1, paths: int = 1):
         if not 1 <= k <= dim - 1:
             raise BadDegree(f"k = {k} out of range for dimension {dim}")
         self.dim = dim
         self.k = k
-        self.arr = np.eye(dim)
-        self.logdet = 0.0
-        self.det_sign = 1.0
-        self._since_renorm = 0
-        self._ext = {j: [np.eye(math.comb(dim, j)), 0.0]
+        self.arr = np.tile(np.eye(dim), (paths, 1, 1))
+        self.logdet = np.zeros(paths)
+        self.det_sign = np.ones(paths)
+        self._since_renorm = np.zeros(paths, dtype=int)
+        self._ext = {j: [np.tile(np.eye(math.comb(dim, j)), (paths, 1, 1)), np.zeros(paths)]
                      for j in (k - 1, k, k + 1) if 2 <= j <= dim - 1}
+        self._blocks = {}  # (factor, j) -> Lambda^j block of the factor
 
-    def push(self, m: Matrix):
-        self.arr = self.arr @ m.arr
-        self.det_sign *= m.det_sign
+    def push(self, factors):
+        """Multiply each path's product on the right by its factor (P Matrix)."""
+        distinct = list(dict.fromkeys(factors))
+        pos = {m: i for i, m in enumerate(distinct)}
+        idx = [pos[m] for m in factors]
+        self.arr = np.matmul(self.arr, np.stack([m.arr for m in distinct])[idx])
+        self.det_sign = self.det_sign * np.array([m.det_sign for m in distinct])[idx]
         self._since_renorm += 1
-        if self._since_renorm >= RENORM_EVERY or np.max(np.abs(self.arr)) > 1e12:
-            self._renorm()
+        top = np.max(np.abs(self.arr), axis=(1, 2))
+        due = (self._since_renorm >= RENORM_EVERY) | (top > 1e12)
+        if due.any():
+            self._renorm(due, top)
         for j, acc in self._ext.items():
-            e = acc[0] @ minors(m.arr, j)
-            s = float(np.max(np.abs(e)))
-            acc[0] = e / s
-            acc[1] += math.log(s)
+            e = np.matmul(acc[0], np.stack([self._block(m, j) for m in distinct])[idx])
+            s = np.max(np.abs(e), axis=(1, 2))
+            acc[0] = e / s[:, None, None]
+            acc[1] = acc[1] + mathmap(math.log, s)
 
-    def _renorm(self):
-        s = float(np.max(np.abs(self.arr)))
-        if s > 0 and math.isfinite(s):
-            self.arr = self.arr / s
-            self.logdet -= self.dim * math.log(s)
-        self._since_renorm = 0
+    def _block(self, m, j):
+        key = (m, j)
+        if key not in self._blocks:
+            self._blocks[key] = minors(m.arr, j)
+        return self._blocks[key]
 
-    def apply(self, coords: np.ndarray):
-        """Image unit rows and their pre-normalization norms."""
-        img = coords @ self.arr.T
-        norms = np.linalg.norm(img, axis=1)
-        return img / norms[:, None], norms
+    def _renorm(self, due, top):
+        s = top[due]
+        ok = (s > 0) & np.isfinite(s)
+        rows = np.flatnonzero(due)[ok]
+        self.arr[rows] = self.arr[rows] / s[ok][:, None, None]
+        self.logdet[rows] = self.logdet[rows] - self.dim * mathmap(math.log, s[ok])
+        self._since_renorm[due] = 0
+
+    def apply(self, coords: np.ndarray, rows=None):
+        """Images of unit rows under each product, and their pre-normalization norms.
+
+        ``coords`` is (n, d), shared by every path, or (P, n, d), one block
+        per path; ``rows`` selects a subset of the paths. Returns (P, n, d)
+        unit rows and (P, n) norms.
+        """
+        arr = self.arr if rows is None else self.arr[rows]
+        img = np.matmul(coords, arr.transpose(0, 2, 1))
+        norms = np.linalg.norm(img, axis=-1)
+        return img / norms[..., None], norms
 
     def _log_top(self, j):
-        """log sigma_1 ... sigma_j of ``arr``; 1 for j = 0, |det| for j = d."""
+        """log sigma_1 ... sigma_j of each product; 1 for j = 0, |det| for j = d."""
         if j == 0:
             return 0.0
         if j == self.dim:
             return self.logdet
         if j == 1:
-            return math.log(np.linalg.svd(self.arr, compute_uv=False)[0])
+            return mathmap(math.log, np.linalg.svd(self.arr, compute_uv=False)[:, 0])
         ext, scale = self._ext[j]
         # ext * exp(scale) is Lambda^j of the unit-|det| product, which is
         # arr * exp(-logdet / d)
-        return (math.log(np.linalg.svd(ext, compute_uv=False)[0]) + scale
+        return (mathmap(math.log, np.linalg.svd(ext, compute_uv=False)[:, 0]) + scale
                 + j * self.logdet / self.dim)
 
-    def gap(self) -> float:
-        """log sigma_k/sigma_{k+1} of the running product (scale-free)."""
+    def gap(self) -> np.ndarray:
+        """log sigma_k/sigma_{k+1} of each running product (scale-free), shape (P,)."""
         k = self.k
         return 2.0 * self._log_top(k) - self._log_top(k - 1) - self._log_top(k + 1)
 
@@ -307,8 +360,8 @@ def gap_trace(factors, k: int):
     prefix = PrefixProduct(factors[0].dim, k)
     trace = []
     for m in factors:
-        prefix.push(m)
-        trace.append(prefix.gap())
+        prefix.push([m])
+        trace.append(float(prefix.gap()[0]))
     return trace
 
 

@@ -21,6 +21,7 @@ from .errors import (
     LineInHyperplane,
     NotInChart,
 )
+from .linalg import rowdot
 
 INCIDENCE_TOL = 1e-10
 OPPOSITION_TOL = 1e-6
@@ -38,6 +39,14 @@ def _canonical_unit(vec):
         v = -v
     v.setflags(write=False)
     return v
+
+
+def unit_rows(rows) -> np.ndarray:
+    """Rows of a (..., d) array divided by their norms, each row as
+    ``ProjPoint`` scales it, so row i is ``ProjPoint(rows[i]).coords`` up to
+    sign."""
+    rows = np.asarray(rows, dtype=float)
+    return rows / np.sqrt(rowdot(rows, rows))[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,6 +232,15 @@ def affine_chart(h: ProjHyperplane, p) -> np.ndarray:
         raise NotInChart("point incident to the chart hyperplane")
     lifts = rows / (rows @ h.covector)[..., None]
     return lifts @ h.basis.T
+
+
+def chart_rows(h: ProjHyperplane, rows) -> np.ndarray:
+    """``affine_chart`` of an (n, d) array, row by row: each row takes the
+    kernels of a one-point call, so its coordinates do not depend on the
+    rows beside it. Rows must lie in the chart."""
+    rows = np.asarray(rows, dtype=float)
+    lifts = rows / rowdot(rows, h.covector)[:, None]
+    return np.matmul(lifts[:, None, :], h.basis.T)[:, 0, :]
 
 
 def chart_point(h: ProjHyperplane, coords):

@@ -305,3 +305,69 @@ def test_non_string_word_or_id_is_config_error(tmp_path, capsys, name, command, 
     bad = tmp_path / "strings.json"
     bad.write_text(json.dumps(raw))
     assert _config_error([command, "--config", bad, "--out", tmp_path], capsys)
+
+
+NUMERIC_LEAVES = [
+    ("schottky.json", "certify", ("domains", "a+", "center_angle")),
+    ("schottky.json", "certify", ("domains", "a+", "radius_angle")),
+    ("jordan_diag.json", "certify", ("domains", "va", "center")),
+    ("jordan_diag.json", "certify", ("domains", "va", "radius")),
+    ("schottky.json", "certify", ("graph", "epsilon")),
+    ("schottky.json", "certify", ("delta_separation", 0, 2)),
+    ("jordan_diag.json", "certify", ("peripherals", 0, "truncation")),
+    ("jordan_diag.json", "certify", ("graph", "vertices", 0, "min_power")),
+    ("single_loop.json", "rates", ("rates", "depth")),
+    ("single_loop.json", "rates", ("rates", "paths")),
+    ("single_loop.json", "rates", ("rates", "depth_range")),
+    ("single_loop.json", "gaps", ("gaps", "count")),
+    ("single_loop.json", "gaps", ("gaps", "k")),
+    ("single_loop.json", "gaps", ("gaps", "threshold")),
+    ("single_loop.json", "certify", ("seeds", "master")),
+    ("single_loop.json", "certify", ("budgets", "path_count")),
+]
+
+
+@pytest.mark.parametrize("value", [None, "x", [], {}], ids=["null", "str", "list", "object"])
+@pytest.mark.parametrize("name, command, leaf", NUMERIC_LEAVES,
+                         ids=[".".join(map(str, leaf)) for _, _, leaf in NUMERIC_LEAVES])
+def test_non_numeric_config_number_is_config_error(tmp_path, capsys, name, command, leaf,
+                                                   value):
+    raw = json.loads((CONFIGS / name).read_text())
+    _set(*leaf, value)(raw)
+    bad = tmp_path / "number.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error([command, "--config", bad, "--out", tmp_path], capsys)
+
+
+@pytest.mark.parametrize("name, vertex, key", [
+    ("schottky.json", "a+", "center_angle"),
+    ("schottky.json", "a+", "radius_angle"),
+    ("jordan_diag.json", "va", "chart"),
+    ("jordan_diag.json", "va", "center"),
+    ("jordan_diag.json", "va", "radius"),
+])
+def test_missing_domain_key_is_config_error(tmp_path, capsys, name, vertex, key):
+    raw = json.loads((CONFIGS / name).read_text())
+    del raw["domains"][vertex][key]
+    bad = tmp_path / "domain.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error(["certify", "--config", bad, "--out", tmp_path], capsys)
+
+
+@pytest.mark.parametrize("name, command, edit", [
+    ("schottky.json", "certify", _set("graph", "epsilon", 0)),
+    ("schottky.json", "certify", _set("graph", "epsilon", -1)),
+    ("schottky.json", "certify", _set("domains", "a+", "radius_angle", 2.0)),
+    ("schottky.json", "certify", _set("domains", "a+", "kind", [])),
+    ("schottky.json", "certify", _set("delta_separation", 0, ["a+", "b+"])),
+    ("jordan_diag.json", "certify", _set("domains", "va", "radius", -0.25)),
+    ("single_loop.json", "certify", _set("seeds", "master", -1)),
+    ("single_loop.json", "certify", _set("budgets", "path_count", 0)),
+    ("single_loop.json", "rates", _set("rates", "depth", 1)),
+])
+def test_out_of_range_config_value_is_config_error(tmp_path, capsys, name, command, edit):
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    bad = tmp_path / "range.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error([command, "--config", bad, "--out", tmp_path], capsys)

@@ -15,6 +15,7 @@ from flagdyn.domains import (
     rp1_contraction_lambda,
     zimmer_metric,
     zimmer_metric_sampled,
+    zimmer_metrics,
 )
 import flagdyn.projgeom as projgeom
 from flagdyn.errors import BadOrder, NotInChart, NotInDomain, NotNested, NotStrictlyNested
@@ -409,3 +410,101 @@ def test_chart_basis_runs_once_per_hyperplane(monkeypatch):
         affine_chart(h, rows[~incident])
         ball.boundary_points(16)
     assert calls == [h]
+
+
+# --- zimmer_metrics: the array form ---------------------------------------------
+
+
+def _lift(h, coords, rng):
+    """Unit rows, random sign, with chart coordinates ``coords``: the lift
+    covector + sum_i c_i basis_i of a chart with an orthonormal basis."""
+    rows = h.covector + coords @ h.basis
+    rows *= rng.choice([-1.0, 1.0], size=(len(coords), 1))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _ball_chord(center, radius, p, d):
+    # roots of |p + s d - center|^2 = radius^2
+    q = p - center
+    a, b, c = d @ d, 2.0 * (q @ d), q @ q - radius**2
+    rt = math.sqrt(b * b - 4 * a * c)
+    return (-b - rt) / (2 * a), (-b + rt) / (2 * a)
+
+
+def _facet_chord(equations, p, d):
+    # scan the facets n.x + b <= 0 of the hull for the nearest crossing each way
+    lo, hi = -math.inf, math.inf
+    for *n, b in equations:
+        num, den = -(np.dot(n, p) + b), np.dot(n, d)
+        if den > 0:
+            hi = min(hi, num / den)
+        elif den < 0:
+            lo = max(lo, num / den)
+    return lo, hi
+
+
+def _cross_ratio_metric(s_lo, s_hi):
+    # |log (s_lo, s_hi; 0, 1)| for the chord of x = line(0), y = line(1)
+    return abs(math.log((1.0 - s_lo) * s_hi / ((0.0 - s_lo) * (s_hi - 1.0))))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("kind", ["ball", "polytope"])
+def test_zimmer_metrics_match_independent_chords(d, kind):
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(40 + d)
+    k = d - 1
+    h = ProjHyperplane(rng.normal(size=d))
+    if kind == "ball":
+        center, radius = rng.uniform(-0.2, 0.2, k), 0.6
+        omega = ChartBall(h, center, radius)
+        inside = center + radius * 0.9 * rng.uniform(-1, 1, (60, k)) / math.sqrt(k)
+
+        def chord(p, q):
+            return _ball_chord(center, radius, p, q - p)
+    else:
+        verts = rng.uniform(-0.7, 0.7, (12, k))
+        omega = ConvexPolytope(h, verts)
+        eqs = ConvexHull(verts).equations
+        w = rng.dirichlet(np.ones(len(omega.vertices)), 60)
+        inside = 0.95 * (w @ omega.vertices) + 0.05 * omega.center
+
+        def chord(p, q):
+            return _facet_chord(eqs, p, q - p)
+    xc, yc = inside[:30], inside[30:]
+    want = [_cross_ratio_metric(*chord(p, q)) for p, q in zip(xc, yc)]
+    xs, ys = _lift(h, xc, rng), _lift(h, yc, rng)
+    got = zimmer_metrics(omega, xs, ys)
+    assert got == pytest.approx(want, rel=1e-9)
+    # each row is the one-pair call, bit for bit
+    pts = [(ProjPoint(x), ProjPoint(y)) for x, y in zip(xs, ys)]
+    got = zimmer_metrics(omega, [p.coords for p, _ in pts], [q.coords for _, q in pts])
+    assert got.tolist() == [zimmer_metric(omega, p, q) for p, q in pts]
+
+
+@pytest.mark.parametrize("omega", [
+    ChartBall(ProjHyperplane([1.0, 0.0, 0.0]), [0.1, 0.0], 0.5),
+    ConvexPolytope(ProjHyperplane([1.0, 0.0, 0.0, 0.0]),
+                   [[-0.5, -0.5, -0.5], [0.6, -0.4, -0.5], [-0.4, 0.6, -0.5], [0.0, 0.0, 0.7]]),
+    SampledSet([ChartBall(H3, [-0.3, 0.0], 0.2), ChartBall(H3, [0.3, 0.0], 0.2)]),
+], ids=["ball", "polytope", "union"])
+def test_zimmer_metrics_rows_outside_or_coincident(omega):
+    rng = np.random.default_rng(3)
+    k = omega.dim - 1
+    c = np.asarray(omega.center)
+    near = chart_point(omega.chart, c + 0.05 * rng.uniform(-1, 1, (3, k)))
+    far = chart_point(omega.chart, c + 5.0).coords
+    on_chart = np.linalg.svd(omega.chart.covector[None, :])[2][-1]  # in the chart hyperplane
+    xs = [ProjPoint(x) for x in (near[0], near[1], far, near[2], on_chart)]
+    ys = [ProjPoint(y) for y in (near[1], near[1], near[0], far, near[0])]
+    got = zimmer_metrics(omega, [p.coords for p in xs], [q.coords for q in ys], budget=256)
+    assert 0.0 < got[0] < math.inf
+    assert got[1] == 0.0
+    assert got[2:].tolist() == [math.inf] * 3
+    for p, q, val in zip(xs, ys, got):
+        if val == math.inf:
+            with pytest.raises(NotInDomain):
+                zimmer_metric(omega, p, q, budget=256)
+        else:
+            assert zimmer_metric(omega, p, q, budget=256) == val

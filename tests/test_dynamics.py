@@ -1,14 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flagdyn.systems as systems
 from flagdyn.automaton import CompatibleSystem, GPath, enumerate_paths, verify_compatibility
+from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, zimmer_metric
 from flagdyn.dynamics import (
     attracting_data,
     contracting_limit,
+    contracting_limits,
     equivariance_check,
     limit_set_sample,
     local_to_global_check,
@@ -361,3 +365,81 @@ def test_off_domain_image_has_infinite_diameter():
     path = GPath(["u", "w", "w"], [parse_word("g")] * 2)
     res = contracting_limit(path, rho, system)
     assert res.diameters == [math.inf, math.inf]
+    # in one batch with it: h translates the smaller V at W's center into U,
+    # so this path's depth 1 images lie inside U and only its depth 2 image
+    # (h g U = h U) leaves U
+    system.domains["v"] = ChartBall(chart, [5.0, 5.0], 0.05)
+    h = Matrix(np.array([[1.0, 0.0, 0.0], [-5.0, 1.0, 0.0], [-5.0, 0.0, 1.0]]))
+    rho = GroupPresentation(dim=3, generators={"g": Matrix.identity(3), "h": h})
+    mixed = GPath(["u", "v", "u"], [parse_word("h"), parse_word("g")])
+    res_path, res_mixed = contracting_limits([path, mixed], rho, system)
+    assert res_path.diameters == [math.inf, math.inf]
+    assert 0.0 < res_mixed.diameters[0] < math.inf
+    assert res_mixed.diameters[1] == math.inf
+
+
+# --- batched paths ------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _mul2(m, n):
+    return ((m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
+            (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]))
+
+
+def _image_angle(m, phi):
+    x, y = math.cos(phi), math.sin(phi)
+    return math.atan2(m[1][0] * x + m[1][1] * y, m[0][0] * x + m[0][1] * y)
+
+
+def test_rp1_diameters_match_a_sine_cross_ratio_of_explicit_products():
+    # oracle from the config JSON alone: float 2x2 products letter by letter,
+    # inverses by adjugate, arc endpoints at center -+ radius; for unit
+    # vectors at angles u, v the bracket [u v] is sin(v - u)
+    raw = json.loads((CONFIGS / "schottky.json").read_text())
+    letters = {}
+    for g in raw["generators"]:
+        (a, b), (c, d) = [[float(x) for x in row] for row in g["matrix"]]
+        letters[g["name"], 1] = ((a, b), (c, d))
+        letters[g["name"], -1] = ((d, -b), (-c, a))
+    ends = {v: (d["center_angle"] - d["radius_angle"], d["center_angle"] + d["radius_angle"])
+            for v, d in raw["domains"].items()}
+
+    cfg = RunConfig.load(CONFIGS / "schottky.json")
+    rho, graph = cfg.presentation(), cfg.graph()
+    paths, _ = enumerate_paths(graph, 6, "random", rho, seed=4, cap=24)
+    results = contracting_limits(paths, rho, cfg.system(epsilon=graph.epsilon))
+    for path, res in zip(paths, results):
+        A, B = ends[path.vertices[0]]
+        m = ((1.0, 0.0), (0.0, 1.0))
+        for n, word in enumerate(path.words, start=1):
+            for name, e in word:
+                for _ in range(abs(e)):
+                    m = _mul2(m, letters[name, 1 if e > 0 else -1])
+            X, Y = (_image_angle(m, phi) for phi in ends[path.vertices[n]])
+            cross = (math.sin(B - X) * math.sin(A - Y)) / (math.sin(A - X) * math.sin(B - Y))
+            assert res.diameters[n - 1] == pytest.approx(abs(math.log(cross)), rel=1e-6)
+
+
+def _jordan_d4():
+    # the benchmark's d = 4 config: jordan_diag.json at depth 8, 32 paths
+    raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
+    raw["budgets"].update({"depth": 8, "path_count": 32})
+    return RunConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name", ["schottky", "jordan-d4"])
+def test_batched_paths_match_one_path_calls(name):
+    cfg = _jordan_d4() if name == "jordan-d4" else RunConfig.load(CONFIGS / "schottky.json")
+    rho, graph = cfg.presentation(), cfg.graph()
+    system = cfg.system(epsilon=graph.epsilon)
+    paths, _ = enumerate_paths(graph, cfg.budgets["depth"], "random", rho, seed=7, cap=32)
+    # mixed start vertices, and two shorter paths that run to their own depth
+    assert len({p.vertices[0] for p in paths}) > 1
+    paths += [GPath(p.vertices[:5], p.words[:4]) for p in paths[:2]]
+    batch = contracting_limits(paths, rho, system)
+    for path, res in zip(paths, batch):
+        one = contracting_limit(path, rho, system)
+        assert res == one
+        assert res.depth == path.depth

@@ -11,6 +11,7 @@ from flagdyn.errors import BadDegree, SingularInput
 from flagdyn.linalg import (
     CartanVector,
     Matrix,
+    PrefixProduct,
     cartan_projection,
     exact_canonical,
     exact_matmul,
@@ -397,3 +398,39 @@ def test_det_sign_matches_the_determinant_of_arr(d):
     for m in mats:
         assert m.det_sign == (-1.0 if np.linalg.det(m.arr) < 0 else 1.0)
     assert {m.det_sign for m in mats} == {-1.0, 1.0}
+
+
+def _d4_factors(n, seed):
+    rng = np.random.default_rng(seed)
+    return [Matrix(rng.normal(size=(4, 4))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("k, degrees", [(1, [2]), (2, [2, 3])])
+def test_prefix_product_builds_each_factor_block_once(monkeypatch, k, degrees):
+    import flagdyn.linalg as linalg
+
+    built = []
+    real = linalg.minors
+    monkeypatch.setattr(linalg, "minors", lambda a, j: built.append(j) or real(a, j))
+    g = _d4_factors(1, 5)[0]
+    trace = gap_trace([g] * 50, k)
+    assert sorted(built) == degrees
+    monkeypatch.setattr(linalg, "minors", real)
+    assert trace == gap_trace([g] * 50, k)
+
+
+def test_prefix_product_rows_do_not_depend_on_the_batch():
+    # the stretching factor sends some rows past the 1e12 renormalization
+    # bound between the every-8-pushes renormalizations, others not
+    factors = _d4_factors(3, 6) + [Matrix(np.diag([1e3, 1.0, 1.0, 1e-3]))]
+    rng = np.random.default_rng(7)
+    picks = rng.integers(0, 4, size=(30, 5))  # 30 pushes of 5 paths
+    stacked = PrefixProduct(4, 1, 5)
+    alone = [PrefixProduct(4, 1) for _ in range(5)]
+    for row in picks:
+        stacked.push([factors[i] for i in row])
+        for prefix, i in zip(alone, row):
+            prefix.push([factors[i]])
+        assert stacked.gap().tolist() == [float(p.gap()[0]) for p in alone]
+    assert np.array_equal(stacked.arr, np.vstack([p.arr for p in alone]))
+    assert stacked.logdet.tolist() == [float(p.logdet[0]) for p in alone]
