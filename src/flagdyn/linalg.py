@@ -292,18 +292,25 @@ class PrefixProduct:
     def push(self, factors):
         """Multiply each path's product on the right by its factor (P Matrix)."""
         distinct = list(dict.fromkeys(factors))
-        pos = {m: i for i, m in enumerate(distinct)}
-        idx = [pos[m] for m in factors]
-        self.arr = np.matmul(self.arr, np.stack([m.arr for m in distinct])[idx])
-        self.det_sign = self.det_sign * np.array([m.det_sign for m in distinct])[idx]
+        if len(distinct) == 1:  # one factor for every path: broadcast it
+            def per_path(values):
+                return values[0]
+        else:
+            pos = {m: i for i, m in enumerate(distinct)}
+            idx = [pos[m] for m in factors]
+
+            def per_path(values):
+                return np.stack(values)[idx]
+        self.arr = np.matmul(self.arr, per_path([m.arr for m in distinct]))
+        self.det_sign = self.det_sign * per_path([m.det_sign for m in distinct])
         self._since_renorm += 1
-        top = np.max(np.abs(self.arr), axis=(1, 2))
+        top = np.abs(self.arr).max(axis=(1, 2))
         due = (self._since_renorm >= RENORM_EVERY) | (top > 1e12)
         if due.any():
             self._renorm(due, top)
         for j, acc in self._ext.items():
-            e = np.matmul(acc[0], np.stack([self._block(m, j) for m in distinct])[idx])
-            s = np.max(np.abs(e), axis=(1, 2))
+            e = np.matmul(acc[0], per_path([self._block(m, j) for m in distinct]))
+            s = np.abs(e).max(axis=(1, 2))
             acc[0] = e / s[:, None, None]
             acc[1] = acc[1] + mathmap(math.log, s)
 
