@@ -476,7 +476,10 @@ def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "exhaustive",
         else [label.word]
         for v, label in graph.vertices.items()
     }
-    adj = {v: [w for (x, w) in graph.edges if x == v] for v in graph.vertices}
+    adj = {v: [] for v in graph.vertices}
+    for x, w in graph.edges:
+        adj[x].append(w)
+    ordered = {v: sorted(ws) for v, ws in adj.items()}
 
     if strategy == "exhaustive":
         paths = []
@@ -489,7 +492,7 @@ def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "exhaustive",
                 return
             if len(wpath) == depth:
                 # landing vertex: canonical first out-neighbor of the last vertex
-                landing = sorted(adj[vpath[-1]])[0]
+                landing = ordered[vpath[-1]][0]
                 paths.append(GPath(list(vpath) + [landing], list(wpath)))
                 return
             v = vpath[-1]
@@ -522,9 +525,9 @@ def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "exhaustive",
                     break
                 wpath.append(elems[cur][int(rng.integers(len(elems[cur])))])
                 if step < depth - 1:
-                    vpath.append(sorted(adj[cur])[int(rng.integers(len(adj[cur])))])
+                    vpath.append(ordered[cur][int(rng.integers(len(adj[cur])))])
             if ok:
-                vpath.append(sorted(adj[vpath[-1]])[0])
+                vpath.append(ordered[vpath[-1]][0])
                 paths.append(GPath(vpath, wpath))
         return paths, False
 
@@ -539,7 +542,7 @@ def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "exhaustive",
         if len(spine) > depth:
             vpath.append(spine[depth])
         else:
-            vpath.append(sorted(adj[vpath[-1]])[0])
+            vpath.append(ordered[vpath[-1]][0])
         return [GPath(vpath, wpath)], False
 
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -457,10 +457,20 @@ def zimmer_metric_sampled(omega: ProperDomain, x: ProjPoint, y: ProjPoint,
 
 
 def finsler_factor(omega: ProperDomain, coords, direction) -> float:
-    """Infinitesimal metric factor along a unit chart direction."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    s_lo, s_hi = omega.chord(coords, d)
+    """Infinitesimal metric factor along a chart direction: ``finsler_factors``
+    of one row. Raises NotInDomain where that gives NaN."""
+    f = float(finsler_factors(omega, np.asarray(coords, dtype=float)[None, :],
+                              np.asarray(direction, dtype=float)[None, :])[0])
+    if f != f:  # NaN
+        raise NotInDomain("no chord through the base point")
+    return f
+
+
+def finsler_factors(omega: ProperDomain, coords, directions) -> np.ndarray:
+    """Infinitesimal metric factor at each row of ``coords`` along the unit
+    direction of the matching row; NaN for a row without a chord."""
+    d = directions / np.sqrt(rowdot(directions, directions))[:, None]
+    s_lo, s_hi = omega.chords(coords, d)
     return 1.0 / (-s_lo) + 1.0 / s_hi
 
 
@@ -479,17 +489,16 @@ def diameter(outer: ProperDomain, inner, budget: int = 256, seed: int = 0) -> fl
     m = len(pts)
     if m == 1:
         return 0.0
-    best = 0.0
-    proj = [ProjPoint(row) for row in pts]
+    proj = np.array([ProjPoint(row).coords for row in pts])
     if m * (m - 1) // 2 <= 4 * budget:
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        i, j = np.triu_indices(m, 1)
     else:
-        idx = sampling.kronecker(4 * budget, 2, seed + 5)
-        pairs = [(int(a * m), int(b * m)) for a, b in idx]
-        pairs = [(i, j) for i, j in pairs if i != j]
-    for i, j in pairs:
-        best = max(best, zimmer_metric(outer, proj[i], proj[j], budget=budget, seed=seed))
-    return best
+        i, j = (sampling.kronecker(4 * budget, 2, seed + 5) * m).astype(int).T
+        i, j = i[i != j], j[i != j]
+    vals = zimmer_metrics(outer, proj[i], proj[j], budget=budget, seed=seed)
+    if (vals == math.inf).any():
+        raise NotInDomain("zimmer_metric arguments must lie in the domain")
+    return float(vals.max(initial=0.0))
 
 
 def nesting_margin(inner: ProperDomain, outer: ProperDomain, n: int = 128, seed: int = 0) -> float:
@@ -535,44 +544,49 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
         try:
             ci = _log_cr_from_section(*inner.section(pa, pb))
             co = _log_cr_from_section(*outer.section(oa, ob))
-            if co < 1e-9:
-                return _finsler_ratio(inner, outer, pa, oa, pb - pa, ob - oa)
-            return ci / co
         except NotInDomain:
             return math.inf
+        if co < 1e-9:
+            r = float(_finsler_ratios(inner, outer, pa[None, :], oa[None, :], (pb - pa)[None, :],
+                                      (ob - oa)[None, :])[0])
+            return math.inf if r != r else r  # NaN: no chord
+        return ci / co
 
     incumbent = None
-    for a, b in idx:
-        i, j = int(a * m), int(b * m)
-        if i == j:
-            continue
-        ci = _log_cr_from_section(*inner.section(pts[i], pts[j]))
-        co = _log_cr_from_section(*outer.section(outer_chart_pts[i], outer_chart_pts[j]))
-        if co < 1e-9:
-            ratio = _finsler_ratio(inner, outer, pts[i], outer_chart_pts[i],
-                                   pts[j] - pts[i], outer_chart_pts[j] - outer_chart_pts[i])
-        else:
-            ratio = ci / co
-        if ratio < best:
-            best, incumbent = ratio, (pts[i].copy(), pts[j].copy())
-    # Finsler field scan over anchors x directions
+    i, j = (idx * m).astype(int).T
+    i, j = i[i != j], j[i != j]
+    sections = [inner.chords(pts[i], pts[j] - pts[i]),
+                outer.chords(outer_chart_pts[i], outer_chart_pts[j] - outer_chart_pts[i])]
+    for s_lo, s_hi in sections:
+        if not ((s_lo < 0.0) & (1.0 < s_hi)).all():
+            raise NotInDomain("argument pair not inside the section")
+    ci, co = (_log_cr_from_section(*sec) for sec in sections)
+    ratios = ci / np.where(co < 1e-9, 1.0, co)
+    near = np.flatnonzero(co < 1e-9)
+    ratios[near] = _finsler_ratios(inner, outer, pts[i[near]], outer_chart_pts[i[near]],
+                                   pts[j[near]] - pts[i[near]],
+                                   outer_chart_pts[j[near]] - outer_chart_pts[i[near]])
+    if np.isnan(ratios).any():
+        raise NotInDomain("no chord through the base point")
+    # Finsler field scan over anchors x directions; rows without a chord are skipped
     k = inner.dim - 1
     n_dirs = max(8, budget // 32)
     dirs = sampling.sphere_points(n_dirs, k, seed + 23)
     anchors = np.vstack(
         [np.asarray(inner.center)[None, :], inner.interior_coords(max(16, budget // 8), seed + 29)]
     )
-    q_in = anchors[:, None, :] + 1e-6 * dirs[None, :, :]
-    p_out = to_outer(anchors)
-    q_out = to_outer(q_in.reshape(-1, k)).reshape(q_in.shape)
-    for i, p_in in enumerate(anchors):
-        for j, q in enumerate(q_in[i]):
-            try:
-                r = _finsler_ratio(inner, outer, p_in, p_out[i], q - p_in, q_out[i, j] - p_out[i])
-            except NotInDomain:
-                continue
-            if r < best:
-                best, incumbent = r, (p_in.copy(), q.copy())
+    q_in = (anchors[:, None, :] + 1e-6 * dirs[None, :, :]).reshape(-1, k)
+    p_in = np.repeat(anchors, n_dirs, axis=0)
+    p_out = np.repeat(to_outer(anchors), n_dirs, axis=0)
+    scan = _finsler_ratios(inner, outer, p_in, p_out, q_in - p_in, to_outer(q_in) - p_out)
+    scan[np.isnan(scan)] = math.inf
+    # the incumbent is the first minimum over the pairs, then the scan
+    ratios = np.concatenate([ratios, scan])
+    first = int(np.argmin(ratios))
+    if ratios[first] < best:
+        best = float(ratios[first])
+        incumbent = (np.concatenate([pts[i], p_in])[first].copy(),
+                     np.concatenate([pts[j], q_in])[first].copy())
     # seeded stochastic pair descent around the incumbent
     if incumbent is not None:
         rng = np.random.default_rng(seed + 41)
@@ -600,19 +614,21 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
     return best
 
 
-def _finsler_ratio(inner, outer, p_in, p_out, d_in, d_out):
-    """Limiting metric ratio for the displacement d, transported between charts.
+def _finsler_ratios(inner, outer, p_in, p_out, d_in, d_out):
+    """Limiting metric ratio for each row's displacement d, transported between charts.
 
     d_in and d_out must be the same small ambient displacement expressed in
-    the two charts; the infinitesimal lengths are F(p; d/|d|) * |d|.
+    the two charts; the infinitesimal lengths are F(p; d/|d|) * |d|. A
+    vanishing displacement gives inf, a missing chord NaN.
     """
-    nd_out = np.linalg.norm(d_out)
-    nd_in = np.linalg.norm(d_in)
-    if nd_out < 1e-300 or nd_in < 1e-300:
-        return math.inf
-    f_in = finsler_factor(inner, p_in, d_in)
-    f_out = finsler_factor(outer, p_out, d_out)
-    return (f_in * nd_in) / (f_out * nd_out)
+    nd_in = np.sqrt(rowdot(d_in, d_in))
+    nd_out = np.sqrt(rowdot(d_out, d_out))
+    tiny = (nd_out < 1e-300) | (nd_in < 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ((finsler_factors(inner, p_in, d_in) * nd_in)
+               / (finsler_factors(outer, p_out, d_out) * nd_out))
+    out[tiny] = math.inf
+    return out
 
 
 def _det2(u, v):

@@ -4,12 +4,14 @@ Matrices are stored as canonical projective representatives: scaled to
 unit |det| and sign-normalized so equal elements of PGL(d, R) compare
 equal. Integral input also keeps an exact integer representative;
 ``exact_canonical`` and ``exact_matmul`` are the one exact kernel, shared
-with the coned-off graph of PGL(2, Z). Singular values of single
-elements come from LAPACK with sign-normalized columns. Gaps of long
-products never decompose the product: ``PrefixProduct`` accumulates the
-renormalized exterior powers a gap needs and reads each log
-sigma_1 ... sigma_j = log ||Lambda^j g|| from a top singular value. It
-holds a stack of P products, one per path, and pushes them together;
+with the coned-off graph of PGL(2, Z). Products of exact matrices keep
+only the exact entries until their float representative is first used.
+Singular values of single elements come from LAPACK with sign-normalized
+columns. Gaps of long products never decompose the product:
+``PrefixProduct`` accumulates the renormalized exterior powers a gap
+needs and reads each log sigma_1 ... sigma_j = log ||Lambda^j g|| from
+a top singular value. It holds a stack of P products, one per path, and
+pushes them together;
 ``gap_trace`` is its P = 1 use. ``rowdot`` and ``mathmap`` are the
 row-by-row kernels that keep a batched row bit-identical to its one-row
 computation.
@@ -85,6 +87,13 @@ class Matrix:
     ``det_sign`` the sign of its determinant (+1 when it underflows).
     ``exact`` holds the integer entries (gcd-reduced, sign-canonical) when
     the input was integral, so group elements can be deduplicated exactly.
+
+    A constructed matrix is validated and gets its float representative at
+    once. A product or inverse of exact matrices keeps only ``exact``: its
+    float representative (with ``det_sign`` and the log scale) is computed
+    on first use, by the same code, so paths that only read ``key()`` never
+    form floats. A float representative that underflows raises
+    SingularInput there.
     """
 
     __slots__ = ("dim", "arr", "exact", "det_sign", "_logdet_scale")
@@ -106,7 +115,25 @@ class Matrix:
             exact = exact_canonical([int(x) for x in raw.flat], d)
             a = np.array(exact, dtype=float)
         self.exact = exact
+        self._set_floats(a, _trusted)
 
+    @classmethod
+    def _of_exact(cls, exact):
+        """Matrix of a canonical exact tuple, its floats left for first use."""
+        m = cls.__new__(cls)
+        m.dim = len(exact)
+        m.exact = exact
+        return m
+
+    def __getattr__(self, name):
+        # only reached for an unset slot: the floats of an exact product
+        if name in ("arr", "det_sign", "_logdet_scale") and self.exact is not None:
+            self._set_floats(np.array(self.exact, dtype=float), False)
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def _set_floats(self, a, trusted):
+        d = self.dim
         # pre-scale by the sup norm so slogdet survives huge dynamic range
         supnorm = float(np.max(np.abs(a)))
         if supnorm == 0.0 or not math.isfinite(supnorm):
@@ -115,7 +142,7 @@ class Matrix:
         if sign == 0 or logdet < -690.0:
             # products of validated invertible matrices stay invertible even
             # when the float determinant collapses; keep the sup-norm scale
-            if not _trusted:
+            if not trusted:
                 raise SingularInput("matrix determinant underflows")
             self._logdet_scale = math.log(supnorm)
         else:
@@ -134,13 +161,13 @@ class Matrix:
 
     def __matmul__(self, other):
         if self.exact is not None and other.exact is not None:
-            return Matrix(np.array(exact_matmul(self.exact, other.exact), dtype=object))
+            return Matrix._of_exact(exact_matmul(self.exact, other.exact))
         return Matrix(self.arr @ other.arr, _trusted=True)
 
     def inv(self):
         if self.exact is not None and self.dim == 2:
             (a, b), (c, d) = self.exact
-            return Matrix(np.array([[d, -b], [-c, a]], dtype=object))
+            return Matrix._of_exact(exact_canonical((d, -b, -c, a), 2))
         return Matrix(np.linalg.inv(self.arr), _trusted=True)
 
     def key(self):

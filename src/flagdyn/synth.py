@@ -11,7 +11,9 @@ dimension-2 presentation acting on the circle, from first principles:
 * around grid points of the circle, short words are searched (by length,
   then lexicographically; first hit wins) whose inverses expand a
   delta neighborhood, the expanded image containing an enlarged
-  neighborhood of the pullback;
+  neighborhood of the pullback; each word's expansion window, the arc
+  of points where it can expand at all, limits the exact tests to a few
+  words per point, and the whole grid is searched in one batched pass;
 * peripheral coset vertices are materialized adaptively: whenever the
   inner neighborhoods leave a gap on the circle, the nearest candidate
   coset point (enumerated in peripheral-power syllable form, since coset
@@ -48,10 +50,6 @@ from .circle import (
 from .errors import SynthesisFailed
 from .systems import arc_ball
 from .words import GroupPresentation, Word, concat, word_str
-
-
-# pool prefix ends of the staged first-hit search; the last stage is the whole pool
-_SEARCH_STAGES = (64, 512)
 
 
 def _adjugates(mats):
@@ -190,6 +188,45 @@ def _parabolic_vertex(rho, t_name, coset_word, p_angle, K_p, params):
 # ---------------------------------------------------------------------------
 # vectorized conical expansion search
 
+# slack of the expansion windows, in image length and in angle: far above
+# the roundoff of the searcher's tests, so no passing row falls outside
+_WINDOW_SLACK = 1e-9
+# grid points searched together: bounds the (z, word) pairs held at once
+_CHUNK = 32
+
+
+def _expansion_windows(mats, delta):
+    """Arcs (centers, radii) outside which z cannot pass the first test.
+
+    Word g passes at z when g maps B(g^-1 z, 2 delta) onto an arc shorter
+    than delta. With k = sigma_2 / sigma_1 of g, the image of B(phi, 2
+    delta), phi the angle from g's top right-singular direction v1, has
+    length h(phi), which increases in |phi| on [0, pi/2]; so the test can
+    pass only for z in g(B(v1, Phi)) with h(Phi) = delta. Radius -1 marks
+    a word with h(0) >= delta, which never passes.
+    """
+    if 4 * delta >= HALF_TURN:  # B(z, 2 delta) is no proper arc: windows are RP^1
+        return np.zeros(len(mats)), np.full(len(mats), HALF_TURN / 2)
+    # g^T g = [[p, q], [q, r]]: v1 is its top eigenvector, and k = |det| / sigma_1^2
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
+    v1_angle = 0.5 * np.arctan2(2 * q, p - r)
+    k = np.abs(a * d - b * c) / ((p + r) / 2 + np.hypot((p - r) / 2, q))
+    target = delta + _WINDOW_SLACK
+
+    def image_length(phi):
+        # diag(1, k) sends angle s to atan2(k sin s, cos s), continuous on (-pi, pi)
+        lo, hi = phi - 2 * delta, phi + 2 * delta
+        return np.arctan2(k * np.sin(hi), np.cos(hi)) - np.arctan2(k * np.sin(lo), np.cos(lo))
+
+    lo, hi = np.zeros(len(k)), np.full(len(k), HALF_TURN / 2)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        inside = image_length(mid) < target
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    centers, radii = mobius_arcs(mats, v1_angle, hi)
+    return centers, np.where(image_length(0.0) < target, radii + _WINDOW_SLACK, -1.0)
+
 
 class _ConicalSearcher:
     """Vectorized first-hit search over a deterministic word pool.
@@ -199,6 +236,11 @@ class _ConicalSearcher:
     power size then flank length. The syllable extension is required:
     expanding words near a parabolic point contain one unbounded
     peripheral power, so no plain-length ball reaches them.
+
+    Each word has an expansion window (``_expansion_windows``), a
+    necessary condition for its first test; a search runs the exact tests
+    only on the (z, word) pairs inside a window, so the hit is still the
+    first of the whole pool.
     """
 
     def __init__(self, rho, params):
@@ -224,38 +266,64 @@ class _ConicalSearcher:
         self.words = pool
         self.mats = np.array([rho.evaluate(w).arr for w in self.words])
         self.invs = _adjugates(self.mats)
+        # each window as two angle intervals [lo, hi] (rows i and W + i):
+        # itself, and its part past either end of [0, pi] moved by pi, or
+        # the empty (1, 0) when it does not wrap; a pair listed twice (an
+        # endpoint of a whole-circle window) finds the same first hit
+        centers, radii = _expansion_windows(self.mats, params.delta)
+        lo, hi = centers - radii, centers + radii
+        wraps = (lo < 0) | (hi > HALF_TURN)
+        shift = np.where(lo < 0, HALF_TURN, -HALF_TURN)
+        self._window_bounds = (np.concatenate([lo, np.where(wraps, lo + shift, 1.0)]),
+                               np.concatenate([hi, np.where(wraps, hi + shift, 0.0)]))
 
     def _image_arcs(self, centers, radius, mats):
         """Image (center, radius) arrays of B(centers_i, radius) under mats_i."""
         return mobius_arcs(mats, centers, radius)
 
     def candidate(self, z_angle):
-        """First word expanding about z, or None.
+        """First word expanding about z, or None: ``candidates`` of one point."""
+        return self.candidates([z_angle])[0]
 
-        The pool is scanned in stages (``_SEARCH_STAGES``, then the rest),
-        so a search stops at the first stage that holds a hit; the hit is
-        the first in pool order either way.
+    def candidates(self, zs):
+        """First word in pool order expanding about each z, or None.
+
+        The z are searched in chunks of ``_CHUNK`` in angle order; each
+        chunk runs both tests once on its (z, word) pairs in windows,
+        ordered by z then pool index.
         """
         p = self.params
-        vz = vec_of(z_angle)
-        n = len(self.words)
-        lo = 0
-        for hi in [b for b in _SEARCH_STAGES if b < n] + [n]:
-            mats = self.mats[lo:hi]
-            pulls = angles(self.invs[lo:hi] @ vz)
+        zs = np.array(zs, dtype=float).reshape(-1)
+        out = [None] * len(zs)
+        # (z, word) pairs: index ranges of each window's intervals in the sorted z
+        order = np.argsort(zs % HALF_TURN, kind="stable")
+        keys = (zs % HALF_TURN)[order]
+        w_lo, w_hi = self._window_bounds
+        starts = np.searchsorted(keys, w_lo, "left")
+        ends = np.searchsorted(keys, w_hi, "right")
+        pool_index = np.arange(len(w_lo)) % len(self.words)
+        vz = np.array([vec_of(z) for z in zs.tolist()]).reshape(-1, 2)
+        for lo in range(0, len(zs), _CHUNK):
+            first = np.maximum(starts, lo)
+            counts = np.maximum(np.minimum(ends, lo + _CHUNK) - first, 0)
+            word = np.repeat(pool_index, counts)
+            pos = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            pair = np.lexsort((word, pos))
+            word, z_of = word[pair], order[pos[pair]]
+            mats = self.mats[word]
+            # one (2, 2) @ (2, 1) product per pair: the rows of invs @ vz, bit for bit
+            pulls = angles(np.matmul(self.invs[word], vz[z_of][:, :, None])[:, :, 0])
             cw, rw = self._image_arcs(pulls, 2 * p.delta, mats)
             ok = np.flatnonzero(2 * rw < p.delta)
-            if ok.size:
-                cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
-                hits = ok[angle_dists(cwe, z_angle) + rwe < p.epsilon]
-                if hits.size:
-                    i = int(hits[0])
-                    v_arc = mobius_arc(mats[i], Arc(float(pulls[i]), p.delta))
-                    w_arc = Arc(float(cw[i]), float(rw[i]))
-                    return _Conical(self.words[lo + i], float(z_angle), float(pulls[i]),
-                                    v_arc, w_arc)
-            lo = hi
-        return None
+            cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
+            hits = ok[angle_dists(cwe, zs[z_of[ok]]) + rwe < p.epsilon]
+            # pairs run in (z, pool) order: a z's first hit is its first in the pool
+            _, firsts = np.unique(z_of[hits], return_index=True)
+            for i in hits[firsts]:
+                v_arc = mobius_arc(mats[i], Arc(float(pulls[i]), p.delta))
+                out[z_of[i]] = _Conical(self.words[word[i]], float(zs[z_of[i]]),
+                                        float(pulls[i]), v_arc, Arc(float(cw[i]), float(rw[i])))
+        return out
 
 
 @dataclass
@@ -342,13 +410,9 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
 
     # --- conical candidates on a grid ---------------------------------------
     searcher = _ConicalSearcher(rho, params)
-    conical = []
-    for z in np.linspace(0.0, HALF_TURN, params.grid, endpoint=False):
-        if any(pv["v"].contains_angle(z) for pv in parabolic.values()):
-            continue
-        cand = searcher.candidate(float(z))
-        if cand is not None:
-            conical.append(cand)
+    grid = [z for z in np.linspace(0.0, HALF_TURN, params.grid, endpoint=False)
+            if not any(pv["v"].contains_angle(z) for pv in parabolic.values())]
+    conical = [c for c in searcher.candidates(grid) if c is not None]
 
     require_cover = (
         params.require_full_cover

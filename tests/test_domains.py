@@ -11,6 +11,7 @@ from flagdyn.domains import (
     contraction_factor,
     diameter,
     finsler_factor,
+    finsler_factors,
     nesting_margin,
     rp1_contraction_lambda,
     zimmer_metric,
@@ -187,6 +188,35 @@ def test_diameter_interval_oracle():
     x, y = chart_point(H2, [-0.5 + 1e-12]), chart_point(H2, [0.5 - 1e-12])
     oracle = zimmer_metric(outer, x, y)
     assert d == pytest.approx(oracle, rel=5e-2)
+
+
+def test_diameter_is_the_largest_one_pair_metric():
+    # the one-pair loop over all pairs is the oracle, bit for bit; 10
+    # points give 45 pairs, within 4 * budget, so none is subsampled
+    rng = np.random.default_rng(6)
+    po = rand_polygon(rng)
+    for outer, inner in [(po, ConvexPolytope(H3, 0.5 * po.vertices + 0.5 * po.center)),
+                         (ChartBall(H3, [0.0, 0.0], 0.8), ChartBall(H3, [0.1, 0.0], 0.4))]:
+        pts = inner.interior_points(10, 0)
+        proj = [ProjPoint(row) for row in pts]
+        best = max(zimmer_metric(outer, proj[i], proj[j], budget=16)
+                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        assert diameter(outer, pts, budget=16) == best
+
+
+def test_finsler_factors_rows_match_one_row_calls():
+    rng = np.random.default_rng(8)
+    po = rand_polygon(rng)
+    for omega in (po, ChartBall(H3, [0.1, -0.1], 0.5)):
+        coords = 0.5 * omega.interior_coords(20, 1)
+        dirs = rng.normal(size=(20, 2))
+        rows = finsler_factors(omega, coords, dirs)
+        assert [finsler_factor(omega, c, d) for c, d in zip(coords, dirs)] == rows.tolist()
+    outside = finsler_factors(ChartBall(H3, [0.0, 0.0], 0.5), np.array([[2.0, 0.0]]),
+                              np.array([[0.0, 1.0]]))
+    assert np.isnan(outside[0])
+    with pytest.raises(NotInDomain):
+        finsler_factor(ChartBall(H3, [0.0, 0.0], 0.5), [2.0, 0.0], [0.0, 1.0])
 
 
 def test_diameter_not_nested():

@@ -434,3 +434,51 @@ def test_prefix_product_rows_do_not_depend_on_the_batch():
         assert stacked.gap().tolist() == [float(p.gap()[0]) for p in alone]
     assert np.array_equal(stacked.arr, np.vstack([p.arr for p in alone]))
     assert stacked.logdet.tolist() == [float(p.logdet[0]) for p in alone]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lazy_exact_floats_equal_eager_construction(d):
+    rng = np.random.default_rng(30 + d)
+    gens = []
+    while len(gens) < 4:
+        rows = rng.integers(-3, 4, (d, d))
+        if round(np.linalg.det(rows)) != 0:
+            gens.append(Matrix(rows))
+    for _ in range(40):
+        m = gens[rng.integers(len(gens))]
+        for i in rng.integers(len(gens), size=rng.integers(1, 9)):
+            m = m @ (gens[i] if rng.random() < 0.5 or d != 2 else gens[i].inv())
+        eager = Matrix(np.array(m.exact, dtype=object))
+        assert m.arr.tobytes() == eager.arr.tobytes()
+        assert m.det_sign == eager.det_sign
+        assert m._logdet_scale == eager._logdet_scale
+        assert not m.arr.flags.writeable
+
+
+def test_exact_product_forms_no_floats_before_arr(monkeypatch):
+    formed = []
+    set_floats = Matrix._set_floats
+    monkeypatch.setattr(Matrix, "_set_floats",
+                        lambda self, a, trusted: formed.append(a) or set_floats(self, a, trusted))
+    t = Matrix([[1, 1], [0, 1]])
+    s = Matrix([[0, -1], [1, 0]])
+    assert len(formed) == 2
+    m = (t @ s @ t.inv()).inv()
+    assert m.key() == ("exact", 2, ((1, -2), (1, -1)))
+    assert len(formed) == 2
+    assert m.det_sign == 1.0
+    assert len(formed) == 3
+    # sign-canonical: the entry of largest magnitude is positive
+    assert np.array_equal(m.arr, [[-1.0, 2.0], [-1.0, 1.0]])
+    assert len(formed) == 3
+
+
+def test_exact_product_with_underflowing_floats_raises_when_they_are_formed():
+    n = 10**80
+    a, b = Matrix([[1, n], [0, 1]]), Matrix([[1, 0], [n, 1]])
+    m = a @ b  # |det| / sup^2 = n^-4: the float determinant underflows
+    assert m.exact == ((1 + n * n, n), (n, 1))
+    with pytest.raises(SingularInput):
+        m.arr
+    with pytest.raises(SingularInput):
+        Matrix(np.array(m.exact, dtype=object))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,17 +7,21 @@ import pytest
 from flagdyn import circle
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
 from flagdyn.circle import Arc, angle_dist, mobius_arc
+from flagdyn.config import RunConfig
 from flagdyn.errors import SynthesisFailed
 from flagdyn.linalg import Matrix
 from flagdyn.synth import (
-    _SEARCH_STAGES,
+    _WINDOW_SLACK,
     SynthesisParams,
     _ConicalSearcher,
+    _expansion_windows,
     _fundamental_interval,
     synthesize_rp1,
 )
 from flagdyn.systems import schottky_presentation
 from flagdyn.words import GroupPresentation, Peripheral
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +144,7 @@ def test_non_parabolic_declaration_fails():
 
 
 def _full_pool_candidate(searcher, z):
-    """First hit of the whole pool's mask: the search without stages."""
+    """First hit of the whole pool's mask: the search without windows."""
     p = searcher.params
     vz = np.array([math.cos(z), math.sin(z)])
     pulls = circle.angles(searcher.invs @ vz)
@@ -154,22 +159,90 @@ def _full_pool_candidate(searcher, z):
             (float(cw[i]), float(rw[i])))
 
 
-def test_staged_search_returns_the_first_hit_of_the_whole_pool(modular_presentation):
+def _assert_search_matches_the_oracle(searcher, zs):
+    """``candidates`` on all zs at once, and ``candidate`` per z, equal the
+    full-pool oracle field for field; returns the oracle's hit indices."""
+    hit_at = []
+    for z, batched in zip(zs, searcher.candidates(zs)):
+        ref = _full_pool_candidate(searcher, z)
+        for got in (batched, searcher.candidate(z)):
+            if ref is None:
+                assert got is None
+                continue
+            i, word, pull, v, w = ref
+            assert got is not None
+            assert (got.word, got.z_angle, got.pullback) == (word, z, pull)
+            assert (got.v.center, got.v.radius) == v
+            assert (got.w.center, got.w.radius) == w
+        if ref is not None:
+            hit_at.append(ref[0])
+    return hit_at
+
+
+def _in_window(searcher, zs):
+    """(z, word) membership of the expansion windows, shape (len(zs), pool)."""
+    centers, radii = _expansion_windows(searcher.mats, searcher.params.delta)
+    return circle.angle_dists(np.asarray(zs)[:, None], centers[None, :]) <= radii[None, :]
+
+
+def _first_test(searcher, z):
+    """Mask of the pool rows that pass the first test at z, over the whole pool."""
+    p = searcher.params
+    pulls = circle.angles(searcher.invs @ np.array([math.cos(z), math.sin(z)]))
+    _, rw = circle.mobius_arcs(searcher.mats, pulls, 2 * p.delta)
+    return 2 * rw < p.delta
+
+
+def test_windowed_search_returns_the_first_hit_of_the_whole_pool(modular_presentation):
     searcher = _ConicalSearcher(modular_presentation,
                                 SynthesisParams(word_radius=4, coset_ball=1, lead_powers=6))
-    assert len(searcher.words) > _SEARCH_STAGES[0]
-    hit_at = []
-    for z in np.random.default_rng(0).uniform(0.0, math.pi, 300):
-        ref = _full_pool_candidate(searcher, float(z))
-        got = searcher.candidate(float(z))
-        if ref is None:
-            assert got is None
-            continue
-        i, word, pull, v, w = ref
-        assert got is not None
-        assert (got.word, got.pullback) == (word, pull)
-        assert (got.v.center, got.v.radius) == v
-        assert (got.w.center, got.w.radius) == w
-        hit_at.append(i)
-    assert len(hit_at) < 300
-    assert min(hit_at) < _SEARCH_STAGES[0] <= max(hit_at)
+    zs = [float(z) for z in np.random.default_rng(0).uniform(0.0, math.pi, 300)]
+    hit_at = _assert_search_matches_the_oracle(searcher, zs)
+    assert 0 < len(hit_at) < 300
+    assert max(hit_at) > 64
+    assert _in_window(searcher, zs).mean() < 0.5
+
+
+@pytest.fixture(scope="module")
+def pgl2z_searcher():
+    cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
+    return _ConicalSearcher(cfg.presentation(), SynthesisParams(**cfg.raw["synthesis"]))
+
+
+def test_windows_keep_every_passing_row_at_the_pgl2z_parameters(pgl2z_searcher):
+    searcher = pgl2z_searcher
+    grid = np.linspace(0.0, math.pi, searcher.params.grid, endpoint=False)
+    zs = [float(z) for z in np.random.default_rng(11).choice(grid, 256, replace=False)]
+    inside = _in_window(searcher, zs)
+    for z, row in zip(zs, inside):
+        assert not (_first_test(searcher, z) & ~row).any()
+    assert inside.mean() < 0.05
+    assert len(_assert_search_matches_the_oracle(searcher, zs)) > 200
+
+
+@pytest.mark.parametrize("params", [
+    SynthesisParams(word_radius=6, grid=720),
+    # 4 delta >= pi: every window is the whole circle
+    SynthesisParams(word_radius=4, delta=0.9, epsilon=0.3),
+])
+def test_windows_keep_every_passing_row_without_peripherals(params):
+    searcher = _ConicalSearcher(schottky_presentation(), params)
+    zs = [float(z) for z in np.random.default_rng(12).uniform(0.0, math.pi, 256)]
+    for z, row in zip(zs, _in_window(searcher, zs)):
+        assert not (_first_test(searcher, z) & ~row).any()
+    assert _assert_search_matches_the_oracle(searcher, zs)
+
+
+def test_search_at_window_edges(pgl2z_searcher):
+    # z within 1e-9 of the edges of the exact pass regions, which lie
+    # _WINDOW_SLACK inside the window edges
+    searcher = pgl2z_searcher
+    centers, radii = _expansion_windows(searcher.mats, searcher.params.delta)
+    rows = np.flatnonzero(radii > 0)[::40]
+    edge = radii[rows] - _WINDOW_SLACK
+    offsets = np.random.default_rng(13).uniform(-1e-9, 1e-9, (2, len(rows)))
+    zs = [float(z) % math.pi for z in np.concatenate(
+        [centers[rows] + edge + offsets[0], centers[rows] - edge + offsets[1]])]
+    for z, row in zip(zs, _in_window(searcher, zs)):
+        assert not (_first_test(searcher, z) & ~row).any()
+    assert _assert_search_matches_the_oracle(searcher, zs)
