@@ -11,7 +11,8 @@ Inclusions are tested on sampled boundary and interior points except on
 the projective line, where interval images under 2x2 matrices are exact
 and margins are closed-form. Cofinite vertex labels are verified on a
 finite prefix plus a disclosed monotone-tail heuristic; the disclosure
-is part of the certificate.
+is part of the certificate. G-paths through the graph are enumerated
+exhaustively (capped) or by seeded random choice.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from . import circle
 from .domains import ChartBall, ProperDomain
 from .errors import BaseFails, EvaluationError, MissingDomain
 from .projgeom import ProjPoint, act_many, chart_point, fubini_study_many
-from .sampling import kronecker, sphere_points
 from .words import GroupPresentation, Word, concat, word_str
 
 
@@ -460,13 +460,12 @@ class GPath:
 
 def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "exhaustive",
                     rho: GroupPresentation | None = None, *, seed: int = 0,
-                    cap: int = 100000, spine=None, elements_per_vertex: int = 2):
+                    cap: int = 100000, elements_per_vertex: int = 2):
     """G-paths of the given depth.
 
     exhaustive: all vertex paths, each parabolic vertex contributing its
     first ``elements_per_vertex`` enumeration elements, capped (the cap
     and truncation are reported by the caller). random: seeded choices.
-    spine: follow a fixed vertex sequence.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -530,19 +529,5 @@ def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "exhaustive",
                 vpath.append(ordered[vpath[-1]][0])
                 paths.append(GPath(vpath, wpath))
         return paths, False
-
-    if strategy == "spine":
-        if spine is None or len(spine) < depth:
-            raise ValueError("spine strategy needs a vertex sequence of length >= depth")
-        for a, b in zip(spine, spine[1:]):
-            if b not in adj[a]:
-                raise ValueError(f"spine edge ({a}, {b}) not in graph")
-        vpath = list(spine[:depth])
-        wpath = [elems[v][0] for v in vpath]
-        if len(spine) > depth:
-            vpath.append(spine[depth])
-        else:
-            vpath.append(ordered[vpath[-1]][0])
-        return [GPath(vpath, wpath)], False
 
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -230,7 +230,7 @@ def cmd_probe(args):
     graph = cfg.graph()
     system = cfg.system(epsilon=graph.epsilon)
     results, first_fail = peripheral_stability_probe(
-        cfg.family(), graph, system, spec["t_grid"],
+        cfg.presentation, graph, system, spec["t_grid"],
         n_boundary=cfg.budgets["boundary_samples"],
         n_interior=cfg.budgets["interior_samples"],
         element_cap=cfg.budgets["element_cap"],

@@ -134,14 +134,10 @@ class RunConfig:
         "boundary_samples": 64,
         "interior_samples": 48,
         "element_cap": 48,
-        "pair_samples": 4096,
         "path_count": 100,
         "depth": 20,
     }
     DEFAULT_TOLERANCES = {
-        "incidence": 1e-10,
-        "opposition_margin": 1e-6,
-        "nesting_margin": 1e-3,
         "convergence": 1e-9,
     }
 
@@ -175,6 +171,11 @@ class RunConfig:
         for section in ("seeds", "budgets", "tolerances"):
             if not isinstance(raw.get(section, {}), dict):
                 raise ConfigError(f"{section} must be an object")
+        for section, known in (("budgets", cls.DEFAULT_BUDGETS),
+                               ("tolerances", cls.DEFAULT_TOLERANCES)):
+            unknown = sorted(set(raw.get(section, {})) - set(known))
+            if unknown:
+                raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
         cfg = cls(
             dimension=dim,
             raw=raw,
@@ -269,10 +270,6 @@ class RunConfig:
         return GroupPresentation(dim=self.dimension, generators=gens,
                                  peripherals=peripherals)
 
-    def family(self):
-        """t -> presentation, for deformation probes."""
-        return lambda t: self.presentation(t=t)
-
     def graph(self) -> GammaGraph:
         g = self.raw.get("graph")
         if g is None:
@@ -327,16 +324,10 @@ class RunConfig:
         except ValueError as exc:  # out-of-range values the domain rejects
             raise ConfigError(f"{kind} domain: {exc}") from exc
 
-    def system(self, epsilon=None) -> CompatibleSystem:
+    def system(self, epsilon: float) -> CompatibleSystem:
         doms = {vid: self.domain(spec) for vid, spec in self.raw.get("domains", {}).items()}
         if not doms:
             raise ConfigError("config has no domains section")
-        if epsilon is None:
-            eps = self.raw.get("graph", {}).get("epsilon", "auto")
-            if eps == "auto":
-                sys_tmp = CompatibleSystem(domains=doms, epsilon=1.0)
-                eps = 0.1 * sys_tmp.min_pairwise_gap()
-            epsilon = _epsilon(eps)
         return CompatibleSystem(domains=doms, epsilon=epsilon)
 
     def check_separation(self, system: CompatibleSystem):

@@ -9,8 +9,9 @@ sampled dual pairs is available and is flagged as such.
 
 The metric works on arrays: ``zimmer_metrics`` takes two (n, d) arrays of
 points and the domains' ``chords`` take stacked lines, each row with the
-kernels of a one-row call; ``zimmer_metric`` and ``chord`` are the
-one-row calls.
+kernels of a one-row call; ``zimmer_metric`` and ``section`` are the
+one-row calls. On the projective line the contraction constant of nested
+intervals is closed-form (``rp1_contraction_lambda``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import sampling
 from .circle import Arc, angle_of, arc_between
-from .errors import BadOrder, NotInDomain, NotNested, NotStrictlyNested
+from .errors import BadOrder, NotInDomain, NotStrictlyNested
 from .linalg import mathmap, rowdot
 from .projgeom import (
     ProjHyperplane,
@@ -81,14 +82,6 @@ class ProperDomain:
         """Chord parameters (s_lo, s_hi) of the lines p + s*dir, one per row of
         two (n, k) arrays; NaN for a row without a chord."""
         raise NotImplementedError
-
-    def chord(self, coords, direction):
-        """Chord parameters (s_lo, s_hi) of the line p + s*dir: ``chords`` of one row."""
-        (s_lo,), (s_hi,) = self.chords(np.asarray(coords, dtype=float)[None, :],
-                                       np.asarray(direction, dtype=float)[None, :])
-        if s_lo != s_lo:  # NaN
-            raise NotInDomain("no chord through the base point")
-        return float(s_lo), float(s_hi)
 
     def section(self, x_coords, y_coords):
         """Chord of the line through a pair inside the domain.
@@ -456,49 +449,12 @@ def zimmer_metric_sampled(omega: ProperDomain, x: ProjPoint, y: ProjPoint,
     return float(_sampled_metrics(covs, x.coords[None, :], y.coords[None, :])[0])
 
 
-def finsler_factor(omega: ProperDomain, coords, direction) -> float:
-    """Infinitesimal metric factor along a chart direction: ``finsler_factors``
-    of one row. Raises NotInDomain where that gives NaN."""
-    f = float(finsler_factors(omega, np.asarray(coords, dtype=float)[None, :],
-                              np.asarray(direction, dtype=float)[None, :])[0])
-    if f != f:  # NaN
-        raise NotInDomain("no chord through the base point")
-    return f
-
-
 def finsler_factors(omega: ProperDomain, coords, directions) -> np.ndarray:
     """Infinitesimal metric factor at each row of ``coords`` along the unit
     direction of the matching row; NaN for a row without a chord."""
     d = directions / np.sqrt(rowdot(directions, directions))[:, None]
     s_lo, s_hi = omega.chords(coords, d)
     return 1.0 / (-s_lo) + 1.0 / s_hi
-
-
-def diameter(outer: ProperDomain, inner, budget: int = 256, seed: int = 0) -> float:
-    """sup of the outer metric over sampled pairs of the inner set."""
-    if isinstance(inner, ProperDomain):
-        pts = np.vstack(
-            [inner.boundary_points(budget // 2, seed), inner.interior_points(budget // 2, seed)]
-        )
-    else:
-        pts = np.asarray(inner, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-    if not np.all(outer.contains_points(pts, slack=1e-9)):
-        raise NotNested("inner sample escapes the outer domain")
-    m = len(pts)
-    if m == 1:
-        return 0.0
-    proj = np.array([ProjPoint(row).coords for row in pts])
-    if m * (m - 1) // 2 <= 4 * budget:
-        i, j = np.triu_indices(m, 1)
-    else:
-        i, j = (sampling.kronecker(4 * budget, 2, seed + 5) * m).astype(int).T
-        i, j = i[i != j], j[i != j]
-    vals = zimmer_metrics(outer, proj[i], proj[j], budget=budget, seed=seed)
-    if (vals == math.inf).any():
-        raise NotInDomain("zimmer_metric arguments must lie in the domain")
-    return float(vals.max(initial=0.0))
 
 
 def nesting_margin(inner: ProperDomain, outer: ProperDomain, n: int = 128, seed: int = 0) -> float:
@@ -635,14 +591,17 @@ def _det2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def rp1_contraction_lambda(a, b, c, d, grid: int = 400) -> float:
+def rp1_contraction_lambda(a, b, c, d) -> float:
     """Contraction constant of nested projective intervals (b,c) in (a,d).
 
     Arguments are affine coordinates on the projective line (math.inf
-    allowed). Requires the cyclic order a, b, c, d; returns the infimum
-    over pairs x != y in (b, c) of |log[b,c;x,y]| / |log[a,d;x,y]|,
-    which exceeds 1 and depends only on the cross-ratio of (a,b,c,d).
-    The degenerate case a == d gives +inf (outer metric identically 0).
+    allowed). Returns the infimum over pairs x != y in (b, c) of
+    |log[b,c;x,y]| / |log[a,d;x,y]|. By the Birkhoff-Hopf theorem this is
+    coth(D/4), where D = |log cr| is the outer cross-ratio diameter of
+    the inner interval, cr = [b,d][c,a] / ([b,a][c,d]) in 2x2
+    determinants of the lifts. The degenerate case a == d gives +inf
+    (outer metric identically 0); coincident neighbouring endpoints, or
+    {b, c} separating {a, d} (cr <= 0), raise BadOrder.
     """
 
     def lift(t):
@@ -656,79 +615,7 @@ def rp1_contraction_lambda(a, b, c, d, grid: int = 400) -> float:
     for u, v, names in [(va, vb, "a,b"), (vb, vc, "b,c"), (vc, vd, "c,d")]:
         if abs(_det2(u, v)) < 1e-14:
             raise BadOrder(f"coincident boundary points {names}")
-
-    # orient the pencil v(s) = vb + s*vc so it sweeps the inner arc
-    angs = [angle_of(v) for v in (va, vb, vc, vd)]
-    mid_plus = angle_of(vb + vc)
-    mid_minus = angle_of(vb - vc)
-
-    def cyclic_between(t, lo, hi):
-        return ((t - lo) % math.pi) <= ((hi - lo) % math.pi)
-
-    lo_ang, hi_ang = angs[1], angs[2]
-    if cyclic_between(angs[0], lo_ang, hi_ang) or cyclic_between(angs[3], lo_ang, hi_ang):
-        lo_ang, hi_ang = hi_ang, lo_ang
-    if not cyclic_between(mid_plus, lo_ang, hi_ang):
-        if not cyclic_between(mid_minus, lo_ang, hi_ang):
-            raise BadOrder("cannot orient the inner interval")
-        vc = -vc
-
-    da = _det2(vc, va)
-    dd = _det2(vc, vd)
-
-    def point(s):
-        return vb + s * vc
-
-    def outer_log(s, t):
-        # |log [a,d; x(s), x(t)]| via determinant ratios
-        x, y = point(s), point(t)
-        num = _det2(y, va) * _det2(x, vd)
-        den = _det2(x, va) * _det2(y, vd)
-        if den == 0 or num == 0 or num / den <= 0:
-            raise BadOrder("outer pair not in cyclic position")
-        return abs(math.log(num / den))
-
-    def ratio(s, t):
-        inner = abs(math.log(t / s))
-        if inner == 0:
-            return math.inf
-        return inner / outer_log(s, t)
-
-    def diag_ratio(s):
-        x = point(s)
-        g = da / _det2(x, va) - dd / _det2(x, vd)
-        if g == 0:
-            return math.inf
-        return abs(1.0 / (s * g))
-
-    n = max(32, grid)
-    us = np.linspace(-14.0, 14.0, n)
-    ss = np.exp(us)
-    best, arg = math.inf, None
-    for i in range(n):
-        r = diag_ratio(ss[i])
-        if r < best:
-            best, arg = r, (us[i], us[i])
-    step = max(1, n // 80)
-    for i in range(0, n, step):
-        for j in range(i + step, n, step):
-            r = ratio(ss[i], ss[j])
-            if r < best:
-                best, arg = r, (us[i], us[j])
-    # local refinement around the incumbent
-    width = 28.0 / n * step
-    for _ in range(4):
-        u0, u1 = arg
-        cand = [(u0, u1)]
-        for du in np.linspace(-width, width, 9):
-            for dv in np.linspace(-width, width, 9):
-                cand.append((u0 + du, u1 + dv))
-        for uu, vv in cand:
-            if abs(uu - vv) < 1e-9:
-                r = diag_ratio(math.exp(uu))
-            else:
-                r = ratio(math.exp(uu), math.exp(vv))
-            if r < best:
-                best, arg = r, (uu, vv)
-        width /= 3.0
-    return best
+    cr = _det2(vb, vd) * _det2(vc, va) / (_det2(vb, va) * _det2(vc, vd))
+    if cr <= 0:
+        raise BadOrder("{b, c} separates {a, d}")
+    return 1.0 / math.tanh(abs(math.log(cr)) / 4.0)

@@ -25,20 +25,8 @@ class InfiniteCrossRatio(FlagdynError):
     """A cross-ratio denominator vanished: a point lies on a reference hyperplane."""
 
 
-class CoincidentPoints(FlagdynError):
-    """Two projective points coincide; no unique line through them."""
-
-
-class LineInHyperplane(FlagdynError):
-    """The hyperplane contains the whole line; no unique intersection."""
-
-
 class NotInDomain(FlagdynError):
     """A point fell outside the domain it was claimed to lie in."""
-
-
-class NotNested(FlagdynError):
-    """Sampled containment of one set in another failed."""
 
 
 class NotStrictlyNested(FlagdynError):

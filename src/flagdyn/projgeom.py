@@ -1,4 +1,4 @@
-"""Projective points, hyperplanes, flags, lines, charts, and the cross-ratio.
+"""Projective points, hyperplanes, affine charts, and the cross-ratio.
 
 Points and hyperplanes are unit vectors / covectors, sign-canonicalized so
 equal projective classes have equal coordinates. The cross-ratio follows
@@ -14,17 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CoincidentPoints,
-    DegenerateImage,
-    InfiniteCrossRatio,
-    LineInHyperplane,
-    NotInChart,
-)
+from .errors import DegenerateImage, InfiniteCrossRatio, NotInChart
 from .linalg import rowdot
 
-INCIDENCE_TOL = 1e-10
-OPPOSITION_TOL = 1e-6
 CHART_TOL = 1e-12
 
 
@@ -100,55 +92,6 @@ class ProjHyperplane:
         return b
 
 
-@dataclass(frozen=True)
-class Flag:
-    """Incident (point, hyperplane) pair: a flag of type (1, d-1)."""
-
-    point: ProjPoint
-    hyperplane: ProjHyperplane
-
-    def __post_init__(self):
-        r = abs(float(self.hyperplane.covector @ self.point.coords))
-        if r > INCIDENCE_TOL:
-            raise ValueError(f"point/hyperplane incidence residual {r:.2e} too large")
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectiveLine:
-    """2-plane through the origin, stored as an orthonormal basis pair."""
-
-    basis: np.ndarray  # shape (2, d), rows orthonormal
-
-    def __init__(self, basis):
-        b = np.asarray(basis, dtype=float)
-        if b.shape[0] != 2:
-            raise ValueError("projective line needs exactly two basis vectors")
-        g = b @ b.T
-        if np.max(np.abs(g - np.eye(2))) > 1e-12:
-            raise ValueError("basis vectors must be orthonormal")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-    def point_at(self, s):
-        """Affine parametrization: s -> [b0 + s * b1], with s = inf at [b1]."""
-        if math.isinf(s):
-            return ProjPoint(self.basis[1])
-        return ProjPoint(self.basis[0] + s * self.basis[1])
-
-    def param_of(self, p: ProjPoint):
-        """Inverse of ``point_at`` for points on the line (inf for [b1])."""
-        c0 = float(self.basis[0] @ p.coords)
-        c1 = float(self.basis[1] @ p.coords)
-        if abs(c0) < 1e-14:
-            return math.inf
-        return c1 / c0
-
-
 def act(m, p: ProjPoint) -> ProjPoint:
     img = m.arr @ p.coords
     if np.linalg.norm(img) < 1e-300:
@@ -165,23 +108,9 @@ def act_many(m, coords):
     return img / norms
 
 
-def act_dual(m, h: ProjHyperplane) -> ProjHyperplane:
-    """Inverse-transpose action, so incidence is preserved."""
-    img = np.linalg.solve(m.arr.T, h.covector)
-    return ProjHyperplane(img)
-
-
 def opposition_margin(p: ProjPoint, h: ProjHyperplane) -> float:
     """|<covector, coords>| for unit representatives: 0 means incident."""
     return abs(float(h.covector @ p.coords))
-
-
-def flags_opposite(f1: Flag, f2: Flag, tol: float = OPPOSITION_TOL) -> bool:
-    """Both cross-pairings must clear the opposition tolerance."""
-    return (
-        opposition_margin(f1.point, f2.hyperplane) > tol
-        and opposition_margin(f2.point, f1.hyperplane) > tol
-    )
 
 
 def chart_basis(h: ProjHyperplane) -> np.ndarray:
@@ -267,23 +196,6 @@ def cross_ratio(
     if abs(c) <= 1e-14 or abs(d) <= 1e-14:
         raise InfiniteCrossRatio("z1 or z2 lies on a reference hyperplane")
     return (a * b) / (c * d)
-
-
-def line_through(p: ProjPoint, q: ProjPoint) -> ProjectiveLine:
-    if fubini_study(p, q) <= 1e-10:
-        raise CoincidentPoints("points coincide; no unique line")
-    b0 = p.coords
-    w = q.coords - (q.coords @ b0) * b0
-    b1 = w / np.linalg.norm(w)
-    return ProjectiveLine(np.array([b0, b1]))
-
-
-def intersect(L: ProjectiveLine, h: ProjHyperplane) -> ProjPoint:
-    c0 = float(h.covector @ L.basis[0])
-    c1 = float(h.covector @ L.basis[1])
-    if abs(c0) < 1e-13 and abs(c1) < 1e-13:
-        raise LineInHyperplane("hyperplane contains the line")
-    return ProjPoint(c1 * L.basis[0] - c0 * L.basis[1])
 
 
 def fubini_study(p: ProjPoint, q: ProjPoint) -> float:

@@ -68,7 +68,6 @@ class SynthesisParams:
     max_power: int = 400
     tail_window: int = 4
     max_parabolic_rounds: int = 2000
-    require_full_cover: bool | None = None  # default: only when peripherals exist
 
 
 @dataclass
@@ -414,11 +413,8 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
             if not any(pv["v"].contains_angle(z) for pv in parabolic.values())]
     conical = [c for c in searcher.candidates(grid) if c is not None]
 
-    require_cover = (
-        params.require_full_cover
-        if params.require_full_cover is not None
-        else bool(peripherals)
-    )
+    # a full cover of the circle is required only when peripherals exist
+    require_cover = bool(peripherals)
 
     # --- adaptive parabolic materialization over uncovered gaps -------------
     if require_cover:
@@ -513,7 +509,7 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
             if source_set.intersects(inner[wid]):
                 edges.append((vid, wid))
 
-    # drop vertices with no outgoing edges (possible in the no-cover mode)
+    # drop vertices with no outgoing edges (possible without peripherals)
     alive = {v for v, _ in edges}
     dead = set(vertices) - alive
     while dead:

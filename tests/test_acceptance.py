@@ -96,54 +96,83 @@ def test_criterion_02_zimmer_metric_vs_oracle():
     _report(2, "cross-ratio metric vs line-section oracle", ok, time.time() - t0, 30)
 
 
-def _grid_contraction_oracle(inner, outer, rng, n_pairs=20000, n_diag=400):
-    from flagdyn.domains import _log_cr_from_section
+def _ball_chords(center, radius, p, d):
+    """Roots of |p + s d - center|^2 = radius^2, one line per row of p and d."""
+    q = p - center
+    a, b = np.sum(d * d, axis=1), 2.0 * np.sum(q * d, axis=1)
+    rt = np.sqrt(b * b - 4 * a * (np.sum(q * q, axis=1) - radius**2))
+    return (-b - rt) / (2 * a), (-b + rt) / (2 * a)
 
-    def ratio(a, b):
-        ci = _log_cr_from_section(*inner.section(a, b))
-        co = _log_cr_from_section(*outer.section(a, b))
+
+def _facet_chords(equations, p, d):
+    """Nearest crossing each way of the hull facets n.x + b <= 0, one line
+    per row of p and d."""
+    normals, offsets = equations[:, :-1], equations[:, -1]
+    den = d @ normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -(p @ normals.T + offsets) / den
+    return (np.where(den < 0, s, -math.inf).max(axis=1),
+            np.where(den > 0, s, math.inf).min(axis=1))
+
+
+def _chord_kernels(domain):
+    """(chords, contains) of a test domain: quadratic roots from a ball's
+    center and radius, or the facets of a ConvexHull of a polygon's vertices."""
+    from scipy.spatial import ConvexHull
+
+    if hasattr(domain, "vertices"):
+        eqs = ConvexHull(domain.vertices).equations
+        return (lambda p, d: _facet_chords(eqs, p, d),
+                lambda q: bool(np.all(eqs[:, :-1] @ q + eqs[:, -1] < 0)))
+    return (lambda p, d: _ball_chords(domain.center, domain.radius, p, d),
+            lambda q: bool(np.linalg.norm(q - domain.center) < domain.radius))
+
+
+def _grid_contraction_oracle(inner, outer, rng, n_pairs=20000, n_diag=400):
+    (inner_chords, inside), (outer_chords, _) = _chord_kernels(inner), _chord_kernels(outer)
+
+    def ratios(a, b):
+        # inner over outer |log (s_lo, s_hi; 0, 1)| of the lines a + s (b - a), per row
+        ci, co = (np.abs(np.log((1.0 - lo) * hi / (-lo * (hi - 1.0))))
+                  for lo, hi in (inner_chords(a, b - a), outer_chords(a, b - a)))
         return ci / co
 
-    best = math.inf
-    best_pair = None
     m = len(inner.vertices) if hasattr(inner, "vertices") else 0
 
-    def sample_point(pull=0.999):
+    def sample_points(n, pull=0.999):
         if m:
-            return pull * (rng.dirichlet(np.ones(m)) @ inner.vertices) + (1 - pull) * inner.center
-        return inner.center + pull * inner.radius * _in_ball(rng)
+            return pull * (rng.dirichlet(np.ones(m), n) @ inner.vertices) + (1 - pull) * inner.center
+        return inner.center + pull * inner.radius * np.array([_in_ball(rng) for _ in range(n)])
 
-    for _ in range(n_pairs):
-        a, b = sample_point(), sample_point()
-        if np.linalg.norm(a - b) < 1e-9:
-            continue
-        r = ratio(a, b)
-        if r < best:
-            best, best_pair = r, (a, b)
+    pts = sample_points(2 * n_pairs)
+    a, b = pts[0::2], pts[1::2]
+    keep = np.linalg.norm(a - b, axis=1) >= 1e-9
+    xs, ys = [a[keep]], [b[keep]]
     # finite-difference probe of the coincident-pair limit
     for _ in range(n_diag):
-        p = sample_point(0.99)
+        p = sample_points(1, 0.99)
         theta = rng.uniform(0, 2 * math.pi)
         q = p + 1e-5 * np.array([math.cos(theta), math.sin(theta)])
-        if not inner.contains_coords(q[None, :])[0]:
-            continue
-        r = ratio(p, q)
-        if r < best:
-            best, best_pair = r, (p, q)
+        if inside(q[0]):
+            xs.append(p)
+            ys.append(q)
+    xs, ys = np.vstack(xs), np.vstack(ys)
+    # the first minimum over the pairs, then the probe
+    r = ratios(xs, ys)
+    first = int(np.argmin(r))
+    best, a, b = r[first], xs[first], ys[first]
     # local descent around the incumbent (independent of the estimator)
-    a, b = best_pair
     step = 0.1
     for _ in range(60):
         improved = False
         for _ in range(20):
             a2 = a + step * rng.normal(size=a.shape) * 0.05
             b2 = b + step * rng.normal(size=b.shape) * 0.05
-            if not (inner.contains_coords(a2[None, :])[0]
-                    and inner.contains_coords(b2[None, :])[0]):
+            if not (inside(a2) and inside(b2)):
                 continue
             if np.linalg.norm(a2 - b2) < 1e-10:
                 continue
-            r = ratio(a2, b2)
+            r = ratios(a2[None, :], b2[None, :])[0]
             if r < best:
                 best, a, b = r, a2, b2
                 improved = True
@@ -181,7 +210,7 @@ def test_criterion_03_contraction_factor():
         oracle = _grid_contraction_oracle(pi, po, rng, n_pairs=8000, n_diag=300)
         ok &= lam > 1 + 1e-3 and abs(lam - oracle) <= 0.02 * oracle
 
-    base = rp1_contraction_lambda(-2, -1, 1, 2, grid=400)
+    base = rp1_contraction_lambda(-2, -1, 1, 2)
     rngm = np.random.default_rng(5)
     for _ in range(10):
         mat = rngm.uniform(-2, 2, (2, 2))
@@ -192,7 +221,7 @@ def test_criterion_03_contraction_factor():
             den = mat[1, 0] * x + mat[1, 1]
             return math.inf if abs(den) < 1e-14 else (mat[0, 0] * x + mat[0, 1]) / den
 
-        lam_m = rp1_contraction_lambda(*(mob(v) for v in (-2, -1, 1, 2)), grid=400)
+        lam_m = rp1_contraction_lambda(*(mob(v) for v in (-2, -1, 1, 2)))
         ok &= abs(lam_m - base) <= 1e-3
     _report(3, "contraction factors vs dense-grid oracle", ok, time.time() - t0, 120)
 

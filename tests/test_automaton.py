@@ -237,14 +237,6 @@ def test_random_paths_reproducible(schottky):
     assert [p.code() for p in a] != [p.code() for p in c]
 
 
-def test_spine_paths(schottky):
-    rho, graph, _ = schottky
-    spine = ["a+", "b+", "a-", "b-"]
-    paths, _ = enumerate_paths(graph, 3, "spine", rho, spine=spine)
-    assert len(paths) == 1
-    assert paths[0].vertices == spine
-
-
 def test_exhaustive_cap_reports_truncation(schottky):
     rho, graph, _ = schottky
     paths, truncated = enumerate_paths(graph, 8, "exhaustive", rho, cap=100)

@@ -146,7 +146,11 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"dimension": 2, "graph": {"vertices": [], "edges": [["x", "y"]]}})
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"dimension": 2, "tolerances": {"incidence": -1}})
+        RunConfig.from_dict({"dimension": 2, "tolerances": {"convergence": -1}})
+    with pytest.raises(ConfigError, match="unknown budgets keys: boundary_sample"):
+        RunConfig.from_dict({"dimension": 2, "budgets": {"boundary_sample": 10}})
+    with pytest.raises(ConfigError, match="unknown tolerances keys: incidence"):
+        RunConfig.from_dict({"dimension": 2, "tolerances": {"incidence": 1e-10}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict(
             {
@@ -197,6 +201,19 @@ def test_unknown_synthesis_key_is_config_error(tmp_path, capsys):
     bad = tmp_path / "synth.json"
     bad.write_text(json.dumps(raw))
     assert _config_error(["synthesize", "--config", bad, "--out", tmp_path], capsys)
+
+
+@pytest.mark.parametrize("command, name, edit", [
+    ("certify", "single_loop.json", lambda raw: raw["budgets"].update(pair_samples=4096)),
+    ("synthesize", "pgl2z.json",
+     lambda raw: raw.setdefault("synthesis", {}).update(require_full_cover=True)),
+], ids=["pair_samples", "require_full_cover"])
+def test_removed_option_is_config_error(tmp_path, capsys, command, name, edit):
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    bad = tmp_path / "removed.json"
+    bad.write_text(json.dumps(raw))
+    assert _config_error([command, "--config", bad, "--out", tmp_path], capsys)
 
 
 def test_singleton_without_word_is_config_error(tmp_path, capsys):

@@ -7,10 +7,7 @@ from flagdyn.domains import (
     ChartBall,
     ConvexPolytope,
     SampledSet,
-    _log_cr_from_section,
     contraction_factor,
-    diameter,
-    finsler_factor,
     finsler_factors,
     nesting_margin,
     rp1_contraction_lambda,
@@ -19,7 +16,7 @@ from flagdyn.domains import (
     zimmer_metrics,
 )
 import flagdyn.projgeom as projgeom
-from flagdyn.errors import BadOrder, NotInChart, NotInDomain, NotNested, NotStrictlyNested
+from flagdyn.errors import BadOrder, NotInChart, NotInDomain, NotStrictlyNested
 from flagdyn.projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -162,48 +159,6 @@ def test_union_metric_is_sampled_flagged():
     assert val > 0
 
 
-# --- diameter -----------------------------------------------------------------
-
-
-def test_diameter_point_is_zero():
-    omega = interval(-1, 1)
-    assert diameter(omega, chart_point(H2, [0.2]).coords) == 0.0
-
-
-def test_diameter_monotone_and_finite():
-    outer = ChartBall(H3, [0.0, 0.0], 0.8)
-    small = ChartBall(H3, [0.0, 0.0], 0.2)
-    big = ChartBall(H3, [0.0, 0.0], 0.4)
-    d_small = diameter(outer, small, budget=128)
-    d_big = diameter(outer, big, budget=128)
-    assert 0 < d_small < d_big < math.inf
-
-
-def test_diameter_interval_oracle():
-    # exact diameter of [-r, r] inside (-1, 1) is C(-r, r)
-    outer = interval(-1, 1)
-    inner = interval(-0.5, 0.5)
-    d = diameter(outer, inner, budget=256)
-    oracle = math.log((1 + 0.5) / (1 - 0.5)) * 2  # C(-0.5, 0.5) = log 3 * ... compute directly
-    x, y = chart_point(H2, [-0.5 + 1e-12]), chart_point(H2, [0.5 - 1e-12])
-    oracle = zimmer_metric(outer, x, y)
-    assert d == pytest.approx(oracle, rel=5e-2)
-
-
-def test_diameter_is_the_largest_one_pair_metric():
-    # the one-pair loop over all pairs is the oracle, bit for bit; 10
-    # points give 45 pairs, within 4 * budget, so none is subsampled
-    rng = np.random.default_rng(6)
-    po = rand_polygon(rng)
-    for outer, inner in [(po, ConvexPolytope(H3, 0.5 * po.vertices + 0.5 * po.center)),
-                         (ChartBall(H3, [0.0, 0.0], 0.8), ChartBall(H3, [0.1, 0.0], 0.4))]:
-        pts = inner.interior_points(10, 0)
-        proj = [ProjPoint(row) for row in pts]
-        best = max(zimmer_metric(outer, proj[i], proj[j], budget=16)
-                   for i in range(len(pts)) for j in range(i + 1, len(pts)))
-        assert diameter(outer, pts, budget=16) == best
-
-
 def test_finsler_factors_rows_match_one_row_calls():
     rng = np.random.default_rng(8)
     po = rand_polygon(rng)
@@ -211,19 +166,11 @@ def test_finsler_factors_rows_match_one_row_calls():
         coords = 0.5 * omega.interior_coords(20, 1)
         dirs = rng.normal(size=(20, 2))
         rows = finsler_factors(omega, coords, dirs)
-        assert [finsler_factor(omega, c, d) for c, d in zip(coords, dirs)] == rows.tolist()
+        one_row = [finsler_factors(omega, c[None, :], d[None, :])[0] for c, d in zip(coords, dirs)]
+        assert one_row == rows.tolist()
     outside = finsler_factors(ChartBall(H3, [0.0, 0.0], 0.5), np.array([[2.0, 0.0]]),
                               np.array([[0.0, 1.0]]))
     assert np.isnan(outside[0])
-    with pytest.raises(NotInDomain):
-        finsler_factor(ChartBall(H3, [0.0, 0.0], 0.5), [2.0, 0.0], [0.0, 1.0])
-
-
-def test_diameter_not_nested():
-    outer = interval(-0.5, 0.5)
-    inner = interval(-1.0, 1.0)
-    with pytest.raises(NotNested):
-        diameter(outer, inner, budget=64)
 
 
 # --- contraction factor --------------------------------------------------------
@@ -239,21 +186,23 @@ def test_contraction_concentric_balls():
 
 
 def test_contraction_polygons_vs_grid_oracle():
+    from scipy.spatial import ConvexHull
+
     rng = np.random.default_rng(5)
     for _ in range(3):
         po = rand_polygon(rng)
         pi = ConvexPolytope(H3, 0.5 * po.vertices + 0.5 * po.center)
         lam = contraction_factor(pi, po, budget=512)
         assert lam > 1 + 1e-3
-        best = math.inf
-        for _ in range(20000):
-            a, b = pair_in(pi, rng)
-            if np.linalg.norm(a - b) < 1e-9:
-                continue
-            ci = _log_cr_from_section(*pi.section(a, b))
-            co = _log_cr_from_section(*po.section(a, b))
-            best = min(best, ci / co)
-        assert lam == pytest.approx(best, rel=0.02)
+        # 20000 pairs, drawn as pair_in draws them, through the hulls' own facets
+        w = rng.dirichlet(np.ones(len(pi.vertices)), 2 * 20000)
+        pts = 0.999 * (w @ pi.vertices) + 0.001 * pi.center
+        a, b = pts[0::2], pts[1::2]
+        keep = np.linalg.norm(a - b, axis=1) >= 1e-9
+        a, b = a[keep], b[keep]
+        ci, co = (_cross_ratio_metric(*_facet_chord(ConvexHull(dom.vertices).equations, a, b - a))
+                  for dom in (pi, po))
+        assert lam == pytest.approx(np.min(ci / co), rel=0.02)
 
 
 def test_contraction_requires_strict_nesting():
@@ -290,14 +239,14 @@ def test_contraction_factor_point_on_outer_chart_hyperplane():
 
 
 def test_rp1_lambda_symmetric_quadruple():
-    lam = rp1_contraction_lambda(-2, -1, 1, 2, grid=400)
+    lam = rp1_contraction_lambda(-2, -1, 1, 2)
     # center Finsler ratio of (-1,1) in (-2,2) is exactly 2
     assert lam == pytest.approx(2.0, abs=1e-3)
 
 
 def test_rp1_lambda_projective_invariance():
     rng = np.random.default_rng(7)
-    base = rp1_contraction_lambda(-2, -1, 1, 2, grid=400)
+    base = rp1_contraction_lambda(-2, -1, 1, 2)
     for _ in range(10):
         m = rng.uniform(-2, 2, (2, 2))
         if abs(np.linalg.det(m)) < 0.3:
@@ -309,17 +258,19 @@ def test_rp1_lambda_projective_invariance():
             return math.inf if abs(den) < 1e-14 else num / den
 
         vals = [mob(v) for v in (-2, -1, 1, 2)]
-        lam = rp1_contraction_lambda(*vals, grid=400)
+        lam = rp1_contraction_lambda(*vals)
         assert lam == pytest.approx(base, abs=1e-3)
 
 
 def test_rp1_lambda_tight_nesting_grows():
-    lams = [rp1_contraction_lambda(-d, -1, 1, d, grid=200) for d in (1.5, 2.0, 4.0, 10.0)]
+    lams = [rp1_contraction_lambda(-d, -1, 1, d) for d in (1.5, 2.0, 4.0, 10.0)]
     assert all(b > a for a, b in zip(lams, lams[1:]))
+    # coth(D/4) with D = 2 log((d+1)/(d-1)) is d
+    assert lams == pytest.approx([1.5, 2.0, 4.0, 10.0], rel=1e-12)
 
 
 def test_rp1_lambda_loose_nesting_approaches_one():
-    lams = [rp1_contraction_lambda(-1 - e, -1, 1, 1 + e, grid=200) for e in (0.5, 0.1, 0.01)]
+    lams = [rp1_contraction_lambda(-1 - e, -1, 1, 1 + e) for e in (0.5, 0.1, 0.01)]
     assert all(b < a for a, b in zip(lams, lams[1:]))
     assert lams[-1] < 1.05
     assert all(l > 1 for l in lams)
@@ -330,13 +281,55 @@ def test_rp1_lambda_degenerate_outer():
 
 
 def test_rp1_lambda_with_infinity():
-    lam = rp1_contraction_lambda(-2, -1, 1, math.inf, grid=300)
+    lam = rp1_contraction_lambda(-2, -1, 1, math.inf)
     assert lam > 1
 
 
 def test_rp1_lambda_bad_order():
     with pytest.raises(BadOrder):
         rp1_contraction_lambda(-1, -1, 1, 2)
+    with pytest.raises(BadOrder):  # {b, c} = {-2, 1} separates {a, d} = {-1, 2}
+        rp1_contraction_lambda(-1, -2, 1, 2)
+
+
+def _interval_metric(p, q, x, y):
+    """|log cross-ratio| of x, y in the interval with ends p, q: rows of
+    lifts, from 2x2 determinants (lift-independent)."""
+    def det(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    return np.abs(np.log(det(x, p) * det(y, q) / (det(x, q) * det(y, p))))
+
+
+def test_rp1_lambda_matches_a_dense_pair_scan():
+    # four increasing angles on RP^1 = [0, pi) taken cyclically from a seeded
+    # shift: the inner arc runs from the second to the third, the outer arc
+    # from the first to the fourth; every third quadruple puts an endpoint at
+    # pi/2, which is the affine coordinate inf
+    rng = np.random.default_rng(12)
+    n_inf = 0
+    for trial in range(24):
+        phis = np.sort(rng.uniform(0.0, math.pi, 4))
+        k = int(rng.integers(4))
+        if trial % 3 == 0:
+            phis = (phis + math.pi / 2 - phis[k]) % math.pi
+            phis[k] = math.pi / 2
+            phis.sort()
+        order = [(k + i) % 4 for i in range(4)]  # a, b, c, d
+        coords = [math.inf if phis[i] == math.pi / 2 else math.tan(phis[i]) for i in order]
+        n_inf += math.inf in coords
+        phis = phis[order] + math.pi * (np.array(order) < k)
+        lam = rp1_contraction_lambda(*coords)
+
+        def lift(angle):
+            return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+        a, b, c, d = (lift(p) for p in phis)
+        grid = lift(np.linspace(phis[1], phis[2], 402)[1:-1])
+        i, j = np.triu_indices(len(grid), 1)
+        x, y = grid[i], grid[j]
+        scan = np.min(_interval_metric(b, c, x, y) / _interval_metric(a, d, x, y))
+        assert lam <= scan <= lam * (1 + 1e-3), (coords, lam, scan)
+    assert n_inf >= 8
 
 
 # --- plumbing ------------------------------------------------------------------
@@ -360,10 +353,8 @@ def test_proper_domain_closure_in_chart():
 
 def test_finsler_factor_interval():
     omega = interval(-1, 1)
-    f = finsler_factor(omega, np.array([0.0]), np.array([1.0]))
-    assert f == pytest.approx(2.0)
-    f = finsler_factor(omega, np.array([0.5]), np.array([1.0]))
-    assert f == pytest.approx(1 / 1.5 + 1 / 0.5)
+    f = finsler_factors(omega, np.array([[0.0], [0.5]]), np.array([[1.0], [1.0]]))
+    assert f.tolist() == pytest.approx([2.0, 1 / 1.5 + 1 / 0.5])
 
 
 # --- array chart map and containment oracle ------------------------------------
@@ -454,28 +445,27 @@ def _lift(h, coords, rng):
 
 
 def _ball_chord(center, radius, p, d):
-    # roots of |p + s d - center|^2 = radius^2
+    # roots of |p + s d - center|^2 = radius^2, one line per row of p and d
     q = p - center
-    a, b, c = d @ d, 2.0 * (q @ d), q @ q - radius**2
-    rt = math.sqrt(b * b - 4 * a * c)
+    a, b = np.sum(d * d, axis=1), 2.0 * np.sum(q * d, axis=1)
+    rt = np.sqrt(b * b - 4 * a * (np.sum(q * q, axis=1) - radius**2))
     return (-b - rt) / (2 * a), (-b + rt) / (2 * a)
 
 
 def _facet_chord(equations, p, d):
-    # scan the facets n.x + b <= 0 of the hull for the nearest crossing each way
-    lo, hi = -math.inf, math.inf
-    for *n, b in equations:
-        num, den = -(np.dot(n, p) + b), np.dot(n, d)
-        if den > 0:
-            hi = min(hi, num / den)
-        elif den < 0:
-            lo = max(lo, num / den)
-    return lo, hi
+    # scan the facets n.x + b <= 0 of the hull for the nearest crossing each
+    # way, one line per row of p and d
+    normals, offsets = equations[:, :-1], equations[:, -1]
+    den = d @ normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -(p @ normals.T + offsets) / den
+    return (np.where(den < 0, s, -math.inf).max(axis=1),
+            np.where(den > 0, s, math.inf).min(axis=1))
 
 
 def _cross_ratio_metric(s_lo, s_hi):
     # |log (s_lo, s_hi; 0, 1)| for the chord of x = line(0), y = line(1)
-    return abs(math.log((1.0 - s_lo) * s_hi / ((0.0 - s_lo) * (s_hi - 1.0))))
+    return np.abs(np.log((1.0 - s_lo) * s_hi / ((0.0 - s_lo) * (s_hi - 1.0))))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -503,7 +493,7 @@ def test_zimmer_metrics_match_independent_chords(d, kind):
         def chord(p, q):
             return _facet_chord(eqs, p, q - p)
     xc, yc = inside[:30], inside[30:]
-    want = [_cross_ratio_metric(*chord(p, q)) for p, q in zip(xc, yc)]
+    want = _cross_ratio_metric(*chord(xc, yc))
     xs, ys = _lift(h, xc, rng), _lift(h, yc, rng)
     got = zimmer_metrics(omega, xs, ys)
     assert got == pytest.approx(want, rel=1e-9)

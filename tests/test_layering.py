@@ -1,6 +1,7 @@
 """flagdyn modules import no private (underscore) names from one another,
-import one another only at module level, never call eval or exec, and
-catch no exception more broadly than by its own type."""
+import one another only at module level, import no name they never use,
+never call eval or exec, and catch no exception more broadly than by its
+own type."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,24 @@ def test_no_private_names_imported_across_modules():
 
 def test_no_function_local_flagdyn_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _function_local_imports(path)]
+    assert found == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                # "import a.b" binds a; "from m import a as b" binds b
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    yield f"{path.name}:{node.lineno}: {alias.name} unused"
+
+
+def test_no_unused_imports():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _unused_imports(path)]
     assert found == []
 
 
