@@ -14,14 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def main():
-    rc = 0
     for name in ("jordan_diag", "jordan_split"):
         cfg = str(ROOT / "configs" / f"{name}.json")
         print(f"== probe {name}")
-        code = cli_main(["probe", "--config", cfg, "--out", f"out/{name}"])
+        code = cli_main(["probe", "--config", cfg, "--out", str(ROOT / "out" / name)])
         print(f"   exit {code} (0 = every grid point certifies)")
-        rc = max(rc, 0)  # a failing grid point is the expected outcome for the split path
-    return rc
+    # a failing grid point is the expected outcome for the split path
+    return 0
 
 
 if __name__ == "__main__":

@@ -140,7 +140,7 @@ def pair_gap(a: ProperDomain, b: ProperDomain, n_boundary: int, n_interior: int,
         return a.arc().gap_to(b.arc())
     pa = np.vstack([a.boundary_points(n_boundary, seed), a.interior_points(n_interior, seed)])
     pb = np.vstack([b.boundary_points(n_boundary, seed), b.interior_points(n_interior, seed)])
-    return float(np.min(fubini_study_many(pa, pb)))
+    return float(fubini_study_many(pa, pb))
 
 
 def _is_arc(dom):
@@ -285,7 +285,7 @@ def _containment_margin(system_dom: ProperDomain, pts: np.ndarray, bnd: np.ndarr
     ``bnd`` is a boundary sample of the domain, drawn once per edge.
     """
     inside = system_dom.contains_points(pts)
-    dists = np.min(fubini_study_many(pts, bnd), axis=1)
+    dists = fubini_study_many(pts, bnd, axis=1)
     signed = np.where(inside, dists, -dists)
     return float(np.min(signed))
 
@@ -334,7 +334,7 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
                 records.append(
                     EdgeRecord(edge, word, margin, margin > 0, pts.shape[0], False)
                 )
-                diam = float(np.max(fubini_study_many(img, img)))
+                diam = float(fubini_study_many(img, img, farthest=True))
                 _accumulate(per_element_margin[v], per_element_diam[v], i, margin, diam)
 
     tails = []
@@ -427,8 +427,9 @@ def peripheral_stability_probe(family, graph: GammaGraph, system: CompatibleSyst
     """Re-certify a deformation family on the same graph and domains.
 
     ``family`` maps a parameter t to a GroupPresentation. Requires the
-    t = 0 member to certify; returns [(t, Certificate)] in grid order
-    plus the first failing t (None if the whole grid certifies).
+    t = 0 member to certify, and reuses its certificate for a grid value
+    0.0; returns [(t, Certificate)] in grid order plus the first failing t
+    (None if the whole grid certifies).
     """
     base = family(0.0)
     cert0 = verify_compatibility(graph, system, base, **verify_kwargs)
@@ -437,8 +438,8 @@ def peripheral_stability_probe(family, graph: GammaGraph, system: CompatibleSyst
     results = []
     first_fail = None
     for t in t_grid:
-        rho_t = family(float(t))
-        cert = verify_compatibility(graph, system, rho_t, **verify_kwargs)
+        cert = cert0 if float(t) == 0.0 else verify_compatibility(
+            graph, system, family(float(t)), **verify_kwargs)
         results.append((float(t), cert))
         if first_fail is None and not cert.ok:
             first_fail = float(t)

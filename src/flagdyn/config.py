@@ -193,8 +193,9 @@ class RunConfig:
             if cfg.budgets[key] < 1:
                 raise ConfigError(f"budgets.{key} must be positive")
         for key, val in cfg.tolerances.items():
-            if not (isinstance(val, (int, float)) and val > 0):
-                raise ConfigError(f"tolerance {key} must be positive")
+            cfg.tolerances[key] = number(val, f"tolerances.{key}")
+            if cfg.tolerances[key] <= 0:
+                raise ConfigError(f"tolerances.{key} must be positive")
         cfg._validate_refs()
         return cfg
 

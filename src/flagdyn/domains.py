@@ -466,7 +466,7 @@ def nesting_margin(inner: ProperDomain, outer: ProperDomain, n: int = 128, seed:
     if not np.all(outer.contains_points(ib)):
         return -1.0
     ob = outer.boundary_points(max(n, 256), seed + 1)
-    return float(np.min(fubini_study_many(ib, ob)))
+    return float(fubini_study_many(ib, ob))
 
 
 def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 512,

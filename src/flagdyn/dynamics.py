@@ -219,7 +219,7 @@ def _sampled_limits(prefix, factors, verts, system, sample_budget, seed):
             diam[rows] = 2.0 * np.max(d.reshape(len(rows), -1), axis=1)
         diameters.append(diam)
         gaps.append(prefix.gap())
-    rbound = [float(np.max(fubini_study_many(img, img[-1:]))) + radius_floor(dim)
+    rbound = [float(fubini_study_many(img, img[-1:], farthest=True)) + radius_floor(dim)
               for img in last]
     return _per_path([img[-1] for img in last], diameters, gaps, rbound)
 
@@ -332,7 +332,7 @@ def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
     diams, limits = [], []
     for m in seq:
         img = act_many(m, pts)
-        diams.append(float(np.max(fubini_study_many(img, img))))
+        diams.append(float(fubini_study_many(img, img, farthest=True)))
         limits.append(ProjPoint(np.mean(img * np.sign(img @ img[0])[:, None], axis=0)))
     prefix = PrefixProduct(seq[0].dim, 1, len(seq))
     prefix.push(seq)

@@ -206,9 +206,15 @@ def fubini_study(p: ProjPoint, q: ProjPoint) -> float:
     return math.atan2(s, c)
 
 
-def fubini_study_many(pts_a, pts_b) -> np.ndarray:
-    """Pairwise FS distances between (n, d) and (m, d) unit-row arrays."""
+def fubini_study_many(pts_a, pts_b, *, farthest=False, axis=None):
+    """Smallest FS distance (largest with ``farthest``) between the rows of
+    (n, d) and (m, d) unit-row arrays: over all pairs, or per row of
+    ``pts_a`` with ``axis=1``.
+
+    The float kernel atan2(sqrt(max(1 - c^2, 0)), c) is non-increasing in
+    c = |dot|, so it runs on the reduced |dot| and gives the bits of the
+    same reduction over all pairwise distances.
+    """
     dots = np.abs(pts_a @ pts_b.T)
-    dots = np.clip(dots, 0.0, 1.0)
-    sins = np.sqrt(np.clip(1.0 - dots * dots, 0.0, None))
-    return np.arctan2(sins, dots)
+    c = np.clip(np.min(dots, axis=axis) if farthest else np.max(dots, axis=axis), 0.0, 1.0)
+    return np.arctan2(np.sqrt(np.clip(1.0 - c * c, 0.0, None)), c)

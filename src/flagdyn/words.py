@@ -122,6 +122,8 @@ class GroupPresentation:
         exact = all(m.exact is not None for m in self.generators.values())
         self._cache = {(): Matrix(np.eye(self.dim, dtype=int if exact else float))}
         self._powers = {}
+        for name, m in self.generators.items():
+            self._powers[(name, 1)], self._powers[(name, -1)] = m, m.inv()
         for p in self.peripherals:
             for g in p.generators:
                 if g not in self.generators:
@@ -141,18 +143,21 @@ class GroupPresentation:
                     raise EvaluationError(f"declared abelian peripheral {p.name} does not commute")
 
     def power(self, name: str, exp: int) -> Matrix:
-        key = (name, exp)
-        if key in self._powers:
-            return self._powers[key]
+        """g^exp for the generator g, built as g^(n-1) @ g^(+-1) from the
+        largest cached power of the same sign, so it is the product of
+        |exp| left-to-right factors whichever powers came first."""
         if name not in self.generators:
             raise EvaluationError(f"unknown generator {name}")
         if exp == 0:
             return self._cache[()]
-        base = self.generators[name] if exp > 0 else self.generators[name].inv()
-        out = base
-        for _ in range(abs(exp) - 1):
+        step, n = (1 if exp > 0 else -1), exp
+        while (name, n) not in self._powers:
+            n -= step
+        out, base = self._powers[(name, n)], self._powers[(name, step)]
+        while n != exp:
+            n += step
             out = out @ base
-        self._powers[key] = out
+            self._powers[(name, n)] = out
         return out
 
     def evaluate(self, word: Word) -> Matrix:

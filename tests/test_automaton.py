@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import flagdyn.automaton as automaton
 import flagdyn.systems as systems
 from flagdyn.automaton import (
     Certificate,
@@ -172,14 +173,34 @@ def test_tail_failure_describes_itself():
     assert cert.first_failure().describe() == "tail p"
 
 
-def test_probe_diagonalizable_path_stays_stable(jordan_setup):
+def _count_verify_calls(monkeypatch):
+    """Record every certificate the probe computes."""
+    certs = []
+    verify = automaton.verify_compatibility
+
+    def counted(*args, **kwargs):
+        certs.append(verify(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(automaton, "verify_compatibility", counted)
+    return certs
+
+
+def test_probe_diagonalizable_path_stays_stable(jordan_setup, monkeypatch):
     graph, system, kwargs = jordan_setup
     fam = lambda t: jordan_presentation(t, "diagonalizable")
-    results, first_fail = peripheral_stability_probe(
-        fam, graph, system, systems.JORDAN_STABLE_GRID, **kwargs
-    )
+    certs = _count_verify_calls(monkeypatch)
+    grid = systems.JORDAN_STABLE_GRID
+    results, first_fail = peripheral_stability_probe(fam, graph, system, grid, **kwargs)
     assert first_fail is None
     assert all(cert.ok for _, cert in results)
+    # the grid value 0.0 reuses the base certificate
+    assert grid[0] == 0.0 and len(certs) == len(grid)
+    assert results[0][1] is certs[0]
+    # a grid without 0.0 still certifies the base first
+    del certs[:]
+    results, _ = peripheral_stability_probe(fam, graph, system, [0.01], **kwargs)
+    assert len(certs) == 2 and results[0][1] is certs[1]
 
 
 def test_probe_split_path_fails(jordan_setup):
@@ -192,11 +213,14 @@ def test_probe_split_path_fails(jordan_setup):
     assert results[0][1].ok  # t = 0 passes
 
 
-def test_probe_base_fails_raises(jordan_setup):
+def test_probe_base_fails_raises(jordan_setup, monkeypatch):
     graph, system, kwargs = jordan_setup
     fam = lambda t: jordan_presentation(t, "split", k=1)  # power 1 cannot certify
-    with pytest.raises(BaseFails):
-        peripheral_stability_probe(fam, graph, system, [0.0, 0.1], **kwargs)
+    certs = _count_verify_calls(monkeypatch)
+    for grid in ([0.0, 0.1], [0.1]):
+        with pytest.raises(BaseFails):
+            peripheral_stability_probe(fam, graph, system, grid, **kwargs)
+    assert len(certs) == 2
 
 
 def test_parabolic_enumeration_order():

@@ -145,8 +145,9 @@ def test_config_hash_embedded(tmp_path):
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"dimension": 2, "graph": {"vertices": [], "edges": [["x", "y"]]}})
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"dimension": 2, "tolerances": {"convergence": -1}})
+    for bad_tol in (-1, 0, True, "1e-6", None):
+        with pytest.raises(ConfigError, match="tolerances.convergence"):
+            RunConfig.from_dict({"dimension": 2, "tolerances": {"convergence": bad_tol}})
     with pytest.raises(ConfigError, match="unknown budgets keys: boundary_sample"):
         RunConfig.from_dict({"dimension": 2, "budgets": {"boundary_sample": 10}})
     with pytest.raises(ConfigError, match="unknown tolerances keys: incidence"):
@@ -381,6 +382,7 @@ def test_missing_domain_key_is_config_error(tmp_path, capsys, name, vertex, key)
     ("single_loop.json", "certify", _set("seeds", "master", -1)),
     ("single_loop.json", "certify", _set("budgets", "path_count", 0)),
     ("single_loop.json", "rates", _set("rates", "depth", 1)),
+    ("schottky.json", "limitset", _set("tolerances", {"convergence": True})),
 ])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, name, command, edit):
     raw = json.loads((CONFIGS / name).read_text())

@@ -15,6 +15,7 @@ from flagdyn.projgeom import (
     chart_point,
     cross_ratio,
     fubini_study,
+    fubini_study_many,
     opposition_margin,
 )
 
@@ -178,3 +179,32 @@ def test_fubini_study_triangle_inequality(seed):
     d = int(rng.integers(2, 6))
     a, b, c = (rand_point(rng, d) for _ in range(3))
     assert fubini_study(a, c) <= fubini_study(a, b) + fubini_study(b, c) + 1e-12
+
+
+def _all_pairs_fs(a, b):
+    """All pairwise FS distances: the reference the reductions must match bit for bit."""
+    dots = np.clip(np.abs(a @ b.T), 0.0, 1.0)
+    return np.arctan2(np.sqrt(np.clip(1.0 - dots * dots, 0.0, None)), dots)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_fubini_study_many_reductions_match_all_pairs(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(60, d))
+    # rows at dots near 1 (tiny rotations, a duplicate) and near 0 (a
+    # near-orthogonal partner) of the first row
+    e = np.zeros(d)
+    e[1] = 1.0
+    a[1] = a[0] + 1e-8 * e
+    a[2] = a[0]
+    a[3] = e - (e @ a[0]) / (a[0] @ a[0]) * a[0] + 1e-9 * a[0]
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = np.vstack([a[:20], rng.normal(size=(40, d))])
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    for x, y in ((a, b), (a, a), (a[3:4], a[:1]), (a[:2], a[:2])):
+        full = _all_pairs_fs(x, y)
+        assert fubini_study_many(x, y) == np.min(full)
+        assert fubini_study_many(x, y, farthest=True) == np.max(full)
+        assert np.array_equal(fubini_study_many(x, y, axis=1), np.min(full, axis=1))
+        assert np.array_equal(fubini_study_many(x, y, farthest=True, axis=1),
+                              np.max(full, axis=1))

@@ -124,3 +124,39 @@ def test_evaluate_keeps_exactness_of_exact_generators():
                                                  "h": Matrix([[2.0, 0.0], [0.0, 0.5]])})
     assert mixed.evaluate(parse_word("t")).exact is None
     assert np.allclose(mixed.evaluate(parse_word("t")).arr, [[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("gen", [
+    Matrix([[1.5, 0.3], [0.2, 0.7]]),
+    Matrix([[2, 1], [1, 1]]),
+], ids=["float", "exact"])
+def test_power_is_the_left_to_right_product(gen, monkeypatch):
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    rho = GroupPresentation(dim=2, generators={"g": gen})
+    del products[:]
+    n = 40
+    # mixed order: some exponents find a smaller cached power to extend
+    exps = [7, -3] + list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
+    got = {e: rho.power("g", e) for e in exps}
+    assert len(products) == 2 * (n - 1)
+    monkeypatch.setattr(Matrix, "__matmul__", matmul)
+    for e in exps:
+        base = gen if e > 0 else gen.inv()
+        want = base
+        for _ in range(abs(e) - 1):
+            want = want @ base
+        assert np.array_equal(got[e].arr, want.arr)
+        assert got[e].exact == want.exact
+
+
+def test_power_of_large_exponent_is_iterative():
+    rho = GroupPresentation(dim=2, generators={"t": Matrix([[1, 1], [0, 1]])})
+    assert rho.power("t", 5000).exact == ((1, 5000), (0, 1))
+    assert rho.power("t", -5000).exact == ((1, -5000), (0, 1))
