@@ -33,9 +33,6 @@ from .words import GroupPresentation, Word, concat, word_str
 class Singleton:
     word: Word
 
-    def describe(self):
-        return f"singleton {word_str(self.word)}"
-
 
 @dataclass(frozen=True)
 class ParabolicFamily:
@@ -43,12 +40,6 @@ class ParabolicFamily:
     peripheral: str
     exclude_below: int = 1
     excluded: tuple = ()
-
-    def describe(self):
-        return (
-            f"coset {word_str(self.coset_word)} * <{self.peripheral}> "
-            f"(powers >= {self.exclude_below})"
-        )
 
 
 @dataclass
@@ -72,7 +63,7 @@ class GammaGraph:
             raise ValueError(f"vertices with no outgoing edge: {dead}")
 
     def validate_labels(self, rho: GroupPresentation):
-        """Singletons must be nonidentity; enumerations duplicate-free.
+        """Singletons must be nonidentity; enumerations nonempty, duplicate-free.
 
         Matrix-level duplicates are checked on a short prefix only: large
         powers of a parabolic converge projectively, so float keys of
@@ -94,6 +85,8 @@ class GammaGraph:
                             f"{word_str(seen[k])} == {word_str(w)}"
                         )
                     seen[k] = w
+                if not seen:
+                    raise EvaluationError(f"vertex {vid} is labeled by no element")
 
 
 def elements_of(label, rho: GroupPresentation, cap=None):
@@ -122,13 +115,13 @@ class CompatibleSystem:
             raise MissingDomain(f"no domain assigned to vertex {v}")
         return self.domains[v]
 
-    def min_pairwise_gap(self, n=128, seed=0):
-        """Smallest FS gap between distinct assigned domains (sampled; exact arcs)."""
+    def min_pairwise_gap(self):
+        """Smallest FS gap between distinct assigned domains (``pair_gap``)."""
         doms = list(self.domains.values())
         best = math.inf
         for i in range(len(doms)):
             for j in range(i + 1, len(doms)):
-                best = min(best, pair_gap(doms[i], doms[j], n, n, seed))
+                best = min(best, pair_gap(doms[i], doms[j], 128, 128, 0))
         return best
 
 
@@ -259,11 +252,6 @@ class Certificate:
         }
 
 
-def _accumulate(margin_map, diam_map, idx, margin, diam):
-    margin_map[idx] = min(margin_map.get(idx, math.inf), margin)
-    diam_map[idx] = max(diam_map.get(idx, -math.inf), diam)
-
-
 def _neighborhood_samples(dom: ProperDomain, eps: float, n_boundary: int,
                           n_interior: int, seed: int):
     """Sample points of N(U, eps): interior, boundary, and pushed boundary."""
@@ -297,74 +285,38 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     """Check alpha * N(U_w, eps) inside U_v for every edge and element.
 
     Exact interval arithmetic on the projective line; sampled containment
-    with positive-margin requirement otherwise. Cofinite labels get a
-    monotone-tail disclosure.
+    with positive-margin requirement otherwise. Each vertex label is
+    enumerated and evaluated once. Cofinite labels get a monotone-tail
+    disclosure.
     """
     graph.validate_labels(rho)
     domains = {v: system.domain(v) for v in graph.vertices}
     arcs = {v: dom.arc() for v, dom in domains.items() if _is_arc(dom)}
+    words = {v: elements_of(label, rho, cap=element_cap)
+             for v, label in graph.vertices.items()}
+    mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
     eps = system.epsilon
 
     records = []
-    # per vertex, per enumeration index: worst margin / largest image diameter
-    # across outgoing edges, so tail trends follow the declared enumeration
-    per_element_margin = {v: {} for v in graph.vertices}
-    per_element_diam = {v: {} for v in graph.vertices}
-
+    # per family vertex: (margins, sizes) of each outgoing edge, by element
+    family = {v: [] for v, label in graph.vertices.items()
+              if isinstance(label, ParabolicFamily)}
     for edge in graph.edges:
         v, w = edge
-        U_v, U_w = domains[v], domains[w]
-        words = elements_of(graph.vertices[v], rho, cap=element_cap)
         if v in arcs and w in arcs:
-            target, home = arcs[w].expand(eps), arcs[v]
-            mats = np.reshape([rho.evaluate(word).arr for word in words], (-1, 2, 2))
-            centers, radii = circle.mobius_arcs(mats, target.center, target.radius)
-            margins = home.radius - (circle.angle_dists(home.center, centers) + radii)
-            for i, (word, margin, radius) in enumerate(zip(words, margins.tolist(),
-                                                           radii.tolist())):
-                records.append(EdgeRecord(edge, word, margin, margin > 0, 2, True))
-                _accumulate(per_element_margin[v], per_element_diam[v], i, margin, radius)
+            margins, sizes = _arc_edge(arcs[v], arcs[w].expand(eps), mats[v])
+            n_samples, exact = 2, True
         else:
-            pts = _neighborhood_samples(U_w, eps, n_boundary, n_interior, seed)
-            bnd = U_v.boundary_points(max(n_boundary, 128), seed + 1)
-            for i, word in enumerate(words):
-                m = rho.evaluate(word)
-                img = act_many(m, pts)
-                margin = _containment_margin(U_v, img, bnd)
-                records.append(
-                    EdgeRecord(edge, word, margin, margin > 0, pts.shape[0], False)
-                )
-                diam = float(fubini_study_many(img, img, farthest=True))
-                _accumulate(per_element_margin[v], per_element_diam[v], i, margin, diam)
+            pts = _neighborhood_samples(domains[w], eps, n_boundary, n_interior, seed)
+            bnd = domains[v].boundary_points(max(n_boundary, 128), seed + 1)
+            margins, sizes = _sampled_edge(domains[v], pts, bnd, mats[v])
+            n_samples, exact = pts.shape[0], False
+        records.extend(EdgeRecord(edge, word, m, m > 0, n_samples, exact)
+                       for word, m in zip(words[v], margins.tolist()))
+        if v in family:
+            family[v].append((margins, sizes))
 
-    tails = []
-    for v, label in graph.vertices.items():
-        if isinstance(label, Singleton):
-            continue
-        # aggregate enumeration indices into shells (a cyclic family emits
-        # +n, -n per shell) so trends follow the declared power ordering
-        group = 2 if len(rho.peripheral(label.peripheral).generators) == 1 else 1
-        idxs = sorted(per_element_margin[v])
-        margins, diams = [], []
-        for i in idxs:
-            s = i // group
-            if s == len(margins):
-                margins.append(per_element_margin[v][i])
-                diams.append(per_element_diam[v][i])
-            else:
-                margins[s] = min(margins[s], per_element_margin[v][i])
-                diams[s] = max(diams[s], per_element_diam[v][i])
-        q = max(2, len(margins) // 4)
-        tail_m, tail_d = margins[-q:], diams[-q:]
-        # slack absorbs sampling wobble once the trend has saturated
-        margins_ok = all(
-            b >= a - 1e-6 - 0.01 * abs(a) for a, b in zip(tail_m, tail_m[1:])
-        )
-        diams_ok = all(
-            b <= a + 1e-6 + 0.01 * abs(a) for a, b in zip(tail_d, tail_d[1:])
-        )
-        tails.append(TailDisclosure(v, margins_ok, diams_ok, len(idxs)))
-
+    tails = [_tail(v, graph.vertices[v], edges, rho) for v, edges in family.items()]
     return Certificate(
         records=records,
         tails=tails,
@@ -379,25 +331,60 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     )
 
 
+def _arc_edge(home, target, mats):
+    """Exact margins and image radii of the elements' images of ``target``."""
+    arrs = np.reshape([m.arr for m in mats], (-1, 2, 2))
+    centers, radii = circle.mobius_arcs(arrs, target.center, target.radius)
+    return home.radius - (circle.angle_dists(home.center, centers) + radii), radii
+
+
+def _sampled_edge(home, pts, bnd, mats):
+    """Sampled margins in ``home`` and FS diameters of the elements' images
+    of the point cloud ``pts``, one image at a time."""
+    margins, sizes = np.empty(len(mats)), np.empty(len(mats))
+    for i, m in enumerate(mats):
+        img = act_many(m, pts)
+        margins[i] = _containment_margin(home, img, bnd)
+        sizes[i] = fubini_study_many(img, img, farthest=True)
+    return margins, sizes
+
+
+def _tail(v, label, edges, rho):
+    """Monotone-trend disclosure from the per-element (margins, sizes) of
+    each outgoing edge: worst case over edges, then over shells."""
+    margins = np.min([m for m, _ in edges], axis=0)
+    sizes = np.max([s for _, s in edges], axis=0)
+    # a cyclic family emits +n, -n per shell, so trends follow the
+    # declared power ordering
+    group = 2 if len(rho.peripheral(label.peripheral).generators) == 1 else 1
+    shells = np.arange(0, len(margins), group)
+    margins = np.minimum.reduceat(margins, shells)
+    sizes = np.maximum.reduceat(sizes, shells)
+    q = max(2, len(margins) // 4)
+    tail_m, tail_d = margins[-q:], sizes[-q:]
+    # slack absorbs sampling wobble once the trend has saturated
+    a, b = tail_m[:-1], tail_m[1:]
+    margins_ok = bool(np.all(b >= a - 1e-6 - 0.01 * np.abs(a)))
+    a, b = tail_d[:-1], tail_d[1:]
+    diams_ok = bool(np.all(b <= a + 1e-6 + 0.01 * np.abs(a)))
+    return TailDisclosure(v, margins_ok, diams_ok, len(edges[0][0]))
+
+
 def check_divergence(graph: GammaGraph, system: CompatibleSystem,
-                     rho: GroupPresentation, *, n_samples: int = 128,
-                     element_cap: int = 8, seed: int = 0) -> list:
+                     rho: GroupPresentation, *, seed: int = 0) -> list:
     """Witness proper inclusion: a point of U_v outside alpha * closure(U_w).
 
     Equivalently the witness pulls back outside the closure of U_w under
-    alpha^-1. Inconclusive searches are reported, not raised.
+    alpha^-1. Searches the first 8 elements of each label with 128 samples
+    per domain; inconclusive searches are reported, not raised.
     """
     out = []
     for edge in graph.edges:
         v, w = edge
         U_v, U_w = system.domain(v), system.domain(w)
-        words = elements_of(graph.vertices[v], rho, cap=element_cap)
-        probes = np.vstack(
-            [U_v.interior_points(n_samples, seed), U_v.boundary_points(n_samples, seed)]
-        )
-        closure_w = np.vstack(
-            [U_w.boundary_points(n_samples, seed), U_w.interior_points(n_samples, seed)]
-        )
+        words = elements_of(graph.vertices[v], rho, cap=8)
+        probes = np.vstack([U_v.interior_points(128, seed), U_v.boundary_points(128, seed)])
+        closure_w = np.vstack([U_w.boundary_points(128, seed), U_w.interior_points(128, seed)])
         arc_w = U_w.arc() if _is_arc(U_w) else None
         for word in words:
             m = rho.evaluate(word)

@@ -92,6 +92,11 @@ def _epsilon(value):
     return eps
 
 
+def _truncation(peripheral):
+    return number(peripheral.get("truncation", 40),
+                  f"peripheral {peripheral['name']} truncation", int)
+
+
 def _vector(value, what, n):
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
@@ -261,8 +266,7 @@ class RunConfig:
             Peripheral(
                 name=p["name"],
                 generators=list(p["generators"]),
-                truncation=number(p.get("truncation", 40),
-                                  f"peripheral {p['name']} truncation", int),
+                truncation=_truncation(p),
                 abelian=bool(p.get("abelian", True)),
                 parabolic_point=p.get("parabolic_point"),
             )
@@ -278,13 +282,17 @@ class RunConfig:
         vertices = {}
         for v in g.get("vertices", []):
             if v.get("type") == "parabolic":
-                vertices[v["id"]] = ParabolicFamily(
+                label = vertices[v["id"]] = ParabolicFamily(
                     coset_word=parse_word(v.get("coset_word", "")),
                     peripheral=v["peripheral"],
                     exclude_below=number(v.get("min_power", 1),
                                          f"vertex {v['id']} min_power", int),
                     excluded=tuple(parse_word(w) for w in v.get("excluded", [])),
                 )
+                p = next(p for p in self.raw["peripherals"] if p["name"] == v["peripheral"])
+                if max(1, label.exclude_below) > _truncation(p):
+                    raise ConfigError(f"vertex {v['id']} min_power exceeds its peripheral "
+                                      "truncation, so the label has no element")
             else:
                 vertices[v["id"]] = Singleton(parse_word(v["word"]))
         eps = g.get("epsilon", "auto")

@@ -93,25 +93,23 @@ def _check_certified(paths, certificate):
 
 
 def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSystem,
-                      depth: int | None = None, certificate=None, k: int = 1,
-                      sample_budget: int = 32, seed: int = 0,
+                      depth: int | None = None, certificate=None,
                       convergence_tol: float = 1e-9) -> PathResult:
     """``contracting_limits`` of one path."""
     return contracting_limits([path], rho, system, depth=depth, certificate=certificate,
-                              k=k, sample_budget=sample_budget, seed=seed,
                               convergence_tol=convergence_tol)[0]
 
 
 def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
-                       depth: int | None = None, certificate=None, k: int = 1,
-                       sample_budget: int = 32, seed: int = 0,
+                       depth: int | None = None, certificate=None,
                        convergence_tol: float = 1e-9) -> list:
     """Nested-image limits of certified paths with per-depth diagnostics.
 
     Each path runs to ``min(depth, path.depth)``. The limit is approximated
     by the prefix image of the next vertex domain's center (guaranteed
     interior). Diameters are measured in the metric of the path's first
-    vertex domain; gaps are the top singular gaps of the prefix products.
+    vertex domain; gaps are the top singular gaps sigma1/sigma2 of the
+    prefix products, since the limit is a point of P(R^d).
 
     Paths of one depth and one branch (exact arcs on RP^1, or sampled
     images) are pushed together, depth n of every path in one step, with
@@ -135,13 +133,13 @@ def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
     results = [None] * len(paths)
     for (n, rp1), idx in groups.items():
         batch = [paths[i] for i in idx]
-        prefix = PrefixProduct(rho.dim, k, len(batch))
+        prefix = PrefixProduct(rho.dim, 1, len(batch))
         factors = [[mats[p.words[j]] for p in batch] for j in range(n)]
         verts = [p.vertices[:n + 1] for p in batch]
         if rp1:
             out = _rp1_limits(prefix, factors, verts, system)
         else:
-            out = _sampled_limits(prefix, factors, verts, system, sample_budget, seed)
+            out = _sampled_limits(prefix, factors, verts, system)
         for i, p, (limit, diams, gaps, rbound) in zip(idx, batch, out):
             results[i] = PathResult(path=p, limit=limit, diameters=diams, gaps=gaps,
                                     radius_bound=rbound, converged=rbound < convergence_tol)
@@ -184,10 +182,10 @@ def _rp1_limits(prefix, factors, verts, system):
     return _per_path(limit_img[:, 0], diameters, gaps, rbound)
 
 
-def _sampled_limits(prefix, factors, verts, system, sample_budget, seed):
-    """Sampled branch: images of each target domain's samples, drawn once
-    per vertex; diameters from ``zimmer_metrics`` of every third sample
-    against the center image.
+def _sampled_limits(prefix, factors, verts, system):
+    """Sampled branch: images of each target domain's samples (32 boundary,
+    16 interior and the center, seed 0), drawn once per vertex; diameters
+    from ``zimmer_metrics`` of every third sample against the center image.
 
     Returns (limit, diameters, gaps, radius bound) per path.
     """
@@ -205,8 +203,8 @@ def _sampled_limits(prefix, factors, verts, system, sample_budget, seed):
             if target not in samples:
                 U = system.domain(target)
                 samples[target] = np.vstack([
-                    U.boundary_points(sample_budget, seed),
-                    U.interior_points(sample_budget // 2, seed),
+                    U.boundary_points(32, 0),
+                    U.interior_points(16, 0),
                     U.center_point().coords[None, :],
                 ])
             img, _ = prefix.apply(samples[target], rows)
@@ -235,12 +233,12 @@ def _det2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98,
-                 min_depths: int = 5) -> RateReport:
+def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98) -> RateReport:
     """Least-squares exponential envelope of the recorded diameters.
 
     lambda2 is minus the fitted slope of log diameter versus depth;
-    lambda1 is inflated so the bound dominates every data point.
+    lambda1 is inflated so the bound dominates every data point. The fit
+    needs at least 5 distinct depths.
     """
     xs, ys = [], []
     for r in results:
@@ -250,8 +248,8 @@ def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98,
             if 0.0 < d < math.inf:
                 xs.append(float(n))
                 ys.append(math.log(d))
-    if len(set(xs)) < min_depths:
-        raise InsufficientData(f"need at least {min_depths} depths, got {len(set(xs))}")
+    if len(set(xs)) < 5:
+        raise InsufficientData(f"need at least 5 depths, got {len(set(xs))}")
     x = np.array(xs)
     y = np.array(ys)
     slope, intercept = np.polyfit(x, y, 1)

@@ -161,14 +161,13 @@ class GroupPresentation:
         return out
 
     def evaluate(self, word: Word) -> Matrix:
-        word = normalize_word(word)
-        if word in self._cache:
-            return self._cache[word]
-        prefix = word[:-1]
-        name, exp = word[-1]
-        m = self.evaluate(prefix) @ self.power(name, exp)
-        self._cache[word] = m
-        return m
+        # cache keys are normalized words, so a hit needs no normalization
+        if word not in self._cache:
+            word = normalize_word(word)
+            if word not in self._cache:
+                name, exp = word[-1]
+                self._cache[word] = self.evaluate(word[:-1]) @ self.power(name, exp)
+        return self._cache[word]
 
     def peripheral(self, name: str) -> Peripheral:
         for p in self.peripherals:

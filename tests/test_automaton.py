@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flagdyn.automaton as automaton
+import flagdyn.circle as circle
 import flagdyn.systems as systems
 from flagdyn.automaton import (
     Certificate,
@@ -18,9 +19,11 @@ from flagdyn.automaton import (
     peripheral_stability_probe,
     verify_compatibility,
 )
-from flagdyn.circle import Arc, mobius_arc
+from flagdyn.circle import Arc, mobius_arc, vec_of
+from flagdyn.domains import ConvexPolytope
 from flagdyn.errors import BaseFails, EvaluationError, MissingDomain
 from flagdyn.linalg import Matrix
+from flagdyn.projgeom import ProjHyperplane, act_many, fubini_study_many
 from flagdyn.systems import (
     arc_ball,
     jordan_graph,
@@ -278,3 +281,130 @@ def test_certificate_to_dict(schottky):
     assert d["verdict"] == "pass"
     assert len(d["records"]) == len(graph.edges)
     assert all("margin" in r for r in d["records"])
+
+
+# --- one label enumeration per vertex ----------------------------------------------
+
+
+def _reference_certificate(graph, system, rho, *, n_boundary, n_interior, element_cap,
+                           seed=0):
+    """Records and tails from a per-edge loop: each edge enumerates and
+    evaluates its source label itself and folds every element into
+    per-index worst cases, shell by shell."""
+    eps = system.epsilon
+    records, worst_margin, worst_size = [], {}, {}
+    for v, w in graph.edges:
+        home, target = system.domain(v), system.domain(w)
+        for i, word in enumerate(elements_of(graph.vertices[v], rho, cap=element_cap)):
+            m = rho.evaluate(word)
+            if automaton._is_arc(home) and automaton._is_arc(target):
+                t, h = target.arc().expand(eps), home.arc()
+                img = mobius_arc(m.arr, t)
+                margin = h.radius - (circle.angle_dist(h.center, img.center) + img.radius)
+                size, n_samples, exact = img.radius, 2, True
+            else:
+                pts = automaton._neighborhood_samples(target, eps, n_boundary, n_interior,
+                                                      seed)
+                bnd = home.boundary_points(max(n_boundary, 128), seed + 1)
+                img = act_many(m, pts)
+                margin = automaton._containment_margin(home, img, bnd)
+                size = float(fubini_study_many(img, img, farthest=True))
+                n_samples, exact = pts.shape[0], False
+            records.append((v, w, word, margin, margin > 0, n_samples, exact))
+            key = (v, i)
+            worst_margin[key] = min(worst_margin.get(key, math.inf), margin)
+            worst_size[key] = max(worst_size.get(key, -math.inf), size)
+    tails = []
+    for v, label in graph.vertices.items():
+        if isinstance(label, Singleton):
+            continue
+        group = 2 if len(rho.peripheral(label.peripheral).generators) == 1 else 1
+        n = sum(1 for u, _ in worst_margin if u == v)
+        shells = [range(s, min(s + group, n)) for s in range(0, n, group)]
+        margins = [min(worst_margin[v, i] for i in s) for s in shells]
+        sizes = [max(worst_size[v, i] for i in s) for s in shells]
+        q = max(2, len(margins) // 4)
+        tm, td = margins[-q:], sizes[-q:]
+        tails.append((
+            v,
+            all(b >= a - 1e-6 - 0.01 * abs(a) for a, b in zip(tm, tm[1:])),
+            all(b <= a + 1e-6 + 0.01 * abs(a) for a, b in zip(td, td[1:])),
+            n,
+        ))
+    return records, tails
+
+
+def _modular_family():
+    """RP^1: a parabolic family with an exact and a sampled out-edge."""
+    rho = GroupPresentation(
+        dim=2, generators={"t": Matrix([[1, 1], [0, 1]]), "s": Matrix([[0, -1], [1, 0]])},
+        peripherals=[Peripheral("pt", ["t"], truncation=12)],
+    )
+    vertices = {"p": ParabolicFamily((), "pt"), "x": Singleton(parse_word("s")),
+                "y": Singleton(parse_word("s t"))}
+    edges = [("p", "x"), ("p", "y"), ("x", "p"), ("y", "p")]
+    domains = {"p": arc_ball(0.0, 0.4), "x": arc_ball(1.2, 0.3),
+               "y": ConvexPolytope(ProjHyperplane(vec_of(2.2)), [[-0.3], [0.3]])}
+    return rho, GammaGraph(vertices, edges, 0.02), CompatibleSystem(domains, 0.02)
+
+
+def _jordan_case(edges):
+    graph = jordan_graph()
+    graph = GammaGraph(graph.vertices, edges, graph.epsilon)
+    return jordan_presentation(), graph, jordan_system()
+
+
+@pytest.mark.parametrize("case, element_cap", [
+    # odd cap: the last +n/-n shell holds one element
+    (lambda: _jordan_case([("va", "vb"), ("vb", "va")]), 7),
+    (lambda: _jordan_case([("va", "vb"), ("va", "vb"), ("vb", "va")]), 6),
+    (_modular_family, 9),
+], ids=["odd-cap", "duplicated-edge", "family-with-two-out-edges"])
+def test_records_and_tails_match_per_edge_reference(case, element_cap):
+    rho, graph, system = case()
+    budgets = dict(n_boundary=16, n_interior=8, element_cap=element_cap)
+    cert = verify_compatibility(graph, system, rho, **budgets)
+    records, tails = _reference_certificate(graph, system, rho, **budgets)
+    assert [(*r.edge, r.word, r.margin, r.ok, r.n_samples, r.exact)
+            for r in cert.records] == records
+    assert [(t.vertex, t.margins_nondecreasing, t.diameters_nonincreasing, t.checked)
+            for t in cert.tails] == tails
+    assert all(type(r.margin) is float and type(r.ok) is bool for r in cert.records)
+    assert all(type(t.margins_nondecreasing) is bool for t in cert.tails)
+
+
+def test_each_label_enumerated_once_per_vertex(schottky, monkeypatch):
+    rho, graph, system = schottky
+    caps = []
+
+    def counted(label, rho, cap=None):
+        caps.append(cap)
+        return elements_of(label, rho, cap=cap)
+
+    monkeypatch.setattr(automaton, "elements_of", counted)
+    verify_compatibility(graph, system, rho, element_cap=5)
+    assert len(graph.edges) > len(graph.vertices)
+    assert caps.count(5) == len(graph.vertices)
+
+
+def test_order_two_peripheral_generator_is_a_duplicate():
+    # t = t^-1 in PGL(2), so the enumeration t, t^-1 repeats an element
+    rho = GroupPresentation(dim=2, generators={"t": Matrix([[0, 1], [1, 0]])},
+                            peripherals=[Peripheral("pt", ["t"], truncation=3)])
+    graph = GammaGraph({"p": ParabolicFamily((), "pt")}, [("p", "p")], 0.02)
+    system = CompatibleSystem({"p": arc_ball(0.0, 0.3)}, 0.02)
+    with pytest.raises(EvaluationError, match="duplicate element in enumeration of p"):
+        verify_compatibility(graph, system, rho)
+
+
+@pytest.mark.parametrize("label", [
+    ParabolicFamily((), "pa", exclude_below=17),
+    ParabolicFamily((), "pa", exclude_below=16,
+                    excluded=(parse_word("alpha^16"), parse_word("alpha^-16"))),
+], ids=["min-power-above-truncation", "all-excluded"])
+def test_empty_label_is_an_error(label):
+    rho = jordan_presentation(truncation=16)
+    graph = jordan_graph()
+    graph = GammaGraph({**graph.vertices, "va": label}, graph.edges, graph.epsilon)
+    with pytest.raises(EvaluationError, match="vertex va is labeled by no element"):
+        verify_compatibility(graph, jordan_system(), rho)

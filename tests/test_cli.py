@@ -383,6 +383,14 @@ def test_missing_domain_key_is_config_error(tmp_path, capsys, name, vertex, key)
     ("single_loop.json", "certify", _set("budgets", "path_count", 0)),
     ("single_loop.json", "rates", _set("rates", "depth", 1)),
     ("schottky.json", "limitset", _set("tolerances", {"convergence": True})),
+    # min_power above the peripheral truncation (16) leaves the label empty
+    pytest.param("jordan_diag.json", "certify",
+                 _set("graph", "vertices", 0, "min_power", 100), id="empty-label-certify"),
+    pytest.param("jordan_diag.json", "probe",
+                 _set("graph", "vertices", 0, "min_power", 100), id="empty-label-probe"),
+    pytest.param("jordan_diag.json", "certify",
+                 lambda raw: [v.update(min_power=100) for v in raw["graph"]["vertices"]],
+                 id="empty-labels-certify"),
 ])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, name, command, edit):
     raw = json.loads((CONFIGS / name).read_text())

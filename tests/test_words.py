@@ -160,3 +160,19 @@ def test_power_of_large_exponent_is_iterative():
     rho = GroupPresentation(dim=2, generators={"t": Matrix([[1, 1], [0, 1]])})
     assert rho.power("t", 5000).exact == ((1, 5000), (0, 1))
     assert rho.power("t", -5000).exact == ((1, -5000), (0, 1))
+
+
+def test_cache_hit_skips_normalization(free2, monkeypatch):
+    import flagdyn.words as words
+
+    w = parse_word("a b a^-1")
+    m = free2.evaluate(w)
+    calls = []
+    normalize = words.normalize_word
+    monkeypatch.setattr(words, "normalize_word",
+                        lambda word: calls.append(word) or normalize(word))
+    assert free2.evaluate(w) is m
+    assert calls == []
+    # a word that is not normal form misses, is normalized once and hits
+    assert free2.evaluate((("a", 1), ("b", 1), ("b", 0), ("a", -1))) is m
+    assert len(calls) == 1
