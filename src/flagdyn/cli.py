@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -257,11 +258,20 @@ def cmd_synthesize(args):
     spec = cfg.raw.get("synthesis", {})
     if not isinstance(spec, dict):
         raise ConfigError("synthesis section must be an object")
-    unknown = sorted(set(spec) - {f.name for f in dataclasses.fields(SynthesisParams)})
+    defaults = {f.name: f.default for f in dataclasses.fields(SynthesisParams)}
+    unknown = sorted(set(spec) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown synthesis keys: {', '.join(unknown)}")
+    values = {}
+    for key, value in spec.items():
+        # integer fields take integers >= 0; epsilon and delta positive numbers
+        kind = type(defaults[key])
+        values[key] = number(value, f"synthesis.{key}", kind)
+        if values[key] < 0 or (kind is float and values[key] == 0):
+            sign = "positive" if kind is float else "nonnegative"
+            raise ConfigError(f"synthesis.{key} must be {sign}, got {value!r}")
     rho = cfg.presentation()
-    params = SynthesisParams(**spec)
+    params = SynthesisParams(**values)
     res = synthesize_rp1(rho, params)
     cert = verify_compatibility(
         res.graph, res.system, rho,
@@ -369,7 +379,9 @@ def cmd_hilbert(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="flagdyn",
         description="certify ping-pong dynamics of matrix groups on projective spaces",

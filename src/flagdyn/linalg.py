@@ -155,6 +155,21 @@ class Matrix:
         if flipped and d % 2:
             self.det_sign = -self.det_sign
 
+    @staticmethod
+    def floats_of_exact(rows, d):
+        """``arr`` of each canonical exact element, given as the rows (n, d*d)
+        of its entries: the steps of ``_set_floats`` on a stack, bit for bit
+        (LAPACK per matrix, ``math`` log and exp per row)."""
+        a = rows.astype(float).reshape(-1, d, d)
+        supnorm = np.abs(a).max(axis=(1, 2))
+        sign, logdet = np.linalg.slogdet(a / supnorm[:, None, None])
+        if (sign == 0).any() or (logdet < -690.0).any():
+            raise SingularInput("matrix determinant underflows")
+        a = a * mathmap(math.exp, -(logdet / d + mathmap(math.log, supnorm)))[:, None, None]
+        flat = a.reshape(len(a), -1)
+        flip = flat[np.arange(len(a)), np.argmax(np.abs(flat), axis=1)] < 0
+        return np.where(flip[:, None, None], -a, a)
+
     @classmethod
     def identity(cls, d):
         return cls(np.eye(d))

@@ -21,12 +21,18 @@ dimension-2 presentation acting on the circle, from first principles:
   a vertex, until the circle is covered;
 * edges follow the pullback-intersection rule.
 
+The syllable words u t^a v are enumerated once per run, as one table of
+element keys (``_Syllables``, exact products by batched matmul for an
+integral presentation), with two readers: the coset candidates and the
+search pool, which take only the words they keep as word tuples.
+
 All interval computations are exact endpoint arithmetic, so the returned
 system passes certification by construction, with margins.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +54,7 @@ from .circle import (
     vec_of,
 )
 from .errors import SynthesisFailed
+from .linalg import Matrix
 from .systems import arc_ball
 from .words import GroupPresentation, Word, concat, word_str
 
@@ -79,14 +86,14 @@ class SynthesisResult:
     boundary_points: dict  # vertex -> angle
 
 
-def _word_ball(rho: GroupPresentation, radius: int, include_identity=False):
+def _word_ball(rho: GroupPresentation, radius: int):
     """Nonidentity elements of the generator ball, by length then lex."""
     gens = []
     for name in sorted(rho.generators):
         gens.append(((name, 1),))
         gens.append(((name, -1),))
     seen = {rho.evaluate(()).key()}
-    out = [()] if include_identity else []
+    out = []
     frontier = [()]
     for _ in range(radius):
         nxt = []
@@ -101,6 +108,41 @@ def _word_ball(rho: GroupPresentation, radius: int, include_identity=False):
                 out.append(w2)
         frontier = nxt
     return out
+
+
+class _Syllables:
+    """The words u t^a v of each peripheral generator t, u and v in the coset
+    ball and |a| <= L: ``keys[t, a + L, u, v]`` holds the ``Matrix.key``
+    entries of a word's element. An integral presentation forms them as
+    exact products by batched matmul, on Python ints past a 2^62 bound."""
+
+    def __init__(self, rho, params):
+        self.short = [()] + _word_ball(rho, params.coset_ball)
+        self.t_names = [p.generators[0] for p in rho.peripherals]
+        self.lead_powers = L = params.lead_powers
+        shape = (len(self.t_names), 2 * L + 1, len(self.short), len(self.short))
+        if any(m.exact is None for m in rho.generators.values()):
+            rows = _key_rows(rho, [self.word(*i) for i in np.ndindex(shape)])
+        else:
+            flank = np.array([rho.evaluate(w).exact for w in self.short], dtype=object)
+            lead = np.array([[rho.power(t, a).exact for a in range(-L, L + 1)]
+                             for t in self.t_names], dtype=object).reshape(shape[:2] + (2, 2))
+            if 4 * np.abs(flank).max() ** 2 * np.abs(lead).max(initial=0) < 2 ** 62:
+                flank, lead = flank.astype(np.int64), lead.astype(np.int64)
+            # canonical as in exact_canonical: divide out the gcd, first nonzero entry > 0
+            rows = (flank[:, None] @ lead[:, :, None, None] @ flank).reshape(-1, 4)
+            rows //= np.gcd.reduce(rows, axis=1)[:, None]
+            rows *= np.where(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] < 0,
+                             -1, 1)[:, None]
+        self.keys = rows.reshape(shape + (4,))
+
+    def word(self, t, a, u, v) -> Word:  # the word at keys[t, a, u, v]
+        return concat(self.short[u], ((self.t_names[t], a - self.lead_powers),), self.short[v])
+
+
+def _key_rows(rho, words):
+    """The ``Matrix.key`` entries of the words' elements, one row per word."""
+    return np.array([rho.evaluate(w).key()[2] for w in words]).reshape(-1, 4)
 
 
 def _fundamental_interval(rho: GroupPresentation, t_name: str, p_angle: float) -> Arc:
@@ -139,9 +181,10 @@ def _arc_hull_containing(arcs, anchor: float) -> Arc:
 def _parabolic_vertex(rho, t_name, coset_word, p_angle, K_p, params):
     """Tail bound and neighborhoods for one peripheral coset vertex."""
     eps, delta = params.epsilon, params.delta
-    v_hat = K_p.expand(delta)
-    w_hat = K_p.expand(2 * delta)
-    w_hat_eps = K_p.expand(2 * delta + 2 * eps)
+    try:
+        v_hat, w_hat, w_hat_eps = [K_p.expand(r) for r in (delta, 2 * delta, 2 * delta + 2 * eps)]
+    except ValueError as exc:
+        raise SynthesisFailed(f"hat neighborhoods of <{t_name}>: {exc}", p_angle) from exc
     q_angle = mobius_angle(rho.evaluate(coset_word).arr, p_angle)
     target_half = Arc(q_angle, delta / 2)
     target_eps = Arc(q_angle, eps)
@@ -242,28 +285,32 @@ class _ConicalSearcher:
     first of the whole pool.
     """
 
-    def __init__(self, rho, params):
+    def __init__(self, rho, params, syllables=None):
         self.params = params
-        pool = list(_word_ball(rho, params.word_radius))
-        seen = {rho.evaluate(w).key() for w in pool}
-        syllable = []
-        short = _word_ball(rho, params.coset_ball, include_identity=True)
-        for p in rho.peripherals:
-            t_name = p.generators[0]
-            for a in range(2, params.lead_powers + 1):
-                for sign in (1, -1):
-                    for u in short:
-                        for v in short:
-                            w2 = concat(u, ((t_name, sign * a),), v)
-                            k = rho.evaluate(w2).key()
-                            if k in seen:
-                                continue
-                            seen.add(k)
-                            syllable.append((a, len(u) + len(v), word_str(w2), w2))
-        syllable.sort(key=lambda x: x[:3])
-        pool.extend(w for _, _, _, w in syllable)
-        self.words = pool
-        self.mats = np.array([rho.evaluate(w).arr for w in self.words])
+        tab = _Syllables(rho, params) if syllables is None else syllables
+        ball = _word_ball(rho, params.word_radius)
+        # the ball's rows, then the syllables' with |a| >= 2 in the order t,
+        # |a|, a > 0 first, u, v: an element keeps its first row only
+        L = params.lead_powers
+        leads = [L + sign * a for a in range(2, L + 1) for sign in (1, -1)]
+        rows = tab.keys[:, leads].reshape(-1, 4)
+        ball_rows = _key_rows(rho, ball)
+        seen = set(map(tuple, ball_rows.tolist()))
+        firsts = np.array([i for i, row in enumerate(map(tuple, rows.tolist()))
+                           if row not in seen and not seen.add(row)], dtype=int)
+        pool = []
+        for i, t, a, u, v in zip(firsts.tolist(), *(x.tolist() for x in np.unravel_index(
+                firsts, (len(tab.t_names), len(leads)) + tab.keys.shape[2:4]))):
+            w = tab.word(t, leads[a], u, v)
+            pool.append((abs(leads[a] - L), len(tab.short[u]) + len(tab.short[v]),
+                         word_str(w), w, i))
+        pool.sort()  # distinct elements have distinct word strings
+        self.words = ball + [x[3] for x in pool]
+        if rows.dtype.kind == "f":  # the rounded floats of a non-integral presentation
+            self.mats = np.array([rho.evaluate(w).arr for w in self.words])
+        else:
+            self.mats = Matrix.floats_of_exact(
+                np.concatenate([ball_rows, rows[np.array([x[4] for x in pool], dtype=int)]]), 2)
         self.invs = _adjugates(self.mats)
         # each window as two angle intervals [lo, hi] (rows i and W + i):
         # itself, and its part past either end of [0, pi] moved by pi, or
@@ -318,10 +365,11 @@ class _ConicalSearcher:
             hits = ok[angle_dists(cwe, zs[z_of[ok]]) + rwe < p.epsilon]
             # pairs run in (z, pool) order: a z's first hit is its first in the pool
             _, firsts = np.unique(z_of[hits], return_index=True)
-            for i in hits[firsts]:
-                v_arc = mobius_arc(mats[i], Arc(float(pulls[i]), p.delta))
-                out[z_of[i]] = _Conical(self.words[word[i]], float(zs[z_of[i]]),
-                                        float(pulls[i]), v_arc, Arc(float(cw[i]), float(rw[i])))
+            hits = hits[firsts]
+            vc, vr = mobius_arcs(mats[hits], pulls[hits] % HALF_TURN, p.delta)
+            for i, c, r in zip(hits.tolist(), vc.tolist(), vr.tolist()):
+                out[z_of[i]] = _Conical(self.words[word[i]], float(zs[z_of[i]]), float(pulls[i]),
+                                        Arc(c, r), Arc(float(cw[i]), float(rw[i])))
         return out
 
 
@@ -334,7 +382,7 @@ class _Conical:
     w: Arc
 
 
-def _coset_candidates(rho, t_name, p_angle, params):
+def _coset_candidates(rho, syllables, t, p_angle):
     """Candidate coset points in peripheral-power syllable form u t^a v.
 
     Returns (angles sorted, words) for deduplicated parabolic points.
@@ -342,31 +390,42 @@ def _coset_candidates(rho, t_name, p_angle, params):
     have unbounded length), but one deep peripheral power flanked by
     short words does.
     """
-    short = _word_ball(rho, params.coset_ball, include_identity=True)
-    pts = {}
-    base = vec_of(p_angle)
-    mats_short = {w: rho.evaluate(w).arr for w in short}
-    for v in short:
-        pv = mats_short[v] @ base
-        for a in range(-params.lead_powers, params.lead_powers + 1):
-            a_word = ((t_name, a),) if a else ()
-            pa = rho.evaluate(a_word).arr @ pv if a else pv
-            for u in short:
-                full = concat(u, a_word, v)
-                vec = mats_short[u] @ pa
-                ang = float(angles(vec))
-                key = round(ang / 1e-9)
-                # keep a few least-skewed representatives per point: distinct
-                # cosets can share a parabolic point and cover different sides
-                rank = (abs(a), len(u) + len(v), word_str(full))
-                bucket = pts.setdefault(key, [])
-                wkey = rho.evaluate(full).key()
-                if any(k == wkey for _, _, _, k in bucket):
-                    continue
-                bucket.append((rank, ang, full, wkey))
-                bucket.sort()
-                del bucket[3:]
-    items = sorted((ang, full) for bucket in pts.values() for _, ang, full, _ in bucket)
+    tab, L, n = syllables, syllables.lead_powers, len(syllables.short)
+    flank = np.array([rho.evaluate(w).arr for w in tab.short])
+    lead = np.array([rho.evaluate(((tab.t_names[t], a),)).arr for a in range(-L, L + 1)])
+    # M_u (T^a (M_v p)), one 2x2-by-vector product per step as word by word,
+    # so each angle is bit-equal to its one-word computation; a = 0 skips T^0
+    pv = flank @ vec_of(p_angle)[:, None]
+    pa = lead[:, None] @ pv
+    pa[L] = pv
+    ang = angles((flank[:, None] @ pa[:, None])[..., 0]).ravel().tolist()
+    point = np.rint(np.array(ang) / 1e-9).tolist()
+    element = list(map(tuple, tab.keys[t].reshape(-1, 4).tolist()))
+    lens = np.array([len(w) for w in tab.short])
+    skew = (np.abs(np.arange(-L, L + 1))[:, None, None] * (2 * lens.max() + 1)
+            + lens[:, None] + lens).ravel().tolist()  # orders as (|a|, flank length)
+
+    @functools.cache
+    def rank(i):  # the order within one skew
+        w = tab.word(t, i // (n * n), i // n % n, i % n)
+        return word_str(w), ang[i], w
+
+    # keep a few least-skewed representatives per point: distinct cosets can
+    # share a parabolic point and cover different sides. In the order v, a,
+    # u, a word is skipped if its element is in its point's bucket at that
+    # moment (or it is past a full bucket's skews: it would be cut at once),
+    # and a bucket keeps its 3 least ranked words
+    buckets, top = {}, {}  # point -> word indices, and their greatest skew
+    for i in np.arange(len(ang)).reshape(-1, n, n).transpose(2, 0, 1).ravel().tolist():
+        bucket = buckets.setdefault(point[i], [])
+        if (len(bucket) == 3 and skew[i] > top[point[i]]
+                or element[i] in [element[j] for j in bucket]):
+            continue
+        bucket.append(i)
+        if len(bucket) > 3:
+            bucket.remove(max((j for j in bucket if skew[j] == top[point[i]]), key=rank))
+        top[point[i]] = max(skew[j] for j in bucket)
+    items = sorted(rank(i)[1:] for bucket in buckets.values() for i in bucket)
     return [x[0] for x in items], [x[1] for x in items]
 
 
@@ -383,13 +442,17 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
     if not rho.generators:
         raise SynthesisFailed("no generators: no expansion available")
     eps = params.epsilon
+    if not (eps > 0 and params.delta > 0 and 2 * (params.delta + eps) < HALF_TURN / 2):
+        raise SynthesisFailed("epsilon and delta must be positive with 2 (delta + epsilon) "
+                              "< pi/2, so every expanded pullback ball is a proper arc")
 
     # --- base parabolic vertices and coset candidate pools ------------------
     parabolic = {}
     v_hats = {}
     pools = {}
     peripherals = list(rho.peripherals)
-    for p in peripherals:
+    syllables = _Syllables(rho, params)
+    for t, p in enumerate(peripherals):
         if p.parabolic_point is None:
             raise SynthesisFailed(f"peripheral {p.name} lacks a parabolic point")
         if len(p.generators) != 1:
@@ -403,12 +466,12 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
             )
         K_p = _fundamental_interval(rho, t_name, p_angle)
         pools[p.name] = (t_name, p_angle, K_p) + tuple(
-            _coset_candidates(rho, t_name, p_angle, params)
+            _coset_candidates(rho, syllables, t, p_angle)
         )
         _materialize(rho, parabolic, v_hats, p.name, t_name, (), p_angle, K_p, params)
 
     # --- conical candidates on a grid ---------------------------------------
-    searcher = _ConicalSearcher(rho, params)
+    searcher = _ConicalSearcher(rho, params, syllables)
     grid = [z for z in np.linspace(0.0, HALF_TURN, params.grid, endpoint=False)
             if not any(pv["v"].contains_angle(z) for pv in parabolic.values())]
     conical = [c for c in searcher.candidates(grid) if c is not None]
@@ -499,15 +562,18 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
         domains[vid] = arc_ball(c.z_angle, eps)
         points[vid] = c.z_angle
 
+    # edge (v, w) when v's pullback set meets U_w: Arc.intersects, one row per v
+    ids = list(vertices)
+    centers = np.array([inner[w].center for w in ids])
+    radii = np.array([inner[w].radius for w in ids])
     edges = []
     for vid, label in vertices.items():
         if vid in parabolic:
             source_set = v_hats[vid]
         else:
             source_set = mobius_arc(_adjugates(rho.evaluate(label.word).arr), inner[vid])
-        for wid in vertices:
-            if source_set.intersects(inner[wid]):
-                edges.append((vid, wid))
+        meets = angle_dists(source_set.center, centers) <= source_set.radius + radii
+        edges.extend((vid, ids[j]) for j in np.flatnonzero(meets).tolist())
 
     # drop vertices with no outgoing edges (possible without peripherals)
     alive = {v for v, _ in edges}

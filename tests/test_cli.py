@@ -204,6 +204,51 @@ def test_unknown_synthesis_key_is_config_error(tmp_path, capsys):
     assert _config_error(["synthesize", "--config", bad, "--out", tmp_path], capsys)
 
 
+_SYNTHESIS_INTS = ["word_radius", "grid", "coset_ball", "lead_powers", "max_power",
+                   "tail_window", "max_parabolic_rounds"]
+
+
+@pytest.mark.parametrize("key, value, code", [
+    *((k, v, 2) for k in _SYNTHESIS_INTS for v in ("x", None, 2.5, True, -3, [1])),
+    *((k, v, 2) for k in ("epsilon", "delta") for v in ("x", None, True, -0.1, 0, {})),
+    # valid numbers that leave no proper pullback ball: a synthesis failure
+    ("delta", 2.5, 1), ("epsilon", 0.8, 1),
+])
+def test_bad_synthesis_value_exits_without_traceback(tmp_path, capsys, key, value, code):
+    raw = json.loads((CONFIGS / "pgl2z.json").read_text())
+    raw["synthesis"][key] = value
+    bad = tmp_path / "synth.json"
+    bad.write_text(json.dumps(raw))
+    assert run(["synthesize", "--config", bad, "--out", tmp_path]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: synthesis.{key} " if code == 2 else "error: ")
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
+    from flagdyn import cli
+
+    ap = cli.build_parser()
+    assert cli.build_parser() is ap
+    first = ap.parse_args(["limitset", "--config", "a.json", "--skip-certify", "--seed", "3"])
+    second = ap.parse_args(["certify", "--config", "b.json"])
+    assert (first.skip_certify, first.seed, first.func) == (True, 3, cli.cmd_limitset)
+    assert vars(second) == {"command": "certify", "config": "b.json", "seed": None,
+                            "out": "out", "func": cli.cmd_certify}
+    schottky = CONFIGS / "schottky.json"
+    assert run(["limitset", "--config", schottky, "--skip-certify", "--out", tmp_path / "a"]) == 0
+    assert run(["certify", "--config", schottky, "--out", tmp_path / "b"]) == 0
+    assert (tmp_path / "a" / "limit_set.csv").exists()
+    assert not (tmp_path / "b" / "limit_set.csv").exists()
+    assert (tmp_path / "b" / "certificate.json").exists()
+    capsys.readouterr()
+    assert run(["certify"]) == 2  # usage errors still exit 2, on the cached parser
+    assert run(["certify", "--skip-certify", "--config", schottky]) == 2
+    assert run(["no-such-command"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert run(["certify", "--config", schottky, "--out", tmp_path / "c"]) == 0
+
+
 @pytest.mark.parametrize("command, name, edit", [
     ("certify", "single_loop.json", lambda raw: raw["budgets"].update(pair_samples=4096)),
     ("synthesize", "pgl2z.json",

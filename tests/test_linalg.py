@@ -482,3 +482,28 @@ def test_exact_product_with_underflowing_floats_raises_when_they_are_formed():
         m.arr
     with pytest.raises(SingularInput):
         Matrix(np.array(m.exact, dtype=object))
+
+
+@pytest.mark.parametrize("d, scale", [(2, 1), (2, 10**28), (3, 1)])
+def test_floats_of_exact_match_each_matrix_bit_for_bit(d, scale):
+    # the stacked floats of canonical exact rows equal each element's own
+    # ``arr`` bit for bit, signed zeros included, on int64 and Python ints
+    rng = np.random.default_rng(d)
+    exact = []
+    while len(exact) < 300:
+        flat = [int(x) * scale + int(y) for x, y in rng.integers(-40, 41, (d * d, 2))]
+        if abs(np.linalg.det(np.reshape(flat, (d, d)).astype(float))) > 0.5:
+            exact.append(exact_canonical(flat, d))
+    want = np.array([Matrix._of_exact(e).arr for e in exact])
+    rows = np.array(exact, dtype=object).reshape(len(exact), d * d)
+    for stack in [rows] + ([rows.astype(np.int64)] if scale == 1 else []):
+        got = Matrix.floats_of_exact(stack, d)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_floats_of_exact_raise_on_an_underflowing_determinant():
+    n = 10**80
+    rows = np.array([[1, 0, 0, 1], [1 + n * n, n, n, 1]], dtype=object)
+    with pytest.raises(SingularInput):
+        Matrix.floats_of_exact(rows, 2)

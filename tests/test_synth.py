@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -6,20 +7,24 @@ import pytest
 
 from flagdyn import circle
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
-from flagdyn.circle import Arc, angle_dist, mobius_arc
+from flagdyn.circle import Arc, angle_dist, angle_of, angles, mobius_arc, vec_of
 from flagdyn.config import RunConfig
 from flagdyn.errors import SynthesisFailed
 from flagdyn.linalg import Matrix
 from flagdyn.synth import (
     _WINDOW_SLACK,
     SynthesisParams,
+    _adjugates,
     _ConicalSearcher,
+    _coset_candidates,
     _expansion_windows,
     _fundamental_interval,
+    _Syllables,
+    _word_ball,
     synthesize_rp1,
 )
 from flagdyn.systems import schottky_presentation
-from flagdyn.words import GroupPresentation, Peripheral
+from flagdyn.words import GroupPresentation, Peripheral, concat, word_str
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,6 +93,26 @@ def test_modular_vertex_edge_counts_regression(modular_synthesis):
     res = modular_synthesis
     n_par = sum(1 for l in res.graph.vertices.values() if isinstance(l, ParabolicFamily))
     assert (len(res.graph.vertices), len(res.graph.edges), n_par) == (279, 2845, 4)
+
+
+def test_modular_vertex_ids_pinned(modular_synthesis):
+    # sha256 of the sorted vertex ids: coset words and conical words alike
+    ids = "\n".join(sorted(modular_synthesis.graph.vertices))
+    assert hashlib.sha256(ids.encode()).hexdigest() == (
+        "19bfae7c6f491c093c8558d8796b4e0e5d0e939f98ff587f29fc3490a05521e4")
+
+
+def test_modular_edges_follow_the_pairwise_rule(modular_presentation, modular_synthesis):
+    # edge (v, w) exactly when Arc.intersects(pullback set of v, U_w), in
+    # vertex order; a parabolic vertex's pullback set is its hat V = K_p + delta
+    res = modular_synthesis
+    hat = _fundamental_interval(modular_presentation, "t", 0.0).expand(0.05)
+    edges = []
+    for v, label in res.graph.vertices.items():
+        source = hat if isinstance(label, ParabolicFamily) else mobius_arc(
+            _adjugates(modular_presentation.evaluate(label.word).arr), res.inner_sets[v])
+        edges.extend((v, w) for w in res.graph.vertices if source.intersects(res.inner_sets[w]))
+    assert res.graph.edges == edges
 
 
 def test_schottky_synthesis_parabolic_free():
@@ -246,3 +271,116 @@ def test_search_at_window_edges(pgl2z_searcher):
     for z, row in zip(zs, _in_window(searcher, zs)):
         assert not (_first_test(searcher, z) & ~row).any()
     assert _assert_search_matches_the_oracle(searcher, zs)
+
+
+# -- the syllable table against the per-word loops it replaced ---------------
+
+
+def _per_word_coset_candidates(rho, t_name, p_angle, params):
+    """Reference: the coset candidates word by word, each word evaluated."""
+    short = [()] + _word_ball(rho, params.coset_ball)
+    pts = {}
+    base = vec_of(p_angle)
+    mats_short = {w: rho.evaluate(w).arr for w in short}
+    for v in short:
+        pv = mats_short[v] @ base
+        for a in range(-params.lead_powers, params.lead_powers + 1):
+            a_word = ((t_name, a),) if a else ()
+            pa = rho.evaluate(a_word).arr @ pv if a else pv
+            for u in short:
+                full = concat(u, a_word, v)
+                ang = float(angles(mats_short[u] @ pa))
+                rank = (abs(a), len(u) + len(v), word_str(full))
+                bucket = pts.setdefault(round(ang / 1e-9), [])
+                wkey = rho.evaluate(full).key()
+                if any(k == wkey for _, _, _, k in bucket):
+                    continue
+                bucket.append((rank, ang, full, wkey))
+                bucket.sort()
+                del bucket[3:]
+    items = sorted((ang, full) for bucket in pts.values() for _, ang, full, _ in bucket)
+    return [x[0] for x in items], [x[1] for x in items]
+
+
+def _per_word_pool(rho, params):
+    """Reference: the search pool word by word, and each word's ``arr``."""
+    pool = list(_word_ball(rho, params.word_radius))
+    seen = {rho.evaluate(w).key() for w in pool}
+    syllable = []
+    short = [()] + _word_ball(rho, params.coset_ball)
+    for p in rho.peripherals:
+        for a in range(2, params.lead_powers + 1):
+            for sign in (1, -1):
+                for u in short:
+                    for v in short:
+                        w2 = concat(u, ((p.generators[0], sign * a),), v)
+                        k = rho.evaluate(w2).key()
+                        if k in seen:
+                            continue
+                        seen.add(k)
+                        syllable.append((a, len(u) + len(v), word_str(w2), w2))
+    syllable.sort(key=lambda x: x[:3])
+    pool.extend(w for _, _, _, w in syllable)
+    return pool, np.array([rho.evaluate(w).arr for w in pool])
+
+
+def _modular_like(t, s, r, point=(1, 0)):
+    return GroupPresentation(
+        dim=2, generators={"t": Matrix(t), "s": Matrix(s), "r": Matrix(r)},
+        peripherals=[Peripheral("pt", ["t"], truncation=80, parabolic_point=list(point))])
+
+
+_Q = 2 ** 0.25  # conjugation by diag(q, 1/q) scales the upper right entry by q^2
+
+
+@pytest.mark.parametrize("rho, params, dtype", [
+    (lambda: RunConfig.load(str(CONFIGS / "pgl2z.json")).presentation(),
+     SynthesisParams(word_radius=10), np.int64),
+    (lambda: RunConfig.load(str(CONFIGS / "pgl2z.json")).presentation(),
+     SynthesisParams(word_radius=6, coset_ball=1, lead_powers=6), np.int64),
+    # entries past the 2^62 bound: the table runs on Python ints
+    (lambda: _modular_like([[1, 2**40], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [1, 0]]),
+     SynthesisParams(word_radius=2, coset_ball=1), object),
+    # non-integral generators: rows from each word's evaluation
+    (lambda: _modular_like([[1.0, _Q * _Q], [0.0, 1.0]], [[0.0, -_Q * _Q], [1 / (_Q * _Q), 0.0]],
+                           [[0.0, _Q * _Q], [1 / (_Q * _Q), 0.0]], point=(_Q, 0.0)),
+     SynthesisParams(word_radius=6, lead_powers=20), np.float64),
+    # no flank but the identity, and no power with |a| >= 2 for the pool
+    (lambda: RunConfig.load(str(CONFIGS / "pgl2z.json")).presentation(),
+     SynthesisParams(word_radius=5, coset_ball=0, lead_powers=1), np.int64),
+], ids=["pgl2z", "coset_ball-1", "python-ints", "non-integral", "lead_powers-1"])
+def test_syllable_table_matches_the_per_word_loops(rho, params, dtype):
+    rho = rho()
+    table = _Syllables(rho, params)
+    assert table.keys.dtype == dtype
+    p_angle = angle_of(np.asarray(rho.peripherals[0].parabolic_point, dtype=float))
+    assert _coset_candidates(rho, table, 0, p_angle) == _per_word_coset_candidates(
+        rho, "t", p_angle, params)
+    searcher = _ConicalSearcher(rho, params, table)
+    words, mats = _per_word_pool(rho, params)
+    assert searcher.words == words
+    assert np.array_equal(searcher.mats, mats)
+    assert np.array_equal(np.signbit(searcher.mats), np.signbit(mats))
+
+
+def test_pgl2z_pool_and_coset_sizes():
+    cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
+    rho, params = cfg.presentation(), SynthesisParams(**cfg.raw["synthesis"])
+    table = _Syllables(rho, params)
+    angles_, _ = _coset_candidates(rho, table, 0, 0.0)
+    assert len(angles_) == 1456
+    assert len({round(a / 1e-9) for a in angles_}) == 488
+    assert len(_ConicalSearcher(rho, params, table).words) == 4948
+
+
+@pytest.mark.parametrize("delta, epsilon", [(2.5, 0.05), (0.05, 0.8), (0.0, 0.05)])
+def test_improper_pullback_balls_fail_synthesis(modular_presentation, delta, epsilon):
+    with pytest.raises(SynthesisFailed, match="proper arc"):
+        synthesize_rp1(modular_presentation, SynthesisParams(delta=delta, epsilon=epsilon))
+
+
+def test_oversized_hat_neighborhood_fails_synthesis(modular_presentation):
+    # 2 (delta + epsilon) < pi/2, but the fundamental interval (radius pi/8)
+    # plus 2 delta + 2 epsilon is no proper arc
+    with pytest.raises(SynthesisFailed, match="hat neighborhoods"):
+        synthesize_rp1(modular_presentation, SynthesisParams(delta=0.3, epsilon=0.3))
