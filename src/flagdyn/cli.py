@@ -15,8 +15,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .automaton import (
     check_divergence,
@@ -24,14 +22,14 @@ from .automaton import (
     peripheral_stability_probe,
     verify_compatibility,
 )
-from .config import RunConfig, number
+from .config import RunConfig, config_word, number, vector
 from .domains import ChartBall, zimmer_metric
 from .dynamics import contracting_limits, limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
 from .linalg import flag_divergent, gap_trace
 from .projgeom import ProjHyperplane, ProjPoint, chart_point
 from .synth import SynthesisParams, synthesize_rp1
-from .words import parse_word, word_str
+from .words import word_str
 
 
 def _fmt(x):
@@ -226,8 +224,10 @@ def cmd_probe(args):
     seed = args.seed if args.seed is not None else cfg.seeds["master"]
     outdir = Path(args.out)
     spec = cfg.raw.get("probe")
-    if not spec or "t_grid" not in spec:
-        raise ConfigError("probe command needs a probe section with a t_grid")
+    if not isinstance(spec, dict) or not isinstance(spec.get("t_grid"), list):
+        raise ConfigError("probe command needs a probe section with a t_grid list")
+    for t in spec["t_grid"]:
+        number(t, "probe.t_grid entry")
     graph = cfg.graph()
     system = cfg.system(epsilon=graph.epsilon)
     results, first_fail = peripheral_stability_probe(
@@ -335,7 +335,7 @@ def cmd_gaps(args):
                           f"got count {count}, k {k}")
     threshold = number(spec.get("threshold", 5.0), "gaps.threshold")
     rho = cfg.presentation()
-    base = rho.evaluate(parse_word(spec["word"]))
+    base = rho.evaluate(config_word(spec["word"], "gaps.word", rho.generators))
     trace = gap_trace([base] * count, k)
     flagged = flag_divergent(trace, threshold)
     rows = ["# " + " | ".join(_header(cfg, seed, [f"word {spec['word']}", f"k {k}"])),
@@ -368,11 +368,11 @@ def cmd_hilbert(args):
             raise ConfigError("hilbert needs --config or --interval")
         cfg = RunConfig.load(args.config)
         spec = cfg.raw.get("hilbert")
-        if not spec:
-            raise ConfigError("hilbert command needs a hilbert section or --interval")
+        if not isinstance(spec, dict) or not {"domain", "x", "y"} <= spec.keys():
+            raise ConfigError("hilbert command needs a hilbert section {domain, x, y} "
+                              "or --interval")
         omega = cfg.domain(spec["domain"])
-        x = ProjPoint(np.asarray(spec["x"], dtype=float))
-        y = ProjPoint(np.asarray(spec["y"], dtype=float))
+        x, y = (ProjPoint(vector(spec[k], f"hilbert.{k}", cfg.dimension)) for k in "xy")
     val = zimmer_metric(omega, x, y, budget=4096)
     exact = "exact" if omega.exact_metric else "sampled lower bound"
     print(f"{_fmt(val)}  ({exact})")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
 from .domains import ChartBall, ConvexPolytope, SampledSet
-from .errors import ConfigError, SingularInput
+from .errors import ConfigError, EvaluationError, SingularInput
 from .linalg import Matrix
 from .projgeom import ProjHyperplane
 from .systems import arc_ball
@@ -97,7 +97,7 @@ def _truncation(peripheral):
                   f"peripheral {peripheral['name']} truncation", int)
 
 
-def _vector(value, what, n):
+def vector(value, what, n):
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
     return np.array([number(x, what) for x in value])
@@ -116,6 +116,24 @@ def _text(value, what):
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a string, got {value!r}")
     return value
+
+
+def _objects(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise ConfigError(f"{what} must be a list of objects, got {value!r}")
+    return value
+
+
+def config_word(value, what, names):
+    """A config word, parsed, in the generator names ``names``."""
+    try:
+        word = parse_word(_text(value, what))
+    except EvaluationError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    unknown = sorted({name for name, _ in word} - set(names))
+    if unknown:
+        raise ConfigError(f"{what} {value!r} uses unknown generator {unknown[0]}")
+    return word
 
 
 def _matrix(rows, t=0.0):
@@ -173,7 +191,7 @@ class RunConfig:
         dim = raw.get("dimension")
         if not isinstance(dim, int) or dim < 2:
             raise ConfigError("dimension must be an integer >= 2")
-        for section in ("seeds", "budgets", "tolerances"):
+        for section in ("seeds", "budgets", "tolerances", "domains"):
             if not isinstance(raw.get(section, {}), dict):
                 raise ConfigError(f"{section} must be an object")
         for section, known in (("budgets", cls.DEFAULT_BUDGETS),
@@ -206,27 +224,36 @@ class RunConfig:
 
     def _validate_refs(self):
         raw = self.raw
-        gen_names = {_text(g.get("name"), "generator name")
-                     for g in raw.get("generators", []) + raw.get("derived", [])}
-        for d in raw.get("derived", []):
+        generators = _objects(raw.get("generators", []), "generators")
+        derived = _objects(raw.get("derived", []), "derived")
+        gen_names = {_text(g.get("name"), "generator name") for g in generators + derived}
+        for d in derived:
             _text(d.get("word"), f"derived generator {d['name']} word")
-        for g in raw.get("generators", []):
+        for g in generators:
             rows = g.get("matrix")
             if (
                 not isinstance(rows, list)
                 or len(rows) != self.dimension
-                or any(len(r) != self.dimension for r in rows)
+                or any(not isinstance(r, list) or len(r) != self.dimension for r in rows)
             ):
                 raise ConfigError(f"generator {g.get('name')} matrix must be {self.dimension}x{self.dimension}")
-        for p in raw.get("peripherals", []):
-            for g in p.get("generators", []):
-                if g not in gen_names:
-                    raise ConfigError(f"peripheral {p.get('name')} references unknown generator {g}")
+        pnames = set()
+        for p in _objects(raw.get("peripherals", []), "peripherals"):
+            pnames.add(_text(p.get("name"), "peripheral name"))
+            gens = p.get("generators", [])
+            if not isinstance(gens, list):
+                raise ConfigError(f"peripheral {p['name']} generators must be a list of names")
+            for g in gens:
+                if _text(g, f"peripheral {p['name']} generator") not in gen_names:
+                    raise ConfigError(f"peripheral {p['name']} references unknown generator {g}")
         graph = raw.get("graph")
         if graph is not None:
-            pnames = {p["name"] for p in raw.get("peripherals", [])}
+            if not isinstance(graph, dict):
+                raise ConfigError("graph must be an object")
+            if not isinstance(graph.get("edges", []), list):
+                raise ConfigError("graph.edges must be a list of [id, id] pairs")
             ids = set()
-            for v in graph.get("vertices", []):
+            for v in _objects(graph.get("vertices", []), "graph.vertices"):
                 vid = _text(v.get("id"), "graph vertex id")
                 ids.add(vid)
                 if v.get("type") == "parabolic":
@@ -261,17 +288,21 @@ class RunConfig:
                 raise ConfigError(f"generator {g['name']}: {exc}") from exc
         for d in self.raw.get("derived", []):
             base = GroupPresentation(dim=self.dimension, generators=dict(gens))
-            gens[d["name"]] = base.evaluate(parse_word(d["word"]))
-        peripherals = [
-            Peripheral(
+            gens[d["name"]] = base.evaluate(
+                config_word(d.get("word"), f"derived generator {d['name']} word", gens))
+        peripherals = []
+        for p in self.raw.get("peripherals", []):
+            if not isinstance(p.get("abelian", True), bool):
+                raise ConfigError(f"peripheral {p['name']} abelian must be true or false")
+            point = p.get("parabolic_point")
+            peripherals.append(Peripheral(
                 name=p["name"],
-                generators=list(p["generators"]),
+                generators=list(p.get("generators", [])),
                 truncation=_truncation(p),
-                abelian=bool(p.get("abelian", True)),
-                parabolic_point=p.get("parabolic_point"),
-            )
-            for p in self.raw.get("peripherals", [])
-        ]
+                abelian=p.get("abelian", True),
+                parabolic_point=None if point is None else vector(
+                    point, f"peripheral {p['name']} parabolic_point", self.dimension),
+            ))
         return GroupPresentation(dim=self.dimension, generators=gens,
                                  peripherals=peripherals)
 
@@ -279,22 +310,26 @@ class RunConfig:
         g = self.raw.get("graph")
         if g is None:
             raise ConfigError("config has no graph section")
+        names = [x["name"] for x in self.raw.get("generators", []) + self.raw.get("derived", [])]
         vertices = {}
         for v in g.get("vertices", []):
+            vid = v["id"]
             if v.get("type") == "parabolic":
-                label = vertices[v["id"]] = ParabolicFamily(
-                    coset_word=parse_word(v.get("coset_word", "")),
+                label = vertices[vid] = ParabolicFamily(
+                    coset_word=config_word(v.get("coset_word", ""), f"vertex {vid} coset_word",
+                                           names),
                     peripheral=v["peripheral"],
                     exclude_below=number(v.get("min_power", 1),
-                                         f"vertex {v['id']} min_power", int),
-                    excluded=tuple(parse_word(w) for w in v.get("excluded", [])),
+                                         f"vertex {vid} min_power", int),
+                    excluded=tuple(config_word(w, f"vertex {vid} excluded word", names)
+                                   for w in v.get("excluded", [])),
                 )
                 p = next(p for p in self.raw["peripherals"] if p["name"] == v["peripheral"])
                 if max(1, label.exclude_below) > _truncation(p):
-                    raise ConfigError(f"vertex {v['id']} min_power exceeds its peripheral "
+                    raise ConfigError(f"vertex {vid} min_power exceeds its peripheral "
                                       "truncation, so the label has no element")
             else:
-                vertices[v["id"]] = Singleton(parse_word(v["word"]))
+                vertices[vid] = Singleton(config_word(v["word"], f"vertex {vid} word", names))
         eps = g.get("epsilon", "auto")
         edges = [tuple(e) for e in g.get("edges", [])]
         if eps == "auto":
@@ -302,7 +337,10 @@ class RunConfig:
             eps = 0.1 * system.min_pairwise_gap()
             if eps <= 0:
                 raise ConfigError("auto epsilon failed: assigned domains touch")
-        return GammaGraph(vertices=vertices, edges=edges, epsilon=_epsilon(eps))
+        try:
+            return GammaGraph(vertices=vertices, edges=edges, epsilon=_epsilon(eps))
+        except ValueError as exc:  # a vertex with no outgoing edge
+            raise ConfigError(f"graph: {exc}") from exc
 
     def domain(self, spec):
         kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -322,14 +360,14 @@ class RunConfig:
                 if not isinstance(spec["members"], list):
                     raise ConfigError("union members must be a list of domains")
                 return SampledSet([self.domain(m) for m in spec["members"]])
-            chart = ProjHyperplane(_vector(spec["chart"], f"{kind} chart", d))
+            chart = ProjHyperplane(vector(spec["chart"], f"{kind} chart", d))
             if kind == "chart_ball":
-                return ChartBall(chart, _vector(spec["center"], "chart_ball center", d - 1),
+                return ChartBall(chart, vector(spec["center"], "chart_ball center", d - 1),
                                  number(spec["radius"], "chart_ball radius"))
             vertices = spec["vertices"]
             if not isinstance(vertices, list):
                 raise ConfigError("polytope vertices must be a list of points")
-            return ConvexPolytope(chart, [_vector(v, "polytope vertex", d - 1) for v in vertices])
+            return ConvexPolytope(chart, [vector(v, "polytope vertex", d - 1) for v in vertices])
         except ValueError as exc:  # out-of-range values the domain rejects
             raise ConfigError(f"{kind} domain: {exc}") from exc
 
@@ -342,11 +380,15 @@ class RunConfig:
     def check_separation(self, system: CompatibleSystem):
         """User-declared FS separation table, checked not derived."""
         failures = []
-        for entry in self.raw.get("delta_separation", []):
+        rows = self.raw.get("delta_separation", [])
+        if not isinstance(rows, list):
+            raise ConfigError("delta_separation must be a list of [id, id, gap] rows")
+        for entry in rows:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ConfigError(f"delta_separation row {entry!r} must be [id, id, gap]")
-            a = _text(entry[0], "delta_separation vertex id")
-            b = _text(entry[1], "delta_separation vertex id")
+            a, b = (_text(x, "delta_separation vertex id") for x in entry[:2])
+            if not {a, b} <= system.domains.keys():
+                raise ConfigError(f"delta_separation row {entry!r} names an unknown vertex")
             gap = number(entry[2], f"delta_separation gap of {a} vs {b}")
             actual = pair_gap(system.domain(a), system.domain(b), 64, 32, 0)
             if actual < gap:

@@ -21,10 +21,12 @@ dimension-2 presentation acting on the circle, from first principles:
   a vertex, until the circle is covered;
 * edges follow the pullback-intersection rule.
 
-The syllable words u t^a v are enumerated once per run, as one table of
-element keys (``_Syllables``, exact products by batched matmul for an
-integral presentation), with two readers: the coset candidates and the
-search pool, which take only the words they keep as word tuples.
+Element keys are formed in one place, ``_key_table``: the keys of every
+product of one word from each of a few lists, exact products by batched
+matmul for an integral presentation. The generator ball is one table per
+length, and the syllable words u t^a v one table per run (``_Syllables``)
+with two readers, the coset candidates and the search pool; each takes
+only the words it keeps as word tuples.
 
 All interval computations are exact endpoint arithmetic, so the returned
 system passes certification by construction, with margins.
@@ -33,6 +35,8 @@ system passes certification by construction, with margins.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +63,14 @@ from .systems import arc_ball
 from .words import GroupPresentation, Word, concat, word_str
 
 
+# a parabolic vertex's tail bound n0 is the least n <= _MAX_POWER with every
+# power n..n + _TAIL_WINDOW passing both ways; gaps are filled in at most
+# _MAX_PARABOLIC_ROUNDS rounds
+_MAX_POWER = 400
+_TAIL_WINDOW = 4
+_MAX_PARABOLIC_ROUNDS = 2000
+
+
 def _adjugates(mats):
     """2x2 adjugates [[d, -b], [-c, a]]: the inverse Mobius maps."""
     return np.stack([mats[..., ::-1, 1], mats[..., ::-1, 0]], -2) * [[1, -1], [-1, 1]]
@@ -72,9 +84,6 @@ class SynthesisParams:
     grid: int = 2048
     coset_ball: int = 2
     lead_powers: int = 60
-    max_power: int = 400
-    tail_window: int = 4
-    max_parabolic_rounds: int = 2000
 
 
 @dataclass
@@ -86,63 +95,59 @@ class SynthesisResult:
     boundary_points: dict  # vertex -> angle
 
 
+def _key_table(rho, *word_lists):
+    """The ``Matrix.key`` entries of every product of one word from each list,
+    shape (len(list_1), ..., len(list_k), d * d): the only place synthesis
+    forms element keys. An integral presentation forms exact products by
+    batched matmul: int64 if d^(k-1) prod max|entry| < 2^62, else Python ints."""
+    d = rho.dim
+    shape = tuple(map(len, word_lists)) + (d * d,)
+    if any(m.exact is None for m in rho.generators.values()):
+        return np.array([rho.evaluate(concat(*ws)).key()[2]
+                         for ws in itertools.product(*word_lists)]).reshape(shape)
+    factors = [np.array([rho.evaluate(w).exact for w in ws], dtype=object).reshape(-1, d, d)
+               for ws in word_lists]
+    if d ** (len(factors) - 1) * math.prod(np.abs(f).max(initial=0) for f in factors) < 2 ** 62:
+        factors = [f.astype(np.int64) for f in factors]
+    rows = functools.reduce(lambda a, b: a[..., None, :, :] @ b, factors).reshape(-1, d * d)
+    # canonical as in exact_canonical: divide out the gcd, first nonzero entry > 0
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    rows *= np.where(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] < 0, -1, 1)[:, None]
+    return rows.reshape(shape)
+
+
 def _word_ball(rho: GroupPresentation, radius: int):
-    """Nonidentity elements of the generator ball, by length then lex."""
-    gens = []
-    for name in sorted(rho.generators):
-        gens.append(((name, 1),))
-        gens.append(((name, -1),))
-    seen = {rho.evaluate(()).key()}
-    out = []
-    frontier = [()]
+    """Nonidentity elements of the generator ball, by length then lex: their
+    words and key rows. Each length is one key table of the last length's
+    words times the generators; an element keeps its first row only."""
+    gens = [((name, e),) for name in sorted(rho.generators) for e in (1, -1)]
+    frontier, words, rows = [()], [], [_key_table(rho, [()])]
+    seen = set(map(tuple, rows[0].tolist()))
     for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                w2 = concat(w, g)
-                k = rho.evaluate(w2).key()
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append(w2)
-                out.append(w2)
-        frontier = nxt
-    return out
+        table = _key_table(rho, frontier, gens).reshape(-1, rho.dim ** 2)
+        firsts = [i for i, row in enumerate(map(tuple, table.tolist()))
+                  if row not in seen and not seen.add(row)]
+        frontier = [concat(frontier[i // len(gens)], gens[i % len(gens)]) for i in firsts]
+        words += frontier
+        rows.append(table[firsts])
+    return words, np.concatenate(rows)[1:]
 
 
 class _Syllables:
     """The words u t^a v of each peripheral generator t, u and v in the coset
-    ball and |a| <= L: ``keys[t, a + L, u, v]`` holds the ``Matrix.key``
-    entries of a word's element. An integral presentation forms them as
-    exact products by batched matmul, on Python ints past a 2^62 bound."""
+    ball and |a| <= L: ``keys[t, a + L, u, v]`` is a word's key row."""
 
     def __init__(self, rho, params):
-        self.short = [()] + _word_ball(rho, params.coset_ball)
+        self.short = [()] + _word_ball(rho, params.coset_ball)[0]
         self.t_names = [p.generators[0] for p in rho.peripherals]
         self.lead_powers = L = params.lead_powers
-        shape = (len(self.t_names), 2 * L + 1, len(self.short), len(self.short))
-        if any(m.exact is None for m in rho.generators.values()):
-            rows = _key_rows(rho, [self.word(*i) for i in np.ndindex(shape)])
-        else:
-            flank = np.array([rho.evaluate(w).exact for w in self.short], dtype=object)
-            lead = np.array([[rho.power(t, a).exact for a in range(-L, L + 1)]
-                             for t in self.t_names], dtype=object).reshape(shape[:2] + (2, 2))
-            if 4 * np.abs(flank).max() ** 2 * np.abs(lead).max(initial=0) < 2 ** 62:
-                flank, lead = flank.astype(np.int64), lead.astype(np.int64)
-            # canonical as in exact_canonical: divide out the gcd, first nonzero entry > 0
-            rows = (flank[:, None] @ lead[:, :, None, None] @ flank).reshape(-1, 4)
-            rows //= np.gcd.reduce(rows, axis=1)[:, None]
-            rows *= np.where(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] < 0,
-                             -1, 1)[:, None]
-        self.keys = rows.reshape(shape + (4,))
+        leads = [((t, a),) for t in self.t_names for a in range(-L, L + 1)]
+        n = len(self.short)
+        self.keys = _key_table(rho, self.short, leads, self.short).reshape(
+            n, len(self.t_names), 2 * L + 1, n, 4).transpose(1, 2, 0, 3, 4)
 
     def word(self, t, a, u, v) -> Word:  # the word at keys[t, a, u, v]
         return concat(self.short[u], ((self.t_names[t], a - self.lead_powers),), self.short[v])
-
-
-def _key_rows(rho, words):
-    """The ``Matrix.key`` entries of the words' elements, one row per word."""
-    return np.array([rho.evaluate(w).key()[2] for w in words]).reshape(-1, 4)
 
 
 def _fundamental_interval(rho: GroupPresentation, t_name: str, p_angle: float) -> Arc:
@@ -199,8 +204,8 @@ def _parabolic_vertex(rho, t_name, coset_word, p_angle, K_p, params):
         )
 
     n0 = None
-    for n in range(1, params.max_power + 1):
-        window = range(n, n + params.tail_window + 1)
+    for n in range(1, _MAX_POWER + 1):
+        window = range(n, n + _TAIL_WINDOW + 1)
         if all(conditions(m) and conditions(-m) for m in window):
             n0 = n
             break
@@ -209,7 +214,7 @@ def _parabolic_vertex(rho, t_name, coset_word, p_angle, K_p, params):
             f"no cofinite tail for coset {word_str(coset_word)} <{t_name}>", q_angle
         )
 
-    powers = [*range(n0, n0 + params.tail_window + 1), n0 + 8, n0 + 16]
+    powers = [*range(n0, n0 + _TAIL_WINDOW + 1), n0 + 8, n0 + 16]
     mats = np.array([rho.evaluate(concat(coset_word, ((t_name, sign * n),))).arr
                      for n in powers for sign in (1, -1)])
 
@@ -288,13 +293,12 @@ class _ConicalSearcher:
     def __init__(self, rho, params, syllables=None):
         self.params = params
         tab = _Syllables(rho, params) if syllables is None else syllables
-        ball = _word_ball(rho, params.word_radius)
+        ball, ball_rows = _word_ball(rho, params.word_radius)
         # the ball's rows, then the syllables' with |a| >= 2 in the order t,
         # |a|, a > 0 first, u, v: an element keeps its first row only
         L = params.lead_powers
         leads = [L + sign * a for a in range(2, L + 1) for sign in (1, -1)]
         rows = tab.keys[:, leads].reshape(-1, 4)
-        ball_rows = _key_rows(rho, ball)
         seen = set(map(tuple, ball_rows.tolist()))
         firsts = np.array([i for i, row in enumerate(map(tuple, rows.tolist()))
                            if row not in seen and not seen.add(row)], dtype=int)
@@ -451,12 +455,13 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
     v_hats = {}
     pools = {}
     peripherals = list(rho.peripherals)
-    syllables = _Syllables(rho, params)
-    for t, p in enumerate(peripherals):
+    for p in peripherals:
         if p.parabolic_point is None:
             raise SynthesisFailed(f"peripheral {p.name} lacks a parabolic point")
         if len(p.generators) != 1:
             raise SynthesisFailed(f"peripheral {p.name} must be cyclic for synthesis")
+    syllables = _Syllables(rho, params)
+    for t, p in enumerate(peripherals):
         t_name = p.generators[0]
         p_angle = angle_of(np.asarray(p.parabolic_point, dtype=float))
         fixed = mobius_angle(rho.generators[t_name].arr, p_angle)
@@ -481,7 +486,7 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
 
     # --- adaptive parabolic materialization over uncovered gaps -------------
     if require_cover:
-        for _ in range(params.max_parabolic_rounds):
+        for _ in range(_MAX_PARABOLIC_ROUNDS):
             arcs = [pv["v"] for pv in parabolic.values()] + [c.v for c in conical]
             gaps = uncovered(arcs)
             if not gaps:

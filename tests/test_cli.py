@@ -1,9 +1,15 @@
+import contextlib
+import functools
+import io
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagdyn import domains
 from flagdyn.cli import main
@@ -196,6 +202,17 @@ def _config_error(args, capsys):
     return code == 2 and err.startswith("config error:") and "Traceback" not in err
 
 
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(raw):
+        cur = raw
+        for key in path[:-1]:
+            cur = cur[key]
+        cur[path[-1]] = value
+    return edit
+
+
 def test_unknown_synthesis_key_is_config_error(tmp_path, capsys):
     raw = json.loads((CONFIGS / "pgl2z.json").read_text())
     raw["synthesis"] = {**raw.get("synthesis", {}), "no_such_key": 1}
@@ -204,12 +221,14 @@ def test_unknown_synthesis_key_is_config_error(tmp_path, capsys):
     assert _config_error(["synthesize", "--config", bad, "--out", tmp_path], capsys)
 
 
-_SYNTHESIS_INTS = ["word_radius", "grid", "coset_ball", "lead_powers", "max_power",
-                   "tail_window", "max_parabolic_rounds"]
+_SYNTHESIS_INTS = ["word_radius", "grid", "coset_ball", "lead_powers"]
+# former options, now synth constants: any value is an unknown key
+_REMOVED_SYNTHESIS_INTS = ["max_power", "tail_window", "max_parabolic_rounds"]
 
 
 @pytest.mark.parametrize("key, value, code", [
-    *((k, v, 2) for k in _SYNTHESIS_INTS for v in ("x", None, 2.5, True, -3, [1])),
+    *((k, v, 2) for k in _SYNTHESIS_INTS + _REMOVED_SYNTHESIS_INTS
+      for v in ("x", None, 2.5, True, -3, [1])),
     *((k, v, 2) for k in ("epsilon", "delta") for v in ("x", None, True, -0.1, 0, {})),
     # valid numbers that leave no proper pullback ball: a synthesis failure
     ("delta", 2.5, 1), ("epsilon", 0.8, 1),
@@ -222,7 +241,9 @@ def test_bad_synthesis_value_exits_without_traceback(tmp_path, capsys, key, valu
     assert run(["synthesize", "--config", bad, "--out", tmp_path]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith(f"config error: synthesis.{key} " if code == 2 else "error: ")
+    named = (f"unknown synthesis keys: {key}\n" if key in _REMOVED_SYNTHESIS_INTS
+             else f"synthesis.{key} ")
+    assert err.startswith(f"config error: {named}" if code == 2 else "error: ")
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
@@ -251,9 +272,11 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, name, edit", [
     ("certify", "single_loop.json", lambda raw: raw["budgets"].update(pair_samples=4096)),
-    ("synthesize", "pgl2z.json",
-     lambda raw: raw.setdefault("synthesis", {}).update(require_full_cover=True)),
-], ids=["pair_samples", "require_full_cover"])
+    *(("synthesize", "pgl2z.json", _set("synthesis", key, value)) for key, value in
+      [("require_full_cover", True), ("max_power", 400), ("tail_window", 4),
+       ("max_parabolic_rounds", 2000)]),
+], ids=["pair_samples", "require_full_cover", "max_power", "tail_window",
+        "max_parabolic_rounds"])
 def test_removed_option_is_config_error(tmp_path, capsys, command, name, edit):
     raw = json.loads((CONFIGS / name).read_text())
     edit(raw)
@@ -333,17 +356,6 @@ def test_separation_only_failure_is_named(tmp_path, capsys):
     assert run(["certify", "--config", bad, "--out", tmp_path]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL first failing record: separation a+ vs b+: required 3.0")
-
-
-def _set(*path_and_value):
-    *path, value = path_and_value
-
-    def edit(raw):
-        cur = raw
-        for key in path[:-1]:
-            cur = cur[key]
-        cur[path[-1]] = value
-    return edit
 
 
 @pytest.mark.parametrize("name, command, edit", [
@@ -443,3 +455,131 @@ def test_out_of_range_config_value_is_config_error(tmp_path, capsys, name, comma
     bad = tmp_path / "range.json"
     bad.write_text(json.dumps(raw))
     assert _config_error([command, "--config", bad, "--out", tmp_path], capsys)
+
+
+def _with_hilbert(edit=lambda spec: None):
+    """Give jordan_diag.json a valid hilbert section, then apply ``edit`` to it."""
+    def add(raw):
+        raw["hilbert"] = {"domain": {"kind": "chart_ball", "chart": [1, 0, 0, 0],
+                                     "center": [0, 0, 0], "radius": 0.25},
+                          "x": [1, 0, 0, 0], "y": [1, 0.1, 0, 0]}
+        edit(raw["hilbert"])
+    return add
+
+
+def _bad(name, command, edit, id):
+    return pytest.param(name, command, edit, id=id)
+
+
+@pytest.mark.parametrize("name, command, edit", [
+    # structure errors
+    _bad("jordan_diag.json", "probe", _set("probe", 5), "probe-number"),
+    _bad("jordan_diag.json", "probe", _set("probe", "t_grid"), "probe-string"),
+    _bad("jordan_diag.json", "probe", _set("probe", "t_grid", 5), "t_grid-number"),
+    _bad("jordan_diag.json", "probe", _set("probe", "t_grid", ["x"]), "t_grid-string-entry"),
+    _bad("jordan_diag.json", "probe", _set("probe", "t_grid", [None]), "t_grid-null-entry"),
+    _bad("jordan_diag.json", "hilbert", _set("hilbert", [1]), "hilbert-list"),
+    *(_bad("jordan_diag.json", "hilbert", _with_hilbert(lambda spec, k=k: spec.pop(k)),
+           f"hilbert-no-{k}") for k in ("domain", "x", "y")),
+    _bad("jordan_diag.json", "hilbert", _with_hilbert(_set("x", 0, "a")), "hilbert-x-string"),
+    _bad("jordan_diag.json", "hilbert", _with_hilbert(_set("y", [1, 0])), "hilbert-y-short"),
+    _bad("jordan_diag.json", "certify", lambda raw: raw["peripherals"][0].pop("name"),
+         "peripheral-no-name"),
+    _bad("pgl2z.json", "synthesize", lambda raw: raw["peripherals"][0].pop("name"),
+         "synthesis-peripheral-no-name"),
+    _bad("pgl2z.json", "synthesize", _set("peripherals", 0, "parabolic_point", "x"),
+         "parabolic-point-string"),
+    _bad("pgl2z.json", "synthesize", _set("peripherals", 0, "parabolic_point", [1]),
+         "parabolic-point-short"),
+    _bad("schottky.json", "certify", _set("generators", {}), "generators-object"),
+    _bad("jordan_diag.json", "certify", _set("derived", "alpha"), "derived-string"),
+    _bad("jordan_diag.json", "certify", _set("peripherals", "pa"), "peripherals-string"),
+    _bad("jordan_diag.json", "certify", _set("peripherals", 0, "pa"), "peripheral-string"),
+    _bad("schottky.json", "certify", _set("graph", []), "graph-list"),
+    _bad("schottky.json", "certify", _set("graph", "vertices", "a+"), "vertices-string"),
+    _bad("schottky.json", "certify", _set("graph", "edges", 5), "edges-number"),
+    _bad("jordan_diag.json", "certify", _set("peripherals", 0, "abelian", "no"),
+         "abelian-string"),
+    _bad("pgl2z.json", "synthesize", _set("peripherals", 0, "generators", "ts"),
+         "peripheral-generators-string"),
+    # words and references
+    _bad("jordan_diag.json", "certify", _set("derived", 1, "word", "M A^24 Q"),
+         "derived-word-unknown"),
+    _bad("schottky.json", "certify", _set("graph", "vertices", 0, "word", "q"),
+         "vertex-word-unknown"),
+    _bad("jordan_diag.json", "certify", _set("graph", "vertices", 0, "coset_word", "q"),
+         "coset-word-unknown"),
+    _bad("single_loop.json", "gaps", _set("gaps", "word", "q"), "gaps-word-unknown"),
+    _bad("jordan_diag.json", "certify", _set("graph", "vertices", 0, "excluded", ["q^"]),
+         "excluded-bad-token"),
+    _bad("schottky.json", "certify", _set("delta_separation", 0, 1, "zz"),
+         "separation-unknown-vertex"),
+])
+def test_bad_config_structure_or_reference_is_config_error(tmp_path, capsys, name, command,
+                                                          edit):
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    bad = tmp_path / "structure.json"
+    bad.write_text(json.dumps(raw))
+    args = ["--config", bad] + (["--out", tmp_path] if command != "hilbert" else [])
+    assert _config_error([command] + args, capsys)
+
+
+def test_valid_hilbert_section_runs(tmp_path):
+    raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
+    _with_hilbert()(raw)
+    cfg = tmp_path / "hilbert.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(["hilbert", "--config", cfg]) == 0
+
+
+# one bundled config per command; hilbert gets a section, and synthesize a
+# small ball and grid so each run takes a fraction of a second
+_FUZZ = {
+    "certify": ("jordan_diag.json", lambda raw: None),
+    "limitset": ("schottky.json", lambda raw: None),
+    "rates": ("single_loop.json", lambda raw: None),
+    "probe": ("jordan_diag.json", lambda raw: None),
+    "gaps": ("single_loop.json", lambda raw: None),
+    "hilbert": ("jordan_diag.json", _with_hilbert()),
+    "synthesize": ("pgl2z.json", lambda raw: raw["synthesis"].update(word_radius=3, grid=64)),
+}
+
+
+def _nodes(value, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _mutated(value, kind):
+    if kind == "type":
+        return (1 if isinstance(value, str) else [] if isinstance(value, dict)
+                else {} if isinstance(value, list) else "x")
+    return None if kind == "null" else type(value)()  # empty: "", 0, False, [], {}
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_config_exits_without_traceback(tmp_path_factory, command, data):
+    name, edit = _FUZZ[command]
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    path = data.draw(st.sampled_from(list(_nodes(raw))), label="path")
+    kind = data.draw(st.sampled_from(["type", "null", "empty", "delete"]), label="kind")
+    parent = functools.reduce(operator.getitem, path[:-1], raw)
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _mutated(parent[path[-1]], kind)
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "mutated.json").write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([command, "--config", out / "mutated.json", "--out", out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

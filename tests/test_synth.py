@@ -273,12 +273,37 @@ def test_search_at_window_edges(pgl2z_searcher):
     assert _assert_search_matches_the_oracle(searcher, zs)
 
 
-# -- the syllable table against the per-word loops it replaced ---------------
+# -- the key tables against the per-word loops they replaced -----------------
+
+
+def _per_word_ball(rho, radius):
+    """Reference: the generator ball word by word, each word evaluated; the
+    words, and their ``Matrix.key`` entries one row per word."""
+    gens = []
+    for name in sorted(rho.generators):
+        gens.append(((name, 1),))
+        gens.append(((name, -1),))
+    seen = {rho.evaluate(()).key()}
+    out = []
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                w2 = concat(w, g)
+                k = rho.evaluate(w2).key()
+                if k in seen:
+                    continue
+                seen.add(k)
+                nxt.append(w2)
+                out.append(w2)
+        frontier = nxt
+    return out, np.array([rho.evaluate(w).key()[2] for w in out]).reshape(-1, 4)
 
 
 def _per_word_coset_candidates(rho, t_name, p_angle, params):
     """Reference: the coset candidates word by word, each word evaluated."""
-    short = [()] + _word_ball(rho, params.coset_ball)
+    short = [()] + _per_word_ball(rho, params.coset_ball)[0]
     pts = {}
     base = vec_of(p_angle)
     mats_short = {w: rho.evaluate(w).arr for w in short}
@@ -304,10 +329,10 @@ def _per_word_coset_candidates(rho, t_name, p_angle, params):
 
 def _per_word_pool(rho, params):
     """Reference: the search pool word by word, and each word's ``arr``."""
-    pool = list(_word_ball(rho, params.word_radius))
+    pool = _per_word_ball(rho, params.word_radius)[0]
     seen = {rho.evaluate(w).key() for w in pool}
     syllable = []
-    short = [()] + _word_ball(rho, params.coset_ball)
+    short = [()] + _per_word_ball(rho, params.coset_ball)[0]
     for p in rho.peripherals:
         for a in range(2, params.lead_powers + 1):
             for sign in (1, -1):
@@ -333,7 +358,7 @@ def _modular_like(t, s, r, point=(1, 0)):
 _Q = 2 ** 0.25  # conjugation by diag(q, 1/q) scales the upper right entry by q^2
 
 
-@pytest.mark.parametrize("rho, params, dtype", [
+TABLE_CASES = [
     (lambda: RunConfig.load(str(CONFIGS / "pgl2z.json")).presentation(),
      SynthesisParams(word_radius=10), np.int64),
     (lambda: RunConfig.load(str(CONFIGS / "pgl2z.json")).presentation(),
@@ -348,7 +373,11 @@ _Q = 2 ** 0.25  # conjugation by diag(q, 1/q) scales the upper right entry by q^
     # no flank but the identity, and no power with |a| >= 2 for the pool
     (lambda: RunConfig.load(str(CONFIGS / "pgl2z.json")).presentation(),
      SynthesisParams(word_radius=5, coset_ball=0, lead_powers=1), np.int64),
-], ids=["pgl2z", "coset_ball-1", "python-ints", "non-integral", "lead_powers-1"])
+]
+TABLE_IDS = ["pgl2z", "coset_ball-1", "python-ints", "non-integral", "lead_powers-1"]
+
+
+@pytest.mark.parametrize("rho, params, dtype", TABLE_CASES, ids=TABLE_IDS)
 def test_syllable_table_matches_the_per_word_loops(rho, params, dtype):
     rho = rho()
     table = _Syllables(rho, params)
@@ -363,6 +392,19 @@ def test_syllable_table_matches_the_per_word_loops(rho, params, dtype):
     assert np.array_equal(np.signbit(searcher.mats), np.signbit(mats))
 
 
+@pytest.mark.parametrize("rho, params", [
+    *((rho, params) for rho, params, _ in TABLE_CASES),
+    (schottky_presentation, SynthesisParams(word_radius=6, coset_ball=0)),
+], ids=TABLE_IDS + ["schottky"])
+def test_word_ball_matches_the_per_word_bfs(rho, params):
+    rho = rho()
+    for radius in (params.word_radius, params.coset_ball):
+        words, rows = _word_ball(rho, radius)
+        want_words, want_rows = _per_word_ball(rho, radius)
+        assert words == want_words
+        assert rows.shape == want_rows.shape and (rows == want_rows).all()
+
+
 def test_pgl2z_pool_and_coset_sizes():
     cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
     rho, params = cfg.presentation(), SynthesisParams(**cfg.raw["synthesis"])
@@ -371,6 +413,7 @@ def test_pgl2z_pool_and_coset_sizes():
     assert len(angles_) == 1456
     assert len({round(a / 1e-9) for a in angles_}) == 488
     assert len(_ConicalSearcher(rho, params, table).words) == 4948
+    assert len(_ConicalSearcher(rho, params).words) == 4948  # as the bench builds it
 
 
 @pytest.mark.parametrize("delta, epsilon", [(2.5, 0.05), (0.05, 0.8), (0.0, 0.05)])
