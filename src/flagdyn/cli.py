@@ -22,7 +22,7 @@ from .automaton import (
     peripheral_stability_probe,
     verify_compatibility,
 )
-from .config import RunConfig, config_word, number, vector
+from .config import RunConfig, check_keys, config_word, number, vector
 from .domains import ChartBall, zimmer_metric
 from .dynamics import contracting_limits, limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
@@ -130,8 +130,7 @@ def cmd_limitset(args):
     depth = cfg.budgets["depth"]
     count = cfg.budgets["path_count"]
     cloud = limit_set_sample(graph, rho, system, depth, count, seed=seed,
-                             certificate=cert,
-                             convergence_tol=cfg.tolerances["convergence"])
+                             certificate=cert)
     rows = [
         "# " + " | ".join(_header(cfg, seed, [f"depth {depth}", f"count {count}"])),
         ",".join([f"x{i}" for i in range(cfg.dimension)] + ["path_code", "radius_bound"]),
@@ -187,6 +186,7 @@ def cmd_rates(args):
     spec = cfg.raw.get("rates", {})
     if not isinstance(spec, dict):
         raise ConfigError("rates section must be an object ({depth, paths, depth_range})")
+    check_keys(spec, "rates", ("depth", "paths", "depth_range"))
     depth = number(spec.get("depth", cfg.budgets["depth"]), "rates.depth", int)
     n_paths = number(spec.get("paths", 12), "rates.paths", int)
     dr = spec.get("depth_range", [2, depth])
@@ -226,6 +226,7 @@ def cmd_probe(args):
     spec = cfg.raw.get("probe")
     if not isinstance(spec, dict) or not isinstance(spec.get("t_grid"), list):
         raise ConfigError("probe command needs a probe section with a t_grid list")
+    check_keys(spec, "probe", ("t_grid",))
     for t in spec["t_grid"]:
         number(t, "probe.t_grid entry")
     graph = cfg.graph()
@@ -259,9 +260,7 @@ def cmd_synthesize(args):
     if not isinstance(spec, dict):
         raise ConfigError("synthesis section must be an object")
     defaults = {f.name: f.default for f in dataclasses.fields(SynthesisParams)}
-    unknown = sorted(set(spec) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown synthesis keys: {', '.join(unknown)}")
+    check_keys(spec, "synthesis", defaults)
     values = {}
     for key, value in spec.items():
         # integer fields take integers >= 0; epsilon and delta positive numbers
@@ -328,6 +327,7 @@ def cmd_gaps(args):
     spec = cfg.raw.get("gaps")
     if not isinstance(spec, dict) or not isinstance(spec.get("word"), str):
         raise ConfigError("gaps command needs a gaps section ({word, count, k})")
+    check_keys(spec, "gaps", ("word", "count", "k", "threshold"))
     count = number(spec.get("count", 100), "gaps.count", int)
     k = number(spec.get("k", 1), "gaps.k", int)
     if count < 1 or not 1 <= k <= cfg.dimension - 1:
@@ -371,6 +371,7 @@ def cmd_hilbert(args):
         if not isinstance(spec, dict) or not {"domain", "x", "y"} <= spec.keys():
             raise ConfigError("hilbert command needs a hilbert section {domain, x, y} "
                               "or --interval")
+        check_keys(spec, "hilbert", ("domain", "x", "y"))
         omega = cfg.domain(spec["domain"])
         x, y = (ProjPoint(vector(spec[k], f"hilbert.{k}", cfg.dimension)) for k in "xy")
     val = zimmer_metric(omega, x, y, budget=4096)

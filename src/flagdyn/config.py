@@ -85,6 +85,18 @@ def number(value, what, kind=float):
     return kind(value)
 
 
+def check_keys(spec, section, known):
+    """Raise a ConfigError naming the keys of ``spec`` that are not ``known``."""
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
+
+
+# the sections a config may have
+_SECTIONS = ("dimension", "seeds", "budgets", "generators", "derived", "peripherals", "graph",
+             "domains", "delta_separation", "rates", "gaps", "probe", "hilbert", "synthesis")
+
+
 def _epsilon(value):
     eps = number(value, "graph.epsilon")
     if eps <= 0:
@@ -151,7 +163,6 @@ class RunConfig:
     config_hash: str
     seeds: dict = field(default_factory=dict)
     budgets: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
 
     DEFAULT_BUDGETS = {
         "boundary_samples": 64,
@@ -159,9 +170,6 @@ class RunConfig:
         "element_cap": 48,
         "path_count": 100,
         "depth": 20,
-    }
-    DEFAULT_TOLERANCES = {
-        "convergence": 1e-9,
     }
 
     # -- loading -------------------------------------------------------------
@@ -188,17 +196,14 @@ class RunConfig:
     def _from_raw(cls, raw, path, digest):
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        check_keys(raw, "top-level", _SECTIONS)
         dim = raw.get("dimension")
         if not isinstance(dim, int) or dim < 2:
             raise ConfigError("dimension must be an integer >= 2")
-        for section in ("seeds", "budgets", "tolerances", "domains"):
+        for section in ("seeds", "budgets", "domains"):
             if not isinstance(raw.get(section, {}), dict):
                 raise ConfigError(f"{section} must be an object")
-        for section, known in (("budgets", cls.DEFAULT_BUDGETS),
-                               ("tolerances", cls.DEFAULT_TOLERANCES)):
-            unknown = sorted(set(raw.get(section, {})) - set(known))
-            if unknown:
-                raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
+        check_keys(raw.get("budgets", {}), "budgets", cls.DEFAULT_BUDGETS)
         cfg = cls(
             dimension=dim,
             raw=raw,
@@ -206,7 +211,6 @@ class RunConfig:
             config_hash=digest,
             seeds={"master": 7, **raw.get("seeds", {})},
             budgets={**cls.DEFAULT_BUDGETS, **raw.get("budgets", {})},
-            tolerances={**cls.DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
         )
         cfg.seeds["master"] = number(cfg.seeds["master"], "seeds.master", int)
         if cfg.seeds["master"] < 0:
@@ -215,10 +219,6 @@ class RunConfig:
             cfg.budgets[key] = number(val, f"budgets.{key}", int)
             if cfg.budgets[key] < 1:
                 raise ConfigError(f"budgets.{key} must be positive")
-        for key, val in cfg.tolerances.items():
-            cfg.tolerances[key] = number(val, f"tolerances.{key}")
-            if cfg.tolerances[key] <= 0:
-                raise ConfigError(f"tolerances.{key} must be positive")
         cfg._validate_refs()
         return cfg
 

@@ -19,7 +19,7 @@ its one-path call, and every path's result is bit-identical to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
 from .domains import ChartBall, ProperDomain, zimmer_metrics
 from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
-from .linalg import Matrix, PrefixProduct, exterior_power, mathmap, minors, svd
+from .linalg import Matrix, PrefixProduct, exterior_power, mathmap, minors, rowdot, svd
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -53,7 +53,6 @@ class PathResult:
     diameters: list
     gaps: list
     radius_bound: float
-    converged: bool = False
 
     @property
     def depth(self):
@@ -77,7 +76,6 @@ class LimitSetCloud:
     points: list  # (ProjPoint, path code, radius bound)
     depth: int
     seed: int
-    metadata: dict = field(default_factory=dict)
 
 
 def _check_certified(paths, certificate):
@@ -93,16 +91,13 @@ def _check_certified(paths, certificate):
 
 
 def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSystem,
-                      depth: int | None = None, certificate=None,
-                      convergence_tol: float = 1e-9) -> PathResult:
+                      depth: int | None = None, certificate=None) -> PathResult:
     """``contracting_limits`` of one path."""
-    return contracting_limits([path], rho, system, depth=depth, certificate=certificate,
-                              convergence_tol=convergence_tol)[0]
+    return contracting_limits([path], rho, system, depth=depth, certificate=certificate)[0]
 
 
 def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
-                       depth: int | None = None, certificate=None,
-                       convergence_tol: float = 1e-9) -> list:
+                       depth: int | None = None, certificate=None) -> list:
     """Nested-image limits of certified paths with per-depth diagnostics.
 
     Each path runs to ``min(depth, path.depth)``. The limit is approximated
@@ -142,7 +137,7 @@ def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
             out = _sampled_limits(prefix, factors, verts, system)
         for i, p, (limit, diams, gaps, rbound) in zip(idx, batch, out):
             results[i] = PathResult(path=p, limit=limit, diameters=diams, gaps=gaps,
-                                    radius_bound=rbound, converged=rbound < convergence_tol)
+                                    radius_bound=rbound)
     return results
 
 
@@ -217,8 +212,13 @@ def _sampled_limits(prefix, factors, verts, system):
             diam[rows] = 2.0 * np.max(d.reshape(len(rows), -1), axis=1)
         diameters.append(diam)
         gaps.append(prefix.gap())
-    rbound = [float(fubini_study_many(img, img[-1:], farthest=True)) + radius_floor(dim)
-              for img in last]
+    # the farthest sample image from the limit, in the rejection form of
+    # fubini_study: atan2(|x - (x.c) c|, |x.c|) keeps angles below 1e-8
+    imgs = np.stack(last)
+    c = imgs[:, -1:]
+    dots = rowdot(imgs, c)
+    rej = np.linalg.norm(imgs - dots[..., None] * c, axis=-1)
+    rbound = np.max(np.arctan2(rej, np.abs(dots)), axis=1) + radius_floor(dim)
     return _per_path([img[-1] for img in last], diameters, gaps, rbound)
 
 
@@ -272,16 +272,12 @@ def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98) -> RateR
 
 def limit_set_sample(graph: GammaGraph, rho: GroupPresentation,
                      system: CompatibleSystem, depth: int, count: int,
-                     seed: int = 0, certificate=None,
-                     convergence_tol: float = 1e-9) -> LimitSetCloud:
+                     seed: int = 0, certificate=None) -> LimitSetCloud:
     """Cloud of path limits, deterministic per seed."""
     paths, _ = enumerate_paths(graph, depth, "random", rho, seed=seed, cap=count)
-    results = contracting_limits(paths, rho, system, certificate=certificate,
-                                 convergence_tol=convergence_tol)
+    results = contracting_limits(paths, rho, system, certificate=certificate)
     pts = [(res.limit, res.path.code(), res.radius_bound) for res in results]
-    n_converged = sum(res.converged for res in results)
-    return LimitSetCloud(points=pts, depth=depth, seed=seed,
-                         metadata={"count": len(pts), "converged": n_converged})
+    return LimitSetCloud(points=pts, depth=depth, seed=seed)
 
 
 def attracting_data(m: Matrix, k: int = 1, gap_threshold: float = 0.1):

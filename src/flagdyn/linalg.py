@@ -90,13 +90,12 @@ class Matrix:
 
     A constructed matrix is validated and gets its float representative at
     once. A product or inverse of exact matrices keeps only ``exact``: its
-    float representative (with ``det_sign`` and the log scale) is computed
-    on first use, by the same code, so paths that only read ``key()`` never
-    form floats. A float representative that underflows raises
-    SingularInput there.
+    float representative (with ``det_sign``) is computed on first use, by
+    the same code, so paths that only read ``key()`` never form floats. A
+    float representative that underflows raises SingularInput there.
     """
 
-    __slots__ = ("dim", "arr", "exact", "det_sign", "_logdet_scale")
+    __slots__ = ("dim", "arr", "exact", "det_sign")
 
     def __init__(self, entries, _trusted=False):
         a = np.array(entries, dtype=float)
@@ -127,7 +126,7 @@ class Matrix:
 
     def __getattr__(self, name):
         # only reached for an unset slot: the floats of an exact product
-        if name in ("arr", "det_sign", "_logdet_scale") and self.exact is not None:
+        if name in ("arr", "det_sign") and self.exact is not None:
             self._set_floats(np.array(self.exact, dtype=float), False)
             return getattr(self, name)
         raise AttributeError(name)
@@ -144,11 +143,11 @@ class Matrix:
             # when the float determinant collapses; keep the sup-norm scale
             if not trusted:
                 raise SingularInput("matrix determinant underflows")
-            self._logdet_scale = math.log(supnorm)
+            scale = math.log(supnorm)
         else:
-            # scale to |det| = 1; the log-scale is kept for volume tracking
-            self._logdet_scale = logdet / d + math.log(supnorm)
-        a = a * math.exp(-self._logdet_scale)
+            # scale to |det| = 1
+            scale = logdet / d + math.log(supnorm)
+        a = a * math.exp(-scale)
         self.arr, flipped = _sign_canonical(a)
         self.arr.setflags(write=False)
         self.det_sign = -1.0 if sign < 0 else 1.0

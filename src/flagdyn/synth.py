@@ -21,6 +21,11 @@ dimension-2 presentation acting on the circle, from first principles:
   a vertex, until the circle is covered;
 * edges follow the pullback-intersection rule.
 
+Every vertex, conical or parabolic, is one ``_Vertex`` record: its label,
+boundary point, inner and outer arcs, and pullback set. The edges, the
+pruning of vertices without outgoing edges, and every returned dict are
+read from one store of these records.
+
 Element keys are formed in one place, ``_key_table``: the keys of every
 product of one word from each of a few lists, exact products by batched
 matmul for an integral presentation. The generator ball is one table per
@@ -93,6 +98,18 @@ class SynthesisResult:
     outer_sets: dict  # vertex -> Arc (the expanded neighborhoods)
     system: CompatibleSystem
     boundary_points: dict  # vertex -> angle
+
+
+@dataclass
+class _Vertex:
+    """One synthesized vertex: its label (``Singleton`` or ``ParabolicFamily``),
+    boundary point, inner arc V, outer arc W and pullback set. Edge (x, y)
+    exists when x's pullback set meets y's V."""
+    label: object
+    angle: float
+    v: Arc
+    w: Arc
+    source: Arc
 
 
 def _key_table(rho, *word_lists):
@@ -183,8 +200,9 @@ def _arc_hull_containing(arcs, anchor: float) -> Arc:
     return hull
 
 
-def _parabolic_vertex(rho, t_name, coset_word, p_angle, K_p, params):
-    """Tail bound and neighborhoods for one peripheral coset vertex."""
+def _parabolic_vertex(rho, p_name, t_name, coset_word, p_angle, K_p, params):
+    """One peripheral coset vertex: its tail bound n0 in the label, and its
+    neighborhoods; its pullback set is the hat V = K_p + delta."""
     eps, delta = params.epsilon, params.delta
     try:
         v_hat, w_hat, w_hat_eps = [K_p.expand(r) for r in (delta, 2 * delta, 2 * delta + 2 * eps)]
@@ -229,7 +247,8 @@ def _parabolic_vertex(rho, t_name, coset_word, p_angle, K_p, params):
             f"parabolic neighborhood of {word_str(coset_word)} <{t_name}> too large",
             q_angle,
         )
-    return n0, q_angle, v_q, w_q, v_hat, w_hat
+    label = ParabolicFamily(coset_word=coset_word, peripheral=p_name, exclude_below=n0)
+    return _Vertex(label, q_angle, v_q, w_q, v_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +470,7 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
                               "< pi/2, so every expanded pullback ball is a proper arc")
 
     # --- base parabolic vertices and coset candidate pools ------------------
-    parabolic = {}
-    v_hats = {}
-    pools = {}
+    parabolic, pools = {}, {}
     peripherals = list(rho.peripherals)
     for p in peripherals:
         if p.parabolic_point is None:
@@ -473,154 +490,107 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
         pools[p.name] = (t_name, p_angle, K_p) + tuple(
             _coset_candidates(rho, syllables, t, p_angle)
         )
-        _materialize(rho, parabolic, v_hats, p.name, t_name, (), p_angle, K_p, params)
+        parabolic[f"p:{p.name}:{word_str(())}"] = _parabolic_vertex(
+            rho, p.name, t_name, (), p_angle, K_p, params)
 
     # --- conical candidates on a grid ---------------------------------------
     searcher = _ConicalSearcher(rho, params, syllables)
     grid = [z for z in np.linspace(0.0, HALF_TURN, params.grid, endpoint=False)
-            if not any(pv["v"].contains_angle(z) for pv in parabolic.values())]
+            if not any(x.v.contains_angle(z) for x in parabolic.values())]
     conical = [c for c in searcher.candidates(grid) if c is not None]
 
-    # a full cover of the circle is required only when peripherals exist
-    require_cover = bool(peripherals)
-
     # --- adaptive parabolic materialization over uncovered gaps -------------
-    if require_cover:
+    # a full cover of the circle is required only when peripherals exist
+    if peripherals:
         for _ in range(_MAX_PARABOLIC_ROUNDS):
-            arcs = [pv["v"] for pv in parabolic.values()] + [c.v for c in conical]
-            gaps = uncovered(arcs)
+            gaps = uncovered([x.v for x in parabolic.values()] + [c.v for c in conical])
             if not gaps:
                 break
             g_lo, g_hi = (x % HALF_TURN for x in gaps[0])
             width = (g_hi - g_lo) % HALF_TURN
-            progress = False
-            # conical retries across the gap (inner arcs can be tiny)
-            for frac in (0.5, 0.25, 0.75, 0.1, 0.9):
-                zz = (g_lo + frac * width) % HALF_TURN
-                cand = searcher.candidate(zz)
-                if cand is not None and cand.v.contains_angle(zz, slack=-1e-12):
-                    conical.append(cand)
-                    progress = True
-                    break
-            if progress:
-                continue
-            # otherwise materialize coset vertices near the gap, nearest first
-            for p_name, (t_name, p_angle, K_p, cands, words) in pools.items():
-                for _attempt in range(8):
-                    j = _nearest_in_gap(cands, g_lo, g_hi)
-                    if j is None:
-                        break
-                    word_j = words.pop(j)
-                    cands.pop(j)
-                    key = f"p:{p_name}:{word_str(word_j)}"
-                    if key in parabolic:
-                        continue
-                    try:
-                        _materialize(rho, parabolic, v_hats, p_name, t_name, word_j,
-                                     p_angle, K_p, params)
-                        progress = True
-                        break
-                    except SynthesisFailed:
-                        continue
-                if progress:
-                    break
-            if not progress:
-                mid = (g_lo + width / 2) % HALF_TURN
+            # conical retries across the gap (inner arcs can be tiny), then
+            # coset vertices near the gap
+            zs = ((g_lo + frac * width) % HALF_TURN for frac in (0.5, 0.25, 0.75, 0.1, 0.9))
+            cand = next((c for z in zs for c in [searcher.candidate(z)]
+                         if c is not None and c.v.contains_angle(z, slack=-1e-12)), None)
+            if cand is not None:
+                conical.append(cand)
+            elif not _materialize_in_gap(rho, parabolic, pools, g_lo, g_hi, params):
                 raise SynthesisFailed(
                     "uncovered boundary interval admits neither an expanding word "
-                    "nor a peripheral coset vertex", mid
+                    "nor a peripheral coset vertex", (g_lo + width / 2) % HALF_TURN
                 )
 
-        arcs = [pv["v"] for pv in parabolic.values()] + [c.v for c in conical]
-        owners = list(parabolic.keys()) + list(range(len(conical)))
+        arcs = [x.v for x in parabolic.values()] + [c.v for c in conical]
         picked = cover_circle(arcs)
         if picked is None:
             raise SynthesisFailed(
                 "inner neighborhoods do not cover the boundary circle",
                 uncovered(arcs)[0][0] % HALF_TURN,
             )
-        chosen_conical = []
-        for i in picked:
-            if not isinstance(owners[i], str):
-                chosen_conical.append(conical[owners[i]])
-    else:
-        chosen_conical = conical
+        conical = [conical[i - len(parabolic)] for i in picked if i >= len(parabolic)]
 
-    if not parabolic and not chosen_conical:
+    if not parabolic and not conical:
         raise SynthesisFailed("no expanding neighborhoods found on the grid")
 
     # --- assemble graph -----------------------------------------------------
-    vertices = {}
-    inner, outer, domains, points = {}, {}, {}, {}
-    for vid, pv in parabolic.items():
-        vertices[vid] = ParabolicFamily(
-            coset_word=pv["coset_word"], peripheral=pv["peripheral"],
-            exclude_below=pv["n0"],
-        )
-        inner[vid], outer[vid] = pv["v"], pv["w"]
-        domains[vid] = arc_ball(pv["angle"], eps)
-        points[vid] = pv["angle"]
-    for i, c in enumerate(sorted(chosen_conical, key=lambda c: c.z_angle)):
-        vid = f"c{i}:{word_str(c.word)}"
-        vertices[vid] = Singleton(c.word)
-        inner[vid], outer[vid] = c.v, c.w
-        domains[vid] = arc_ball(c.z_angle, eps)
-        points[vid] = c.z_angle
+    vertices = dict(parabolic)
+    for i, c in enumerate(sorted(conical, key=lambda c: c.z_angle)):
+        vertices[f"c{i}:{word_str(c.word)}"] = _Vertex(
+            Singleton(c.word), c.z_angle, c.v, c.w,
+            mobius_arc(_adjugates(rho.evaluate(c.word).arr), c.v))
 
-    # edge (v, w) when v's pullback set meets U_w: Arc.intersects, one row per v
+    # edge (x, y) when x's pullback set meets y's V: Arc.intersects, one row per x
     ids = list(vertices)
-    centers = np.array([inner[w].center for w in ids])
-    radii = np.array([inner[w].radius for w in ids])
+    centers = np.array([x.v.center for x in vertices.values()])
+    radii = np.array([x.v.radius for x in vertices.values()])
     edges = []
-    for vid, label in vertices.items():
-        if vid in parabolic:
-            source_set = v_hats[vid]
-        else:
-            source_set = mobius_arc(_adjugates(rho.evaluate(label.word).arr), inner[vid])
-        meets = angle_dists(source_set.center, centers) <= source_set.radius + radii
+    for vid, x in vertices.items():
+        meets = angle_dists(x.source.center, centers) <= x.source.radius + radii
         edges.extend((vid, ids[j]) for j in np.flatnonzero(meets).tolist())
 
     # drop vertices with no outgoing edges (possible without peripherals)
-    alive = {v for v, _ in edges}
-    dead = set(vertices) - alive
+    dead = set(vertices) - {v for v, _ in edges}
     while dead:
-        if require_cover:
-            raise SynthesisFailed(
-                f"vertex {sorted(dead)[0]} has no outgoing edge",
-                points[sorted(dead)[0]],
-            )
-        vertices = {v: l for v, l in vertices.items() if v not in dead}
+        if peripherals:
+            vid = sorted(dead)[0]
+            raise SynthesisFailed(f"vertex {vid} has no outgoing edge", vertices[vid].angle)
+        vertices = {v: x for v, x in vertices.items() if v not in dead}
         if not vertices:
             raise SynthesisFailed("no recurrent expanding structure found")
         edges = [(v, w) for v, w in edges if v not in dead and w not in dead]
-        alive = {v for v, _ in edges}
-        dead = set(vertices) - alive
-    inner = {v: inner[v] for v in vertices}
-    outer = {v: outer[v] for v in vertices}
-    domains = {v: domains[v] for v in vertices}
-    points = {v: points[v] for v in vertices}
+        dead = set(vertices) - {v for v, _ in edges}
 
-    graph = GammaGraph(vertices=vertices, edges=edges, epsilon=eps)
-    system = CompatibleSystem(domains=domains, epsilon=eps)
-    return SynthesisResult(graph=graph, inner_sets=inner, outer_sets=outer,
-                           system=system, boundary_points=points)
+    graph = GammaGraph(vertices={v: x.label for v, x in vertices.items()}, edges=edges,
+                       epsilon=eps)
+    system = CompatibleSystem(
+        domains={v: arc_ball(x.angle, eps) for v, x in vertices.items()}, epsilon=eps)
+    return SynthesisResult(graph=graph, inner_sets={v: x.v for v, x in vertices.items()},
+                           outer_sets={v: x.w for v, x in vertices.items()}, system=system,
+                           boundary_points={v: x.angle for v, x in vertices.items()})
 
 
-def _materialize(rho, parabolic, v_hats, p_name, t_name, coset_word, p_angle,
-                 K_p, params):
-    n0, q_angle, v_q, w_q, v_hat, w_hat = _parabolic_vertex(
-        rho, t_name, coset_word, p_angle, K_p, params
-    )
-    vid = f"p:{p_name}:{word_str(coset_word)}"
-    parabolic[vid] = {
-        "peripheral": p_name,
-        "coset_word": coset_word,
-        "n0": n0,
-        "angle": q_angle,
-        "v": v_q,
-        "w": w_q,
-    }
-    v_hats[vid] = v_hat
+def _materialize_in_gap(rho, parabolic, pools, g_lo, g_hi, params):
+    """Add one coset vertex in the gap [g_lo, g_hi] to ``parabolic``: per
+    peripheral, up to 8 candidates nearest the gap's middle are tried, and
+    each is taken out of its pool. Returns whether a vertex was added."""
+    for p_name, (t_name, p_angle, K_p, cands, words) in pools.items():
+        for _attempt in range(8):
+            j = _nearest_in_gap(cands, g_lo, g_hi)
+            if j is None:
+                break
+            cands.pop(j)
+            coset_word = words.pop(j)
+            vid = f"p:{p_name}:{word_str(coset_word)}"
+            if vid in parabolic:
+                continue
+            try:
+                parabolic[vid] = _parabolic_vertex(rho, p_name, t_name, coset_word, p_angle,
+                                                   K_p, params)
+                return True
+            except SynthesisFailed:
+                pass
+    return False
 
 
 def _nearest_in_gap(cands, g_lo, g_hi):

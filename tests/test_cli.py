@@ -151,13 +151,8 @@ def test_config_hash_embedded(tmp_path):
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"dimension": 2, "graph": {"vertices": [], "edges": [["x", "y"]]}})
-    for bad_tol in (-1, 0, True, "1e-6", None):
-        with pytest.raises(ConfigError, match="tolerances.convergence"):
-            RunConfig.from_dict({"dimension": 2, "tolerances": {"convergence": bad_tol}})
     with pytest.raises(ConfigError, match="unknown budgets keys: boundary_sample"):
         RunConfig.from_dict({"dimension": 2, "budgets": {"boundary_sample": 10}})
-    with pytest.raises(ConfigError, match="unknown tolerances keys: incidence"):
-        RunConfig.from_dict({"dimension": 2, "tolerances": {"incidence": 1e-10}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict(
             {
@@ -275,8 +270,12 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
     *(("synthesize", "pgl2z.json", _set("synthesis", key, value)) for key, value in
       [("require_full_cover", True), ("max_power", 400), ("tail_window", 4),
        ("max_parabolic_rounds", 2000)]),
+    *(("limitset", "schottky.json", _set("tolerances", {"convergence": value}))
+      for value in (1e-9, -1, 0, True, "1e-6", None)),
+    ("certify", "single_loop.json", _set("tolerances", {"incidence": 1e-10})),
 ], ids=["pair_samples", "require_full_cover", "max_power", "tail_window",
-        "max_parabolic_rounds"])
+        "max_parabolic_rounds", "convergence", "convergence-negative", "convergence-zero",
+        "convergence-true", "convergence-string", "convergence-null", "incidence"])
 def test_removed_option_is_config_error(tmp_path, capsys, command, name, edit):
     raw = json.loads((CONFIGS / name).read_text())
     edit(raw)
@@ -531,6 +530,29 @@ def test_valid_hilbert_section_runs(tmp_path):
     cfg = tmp_path / "hilbert.json"
     cfg.write_text(json.dumps(raw))
     assert run(["hilbert", "--config", cfg]) == 0
+
+
+# a misspelt key in a section, the command that reads it, and the message; a
+# misspelt top-level section is refused by every command (budgets and
+# synthesis keys are checked above)
+@pytest.mark.parametrize("name, command, edit, message", [
+    *(("single_loop.json", command, _set("budget", {"depth": 5}), "top-level keys: budget")
+      for command in ("certify", "limitset", "rates", "gaps")),
+    ("single_loop.json", "gaps", _set("gaps", "treshold", 3.0), "gaps keys: treshold"),
+    ("single_loop.json", "rates", _set("rates", "path", 3), "rates keys: path"),
+    ("jordan_diag.json", "probe", _set("probe", "t_gird", [0.0]), "probe keys: t_gird"),
+    ("jordan_diag.json", "hilbert", _with_hilbert(_set("z", [1, 0, 0, 0])), "hilbert keys: z"),
+], ids=["top-certify", "top-limitset", "top-rates", "top-gaps", "gaps", "rates", "probe",
+        "hilbert"])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, name, command, edit, message):
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(raw))
+    args = ["--config", bad] + (["--out", tmp_path] if command != "hilbert" else [])
+    assert run([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown {message}\n"
 
 
 # one bundled config per command; hilbert gets a section, and synthesize a

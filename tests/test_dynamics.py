@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -427,6 +428,25 @@ def _jordan_d4():
     raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
     raw["budgets"].update({"depth": 8, "path_count": 32})
     return RunConfig.from_dict(raw)
+
+
+def test_sampled_radius_bound_is_the_farthest_fs_distance():
+    # the bound is the largest FS distance from the limit to the images of the
+    # target's samples, plus radius_floor; at depth 8 these distances are
+    # about 1e-9, below the angles sqrt(1 - c^2) resolves from c = |x.c|
+    cfg = _jordan_d4()
+    rho, graph = cfg.presentation(), cfg.graph()
+    system = cfg.system(epsilon=graph.epsilon)
+    paths, _ = enumerate_paths(graph, 8, "random", rho, seed=7, cap=6)
+    for path, res in zip(paths, contracting_limits(paths, rho, system)):
+        n = res.depth
+        prod = functools.reduce(np.matmul, [rho.evaluate(w).arr for w in path.words[:n]])
+        U = system.domain(path.vertices[n])
+        samples = np.vstack([U.boundary_points(32, 0), U.interior_points(16, 0),
+                             U.center_point().coords])
+        far = max(fubini_study(res.limit, ProjPoint(prod @ x)) for x in samples)
+        assert 1e-10 < far < 1e-8
+        assert res.radius_bound == pytest.approx(far + radius_floor(4), rel=1e-6)
 
 
 @pytest.mark.parametrize("name", ["schottky", "jordan-d4"])

@@ -115,10 +115,50 @@ def test_modular_edges_follow_the_pairwise_rule(modular_presentation, modular_sy
     assert res.graph.edges == edges
 
 
-def test_schottky_synthesis_parabolic_free():
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _arc_digests(res):
+    """sha256 of the inner arcs, the outer arcs and the boundary points, each
+    in vertex order with its vertex id and floats by repr."""
+    return [_digest(repr([(v, a.center, a.radius) for v, a in res.inner_sets.items()])),
+            _digest(repr([(v, a.center, a.radius) for v, a in res.outer_sets.items()])),
+            _digest(repr(list(res.boundary_points.items())))]
+
+
+def test_modular_arcs_and_points_pinned(modular_synthesis):
+    assert _arc_digests(modular_synthesis) == [
+        "d68386db4b811b5322f4a7ba61c8184358c124b30e6f7682c72d20111a69dee0",
+        "3953e1d8757c7cf2de330b8a39bc04c534bf75561a51504d1591f63cd9b9f780",
+        "4eaf5e73ac4efeef3ecbe52d131eb7c7788d62fe2c1089fe51dc19cd2c65d65c"]
+
+
+@pytest.fixture(scope="module")
+def schottky_synthesis():
+    return synthesize_rp1(schottky_presentation(), SynthesisParams(
+        epsilon=0.05, delta=0.05, word_radius=6, grid=720))
+
+
+def test_schottky_synthesis_pinned(schottky_synthesis):
+    # without peripherals: no cover, and the vertices with no outgoing edge
+    # pruned (156 grid hits, 92 vertices); ids sorted, edges in order
+    res = schottky_synthesis
+    assert len(res.graph.vertices) == 92
+    assert _digest("\n".join(sorted(res.graph.vertices))) == (
+        "d9d9c6f841d9532edfb235c82686200e3e4727412716b3bd358c9bb01b5a89a3")
+    assert len(res.graph.edges) == 716
+    assert _digest(repr(res.graph.edges)) == (
+        "a65e59bf2186ec865fb11657d747341de406aae766b935fd9e849562ffea2d1e")
+    assert _arc_digests(res) == [
+        "82a7f46a5925fca4da5f6d6773cce50b01a61c90cbf1b7c4056ee092e9a48e56",
+        "a24b3d0d2056c1dec5e4d668bb1c2b06fd45679795ac0e7bd6145f78accbc9b3",
+        "84f18311076de1c0ceae52210081b33b3e2f5e97e7541d0cd544a6ff932c8472"]
+
+
+def test_schottky_synthesis_parabolic_free(schottky_synthesis):
     rho = schottky_presentation()
-    res = synthesize_rp1(rho, SynthesisParams(epsilon=0.05, delta=0.05,
-                                              word_radius=6, grid=720))
+    res = schottky_synthesis
     assert all(isinstance(l, Singleton) for l in res.graph.vertices.values())
     cert = verify_compatibility(res.graph, res.system, rho)
     assert cert.ok
@@ -128,7 +168,7 @@ def test_schottky_synthesis_parabolic_free():
         assert min(angle_dist(angle, c) for c in centers) < 0.45
 
 
-def test_schottky_synthesis_limits_match_hand_built():
+def test_schottky_synthesis_limits_match_hand_built(schottky_synthesis):
     # limits computed through the synthesized automaton must land inside
     # the hand-built ping-pong intervals
     from flagdyn.automaton import enumerate_paths
@@ -137,8 +177,7 @@ def test_schottky_synthesis_limits_match_hand_built():
     from flagdyn.systems import schottky_domains
 
     rho = schottky_presentation()
-    res = synthesize_rp1(rho, SynthesisParams(epsilon=0.05, delta=0.05,
-                                              word_radius=6, grid=720))
+    res = schottky_synthesis
     paths, _ = enumerate_paths(res.graph, 10, "random", rho, seed=3, cap=20)
     hand = [d.arc().expand(0.05) for d in schottky_domains().values()]
     for p in paths:
