@@ -10,7 +10,7 @@ from pathlib import Path
 from flagdyn.automaton import enumerate_paths, verify_compatibility
 from flagdyn.conedoff import ConedGraph, Presentation, quasigeodesic_check
 from flagdyn.config import RunConfig
-from flagdyn.synth import SynthesisParams, synthesize_rp1
+from flagdyn.synth import synthesize_rp1
 from flagdyn.words import concat
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,7 +26,7 @@ def main():
     cfg = RunConfig.load(ROOT / "configs" / "pgl2z.json")
     rho = cfg.presentation()
     t0 = time.time()
-    res = synthesize_rp1(rho, SynthesisParams(**cfg.raw.get("synthesis", {})))
+    res = synthesize_rp1(rho, cfg.synthesis)
     n_par = sum(1 for v in res.graph.vertices.values() if not hasattr(v, "word"))
     print(f"synthesized {len(res.graph.vertices)} vertices "
           f"({n_par} parabolic), {len(res.graph.edges)} edges in {time.time()-t0:.1f}s")

@@ -376,25 +376,30 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
 
     Equivalently the witness pulls back outside the closure of U_w under
     alpha^-1. Searches the first 8 elements of each label with 128 samples
-    per domain; inconclusive searches are reported, not raised.
+    per domain; inconclusive searches are reported, not raised. Labels are
+    enumerated and evaluated, and probe and closure samples drawn, once per
+    vertex.
     """
+    domains = {v: system.domain(v) for v in graph.vertices}
+    words = {v: elements_of(label, rho, cap=8) for v, label in graph.vertices.items()}
+    mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
+    probes = {v: np.vstack([U.interior_points(128, seed), U.boundary_points(128, seed)])
+              for v, U in domains.items()}
+    closures = {v: np.vstack([U.boundary_points(128, seed), U.interior_points(128, seed)])
+                for v, U in domains.items()}
+    arcs = {v: U.arc() for v, U in domains.items() if _is_arc(U)}
     out = []
     for edge in graph.edges:
         v, w = edge
-        U_v, U_w = system.domain(v), system.domain(w)
-        words = elements_of(graph.vertices[v], rho, cap=8)
-        probes = np.vstack([U_v.interior_points(128, seed), U_v.boundary_points(128, seed)])
-        closure_w = np.vstack([U_w.boundary_points(128, seed), U_w.interior_points(128, seed)])
-        arc_w = U_w.arc() if _is_arc(U_w) else None
-        for word in words:
-            m = rho.evaluate(word)
+        U_v, U_w, arc_w = domains[v], domains[w], arcs.get(w)
+        for word, m in zip(words[v], mats[v]):
             # an escape point only witnesses PROPER inclusion when the
             # inclusion itself holds: an isometry label produces escapes
             # without nesting and must come back inconclusive
-            if not np.all(U_v.contains_points(act_many(m, closure_w), slack=1e-12)):
+            if not np.all(U_v.contains_points(act_many(m, closures[w]), slack=1e-12)):
                 out.append(DivergenceWitness(edge, word, None, 0.0, False))
                 continue
-            pre = act_many(m.inv(), probes)
+            pre = act_many(m.inv(), probes[v])
             found, best = None, 0.0
             if arc_w is not None:
                 escape = circle.angle_dists(circle.angles(pre), arc_w.center) - arc_w.radius

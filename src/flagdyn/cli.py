@@ -8,7 +8,6 @@ byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -22,13 +21,13 @@ from .automaton import (
     peripheral_stability_probe,
     verify_compatibility,
 )
-from .config import RunConfig, check_keys, config_word, number, vector
+from .config import RunConfig
 from .domains import ChartBall, zimmer_metric
 from .dynamics import contracting_limits, limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
 from .linalg import flag_divergent, gap_trace
-from .projgeom import ProjHyperplane, ProjPoint, chart_point
-from .synth import SynthesisParams, synthesize_rp1
+from .projgeom import ProjHyperplane, chart_point
+from .synth import synthesize_rp1
 from .words import word_str
 
 
@@ -46,6 +45,12 @@ def _header(cfg: RunConfig, seed, extra=None):
     if extra:
         lines.extend(extra)
     return lines
+
+
+def _load(args):
+    """The config, seed and output directory a command runs with."""
+    cfg = RunConfig.load(args.config)
+    return cfg, cfg.seeds["master"] if args.seed is None else args.seed, Path(args.out)
 
 
 def _write(outdir: Path, name: str, text: str):
@@ -104,9 +109,8 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
 
 
 def cmd_certify(args):
-    cfg = RunConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    failure, cert, _ = _run_certify(cfg, seed, Path(args.out))
+    cfg, seed, outdir = _load(args)
+    failure, cert, _ = _run_certify(cfg, seed, outdir)
     if failure:
         print(f"FAIL first failing record: {failure}")
         return 1
@@ -115,9 +119,7 @@ def cmd_certify(args):
 
 
 def cmd_limitset(args):
-    cfg = RunConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    outdir = Path(args.out)
+    cfg, seed, outdir = _load(args)
     if args.skip_certify:
         rho, graph = cfg.presentation(), cfg.graph()
         system = cfg.system(epsilon=graph.epsilon)
@@ -180,30 +182,16 @@ def _render_svg(cfg, cloud, size=640):
 
 
 def cmd_rates(args):
-    cfg = RunConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    outdir = Path(args.out)
-    spec = cfg.raw.get("rates", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("rates section must be an object ({depth, paths, depth_range})")
-    check_keys(spec, "rates", ("depth", "paths", "depth_range"))
-    depth = number(spec.get("depth", cfg.budgets["depth"]), "rates.depth", int)
-    n_paths = number(spec.get("paths", 12), "rates.paths", int)
-    dr = spec.get("depth_range", [2, depth])
-    if not isinstance(dr, list) or len(dr) != 2:
-        raise ConfigError(f"rates.depth_range must be [first, last], got {dr!r}")
-    dr = tuple(number(n, "rates.depth_range entry", int) for n in dr)
-    if depth < 2 or n_paths < 1:
-        raise ConfigError(f"rates needs depth >= 2 and paths >= 1, "
-                          f"got depth {depth}, paths {n_paths}")
+    cfg, seed, outdir = _load(args)
     failure, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
     if failure:
         print("certification failed; no rates computed")
         return 1
-    paths, _ = enumerate_paths(graph, depth, "random", rho, seed=seed, cap=n_paths)
+    paths, _ = enumerate_paths(graph, cfg.rates.depth, "random", rho, seed=seed,
+                               cap=cfg.rates.paths)
     results = contracting_limits(paths, rho, system, certificate=cert)
     try:
-        rep = shrink_rates(results, depth_range=dr)
+        rep = shrink_rates(results, depth_range=cfg.rates.depth_range)
     except FlagdynError as exc:
         print(f"rate fit rejected: {exc}")
         return 1
@@ -220,19 +208,13 @@ def cmd_rates(args):
 
 
 def cmd_probe(args):
-    cfg = RunConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    outdir = Path(args.out)
-    spec = cfg.raw.get("probe")
-    if not isinstance(spec, dict) or not isinstance(spec.get("t_grid"), list):
+    cfg, seed, outdir = _load(args)
+    if cfg.probe is None:
         raise ConfigError("probe command needs a probe section with a t_grid list")
-    check_keys(spec, "probe", ("t_grid",))
-    for t in spec["t_grid"]:
-        number(t, "probe.t_grid entry")
     graph = cfg.graph()
     system = cfg.system(epsilon=graph.epsilon)
     results, first_fail = peripheral_stability_probe(
-        cfg.presentation, graph, system, spec["t_grid"],
+        cfg.presentation, graph, system, cfg.probe,
         n_boundary=cfg.budgets["boundary_samples"],
         n_interior=cfg.budgets["interior_samples"],
         element_cap=cfg.budgets["element_cap"],
@@ -251,27 +233,11 @@ def cmd_probe(args):
 
 
 def cmd_synthesize(args):
-    cfg = RunConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    outdir = Path(args.out)
+    cfg, seed, outdir = _load(args)
     if cfg.dimension != 2:
         raise ConfigError("synthesis requires dimension 2")
-    spec = cfg.raw.get("synthesis", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("synthesis section must be an object")
-    defaults = {f.name: f.default for f in dataclasses.fields(SynthesisParams)}
-    check_keys(spec, "synthesis", defaults)
-    values = {}
-    for key, value in spec.items():
-        # integer fields take integers >= 0; epsilon and delta positive numbers
-        kind = type(defaults[key])
-        values[key] = number(value, f"synthesis.{key}", kind)
-        if values[key] < 0 or (kind is float and values[key] == 0):
-            sign = "positive" if kind is float else "nonnegative"
-            raise ConfigError(f"synthesis.{key} must be {sign}, got {value!r}")
     rho = cfg.presentation()
-    params = SynthesisParams(**values)
-    res = synthesize_rp1(rho, params)
+    res = synthesize_rp1(rho, cfg.synthesis)
     cert = verify_compatibility(
         res.graph, res.system, rho,
         element_cap=cfg.budgets["element_cap"], seed=seed,
@@ -321,31 +287,19 @@ def _word_text(word):
 
 
 def cmd_gaps(args):
-    cfg = RunConfig.load(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds["master"]
-    outdir = Path(args.out)
-    spec = cfg.raw.get("gaps")
-    if not isinstance(spec, dict) or not isinstance(spec.get("word"), str):
+    cfg, seed, outdir = _load(args)
+    if (gaps := cfg.gaps) is None:
         raise ConfigError("gaps command needs a gaps section ({word, count, k})")
-    check_keys(spec, "gaps", ("word", "count", "k", "threshold"))
-    count = number(spec.get("count", 100), "gaps.count", int)
-    k = number(spec.get("k", 1), "gaps.k", int)
-    if count < 1 or not 1 <= k <= cfg.dimension - 1:
-        raise ConfigError(f"gaps needs count >= 1 and k in 1..{cfg.dimension - 1}, "
-                          f"got count {count}, k {k}")
-    threshold = number(spec.get("threshold", 5.0), "gaps.threshold")
-    rho = cfg.presentation()
-    base = rho.evaluate(config_word(spec["word"], "gaps.word", rho.generators))
-    trace = gap_trace([base] * count, k)
-    flagged = flag_divergent(trace, threshold)
-    rows = ["# " + " | ".join(_header(cfg, seed, [f"word {spec['word']}", f"k {k}"])),
+    trace = gap_trace([cfg.presentation().evaluate(gaps.word)] * gaps.count, gaps.k)
+    flagged = flag_divergent(trace, gaps.threshold)
+    rows = ["# " + " | ".join(_header(cfg, seed, [f"word {gaps.text}", f"k {gaps.k}"])),
             "n,gap"]
     rows += [f"{n+1},{_fmt(g)}" for n, g in enumerate(trace)]
     _write(outdir, "gaps.csv", "\n".join(rows) + "\n")
     report = _header(cfg, seed) + [
-        f"word {spec['word']}  k {k}  count {count}",
+        f"word {gaps.text}  k {gaps.k}  count {gaps.count}",
         f"final gap {_fmt(trace[-1])}",
-        f"flagged divergent at threshold {threshold}: {flagged}",
+        f"flagged divergent at threshold {gaps.threshold}: {flagged}",
     ]
     _write(outdir, "gaps.txt", "\n".join(report) + "\n")
     print(f"final gap {_fmt(trace[-1])}; divergent flag {flagged}")
@@ -366,14 +320,11 @@ def cmd_hilbert(args):
     else:
         if args.config is None:
             raise ConfigError("hilbert needs --config or --interval")
-        cfg = RunConfig.load(args.config)
-        spec = cfg.raw.get("hilbert")
-        if not isinstance(spec, dict) or not {"domain", "x", "y"} <= spec.keys():
+        hilbert = RunConfig.load(args.config).hilbert
+        if hilbert is None:
             raise ConfigError("hilbert command needs a hilbert section {domain, x, y} "
                               "or --interval")
-        check_keys(spec, "hilbert", ("domain", "x", "y"))
-        omega = cfg.domain(spec["domain"])
-        x, y = (ProjPoint(vector(spec[k], f"hilbert.{k}", cfg.dimension)) for k in "xy")
+        omega, x, y = hilbert
     val = zimmer_metric(omega, x, y, budget=4096)
     exact = "exact" if omega.exact_metric else "sampled lower bound"
     print(f"{_fmt(val)}  ({exact})")

@@ -5,16 +5,22 @@ Matrix entries may be strings in the deformation parameter t, which is
 how probe families are declared. They are parsed, not executed: only
 numbers, t, pi, e, + - * / ** and the functions of ``_EXPR_NAMES`` are
 evaluated; anything else is a ConfigError.
+
+``RunConfig`` reads the whole config once, at load: each value is read
+and checked at one site, and each object's keys against its kind, so a
+bad section stops every command. Commands read the parsed sections.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +28,9 @@ import numpy as np
 from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
 from .domains import ChartBall, ConvexPolytope, SampledSet
 from .errors import ConfigError, EvaluationError, SingularInput
-from .linalg import Matrix
-from .projgeom import ProjHyperplane
+from .linalg import MAX_DIM, Matrix
+from .projgeom import ProjHyperplane, ProjPoint
+from .synth import SynthesisParams
 from .systems import arc_ball
 from .words import GroupPresentation, Peripheral, parse_word
 
@@ -59,30 +66,61 @@ def _eval_expr(node, names):
     raise ConfigError(f"disallowed expression {ast.unparse(node)!r}")
 
 
-def _entry(value, t=0.0):
-    if isinstance(value, (int, float)):
+def _entry(value, what):
+    """A matrix entry: a number as given, or an expression string parsed
+    once into a function of t."""
+    if not isinstance(value, str):
+        number(value, what)
         return value
-    if isinstance(value, str):
+    try:
+        node = ast.parse(value, mode="eval").body
+    except (SyntaxError, RecursionError, ValueError) as exc:
+        raise ConfigError(f"bad matrix entry {value!r}: {exc}") from exc
+
+    def at(t):
         try:
-            return float(_eval_expr(ast.parse(value, mode="eval").body,
-                                    {**_EXPR_NAMES, "t": t}))
-        except (ConfigError, SyntaxError, RecursionError, ZeroDivisionError,
-                OverflowError, ValueError) as exc:
+            return float(_eval_expr(node, {**_EXPR_NAMES, "t": t}))
+        except (ConfigError, RecursionError, ZeroDivisionError, OverflowError, ValueError) as exc:
             raise ConfigError(f"bad matrix entry {value!r}: {exc}") from exc
-    raise ConfigError(f"bad matrix entry {value!r}")
+    return at
+
+
+def _matrix(name, rows, t=0.0):
+    """Generator ``name`` from rows of numbers and entry functions of t."""
+    try:
+        if all(isinstance(x, int) for row in rows for x in row):
+            return Matrix(np.array(rows, dtype=object))
+        return Matrix(np.array([[x(t) if callable(x) else x for x in row] for row in rows]))
+    except SingularInput as exc:
+        raise ConfigError(f"generator {name}: {exc}") from exc
 
 
 def number(value, what, kind=float):
     """A numeric config field as a finite float, or an int for ``kind=int``.
 
     Anything else (null, a string, a list, an object, a boolean, a value
-    that is not finite, a fraction for an int field) is a ConfigError.
+    beyond the finite floats, a fraction for an int field) is a ConfigError.
     """
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (kind is int and value != int(value))):
+            or not abs(value) <= sys.float_info.max  # NaN, infinite or too large
+            or (kind is int and value != int(value))):
         want = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{what} must be {want}, got {value!r}")
     return kind(value)
+
+
+def _at_least(value, what, low):
+    n = number(value, what, int)
+    if n < low:
+        raise ConfigError(f"{what} must be at least {low}, got {value!r}")
+    return n
+
+
+def _positive(value, what):
+    x = number(value, what)
+    if x <= 0:
+        raise ConfigError(f"{what} must be positive, got {value!r}")
+    return x
 
 
 def check_keys(spec, section, known):
@@ -92,36 +130,22 @@ def check_keys(spec, section, known):
         raise ConfigError(f"unknown {section} keys: {', '.join(unknown)}")
 
 
-# the sections a config may have
-_SECTIONS = ("dimension", "seeds", "budgets", "generators", "derived", "peripherals", "graph",
-             "domains", "delta_separation", "rates", "gaps", "probe", "hilbert", "synthesis")
+def _object(value, what, known):
+    """``value``, an object whose keys are all ``known``; ``what`` names it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    check_keys(value, what, known)
+    return value
 
 
-def _epsilon(value):
-    eps = number(value, "graph.epsilon")
-    if eps <= 0:
-        raise ConfigError(f"graph.epsilon must be positive, got {eps!r}")
-    return eps
+def _list(value, what):
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
 
 
-def _truncation(peripheral):
-    return number(peripheral.get("truncation", 40),
-                  f"peripheral {peripheral['name']} truncation", int)
-
-
-def vector(value, what, n):
-    if not isinstance(value, list) or len(value) != n:
-        raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
-    return np.array([number(x, what) for x in value])
-
-
-# keys each domain kind requires
-_DOMAIN_KEYS = {
-    "arc": ("center_angle", "radius_angle"),
-    "chart_ball": ("chart", "center", "radius"),
-    "polytope": ("chart", "vertices"),
-    "union": ("members",),
-}
+def _objects(value, what, item, known):
+    return [_object(x, item, known) for x in _list(value, what)]
 
 
 def _text(value, what):
@@ -130,10 +154,10 @@ def _text(value, what):
     return value
 
 
-def _objects(value, what):
-    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
-        raise ConfigError(f"{what} must be a list of objects, got {value!r}")
-    return value
+def vector(value, what, n):
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
+    return np.array([number(x, what) for x in value])
 
 
 def config_word(value, what, names):
@@ -148,21 +172,57 @@ def config_word(value, what, names):
     return word
 
 
-def _matrix(rows, t=0.0):
-    if all(isinstance(x, int) for row in rows for x in row):
-        return Matrix(np.array(rows, dtype=object))
-    vals = [[_entry(x, t) for x in row] for row in rows]
-    return Matrix(np.array(vals))
+# the sections a config may have
+_SECTIONS = ("dimension", "seeds", "budgets", "generators", "derived", "peripherals", "graph",
+             "domains", "delta_separation", "rates", "gaps", "probe", "hilbert", "synthesis")
+
+# keys each vertex type may have
+_VERTEX_KEYS = {
+    "singleton": ("id", "type", "word"),
+    "parabolic": ("id", "type", "peripheral", "coset_word", "min_power", "excluded"),
+}
+
+# keys each domain kind takes, besides its kind
+_DOMAIN_KEYS = {
+    "arc": ("center_angle", "radius_angle"),
+    "chart_ball": ("chart", "center", "radius"),
+    "polytope": ("chart", "vertices"),
+    "union": ("members",),
+}
+
+_SYNTHESIS_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SynthesisParams)}
 
 
-@dataclass
+def _label(v, vid, kind, names, peripherals):
+    """The label of vertex ``vid``, a ``kind`` vertex object."""
+    if kind == "singleton":
+        return Singleton(config_word(v.get("word"), f"vertex {vid} word", names))
+    p = peripherals.get(_text(v.get("peripheral"), f"vertex {vid} peripheral"))
+    if p is None:
+        raise ConfigError(f"vertex {vid} references unknown peripheral")
+    label = ParabolicFamily(
+        coset_word=config_word(v.get("coset_word", ""), f"vertex {vid} coset_word", names),
+        peripheral=p.name,
+        exclude_below=number(v.get("min_power", 1), f"vertex {vid} min_power", int),
+        excluded=tuple(config_word(w, f"vertex {vid} excluded word", names)
+                       for w in _list(v.get("excluded", []), f"vertex {vid} excluded")),
+    )
+    if max(1, label.exclude_below) > p.truncation:
+        raise ConfigError(f"vertex {vid} min_power exceeds its peripheral "
+                          "truncation, so the label has no element")
+    return label
+
+
+# parsed command sections
+Rates = namedtuple("Rates", "depth paths depth_range")
+Gaps = namedtuple("Gaps", "text word count k threshold")
+Hilbert = namedtuple("Hilbert", "domain x y")
+
+
 class RunConfig:
-    dimension: int
-    raw: dict
-    path: str | None
-    config_hash: str
-    seeds: dict = field(default_factory=dict)
-    budgets: dict = field(default_factory=dict)
+    """A run config, read and checked once at load and kept parsed. ``raw``
+    is the JSON as loaded; ``probe`` (the t grid), ``gaps`` and ``hilbert``
+    are None when the config has no such section."""
 
     DEFAULT_BUDGETS = {
         "boundary_samples": 64,
@@ -185,212 +245,201 @@ class RunConfig:
             raw = json.loads(blob)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls._from_raw(raw, str(p), hashlib.sha256(blob).hexdigest()[:16])
+        return cls(raw, str(p), hashlib.sha256(blob).hexdigest()[:16])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         blob = json.dumps(raw, sort_keys=True).encode()
-        return cls._from_raw(raw, None, hashlib.sha256(blob).hexdigest()[:16])
+        return cls(raw, None, hashlib.sha256(blob).hexdigest()[:16])
 
-    @classmethod
-    def _from_raw(cls, raw, path, digest):
+    def __init__(self, raw, path, config_hash):
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         check_keys(raw, "top-level", _SECTIONS)
         dim = raw.get("dimension")
-        if not isinstance(dim, int) or dim < 2:
-            raise ConfigError("dimension must be an integer >= 2")
-        for section in ("seeds", "budgets", "domains"):
-            if not isinstance(raw.get(section, {}), dict):
-                raise ConfigError(f"{section} must be an object")
-        check_keys(raw.get("budgets", {}), "budgets", cls.DEFAULT_BUDGETS)
-        cfg = cls(
-            dimension=dim,
-            raw=raw,
-            path=path,
-            config_hash=digest,
-            seeds={"master": 7, **raw.get("seeds", {})},
-            budgets={**cls.DEFAULT_BUDGETS, **raw.get("budgets", {})},
-        )
-        cfg.seeds["master"] = number(cfg.seeds["master"], "seeds.master", int)
-        if cfg.seeds["master"] < 0:
-            raise ConfigError("seeds.master must be a nonnegative integer")
-        for key, val in cfg.budgets.items():
-            cfg.budgets[key] = number(val, f"budgets.{key}", int)
-            if cfg.budgets[key] < 1:
-                raise ConfigError(f"budgets.{key} must be positive")
-        cfg._validate_refs()
-        return cfg
+        if not isinstance(dim, int) or not 2 <= dim <= MAX_DIM:
+            raise ConfigError(f"dimension must be an integer in 2..{MAX_DIM}")
+        self.dimension, self.raw, self.path, self.config_hash = dim, raw, path, config_hash
+        seeds = _object(raw.get("seeds", {}), "seeds", ("master",))
+        self.seeds = {"master": _at_least(seeds.get("master", 7), "seeds.master", 0)}
+        budgets = _object(raw.get("budgets", {}), "budgets", self.DEFAULT_BUDGETS)
+        self.budgets = {key: _at_least(budgets.get(key, n), f"budgets.{key}", 1)
+                        for key, n in self.DEFAULT_BUDGETS.items()}
+        names = self._read_group(raw)
+        self._read_graph(raw, names)
+        self._read_commands(raw, names)
 
-    def _validate_refs(self):
-        raw = self.raw
-        generators = _objects(raw.get("generators", []), "generators")
-        derived = _objects(raw.get("derived", []), "derived")
-        gen_names = {_text(g.get("name"), "generator name") for g in generators + derived}
-        for d in derived:
-            _text(d.get("word"), f"derived generator {d['name']} word")
-        for g in generators:
+    def _read_group(self, raw):
+        """Generators, derived words and peripherals; returns the generator names."""
+        d, names = self.dimension, []
+        self._generators, self._derived, self.peripherals = {}, [], []
+        for g in _objects(raw.get("generators", []), "generators", "generator", ("name", "matrix")):
+            name = _text(g.get("name"), "generator name")
             rows = g.get("matrix")
-            if (
-                not isinstance(rows, list)
-                or len(rows) != self.dimension
-                or any(not isinstance(r, list) or len(r) != self.dimension for r in rows)
-            ):
-                raise ConfigError(f"generator {g.get('name')} matrix must be {self.dimension}x{self.dimension}")
-        pnames = set()
-        for p in _objects(raw.get("peripherals", []), "peripherals"):
-            pnames.add(_text(p.get("name"), "peripheral name"))
-            gens = p.get("generators", [])
-            if not isinstance(gens, list):
-                raise ConfigError(f"peripheral {p['name']} generators must be a list of names")
+            if not (isinstance(rows, list) and len(rows) == d
+                    and all(isinstance(r, list) and len(r) == d for r in rows)):
+                raise ConfigError(f"generator {name} matrix must be {d}x{d}")
+            rows = [[_entry(x, f"generator {name} matrix entry") for x in r] for r in rows]
+            # matrices without an entry in t are built once, here
+            constant = not any(callable(x) for r in rows for x in r)
+            self._generators[name] = _matrix(name, rows) if constant else rows
+            names.append(name)
+        for g in _objects(raw.get("derived", []), "derived", "derived generator", ("name", "word")):
+            name = _text(g.get("name"), "generator name")
+            self._derived.append(
+                (name, config_word(g.get("word"), f"derived generator {name} word", names)))
+            names.append(name)
+        if len(set(names)) < len(names):
+            raise ConfigError(f"generator names repeat: {', '.join(names)}")
+        for p in _objects(raw.get("peripherals", []), "peripherals", "peripheral",
+                          ("name", "generators", "truncation", "abelian", "parabolic_point")):
+            name = _text(p.get("name"), "peripheral name")
+            gens = _list(p.get("generators", []), f"peripheral {name} generators")
             for g in gens:
-                if _text(g, f"peripheral {p['name']} generator") not in gen_names:
-                    raise ConfigError(f"peripheral {p['name']} references unknown generator {g}")
+                if _text(g, f"peripheral {name} generator") not in names:
+                    raise ConfigError(f"peripheral {name} references unknown generator {g}")
+            abelian, point = p.get("abelian", True), p.get("parabolic_point")
+            if not isinstance(abelian, bool):
+                raise ConfigError(f"peripheral {name} abelian must be true or false")
+            if point is not None:
+                point = vector(point, f"peripheral {name} parabolic_point", d)
+            self.peripherals.append(Peripheral(name, list(gens), number(
+                p.get("truncation", 40), f"peripheral {name} truncation", int), abelian, point))
+        return names
+
+    def _read_graph(self, raw, names):
+        """Vertex labels, edges and epsilon; domains; the separation table."""
+        self._graph = None
         graph = raw.get("graph")
         if graph is not None:
-            if not isinstance(graph, dict):
-                raise ConfigError("graph must be an object")
-            if not isinstance(graph.get("edges", []), list):
-                raise ConfigError("graph.edges must be a list of [id, id] pairs")
-            ids = set()
-            for v in _objects(graph.get("vertices", []), "graph.vertices"):
-                vid = _text(v.get("id"), "graph vertex id")
-                ids.add(vid)
-                if v.get("type") == "parabolic":
-                    if v.get("peripheral") not in pnames:
-                        raise ConfigError(f"vertex {vid} references unknown peripheral")
-                elif "word" not in v:
-                    raise ConfigError(f"singleton vertex {vid} needs a word")
-                for key in ("word", "coset_word"):
-                    if key in v:
-                        _text(v[key], f"vertex {vid} {key}")
-                excluded = v.get("excluded", [])
-                if not isinstance(excluded, list):
-                    raise ConfigError(f"vertex {vid} excluded must be a list of words")
-                for w in excluded:
-                    _text(w, f"vertex {vid} excluded word")
-            for e in graph.get("edges", []):
-                if not (isinstance(e, (list, tuple)) and len(e) == 2
-                        and all(isinstance(x, str) and x in ids for x in e)):
+            graph = _object(graph, "graph", ("epsilon", "vertices", "edges"))
+            eps = graph.get("epsilon", "auto")
+            eps = eps if eps == "auto" else _positive(eps, "graph.epsilon")
+            peripherals = {p.name: p for p in self.peripherals}
+            vertices = {}
+            for v in _list(graph.get("vertices", []), "graph.vertices"):
+                kind = v.get("type", "singleton") if isinstance(v, dict) else "singleton"
+                if kind not in ("singleton", "parabolic"):
+                    raise ConfigError(f"unknown vertex type {kind!r}")
+                vid = _text(_object(v, f"{kind} vertex", _VERTEX_KEYS[kind]).get("id"),
+                            "graph vertex id")
+                if vid in vertices:
+                    raise ConfigError(f"vertex id {vid} repeats")
+                vertices[vid] = _label(v, vid, kind, names, peripherals)
+            edges = []
+            for e in _list(graph.get("edges", []), "graph.edges"):
+                if not (isinstance(e, list) and len(e) == 2
+                        and all(isinstance(x, str) and x in vertices for x in e)):
                     raise ConfigError(f"edge {e} references unknown vertex")
-            for vid in raw.get("domains", {}):
-                if vid not in ids:
-                    raise ConfigError(f"domain assigned to unknown vertex {vid}")
+                edges.append(tuple(e))
+            self._graph = (vertices, edges, eps)
+        domains = raw.get("domains", {})
+        if not isinstance(domains, dict):
+            raise ConfigError("domains must be an object")
+        for vid in domains:
+            if self._graph is not None and vid not in self._graph[0]:
+                raise ConfigError(f"domain assigned to unknown vertex {vid}")
+        self._domains = {vid: self._domain(spec) for vid, spec in domains.items()}
+        self._separation = []
+        for row in _list(raw.get("delta_separation", []), "delta_separation"):
+            if not isinstance(row, list) or len(row) != 3:
+                raise ConfigError(f"delta_separation row {row!r} must be [id, id, gap]")
+            a, b = (_text(x, "delta_separation vertex id") for x in row[:2])
+            if not {a, b} <= self._domains.keys():
+                raise ConfigError(f"delta_separation row {row!r} names an unknown vertex")
+            gap = number(row[2], f"delta_separation gap of {a} vs {b}")
+            self._separation.append((a, b, gap))
 
-    # -- construction ----------------------------------------------------------
-
-    def presentation(self, t: float = 0.0) -> GroupPresentation:
-        gens = {}
-        for g in self.raw.get("generators", []):
-            try:
-                gens[g["name"]] = _matrix(g["matrix"], t)
-            except SingularInput as exc:
-                raise ConfigError(f"generator {g['name']}: {exc}") from exc
-        for d in self.raw.get("derived", []):
-            base = GroupPresentation(dim=self.dimension, generators=dict(gens))
-            gens[d["name"]] = base.evaluate(
-                config_word(d.get("word"), f"derived generator {d['name']} word", gens))
-        peripherals = []
-        for p in self.raw.get("peripherals", []):
-            if not isinstance(p.get("abelian", True), bool):
-                raise ConfigError(f"peripheral {p['name']} abelian must be true or false")
-            point = p.get("parabolic_point")
-            peripherals.append(Peripheral(
-                name=p["name"],
-                generators=list(p.get("generators", [])),
-                truncation=_truncation(p),
-                abelian=p.get("abelian", True),
-                parabolic_point=None if point is None else vector(
-                    point, f"peripheral {p['name']} parabolic_point", self.dimension),
-            ))
-        return GroupPresentation(dim=self.dimension, generators=gens,
-                                 peripherals=peripherals)
-
-    def graph(self) -> GammaGraph:
-        g = self.raw.get("graph")
-        if g is None:
-            raise ConfigError("config has no graph section")
-        names = [x["name"] for x in self.raw.get("generators", []) + self.raw.get("derived", [])]
-        vertices = {}
-        for v in g.get("vertices", []):
-            vid = v["id"]
-            if v.get("type") == "parabolic":
-                label = vertices[vid] = ParabolicFamily(
-                    coset_word=config_word(v.get("coset_word", ""), f"vertex {vid} coset_word",
-                                           names),
-                    peripheral=v["peripheral"],
-                    exclude_below=number(v.get("min_power", 1),
-                                         f"vertex {vid} min_power", int),
-                    excluded=tuple(config_word(w, f"vertex {vid} excluded word", names)
-                                   for w in v.get("excluded", [])),
-                )
-                p = next(p for p in self.raw["peripherals"] if p["name"] == v["peripheral"])
-                if max(1, label.exclude_below) > _truncation(p):
-                    raise ConfigError(f"vertex {vid} min_power exceeds its peripheral "
-                                      "truncation, so the label has no element")
-            else:
-                vertices[vid] = Singleton(config_word(v["word"], f"vertex {vid} word", names))
-        eps = g.get("epsilon", "auto")
-        edges = [tuple(e) for e in g.get("edges", [])]
-        if eps == "auto":
-            system = self.system(epsilon=1.0)
-            eps = 0.1 * system.min_pairwise_gap()
-            if eps <= 0:
-                raise ConfigError("auto epsilon failed: assigned domains touch")
-        try:
-            return GammaGraph(vertices=vertices, edges=edges, epsilon=_epsilon(eps))
-        except ValueError as exc:  # a vertex with no outgoing edge
-            raise ConfigError(f"graph: {exc}") from exc
-
-    def domain(self, spec):
+    def _domain(self, spec):
         kind = spec.get("kind") if isinstance(spec, dict) else None
         if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
             raise ConfigError(f"unknown domain kind {kind!r}")
-        missing = [key for key in _DOMAIN_KEYS[kind] if key not in spec]
-        if missing:
-            raise ConfigError(f"{kind} domain needs {', '.join(missing)}")
+        check_keys(spec, f"{kind} domain", ("kind", *_DOMAIN_KEYS[kind]))
         d = self.dimension
         try:
             if kind == "arc":
                 if d != 2:
                     raise ConfigError("arc domains require dimension 2")
-                return arc_ball(number(spec["center_angle"], "arc center_angle"),
-                                number(spec["radius_angle"], "arc radius_angle"))
+                return arc_ball(number(spec.get("center_angle"), "arc center_angle"),
+                                number(spec.get("radius_angle"), "arc radius_angle"))
             if kind == "union":
-                if not isinstance(spec["members"], list):
-                    raise ConfigError("union members must be a list of domains")
-                return SampledSet([self.domain(m) for m in spec["members"]])
-            chart = ProjHyperplane(vector(spec["chart"], f"{kind} chart", d))
+                members = _list(spec.get("members"), "union members")
+                return SampledSet([self._domain(m) for m in members])
+            chart = ProjHyperplane(vector(spec.get("chart"), f"{kind} chart", d))
             if kind == "chart_ball":
-                return ChartBall(chart, vector(spec["center"], "chart_ball center", d - 1),
-                                 number(spec["radius"], "chart_ball radius"))
-            vertices = spec["vertices"]
-            if not isinstance(vertices, list):
-                raise ConfigError("polytope vertices must be a list of points")
+                return ChartBall(chart, vector(spec.get("center"), "chart_ball center", d - 1),
+                                 number(spec.get("radius"), "chart_ball radius"))
+            vertices = _list(spec.get("vertices"), "polytope vertices")
             return ConvexPolytope(chart, [vector(v, "polytope vertex", d - 1) for v in vertices])
         except ValueError as exc:  # out-of-range values the domain rejects
             raise ConfigError(f"{kind} domain: {exc}") from exc
 
+    def _read_commands(self, raw, names):
+        """The sections of the rates, gaps, probe, hilbert and synthesize commands."""
+        spec = _object(raw.get("rates", {}), "rates", ("depth", "paths", "depth_range"))
+        depth = _at_least(spec.get("depth", self.budgets["depth"]), "rates.depth", 2)
+        depth_range = _list(spec.get("depth_range", [2, depth]), "rates.depth_range")
+        if len(depth_range) != 2:
+            raise ConfigError(f"rates.depth_range must be [first, last], got {depth_range!r}")
+        self.rates = Rates(depth, _at_least(spec.get("paths", 12), "rates.paths", 1),
+                           tuple(number(n, "rates.depth_range entry", int)
+                                 for n in depth_range))
+        self.gaps = self.probe = self.hilbert = None
+        if raw.get("gaps") is not None:
+            spec = _object(raw["gaps"], "gaps", ("word", "count", "k", "threshold"))
+            word = config_word(spec.get("word"), "gaps.word", names)
+            k = number(spec.get("k", 1), "gaps.k", int)
+            if not 1 <= k < self.dimension:
+                raise ConfigError(f"gaps.k must lie in 1..{self.dimension - 1}, got {k}")
+            self.gaps = Gaps(spec["word"], word,
+                             _at_least(spec.get("count", 100), "gaps.count", 1), k,
+                             number(spec.get("threshold", 5.0), "gaps.threshold"))
+        if raw.get("probe") is not None:
+            spec = _object(raw["probe"], "probe", ("t_grid",))
+            self.probe = list(_list(spec.get("t_grid"), "probe.t_grid"))
+            for t in self.probe:
+                number(t, "probe.t_grid entry")
+        if raw.get("hilbert") is not None:
+            spec = _object(raw["hilbert"], "hilbert", ("domain", "x", "y"))
+            self.hilbert = Hilbert(self._domain(spec.get("domain")), *(
+                ProjPoint(vector(spec.get(k), f"hilbert.{k}", self.dimension)) for k in "xy"))
+        spec = _object(raw.get("synthesis", {}), "synthesis", _SYNTHESIS_DEFAULTS)
+        # integer fields take integers >= 0; epsilon and delta positive numbers
+        self.synthesis = SynthesisParams(**{
+            key: _at_least(v, f"synthesis.{key}", 0) if isinstance(_SYNTHESIS_DEFAULTS[key], int)
+            else _positive(v, f"synthesis.{key}") for key, v in spec.items()})
+
+    # -- construction ----------------------------------------------------------
+
+    def presentation(self, t: float = 0.0) -> GroupPresentation:
+        """The group at parameter t: only matrices with an entry in t are built here."""
+        gens = {name: m if isinstance(m, Matrix) else _matrix(name, m, t)
+                for name, m in self._generators.items()}
+        for name, word in self._derived:
+            base = GroupPresentation(dim=self.dimension, generators=dict(gens))
+            gens[name] = base.evaluate(word)
+        return GroupPresentation(dim=self.dimension, generators=gens,
+                                 peripherals=self.peripherals)
+
+    def graph(self) -> GammaGraph:
+        if self._graph is None:
+            raise ConfigError("config has no graph section")
+        vertices, edges, eps = self._graph
+        if eps == "auto":
+            eps = 0.1 * self.system(epsilon=1.0).min_pairwise_gap()
+            if not 0 < eps < math.inf:
+                raise ConfigError("auto epsilon failed: no positive gap between domains")
+        try:
+            return GammaGraph(vertices=vertices, edges=edges, epsilon=eps)
+        except ValueError as exc:  # a vertex with no outgoing edge
+            raise ConfigError(f"graph: {exc}") from exc
+
     def system(self, epsilon: float) -> CompatibleSystem:
-        doms = {vid: self.domain(spec) for vid, spec in self.raw.get("domains", {}).items()}
-        if not doms:
+        if not self._domains:
             raise ConfigError("config has no domains section")
-        return CompatibleSystem(domains=doms, epsilon=epsilon)
+        return CompatibleSystem(domains=dict(self._domains), epsilon=epsilon)
 
     def check_separation(self, system: CompatibleSystem):
         """User-declared FS separation table, checked not derived."""
-        failures = []
-        rows = self.raw.get("delta_separation", [])
-        if not isinstance(rows, list):
-            raise ConfigError("delta_separation must be a list of [id, id, gap] rows")
-        for entry in rows:
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ConfigError(f"delta_separation row {entry!r} must be [id, id, gap]")
-            a, b = (_text(x, "delta_separation vertex id") for x in entry[:2])
-            if not {a, b} <= system.domains.keys():
-                raise ConfigError(f"delta_separation row {entry!r} names an unknown vertex")
-            gap = number(entry[2], f"delta_separation gap of {a} vs {b}")
-            actual = pair_gap(system.domain(a), system.domain(b), 64, 32, 0)
-            if actual < gap:
-                failures.append((a, b, gap, actual))
-        return failures
+        return [(a, b, gap, actual) for a, b, gap in self._separation
+                if (actual := pair_gap(system.domain(a), system.domain(b), 64, 32, 0)) < gap]

@@ -196,9 +196,12 @@ class ConvexPolytope(ProperDomain):
             self.offsets = np.array([-lo, hi])
             self._facets = [np.array([[lo]]), np.array([[hi]])]
         else:
-            from scipy.spatial import ConvexHull
+            from scipy.spatial import ConvexHull, QhullError
 
-            hull = ConvexHull(verts)
+            try:
+                hull = ConvexHull(verts)
+            except QhullError as exc:  # vertices that lie in a hyperplane
+                raise ValueError("polytope vertices span no full-dimensional hull") from exc
             self.vertices = verts[hull.vertices]
             # hull equations: A x + b <= 0 inside
             self.normals = hull.equations[:, :-1]

@@ -501,6 +501,12 @@ def _bad(name, command, edit, id):
          "abelian-string"),
     _bad("pgl2z.json", "synthesize", _set("peripherals", 0, "generators", "ts"),
          "peripheral-generators-string"),
+    _bad("single_loop.json", "gaps", _set("generators", 0, "matrix", 0, 0, 10**400),
+         "matrix-entry-beyond-floats"),
+    _bad("jordan_diag.json", "certify",
+         _set("domains", "va", {"kind": "polytope", "chart": [1, 0, 0, 0],
+                                "vertices": [[0, 0, 0], [0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]]}),
+         "polytope-flat"),
     # words and references
     _bad("jordan_diag.json", "certify", _set("derived", 1, "word", "M A^24 Q"),
          "derived-word-unknown"),
@@ -532,9 +538,16 @@ def test_valid_hilbert_section_runs(tmp_path):
     assert run(["hilbert", "--config", cfg]) == 0
 
 
-# a misspelt key in a section, the command that reads it, and the message; a
-# misspelt top-level section is refused by every command (budgets and
-# synthesis keys are checked above)
+def _union_of_va(raw):
+    """jordan_diag.json with domain va as a union whose one member, the former
+    va ball, has a misspelt key."""
+    raw["domains"]["va"] = {"kind": "union", "members": [{**raw["domains"]["va"], "radus": 0.1}]}
+
+
+# a misspelt key in an object, a command that loads the config, and the
+# message. The whole config is checked at load, so every command refuses an
+# unknown key in any object: a misspelt gaps key stops certify too (budgets
+# and synthesis keys are checked above)
 @pytest.mark.parametrize("name, command, edit, message", [
     *(("single_loop.json", command, _set("budget", {"depth": 5}), "top-level keys: budget")
       for command in ("certify", "limitset", "rates", "gaps")),
@@ -542,8 +555,30 @@ def test_valid_hilbert_section_runs(tmp_path):
     ("single_loop.json", "rates", _set("rates", "path", 3), "rates keys: path"),
     ("jordan_diag.json", "probe", _set("probe", "t_gird", [0.0]), "probe keys: t_gird"),
     ("jordan_diag.json", "hilbert", _with_hilbert(_set("z", [1, 0, 0, 0])), "hilbert keys: z"),
+    ("schottky.json", "certify", _set("seeds", "mastr", 3), "seeds keys: mastr"),
+    ("schottky.json", "certify", _set("generators", 0, "matirx", [[1, 0], [0, 1]]),
+     "generator keys: matirx"),
+    ("jordan_diag.json", "certify", _set("derived", 0, "wrod", "M"),
+     "derived generator keys: wrod"),
+    ("jordan_diag.json", "certify", _set("peripherals", 0, "truncaton", 8),
+     "peripheral keys: truncaton"),
+    ("schottky.json", "certify", _set("graph", "epsilom", 0.5), "graph keys: epsilom"),
+    ("schottky.json", "certify", _set("graph", "vertices", 0, "wrod", "a"),
+     "singleton vertex keys: wrod"),
+    ("jordan_diag.json", "certify", _set("graph", "vertices", 0, "min_powr", 2),
+     "parabolic vertex keys: min_powr"),
+    ("schottky.json", "certify", _set("domains", "a+", "radius_angel", 0.1),
+     "arc domain keys: radius_angel"),
+    ("jordan_diag.json", "certify", _set("domains", "va", "radus", 0.1),
+     "chart_ball domain keys: radus"),
+    ("jordan_diag.json", "certify", _union_of_va, "chart_ball domain keys: radus"),
+    ("jordan_diag.json", "hilbert", _with_hilbert(_set("domain", "radus", 0.1)),
+     "chart_ball domain keys: radus"),
+    ("single_loop.json", "certify", _set("gaps", "treshold", 3.0), "gaps keys: treshold"),
 ], ids=["top-certify", "top-limitset", "top-rates", "top-gaps", "gaps", "rates", "probe",
-        "hilbert"])
+        "hilbert", "seeds", "generator", "derived", "peripheral", "graph", "singleton-vertex",
+        "parabolic-vertex", "arc-domain", "chart-ball-domain", "union-member",
+        "hilbert-domain", "gaps-stops-certify"])
 def test_unknown_config_key_is_config_error(tmp_path, capsys, name, command, edit, message):
     raw = json.loads((CONFIGS / name).read_text())
     edit(raw)
@@ -555,16 +590,37 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, name, command, edi
     assert err == f"config error: unknown {message}\n"
 
 
-# one bundled config per command; hilbert gets a section, and synthesize a
-# small ball and grid so each run takes a fraction of a second
+# misspelt keys in three objects of schottky.json: every command refuses the
+# config at load, before it reads any section
+@pytest.mark.parametrize("command", ["certify", "limitset", "rates", "probe", "gaps",
+                                     "hilbert", "synthesize"])
+def test_misspelt_keys_stop_every_command(tmp_path, capsys, command):
+    raw = json.loads((CONFIGS / "schottky.json").read_text())
+    raw["graph"]["epsilom"] = 0.5
+    raw["seeds"]["mastr"] = 3
+    raw["domains"]["a+"]["radius_angel"] = 0.1
+    bad = tmp_path / "typos.json"
+    bad.write_text(json.dumps(raw))
+    args = ["--config", bad] + (["--out", tmp_path] if command != "hilbert" else [])
+    assert run([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown ") and "Traceback" not in err
+
+
+# one bundled config per command, plus the two that no command above uses;
+# hilbert gets a section, and synthesize a small ball and grid so each run
+# takes a fraction of a second
 _FUZZ = {
-    "certify": ("jordan_diag.json", lambda raw: None),
-    "limitset": ("schottky.json", lambda raw: None),
-    "rates": ("single_loop.json", lambda raw: None),
-    "probe": ("jordan_diag.json", lambda raw: None),
-    "gaps": ("single_loop.json", lambda raw: None),
-    "hilbert": ("jordan_diag.json", _with_hilbert()),
-    "synthesize": ("pgl2z.json", lambda raw: raw["synthesis"].update(word_radius=3, grid=64)),
+    "certify": ("certify", "jordan_diag.json", lambda raw: None),
+    "certify-repelling": ("certify", "schottky_repelling.json", lambda raw: None),
+    "limitset": ("limitset", "schottky.json", lambda raw: None),
+    "rates": ("rates", "single_loop.json", lambda raw: None),
+    "probe": ("probe", "jordan_diag.json", lambda raw: None),
+    "probe-split": ("probe", "jordan_split.json", lambda raw: None),
+    "gaps": ("gaps", "single_loop.json", lambda raw: None),
+    "hilbert": ("hilbert", "jordan_diag.json", _with_hilbert()),
+    "synthesize": ("synthesize", "pgl2z.json",
+                   lambda raw: raw["synthesis"].update(word_radius=3, grid=64)),
 }
 
 
@@ -584,24 +640,35 @@ def _mutated(value, kind):
     return None if kind == "null" else type(value)()  # empty: "", 0, False, [], {}
 
 
-@pytest.mark.parametrize("command", sorted(_FUZZ))
+def _value(raw, path):
+    return functools.reduce(operator.getitem, path, raw)
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_mutated_config_exits_without_traceback(tmp_path_factory, command, data):
-    name, edit = _FUZZ[command]
+def test_mutated_config_exits_without_traceback(tmp_path_factory, case, data):
+    command, name, edit = _FUZZ[case]
     raw = json.loads((CONFIGS / name).read_text())
     edit(raw)
-    path = data.draw(st.sampled_from(list(_nodes(raw))), label="path")
-    kind = data.draw(st.sampled_from(["type", "null", "empty", "delete"]), label="kind")
-    parent = functools.reduce(operator.getitem, path[:-1], raw)
-    if kind == "delete":
-        del parent[path[-1]]
+    kind = data.draw(st.sampled_from(["type", "null", "empty", "delete", "extra"]),
+                     label="kind")
+    if kind == "extra":
+        # an unknown key in any object, the root included, is a config error
+        objects = [()] + [p for p in _nodes(raw) if isinstance(_value(raw, p), dict)]
+        path = data.draw(st.sampled_from(objects), label="path")
+        _value(raw, path)["unknown_key"] = 1
     else:
-        parent[path[-1]] = _mutated(parent[path[-1]], kind)
+        path = data.draw(st.sampled_from(list(_nodes(raw))), label="path")
+        parent = _value(raw, path[:-1])
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = _mutated(parent[path[-1]], kind)
     out = tmp_path_factory.mktemp("fuzz")
     (out / "mutated.json").write_text(json.dumps(raw))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = run([command, "--config", out / "mutated.json", "--out", out])
-    assert code in (0, 1, 2)
+    assert code in ((2,) if kind == "extra" else (0, 1, 2))
     assert "Traceback" not in err.getvalue()

@@ -1,7 +1,7 @@
 """flagdyn modules import no private (underscore) names from one another,
 import one another only at module level, import no name they never use,
-never call eval or exec, and catch no exception more broadly than by its
-own type."""
+never call eval or exec, catch no exception more broadly than by its
+own type, and leave the raw config JSON to config.py."""
 
 import ast
 from pathlib import Path
@@ -84,4 +84,17 @@ def _unsafe_nodes(path):
 
 def test_no_eval_exec_or_broad_except():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _unsafe_nodes(path)]
+    assert found == []
+
+
+def _raw_reads(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "raw":
+            yield f"{path.name}:{node.lineno}: .raw"
+
+
+def test_only_config_reads_the_raw_config():
+    # the config schema lives in config.py: other modules read parsed sections
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
+             for hit in _raw_reads(path)]
     assert found == []

@@ -270,7 +270,7 @@ def test_windowed_search_returns_the_first_hit_of_the_whole_pool(modular_present
 @pytest.fixture(scope="module")
 def pgl2z_searcher():
     cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
-    return _ConicalSearcher(cfg.presentation(), SynthesisParams(**cfg.raw["synthesis"]))
+    return _ConicalSearcher(cfg.presentation(), cfg.synthesis)
 
 
 def test_windows_keep_every_passing_row_at_the_pgl2z_parameters(pgl2z_searcher):
@@ -446,7 +446,7 @@ def test_word_ball_matches_the_per_word_bfs(rho, params):
 
 def test_pgl2z_pool_and_coset_sizes():
     cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
-    rho, params = cfg.presentation(), SynthesisParams(**cfg.raw["synthesis"])
+    rho, params = cfg.presentation(), cfg.synthesis
     table = _Syllables(rho, params)
     angles_, _ = _coset_candidates(rho, table, 0, 0.0)
     assert len(angles_) == 1456
