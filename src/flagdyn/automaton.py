@@ -2,14 +2,15 @@
 
 A graph vertex carries either a single nonidentity group element or a
 truncated cofinite subset of a peripheral coset. A compatible system
-assigns a proper domain to each vertex; certification checks, edge by
-edge and element by element, that each element maps the epsilon
-neighborhood of the target domain strictly inside the source domain,
-recording worst-case containment margins in the ambient angle metric.
+assigns a proper domain to each vertex; certification checks, for each
+edge and each element of its source label, that the element maps the
+epsilon neighborhood of the target domain strictly inside the source
+domain, recording worst-case containment margins in the angle metric.
 
-Inclusions are tested on sampled boundary and interior points except on
-the projective line, where interval images under 2x2 matrices are exact
-and margins are closed-form. Cofinite vertex labels are verified on a
+Inclusions are tested on sampled boundary and interior points, edge by
+edge, except on the projective line: there images of arcs under 2x2
+matrices are exact, margins closed-form, and every arc-to-arc edge is
+decided in one batched call. Cofinite vertex labels are verified on a
 finite prefix plus a disclosed monotone-tail heuristic; the disclosure
 is part of the certificate. G-paths through the graph are enumerated
 exhaustively (capped) or by seeded random choice.
@@ -301,10 +302,12 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     # per family vertex: (margins, sizes) of each outgoing edge, by element
     family = {v: [] for v, label in graph.vertices.items()
               if isinstance(label, ParabolicFamily)}
+    arc_edges = iter(_arc_edges([e for e in graph.edges if e[0] in arcs and e[1] in arcs],
+                                arcs, eps, mats))
     for edge in graph.edges:
         v, w = edge
         if v in arcs and w in arcs:
-            margins, sizes = _arc_edge(arcs[v], arcs[w].expand(eps), mats[v])
+            margins, sizes = next(arc_edges)
             n_samples, exact = 2, True
         else:
             pts = _neighborhood_samples(domains[w], eps, n_boundary, n_interior, seed)
@@ -331,11 +334,22 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     )
 
 
-def _arc_edge(home, target, mats):
-    """Exact margins and image radii of the elements' images of ``target``."""
-    arrs = np.reshape([m.arr for m in mats], (-1, 2, 2))
-    centers, radii = circle.mobius_arcs(arrs, target.center, target.radius)
-    return home.radius - (circle.angle_dists(home.center, centers) + radii), radii
+def _arc_edges(edges, arcs, eps, mats):
+    """Exact per-element margins in arcs[v] and image radii of arcs[w] + eps,
+    for each arc-to-arc edge (v, w) in order: one ``mobius_arcs`` call,
+    each source's matrices stacked once and repeated for each out-edge."""
+    if not edges:
+        return []
+    stacks = {v: np.reshape([m.arr for m in mats[v]], (-1, 2, 2)) for v in {v for v, _ in edges}}
+    counts = [len(mats[v]) for v, _ in edges]
+    homes = np.repeat([(arcs[v].center, arcs[v].radius) for v, _ in edges], counts, axis=0)
+    targets = np.repeat([(t.center, t.radius) for t in (arcs[w].expand(eps) for _, w in edges)],
+                        counts, axis=0)
+    centers, radii = circle.mobius_arcs(np.concatenate([stacks[v] for v, _ in edges]),
+                                        targets[:, 0], targets[:, 1])
+    margins = homes[:, 1] - (circle.angle_dists(homes[:, 0], centers) + radii)
+    splits = np.cumsum(counts)[:-1]
+    return zip(np.split(margins, splits), np.split(radii, splits))
 
 
 def _sampled_edge(home, pts, bnd, mats):

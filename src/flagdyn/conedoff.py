@@ -103,7 +103,9 @@ class ConedGraph:
     each generator x, and cone nodes ``("c", p_name, rep)`` to ``rep t^j``
     for |j| <= truncation. Free presentations multiply by free
     reduction; matrix presentations by the exact integer kernel of
-    ``linalg``.
+    ``linalg``. The graph depends only on the presentation and the
+    truncation, so each node's adjacency is built once and kept, on
+    interned element nodes: a search that revisits a node multiplies nothing.
     """
 
     def __init__(self, pres: Presentation, truncation: int = 24,
@@ -111,7 +113,9 @@ class ConedGraph:
         self.pres = pres
         self.truncation = truncation
         self.max_nodes = max_nodes
-        self._elems = {}  # interned elements, each its own key
+        self._elems = {}  # element -> its interned node ("e", element)
+        self._words = {}  # word -> node, for repeated queries
+        self._adjacent = {}  # node -> its neighbors, each node expanded once
         if pres.kind == "free":
             self._identity = ()
             self._mul = lambda g, h: free_reduce(g + h)
@@ -134,16 +138,22 @@ class ConedGraph:
                 pows[-j] = self._mul(pows[1 - j], self._gens[(t_name, -1)])
             self._powers[p_name] = pows
 
-    def _intern(self, elem):
-        return self._elems.setdefault(elem, elem)
+    def _node(self, elem):
+        node = self._elems.get(elem)
+        if node is None:
+            node = self._elems[elem] = ("e", elem)
+        return node
 
     def node_of_word(self, word: Word):
-        out = self._identity
-        for name, exp in normalize_word(word):
-            step = self._gens[(name, 1 if exp > 0 else -1)]
-            for _ in range(abs(exp)):
-                out = self._mul(out, step)
-        return ("e", self._intern(out))
+        node = self._words.get(word)
+        if node is None:
+            out = self._identity
+            for name, exp in normalize_word(word):
+                step = self._gens[(name, 1 if exp > 0 else -1)]
+                for _ in range(abs(exp)):
+                    out = self._mul(out, step)
+            node = self._words[word] = self._node(out)
+        return node
 
     def _coset_key(self, elem, p_name, t_name):
         """(rep, j) with elem = rep t^j and rep the same on all of elem<t>.
@@ -173,18 +183,24 @@ class ConedGraph:
     # -- BFS ----------------------------------------------------------------
 
     def neighbors(self, node):
+        """The nodes adjacent to ``node``, as a tuple built on first call."""
+        out = self._adjacent.get(node)
+        if out is not None:
+            return out
         if node[0] == "e":
             elem = node[1]
-            out = [("e", self._intern(self._mul(elem, g))) for g in self._gens.values()]
+            out = [self._node(self._mul(elem, g)) for g in self._gens.values()]
             for p_name, t_name in self.pres.peripherals:
                 rep, j = self._coset_key(elem, p_name, t_name)
                 if abs(j) <= self.truncation:
                     out.append(("c", p_name, rep))
-            return out
-        _, p_name, rep = node
-        pows = self._powers[p_name]
-        return [("e", self._intern(self._mul(rep, pows[j])))
-                for j in range(-self.truncation, self.truncation + 1)]
+        else:
+            _, p_name, rep = node
+            pows = self._powers[p_name]
+            out = [self._node(self._mul(rep, pows[j]))
+                   for j in range(-self.truncation, self.truncation + 1)]
+        out = self._adjacent[node] = tuple(out)
+        return out
 
     def _expand_level(self, dist, parents, frontier):
         nxt = []

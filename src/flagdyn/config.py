@@ -27,7 +27,7 @@ import numpy as np
 
 from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
 from .domains import ChartBall, ConvexPolytope, SampledSet
-from .errors import ConfigError, EvaluationError, SingularInput
+from .errors import ConfigError, DegenerateImage, EvaluationError, SingularInput
 from .linalg import MAX_DIM, Matrix
 from .projgeom import ProjHyperplane, ProjPoint
 from .synth import SynthesisParams
@@ -158,6 +158,14 @@ def vector(value, what, n):
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(f"{what} must be a list of {n} numbers, got {value!r}")
     return np.array([number(x, what) for x in value])
+
+
+def _projective(cls, value, what, n):
+    """A ProjPoint or ProjHyperplane of a config vector, which must not be 0."""
+    try:
+        return cls(vector(value, what, n))
+    except DegenerateImage as exc:
+        raise ConfigError(f"{what} must be a nonzero vector, got {value!r}") from exc
 
 
 def config_word(value, what, names):
@@ -365,7 +373,7 @@ class RunConfig:
             if kind == "union":
                 members = _list(spec.get("members"), "union members")
                 return SampledSet([self._domain(m) for m in members])
-            chart = ProjHyperplane(vector(spec.get("chart"), f"{kind} chart", d))
+            chart = _projective(ProjHyperplane, spec.get("chart"), f"{kind} chart", d)
             if kind == "chart_ball":
                 return ChartBall(chart, vector(spec.get("center"), "chart_ball center", d - 1),
                                  number(spec.get("radius"), "chart_ball radius"))
@@ -402,7 +410,8 @@ class RunConfig:
         if raw.get("hilbert") is not None:
             spec = _object(raw["hilbert"], "hilbert", ("domain", "x", "y"))
             self.hilbert = Hilbert(self._domain(spec.get("domain")), *(
-                ProjPoint(vector(spec.get(k), f"hilbert.{k}", self.dimension)) for k in "xy"))
+                _projective(ProjPoint, spec.get(k), f"hilbert.{k}", self.dimension)
+                for k in "xy"))
         spec = _object(raw.get("synthesis", {}), "synthesis", _SYNTHESIS_DEFAULTS)
         # integer fields take integers >= 0; epsilon and delta positive numbers
         self.synthesis = SynthesisParams(**{

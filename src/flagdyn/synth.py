@@ -163,8 +163,18 @@ class _Syllables:
         self.keys = _key_table(rho, self.short, leads, self.short).reshape(
             n, len(self.t_names), 2 * L + 1, n, 4).transpose(1, 2, 0, 3, 4)
 
-    def word(self, t, a, u, v) -> Word:  # the word at keys[t, a, u, v]
-        return concat(self.short[u], ((self.t_names[t], a - self.lead_powers),), self.short[v])
+    def word(self, t, a, u, v) -> Word:
+        """The normal word at keys[t, a, u, v]: the flanks are normal, so
+        only a flank syllable in t merges, into the lead power."""
+        head, tail, name, a = self.short[u], self.short[v], self.t_names[t], a - self.lead_powers
+        if head and head[-1][0] == name:
+            a += head[-1][1]
+            head = head[:-1]
+        if tail and tail[0][0] == name:
+            a += tail[0][1]
+            tail = tail[1:]
+        # a cancelled lead leaves the flanks to merge, possibly in a cascade
+        return head + ((name, a),) + tail if a else concat(head, tail)
 
 
 def _fundamental_interval(rho: GroupPresentation, t_name: str, p_angle: float) -> Arc:

@@ -354,12 +354,46 @@ def _jordan_case(edges):
     return jordan_presentation(), graph, jordan_system()
 
 
+def _random_arc_case(seed):
+    """RP^1: singletons on random integer and float words, a parabolic
+    family, random arcs plus one polytope domain, and random edges, so
+    exact and sampled edges interleave."""
+    rng = np.random.default_rng(seed)
+    gens = {"t": Matrix([[1, 1], [0, 1]])}
+    for i in range(3):
+        m = [[0, 0], [0, 0]]
+        while m[0][0] * m[1][1] == m[0][1] * m[1][0]:
+            m = rng.integers(-4, 5, size=(2, 2)).tolist()
+        gens[f"a{i}"] = Matrix(m)
+        gens[f"f{i}"] = Matrix(rng.normal(size=(2, 2)))
+    rho = GroupPresentation(dim=2, generators=gens,
+                            peripherals=[Peripheral("pt", ["t"], truncation=10)])
+    letters = sorted(set(gens) - {"t"})
+    vertices = {"p": ParabolicFamily(parse_word(letters[int(rng.integers(6))]), "pt")}
+    while len(vertices) < 8:
+        word = parse_word(" ".join(f"{letters[i]}^{rng.choice([-1, 1])}"
+                                   for i in rng.integers(6, size=int(rng.integers(1, 4)))))
+        if word and not rho.evaluate(word).is_identity():
+            vertices[f"x{len(vertices)}"] = Singleton(word)
+    ids = list(vertices)
+    domains = {v: arc_ball(float(rng.uniform(0, math.pi)), float(rng.uniform(0.05, 0.6)))
+               for v in ids}
+    domains["x3"] = ConvexPolytope(ProjHyperplane(vec_of(float(rng.uniform(0, math.pi)))),
+                                   [[-0.3], [0.3]])
+    edges = [(v, ids[int(rng.integers(len(ids)))]) for v in ids]
+    edges += [(ids[int(i)], ids[int(j)]) for i, j in rng.integers(len(ids), size=(16, 2))]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    return rho, GammaGraph(vertices, edges, 0.02), CompatibleSystem(domains, 0.02)
+
+
 @pytest.mark.parametrize("case, element_cap", [
     # odd cap: the last +n/-n shell holds one element
     (lambda: _jordan_case([("va", "vb"), ("vb", "va")]), 7),
     (lambda: _jordan_case([("va", "vb"), ("va", "vb"), ("vb", "va")]), 6),
     (_modular_family, 9),
-], ids=["odd-cap", "duplicated-edge", "family-with-two-out-edges"])
+    *((lambda seed=seed: _random_arc_case(seed), 5 + seed) for seed in range(6)),
+], ids=["odd-cap", "duplicated-edge", "family-with-two-out-edges",
+        *(f"random-arcs-{seed}" for seed in range(6))])
 def test_records_and_tails_match_per_edge_reference(case, element_cap):
     rho, graph, system = case()
     budgets = dict(n_boundary=16, n_interior=8, element_cap=element_cap)
@@ -371,6 +405,21 @@ def test_records_and_tails_match_per_edge_reference(case, element_cap):
             for t in cert.tails] == tails
     assert all(type(r.margin) is float and type(r.ok) is bool for r in cert.records)
     assert all(type(t.margins_nondecreasing) is bool for t in cert.tails)
+
+
+def test_one_mobius_arcs_call_certifies_every_arc_edge(monkeypatch):
+    rho, graph, system = _random_arc_case(0)
+    rows = []
+    real = circle.mobius_arcs
+
+    def counted(mats, centers, radii):
+        rows.append(len(mats))
+        return real(mats, centers, radii)
+
+    monkeypatch.setattr(circle, "mobius_arcs", counted)
+    cert = verify_compatibility(graph, system, rho, element_cap=6)
+    assert rows == [sum(r.exact for r in cert.records)]
+    assert 0 < rows[0] < len(cert.records)  # exact and sampled edges interleave
 
 
 def test_each_label_enumerated_once_per_vertex(schottky, monkeypatch):

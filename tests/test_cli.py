@@ -538,6 +538,27 @@ def test_valid_hilbert_section_runs(tmp_path):
     assert run(["hilbert", "--config", cfg]) == 0
 
 
+@pytest.mark.parametrize("command, edit, field", [
+    ("certify", _set("domains", "va", "chart", [0, 0, 0, 0]), "chart_ball chart"),
+    ("certify", _set("domains", "va", {"kind": "polytope", "chart": [0.0, 0, 0, 0],
+                                       "vertices": [[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0],
+                                                    [0, 0, 0.1]]}), "polytope chart"),
+    ("hilbert", _with_hilbert(_set("x", [0, 0, 0, 0])), "hilbert.x"),
+    ("hilbert", _with_hilbert(_set("y", [0.0, 0.0, 0.0, 0.0])), "hilbert.y"),
+    ("hilbert", _with_hilbert(_set("domain", "chart", [0, 0, 0, 0])), "chart_ball chart"),
+], ids=["domain-chart", "polytope-chart", "hilbert-x", "hilbert-y", "hilbert-domain-chart"])
+def test_zero_homogeneous_vector_is_config_error(tmp_path, capsys, command, edit, field):
+    raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
+    edit(raw)
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps(raw))
+    args = ["--config", bad] + (["--out", tmp_path] if command != "hilbert" else [])
+    assert run([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} must be a nonzero vector")
+    assert "Traceback" not in err
+
+
 def _union_of_va(raw):
     """jordan_diag.json with domain va as a union whose one member, the former
     va ball, has a misspelt key."""

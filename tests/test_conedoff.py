@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flagdyn import conedoff
 from flagdyn.conedoff import (
     ConedGraph,
     Presentation,
@@ -202,6 +203,16 @@ def _random_words(names, count, seed, max_len=6):
     return out
 
 
+# (kind, generator names, max word length) of the search tests
+KINDS = [("free", ["a", "b"], 3), ("matrix", ["t", "s", "r"], 5)]
+
+
+def _search_pairs(names, max_len):
+    starts = _random_words(names, 12, seed=3, max_len=max_len)
+    steps = _random_words(names, 12, seed=4, max_len=max_len)
+    return [(v, concat(v, u)) for v, u in zip(starts, steps)]
+
+
 def _assert_coset_key_invariant(graph, t_name, seed):
     (p_name, _), = graph.pres.peripherals
     T = graph.truncation
@@ -299,16 +310,11 @@ def test_coned_graph_is_undirected(kind, truncation):
             assert n in graph.neighbors(m), (n, m)
 
 
-@pytest.mark.parametrize("kind, names, max_len", [
-    ("free", ["a", "b"], 3),
-    ("matrix", ["t", "s", "r"], 5),
-])
+@pytest.mark.parametrize("kind, names, max_len", KINDS)
 def test_searches_agree_with_plain_bfs(kind, names, max_len):
     # truncation 6, so the pairs cross cone windows
     graph = _graph_of_kind(kind, 6)
-    starts = _random_words(names, 12, seed=3, max_len=max_len)
-    steps = _random_words(names, 12, seed=4, max_len=max_len)
-    pairs = [(v, concat(v, u)) for v, u in zip(starts, steps)]
+    pairs = _search_pairs(names, max_len)
     if kind == "free":
         pairs += [((), parse_word("a^10")), ((), parse_word("a^10 b"))]
     got = []
@@ -322,3 +328,54 @@ def test_searches_agree_with_plain_bfs(kind, names, max_len):
     if kind == "free":
         # one cone hop to a^6, then the letters beyond the window
         assert got[-2:] == [6, 7]
+
+
+# --- memoized adjacency ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, names, max_len", KINDS)
+def test_warm_adjacency_matches_a_fresh_graph(kind, names, max_len):
+    warm, cold = _graph_of_kind(kind, 6), _graph_of_kind(kind, 6)
+    for v, w in _search_pairs(names, max_len):
+        warm.distance(v, w, 16)
+    ball = _ball(warm, 3)
+    assert any(n[0] == "c" for n in ball)
+    for n in ball:
+        got = warm.neighbors(n)
+        assert type(got) is tuple and warm.neighbors(n) is got
+        assert got == cold.neighbors(n), n
+        # element nodes are interned: equal nodes are one object
+        assert all(m is warm._elems[m[1]] for m in got if m[0] == "e")
+
+
+@pytest.mark.parametrize("kind, names, max_len", KINDS)
+def test_searches_agree_between_warm_and_cold_graphs(kind, names, max_len):
+    warm = _graph_of_kind(kind, 6)
+    _ball(warm, 3)
+    for v, w in _search_pairs(names, max_len):
+        a, b = warm.node_of_word(v), warm.node_of_word(w)
+        for _ in range(2):  # the second query is fully warm
+            assert warm.distance(v, w, 16) == _graph_of_kind(kind, 6).distance(v, w, 16)
+            assert warm.geodesic(v, w, 16) == _graph_of_kind(kind, 6).geodesic(v, w, 16)
+            assert (warm.set_distances([a], [b, a], 16)
+                    == _graph_of_kind(kind, 6).set_distances([a], [b, a], 16))
+
+
+@pytest.mark.parametrize("kind, names, max_len", KINDS)
+def test_repeated_distance_on_a_warm_graph_multiplies_nothing(kind, names, max_len,
+                                                              monkeypatch):
+    graph = _graph_of_kind(kind, 6)
+    pairs = _search_pairs(names, max_len)
+    want = [graph.distance(v, w, 16) for v, w in pairs]
+    products = []
+
+    def counted(mul):
+        return lambda *args: products.append(1) or mul(*args)
+
+    monkeypatch.setattr(conedoff, "_int_mul", counted(conedoff._int_mul))
+    monkeypatch.setattr(conedoff, "free_reduce", counted(conedoff.free_reduce))
+    assert [graph.distance(v, w, 16) for v, w in pairs] == want
+    assert products == []
+    # the counters do see the products of a cold graph
+    assert [_graph_of_kind(kind, 6).distance(v, w, 16) for v, w in pairs] == want
+    assert products

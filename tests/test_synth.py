@@ -455,6 +455,19 @@ def test_pgl2z_pool_and_coset_sizes():
     assert len(_ConicalSearcher(rho, params).words) == 4948  # as the bench builds it
 
 
+def test_syllable_words_match_concat_on_the_pgl2z_table():
+    cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
+    table = _Syllables(cfg.presentation(), cfg.synthesis)
+    L, short = table.lead_powers, table.short
+    cascades = 0
+    for t, a, u, v in np.ndindex(table.keys.shape[:4]):
+        want = concat(short[u], ((table.t_names[t], a - L),), short[v])
+        assert table.word(t, a, u, v) == want, (t, a, u, v)
+        # a cancelled lead merges the flanks past the seam
+        cascades += len(want) < len(short[u]) + len(short[v]) - 1
+    assert cascades > 0
+
+
 @pytest.mark.parametrize("delta, epsilon", [(2.5, 0.05), (0.05, 0.8), (0.0, 0.05)])
 def test_improper_pullback_balls_fail_synthesis(modular_presentation, delta, epsilon):
     with pytest.raises(SynthesisFailed, match="proper arc"):
