@@ -26,13 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
-from .domains import ChartBall, ConvexPolytope, SampledSet
+from .domains import ChartBall, ConvexPolytope, SampledSet, arc_ball
 from .errors import ConfigError, DegenerateImage, EvaluationError, SingularInput
 from .linalg import MAX_DIM, Matrix
 from .projgeom import ProjHyperplane, ProjPoint
 from .synth import SynthesisParams
-from .systems import arc_ball
-from .words import GroupPresentation, Peripheral, parse_word
+from .words import GroupPresentation, Peripheral, parse_word, word_str
 
 _EXPR_NAMES = {
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "sin": math.sin,
@@ -311,8 +310,8 @@ class RunConfig:
                 raise ConfigError(f"peripheral {name} abelian must be true or false")
             if point is not None:
                 point = vector(point, f"peripheral {name} parabolic_point", d)
-            self.peripherals.append(Peripheral(name, list(gens), number(
-                p.get("truncation", 40), f"peripheral {name} truncation", int), abelian, point))
+            self.peripherals.append(Peripheral(name, list(gens), _at_least(
+                p.get("truncation", 40), f"peripheral {name} truncation", 1), abelian, point))
         return names
 
     def _read_graph(self, raw, names):
@@ -389,9 +388,12 @@ class RunConfig:
         depth_range = _list(spec.get("depth_range", [2, depth]), "rates.depth_range")
         if len(depth_range) != 2:
             raise ConfigError(f"rates.depth_range must be [first, last], got {depth_range!r}")
+        first, last = (number(n, "rates.depth_range entry", int) for n in depth_range)
+        if not 1 <= first <= last <= depth:
+            raise ConfigError(f"rates.depth_range must satisfy 1 <= first <= last <= "
+                              f"rates.depth = {depth}, got {depth_range!r}")
         self.rates = Rates(depth, _at_least(spec.get("paths", 12), "rates.paths", 1),
-                           tuple(number(n, "rates.depth_range entry", int)
-                                 for n in depth_range))
+                           (first, last))
         self.gaps = self.probe = self.hilbert = None
         if raw.get("gaps") is not None:
             spec = _object(raw["gaps"], "gaps", ("word", "count", "k", "threshold"))
@@ -417,18 +419,30 @@ class RunConfig:
         self.synthesis = SynthesisParams(**{
             key: _at_least(v, f"synthesis.{key}", 0) if isinstance(_SYNTHESIS_DEFAULTS[key], int)
             else _positive(v, f"synthesis.{key}") for key, v in spec.items()})
+        if not self.synthesis.balls_are_arcs():
+            raise ConfigError("synthesis.epsilon and synthesis.delta must satisfy "
+                              "2 (delta + epsilon) < pi/2, got epsilon "
+                              f"{self.synthesis.epsilon} and delta {self.synthesis.delta}")
 
     # -- construction ----------------------------------------------------------
 
     def presentation(self, t: float = 0.0) -> GroupPresentation:
-        """The group at parameter t: only matrices with an entry in t are built here."""
-        gens = {name: m if isinstance(m, Matrix) else _matrix(name, m, t)
+        """The group at parameter t: only matrices with an entry in t are built
+        here. A generator or derived word singular at t is a ConfigError."""
+        gens = {name: m if isinstance(m, Matrix) else _matrix(f"{name} at t = {t}", m, t)
                 for name, m in self._generators.items()}
-        for name, word in self._derived:
-            base = GroupPresentation(dim=self.dimension, generators=dict(gens))
-            gens[name] = base.evaluate(word)
-        return GroupPresentation(dim=self.dimension, generators=gens,
-                                 peripherals=self.peripherals)
+        # each presentation inverts all its generators, and only the derived
+        # generator added last is new to it, so a SingularInput names that one
+        what = "a generator"
+        try:
+            for name, word in self._derived:
+                base = GroupPresentation(dim=self.dimension, generators=dict(gens))
+                what = f"derived generator {name} = {word_str(word)}"
+                gens[name] = base.evaluate(word)
+            return GroupPresentation(dim=self.dimension, generators=gens,
+                                     peripherals=self.peripherals)
+        except SingularInput as exc:
+            raise ConfigError(f"{what} is singular at t = {t}: {exc}") from exc
 
     def graph(self) -> GammaGraph:
         if self._graph is None:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import sampling
-from .circle import Arc, angle_of, arc_between
+from .circle import Arc, angle_of, arc_between, vec_of
 from .errors import BadOrder, NotInDomain, NotStrictlyNested
 from .linalg import mathmap, rowdot
 from .projgeom import (
@@ -171,6 +171,18 @@ class ChartBall(ProperDomain):
                 for u in dirs for s in offsets]
         arr = np.array(([h.covector] + covs)[:n])
         return arr / np.linalg.norm(arr, axis=1, keepdims=True)
+
+
+def arc_ball(center_angle: float, radius_angle: float) -> ChartBall:
+    """FS ball on the projective line as an exact chart ball.
+
+    The chart covector is the center direction itself (its kernel is the
+    antipodal point), so the chart coordinate of a point at angle offset
+    phi from the center is tan(phi).
+    """
+    if not 0 < radius_angle < math.pi / 2:
+        raise ValueError("radius_angle must lie in (0, pi/2)")
+    return ChartBall(ProjHyperplane(vec_of(center_angle)), [0.0], math.tan(radius_angle))
 
 
 class ConvexPolytope(ProperDomain):

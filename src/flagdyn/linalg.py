@@ -182,7 +182,11 @@ class Matrix:
         if self.exact is not None and self.dim == 2:
             (a, b), (c, d) = self.exact
             return Matrix._of_exact(exact_canonical((d, -b, -c, a), 2))
-        return Matrix(np.linalg.inv(self.arr), _trusted=True)
+        try:
+            inverse = np.linalg.inv(self.arr)
+        except np.linalg.LinAlgError as exc:
+            raise SingularInput(f"matrix is singular in floats: {exc}") from exc
+        return Matrix(inverse, _trusted=True)
 
     def key(self):
         """Hashable canonical key for exact-equality deduplication."""

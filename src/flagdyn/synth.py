@@ -62,9 +62,9 @@ from .circle import (
     uncovered,
     vec_of,
 )
+from .domains import arc_ball
 from .errors import SynthesisFailed
 from .linalg import Matrix
-from .systems import arc_ball
 from .words import GroupPresentation, Word, concat, word_str
 
 
@@ -89,6 +89,12 @@ class SynthesisParams:
     grid: int = 2048
     coset_ball: int = 2
     lead_powers: int = 60
+
+    def balls_are_arcs(self) -> bool:
+        """Whether epsilon and delta are positive with 2 (delta + epsilon) <
+        pi/2, so every expanded pullback ball is a proper arc."""
+        eps, delta = self.epsilon, self.delta
+        return eps > 0 and delta > 0 and 2 * (delta + eps) < HALF_TURN / 2
 
 
 @dataclass
@@ -475,7 +481,7 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
     if not rho.generators:
         raise SynthesisFailed("no generators: no expansion available")
     eps = params.epsilon
-    if not (eps > 0 and params.delta > 0 and 2 * (params.delta + eps) < HALF_TURN / 2):
+    if not params.balls_are_arcs():
         raise SynthesisFailed("epsilon and delta must be positive with 2 (delta + epsilon) "
                               "< pi/2, so every expanded pullback ball is a proper arc")
 

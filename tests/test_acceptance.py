@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import flagdyn.systems as systems
 from flagdyn.automaton import ParabolicFamily, enumerate_paths, verify_compatibility
 from flagdyn.circle import angle_dist, angle_of
 from flagdyn.cli import main as cli_main
@@ -34,8 +33,8 @@ from flagdyn.dynamics import (
 )
 from flagdyn.linalg import Matrix, cartan_projection, exterior_power, simple_root_gaps, svd
 from flagdyn.projgeom import ProjHyperplane, ProjPoint, chart_point, cross_ratio
-from flagdyn.synth import SynthesisParams, synthesize_rp1
-from flagdyn.words import GroupPresentation, Peripheral, concat, parse_word
+from flagdyn.synth import synthesize_rp1
+from flagdyn.words import concat, parse_word
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -45,6 +44,17 @@ PINNED_PGL2Z_EDGES = 2845
 PINNED_PGL2Z_PARABOLIC = 4
 PINNED_PGL2Z_QG_DEPTH = 4
 PINNED_PGL2Z_QG_D = 3
+
+
+def _rotation2(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _parts(cfg):
+    """The presentation, graph and system of a config, as ``certify`` builds them."""
+    graph = cfg.graph()
+    return cfg.presentation(), graph, cfg.system(graph.epsilon)
 
 
 def _report(num, name, ok, elapsed, cap):
@@ -233,7 +243,7 @@ def _mobius_interval_margin_oracle():
     eps, radius = 0.02, 0.3
     gens = {}
     gens["a"] = np.diag([mult, 1 / mult])
-    r = systems.rotation2(math.pi / 4)
+    r = _rotation2(math.pi / 4)
     gens["b"] = r @ gens["a"] @ r.T
     gens["a^-1"] = np.linalg.inv(gens["a"])
     gens["b^-1"] = np.linalg.inv(gens["b"])
@@ -284,18 +294,16 @@ def test_criterion_04_ping_pong_certification(tmp_path):
     _report(4, "ping-pong certificates and negative control", ok, time.time() - t0, 10)
 
 
-def test_criterion_05_exponential_shrinking():
+def test_criterion_05_exponential_shrinking(schottky_cfg, single_loop_cfg):
     t0 = time.time()
-    rho = systems.schottky_presentation()
-    graph = systems.schottky_graph()
-    system = systems.schottky_system()
+    rho, graph, system = _parts(schottky_cfg)
     cert = verify_compatibility(graph, system, rho)
     paths, _ = enumerate_paths(graph, 25, "random", rho, seed=3, cap=12)
     results = [contracting_limit(p, rho, system, certificate=cert) for p in paths]
     rep = shrink_rates(results, depth_range=(2, 25), r2_threshold=0.98)
     ok = rep.r_squared >= 0.98 and -rep.lambda2 <= -0.1
 
-    rho1, graph1, system1 = systems.single_loop_system()
+    rho1, graph1, system1 = _parts(single_loop_cfg)
     cert1 = verify_compatibility(graph1, system1, rho1)
     loop_paths, _ = enumerate_paths(graph1, 25, "exhaustive", rho1)
     res1 = contracting_limit(loop_paths[0], rho1, system1, certificate=cert1)
@@ -305,9 +313,9 @@ def test_criterion_05_exponential_shrinking():
     _report(5, "exponential shrink rates", ok, time.time() - t0, 60)
 
 
-def test_criterion_06_local_to_global():
+def test_criterion_06_local_to_global(jordan_diag_cfg):
     t0 = time.time()
-    A = systems.jordan_block_matrix()
+    A = jordan_diag_cfg.presentation(0.0).generators["A"].arr
     seq = [Matrix(np.linalg.matrix_power(A, n), _trusted=True) for n in range(1, 201)]
     ball = ChartBall(ProjHyperplane([0.0, 1.0, 0.0, 0.0]), [2.0, 0.6, 0.6], 0.05)
     rep = local_to_global_check(seq, ball, 1, n_samples=32, gap_threshold=5.0)
@@ -318,8 +326,8 @@ def test_criterion_06_local_to_global():
     )
 
     rot = np.eye(4)
-    rot[:2, :2] = systems.rotation2(0.7)
-    rot[2:, 2:] = systems.rotation2(1.3)
+    rot[:2, :2] = _rotation2(0.7)
+    rot[2:, 2:] = _rotation2(1.3)
     seq_r = [Matrix(np.linalg.matrix_power(rot, n), _trusted=True) for n in range(1, 60)]
     ball_r = ChartBall(ProjHyperplane([1.0, 0, 0, 0]), [0.2, 0.2, 0.2], 0.1)
     rep_r = local_to_global_check(seq_r, ball_r, 1)
@@ -327,41 +335,30 @@ def test_criterion_06_local_to_global():
     _report(6, "local-to-global contraction test", ok, time.time() - t0, 60)
 
 
-def test_criterion_07_jordan_peripheral_stability():
+def test_criterion_07_jordan_peripheral_stability(jordan_diag_cfg, jordan_split_cfg):
     t0 = time.time()
     from flagdyn.automaton import peripheral_stability_probe
 
-    graph = systems.jordan_graph()
-    system = systems.jordan_system()
+    rho, graph, system = _parts(jordan_diag_cfg)
     kwargs = dict(element_cap=32, n_boundary=64, n_interior=24)
 
-    cert0 = verify_compatibility(graph, system, systems.jordan_presentation(), **kwargs)
+    cert0 = verify_compatibility(graph, system, rho, **kwargs)
     ok = cert0.ok
 
-    fam_d = lambda t: systems.jordan_presentation(t, "diagonalizable")
-    _, fail_d = peripheral_stability_probe(fam_d, graph, system,
-                                           systems.JORDAN_STABLE_GRID, **kwargs)
+    _, fail_d = peripheral_stability_probe(jordan_diag_cfg.presentation, graph, system,
+                                           jordan_diag_cfg.probe, **kwargs)
     ok &= fail_d is None
 
-    fam_s = lambda t: systems.jordan_presentation(t, "split")
-    _, fail_s = peripheral_stability_probe(fam_s, graph, system,
-                                           systems.JORDAN_SPLIT_GRID, **kwargs)
-    ok &= fail_s == systems.JORDAN_SPLIT_FIRST_FAIL
+    _, fail_s = peripheral_stability_probe(jordan_split_cfg.presentation, graph, system,
+                                           jordan_split_cfg.probe, **kwargs)
+    ok &= fail_s == 0.01
     _report(7, "unipotent-block peripheral stability probe", ok, time.time() - t0, 120)
 
 
 @pytest.fixture(scope="module")
-def modular():
-    rho = GroupPresentation(
-        dim=2,
-        generators={
-            "t": Matrix([[1, 1], [0, 1]]),
-            "s": Matrix([[0, -1], [1, 0]]),
-            "r": Matrix([[0, 1], [1, 0]]),
-        },
-        peripherals=[Peripheral("pt", ["t"], truncation=80, parabolic_point=[1, 0])],
-    )
-    return rho, synthesize_rp1(rho, SynthesisParams(word_radius=10))
+def modular(pgl2z_cfg):
+    rho = pgl2z_cfg.presentation()
+    return rho, synthesize_rp1(rho, pgl2z_cfg.synthesis)
 
 
 def test_criterion_08_modular_synthesis(modular):
@@ -394,11 +391,9 @@ def test_criterion_08_modular_synthesis(modular):
     _report(8, "modular-group automaton synthesis", ok, time.time() - t0, 300)
 
 
-def test_criterion_09_equivariance():
+def test_criterion_09_equivariance(schottky_cfg):
     t0 = time.time()
-    rho = systems.schottky_presentation()
-    graph = systems.schottky_graph()
-    system = systems.schottky_system()
+    rho, graph, system = _parts(schottky_cfg)
     cert = verify_compatibility(graph, system, rho)
     paths, _ = enumerate_paths(graph, 20, "random", rho, seed=11, cap=100)
     results = [contracting_limit(p, rho, system, certificate=cert) for p in paths]

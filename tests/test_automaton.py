@@ -1,11 +1,12 @@
+import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flagdyn.automaton as automaton
 import flagdyn.circle as circle
-import flagdyn.systems as systems
 from flagdyn.automaton import (
     Certificate,
     CompatibleSystem,
@@ -20,31 +21,29 @@ from flagdyn.automaton import (
     verify_compatibility,
 )
 from flagdyn.circle import Arc, mobius_arc, vec_of
-from flagdyn.domains import ConvexPolytope
+from flagdyn.config import RunConfig
+from flagdyn.domains import ConvexPolytope, arc_ball
 from flagdyn.errors import BaseFails, EvaluationError, MissingDomain
 from flagdyn.linalg import Matrix
 from flagdyn.projgeom import ProjHyperplane, act_many, fubini_study_many
-from flagdyn.systems import (
-    arc_ball,
-    jordan_graph,
-    jordan_presentation,
-    jordan_system,
-    schottky_graph,
-    schottky_presentation,
-    schottky_repelling_system,
-    schottky_system,
-    single_loop_system,
-)
 from flagdyn.words import GroupPresentation, Peripheral, parse_word
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _parts(cfg):
+    """The presentation, graph and system of a config, as ``certify`` builds them."""
+    graph = cfg.graph()
+    return cfg.presentation(), graph, cfg.system(graph.epsilon)
 
 
 @pytest.fixture(scope="module")
-def schottky():
-    return schottky_presentation(), schottky_graph(), schottky_system()
+def schottky(schottky_cfg):
+    return _parts(schottky_cfg)
 
 
-def test_one_vertex_attracting_interval():
-    rho, graph, system = single_loop_system()
+def test_one_vertex_attracting_interval(single_loop_cfg):
+    rho, graph, system = _parts(single_loop_cfg)
     cert = verify_compatibility(graph, system, rho)
     assert cert.ok
     # closed-form oracle: the interval image under x -> x/16 in the chart
@@ -56,8 +55,8 @@ def test_one_vertex_attracting_interval():
     assert cert.min_margin == pytest.approx(oracle_margin, abs=1e-12)
 
 
-def test_one_vertex_repelling_interval_fails():
-    rho, graph, _ = single_loop_system()
+def test_one_vertex_repelling_interval_fails(single_loop_cfg):
+    rho, graph, _ = _parts(single_loop_cfg)
     bad = CompatibleSystem(domains={"v": arc_ball(math.pi / 2, 0.3)}, epsilon=0.05)
     cert = verify_compatibility(graph, bad, rho)
     assert not cert.ok
@@ -76,18 +75,16 @@ def test_schottky_certifies_with_oracle_margin(schottky):
     assert cert.min_margin == pytest.approx(oracle, abs=1e-6)
 
 
-def test_schottky_repelling_fails(schottky):
+def test_schottky_repelling_fails(schottky, schottky_repelling_cfg):
     rho, graph, _ = schottky
-    cert = verify_compatibility(graph, schottky_repelling_system(), rho)
+    cert = verify_compatibility(graph, schottky_repelling_cfg.system(graph.epsilon), rho)
     assert not cert.ok
 
 
-def test_certificate_soundness_finer_sampling():
+def test_certificate_soundness_finer_sampling(jordan_diag_cfg):
     # higher-dimensional sampled route: refining the boundary budget must
     # keep at least half of every recorded margin
-    rho = jordan_presentation()
-    graph = jordan_graph()
-    system = jordan_system()
+    rho, graph, system = _parts(jordan_diag_cfg)
     coarse = verify_compatibility(graph, system, rho, n_boundary=32, n_interior=16,
                                   element_cap=12)
     fine = verify_compatibility(graph, system, rho, n_boundary=128, n_interior=64,
@@ -99,8 +96,8 @@ def test_certificate_soundness_finer_sampling():
         assert r.margin >= old / 2
 
 
-def test_identity_label_rejected():
-    rho, _, system = single_loop_system()
+def test_identity_label_rejected(single_loop_cfg):
+    rho, _, system = _parts(single_loop_cfg)
     graph = GammaGraph(
         vertices={"v": Singleton(parse_word("g g^-1"))}, edges=[("v", "v")], epsilon=0.05
     )
@@ -108,8 +105,8 @@ def test_identity_label_rejected():
         verify_compatibility(graph, system, rho)
 
 
-def test_missing_domain():
-    rho, graph, _ = single_loop_system()
+def test_missing_domain(single_loop_cfg):
+    rho, graph, _ = _parts(single_loop_cfg)
     system = CompatibleSystem(domains={}, epsilon=0.05)
     with pytest.raises(MissingDomain):
         verify_compatibility(graph, system, rho)
@@ -138,10 +135,8 @@ def test_divergence_witnesses(schottky):
 
 
 def test_divergence_rotation_inconclusive():
-    theta = 0.9
-    rho = GroupPresentation(
-        dim=2, generators={"r": Matrix(systems.rotation2(theta))}
-    )
+    c, s = math.cos(0.9), math.sin(0.9)
+    rho = GroupPresentation(dim=2, generators={"r": Matrix([[c, -s], [s, c]])})
     graph = GammaGraph(
         vertices={"v": Singleton(parse_word("r"))}, edges=[("v", "v")], epsilon=0.01
     )
@@ -154,16 +149,15 @@ def test_divergence_rotation_inconclusive():
 
 
 @pytest.fixture(scope="module")
-def jordan_setup():
-    graph = jordan_graph()
-    system = jordan_system()
+def jordan_setup(jordan_diag_cfg):
+    _, graph, system = _parts(jordan_diag_cfg)
     kwargs = dict(element_cap=32, n_boundary=64, n_interior=24)
     return graph, system, kwargs
 
 
-def test_jordan_base_certifies(jordan_setup):
+def test_jordan_base_certifies(jordan_setup, jordan_diag_cfg):
     graph, system, kwargs = jordan_setup
-    cert = verify_compatibility(graph, system, jordan_presentation(), **kwargs)
+    cert = verify_compatibility(graph, system, jordan_diag_cfg.presentation(), **kwargs)
     assert cert.ok
     assert cert.min_margin > 0.05
     assert all(t.ok for t in cert.tails)
@@ -189,11 +183,11 @@ def _count_verify_calls(monkeypatch):
     return certs
 
 
-def test_probe_diagonalizable_path_stays_stable(jordan_setup, monkeypatch):
+def test_probe_diagonalizable_path_stays_stable(jordan_setup, jordan_diag_cfg, monkeypatch):
     graph, system, kwargs = jordan_setup
-    fam = lambda t: jordan_presentation(t, "diagonalizable")
+    fam = jordan_diag_cfg.presentation
     certs = _count_verify_calls(monkeypatch)
-    grid = systems.JORDAN_STABLE_GRID
+    grid = jordan_diag_cfg.probe
     results, first_fail = peripheral_stability_probe(fam, graph, system, grid, **kwargs)
     assert first_fail is None
     assert all(cert.ok for _, cert in results)
@@ -206,19 +200,20 @@ def test_probe_diagonalizable_path_stays_stable(jordan_setup, monkeypatch):
     assert len(certs) == 2 and results[0][1] is certs[1]
 
 
-def test_probe_split_path_fails(jordan_setup):
+def test_probe_split_path_fails(jordan_setup, jordan_split_cfg):
     graph, system, kwargs = jordan_setup
-    fam = lambda t: jordan_presentation(t, "split")
     results, first_fail = peripheral_stability_probe(
-        fam, graph, system, systems.JORDAN_SPLIT_GRID, **kwargs
+        jordan_split_cfg.presentation, graph, system, jordan_split_cfg.probe, **kwargs
     )
-    assert first_fail == systems.JORDAN_SPLIT_FIRST_FAIL
+    assert first_fail == 0.01
     assert results[0][1].ok  # t = 0 passes
 
 
-def test_probe_base_fails_raises(jordan_setup, monkeypatch):
+def test_probe_base_fails_raises(jordan_setup, jordan_split_cfg, monkeypatch):
     graph, system, kwargs = jordan_setup
-    fam = lambda t: jordan_presentation(t, "split", k=1)  # power 1 cannot certify
+    raw = copy.deepcopy(jordan_split_cfg.raw)
+    raw["derived"] = [{"name": "alpha", "word": "A^1"}, {"name": "beta", "word": "M A M^-1"}]
+    fam = RunConfig.from_dict(raw).presentation  # power 1 cannot certify
     certs = _count_verify_calls(monkeypatch)
     for grid in ([0.0, 0.1], [0.1]):
         with pytest.raises(BaseFails):
@@ -226,8 +221,8 @@ def test_probe_base_fails_raises(jordan_setup, monkeypatch):
     assert len(certs) == 2
 
 
-def test_parabolic_enumeration_order():
-    rho = jordan_presentation()
+def test_parabolic_enumeration_order(jordan_diag_cfg):
+    rho = jordan_diag_cfg.presentation()
     label = ParabolicFamily(coset_word=(), peripheral="pa", exclude_below=2)
     words = elements_of(label, rho, cap=6)
     assert words == [
@@ -248,8 +243,8 @@ def test_exhaustive_path_count(schottky):
         assert len(paths) == 4 * 3 ** (n - 1)
 
 
-def test_single_loop_depth_one():
-    rho, graph, _ = single_loop_system()
+def test_single_loop_depth_one(single_loop_cfg):
+    rho, graph, _ = _parts(single_loop_cfg)
     paths, _ = enumerate_paths(graph, 1, "exhaustive", rho)
     assert len(paths) == 1
     assert paths[0].words == [parse_word("g")]
@@ -349,9 +344,8 @@ def _modular_family():
 
 
 def _jordan_case(edges):
-    graph = jordan_graph()
-    graph = GammaGraph(graph.vertices, edges, graph.epsilon)
-    return jordan_presentation(), graph, jordan_system()
+    rho, graph, system = _parts(RunConfig.load(CONFIGS / "jordan_diag.json"))
+    return rho, GammaGraph(graph.vertices, edges, graph.epsilon), system
 
 
 def _random_arc_case(seed):
@@ -451,9 +445,8 @@ def test_order_two_peripheral_generator_is_a_duplicate():
     ParabolicFamily((), "pa", exclude_below=16,
                     excluded=(parse_word("alpha^16"), parse_word("alpha^-16"))),
 ], ids=["min-power-above-truncation", "all-excluded"])
-def test_empty_label_is_an_error(label):
-    rho = jordan_presentation(truncation=16)
-    graph = jordan_graph()
+def test_empty_label_is_an_error(label, jordan_diag_cfg):
+    rho, graph, system = _parts(jordan_diag_cfg)
     graph = GammaGraph({**graph.vertices, "va": label}, graph.edges, graph.epsilon)
     with pytest.raises(EvaluationError, match="vertex va is labeled by no element"):
-        verify_compatibility(graph, jordan_system(), rho)
+        verify_compatibility(graph, system, rho)

@@ -225,8 +225,6 @@ _REMOVED_SYNTHESIS_INTS = ["max_power", "tail_window", "max_parabolic_rounds"]
     *((k, v, 2) for k in _SYNTHESIS_INTS + _REMOVED_SYNTHESIS_INTS
       for v in ("x", None, 2.5, True, -3, [1])),
     *((k, v, 2) for k in ("epsilon", "delta") for v in ("x", None, True, -0.1, 0, {})),
-    # valid numbers that leave no proper pullback ball: a synthesis failure
-    ("delta", 2.5, 1), ("epsilon", 0.8, 1),
 ])
 def test_bad_synthesis_value_exits_without_traceback(tmp_path, capsys, key, value, code):
     raw = json.loads((CONFIGS / "pgl2z.json").read_text())
@@ -238,7 +236,7 @@ def test_bad_synthesis_value_exits_without_traceback(tmp_path, capsys, key, valu
     assert "Traceback" not in err
     named = (f"unknown synthesis keys: {key}\n" if key in _REMOVED_SYNTHESIS_INTS
              else f"synthesis.{key} ")
-    assert err.startswith(f"config error: {named}" if code == 2 else "error: ")
+    assert err.startswith(f"config error: {named}")
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
@@ -447,6 +445,18 @@ def test_missing_domain_key_is_config_error(tmp_path, capsys, name, vertex, key)
     pytest.param("jordan_diag.json", "certify",
                  lambda raw: [v.update(min_power=100) for v in raw["graph"]["vertices"]],
                  id="empty-labels-certify"),
+    # valid numbers that leave no proper pullback ball: 2 (delta + epsilon) >= pi/2
+    pytest.param("pgl2z.json", "synthesize", _set("synthesis", "delta", 2.5),
+                 id="synthesis-delta-2.5"),
+    pytest.param("pgl2z.json", "synthesize", _set("synthesis", "epsilon", 0.8),
+                 id="synthesis-epsilon-0.8"),
+    # depth_range needs 1 <= first <= last <= rates.depth (20)
+    pytest.param("single_loop.json", "rates", _set("rates", "depth_range", [20, 5]),
+                 id="depth-range-reversed"),
+    pytest.param("single_loop.json", "rates", _set("rates", "depth_range", [5, 30]),
+                 id="depth-range-past-depth"),
+    pytest.param("pgl2z.json", "synthesize", _set("peripherals", 0, "truncation", 0),
+                 id="truncation-zero"),
 ])
 def test_out_of_range_config_value_is_config_error(tmp_path, capsys, name, command, edit):
     raw = json.loads((CONFIGS / name).read_text())
@@ -519,6 +529,9 @@ def _bad(name, command, edit, id):
          "excluded-bad-token"),
     _bad("schottky.json", "certify", _set("delta_separation", 0, 1, "zz"),
          "separation-unknown-vertex"),
+    # beta = M A^24 M^-1 is singular in floats at t = 1 (condition about e^48)
+    _bad("jordan_split.json", "probe", _set("probe", "t_grid", [1.0]),
+         "derived-word-singular-at-t"),
 ])
 def test_bad_config_structure_or_reference_is_config_error(tmp_path, capsys, name, command,
                                                           edit):
@@ -672,13 +685,21 @@ def test_mutated_config_exits_without_traceback(tmp_path_factory, case, data):
     command, name, edit = _FUZZ[case]
     raw = json.loads((CONFIGS / name).read_text())
     edit(raw)
-    kind = data.draw(st.sampled_from(["type", "null", "empty", "delete", "extra"]),
+    kind = data.draw(st.sampled_from(["type", "null", "empty", "delete", "extra", "pair"]),
                      label="kind")
     if kind == "extra":
         # an unknown key in any object, the root included, is a config error
         objects = [()] + [p for p in _nodes(raw) if isinstance(_value(raw, p), dict)]
         path = data.draw(st.sampled_from(objects), label="path")
         _value(raw, path)["unknown_key"] = 1
+    elif kind == "pair":
+        # two leaves at once, each given another type, null or an empty value
+        leaves = [p for p in _nodes(raw) if not isinstance(_value(raw, p), (dict, list))]
+        paths = data.draw(st.lists(st.sampled_from(leaves), min_size=2, max_size=2,
+                                   unique=True), label="paths")
+        for path in paths:
+            how = data.draw(st.sampled_from(["type", "null", "empty"]), label="leaf kind")
+            _value(raw, path[:-1])[path[-1]] = _mutated(_value(raw, path), how)
     else:
         path = data.draw(st.sampled_from(list(_nodes(raw))), label="path")
         parent = _value(raw, path[:-1])

@@ -124,15 +124,13 @@ def test_quasigeodesic_detour(f2_plain):
     assert rep.measured_d == 1
 
 
-def test_schottky_automaton_paths_quasigeodesic(f2_plain):
+def test_schottky_automaton_paths_quasigeodesic(f2_plain, schottky_cfg):
     # free-group normal forms are geodesics: automaton path prefixes at
     # depth 12 stay within Hausdorff distance 1
     from flagdyn.automaton import enumerate_paths
-    from flagdyn.systems import schottky_graph, schottky_presentation
     from flagdyn.words import concat
 
-    rho = schottky_presentation()
-    graph = schottky_graph()
+    rho, graph = schottky_cfg.presentation(), schottky_cfg.graph()
     paths, _ = enumerate_paths(graph, 12, "random", rho, seed=5, cap=5)
     for p in paths:
         prefixes, acc = [], ()

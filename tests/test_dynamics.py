@@ -6,10 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import flagdyn.systems as systems
 from flagdyn.automaton import CompatibleSystem, GPath, enumerate_paths, verify_compatibility
 from flagdyn.config import RunConfig
-from flagdyn.domains import ChartBall, zimmer_metric
+from flagdyn.domains import ChartBall, arc_ball, zimmer_metric
 from flagdyn.dynamics import (
     attracting_data,
     contracting_limit,
@@ -23,27 +22,31 @@ from flagdyn.dynamics import (
 from flagdyn.errors import GapTooSmall, InsufficientData, NotCertified
 from flagdyn.linalg import Matrix
 from flagdyn.projgeom import ProjHyperplane, ProjPoint, fubini_study
-from flagdyn.systems import arc_ball, jordan_block_matrix, rotation2, schottky_graph, \
-    schottky_presentation, schottky_system, single_loop_system
 from flagdyn.words import GroupPresentation, parse_word
 
 
-@pytest.fixture(scope="module")
-def certified_schottky():
-    rho = schottky_presentation()
-    graph = schottky_graph()
-    system = schottky_system()
+def _certified(cfg):
+    """The presentation, graph, system and passing certificate of a config."""
+    rho, graph = cfg.presentation(), cfg.graph()
+    system = cfg.system(graph.epsilon)
     cert = verify_compatibility(graph, system, rho)
     assert cert.ok
     return rho, graph, system, cert
 
 
 @pytest.fixture(scope="module")
-def certified_loop():
-    rho, graph, system = single_loop_system()
-    cert = verify_compatibility(graph, system, rho)
-    assert cert.ok
-    return rho, graph, system, cert
+def certified_schottky(schottky_cfg):
+    return _certified(schottky_cfg)
+
+
+@pytest.fixture(scope="module")
+def certified_loop(single_loop_cfg):
+    return _certified(single_loop_cfg)
+
+
+def _rotation2(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 # --- contracting limits -----------------------------------------------------
@@ -144,9 +147,9 @@ def test_gap_growth_along_paths(certified_schottky):
         assert all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
 
 
-def test_uncertified_path_rejected(certified_schottky):
+def test_uncertified_path_rejected(certified_schottky, schottky_repelling_cfg):
     rho, graph, system, cert = certified_schottky
-    bad = verify_compatibility(graph, systems.schottky_repelling_system(), rho)
+    bad = verify_compatibility(graph, schottky_repelling_cfg.system(graph.epsilon), rho)
     paths, _ = enumerate_paths(graph, 5, "random", rho, seed=1, cap=1)
     with pytest.raises(NotCertified):
         contracting_limit(paths[0], rho, system, certificate=bad)
@@ -252,7 +255,7 @@ def test_attracting_data_transpose_duality():
 
 def test_attracting_data_gap_threshold():
     with pytest.raises(GapTooSmall):
-        attracting_data(Matrix(systems.rotation2(0.3)), 1)
+        attracting_data(Matrix(_rotation2(0.3)), 1)
 
 
 def test_attracting_data_contraction_bound():
@@ -290,14 +293,14 @@ def test_local_global_diagonal_sequence():
 
 
 def test_local_global_rotation_sequence():
-    seq = [Matrix(np.linalg.matrix_power(rotation2(0.9), n), _trusted=True)
+    seq = [Matrix(np.linalg.matrix_power(_rotation2(0.9), n), _trusted=True)
            for n in range(1, 40)]
     rep = local_to_global_check(seq, arc_ball(0.3, 0.2), 1)
     assert rep.verdict == "not P-divergent"
 
 
-def test_local_global_jordan_sequence():
-    A = jordan_block_matrix()
+def test_local_global_jordan_sequence(jordan_diag_cfg):
+    A = jordan_diag_cfg.presentation(0.0).generators["A"].arr
     seq = [Matrix(np.linalg.matrix_power(A, n), _trusted=True) for n in range(1, 201)]
     U = ChartBall(ProjHyperplane([0.0, 1.0, 0, 0]), [2.0, 0.6, 0.6], 0.05)
     rep = local_to_global_check(seq, U, 1, n_samples=32)

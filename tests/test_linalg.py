@@ -99,6 +99,14 @@ def test_singular_input_rejected():
         Matrix([[1.0, 2.0], [2.0, 4.0]])
 
 
+def test_inverse_of_a_singular_float_product_is_singular_input():
+    # a product is trusted, so it may be singular in floats; its inverse is a
+    # SingularInput, not a numpy LinAlgError
+    m = Matrix(np.ones((3, 3)), _trusted=True)
+    with pytest.raises(SingularInput):
+        m.inv()
+
+
 def test_cartan_diagonal():
     cv = cartan_projection(Matrix(np.diag([math.e**2, math.e**-2])))
     assert np.allclose(cv.mu, [2.0, -2.0], atol=1e-12)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 from pathlib import Path
@@ -23,28 +24,19 @@ from flagdyn.synth import (
     _word_ball,
     synthesize_rp1,
 )
-from flagdyn.systems import schottky_presentation
 from flagdyn.words import GroupPresentation, Peripheral, concat, word_str
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
-def modular_presentation():
-    return GroupPresentation(
-        dim=2,
-        generators={
-            "t": Matrix([[1, 1], [0, 1]]),
-            "s": Matrix([[0, -1], [1, 0]]),
-            "r": Matrix([[0, 1], [1, 0]]),
-        },
-        peripherals=[Peripheral("pt", ["t"], truncation=80, parabolic_point=[1, 0])],
-    )
+def modular_presentation(pgl2z_cfg):
+    return pgl2z_cfg.presentation()
 
 
 @pytest.fixture(scope="module")
-def modular_synthesis(modular_presentation):
-    return synthesize_rp1(modular_presentation, SynthesisParams(word_radius=10))
+def modular_synthesis(modular_presentation, pgl2z_cfg):
+    return synthesize_rp1(modular_presentation, pgl2z_cfg.synthesis)
 
 
 def test_fundamental_interval_translation():
@@ -135,8 +127,21 @@ def test_modular_arcs_and_points_pinned(modular_synthesis):
 
 
 @pytest.fixture(scope="module")
-def schottky_synthesis():
-    return synthesize_rp1(schottky_presentation(), SynthesisParams(
+def schottky_rotated(schottky_cfg):
+    """schottky.json with b written as the float product r a r^T, r the
+    rotation by pi/4. The pins below were recorded on these entries; the
+    exact 2.125 and 1.875 of the config differ from them in the last bits,
+    and so do the synthesized arcs."""
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    r = np.array([[c, -s], [s, c]])
+    raw = copy.deepcopy(schottky_cfg.raw)
+    raw["generators"][1]["matrix"] = (r @ np.diag([4.0, 0.25]) @ r.T).tolist()
+    return RunConfig.from_dict(raw).presentation()
+
+
+@pytest.fixture(scope="module")
+def schottky_synthesis(schottky_rotated):
+    return synthesize_rp1(schottky_rotated, SynthesisParams(
         epsilon=0.05, delta=0.05, word_radius=6, grid=720))
 
 
@@ -156,8 +161,8 @@ def test_schottky_synthesis_pinned(schottky_synthesis):
         "84f18311076de1c0ceae52210081b33b3e2f5e97e7541d0cd544a6ff932c8472"]
 
 
-def test_schottky_synthesis_parabolic_free(schottky_synthesis):
-    rho = schottky_presentation()
+def test_schottky_synthesis_parabolic_free(schottky_synthesis, schottky_rotated):
+    rho = schottky_rotated
     res = schottky_synthesis
     assert all(isinstance(l, Singleton) for l in res.graph.vertices.values())
     cert = verify_compatibility(res.graph, res.system, rho)
@@ -168,18 +173,18 @@ def test_schottky_synthesis_parabolic_free(schottky_synthesis):
         assert min(angle_dist(angle, c) for c in centers) < 0.45
 
 
-def test_schottky_synthesis_limits_match_hand_built(schottky_synthesis):
+def test_schottky_synthesis_limits_match_hand_built(schottky_synthesis, schottky_rotated,
+                                                    schottky_cfg):
     # limits computed through the synthesized automaton must land inside
-    # the hand-built ping-pong intervals
+    # the ping-pong intervals of schottky.json
     from flagdyn.automaton import enumerate_paths
     from flagdyn.circle import angle_of
     from flagdyn.dynamics import contracting_limit
-    from flagdyn.systems import schottky_domains
 
-    rho = schottky_presentation()
+    rho = schottky_rotated
     res = schottky_synthesis
     paths, _ = enumerate_paths(res.graph, 10, "random", rho, seed=3, cap=20)
-    hand = [d.arc().expand(0.05) for d in schottky_domains().values()]
+    hand = [d.arc().expand(0.05) for d in schottky_cfg.system(0.05).domains.values()]
     for p in paths:
         r = contracting_limit(p, rho, res.system)
         a = angle_of(r.limit.coords)
@@ -289,8 +294,8 @@ def test_windows_keep_every_passing_row_at_the_pgl2z_parameters(pgl2z_searcher):
     # 4 delta >= pi: every window is the whole circle
     SynthesisParams(word_radius=4, delta=0.9, epsilon=0.3),
 ])
-def test_windows_keep_every_passing_row_without_peripherals(params):
-    searcher = _ConicalSearcher(schottky_presentation(), params)
+def test_windows_keep_every_passing_row_without_peripherals(params, schottky_cfg):
+    searcher = _ConicalSearcher(schottky_cfg.presentation(), params)
     zs = [float(z) for z in np.random.default_rng(12).uniform(0.0, math.pi, 256)]
     for z, row in zip(zs, _in_window(searcher, zs)):
         assert not (_first_test(searcher, z) & ~row).any()
@@ -433,7 +438,8 @@ def test_syllable_table_matches_the_per_word_loops(rho, params, dtype):
 
 @pytest.mark.parametrize("rho, params", [
     *((rho, params) for rho, params, _ in TABLE_CASES),
-    (schottky_presentation, SynthesisParams(word_radius=6, coset_ball=0)),
+    (lambda: RunConfig.load(str(CONFIGS / "schottky.json")).presentation(),
+     SynthesisParams(word_radius=6, coset_ball=0)),
 ], ids=TABLE_IDS + ["schottky"])
 def test_word_ball_matches_the_per_word_bfs(rho, params):
     rho = rho()
