@@ -48,7 +48,7 @@ def main(argv=None):
             t0 = time.time()
             cfg = _variant(raw, k, radius, args.epsilon, args.truncation)
             graph = cfg.graph()
-            cert = verify_compatibility(graph, cfg.system(graph.epsilon), cfg.presentation(0.0),
+            cert = verify_compatibility(graph, cfg.system(), cfg.presentation(0.0),
                                         element_cap=cfg.budgets["element_cap"],
                                         n_boundary=cfg.budgets["boundary_samples"],
                                         n_interior=cfg.budgets["interior_samples"])

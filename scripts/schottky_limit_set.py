@@ -1,9 +1,10 @@
 """Certify the bundled Schottky system and render its limit set.
 
 Equivalent to:
-    flagdyn certify  --config configs/schottky.json --out out/schottky
     flagdyn limitset --config configs/schottky.json --out out/schottky --svg
-plus a shrink-rate fit, all from one script.
+    flagdyn rates    --config configs/schottky.json --out out/schottky
+(``limitset`` certifies first and writes the certificate beside the
+limit set), all from one script.
 """
 
 import argparse
@@ -15,20 +16,17 @@ from flagdyn.cli import main as cli_main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/schottky")
     ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
-    cfg = str(ROOT / "configs" / "schottky.json")
-    rc = cli_main(["certify", "--config", cfg, "--out", args.out, "--seed", str(args.seed)])
+    args = ap.parse_args(argv)
+    common = ["--config", str(ROOT / "configs" / "schottky.json"), "--out", str(args.out),
+              "--seed", str(args.seed)]
+    rc = cli_main(["limitset", *common, "--svg"])
     if rc != 0:
         return rc
-    rc = cli_main(["limitset", "--config", cfg, "--out", args.out,
-                   "--seed", str(args.seed), "--svg", "--skip-certify"])
-    if rc != 0:
-        return rc
-    return cli_main(["rates", "--config", cfg, "--out", args.out, "--seed", str(args.seed)])
+    return cli_main(["rates", *common])
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ edge, except on the projective line: there images of arcs under 2x2
 matrices are exact, margins closed-form, and every arc-to-arc edge is
 decided in one batched call. Cofinite vertex labels are verified on a
 finite prefix plus a disclosed monotone-tail heuristic; the disclosure
-is part of the certificate. G-paths through the graph are enumerated
-exhaustively (capped) or by seeded random choice.
+is part of the certificate. G-paths through the graph are drawn by
+seeded random choice.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def elements_of(label, rho: GroupPresentation, cap=None):
 @dataclass
 class CompatibleSystem:
     domains: dict  # vertex id -> ProperDomain
-    epsilon: float
 
     def domain(self, v) -> ProperDomain:
         if v not in self.domains:
@@ -296,7 +295,7 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     words = {v: elements_of(label, rho, cap=element_cap)
              for v, label in graph.vertices.items()}
     mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
-    eps = system.epsilon
+    eps = graph.epsilon
 
     records = []
     # per family vertex: (margins, sizes) of each outgoing edge, by element
@@ -389,18 +388,16 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
     """Witness proper inclusion: a point of U_v outside alpha * closure(U_w).
 
     Equivalently the witness pulls back outside the closure of U_w under
-    alpha^-1. Searches the first 8 elements of each label with 128 samples
-    per domain; inconclusive searches are reported, not raised. Labels are
-    enumerated and evaluated, and probe and closure samples drawn, once per
-    vertex.
+    alpha^-1. Searches the first 8 elements of each label with 128 interior
+    and 128 boundary samples per domain; inconclusive searches are
+    reported, not raised. Labels are enumerated and evaluated, and the
+    samples drawn, once per vertex.
     """
     domains = {v: system.domain(v) for v in graph.vertices}
     words = {v: elements_of(label, rho, cap=8) for v, label in graph.vertices.items()}
     mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
     probes = {v: np.vstack([U.interior_points(128, seed), U.boundary_points(128, seed)])
               for v, U in domains.items()}
-    closures = {v: np.vstack([U.boundary_points(128, seed), U.interior_points(128, seed)])
-                for v, U in domains.items()}
     arcs = {v: U.arc() for v, U in domains.items() if _is_arc(U)}
     out = []
     for edge in graph.edges:
@@ -410,7 +407,7 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
             # an escape point only witnesses PROPER inclusion when the
             # inclusion itself holds: an isometry label produces escapes
             # without nesting and must come back inconclusive
-            if not np.all(U_v.contains_points(act_many(m, closures[w]), slack=1e-12)):
+            if not np.all(U_v.contains_points(act_many(m, probes[w]), slack=1e-12)):
                 out.append(DivergenceWitness(edge, word, None, 0.0, False))
                 continue
             pre = act_many(m.inv(), probes[v])
@@ -465,76 +462,41 @@ class GPath:
         return "|".join(word_str(w) for w in self.words)
 
 
-def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "exhaustive",
+def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "random",
                     rho: GroupPresentation | None = None, *, seed: int = 0,
                     cap: int = 100000, elements_per_vertex: int = 2):
-    """G-paths of the given depth.
+    """``cap`` seeded random G-paths of the given depth.
 
-    exhaustive: all vertex paths, each parabolic vertex contributing its
-    first ``elements_per_vertex`` enumeration elements, capped (the cap
-    and truncation are reported by the caller). random: seeded choices.
+    Each step draws an element of the current vertex label (a parabolic
+    vertex offers its first ``elements_per_vertex`` enumeration elements)
+    and, before the last step, an out-neighbor; a path lands on its last
+    vertex's first out-neighbor. ``strategy`` must be "random" and the
+    second return value is always False: both are kept for
+    ``bench/workloads.py``, which passes the one and unpacks the other.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    elems = {
-        v: elements_of(label, rho, cap=elements_per_vertex)
-        if isinstance(label, ParabolicFamily)
-        else [label.word]
-        for v, label in graph.vertices.items()
-    }
+    if strategy != "random":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    elems = {v: elements_of(label, rho, cap=elements_per_vertex)
+             for v, label in graph.vertices.items()}
     adj = {v: [] for v in graph.vertices}
     for x, w in graph.edges:
         adj[x].append(w)
-    ordered = {v: sorted(ws) for v, ws in adj.items()}
-
-    if strategy == "exhaustive":
-        paths = []
-        truncated = False
-
-        def grow(vpath, wpath):
-            nonlocal truncated
-            if len(paths) >= cap:
-                truncated = True
-                return
-            if len(wpath) == depth:
-                # landing vertex: canonical first out-neighbor of the last vertex
-                landing = ordered[vpath[-1]][0]
-                paths.append(GPath(list(vpath) + [landing], list(wpath)))
-                return
-            v = vpath[-1]
-            for word in elems[v]:
-                if len(wpath) == depth - 1:
-                    grow(vpath, wpath + [word])
-                else:
-                    for w in adj[v]:
-                        grow(vpath + [w], wpath + [word])
-                        if len(paths) >= cap:
-                            truncated = True
-                            return
-
-        for v0 in sorted(graph.vertices):
-            grow([v0], [])
-        return paths, truncated
-
-    if strategy == "random":
-        rng = np.random.default_rng(seed)
-        paths = []
-        starts = sorted(graph.vertices)
-        for _ in range(cap):
-            v = starts[int(rng.integers(len(starts)))]
-            vpath, wpath = [v], []
-            ok = True
-            for step in range(depth):
-                cur = vpath[-1]
-                if not elems[cur] or not adj[cur]:
-                    ok = False
-                    break
-                wpath.append(elems[cur][int(rng.integers(len(elems[cur])))])
-                if step < depth - 1:
-                    vpath.append(ordered[cur][int(rng.integers(len(adj[cur])))])
-            if ok:
-                vpath.append(ordered[vpath[-1]][0])
-                paths.append(GPath(vpath, wpath))
-        return paths, False
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    adj = {v: sorted(ws) for v, ws in adj.items()}
+    rng = np.random.default_rng(seed)
+    paths = []
+    starts = sorted(graph.vertices)
+    for _ in range(cap):
+        vpath, wpath = [starts[int(rng.integers(len(starts)))]], []
+        for step in range(depth):
+            cur = vpath[-1]
+            if not elems[cur]:
+                break
+            wpath.append(elems[cur][int(rng.integers(len(elems[cur])))])
+            if step < depth - 1:
+                vpath.append(adj[cur][int(rng.integers(len(adj[cur])))])
+        else:
+            vpath.append(adj[vpath[-1]][0])
+            paths.append(GPath(vpath, wpath))
+    return paths, False

@@ -15,15 +15,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .automaton import (
-    check_divergence,
-    enumerate_paths,
-    peripheral_stability_probe,
-    verify_compatibility,
-)
+from .automaton import check_divergence, peripheral_stability_probe, verify_compatibility
 from .config import RunConfig
 from .domains import ChartBall, zimmer_metric
-from .dynamics import contracting_limits, limit_set_sample, shrink_rates
+from .dynamics import limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
 from .linalg import flag_divergent, gap_trace
 from .projgeom import ProjHyperplane, chart_point
@@ -63,7 +58,7 @@ def _write(outdir: Path, name: str, text: str):
 def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
     rho = cfg.presentation()
     graph = cfg.graph()
-    system = cfg.system(epsilon=graph.epsilon)
+    system = cfg.system()
     sep_failures = cfg.check_separation(system)
     cert = verify_compatibility(
         graph, system, rho,
@@ -120,45 +115,40 @@ def cmd_certify(args):
 
 def cmd_limitset(args):
     cfg, seed, outdir = _load(args)
-    if args.skip_certify:
-        rho, graph = cfg.presentation(), cfg.graph()
-        system = cfg.system(epsilon=graph.epsilon)
-        cert = None
-    else:
-        failure, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
-        if failure:
-            print("refusing to sample an uncertified system (pass --skip-certify to override)")
-            return 1
+    failure, cert, (rho, graph, system) = _run_certify(cfg, seed, outdir)
+    if failure:
+        print("refusing to sample an uncertified system")
+        return 1
     depth = cfg.budgets["depth"]
     count = cfg.budgets["path_count"]
-    cloud = limit_set_sample(graph, rho, system, depth, count, seed=seed,
-                             certificate=cert)
+    results = limit_set_sample(graph, rho, system, depth, count, seed=seed, certificate=cert)
     rows = [
         "# " + " | ".join(_header(cfg, seed, [f"depth {depth}", f"count {count}"])),
         ",".join([f"x{i}" for i in range(cfg.dimension)] + ["path_code", "radius_bound"]),
     ]
-    for p, code, rb in cloud.points:
-        rows.append(",".join([_fmt(c) for c in p.coords] + [code, _fmt(rb)]))
+    for r in results:
+        rows.append(",".join([_fmt(c) for c in r.limit.coords]
+                             + [r.path.code(), _fmt(r.radius_bound)]))
     path = _write(outdir, "limit_set.csv", "\n".join(rows) + "\n")
-    print(f"wrote {path} ({len(cloud.points)} points)")
+    print(f"wrote {path} ({len(results)} points)")
     if args.svg:
-        svg = _render_svg(cfg, cloud)
+        svg = _render_svg(cfg, [r.limit for r in results])
         path = _write(outdir, "limit_set.svg", svg)
         print(f"wrote {path}")
     return 0
 
 
-def _render_svg(cfg, cloud, size=640):
+def _render_svg(cfg, limits, size=640):
     """Scatter plot; the chart projection is declared in the header comment."""
     pts = []
     if cfg.dimension == 2:
         projection = "angle doubling: (cos 2a, sin 2a) for point angle a"
-        for p, _, _ in cloud.points:
+        for p in limits:
             a = math.atan2(p.coords[1], p.coords[0])
             pts.append((math.cos(2 * a), math.sin(2 * a)))
     else:
         projection = "affine chart: (x1/x0, x2/x0), points with |x0| < 1e-6 dropped"
-        for p, _, _ in cloud.points:
+        for p in limits:
             if abs(p.coords[0]) > 1e-6:
                 pts.append((p.coords[1] / p.coords[0], p.coords[2] / p.coords[0]))
     if pts:
@@ -187,9 +177,8 @@ def cmd_rates(args):
     if failure:
         print("certification failed; no rates computed")
         return 1
-    paths, _ = enumerate_paths(graph, cfg.rates.depth, "random", rho, seed=seed,
-                               cap=cfg.rates.paths)
-    results = contracting_limits(paths, rho, system, certificate=cert)
+    results = limit_set_sample(graph, rho, system, cfg.rates.depth, cfg.rates.paths,
+                               seed=seed, certificate=cert)
     try:
         rep = shrink_rates(results, depth_range=cfg.rates.depth_range)
     except FlagdynError as exc:
@@ -211,10 +200,8 @@ def cmd_probe(args):
     cfg, seed, outdir = _load(args)
     if cfg.probe is None:
         raise ConfigError("probe command needs a probe section with a t_grid list")
-    graph = cfg.graph()
-    system = cfg.system(epsilon=graph.epsilon)
     results, first_fail = peripheral_stability_probe(
-        cfg.presentation, graph, system, cfg.probe,
+        cfg.presentation, cfg.graph(), cfg.system(), cfg.probe,
         n_boundary=cfg.budgets["boundary_samples"],
         n_interior=cfg.budgets["interior_samples"],
         element_cap=cfg.budgets["element_cap"],
@@ -353,8 +340,6 @@ def build_parser():
 
     p = sub.add_parser("limitset", help="sample the limit set via certified paths")
     common(p)
-    p.add_argument("--skip-certify", action="store_true",
-                   help="sample without re-certifying (at your own risk)")
     p.add_argument("--svg", action="store_true", help="also render an SVG scatter")
     p.set_defaults(func=cmd_limitset)
 

@@ -449,7 +449,7 @@ class RunConfig:
             raise ConfigError("config has no graph section")
         vertices, edges, eps = self._graph
         if eps == "auto":
-            eps = 0.1 * self.system(epsilon=1.0).min_pairwise_gap()
+            eps = 0.1 * self.system().min_pairwise_gap()
             if not 0 < eps < math.inf:
                 raise ConfigError("auto epsilon failed: no positive gap between domains")
         try:
@@ -457,10 +457,10 @@ class RunConfig:
         except ValueError as exc:  # a vertex with no outgoing edge
             raise ConfigError(f"graph: {exc}") from exc
 
-    def system(self, epsilon: float) -> CompatibleSystem:
+    def system(self) -> CompatibleSystem:
         if not self._domains:
             raise ConfigError("config has no domains section")
-        return CompatibleSystem(domains=dict(self._domains), epsilon=epsilon)
+        return CompatibleSystem(domains=dict(self._domains))
 
     def check_separation(self, system: CompatibleSystem):
         """User-declared FS separation table, checked not derived."""

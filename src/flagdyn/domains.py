@@ -602,8 +602,9 @@ def _finsler_ratios(inner, outer, p_in, p_out, d_in, d_out):
     return out
 
 
-def _det2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+def det2(u, v):
+    """Determinants of the 2x2 matrices with rows u and v, over leading axes."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def rp1_contraction_lambda(a, b, c, d) -> float:
@@ -625,12 +626,12 @@ def rp1_contraction_lambda(a, b, c, d) -> float:
         return np.array([1.0, float(t)]) / math.hypot(1.0, float(t))
 
     va, vb, vc, vd = lift(a), lift(b), lift(c), lift(d)
-    if abs(_det2(va, vd)) < 1e-14:
+    if abs(det2(va, vd)) < 1e-14:
         return math.inf
     for u, v, names in [(va, vb, "a,b"), (vb, vc, "b,c"), (vc, vd, "c,d")]:
-        if abs(_det2(u, v)) < 1e-14:
+        if abs(det2(u, v)) < 1e-14:
             raise BadOrder(f"coincident boundary points {names}")
-    cr = _det2(vb, vd) * _det2(vc, va) / (_det2(vb, va) * _det2(vc, vd))
+    cr = det2(vb, vd) * det2(vc, va) / (det2(vb, va) * det2(vc, vd))
     if cr <= 0:
         raise BadOrder("{b, c} separates {a, d}")
     return 1.0 / math.tanh(abs(math.log(cr)) / 4.0)

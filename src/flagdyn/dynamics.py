@@ -25,7 +25,7 @@ import numpy as np
 
 from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
-from .domains import ChartBall, ProperDomain, zimmer_metrics
+from .domains import ChartBall, ProperDomain, det2, zimmer_metrics
 from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
 from .linalg import Matrix, PrefixProduct, exterior_power, mathmap, minors, rowdot, svd
 from .projgeom import (
@@ -71,13 +71,6 @@ class RateReport:
         return self.lambda1 * math.exp(-self.lambda2 * n)
 
 
-@dataclass
-class LimitSetCloud:
-    points: list  # (ProjPoint, path code, radius bound)
-    depth: int
-    seed: int
-
-
 def _check_certified(paths, certificate):
     if certificate is None:
         return
@@ -91,17 +84,17 @@ def _check_certified(paths, certificate):
 
 
 def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSystem,
-                      depth: int | None = None, certificate=None) -> PathResult:
+                      certificate=None) -> PathResult:
     """``contracting_limits`` of one path."""
-    return contracting_limits([path], rho, system, depth=depth, certificate=certificate)[0]
+    return contracting_limits([path], rho, system, certificate=certificate)[0]
 
 
 def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
-                       depth: int | None = None, certificate=None) -> list:
+                       certificate=None) -> list:
     """Nested-image limits of certified paths with per-depth diagnostics.
 
-    Each path runs to ``min(depth, path.depth)``. The limit is approximated
-    by the prefix image of the next vertex domain's center (guaranteed
+    Each path runs to its own depth. The limit is approximated by the
+    prefix image of the next vertex domain's center (guaranteed
     interior). Diameters are measured in the metric of the path's first
     vertex domain; gaps are the top singular gaps sigma1/sigma2 of the
     prefix products, since the limit is a point of P(R^d).
@@ -112,19 +105,18 @@ def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
     the paths batched with it.
     """
     _check_certified(paths, certificate)
-    depths = [path.depth if depth is None else min(depth, path.depth) for path in paths]
-    if min(depths, default=2) < 2:
+    if min((path.depth for path in paths), default=2) < 2:
         raise ValueError("depth must be >= 2")
     mats = {}
-    for path, n in zip(paths, depths):
-        for w in path.words[:n]:
+    for path in paths:
+        for w in path.words:
             if w not in mats:
                 mats[w] = rho.evaluate(w)
     groups = {}
-    for i, (path, n) in enumerate(zip(paths, depths)):
+    for i, path in enumerate(paths):
         rp1 = rho.dim == 2 and all(isinstance(system.domain(v), ChartBall)
                                    for v in path.vertices)
-        groups.setdefault((n, rp1), []).append(i)
+        groups.setdefault((path.depth, rp1), []).append(i)
     results = [None] * len(paths)
     for (n, rp1), idx in groups.items():
         batch = [paths[i] for i in idx]
@@ -154,18 +146,18 @@ def _rp1_limits(prefix, factors, verts, system):
     ends = np.array([[circle.vec_of(a.center - a.radius), circle.vec_of(a.center + a.radius)]
                      for a in arcs])  # (vertex, endpoint, xy)
     A, B = ends[V[:, 0], 0], ends[V[:, 0], 1]
-    detAB = _det2(A, B)
+    detAB = det2(A, B)
     diameters, gaps = [], []
     for n in range(1, depth + 1):
         prefix.push(factors[n - 1])
         xy = ends[V[:, n]]
         img, norms = prefix.apply(xy)
         X, Y = img[:, 0], img[:, 1]
-        det_xy = (prefix.det_sign * mathmap(math.exp, prefix.logdet) * _det2(xy[:, 0], xy[:, 1])
+        det_xy = (prefix.det_sign * mathmap(math.exp, prefix.logdet) * det2(xy[:, 0], xy[:, 1])
                   / (norms[:, 0] * norms[:, 1]))
         # Pluecker: [XY][AB] = [XA][YB] - [XB][YA], so the cross ratio
         # [XB][YA] / ([XA][YB]) is 1 - t
-        t = det_xy * detAB / (_det2(X, A) * _det2(Y, B))
+        t = det_xy * detAB / (det2(X, A) * det2(Y, B))
         near = t < 1
         diam = np.full(len(t), math.inf)
         diam[near] = np.abs(mathmap(math.log1p, -t[near]))
@@ -229,10 +221,6 @@ def _per_path(limits, diameters, gaps, rbound):
             for x, d, g, r in zip(limits, diameters, gaps, rbound)]
 
 
-def _det2(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
 def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98) -> RateReport:
     """Least-squares exponential envelope of the recorded diameters.
 
@@ -272,12 +260,11 @@ def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98) -> RateR
 
 def limit_set_sample(graph: GammaGraph, rho: GroupPresentation,
                      system: CompatibleSystem, depth: int, count: int,
-                     seed: int = 0, certificate=None) -> LimitSetCloud:
-    """Cloud of path limits, deterministic per seed."""
+                     seed: int = 0, certificate=None) -> list:
+    """``contracting_limits`` of ``count`` seeded random paths of the given
+    depth: one ``PathResult`` per path, deterministic per seed."""
     paths, _ = enumerate_paths(graph, depth, "random", rho, seed=seed, cap=count)
-    results = contracting_limits(paths, rho, system, certificate=certificate)
-    pts = [(res.limit, res.path.code(), res.radius_bound) for res in results]
-    return LimitSetCloud(points=pts, depth=depth, seed=seed)
+    return contracting_limits(paths, rho, system, certificate=certificate)
 
 
 def attracting_data(m: Matrix, k: int = 1, gap_threshold: float = 0.1):

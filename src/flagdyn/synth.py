@@ -579,8 +579,7 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
 
     graph = GammaGraph(vertices={v: x.label for v, x in vertices.items()}, edges=edges,
                        epsilon=eps)
-    system = CompatibleSystem(
-        domains={v: arc_ball(x.angle, eps) for v, x in vertices.items()}, epsilon=eps)
+    system = CompatibleSystem(domains={v: arc_ball(x.angle, eps) for v, x in vertices.items()})
     return SynthesisResult(graph=graph, inner_sets={v: x.v for v, x in vertices.items()},
                            outer_sets={v: x.w for v, x in vertices.items()}, system=system,
                            boundary_points={v: x.angle for v, x in vertices.items()})

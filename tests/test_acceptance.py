@@ -11,7 +11,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from flagdyn.automaton import ParabolicFamily, enumerate_paths, verify_compatibility
 from flagdyn.circle import angle_dist, angle_of
@@ -53,8 +52,7 @@ def _rotation2(theta):
 
 def _parts(cfg):
     """The presentation, graph and system of a config, as ``certify`` builds them."""
-    graph = cfg.graph()
-    return cfg.presentation(), graph, cfg.system(graph.epsilon)
+    return cfg.presentation(), cfg.graph(), cfg.system()
 
 
 def _report(num, name, ok, elapsed, cap):
@@ -305,7 +303,7 @@ def test_criterion_05_exponential_shrinking(schottky_cfg, single_loop_cfg):
 
     rho1, graph1, system1 = _parts(single_loop_cfg)
     cert1 = verify_compatibility(graph1, system1, rho1)
-    loop_paths, _ = enumerate_paths(graph1, 25, "exhaustive", rho1)
+    loop_paths, _ = enumerate_paths(graph1, 25, "random", rho1, cap=1)
     res1 = contracting_limit(loop_paths[0], rho1, system1, certificate=cert1)
     rep1 = shrink_rates([res1], depth_range=(15, 25), r2_threshold=0.98)
     # rate oracle: the Mobius derivative of x -> x/16 at the fixed point
@@ -355,15 +353,10 @@ def test_criterion_07_jordan_peripheral_stability(jordan_diag_cfg, jordan_split_
     _report(7, "unipotent-block peripheral stability probe", ok, time.time() - t0, 120)
 
 
-@pytest.fixture(scope="module")
-def modular(pgl2z_cfg):
-    rho = pgl2z_cfg.presentation()
-    return rho, synthesize_rp1(rho, pgl2z_cfg.synthesis)
-
-
-def test_criterion_08_modular_synthesis(modular):
+def test_criterion_08_modular_synthesis(pgl2z_cfg):
     t0 = time.time()
-    rho, res = modular
+    rho = pgl2z_cfg.presentation()
+    res = synthesize_rp1(rho, pgl2z_cfg.synthesis)
     cert = verify_compatibility(res.graph, res.system, rho, element_cap=60)
     n_par = sum(1 for l in res.graph.vertices.values() if isinstance(l, ParabolicFamily))
     ok = cert.ok and n_par >= 1

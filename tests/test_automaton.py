@@ -33,8 +33,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _parts(cfg):
     """The presentation, graph and system of a config, as ``certify`` builds them."""
-    graph = cfg.graph()
-    return cfg.presentation(), graph, cfg.system(graph.epsilon)
+    return cfg.presentation(), cfg.graph(), cfg.system()
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +56,7 @@ def test_one_vertex_attracting_interval(single_loop_cfg):
 
 def test_one_vertex_repelling_interval_fails(single_loop_cfg):
     rho, graph, _ = _parts(single_loop_cfg)
-    bad = CompatibleSystem(domains={"v": arc_ball(math.pi / 2, 0.3)}, epsilon=0.05)
+    bad = CompatibleSystem(domains={"v": arc_ball(math.pi / 2, 0.3)})
     cert = verify_compatibility(graph, bad, rho)
     assert not cert.ok
     assert cert.min_margin < 0
@@ -77,7 +76,7 @@ def test_schottky_certifies_with_oracle_margin(schottky):
 
 def test_schottky_repelling_fails(schottky, schottky_repelling_cfg):
     rho, graph, _ = schottky
-    cert = verify_compatibility(graph, schottky_repelling_cfg.system(graph.epsilon), rho)
+    cert = verify_compatibility(graph, schottky_repelling_cfg.system(), rho)
     assert not cert.ok
 
 
@@ -107,7 +106,7 @@ def test_identity_label_rejected(single_loop_cfg):
 
 def test_missing_domain(single_loop_cfg):
     rho, graph, _ = _parts(single_loop_cfg)
-    system = CompatibleSystem(domains={}, epsilon=0.05)
+    system = CompatibleSystem(domains={})
     with pytest.raises(MissingDomain):
         verify_compatibility(graph, system, rho)
 
@@ -140,7 +139,7 @@ def test_divergence_rotation_inconclusive():
     graph = GammaGraph(
         vertices={"v": Singleton(parse_word("r"))}, edges=[("v", "v")], epsilon=0.01
     )
-    system = CompatibleSystem(domains={"v": arc_ball(0.0, 0.4)}, epsilon=0.01)
+    system = CompatibleSystem(domains={"v": arc_ball(0.0, 0.4)})
     out = check_divergence(graph, system, rho)
     assert all(not d.conclusive for d in out)
 
@@ -235,17 +234,9 @@ def test_parabolic_enumeration_order(jordan_diag_cfg):
 # --- path enumeration -----------------------------------------------------------
 
 
-def test_exhaustive_path_count(schottky):
-    rho, graph, _ = schottky
-    for n in (1, 2, 3, 6):
-        paths, truncated = enumerate_paths(graph, n, "exhaustive", rho)
-        assert not truncated
-        assert len(paths) == 4 * 3 ** (n - 1)
-
-
 def test_single_loop_depth_one(single_loop_cfg):
     rho, graph, _ = _parts(single_loop_cfg)
-    paths, _ = enumerate_paths(graph, 1, "exhaustive", rho)
+    paths, _ = enumerate_paths(graph, 1, "random", rho, cap=1)
     assert len(paths) == 1
     assert paths[0].words == [parse_word("g")]
 
@@ -259,11 +250,10 @@ def test_random_paths_reproducible(schottky):
     assert [p.code() for p in a] != [p.code() for p in c]
 
 
-def test_exhaustive_cap_reports_truncation(schottky):
+def test_exhaustive_strategy_is_unknown(schottky):
     rho, graph, _ = schottky
-    paths, truncated = enumerate_paths(graph, 8, "exhaustive", rho, cap=100)
-    assert truncated
-    assert len(paths) == 100
+    with pytest.raises(ValueError, match="unknown strategy 'exhaustive'"):
+        enumerate_paths(graph, 3, "exhaustive", rho)
 
 
 # --- certificate serialization ---------------------------------------------------
@@ -286,7 +276,7 @@ def _reference_certificate(graph, system, rho, *, n_boundary, n_interior, elemen
     """Records and tails from a per-edge loop: each edge enumerates and
     evaluates its source label itself and folds every element into
     per-index worst cases, shell by shell."""
-    eps = system.epsilon
+    eps = graph.epsilon
     records, worst_margin, worst_size = [], {}, {}
     for v, w in graph.edges:
         home, target = system.domain(v), system.domain(w)
@@ -340,7 +330,7 @@ def _modular_family():
     edges = [("p", "x"), ("p", "y"), ("x", "p"), ("y", "p")]
     domains = {"p": arc_ball(0.0, 0.4), "x": arc_ball(1.2, 0.3),
                "y": ConvexPolytope(ProjHyperplane(vec_of(2.2)), [[-0.3], [0.3]])}
-    return rho, GammaGraph(vertices, edges, 0.02), CompatibleSystem(domains, 0.02)
+    return rho, GammaGraph(vertices, edges, 0.02), CompatibleSystem(domains)
 
 
 def _jordan_case(edges):
@@ -377,7 +367,7 @@ def _random_arc_case(seed):
     edges = [(v, ids[int(rng.integers(len(ids)))]) for v in ids]
     edges += [(ids[int(i)], ids[int(j)]) for i, j in rng.integers(len(ids), size=(16, 2))]
     edges = [edges[i] for i in rng.permutation(len(edges))]
-    return rho, GammaGraph(vertices, edges, 0.02), CompatibleSystem(domains, 0.02)
+    return rho, GammaGraph(vertices, edges, 0.02), CompatibleSystem(domains)
 
 
 @pytest.mark.parametrize("case, element_cap", [
@@ -435,7 +425,7 @@ def test_order_two_peripheral_generator_is_a_duplicate():
     rho = GroupPresentation(dim=2, generators={"t": Matrix([[0, 1], [1, 0]])},
                             peripherals=[Peripheral("pt", ["t"], truncation=3)])
     graph = GammaGraph({"p": ParabolicFamily((), "pt")}, [("p", "p")], 0.02)
-    system = CompatibleSystem({"p": arc_ball(0.0, 0.3)}, 0.02)
+    system = CompatibleSystem({"p": arc_ball(0.0, 0.3)})
     with pytest.raises(EvaluationError, match="duplicate element in enumeration of p"):
         verify_compatibility(graph, system, rho)
 

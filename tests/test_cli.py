@@ -79,6 +79,15 @@ def test_limitset_builds_each_domain_arc_once(tmp_path, monkeypatch):
 def test_limitset_refuses_failing_config(tmp_path):
     assert run(["limitset", "--config", CONFIGS / "schottky_repelling.json",
                 "--out", tmp_path]) == 1
+    assert (tmp_path / "certificate.json").exists()
+    assert not (tmp_path / "limit_set.csv").exists()
+
+
+def test_limitset_has_no_skip_certify(tmp_path, capsys):
+    assert run(["limitset", "--config", CONFIGS / "schottky_repelling.json",
+                "--skip-certify", "--out", tmp_path]) == 2
+    assert "unrecognized arguments: --skip-certify" in capsys.readouterr().err
+    assert not (tmp_path / "limit_set.csv").exists()
 
 
 def test_limitset_svg(tmp_path):
@@ -244,13 +253,13 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
 
     ap = cli.build_parser()
     assert cli.build_parser() is ap
-    first = ap.parse_args(["limitset", "--config", "a.json", "--skip-certify", "--seed", "3"])
+    first = ap.parse_args(["limitset", "--config", "a.json", "--svg", "--seed", "3"])
     second = ap.parse_args(["certify", "--config", "b.json"])
-    assert (first.skip_certify, first.seed, first.func) == (True, 3, cli.cmd_limitset)
+    assert (first.svg, first.seed, first.func) == (True, 3, cli.cmd_limitset)
     assert vars(second) == {"command": "certify", "config": "b.json", "seed": None,
                             "out": "out", "func": cli.cmd_certify}
     schottky = CONFIGS / "schottky.json"
-    assert run(["limitset", "--config", schottky, "--skip-certify", "--out", tmp_path / "a"]) == 0
+    assert run(["limitset", "--config", schottky, "--out", tmp_path / "a"]) == 0
     assert run(["certify", "--config", schottky, "--out", tmp_path / "b"]) == 0
     assert (tmp_path / "a" / "limit_set.csv").exists()
     assert not (tmp_path / "b" / "limit_set.csv").exists()

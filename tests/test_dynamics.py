@@ -27,8 +27,7 @@ from flagdyn.words import GroupPresentation, parse_word
 
 def _certified(cfg):
     """The presentation, graph, system and passing certificate of a config."""
-    rho, graph = cfg.presentation(), cfg.graph()
-    system = cfg.system(graph.epsilon)
+    rho, graph, system = cfg.presentation(), cfg.graph(), cfg.system()
     cert = verify_compatibility(graph, system, rho)
     assert cert.ok
     return rho, graph, system, cert
@@ -54,7 +53,7 @@ def _rotation2(theta):
 
 def test_loop_limit_is_attracting_point(certified_loop):
     rho, graph, system, cert = certified_loop
-    paths, _ = enumerate_paths(graph, 15, "exhaustive", rho)
+    paths, _ = enumerate_paths(graph, 15, "random", rho, cap=1)
     res = contracting_limit(paths[0], rho, system, certificate=cert)
     assert fubini_study(res.limit, ProjPoint([1.0, 0.0])) < 1e-9
     assert all(b <= a * (1 + 1e-9) for a, b in zip(res.diameters[1:], res.diameters[2:]))
@@ -63,7 +62,7 @@ def test_loop_limit_is_attracting_point(certified_loop):
 def test_loop_rate_matches_mobius_derivative(certified_loop):
     # contraction of x -> x/16 at the fixed point is 1/16 per step
     rho, graph, system, cert = certified_loop
-    paths, _ = enumerate_paths(graph, 20, "exhaustive", rho)
+    paths, _ = enumerate_paths(graph, 20, "random", rho, cap=1)
     res = contracting_limit(paths[0], rho, system, certificate=cert)
     rep = shrink_rates([res], depth_range=(5, 20))
     assert rep.lambda2 == pytest.approx(2 * math.log(4), rel=0.1)
@@ -72,7 +71,7 @@ def test_loop_rate_matches_mobius_derivative(certified_loop):
 
 def test_rate_bound_dominates(certified_loop):
     rho, graph, system, cert = certified_loop
-    paths, _ = enumerate_paths(graph, 18, "exhaustive", rho)
+    paths, _ = enumerate_paths(graph, 18, "random", rho, cap=1)
     res = contracting_limit(paths[0], rho, system, certificate=cert)
     rep = shrink_rates([res], depth_range=(3, 18))
     for n, d in enumerate(res.diameters, start=1):
@@ -133,8 +132,9 @@ def test_limit_stability_depth_refinement(certified_schottky):
     rho, graph, system, cert = certified_schottky
     paths, _ = enumerate_paths(graph, 20, "random", rho, seed=13, cap=5)
     for p in paths:
-        r15 = contracting_limit(p, rho, system, depth=15, certificate=cert)
-        r20 = contracting_limit(p, rho, system, depth=20, certificate=cert)
+        r15 = contracting_limit(GPath(p.vertices[:16], p.words[:15]), rho, system,
+                                certificate=cert)
+        r20 = contracting_limit(p, rho, system, certificate=cert)
         assert fubini_study(r15.limit, r20.limit) <= r15.radius_bound + 1e-15
 
 
@@ -149,7 +149,7 @@ def test_gap_growth_along_paths(certified_schottky):
 
 def test_uncertified_path_rejected(certified_schottky, schottky_repelling_cfg):
     rho, graph, system, cert = certified_schottky
-    bad = verify_compatibility(graph, schottky_repelling_cfg.system(graph.epsilon), rho)
+    bad = verify_compatibility(graph, schottky_repelling_cfg.system(), rho)
     paths, _ = enumerate_paths(graph, 5, "random", rho, seed=1, cap=1)
     with pytest.raises(NotCertified):
         contracting_limit(paths[0], rho, system, certificate=bad)
@@ -169,33 +169,31 @@ def test_flat_diameters_rejected():
 def test_limit_set_cantor_gaps(certified_schottky):
     # no sampled limit point may fall in the four declared gap intervals
     rho, graph, system, cert = certified_schottky
-    cloud = limit_set_sample(graph, rho, system, depth=20, count=500, seed=4,
-                             certificate=cert)
+    results = limit_set_sample(graph, rho, system, depth=20, count=500, seed=4,
+                               certificate=cert)
     from flagdyn.circle import angle_dist, angle_of
 
     centers = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
-    for p, code, rb in cloud.points:
-        a = angle_of(p.coords)
+    for r in results:
+        a = angle_of(r.limit.coords)
         assert min(angle_dist(a, c) for c in centers) <= 0.3
-    assert len(cloud.points) == 500
+    assert len(results) == 500
 
 
 def test_limit_set_single_cluster(certified_loop):
     rho, graph, system, cert = certified_loop
-    cloud = limit_set_sample(graph, rho, system, depth=15, count=20, seed=2,
-                             certificate=cert)
-    for p, _, _ in cloud.points:
-        assert fubini_study(p, ProjPoint([1.0, 0.0])) < 1e-6
+    results = limit_set_sample(graph, rho, system, depth=15, count=20, seed=2,
+                               certificate=cert)
+    for r in results:
+        assert fubini_study(r.limit, ProjPoint([1.0, 0.0])) < 1e-6
 
 
 def test_limit_set_deterministic(certified_schottky):
     rho, graph, system, cert = certified_schottky
     c1 = limit_set_sample(graph, rho, system, 10, 50, seed=8, certificate=cert)
     c2 = limit_set_sample(graph, rho, system, 10, 50, seed=8, certificate=cert)
-    assert [c for _, c, _ in c1.points] == [c for _, c, _ in c2.points]
-    assert all(
-        np.array_equal(p.coords, q.coords) for (p, _, _), (q, _, _) in zip(c1.points, c2.points)
-    )
+    assert [r.path.code() for r in c1] == [r.path.code() for r in c2]
+    assert all(np.array_equal(r.limit.coords, q.limit.coords) for r, q in zip(c1, c2))
 
 
 def test_limit_set_invariance(certified_schottky):
@@ -203,12 +201,12 @@ def test_limit_set_invariance(certified_schottky):
     from flagdyn.projgeom import act
 
     rho, graph, system, cert = certified_schottky
-    cloud = limit_set_sample(graph, rho, system, 18, 100, seed=6, certificate=cert)
+    results = limit_set_sample(graph, rho, system, 18, 100, seed=6, certificate=cert)
     doms = [system.domain(v).arc() for v in graph.vertices]
     from flagdyn.circle import angle_of
 
-    for p, _, _ in cloud.points:
-        q = act(rho.generators["a"], p)
+    for r in results:
+        q = act(rho.generators["a"], r.limit)
         assert any(d.contains_angle(angle_of(q.coords), slack=1e-9) for d in doms)
 
 
@@ -349,9 +347,9 @@ def test_rp1_diameters_match_zimmer_metric_of_image_endpoints(diag):
     # the image arc's endpoints; the det -1 generator checks the tracked sign
     rho = GroupPresentation(dim=2, generators={"g": Matrix(np.diag(diag))})
     dom = arc_ball(0.0, 0.3)
-    system = CompatibleSystem(domains={"v": dom}, epsilon=0.05)
+    system = CompatibleSystem(domains={"v": dom})
     path = GPath(["v"] * 4, [parse_word("g")] * 3)
-    res = contracting_limit(path, rho, system, depth=3)
+    res = contracting_limit(path, rho, system)
     ends = np.array([[math.cos(0.3), -math.sin(0.3)], [math.cos(0.3), math.sin(0.3)]])
     for n, diam in enumerate(res.diameters, start=1):
         x, y = ends @ np.linalg.matrix_power(np.diag(diag), n).T
@@ -363,7 +361,6 @@ def test_off_domain_image_has_infinite_diameter():
     chart = ProjHyperplane([1.0, 0.0, 0.0])
     system = CompatibleSystem(
         domains={"u": ChartBall(chart, [0.0, 0.0], 0.1), "w": ChartBall(chart, [5.0, 5.0], 0.1)},
-        epsilon=0.01,
     )
     rho = GroupPresentation(dim=3, generators={"g": Matrix.identity(3)})
     path = GPath(["u", "w", "w"], [parse_word("g")] * 2)
@@ -413,7 +410,7 @@ def test_rp1_diameters_match_a_sine_cross_ratio_of_explicit_products():
     cfg = RunConfig.load(CONFIGS / "schottky.json")
     rho, graph = cfg.presentation(), cfg.graph()
     paths, _ = enumerate_paths(graph, 6, "random", rho, seed=4, cap=24)
-    results = contracting_limits(paths, rho, cfg.system(epsilon=graph.epsilon))
+    results = contracting_limits(paths, rho, cfg.system())
     for path, res in zip(paths, results):
         A, B = ends[path.vertices[0]]
         m = ((1.0, 0.0), (0.0, 1.0))
@@ -439,7 +436,7 @@ def test_sampled_radius_bound_is_the_farthest_fs_distance():
     # about 1e-9, below the angles sqrt(1 - c^2) resolves from c = |x.c|
     cfg = _jordan_d4()
     rho, graph = cfg.presentation(), cfg.graph()
-    system = cfg.system(epsilon=graph.epsilon)
+    system = cfg.system()
     paths, _ = enumerate_paths(graph, 8, "random", rho, seed=7, cap=6)
     for path, res in zip(paths, contracting_limits(paths, rho, system)):
         n = res.depth
@@ -456,7 +453,7 @@ def test_sampled_radius_bound_is_the_farthest_fs_distance():
 def test_batched_paths_match_one_path_calls(name):
     cfg = _jordan_d4() if name == "jordan-d4" else RunConfig.load(CONFIGS / "schottky.json")
     rho, graph = cfg.presentation(), cfg.graph()
-    system = cfg.system(epsilon=graph.epsilon)
+    system = cfg.system()
     paths, _ = enumerate_paths(graph, cfg.budgets["depth"], "random", rho, seed=7, cap=32)
     # mixed start vertices, and two shorter paths that run to their own depth
     assert len({p.vertices[0] for p in paths}) > 1

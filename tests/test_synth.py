@@ -184,7 +184,7 @@ def test_schottky_synthesis_limits_match_hand_built(schottky_synthesis, schottky
     rho = schottky_rotated
     res = schottky_synthesis
     paths, _ = enumerate_paths(res.graph, 10, "random", rho, seed=3, cap=20)
-    hand = [d.arc().expand(0.05) for d in schottky_cfg.system(0.05).domains.values()]
+    hand = [d.arc().expand(0.05) for d in schottky_cfg.system().domains.values()]
     for p in paths:
         r = contracting_limit(p, rho, res.system)
         a = angle_of(r.limit.coords)
