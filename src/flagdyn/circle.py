@@ -10,7 +10,9 @@ RP^1 are exact up to roundoff (no sampling).
 The array primitives: ``angles``, ``angle_dists``, ``arcs_between``
 (arcs from endpoints, with the one rule for the side) and ``mobius_arcs``
 (image arcs), whose n = 1 calls are ``arc_between`` and ``mobius_arc``;
-and ``uncovered``, the circular sweep for gaps behind ``cover_circle``.
+and ``sweep``, the one circular gap scan, over the sorted pieces of
+``arc_pieces`` (kept sorted across insertions by ``insert_piece``), which
+``uncovered`` and ``cover_circle`` run.
 """
 
 from __future__ import annotations
@@ -126,25 +128,50 @@ def mobius_arc(m, arc: Arc) -> Arc:
     return Arc(float(c[0]), float(r[0]))
 
 
-def uncovered(arcs, tol: float = 1e-12):
-    """Uncovered intervals (lo, hi) of RP^1 left by closed arcs, in sweep order.
+def arc_pieces(centers, radii):
+    """Pieces (lo, length) = ((c - r) mod pi, 2r) of the closed arcs B(c_i, r_i),
+    sorted in (lo, length, i) order: the two arrays and the sort order."""
+    centers, radii = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+    lo, length = (centers - radii) % HALF_TURN, 2 * radii
+    order = np.lexsort((length, lo))
+    return lo[order], length[order], order
 
-    Pieces ((c - r) mod pi, 2r) are swept from the first left endpoint
-    ``start`` to ``start + pi`` (so hi may exceed pi); pieces running past
-    pi also cover the start. Gaps no wider than ``tol`` count as covered;
-    no arcs leave the gap (0, pi).
+
+def insert_piece(lo, length, arc: Arc):
+    """Sorted pieces ``lo``, ``length`` with ``arc``'s piece inserted at its
+    searchsorted position, so they stay in (lo, length) order."""
+    a, n = (arc.center - arc.radius) % HALF_TURN, 2 * arc.radius
+    i, j = np.searchsorted(lo, a, "left"), np.searchsorted(lo, a, "right")
+    k = i + np.searchsorted(length[i:j], n)
+    return np.insert(lo, k, a), np.insert(length, k, n)
+
+
+def sweep(lo, length, tol: float = 1e-12):
+    """Uncovered intervals (lo, hi) of RP^1 left by sorted pieces, as two
+    arrays in sweep order.
+
+    The pieces are swept from the first left endpoint ``start`` to ``start
+    + pi`` (so hi may exceed pi); pieces running past pi also cover the
+    start. Gaps no wider than ``tol`` count as covered; no pieces leave
+    the gap (0, pi).
     """
-    pieces = sorted(((a.center - a.radius) % HALF_TURN, 2 * a.radius) for a in arcs)
-    if not pieces:
-        return [(0.0, HALF_TURN)]
-    start = pieces[0][0]
-    pos = max(start, max(lo + length for lo, length in pieces) - HALF_TURN)
-    gaps = []
-    for lo, length in pieces + [(start + HALF_TURN, 0.0)]:
-        if lo > pos + tol:
-            gaps.append((pos, lo))
-        pos = max(pos, lo + length)
-    return gaps
+    if not len(lo):
+        return np.array([0.0]), np.array([HALF_TURN])
+    # the sweep position before each piece, and before the end start + pi:
+    # the farthest end of the pieces before it, or of the pieces past pi
+    reach = np.maximum.accumulate(lo + length)
+    start = lo[0]
+    pos = np.maximum(max(start, reach[-1] - HALF_TURN), np.concatenate(([start], reach)))
+    ahead = np.append(lo, start + HALF_TURN)
+    gap = ahead > pos + tol
+    return pos[gap], ahead[gap]
+
+
+def uncovered(arcs, tol: float = 1e-12):
+    """Uncovered intervals (lo, hi) of RP^1 left by closed arcs, in sweep
+    order: ``sweep`` of their pieces, as a list of float pairs."""
+    lo, length, _ = arc_pieces([a.center for a in arcs], [a.radius for a in arcs])
+    return list(zip(*(x.tolist() for x in sweep(lo, length, tol))))
 
 
 def cover_circle(arcs):
@@ -155,12 +182,11 @@ def cover_circle(arcs):
     the first left endpoint if no arc wraps), then repeatedly takes the arc
     extending coverage farthest.
     """
-    if uncovered(arcs):
+    lo, length, order = arc_pieces([a.center for a in arcs], [a.radius for a in arcs])
+    tol = 1e-12  # the default gap tolerance of sweep()
+    if len(sweep(lo, length, tol)[0]):
         return None
-    tol = 1e-12  # the default gap tolerance of uncovered()
-    pieces = sorted(
-        ((a.center - a.radius) % HALF_TURN, 2 * a.radius, i) for i, a in enumerate(arcs)
-    )
+    pieces = list(zip(lo.tolist(), length.tolist(), order.tolist()))
     wrapping = [(lo + length - HALF_TURN, i, lo) for lo, length, i in pieces
                 if lo + length >= HALF_TURN]
     if wrapping:

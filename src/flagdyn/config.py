@@ -270,7 +270,9 @@ class RunConfig:
         seeds = _object(raw.get("seeds", {}), "seeds", ("master",))
         self.seeds = {"master": _at_least(seeds.get("master", 7), "seeds.master", 0)}
         budgets = _object(raw.get("budgets", {}), "budgets", self.DEFAULT_BUDGETS)
-        self.budgets = {key: _at_least(budgets.get(key, n), f"budgets.{key}", 1)
+        # a sampled path needs two vertices to contract: depth is at least 2
+        self.budgets = {key: _at_least(budgets.get(key, n), f"budgets.{key}",
+                                       2 if key == "depth" else 1)
                         for key, n in self.DEFAULT_BUDGETS.items()}
         names = self._read_group(raw)
         self._read_graph(raw, names)

@@ -195,9 +195,11 @@ class Matrix:
         return ("float", self.dim, tuple(np.round(self.arr.reshape(-1), 9)))
 
     def is_identity(self, tol=1e-9):
-        return bool(np.allclose(self.arr, np.eye(self.dim), atol=tol)) or bool(
-            np.allclose(self.arr, -np.eye(self.dim), atol=tol)
-        )
+        """Whether the matrix is +I or -I: entrywise |a - s I| <= tol + 1e-5 |I|
+        for s = 1 or -1 (``np.allclose`` with atol ``tol``)."""
+        eye = np.eye(self.dim)
+        bound = tol + 1e-5 * eye
+        return any(bool((np.abs(self.arr - s * eye) <= bound).all()) for s in (1, -1))
 
     def __repr__(self):
         return f"Matrix(dim={self.dim}, exact={self.exact is not None})"

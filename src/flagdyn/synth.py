@@ -13,12 +13,14 @@ dimension-2 presentation acting on the circle, from first principles:
   delta neighborhood, the expanded image containing an enlarged
   neighborhood of the pullback; each word's expansion window, the arc
   of points where it can expand at all, limits the exact tests to a few
-  words per point, and the whole grid is searched in one batched pass;
+  words per point, and the grid is searched in batched first-hit rounds,
+  each point testing its next words in pool order until its first hit;
 * peripheral coset vertices are materialized adaptively: whenever the
   inner neighborhoods leave a gap on the circle, the nearest candidate
   coset point (enumerated in peripheral-power syllable form, since coset
   representatives of nearby cusps have unbounded plain word length) gets
-  a vertex, until the circle is covered;
+  a vertex, until the circle is covered; the inner arcs are kept as
+  sorted pieces, each new arc inserted in place, and swept for gaps;
 * edges follow the pullback-intersection rule.
 
 Every vertex, conical or parabolic, is one ``_Vertex`` record: its label,
@@ -55,10 +57,12 @@ from .circle import (
     angle_of,
     angles,
     arc_between,
+    arc_pieces,
     cover_circle,
+    insert_piece,
     mobius_angle,
-    mobius_arc,
     mobius_arcs,
+    sweep,
     uncovered,
     vec_of,
 )
@@ -196,17 +200,19 @@ def _fundamental_interval(rho: GroupPresentation, t_name: str, p_angle: float) -
     return arc.complement() if arc.contains_angle(p_angle) else arc
 
 
-def _arc_hull_containing(arcs, anchor: float) -> Arc:
-    """Smallest arc containing the anchor and the given arcs.
+def _arc_hull_containing(centers, radii, anchor: float) -> Arc:
+    """Smallest arc containing the anchor and the arcs B(centers_i, radii_i).
 
     Computed as the complement of the largest circular gap left by the
     pieces: valid because the intermediate coset translates fill the
     space between the extreme pieces and the anchor.
     """
-    gaps = uncovered(list(arcs) + [Arc(anchor, 0.0)], tol=1e-15)
-    if not gaps:
+    lo, length, _ = arc_pieces(np.append(centers, anchor), np.append(radii, 0.0))
+    gaps = sweep(lo, length, tol=1e-15)
+    if not len(gaps[0]):
         raise SynthesisFailed("neighborhood union wraps the whole circle", anchor)
-    g_lo, g_hi = max(gaps, key=lambda g: g[1] - g[0])
+    widest = int(np.argmax(gaps[1] - gaps[0]))
+    g_lo, g_hi = float(gaps[0][widest]), float(gaps[1][widest])
     length = HALF_TURN - (g_hi - g_lo)
     if length >= HALF_TURN - 1e-12:
         raise SynthesisFailed("neighborhood union too large for an arc", anchor)
@@ -225,36 +231,41 @@ def _parabolic_vertex(rho, p_name, t_name, coset_word, p_angle, K_p, params):
     except ValueError as exc:
         raise SynthesisFailed(f"hat neighborhoods of <{t_name}>: {exc}", p_angle) from exc
     q_angle = mobius_angle(rho.evaluate(coset_word).arr, p_angle)
-    target_half = Arc(q_angle, delta / 2)
-    target_eps = Arc(q_angle, eps)
 
-    def conditions(n):
-        g = rho.evaluate(concat(coset_word, ((t_name, n),)))
-        img_w = mobius_arc(g.arr, w_hat)
-        img_we = mobius_arc(g.arr, w_hat_eps)
-        return (
-            target_half.margin_of_arc(img_w) > 0
-            and target_eps.margin_of_arc(img_we) > 0
-        )
+    def powers_of(ns):
+        return np.array([rho.evaluate(concat(coset_word, ((t_name, n),))).arr for n in ns])
 
-    n0 = None
-    for n in range(1, _MAX_POWER + 1):
-        window = range(n, n + _TAIL_WINDOW + 1)
-        if all(conditions(m) and conditions(-m) for m in window):
-            n0 = n
-            break
+    def passing(first, last):
+        """Whether each power m in first..last passes both ways: the images of
+        w_hat and w_hat_eps under t^m and t^-m have positive margins
+        (``Arc.margin_of_arc``) in the target arcs of radius delta/2 and eps."""
+        mats = powers_of([sign * m for m in range(first, last + 1) for sign in (1, -1)])
+        ok = True
+        for base, radius in ((w_hat, delta / 2), (w_hat_eps, eps)):
+            c, r = mobius_arcs(mats, base.center, base.radius)
+            ok = ok & (radius - (angle_dists(q_angle, c) + r) > 0)
+        return ok.reshape(-1, 2).all(axis=1)
+
+    # the powers are tested in doubling blocks; flags[m - 1] is power m's
+    flags, block, n0 = np.zeros(0, dtype=bool), 16, None
+    while n0 is None and len(flags) < _MAX_POWER + _TAIL_WINDOW:
+        top = min(len(flags) + block, _MAX_POWER + _TAIL_WINDOW)
+        flags = np.append(flags, passing(len(flags) + 1, top))
+        windows = np.lib.stride_tricks.sliding_window_view(flags, _TAIL_WINDOW + 1)
+        found = np.flatnonzero(windows[:_MAX_POWER].all(axis=1))
+        n0 = int(found[0]) + 1 if found.size else None
+        block *= 2
     if n0 is None:
         raise SynthesisFailed(
             f"no cofinite tail for coset {word_str(coset_word)} <{t_name}>", q_angle
         )
 
     powers = [*range(n0, n0 + _TAIL_WINDOW + 1), n0 + 8, n0 + 16]
-    mats = np.array([rho.evaluate(concat(coset_word, ((t_name, sign * n),))).arr
-                     for n in powers for sign in (1, -1)])
+    mats = powers_of([sign * n for n in powers for sign in (1, -1)])
 
     def hull(base_arc):
-        images = mobius_arcs(mats, base_arc.center, base_arc.radius)
-        return _arc_hull_containing([Arc(*map(float, cr)) for cr in zip(*images)], q_angle)
+        return _arc_hull_containing(*mobius_arcs(mats, base_arc.center, base_arc.radius),
+                                    q_angle)
 
     w_q = hull(w_hat)
     v_q = hull(v_hat)
@@ -274,7 +285,17 @@ def _parabolic_vertex(rho, p_name, t_name, coset_word, p_angle, K_p, params):
 # the roundoff of the searcher's tests, so no passing row falls outside
 _WINDOW_SLACK = 1e-9
 # grid points searched together: bounds the (z, word) pairs held at once
-_CHUNK = 32
+# (about 60 a point at pgl2z's parameters)
+_CHUNK = 128
+# rows a first-hit round tests at least: each live z takes a block of its
+# next pairs, the block doubling each round and at least this over the
+# live z, so rounds stay few and none carries only a handful of rows
+_ROUND_ROWS = 256
+
+
+def _ranges(starts, counts):
+    """The index ranges starts_i .. starts_i + counts_i - 1, concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _expansion_windows(mats, delta):
@@ -373,9 +394,10 @@ class _ConicalSearcher:
     def candidates(self, zs):
         """First word in pool order expanding about each z, or None.
 
-        The z are searched in chunks of ``_CHUNK`` in angle order; each
-        chunk runs both tests once on its (z, word) pairs in windows,
-        ordered by z then pool index.
+        The z are searched in chunks of ``_CHUNK`` in angle order, on their
+        (z, word) pairs in windows, ordered by z then pool index. A chunk
+        runs both tests in first-hit rounds: each live z tests its next
+        block of pairs, and leaves at its first hit or when it has none left.
         """
         p = self.params
         zs = np.array(zs, dtype=float).reshape(-1)
@@ -388,27 +410,48 @@ class _ConicalSearcher:
         ends = np.searchsorted(keys, w_hi, "right")
         pool_index = np.arange(len(w_lo)) % len(self.words)
         vz = np.array([vec_of(z) for z in zs.tolist()]).reshape(-1, 2)
+        found = []  # per round: the word, z, pullback and W arc of each first hit
         for lo in range(0, len(zs), _CHUNK):
             first = np.maximum(starts, lo)
             counts = np.maximum(np.minimum(ends, lo + _CHUNK) - first, 0)
             word = np.repeat(pool_index, counts)
-            pos = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            pos = _ranges(first, counts)
             pair = np.lexsort((word, pos))
-            word, z_of = word[pair], order[pos[pair]]
-            mats = self.mats[word]
-            # one (2, 2) @ (2, 1) product per pair: the rows of invs @ vz, bit for bit
-            pulls = angles(np.matmul(self.invs[word], vz[z_of][:, :, None])[:, :, 0])
-            cw, rw = self._image_arcs(pulls, 2 * p.delta, mats)
-            ok = np.flatnonzero(2 * rw < p.delta)
-            cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
-            hits = ok[angle_dists(cwe, zs[z_of[ok]]) + rwe < p.epsilon]
-            # pairs run in (z, pool) order: a z's first hit is its first in the pool
-            _, firsts = np.unique(z_of[hits], return_index=True)
-            hits = hits[firsts]
-            vc, vr = mobius_arcs(mats[hits], pulls[hits] % HALF_TURN, p.delta)
-            for i, c, r in zip(hits.tolist(), vc.tolist(), vr.tolist()):
-                out[z_of[i]] = _Conical(self.words[word[i]], float(zs[z_of[i]]), float(pulls[i]),
-                                        Arc(c, r), Arc(float(cw[i]), float(rw[i])))
+            word, pos = word[pair], pos[pair]
+            z_of = order[pos]
+            # each z's pairs are the run cursor..stop of the (z, pool) order
+            here = np.arange(lo, min(lo + _CHUNK, len(zs)))
+            cursor, stop = np.searchsorted(pos, here, "left"), np.searchsorted(pos, here, "right")
+            live = cursor < stop
+            cursor, stop, block = cursor[live], stop[live], 0
+            while cursor.size:
+                block = max(2 * block, -(-_ROUND_ROWS // cursor.size))
+                take = np.minimum(stop - cursor, block)
+                owner = np.repeat(np.arange(cursor.size), take)
+                rows = _ranges(cursor, take)
+                w, z = word[rows], z_of[rows]
+                mats = self.mats[w]
+                # one (2, 2) @ (2, 1) product per pair: the rows of invs @ vz, bit for bit
+                pulls = angles(np.matmul(self.invs[w], vz[z][:, :, None])[:, :, 0])
+                cw, rw = self._image_arcs(pulls, 2 * p.delta, mats)
+                ok = np.flatnonzero(2 * rw < p.delta)
+                cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
+                hits = ok[angle_dists(cwe, zs[z[ok]]) + rwe < p.epsilon]
+                # a block runs in pool order: a z's first hit in it is its first
+                done, firsts = np.unique(owner[hits], return_index=True)
+                hits = hits[firsts]
+                found.append((w[hits], z[hits], pulls[hits], cw[hits], rw[hits]))
+                cursor = cursor + take
+                live = cursor < stop
+                live[done] = False
+                cursor, stop = cursor[live], stop[live]
+        if not found:
+            return out
+        w, z, pulls, cw, rw = map(np.concatenate, zip(*found))
+        vc, vr = mobius_arcs(self.mats[w], pulls % HALF_TURN, p.delta)
+        for i, j, pull, c, r, v_c, v_r in zip(*(x.tolist()
+                                                for x in (w, z, pulls, cw, rw, vc, vr))):
+            out[j] = _Conical(self.words[i], float(zs[j]), pull, Arc(v_c, v_r), Arc(c, r))
         return out
 
 
@@ -517,12 +560,15 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
 
     # --- adaptive parabolic materialization over uncovered gaps -------------
     # a full cover of the circle is required only when peripherals exist
+    # the inner arcs' pieces stay sorted: each round inserts its new arc
     if peripherals:
+        inner = [x.v for x in parabolic.values()] + [c.v for c in conical]
+        lo, length, _ = arc_pieces([a.center for a in inner], [a.radius for a in inner])
         for _ in range(_MAX_PARABOLIC_ROUNDS):
-            gaps = uncovered([x.v for x in parabolic.values()] + [c.v for c in conical])
-            if not gaps:
+            gaps = sweep(lo, length)
+            if not len(gaps[0]):
                 break
-            g_lo, g_hi = (x % HALF_TURN for x in gaps[0])
+            g_lo, g_hi = (float(x[0]) % HALF_TURN for x in gaps)
             width = (g_hi - g_lo) % HALF_TURN
             # conical retries across the gap (inner arcs can be tiny), then
             # coset vertices near the gap
@@ -531,11 +577,14 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
                          if c is not None and c.v.contains_angle(z, slack=-1e-12)), None)
             if cand is not None:
                 conical.append(cand)
-            elif not _materialize_in_gap(rho, parabolic, pools, g_lo, g_hi, params):
-                raise SynthesisFailed(
-                    "uncovered boundary interval admits neither an expanding word "
-                    "nor a peripheral coset vertex", (g_lo + width / 2) % HALF_TURN
-                )
+            else:
+                cand = _materialize_in_gap(rho, parabolic, pools, g_lo, g_hi, params)
+                if cand is None:
+                    raise SynthesisFailed(
+                        "uncovered boundary interval admits neither an expanding word "
+                        "nor a peripheral coset vertex", (g_lo + width / 2) % HALF_TURN
+                    )
+            lo, length = insert_piece(lo, length, cand.v)
 
         arcs = [x.v for x in parabolic.values()] + [c.v for c in conical]
         picked = cover_circle(arcs)
@@ -551,10 +600,13 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
 
     # --- assemble graph -----------------------------------------------------
     vertices = dict(parabolic)
-    for i, c in enumerate(sorted(conical, key=lambda c: c.z_angle)):
-        vertices[f"c{i}:{word_str(c.word)}"] = _Vertex(
-            Singleton(c.word), c.z_angle, c.v, c.w,
-            mobius_arc(_adjugates(rho.evaluate(c.word).arr), c.v))
+    conical = sorted(conical, key=lambda c: c.z_angle)
+    mats = np.array([rho.evaluate(c.word).arr for c in conical]).reshape(-1, 2, 2)
+    sources = mobius_arcs(_adjugates(mats), np.array([c.v.center for c in conical]),
+                          np.array([c.v.radius for c in conical]))
+    for i, (c, *source) in enumerate(zip(conical, *(x.tolist() for x in sources))):
+        vertices[f"c{i}:{word_str(c.word)}"] = _Vertex(Singleton(c.word), c.z_angle, c.v, c.w,
+                                                       Arc(*source))
 
     # edge (x, y) when x's pullback set meets y's V: Arc.intersects, one row per x
     ids = list(vertices)
@@ -588,7 +640,7 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
 def _materialize_in_gap(rho, parabolic, pools, g_lo, g_hi, params):
     """Add one coset vertex in the gap [g_lo, g_hi] to ``parabolic``: per
     peripheral, up to 8 candidates nearest the gap's middle are tried, and
-    each is taken out of its pool. Returns whether a vertex was added."""
+    each is taken out of its pool. Returns the added vertex, or None."""
     for p_name, (t_name, p_angle, K_p, cands, words) in pools.items():
         for _attempt in range(8):
             j = _nearest_in_gap(cands, g_lo, g_hi)
@@ -602,10 +654,10 @@ def _materialize_in_gap(rho, parabolic, pools, g_lo, g_hi, params):
             try:
                 parabolic[vid] = _parabolic_vertex(rho, p_name, t_name, coset_word, p_angle,
                                                    K_p, params)
-                return True
+                return parabolic[vid]
             except SynthesisFailed:
                 pass
-    return False
+    return None
 
 
 def _nearest_in_gap(cands, g_lo, g_hi):

@@ -4,7 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from flagdyn.circle import Arc, arc_between, cover_circle, mobius_arc, mobius_arcs, uncovered
+from flagdyn.circle import (
+    Arc,
+    arc_between,
+    arc_pieces,
+    cover_circle,
+    insert_piece,
+    mobius_arc,
+    mobius_arcs,
+    sweep,
+    uncovered,
+)
 
 PI = math.pi
 UNIT = PI / 16  # snapped families: endpoints on multiples of pi/16
@@ -82,6 +92,73 @@ def test_uncovered_counts_arcs_running_past_pi_at_the_sweep_start():
     gaps = uncovered([Arc(0.3, 0.1), wrap])
     assert len(gaps) == 1
     assert gaps[0] == pytest.approx((3.8 - PI, 2.8))
+
+
+def _uncovered_reference(arcs, tol=1e-12):
+    """The pure-Python sweep ``uncovered`` had before it ran on arrays."""
+    pieces = sorted(((a.center - a.radius) % PI, 2 * a.radius) for a in arcs)
+    if not pieces:
+        return [(0.0, PI)]
+    start = pieces[0][0]
+    pos = max(start, max(lo + length for lo, length in pieces) - PI)
+    gaps = []
+    for lo, length in pieces + [(start + PI, 0.0)]:
+        if lo > pos + tol:
+            gaps.append((pos, lo))
+        pos = max(pos, lo + length)
+    return gaps
+
+
+def _random_family(rng, tol):
+    """Arcs on a grid of 2^-20 (so ends and gaps are exact), some wrapping
+    past pi or 0, some zero-radius anchors, and some gaps of exactly tol."""
+    unit = 2.0 ** -20
+    family = []
+    for _ in range(rng.randrange(0, 14)):
+        kind = rng.random()
+        radius = 0 if kind < 0.2 else rng.randrange(1, int(0.45 / unit))
+        center = rng.randrange(0, int(PI / unit))
+        if kind > 0.8:  # across the wrap of RP^1
+            center = rng.choice([rng.randrange(0, radius + 1), int(PI / unit) - rng.randrange(
+                0, radius + 1)])
+        family.append(Arc(center * unit, radius * unit))
+    if family and rng.random() < 0.5:
+        # a neighbour starting exactly tol after some arc's end, as the
+        # sweep adds it: an anchor, or on the grid an arc
+        a = rng.choice(family)
+        radius = rng.randrange(0, int(0.2 / unit)) * unit if tol % unit == 0 else 0.0
+        family.append(Arc(a.center + a.radius + tol + radius, radius))
+    return family
+
+
+@pytest.mark.parametrize("tol", [1e-12, 2.0 ** -20])
+def test_uncovered_matches_the_pure_python_sweep(tol):
+    rng = random.Random(20261019)
+    gaps = exact_tol = 0
+    for _ in range(4000):
+        family = _random_family(rng, tol)
+        ref = _uncovered_reference(family, tol)
+        assert uncovered(family, tol) == ref, family
+        gaps += len(ref)
+        pieces = sorted(((a.center - a.radius) % PI, 2 * a.radius) for a in family)
+        exact_tol += any(b[0] == a[0] + a[1] + tol for a, b in zip(pieces, pieces[1:]))
+    assert gaps > 4000
+    assert exact_tol > 100
+
+
+def test_inserted_pieces_sweep_as_a_full_sort():
+    rng = random.Random(7)
+    for _ in range(300):
+        family = _random_family(rng, 1e-12)
+        lo, length, order = arc_pieces([a.center for a in family], [a.radius for a in family])
+        assert len(order) == len(family)
+        for arc in _random_family(rng, 1e-12):
+            lo, length = insert_piece(lo, length, arc)
+            family.append(arc)
+            full = sorted(((a.center - a.radius) % PI, 2 * a.radius) for a in family)
+            assert list(zip(lo.tolist(), length.tolist())) == full
+            assert list(zip(*(g.tolist() for g in sweep(lo, length)))) == _uncovered_reference(
+                family)
 
 
 def test_cover_circle_closing_on_start_arc_picks_it_once():

@@ -445,6 +445,9 @@ def test_missing_domain_key_is_config_error(tmp_path, capsys, name, vertex, key)
     ("single_loop.json", "certify", _set("seeds", "master", -1)),
     ("single_loop.json", "certify", _set("budgets", "path_count", 0)),
     ("single_loop.json", "rates", _set("rates", "depth", 1)),
+    # a sampled path needs depth >= 2, even where rates has a depth of its own
+    pytest.param("schottky.json", "limitset", _set("budgets", "depth", 1),
+                 id="budgets-depth-1-limitset"),
     ("schottky.json", "limitset", _set("tolerances", {"convergence": True})),
     # min_power above the peripheral truncation (16) leaves the label empty
     pytest.param("jordan_diag.json", "certify",

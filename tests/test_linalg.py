@@ -107,6 +107,43 @@ def test_inverse_of_a_singular_float_product_is_singular_input():
         m.inv()
 
 
+def _with_entries(arr):
+    """A Matrix whose floats are ``arr`` as given (no determinant scaling)."""
+    m = Matrix.identity(len(arr))
+    m.arr = np.array(arr, dtype=float)
+    return m
+
+
+@pytest.mark.parametrize("s", [1.0, -1.0])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_is_identity_rule_at_its_boundaries(s, tol):
+    # the rule is entrywise |a - s I| <= tol + 1e-5 |I|, np.allclose's
+    # default rtol: off the diagonal the bound is tol, on it tol + 1e-5
+    def verdict(i, j, x):
+        arr = s * np.eye(2)
+        arr[i, j] = x
+        got = _with_entries(arr).is_identity(tol)
+        assert got == (np.allclose(arr, np.eye(2), atol=tol)
+                       or np.allclose(arr, -np.eye(2), atol=tol))
+        return got
+
+    for x in (tol, -tol):
+        assert verdict(0, 1, x) and verdict(1, 0, x)
+        assert not verdict(0, 1, math.nextafter(x, 2 * x))
+    # the largest diagonal entry above s within the bound, found in floats
+    x = s + math.copysign(tol + 1e-5, s)
+    while abs(x - s) > tol + 1e-5:
+        x = math.nextafter(x, s)
+    while abs(math.nextafter(x, 2 * x) - s) <= tol + 1e-5:
+        x = math.nextafter(x, 2 * x)
+    assert verdict(1, 1, x)
+    assert not verdict(1, 1, math.nextafter(x, 2 * x))
+    # a mixed sign is neither +I nor -I
+    assert not _with_entries([[s, 0.0], [0.0, -s]]).is_identity(tol)
+    assert not verdict(0, 0, float("nan"))
+    assert not verdict(0, 1, float("inf"))
+
+
 def test_cartan_diagonal():
     cv = cartan_projection(Matrix(np.diag([math.e**2, math.e**-2])))
     assert np.allclose(cv.mu, [2.0, -2.0], atol=1e-12)

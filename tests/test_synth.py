@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flagdyn import circle
+from flagdyn import circle, synth
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
 from flagdyn.circle import Arc, angle_dist, angle_of, angles, mobius_arc, vec_of
 from flagdyn.config import RunConfig
 from flagdyn.errors import SynthesisFailed
 from flagdyn.linalg import Matrix
 from flagdyn.synth import (
+    _CHUNK,
+    _ROUND_ROWS,
     _WINDOW_SLACK,
     SynthesisParams,
     _adjugates,
@@ -213,7 +215,10 @@ def test_non_parabolic_declaration_fails():
 
 
 def _full_pool_candidate(searcher, z):
-    """First hit of the whole pool's mask: the search without windows."""
+    """First hit of the whole pool's mask: the search without windows. The
+    last field is the hit's rank among z's (z, word) pairs: the pairs of its
+    words in pool order, a word listed twice when z is in both of its
+    window's intervals."""
     p = searcher.params
     vz = np.array([math.cos(z), math.sin(z)])
     pulls = circle.angles(searcher.invs @ vz)
@@ -224,8 +229,11 @@ def _full_pool_candidate(searcher, z):
         return None
     i = int(np.argmax(ok))
     v = mobius_arc(searcher.mats[i], Arc(float(pulls[i]), p.delta))
+    w_lo, w_hi = searcher._window_bounds
+    listed = (w_lo <= z % math.pi) & (z % math.pi <= w_hi)
+    rank = int(np.count_nonzero(listed & (np.arange(len(w_lo)) % len(searcher.words) < i)))
     return (i, searcher.words[i], float(pulls[i]), (v.center, v.radius),
-            (float(cw[i]), float(rw[i])))
+            (float(cw[i]), float(rw[i])), rank)
 
 
 def _assert_search_matches_the_oracle(searcher, zs):
@@ -238,7 +246,7 @@ def _assert_search_matches_the_oracle(searcher, zs):
             if ref is None:
                 assert got is None
                 continue
-            i, word, pull, v, w = ref
+            i, word, pull, v, w, _ = ref
             assert got is not None
             assert (got.word, got.z_angle, got.pullback) == (word, z, pull)
             assert (got.v.center, got.v.radius) == v
@@ -262,7 +270,8 @@ def _first_test(searcher, z):
     return 2 * rw < p.delta
 
 
-def test_windowed_search_returns_the_first_hit_of_the_whole_pool(modular_presentation):
+def test_windowed_search_returns_the_first_hit_of_the_whole_pool(modular_presentation,
+                                                                 schottky_cfg):
     searcher = _ConicalSearcher(modular_presentation,
                                 SynthesisParams(word_radius=4, coset_ball=1, lead_powers=6))
     zs = [float(z) for z in np.random.default_rng(0).uniform(0.0, math.pi, 300)]
@@ -270,6 +279,35 @@ def test_windowed_search_returns_the_first_hit_of_the_whole_pool(modular_present
     assert 0 < len(hit_at) < 300
     assert max(hit_at) > 64
     assert _in_window(searcher, zs).mean() < 0.5
+    # the cusp at 0, in no window; a z repeated inside a chunk; and a z
+    # repeated on both sides of the first chunk boundary of the angle order
+    assert not _in_window(searcher, [0.0]).any()
+    batch = sorted(zs + [zs[0]])
+    # the last z with a hit before the boundary, moved up to it by copies of 0
+    k = max(k for k in range(_CHUNK) if _full_pool_candidate(searcher, batch[k]))
+    batch = [0.0] * (_CHUNK - 1 - k) + batch + [batch[k]]
+    assert sorted(batch)[_CHUNK - 1] == sorted(batch)[_CHUNK] == batch[-1]
+    _assert_search_matches_the_oracle(searcher, batch)
+    # 4 delta >= pi: every window is the whole circle, listed as two
+    # intervals that both hold z = pi/2 (a hit there on schottky), and first
+    # hits lie many rounds deep (on pgl2z); a full chunk's first four rounds
+    # take 2, 4, 8 and 16 pairs a z at most
+    four_rounds = sum(-(-_ROUND_ROWS // _CHUNK) * 2 ** r for r in range(4))
+    ranks, twice = [], []
+    for rho, delta, epsilon in [(modular_presentation, 0.9, 0.3),
+                                (schottky_cfg.presentation(), 0.79, 0.6)]:
+        wide = _ConicalSearcher(rho, SynthesisParams(
+            word_radius=4, coset_ball=1, lead_powers=6, delta=delta, epsilon=epsilon))
+        w_lo, w_hi = wide._window_bounds
+        listed = (w_lo <= math.pi / 2) & (math.pi / 2 <= w_hi)
+        assert np.count_nonzero(listed) == 2 * len(wide.words)
+        batch = [math.pi / 2] + zs
+        assert _assert_search_matches_the_oracle(wide, batch)
+        refs = [_full_pool_candidate(wide, z) for z in batch]
+        twice.append(refs[0])
+        ranks += [ref[-1] for ref in refs if ref is not None]
+    assert twice[0] is None and twice[1][-1] == 2 * twice[1][0] > 0
+    assert sum(rank > four_rounds for rank in ranks) > 20
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +353,41 @@ def test_search_at_window_edges(pgl2z_searcher):
     for z, row in zip(zs, _in_window(searcher, zs)):
         assert not (_first_test(searcher, z) & ~row).any()
     assert _assert_search_matches_the_oracle(searcher, zs)
+
+
+def test_gap_loop_pieces_match_a_full_sweep_every_round(pgl2z_cfg, monkeypatch):
+    # the gap loop keeps its pieces sorted across rounds, inserting each new
+    # inner arc; every round they equal a full sort of the pieces so far,
+    # and their sweep finds the gaps that a full sweep of the arcs finds
+    arcs, rounds = [], []
+
+    def arc_pieces(centers, radii):
+        if isinstance(centers, list):  # the gap loop's first pieces, not a hull's
+            arcs.extend(map(Arc, centers, radii))
+        return circle.arc_pieces(centers, radii)
+
+    def insert_piece(lo, length, arc):
+        new = circle.insert_piece(lo, length, arc)
+        full = sorted([*zip(lo.tolist(), length.tolist()),
+                       ((arc.center - arc.radius) % math.pi, 2 * arc.radius)])
+        assert list(zip(*(x.tolist() for x in new))) == full
+        arcs.append(arc)
+        return new
+
+    def sweep(lo, length, tol=1e-12):
+        gaps = circle.sweep(lo, length, tol)
+        if tol == 1e-12:  # the gap loop's sweep, not a hull's
+            assert list(zip(*(g.tolist() for g in gaps))) == circle.uncovered(arcs)
+            rounds.append(len(gaps[0]))
+        return gaps
+
+    for name, spy in [("arc_pieces", arc_pieces), ("insert_piece", insert_piece),
+                      ("sweep", sweep)]:
+        monkeypatch.setattr(synth, name, spy)
+    res = synthesize_rp1(pgl2z_cfg.presentation(), pgl2z_cfg.synthesis)
+    assert len(res.graph.vertices) == 279
+    assert len(rounds) > 40 and rounds[-1] == 0 and min(rounds[:-1]) > 0
+    assert len(arcs) > 2000
 
 
 # -- the key tables against the per-word loops they replaced -----------------
