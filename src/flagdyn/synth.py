@@ -32,8 +32,13 @@ Element keys are formed in one place, ``_key_table``: the keys of every
 product of one word from each of a few lists, exact products by batched
 matmul for an integral presentation. The generator ball is one table per
 length, and the syllable words u t^a v one table per run (``_Syllables``)
-with two readers, the coset candidates and the search pool; each takes
-only the words it keeps as word tuples.
+with two readers, the coset candidates and the search pool. Every dedupe
+compares integer element ids, one lexsort over the rows (``_element_ids``):
+the ball's per length, and the table's once for every search-ball and
+syllable row. Each reader takes only the words it keeps as word tuples,
+and forms a word's string, from cached strings of its flanks and lead
+power, only where the string decides an order. The expansion windows
+solve h(Phi) = delta in closed form.
 
 All interval computations are exact endpoint arithmetic, so the returned
 system passes certification by construction, with margins.
@@ -143,48 +148,89 @@ def _key_table(rho, *word_lists):
     return rows.reshape(shape)
 
 
+def _element_ids(rows):
+    """One integer id per key row, equal exactly when the rows are equal as
+    tuples are (so -0.0 and 0.0 agree): the row's rank among the distinct
+    rows, from one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(np.r_[False, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    return ids
+
+
+def _firsts(ids):
+    """Indices of the first row of each id, ascending."""
+    return np.sort(np.unique(ids, return_index=True)[1])
+
+
 def _word_ball(rho: GroupPresentation, radius: int):
     """Nonidentity elements of the generator ball, by length then lex: their
     words and key rows. Each length is one key table of the last length's
     words times the generators; an element keeps its first row only."""
     gens = [((name, e),) for name in sorted(rho.generators) for e in (1, -1)]
-    frontier, words, rows = [()], [], [_key_table(rho, [()])]
-    seen = set(map(tuple, rows[0].tolist()))
+    frontier, words, rows = [()], [], _key_table(rho, [()])
     for _ in range(radius):
         table = _key_table(rho, frontier, gens).reshape(-1, rho.dim ** 2)
-        firsts = [i for i, row in enumerate(map(tuple, table.tolist()))
-                  if row not in seen and not seen.add(row)]
-        frontier = [concat(frontier[i // len(gens)], gens[i % len(gens)]) for i in firsts]
+        # the rows seen so far are distinct and come first: the firsts past
+        # them are the new elements
+        seen = len(rows)
+        firsts = _firsts(_element_ids(np.concatenate([rows, table])))[seen:] - seen
+        frontier = [concat(frontier[i // len(gens)], gens[i % len(gens)])
+                    for i in firsts.tolist()]
         words += frontier
-        rows.append(table[firsts])
-    return words, np.concatenate(rows)[1:]
+        rows = np.concatenate([rows, table[firsts]])
+    return words, rows[1:]
 
 
 class _Syllables:
     """The words u t^a v of each peripheral generator t, u and v in the coset
-    ball and |a| <= L: ``keys[t, a + L, u, v]`` is a word's key row."""
+    ball and |a| <= L: ``keys[t, a + L, u, v]`` is a word's key row. The
+    search ball (``word_radius``) is kept beside them, and every ball and
+    syllable row has an element id, equal for equal elements: ``ball_ids``
+    and ``ids[t, a + L, u, v]``."""
 
     def __init__(self, rho, params):
         self.short = [()] + _word_ball(rho, params.coset_ball)[0]
+        self.ball, self.ball_rows = _word_ball(rho, params.word_radius)
         self.t_names = [p.generators[0] for p in rho.peripherals]
         self.lead_powers = L = params.lead_powers
         leads = [((t, a),) for t in self.t_names for a in range(-L, L + 1)]
         n = len(self.short)
         self.keys = _key_table(rho, self.short, leads, self.short).reshape(
             n, len(self.t_names), 2 * L + 1, n, 4).transpose(1, 2, 0, 3, 4)
+        ids = _element_ids(np.concatenate([self.ball_rows, self.keys.reshape(-1, 4)]))
+        self.ball_ids, self.ids = ids[:len(self.ball)], ids[len(self.ball):].reshape(
+            self.keys.shape[:4])
+        # each flank split from its syllable in t beside the lead: the rest,
+        # that syllable's exponent (0 if none), and the rest's word_str
+        def split(w, name, end):
+            e = w[end][1] if w and w[end][0] == name else 0
+            rest = (w[:-1] if end else w[1:]) if e else w
+            return rest, e, word_str(rest) if rest else ""
+        self._heads = [[split(w, name, -1) for w in self.short] for name in self.t_names]
+        self._tails = [[split(w, name, 0) for w in self.short] for name in self.t_names]
+        self._lead_strs = {}
 
     def word(self, t, a, u, v) -> Word:
         """The normal word at keys[t, a, u, v]: the flanks are normal, so
         only a flank syllable in t merges, into the lead power."""
-        head, tail, name, a = self.short[u], self.short[v], self.t_names[t], a - self.lead_powers
-        if head and head[-1][0] == name:
-            a += head[-1][1]
-            head = head[:-1]
-        if tail and tail[0][0] == name:
-            a += tail[0][1]
-            tail = tail[1:]
+        (head, h, _), (tail, e, _) = self._heads[t][u], self._tails[t][v]
+        a += h + e - self.lead_powers
         # a cancelled lead leaves the flanks to merge, possibly in a cascade
-        return head + ((name, a),) + tail if a else concat(head, tail)
+        return head + ((self.t_names[t], a),) + tail if a else concat(head, tail)
+
+    def word_string(self, t, a, u, v) -> str:
+        """``word_str`` of the word at keys[t, a, u, v], joined from the
+        strings of its split flanks and its lead power, each formed once."""
+        (_, h, head), (_, e, tail) = self._heads[t][u], self._tails[t][v]
+        power = a + h + e - self.lead_powers
+        if not power:
+            return word_str(self.word(t, a, u, v))
+        lead = self._lead_strs.get((t, power))
+        if lead is None:
+            lead = self._lead_strs[t, power] = word_str(((self.t_names[t], power),))
+        return " ".join(filter(None, (head, lead, tail)))
 
 
 def _fundamental_interval(rho: GroupPresentation, t_name: str, p_angle: float) -> Arc:
@@ -298,6 +344,25 @@ def _ranges(starts, counts):
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
+def _window_angles(k, delta):
+    """The Phi with h(Phi) = delta' = delta + ``_WINDOW_SLACK`` for each
+    ratio k = sigma_2 / sigma_1 (see ``_expansion_windows``), and -1 where
+    h(0) >= delta': such a word never passes (k = 1 among them). As tan h =
+    2k sin 4delta / ((1 + k^2) cos 4delta + (1 - k^2) cos 2phi), cos 2Phi =
+    (2k sin 4delta / tan delta' - (1 + k^2) cos 4delta) / (1 - k^2),
+    clipped to [-1, 1]."""
+    target = delta + _WINDOW_SLACK
+    # h(0), as diag(1, k) sends angle s to atan2(k sin s, cos s)
+    expands = (np.arctan2(k * np.sin(2 * delta), np.cos(2 * delta))
+               - np.arctan2(k * np.sin(-2 * delta), np.cos(-2 * delta))) < target
+    k = k[expands]
+    cos_2phi = ((2 * k * math.sin(4 * delta) / math.tan(target)
+                 - (1 + k * k) * math.cos(4 * delta)) / (1 - k * k))
+    phi = np.full(len(expands), -1.0)
+    phi[expands] = np.arccos(np.clip(cos_2phi, -1.0, 1.0)) / 2
+    return phi
+
+
 def _expansion_windows(mats, delta):
     """Arcs (centers, radii) outside which z cannot pass the first test.
 
@@ -305,8 +370,9 @@ def _expansion_windows(mats, delta):
     than delta. With k = sigma_2 / sigma_1 of g, the image of B(phi, 2
     delta), phi the angle from g's top right-singular direction v1, has
     length h(phi), which increases in |phi| on [0, pi/2]; so the test can
-    pass only for z in g(B(v1, Phi)) with h(Phi) = delta. Radius -1 marks
-    a word with h(0) >= delta, which never passes.
+    pass only for z in g(B(v1, Phi)) with h(Phi) = delta (``_window_angles``,
+    in closed form). Radius -1 marks a word with h(0) >= delta, which never
+    passes.
     """
     if 4 * delta >= HALF_TURN:  # B(z, 2 delta) is no proper arc: windows are RP^1
         return np.zeros(len(mats)), np.full(len(mats), HALF_TURN / 2)
@@ -314,21 +380,10 @@ def _expansion_windows(mats, delta):
     a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
     p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
     v1_angle = 0.5 * np.arctan2(2 * q, p - r)
-    k = np.abs(a * d - b * c) / ((p + r) / 2 + np.hypot((p - r) / 2, q))
-    target = delta + _WINDOW_SLACK
-
-    def image_length(phi):
-        # diag(1, k) sends angle s to atan2(k sin s, cos s), continuous on (-pi, pi)
-        lo, hi = phi - 2 * delta, phi + 2 * delta
-        return np.arctan2(k * np.sin(hi), np.cos(hi)) - np.arctan2(k * np.sin(lo), np.cos(lo))
-
-    lo, hi = np.zeros(len(k)), np.full(len(k), HALF_TURN / 2)
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        inside = image_length(mid) < target
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    centers, radii = mobius_arcs(mats, v1_angle, hi)
-    return centers, np.where(image_length(0.0) < target, radii + _WINDOW_SLACK, -1.0)
+    phi = _window_angles(np.abs(a * d - b * c) / ((p + r) / 2 + np.hypot((p - r) / 2, q)),
+                         delta)
+    centers, radii = mobius_arcs(mats, v1_angle, np.maximum(phi, 0.0))
+    return centers, np.where(phi >= 0, radii + _WINDOW_SLACK, -1.0)
 
 
 class _ConicalSearcher:
@@ -349,28 +404,25 @@ class _ConicalSearcher:
     def __init__(self, rho, params, syllables=None):
         self.params = params
         tab = _Syllables(rho, params) if syllables is None else syllables
-        ball, ball_rows = _word_ball(rho, params.word_radius)
         # the ball's rows, then the syllables' with |a| >= 2 in the order t,
-        # |a|, a > 0 first, u, v: an element keeps its first row only
-        L = params.lead_powers
+        # |a|, a > 0 first, u, v: an element keeps its first row only (the
+        # ball's elements are distinct, so they keep theirs)
+        L, n_ball = params.lead_powers, len(tab.ball)
         leads = [L + sign * a for a in range(2, L + 1) for sign in (1, -1)]
         rows = tab.keys[:, leads].reshape(-1, 4)
-        seen = set(map(tuple, ball_rows.tolist()))
-        firsts = np.array([i for i, row in enumerate(map(tuple, rows.tolist()))
-                           if row not in seen and not seen.add(row)], dtype=int)
-        pool = []
-        for i, t, a, u, v in zip(firsts.tolist(), *(x.tolist() for x in np.unravel_index(
-                firsts, (len(tab.t_names), len(leads)) + tab.keys.shape[2:4]))):
-            w = tab.word(t, leads[a], u, v)
-            pool.append((abs(leads[a] - L), len(tab.short[u]) + len(tab.short[v]),
-                         word_str(w), w, i))
-        pool.sort()  # distinct elements have distinct word strings
-        self.words = ball + [x[3] for x in pool]
+        firsts = _firsts(np.concatenate([tab.ball_ids, tab.ids[:, leads].ravel()]))[n_ball:]
+        firsts -= n_ball
+        pool = sorted(  # distinct elements have distinct word strings
+            (abs(leads[a] - L), len(tab.short[u]) + len(tab.short[v]),
+             tab.word_string(t, leads[a], u, v), i, t, leads[a], u, v)
+            for i, t, a, u, v in zip(firsts.tolist(), *(x.tolist() for x in np.unravel_index(
+                firsts, (len(tab.t_names), len(leads)) + tab.keys.shape[2:4]))))
+        self.words = tab.ball + [tab.word(*x[4:]) for x in pool]
         if rows.dtype.kind == "f":  # the rounded floats of a non-integral presentation
             self.mats = np.array([rho.evaluate(w).arr for w in self.words])
         else:
-            self.mats = Matrix.floats_of_exact(
-                np.concatenate([ball_rows, rows[np.array([x[4] for x in pool], dtype=int)]]), 2)
+            self.mats = Matrix.floats_of_exact(np.concatenate(
+                [tab.ball_rows, rows[np.array([x[3] for x in pool], dtype=int)]]), 2)
         self.invs = _adjugates(self.mats)
         # each window as two angle intervals [lo, hi] (rows i and W + i):
         # itself, and its part past either end of [0, pi] moved by pi, or
@@ -382,73 +434,90 @@ class _ConicalSearcher:
         shift = np.where(lo < 0, HALF_TURN, -HALF_TURN)
         self._window_bounds = (np.concatenate([lo, np.where(wraps, lo + shift, 1.0)]),
                                np.concatenate([hi, np.where(wraps, hi + shift, 0.0)]))
+        self._pool_index = np.arange(2 * len(self.words)) % len(self.words)
 
     def _image_arcs(self, centers, radius, mats):
         """Image (center, radius) arrays of B(centers_i, radius) under mats_i."""
         return mobius_arcs(mats, centers, radius)
 
     def candidate(self, z_angle):
-        """First word expanding about z, or None: ``candidates`` of one point."""
-        return self.candidates([z_angle])[0]
+        """First word expanding about z, or None: ``candidates`` of one point,
+        its pairs read from one mask over the window bounds."""
+        zs = np.array([z_angle], dtype=float)
+        key = zs[0] % HALF_TURN
+        w_lo, w_hi = self._window_bounds
+        word = np.sort(self._pool_index[(w_lo <= key) & (key <= w_hi)])
+        found = self._first_hits(zs, vec_of(zs[0])[None], word, np.zeros(len(word), dtype=int),
+                                 np.array([0]), np.array([len(word)]))
+        return self._conicals(zs, found)[0]
 
     def candidates(self, zs):
         """First word in pool order expanding about each z, or None.
 
         The z are searched in chunks of ``_CHUNK`` in angle order, on their
-        (z, word) pairs in windows, ordered by z then pool index. A chunk
-        runs both tests in first-hit rounds: each live z tests its next
-        block of pairs, and leaves at its first hit or when it has none left.
+        (z, word) pairs in windows, ordered by z then pool index.
         """
-        p = self.params
         zs = np.array(zs, dtype=float).reshape(-1)
-        out = [None] * len(zs)
         # (z, word) pairs: index ranges of each window's intervals in the sorted z
         order = np.argsort(zs % HALF_TURN, kind="stable")
         keys = (zs % HALF_TURN)[order]
         w_lo, w_hi = self._window_bounds
         starts = np.searchsorted(keys, w_lo, "left")
         ends = np.searchsorted(keys, w_hi, "right")
-        pool_index = np.arange(len(w_lo)) % len(self.words)
         vz = np.array([vec_of(z) for z in zs.tolist()]).reshape(-1, 2)
-        found = []  # per round: the word, z, pullback and W arc of each first hit
+        found = []
         for lo in range(0, len(zs), _CHUNK):
             first = np.maximum(starts, lo)
             counts = np.maximum(np.minimum(ends, lo + _CHUNK) - first, 0)
-            word = np.repeat(pool_index, counts)
+            word = np.repeat(self._pool_index, counts)
             pos = _ranges(first, counts)
             pair = np.lexsort((word, pos))
             word, pos = word[pair], pos[pair]
-            z_of = order[pos]
             # each z's pairs are the run cursor..stop of the (z, pool) order
             here = np.arange(lo, min(lo + _CHUNK, len(zs)))
-            cursor, stop = np.searchsorted(pos, here, "left"), np.searchsorted(pos, here, "right")
+            found += self._first_hits(zs, vz, word, order[pos], np.searchsorted(pos, here, "left"),
+                                      np.searchsorted(pos, here, "right"))
+        return self._conicals(zs, found)
+
+    def _first_hits(self, zs, vz, word, z_of, cursor, stop):
+        """Both tests on the pairs (z_of[j], word[j]) in first-hit rounds,
+        where each z's pairs are one run cursor..stop in pool order: each
+        live z tests its next block of pairs, and leaves at its first hit or
+        when it has none left. Per round: the word, z, pullback and W arc of
+        each first hit."""
+        p = self.params
+        live = cursor < stop
+        cursor, stop, block, found = cursor[live], stop[live], 0, []
+        while cursor.size:
+            block = max(2 * block, -(-_ROUND_ROWS // cursor.size))
+            take = np.minimum(stop - cursor, block)
+            owner = np.repeat(np.arange(cursor.size), take)
+            rows = _ranges(cursor, take)
+            w, z = word[rows], z_of[rows]
+            mats = self.mats[w]
+            # one (2, 2) @ (2, 1) product per pair: the rows of invs @ vz, bit for bit
+            pulls = angles(np.matmul(self.invs[w], vz[z][:, :, None])[:, :, 0])
+            cw, rw = self._image_arcs(pulls, 2 * p.delta, mats)
+            ok = np.flatnonzero(2 * rw < p.delta)
+            cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
+            hits = ok[angle_dists(cwe, zs[z[ok]]) + rwe < p.epsilon]
+            # a block runs in pool order: a z's first hit in it is its first
+            done, firsts = np.unique(owner[hits], return_index=True)
+            hits = hits[firsts]
+            found.append((w[hits], z[hits], pulls[hits], cw[hits], rw[hits]))
+            cursor = cursor + take
             live = cursor < stop
-            cursor, stop, block = cursor[live], stop[live], 0
-            while cursor.size:
-                block = max(2 * block, -(-_ROUND_ROWS // cursor.size))
-                take = np.minimum(stop - cursor, block)
-                owner = np.repeat(np.arange(cursor.size), take)
-                rows = _ranges(cursor, take)
-                w, z = word[rows], z_of[rows]
-                mats = self.mats[w]
-                # one (2, 2) @ (2, 1) product per pair: the rows of invs @ vz, bit for bit
-                pulls = angles(np.matmul(self.invs[w], vz[z][:, :, None])[:, :, 0])
-                cw, rw = self._image_arcs(pulls, 2 * p.delta, mats)
-                ok = np.flatnonzero(2 * rw < p.delta)
-                cwe, rwe = self._image_arcs(pulls[ok], 2 * p.delta + 2 * p.epsilon, mats[ok])
-                hits = ok[angle_dists(cwe, zs[z[ok]]) + rwe < p.epsilon]
-                # a block runs in pool order: a z's first hit in it is its first
-                done, firsts = np.unique(owner[hits], return_index=True)
-                hits = hits[firsts]
-                found.append((w[hits], z[hits], pulls[hits], cw[hits], rw[hits]))
-                cursor = cursor + take
-                live = cursor < stop
-                live[done] = False
-                cursor, stop = cursor[live], stop[live]
+            live[done] = False
+            cursor, stop = cursor[live], stop[live]
+        return found
+
+    def _conicals(self, zs, found):
+        """The ``_Conical`` of each z's first hit in ``found``, or None."""
+        out = [None] * len(zs)
         if not found:
             return out
         w, z, pulls, cw, rw = map(np.concatenate, zip(*found))
-        vc, vr = mobius_arcs(self.mats[w], pulls % HALF_TURN, p.delta)
+        vc, vr = mobius_arcs(self.mats[w], pulls % HALF_TURN, self.params.delta)
         for i, j, pull, c, r, v_c, v_r in zip(*(x.tolist()
                                                 for x in (w, z, pulls, cw, rw, vc, vr))):
             out[j] = _Conical(self.words[i], float(zs[j]), pull, Arc(v_c, v_r), Arc(c, r))
@@ -480,34 +549,48 @@ def _coset_candidates(rho, syllables, t, p_angle):
     pv = flank @ vec_of(p_angle)[:, None]
     pa = lead[:, None] @ pv
     pa[L] = pv
-    ang = angles((flank[:, None] @ pa[:, None])[..., 0]).ravel().tolist()
-    point = np.rint(np.array(ang) / 1e-9).tolist()
-    element = list(map(tuple, tab.keys[t].reshape(-1, 4).tolist()))
+    ang = angles((flank[:, None] @ pa[:, None])[..., 0]).ravel()
     lens = np.array([len(w) for w in tab.short])
     skew = (np.abs(np.arange(-L, L + 1))[:, None, None] * (2 * lens.max() + 1)
-            + lens[:, None] + lens).ravel().tolist()  # orders as (|a|, flank length)
+            + lens[:, None] + lens).ravel()  # orders as (|a|, flank length)
+    # the words in the order v, a, u, grouped by point in that order
+    visit = np.arange(len(ang)).reshape(-1, n, n).transpose(2, 0, 1).ravel()
+    point = np.rint(ang / 1e-9)[visit]
+    order = np.argsort(point, kind="stable")
+    ends = np.append(np.flatnonzero(np.diff(point[order])) + 1, len(visit)).tolist()
+    visit = visit[order]
+    elem, skews = tab.ids[t].ravel()[visit].tolist(), skew[visit].tolist()
+    ang, visit = ang.tolist(), visit.tolist()
 
     @functools.cache
-    def rank(i):  # the order within one skew
-        w = tab.word(t, i // (n * n), i // n % n, i % n)
-        return word_str(w), ang[i], w
+    def rank(i):  # the order within one skew: distinct elements, distinct strings
+        return tab.word_string(t, i // (n * n), i // n % n, i % n)
 
     # keep a few least-skewed representatives per point: distinct cosets can
     # share a parabolic point and cover different sides. In the order v, a,
     # u, a word is skipped if its element is in its point's bucket at that
-    # moment (or it is past a full bucket's skews: it would be cut at once),
-    # and a bucket keeps its 3 least ranked words
-    buckets, top = {}, {}  # point -> word indices, and their greatest skew
-    for i in np.arange(len(ang)).reshape(-1, n, n).transpose(2, 0, 1).ravel().tolist():
-        bucket = buckets.setdefault(point[i], [])
-        if (len(bucket) == 3 and skew[i] > top[point[i]]
-                or element[i] in [element[j] for j in bucket]):
-            continue
-        bucket.append(i)
-        if len(bucket) > 3:
-            bucket.remove(max((j for j in bucket if skew[j] == top[point[i]]), key=rank))
-        top[point[i]] = max(skew[j] for j in bucket)
-    items = sorted(rank(i)[1:] for bucket in buckets.values() for i in bucket)
+    # moment (or, the bucket full, its skew is past the bucket's greatest:
+    # it would be cut at once), and a bucket keeps its 3 least ranked words
+    kept, lo = [], 0
+    for hi in ends:
+        # positions j with their elements and skews; the skew limit is the
+        # greatest skew once the bucket is full
+        bucket, elems, skws, limit = [], [], [], math.inf
+        for j, s, e in zip(range(lo, hi), skews[lo:hi], elem[lo:hi]):
+            if s > limit or e in elems:
+                continue
+            bucket.append(j)
+            elems.append(e)
+            skws.append(s)
+            if len(bucket) > 3:
+                ties = [k for k in range(4) if skws[k] == limit]
+                k = ties[0] if len(ties) == 1 else max(ties, key=lambda k: rank(visit[bucket[k]]))
+                del bucket[k], elems[k], skws[k]
+            if len(bucket) == 3:
+                limit = max(skws)
+        kept += (visit[j] for j in bucket)
+        lo = hi
+    items = sorted((ang[i], tab.word(t, i // (n * n), i // n % n, i % n)) for i in kept)
     return [x[0] for x in items], [x[1] for x in items]
 
 

@@ -23,6 +23,7 @@ from flagdyn.synth import (
     _expansion_windows,
     _fundamental_interval,
     _Syllables,
+    _window_angles,
     _word_ball,
     synthesize_rp1,
 )
@@ -499,6 +500,11 @@ def test_syllable_table_matches_the_per_word_loops(rho, params, dtype):
     rho = rho()
     table = _Syllables(rho, params)
     assert table.keys.dtype == dtype
+    # one id per element: rows equal as tuples (-0.0 == 0.0) share an id,
+    # and rows that differ never do
+    rows = list(map(tuple, np.concatenate([table.ball_rows, table.keys.reshape(-1, 4)]).tolist()))
+    ids = np.concatenate([table.ball_ids, table.ids.ravel()]).tolist()
+    assert len(set(rows)) == len(set(ids)) == len(set(zip(rows, ids)))
     p_angle = angle_of(np.asarray(rho.peripherals[0].parabolic_point, dtype=float))
     assert _coset_candidates(rho, table, 0, p_angle) == _per_word_coset_candidates(
         rho, "t", p_angle, params)
@@ -521,6 +527,115 @@ def test_word_ball_matches_the_per_word_bfs(rho, params):
         want_words, want_rows = _per_word_ball(rho, radius)
         assert words == want_words
         assert rows.shape == want_rows.shape and (rows == want_rows).all()
+
+
+def _gamma2(pgl2z_cfg, q=1.0):
+    """Gamma(2), an edit of pgl2z.json: the free group on a = [[1, 2], [0, 1]]
+    and b = [[1, 0], [2, 1]], with derived c = a^-1 b and a cusp for each,
+    at [1, 0], [0, 1] and [1, -1]. q != 1 conjugates it by diag(q, 1/q),
+    which makes its entries, and so its key rows, floats."""
+    raw = copy.deepcopy(pgl2z_cfg.raw)
+    upper, lower = (2, 2) if q == 1 else (2 * q * q, 2 / (q * q))
+    raw["generators"] = [{"name": "a", "matrix": [[1, upper], [0, 1]]},
+                         {"name": "b", "matrix": [[1, 0], [lower, 1]]}]
+    raw["derived"] = [{"name": "c", "word": "a^-1 b"}]
+    raw["peripherals"] = [
+        {"name": f"p{t}", "generators": [t], "truncation": 80, "parabolic_point": point}
+        for t, point in [("a", [1, 0]), ("b", [0, 1]), ("c", [q, -1 / q])]]
+    raw["synthesis"].update(word_radius=4, coset_ball=1, lead_powers=6)
+    cfg = RunConfig.from_dict(raw)
+    return cfg.presentation(), cfg.synthesis
+
+
+@pytest.mark.parametrize("q", [1.0, _Q], ids=["integral", "float-keys"])
+def test_three_cusp_tables_match_the_per_word_loops(pgl2z_cfg, q):
+    # every peripheral of Gamma(2) through the syllable table; the float
+    # conjugate's key rows hold -0.0 beside 0.0 in otherwise equal rows
+    rho, params = _gamma2(pgl2z_cfg, q)
+    table = _Syllables(rho, params)
+    assert table.keys.dtype == (np.int64 if q == 1.0 else np.float64)
+    for t, p in enumerate(rho.peripherals):
+        p_angle = angle_of(np.asarray(p.parabolic_point, dtype=float))
+        assert _coset_candidates(rho, table, t, p_angle) == _per_word_coset_candidates(
+            rho, p.generators[0], p_angle, params)
+    searcher = _ConicalSearcher(rho, params, table)
+    words, mats = _per_word_pool(rho, params)
+    assert searcher.words == words
+    assert np.array_equal(searcher.mats, mats)
+    # each cusp gives the pool syllable words past the ball
+    deep = {name for w in words[len(table.ball):] for name, e in w if abs(e) > 4}
+    assert deep == {"a", "b", "c"}
+    rows = np.concatenate([table.ball_rows, table.keys.reshape(-1, 4)])
+    if q != 1.0:
+        assert len({row.tobytes() for row in rows}) > len(set(map(tuple, rows.tolist())))
+
+
+def _bisection_windows(mats, delta):
+    """Reference: the expansion windows with each Phi the upper bracket of 60
+    bisection steps on h(Phi) = delta + _WINDOW_SLACK; returns the centers,
+    radii (-1 where h(0) >= delta + _WINDOW_SLACK), the ratios k and Phi."""
+    if 4 * delta >= math.pi:
+        n = len(mats)
+        return np.zeros(n), np.full(n, math.pi / 2), None, np.full(n, math.pi / 2)
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
+    v1_angle = 0.5 * np.arctan2(2 * q, p - r)
+    k = np.abs(a * d - b * c) / ((p + r) / 2 + np.hypot((p - r) / 2, q))
+    target = delta + _WINDOW_SLACK
+
+    def image_length(phi):
+        lo, hi = phi - 2 * delta, phi + 2 * delta
+        return np.arctan2(k * np.sin(hi), np.cos(hi)) - np.arctan2(k * np.sin(lo), np.cos(lo))
+
+    lo, hi = np.zeros(len(k)), np.full(len(k), math.pi / 2)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        inside = image_length(mid) < target
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    centers, radii = circle.mobius_arcs(mats, v1_angle, hi)
+    return centers, np.where(image_length(0.0) < target, radii + _WINDOW_SLACK, -1.0), k, hi
+
+
+def test_closed_form_windows_match_the_bisection(schottky_cfg):
+    cases = [(rho, params) for rho, params, _ in TABLE_CASES] + [
+        (schottky_cfg.presentation, SynthesisParams(word_radius=6)),
+        # 4 delta >= pi: every window is the whole circle, Phi = pi/2
+        (TABLE_CASES[1][0], SynthesisParams(word_radius=4, coset_ball=1, lead_powers=6,
+                                            delta=0.9, epsilon=0.3))]
+    never, clamped = 0, 0
+    for rho, params in cases:
+        mats = _ConicalSearcher(rho(), params).mats
+        _, want_radii, k, want_phi = _bisection_windows(mats, params.delta)
+        centers, radii = _expansion_windows(mats, params.delta)
+        assert np.array_equal(radii < 0, want_radii < 0)
+        never += np.count_nonzero(radii < 0)
+        if k is None:
+            assert (radii == math.pi / 2).all() and (centers == 0).all()
+            clamped += len(radii)
+            continue
+        phi = _window_angles(k, params.delta)
+        assert np.array_equal(phi < 0, want_radii < 0)
+        assert np.abs(phi - want_phi)[phi >= 0].max() <= 1e-12
+        clamped += np.count_nonzero(phi == math.pi / 2)
+    assert never > 0 and clamped > 0
+
+
+def test_word_str_calls_stay_per_part(pgl2z_cfg, monkeypatch):
+    # the syllable table, the coset candidates and the search pool form the
+    # strings of flanks and lead powers once, not one string per row (one
+    # word_str per ranked row and per pool word would make 8,515 calls)
+    calls, real = [], synth.word_str
+
+    def spy(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(synth, "word_str", spy)
+    rho, params = pgl2z_cfg.presentation(), pgl2z_cfg.synthesis
+    table = _Syllables(rho, params)
+    _coset_candidates(rho, table, 0, 0.0)
+    _ConicalSearcher(rho, params, table)
+    assert len(calls) <= 157
 
 
 def test_pgl2z_pool_and_coset_sizes():
