@@ -29,6 +29,9 @@ from .errors import BaseFails, EvaluationError, MissingDomain
 from .projgeom import ProjPoint, act_many, chart_point, fubini_study_many
 from .words import GroupPresentation, Word, concat, word_str
 
+# entries of a stacked chunk's (image rows, boundary rows) distance table: 0.5 MiB
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Singleton:
@@ -267,15 +270,16 @@ def _neighborhood_samples(dom: ProperDomain, eps: float, n_boundary: int,
     return np.vstack([interior, bnd, pushed])
 
 
-def _containment_margin(system_dom: ProperDomain, pts: np.ndarray, bnd: np.ndarray):
-    """Worst signed FS margin of the point cloud inside the domain.
+def _containment_margin(system_dom: ProperDomain, imgs: np.ndarray, bnd: np.ndarray):
+    """Worst signed FS margin inside the domain of each point cloud of the
+    (k, n, d) stack ``imgs``, from one containment test and one distance
+    call over its k * n rows.
 
     ``bnd`` is a boundary sample of the domain, drawn once per edge.
     """
-    inside = system_dom.contains_points(pts)
-    dists = fubini_study_many(pts, bnd, axis=1)
-    signed = np.where(inside, dists, -dists)
-    return float(np.min(signed))
+    inside = system_dom.contains_points(imgs)
+    dists = fubini_study_many(imgs.reshape(-1, imgs.shape[-1]), bnd, axis=1).reshape(inside.shape)
+    return np.where(inside, dists, -dists).min(axis=1)
 
 
 def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
@@ -298,20 +302,23 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     eps = graph.epsilon
 
     records = []
-    # per family vertex: (margins, sizes) of each outgoing edge, by element
+    # per family vertex: (margins, tail sizes) of each outgoing edge, by element
     family = {v: [] for v, label in graph.vertices.items()
               if isinstance(label, ParabolicFamily)}
+    sized = {v: _tail_window(label, len(mats[v]), rho)[1]
+             for v, label in graph.vertices.items()}
     arc_edges = iter(_arc_edges([e for e in graph.edges if e[0] in arcs and e[1] in arcs],
                                 arcs, eps, mats))
     for edge in graph.edges:
         v, w = edge
         if v in arcs and w in arcs:
             margins, sizes = next(arc_edges)
+            sizes = sizes[sized[v]:]
             n_samples, exact = 2, True
         else:
             pts = _neighborhood_samples(domains[w], eps, n_boundary, n_interior, seed)
             bnd = domains[v].boundary_points(max(n_boundary, 128), seed + 1)
-            margins, sizes = _sampled_edge(domains[v], pts, bnd, mats[v])
+            margins, sizes = _sampled_edge(domains[v], pts, bnd, mats[v], sized[v])
             n_samples, exact = pts.shape[0], False
         records.extend(EdgeRecord(edge, word, m, m > 0, n_samples, exact)
                        for word, m in zip(words[v], margins.tolist()))
@@ -351,36 +358,49 @@ def _arc_edges(edges, arcs, eps, mats):
     return zip(np.split(margins, splits), np.split(radii, splits))
 
 
-def _sampled_edge(home, pts, bnd, mats):
-    """Sampled margins in ``home`` and FS diameters of the elements' images
-    of the point cloud ``pts``, one image at a time."""
-    margins, sizes = np.empty(len(mats)), np.empty(len(mats))
-    for i, m in enumerate(mats):
-        img = act_many(m, pts)
-        margins[i] = _containment_margin(home, img, bnd)
-        sizes[i] = fubini_study_many(img, img, farthest=True)
-    return margins, sizes
+def _sampled_edge(home, pts, bnd, mats, sized):
+    """Sampled margins in ``home`` of the elements' images of the point
+    cloud ``pts``, and the FS diameters of the images of elements
+    ``sized`` on. The images of a chunk of elements are one stack, its
+    tables at most ``_CHUNK`` entries."""
+    arrs = np.stack([m.arr for m in mats])
+    step = max(1, _CHUNK // (len(pts) * len(bnd)))
+    margins, sizes = np.empty(len(mats)), []
+    for lo in range(0, len(mats), step):
+        imgs = act_many(arrs[lo:lo + step], pts)
+        margins[lo:lo + step] = _containment_margin(home, imgs, bnd)
+        sizes += [fubini_study_many(img, img, farthest=True)
+                  for img in imgs[max(sized - lo, 0):]]
+    return margins, np.array(sizes)
 
 
-def _tail(v, label, edges, rho):
-    """Monotone-trend disclosure from the per-element (margins, sizes) of
-    each outgoing edge: worst case over edges, then over shells."""
-    margins = np.min([m for m, _ in edges], axis=0)
-    sizes = np.max([s for _, s in edges], axis=0)
+def _tail_window(label, n, rho):
+    """(shell size, first element) of the shells that the tail disclosure
+    of a label with n elements reads: the last max(2, shells // 4) of them,
+    none for a Singleton."""
+    if isinstance(label, Singleton):
+        return 1, n
     # a cyclic family emits +n, -n per shell, so trends follow the
     # declared power ordering
     group = 2 if len(rho.peripheral(label.peripheral).generators) == 1 else 1
-    shells = np.arange(0, len(margins), group)
-    margins = np.minimum.reduceat(margins, shells)
-    sizes = np.maximum.reduceat(sizes, shells)
-    q = max(2, len(margins) // 4)
-    tail_m, tail_d = margins[-q:], sizes[-q:]
+    shells = -(-n // group)
+    return group, max(0, shells - max(2, shells // 4)) * group
+
+
+def _tail(v, label, edges, rho):
+    """Monotone-trend disclosure from the per-element margins and tail
+    sizes of each outgoing edge: worst case over edges, then over shells."""
+    n = len(edges[0][0])
+    group, start = _tail_window(label, n, rho)
+    shells = np.arange(0, n - start, group)
+    tail_m = np.minimum.reduceat(np.min([m[start:] for m, _ in edges], axis=0), shells)
+    tail_d = np.maximum.reduceat(np.max([s for _, s in edges], axis=0), shells)
     # slack absorbs sampling wobble once the trend has saturated
     a, b = tail_m[:-1], tail_m[1:]
     margins_ok = bool(np.all(b >= a - 1e-6 - 0.01 * np.abs(a)))
     a, b = tail_d[:-1], tail_d[1:]
     diams_ok = bool(np.all(b <= a + 1e-6 + 0.01 * np.abs(a)))
-    return TailDisclosure(v, margins_ok, diams_ok, len(edges[0][0]))
+    return TailDisclosure(v, margins_ok, diams_ok, n)
 
 
 def check_divergence(graph: GammaGraph, system: CompatibleSystem,
@@ -391,11 +411,13 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
     alpha^-1. Searches the first 8 elements of each label with 128 interior
     and 128 boundary samples per domain; inconclusive searches are
     reported, not raised. Labels are enumerated and evaluated, and the
-    samples drawn, once per vertex.
+    samples drawn, once per vertex; each edge maps the probes by all its
+    elements, and pulls them back by the nested ones, in one stack each.
     """
     domains = {v: system.domain(v) for v in graph.vertices}
     words = {v: elements_of(label, rho, cap=8) for v, label in graph.vertices.items()}
     mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
+    stacks = {v: np.stack([m.arr for m in ms]) for v, ms in mats.items()}
     probes = {v: np.vstack([U.interior_points(128, seed), U.boundary_points(128, seed)])
               for v, U in domains.items()}
     arcs = {v: U.arc() for v, U in domains.items() if _is_arc(U)}
@@ -403,26 +425,36 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
     for edge in graph.edges:
         v, w = edge
         U_v, U_w, arc_w = domains[v], domains[w], arcs.get(w)
-        for word, m in zip(words[v], mats[v]):
-            # an escape point only witnesses PROPER inclusion when the
-            # inclusion itself holds: an isometry label produces escapes
-            # without nesting and must come back inconclusive
-            if not np.all(U_v.contains_points(act_many(m, probes[w]), slack=1e-12)):
-                out.append(DivergenceWitness(edge, word, None, 0.0, False))
-                continue
-            pre = act_many(m.inv(), probes[v])
-            found, best = None, 0.0
-            if arc_w is not None:
-                escape = circle.angle_dists(circle.angles(pre), arc_w.center) - arc_w.radius
-                i = int(np.argmax(escape))
-                if escape[i] > 0:
-                    best, found = float(escape[i]), ProjPoint(pre[i])
-            else:
-                outside = ~U_w.contains_points(pre, slack=1e-12)
-                if np.any(outside):
-                    found, best = ProjPoint(pre[np.argmax(outside)]), 1e-12
-            out.append(DivergenceWitness(edge, word, found, best, found is not None))
+        # an escape point only witnesses PROPER inclusion when the
+        # inclusion itself holds: an isometry label produces escapes
+        # without nesting and must come back inconclusive
+        nested = U_v.contains_points(act_many(stacks[v], probes[w]), slack=1e-12).all(axis=1)
+        found = {}
+        if nested.any():
+            idx = np.flatnonzero(nested).tolist()
+            pre = act_many(np.stack([mats[v][i].inv().arr for i in idx]), probes[v])
+            found = dict(zip(idx, _escapes(pre, U_w, arc_w)))
+        for i, word in enumerate(words[v]):
+            point, gap = found.get(i, (None, 0.0))
+            out.append(DivergenceWitness(edge, word, point, gap, point is not None))
     return out
+
+
+def _escapes(pre, U_w, arc_w):
+    """(witness, margin) of each point cloud of the (j, n, d) stack ``pre``:
+    its first row farthest past arc_w on the projective line, else its
+    first row outside closure(U_w) (to slack 1e-12) with margin 1e-12;
+    (None, 0.0) when no row escapes."""
+    if arc_w is not None:
+        escape = circle.angle_dists(circle.angles(pre), arc_w.center) - arc_w.radius
+        first = escape.argmax(axis=1)
+        gaps = escape[np.arange(len(pre)), first]
+    else:
+        outside = ~U_w.contains_points(pre, slack=1e-12)
+        first = outside.argmax(axis=1)
+        gaps = np.where(outside.any(axis=1), 1e-12, 0.0)
+    return [(ProjPoint(rows[i]), g) if g > 0 else (None, 0.0)
+            for rows, i, g in zip(pre, first.tolist(), gaps.tolist())]
 
 
 def peripheral_stability_probe(family, graph: GammaGraph, system: CompatibleSystem,
@@ -485,17 +517,23 @@ def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "random",
         adj[x].append(w)
     adj = {v: sorted(ws) for v, ws in adj.items()}
     rng = np.random.default_rng(seed)
+
+    def pick(options):
+        # integers(1) returns 0 and leaves the stream alone, so a lone
+        # option needs no draw
+        return options[0] if len(options) == 1 else options[int(rng.integers(len(options)))]
+
     paths = []
     starts = sorted(graph.vertices)
     for _ in range(cap):
-        vpath, wpath = [starts[int(rng.integers(len(starts)))]], []
+        vpath, wpath = [pick(starts)], []
         for step in range(depth):
             cur = vpath[-1]
             if not elems[cur]:
                 break
-            wpath.append(elems[cur][int(rng.integers(len(elems[cur])))])
+            wpath.append(pick(elems[cur]))
             if step < depth - 1:
-                vpath.append(adj[cur][int(rng.integers(len(adj[cur])))])
+                vpath.append(pick(adj[cur]))
         else:
             vpath.append(adj[vpath[-1]][0])
             paths.append(GPath(vpath, wpath))

@@ -51,13 +51,15 @@ class ProperDomain:
         raise NotImplementedError
 
     def contains_points(self, pts, slack=0.0) -> np.ndarray:
-        """Containment mask of an (n, d) array of ambient rows.
+        """Containment mask of an (..., d) array of ambient rows, one test
+        over all of them.
 
         Rows incident to the chart hyperplane lie outside every domain.
         """
-        inside = in_chart(self.chart, pts)
-        inside[inside] = self.contains_coords(affine_chart(self.chart, pts[inside]), slack)
-        return inside
+        rows = pts.reshape(-1, pts.shape[-1])
+        inside = in_chart(self.chart, rows)
+        inside[inside] = self.contains_coords(affine_chart(self.chart, rows[inside]), slack)
+        return inside.reshape(pts.shape[:-1])
 
     def boundary_coords(self, n, seed=0):
         raise NotImplementedError

@@ -74,7 +74,7 @@ def _sign_canonical(arr):
     Returns the array and whether it was flipped.
     """
     flat = arr.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
+    idx = int(abs(flat).argmax())
     if flat[idx] < 0:
         return -arr, True
     return arr, False
@@ -92,7 +92,9 @@ class Matrix:
     once. A product or inverse of exact matrices keeps only ``exact``: its
     float representative (with ``det_sign``) is computed on first use, by
     the same code, so paths that only read ``key()`` never form floats. A
-    float representative that underflows raises SingularInput there.
+    float representative that underflows raises SingularInput there. A
+    product or inverse of float matrices is trusted and canonicalized from
+    its fresh array as is (``_of_floats``).
     """
 
     __slots__ = ("dim", "arr", "exact", "det_sign")
@@ -124,6 +126,17 @@ class Matrix:
         m.exact = exact
         return m
 
+    @classmethod
+    def _of_floats(cls, a):
+        """Trusted Matrix of a fresh square float array: what
+        ``Matrix(a, _trusted=True)`` gives, without the constructor's copies
+        and its integrality probe."""
+        m = cls.__new__(cls)
+        m.dim = len(a)
+        m.exact = None
+        m._set_floats(a, True)
+        return m
+
     def __getattr__(self, name):
         # only reached for an unset slot: the floats of an exact product
         if name in ("arr", "det_sign") and self.exact is not None:
@@ -134,7 +147,7 @@ class Matrix:
     def _set_floats(self, a, trusted):
         d = self.dim
         # pre-scale by the sup norm so slogdet survives huge dynamic range
-        supnorm = float(np.max(np.abs(a)))
+        supnorm = float(abs(a).max())
         if supnorm == 0.0 or not math.isfinite(supnorm):
             raise SingularInput("matrix entries are zero or non-finite")
         sign, logdet = np.linalg.slogdet(a / supnorm)
@@ -176,7 +189,7 @@ class Matrix:
     def __matmul__(self, other):
         if self.exact is not None and other.exact is not None:
             return Matrix._of_exact(exact_matmul(self.exact, other.exact))
-        return Matrix(self.arr @ other.arr, _trusted=True)
+        return Matrix._of_floats(self.arr @ other.arr)
 
     def inv(self):
         if self.exact is not None and self.dim == 2:
@@ -186,7 +199,7 @@ class Matrix:
             inverse = np.linalg.inv(self.arr)
         except np.linalg.LinAlgError as exc:
             raise SingularInput(f"matrix is singular in floats: {exc}") from exc
-        return Matrix(inverse, _trusted=True)
+        return Matrix._of_floats(inverse)
 
     def key(self):
         """Hashable canonical key for exact-equality deduplication."""

@@ -100,9 +100,15 @@ def act(m, p: ProjPoint) -> ProjPoint:
 
 
 def act_many(m, coords):
-    """Vectorized action on an (n, d) array of unit rows; returns unit rows."""
-    img = coords @ m.arr.T
-    norms = np.linalg.norm(img, axis=1, keepdims=True)
+    """Vectorized action on an (n, d) array of unit rows; returns unit rows.
+
+    ``m`` is a Matrix, giving (n, d), or a (k, d, d) stack of matrix
+    arrays, giving the (k, n, d) stack of each one's images: one BLAS
+    product per matrix either way, so a stacked image has the bits of its
+    one-matrix call.
+    """
+    img = np.matmul(coords, np.swapaxes(getattr(m, "arr", m), -1, -2))
+    norms = np.linalg.norm(img, axis=-1, keepdims=True)
     if np.any(norms < 1e-300):
         raise DegenerateImage("projective image underflow")
     return img / norms
@@ -213,8 +219,13 @@ def fubini_study_many(pts_a, pts_b, *, farthest=False, axis=None):
 
     The float kernel atan2(sqrt(max(1 - c^2, 0)), c) is non-increasing in
     c = |dot|, so it runs on the reduced |dot| and gives the bits of the
-    same reduction over all pairwise distances.
+    same reduction over all pairwise distances. The largest |dot| is
+    max(max dot, -min dot), read without an |dot| table.
     """
-    dots = np.abs(pts_a @ pts_b.T)
-    c = np.clip(np.min(dots, axis=axis) if farthest else np.max(dots, axis=axis), 0.0, 1.0)
+    dots = pts_a @ pts_b.T
+    if farthest:
+        c = np.abs(dots).min(axis=axis)
+    else:
+        c = np.maximum(dots.max(axis=axis), -dots.min(axis=axis))
+    c = np.clip(c, 0.0, 1.0)
     return np.arctan2(np.sqrt(np.clip(1.0 - c * c, 0.0, None)), c)

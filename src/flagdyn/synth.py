@@ -130,22 +130,30 @@ class _Vertex:
 def _key_table(rho, *word_lists):
     """The ``Matrix.key`` entries of every product of one word from each list,
     shape (len(list_1), ..., len(list_k), d * d): the only place synthesis
-    forms element keys. An integral presentation forms exact products by
-    batched matmul: int64 if d^(k-1) prod max|entry| < 2^62, else Python ints."""
+    forms element keys of words. An integral presentation forms exact
+    products by batched matmul (``_exact_keys``)."""
     d = rho.dim
     shape = tuple(map(len, word_lists)) + (d * d,)
     if any(m.exact is None for m in rho.generators.values()):
         return np.array([rho.evaluate(concat(*ws)).key()[2]
                          for ws in itertools.product(*word_lists)]).reshape(shape)
-    factors = [np.array([rho.evaluate(w).exact for w in ws], dtype=object).reshape(-1, d, d)
-               for ws in word_lists]
-    if d ** (len(factors) - 1) * math.prod(np.abs(f).max(initial=0) for f in factors) < 2 ** 62:
-        factors = [f.astype(np.int64) for f in factors]
+    return _exact_keys([np.array([rho.evaluate(w).exact for w in ws], dtype=object)
+                        for ws in word_lists], d).reshape(shape)
+
+
+def _exact_keys(factors, d):
+    """Canonical key rows (n, d * d) of every product of one integer d x d
+    matrix from each stack of ``factors`` (each (n_i, d, d) or (n_i, d * d)),
+    by batched matmul: int64 if d^(k-1) prod max|entry| < 2^62, else Python
+    ints."""
+    factors = [f.reshape(-1, d, d) for f in factors]
+    bound = d ** (len(factors) - 1) * math.prod(int(np.abs(f).max(initial=0)) for f in factors)
+    factors = [f.astype(np.int64 if bound < 2 ** 62 else object) for f in factors]
     rows = functools.reduce(lambda a, b: a[..., None, :, :] @ b, factors).reshape(-1, d * d)
     # canonical as in exact_canonical: divide out the gcd, first nonzero entry > 0
     rows //= np.gcd.reduce(rows, axis=1)[:, None]
     rows *= np.where(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] < 0, -1, 1)[:, None]
-    return rows.reshape(shape)
+    return rows
 
 
 def _element_ids(rows):
@@ -167,11 +175,19 @@ def _firsts(ids):
 def _word_ball(rho: GroupPresentation, radius: int):
     """Nonidentity elements of the generator ball, by length then lex: their
     words and key rows. Each length is one key table of the last length's
-    words times the generators; an element keeps its first row only."""
+    words times the generators; with exact generators, the last length's
+    kept rows are its words' exact matrices, so they are multiplied and no
+    word is evaluated. An element keeps its first row only."""
     gens = [((name, e),) for name in sorted(rho.generators) for e in (1, -1)]
     frontier, words, rows = [()], [], _key_table(rho, [()])
+    steps = [rho.power(name, e).exact for ((name, e),) in gens]
+    exact = None not in steps
     for _ in range(radius):
-        table = _key_table(rho, frontier, gens).reshape(-1, rho.dim ** 2)
+        if exact:
+            table = _exact_keys([rows[len(rows) - len(frontier):], np.array(steps, dtype=object)],
+                                rho.dim)
+        else:
+            table = _key_table(rho, frontier, gens).reshape(-1, rho.dim ** 2)
         # the rows seen so far are distinct and come first: the firsts past
         # them are the new elements
         seen = len(rows)

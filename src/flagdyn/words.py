@@ -161,7 +161,10 @@ class GroupPresentation:
         return out
 
     def evaluate(self, word: Word) -> Matrix:
-        # cache keys are normalized words, so a hit needs no normalization
+        # cache keys are normalized words, so a hit needs no normalization.
+        # A one-syllable word is I @ g^n, canonicalized again, so its last
+        # bits can differ from power(g, n); the sampled d = 4 margins in the
+        # bundled outputs are those of this product, so keep it.
         if word not in self._cache:
             word = normalize_word(word)
             if word not in self._cache:

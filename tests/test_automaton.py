@@ -22,10 +22,10 @@ from flagdyn.automaton import (
 )
 from flagdyn.circle import Arc, mobius_arc, vec_of
 from flagdyn.config import RunConfig
-from flagdyn.domains import ConvexPolytope, arc_ball
+from flagdyn.domains import ChartBall, ConvexPolytope, arc_ball
 from flagdyn.errors import BaseFails, EvaluationError, MissingDomain
 from flagdyn.linalg import Matrix
-from flagdyn.projgeom import ProjHyperplane, act_many, fubini_study_many
+from flagdyn.projgeom import ProjHyperplane, ProjPoint, act_many, fubini_study_many
 from flagdyn.words import GroupPresentation, Peripheral, parse_word
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -144,6 +144,50 @@ def test_divergence_rotation_inconclusive():
     assert all(not d.conclusive for d in out)
 
 
+def _reference_divergence(graph, system, rho, seed=0):
+    """``check_divergence`` one edge and one element at a time."""
+    probes = {v: np.vstack([U.interior_points(128, seed), U.boundary_points(128, seed)])
+              for v, U in system.domains.items()}
+    out = []
+    for v, w in graph.edges:
+        U_v, U_w = system.domain(v), system.domain(w)
+        for word in elements_of(graph.vertices[v], rho, cap=8):
+            m = rho.evaluate(word)
+            found, best = None, 0.0
+            if np.all(U_v.contains_points(act_many(m, probes[w]), slack=1e-12)):
+                pre = act_many(m.inv(), probes[v])
+                if automaton._is_arc(U_w):
+                    arc = U_w.arc()
+                    escape = circle.angle_dists(circle.angles(pre), arc.center) - arc.radius
+                    i = int(np.argmax(escape))
+                    if escape[i] > 0:
+                        found, best = pre[i], float(escape[i])
+                else:
+                    outside = ~U_w.contains_points(pre, slack=1e-12)
+                    if np.any(outside):
+                        found, best = pre[np.argmax(outside)], 1e-12
+            coords = None if found is None else ProjPoint(found).coords.tolist()
+            out.append(((v, w), word, coords, best, found is not None))
+    return out
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _parts(RunConfig.load(CONFIGS / "schottky.json")),
+    lambda: _parts(RunConfig.load(CONFIGS / "jordan_diag.json")),
+    lambda: _jordan_with_singleton(),
+    lambda: _diagonal_rank2_case(),
+    lambda: _modular_family(),
+    *(lambda seed=seed: _random_arc_case(seed) for seed in range(3)),
+], ids=["schottky", "jordan-d4", "jordan-singleton", "rank-2-family", "modular",
+        *(f"random-arcs-{seed}" for seed in range(3))])
+def test_stacked_divergence_matches_the_per_element_search(case):
+    rho, graph, system = case()
+    got = [(d.edge, d.word, None if d.witness is None else d.witness.coords.tolist(),
+             d.margin, d.conclusive) for d in check_divergence(graph, system, rho)]
+    assert got == _reference_divergence(graph, system, rho)
+    assert all(type(d[3]) is float for d in got)
+
+
 # --- peripheral stability -------------------------------------------------------
 
 
@@ -256,6 +300,44 @@ def test_exhaustive_strategy_is_unknown(schottky):
         enumerate_paths(graph, 3, "exhaustive", rho)
 
 
+def _every_step_paths(graph, depth, rho, seed, cap, elements_per_vertex=2):
+    """The sampler as it was before lone options skipped their draw: one
+    ``rng.integers`` call per choice."""
+    elems = {v: elements_of(label, rho, cap=elements_per_vertex)
+             for v, label in graph.vertices.items()}
+    adj = {v: sorted(w for x, w in graph.edges if x == v) for v in graph.vertices}
+    rng = np.random.default_rng(seed)
+    starts, paths = sorted(graph.vertices), []
+    for _ in range(cap):
+        vpath, wpath = [starts[int(rng.integers(len(starts)))]], []
+        for step in range(depth):
+            cur = vpath[-1]
+            wpath.append(elems[cur][int(rng.integers(len(elems[cur])))])
+            if step < depth - 1:
+                vpath.append(adj[cur][int(rng.integers(len(adj[cur])))])
+        vpath.append(adj[vpath[-1]][0])
+        paths.append((vpath, wpath))
+    return paths
+
+
+@pytest.mark.parametrize("stem", ["schottky", "single_loop", "jordan_diag", "jordan_split"])
+def test_paths_equal_the_every_step_sampler(stem):
+    rho, graph, _ = _parts(RunConfig.load(CONFIGS / f"{stem}.json"))
+    for seed in range(5):
+        paths, _ = enumerate_paths(graph, 6, "random", rho, seed=seed, cap=25)
+        assert [(p.vertices, p.words) for p in paths] == _every_step_paths(
+            graph, 6, rho, seed, 25)
+
+
+def test_a_draw_from_one_option_leaves_the_stream_alone():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert int(rng.integers(1)) == 0
+    assert rng.bit_generator.state == state
+    assert rng.integers(1000, size=4).tolist() == np.random.default_rng(3).integers(
+        1000, size=4).tolist()
+
+
 # --- certificate serialization ---------------------------------------------------
 
 
@@ -269,6 +351,21 @@ def test_certificate_to_dict(schottky):
 
 
 # --- one label enumeration per vertex ----------------------------------------------
+
+
+def _reference_margin_and_size(home, img, bnd):
+    """The per-element kernel that ``automaton._containment_margin`` stacks:
+    the worst signed FS margin of one image point cloud in ``home``, and its
+    FS diameter from the full farthest-pair Gram, both as atan2 of the
+    reduced |dot| (nearest boundary sample, farthest image pair)."""
+    def fs(c):
+        c = np.clip(c, 0.0, 1.0)
+        return np.arctan2(np.sqrt(np.clip(1.0 - c * c, 0.0, None)), c)
+
+    inside = home.contains_points(img)
+    dists = fs(np.max(np.abs(img @ bnd.T), axis=1))
+    margin = float(np.min(np.where(inside, dists, -dists)))
+    return margin, float(fs(np.min(np.abs(img @ img.T))))
 
 
 def _reference_certificate(graph, system, rho, *, n_boundary, n_interior, element_cap,
@@ -291,9 +388,7 @@ def _reference_certificate(graph, system, rho, *, n_boundary, n_interior, elemen
                 pts = automaton._neighborhood_samples(target, eps, n_boundary, n_interior,
                                                       seed)
                 bnd = home.boundary_points(max(n_boundary, 128), seed + 1)
-                img = act_many(m, pts)
-                margin = automaton._containment_margin(home, img, bnd)
-                size = float(fubini_study_many(img, img, farthest=True))
+                margin, size = _reference_margin_and_size(home, act_many(m, pts), bnd)
                 n_samples, exact = pts.shape[0], False
             records.append((v, w, word, margin, margin > 0, n_samples, exact))
             key = (v, i)
@@ -389,6 +484,95 @@ def test_records_and_tails_match_per_edge_reference(case, element_cap):
             for t in cert.tails] == tails
     assert all(type(r.margin) is float and type(r.ok) is bool for r in cert.records)
     assert all(type(t.margins_nondecreasing) is bool for t in cert.tails)
+
+
+@pytest.mark.parametrize("stem, t", [(stem, t) for stem in ("jordan_split", "jordan_diag")
+                                     for t in (0.0, 0.01, 0.02, 0.05)])
+@pytest.mark.parametrize("element_cap", [32, 7, 1])
+def test_stacked_kernel_matches_the_per_element_kernel(stem, t, element_cap):
+    # the config's budgets stack 3 elements a chunk: caps 32 and 7 end on a
+    # partial chunk, cap 1 is one; t = 0.05 fails on jordan_split
+    cfg = RunConfig.load(CONFIGS / f"{stem}.json")
+    rho, graph, system = cfg.presentation(t), cfg.graph(), cfg.system()
+    budgets = cfg.budgets
+    for v, w in graph.edges:
+        home = system.domain(v)
+        pts = automaton._neighborhood_samples(system.domain(w), graph.epsilon,
+                                              budgets["boundary_samples"],
+                                              budgets["interior_samples"], 7)
+        bnd = home.boundary_points(128, 8)
+        assert automaton._CHUNK // (len(pts) * len(bnd)) == 3
+        mats = [rho.evaluate(word) for word in elements_of(graph.vertices[v], rho,
+                                                           cap=element_cap)]
+        margins, sizes = automaton._sampled_edge(home, pts, bnd, mats, 0)
+        want = [_reference_margin_and_size(home, act_many(m, pts), bnd) for m in mats]
+        assert margins.tolist() == [m for m, _ in want]
+        assert sizes.tolist() == [d for _, d in want]
+
+
+def _diagonal_rank2_case():
+    """d = 4: a rank-2 abelian family (shells of one element) with an
+    out-edge to itself and to a Singleton, and the Singleton's edge back."""
+    rho = GroupPresentation(
+        dim=4, generators={"a": Matrix(np.diag([2.0, 1.0, 1.0, 0.5])),
+                           "b": Matrix(np.diag([1.0, 3.0, 1.0, 1.0 / 3.0]))},
+        peripherals=[Peripheral("p", ["a", "b"], truncation=4)])
+    vertices = {"p": ParabolicFamily((), "p"), "s": Singleton(parse_word("a b^-1"))}
+    domains = {"p": ChartBall(ProjHyperplane([1.0, 1.0, 1.0, 1.0]), [0.0, 0.0, 0.0], 0.4),
+               "s": ChartBall(ProjHyperplane([1.0, 0.0, 0.0, 0.0]), [0.0, 0.0, 0.0], 0.3)}
+    graph = GammaGraph(vertices, [("p", "p"), ("p", "s"), ("s", "p")], 0.02)
+    return rho, graph, CompatibleSystem(domains)
+
+
+def _jordan_with_singleton():
+    """jordan_diag at d = 4 plus a Singleton source and its edges."""
+    rho, graph, system = _parts(RunConfig.load(CONFIGS / "jordan_diag.json"))
+    vertices = {**graph.vertices, "s": Singleton(parse_word("M"))}
+    edges = graph.edges + [("s", "va"), ("va", "s")]
+    system = CompatibleSystem({**system.domains, "s": system.domain("vb")})
+    return rho, GammaGraph(vertices, edges, graph.epsilon), system
+
+
+@pytest.mark.parametrize("case", [_jordan_with_singleton, _diagonal_rank2_case],
+                         ids=["jordan-singleton", "rank-2-family"])
+@pytest.mark.parametrize("element_cap", [1, 6, 13])
+def test_diameters_only_where_the_tail_reads_them(case, element_cap, monkeypatch):
+    rho, graph, system = case()
+    budgets = dict(n_boundary=16, n_interior=8, element_cap=element_cap)
+    records, tails = _reference_certificate(graph, system, rho, **budgets)
+    diameters = []
+    fs = automaton.fubini_study_many
+
+    def counted(a, b, **kwargs):
+        if kwargs.get("farthest"):
+            diameters.append(len(a))
+        return fs(a, b, **kwargs)
+
+    monkeypatch.setattr(automaton, "fubini_study_many", counted)
+    cert = verify_compatibility(graph, system, rho, **budgets)
+    assert [(*r.edge, r.word, r.margin, r.ok, r.n_samples, r.exact)
+            for r in cert.records] == records
+    assert [(t.vertex, t.margins_nondecreasing, t.diameters_nonincreasing, t.checked)
+            for t in cert.tails] == tails
+    # one diameter per tail element of each family out-edge, none for a Singleton
+    want = 0
+    for v, _ in graph.edges:
+        n = len(elements_of(graph.vertices[v], rho, cap=element_cap))
+        want += n - automaton._tail_window(graph.vertices[v], n, rho)[1]
+    assert len(diameters) == want > 0
+
+
+@pytest.mark.parametrize("case, n, window", [
+    # cyclic: +m, -m shells of two elements
+    *((_jordan_with_singleton, n, (2, start)) for n, start in [(32, 24), (7, 4), (2, 0), (1, 0)]),
+    # rank 2: shells of one element
+    *((_diagonal_rank2_case, n, (1, start)) for n, start in [(12, 9), (10, 8), (2, 0), (1, 0)]),
+])
+def test_tail_window_is_the_last_quarter_of_shells(case, n, window):
+    rho, graph, _ = case()
+    family = next(lab for lab in graph.vertices.values() if isinstance(lab, ParabolicFamily))
+    assert automaton._tail_window(family, n, rho) == window
+    assert automaton._tail_window(graph.vertices["s"], n, rho) == (1, n)
 
 
 def test_one_mobius_arcs_call_certifies_every_arc_edge(monkeypatch):

@@ -553,3 +553,46 @@ def test_floats_of_exact_raise_on_an_underflowing_determinant():
     rows = np.array([[1, 0, 0, 1], [1 + n * n, n, n, 1]], dtype=object)
     with pytest.raises(SingularInput):
         Matrix.floats_of_exact(rows, 2)
+
+
+def _same_floats(got, want):
+    """Bitwise equal ``arr`` (signed zeros included) and equal ``det_sign``."""
+    assert got.exact is None and not got.arr.flags.writeable
+    assert got.arr.tobytes() == want.arr.tobytes()
+    assert got.det_sign == want.det_sign
+
+
+def test_float_products_and_inverses_equal_the_trusted_constructor(jordan_split_cfg):
+    # ``_of_floats`` skips the constructor's copies and integrality probe:
+    # every jordan power, its inverse and a product with M, for every probe t
+    for t in jordan_split_cfg.probe:
+        rho = jordan_split_cfg.presentation(t)
+        g, m = rho.generators["A"], rho.generators["M"]
+        power = g
+        for _ in range(30):
+            _same_floats(power @ g, Matrix(power.arr @ g.arr, _trusted=True))
+            _same_floats(power @ m, Matrix(power.arr @ m.arr, _trusted=True))
+            _same_floats(power.inv(), Matrix(np.linalg.inv(power.arr), _trusted=True))
+            power = power @ g
+
+
+def test_float_product_sign_flip_in_odd_dimension():
+    a = Matrix(np.diag([1.0, 2.0, 0.5]))
+    b = Matrix(np.diag([1.0, -1.0, 1.0]))
+    raw = a.arr @ b.arr
+    assert raw.reshape(-1)[np.argmax(np.abs(raw))] < 0  # the product is flipped
+    got = a @ b
+    _same_floats(got, Matrix(raw, _trusted=True))
+    assert got.det_sign == 1.0  # det < 0 before the flip, and d = 3 is odd
+    _same_floats(got.inv(), Matrix(np.linalg.inv(got.arr), _trusted=True))
+
+
+def test_float_product_with_collapsed_determinant_keeps_the_sup_scale():
+    a = Matrix([[1.0, 1e100], [0.0, 1.0]])
+    b = Matrix([[1.0, 0.0], [1e100, 1.0]])
+    raw = a.arr @ b.arr
+    sign, logdet = np.linalg.slogdet(raw / np.abs(raw).max())
+    assert sign == 0 or logdet < -690.0  # the trusted underflow branch
+    got = a @ b
+    _same_floats(got, Matrix(raw, _trusted=True))
+    assert got.arr.max() == pytest.approx(1.0)  # sup-norm scaled, not |det| = 1

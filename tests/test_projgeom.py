@@ -11,6 +11,7 @@ from flagdyn.projgeom import (
     ProjHyperplane,
     ProjPoint,
     act,
+    act_many,
     affine_chart,
     chart_point,
     cross_ratio,
@@ -208,3 +209,15 @@ def test_fubini_study_many_reductions_match_all_pairs(d):
         assert np.array_equal(fubini_study_many(x, y, axis=1), np.min(full, axis=1))
         assert np.array_equal(fubini_study_many(x, y, farthest=True, axis=1),
                               np.max(full, axis=1))
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 40), (4, 152)])
+def test_stacked_action_has_each_matrix_bits(d, n):
+    rng = np.random.default_rng(10 + d)
+    mats = [rand_matrix(rng, d) for _ in range(5)]
+    rows = rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    stacked = act_many(np.stack([m.arr for m in mats]), rows)
+    assert stacked.shape == (5, n, d)
+    for img, m in zip(stacked, mats):
+        assert img.tobytes() == act_many(m, rows).tobytes()

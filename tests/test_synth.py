@@ -529,6 +529,19 @@ def test_word_ball_matches_the_per_word_bfs(rho, params):
         assert rows.shape == want_rows.shape and (rows == want_rows).all()
 
 
+@pytest.mark.parametrize("case", [0, 2], ids=["pgl2z", "python-ints"])
+def test_integral_word_ball_multiplies_key_rows_not_words(case, monkeypatch):
+    # each length is the last length's kept key rows times the generators:
+    # no word is evaluated, so no Matrix product is formed
+    rho, params, _ = TABLE_CASES[case]
+    rho = rho()
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    words, _ = _word_ball(rho, params.word_radius)
+    assert len(words) > 10 and products == []
+
+
 def _gamma2(pgl2z_cfg, q=1.0):
     """Gamma(2), an edit of pgl2z.json: the free group on a = [[1, 2], [0, 1]]
     and b = [[1, 0], [2, 1]], with derived c = a^-1 b and a cusp for each,
