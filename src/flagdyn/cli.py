@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .automaton import check_divergence, peripheral_stability_probe, verify_compatibility
-from .config import RunConfig
+from .config import RunConfig, number
 from .domains import ChartBall, zimmer_metric
 from .dynamics import limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
@@ -297,13 +297,14 @@ def cmd_hilbert(args):
     if args.interval is not None:
         if args.points is None:
             raise ConfigError("--interval needs --points X Y")
-        a, b = args.interval
+        a, b = (number(v, "--interval value") for v in args.interval)
+        px, py = (number(v, "--points value") for v in args.points)
         if not b > a:
             raise ConfigError("interval must satisfy a < b")
         h = ProjHyperplane([0.0, 1.0])
         omega = ChartBall(h, [(a + b) / 2], (b - a) / 2)
-        x = chart_point(h, [args.points[0]])
-        y = chart_point(h, [args.points[1]])
+        x = chart_point(h, [px])
+        y = chart_point(h, [py])
     else:
         if args.config is None:
             raise ConfigError("hilbert needs --config or --interval")

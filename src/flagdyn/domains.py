@@ -9,9 +9,11 @@ sampled dual pairs is available and is flagged as such.
 
 The metric works on arrays: ``zimmer_metrics`` takes two (n, d) arrays of
 points and the domains' ``chords`` take stacked lines, each row with the
-kernels of a one-row call; ``zimmer_metric`` and ``section`` are the
-one-row calls. On the projective line the contraction constant of nested
-intervals is closed-form (``rp1_contraction_lambda``).
+kernels of a one-row call; ``zimmer_metric`` is the one-row call.
+``contraction_factor`` rates its sampled pairs and its descent steps
+with one batched inner/outer ratio kernel. On the projective line the
+contraction constant of nested intervals is closed-form
+(``rp1_contraction_lambda``).
 """
 
 from __future__ import annotations
@@ -85,24 +87,13 @@ class ProperDomain:
         two (n, k) arrays; NaN for a row without a chord."""
         raise NotImplementedError
 
-    def section(self, x_coords, y_coords):
-        """Chord of the line through a pair inside the domain.
-
-        s = 0 and s = 1 are the two argument points; s_lo < 0 < 1 < s_hi.
-        """
-        x = np.asarray(x_coords, dtype=float)
-        (s_lo,), (s_hi,) = self.chords(x[None, :], (np.asarray(y_coords) - x)[None, :])
-        if not (s_lo < 0.0 < 1.0 < s_hi):
-            raise NotInDomain("argument pair not inside the section")
-        return float(s_lo), float(s_hi)
-
 
 class ChartBall(ProperDomain):
     """Open metric ball in affine chart coordinates."""
 
     exact_metric = True
 
-    def __init__(self, chart: ProjHyperplane, center, radius: float, seed: int = 0):
+    def __init__(self, chart: ProjHyperplane, center, radius: float):
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.chart = chart
@@ -110,7 +101,6 @@ class ChartBall(ProperDomain):
         if self.center.shape != (chart.dim - 1,):
             raise ValueError("center has wrong chart dimension")
         self.radius = float(radius)
-        self.seed = seed
         self._arc = None
 
     @property
@@ -125,12 +115,12 @@ class ChartBall(ProperDomain):
         k = self.dim - 1
         if k == 1:
             return self.center[None, :] + self.radius * np.array([[-1.0], [1.0]])
-        dirs = sampling.sphere_points(n, k, seed + self.seed)
+        dirs = sampling.sphere_points(n, k, seed)
         return self.center[None, :] + self.radius * dirs
 
     def interior_coords(self, n, seed=0):
         k = self.dim - 1
-        pts = sampling.ball_points(n, k, seed + self.seed + 1)
+        pts = sampling.ball_points(n, k, seed + 1)
         return self.center[None, :] + 0.999 * self.radius * pts
 
     def center_point(self):
@@ -192,7 +182,7 @@ class ConvexPolytope(ProperDomain):
 
     exact_metric = True
 
-    def __init__(self, chart: ProjHyperplane, vertices, seed: int = 0):
+    def __init__(self, chart: ProjHyperplane, vertices):
         self.chart = chart
         verts = np.asarray(vertices, dtype=float)
         k = chart.dim - 1
@@ -200,7 +190,6 @@ class ConvexPolytope(ProperDomain):
             raise ValueError("vertex array has wrong chart dimension")
         if verts.shape[0] < chart.dim:
             raise ValueError("a full-dimensional polytope needs at least d vertices")
-        self.seed = seed
         if k == 1:
             lo, hi = float(np.min(verts)), float(np.max(verts))
             if hi - lo <= 0:
@@ -248,13 +237,13 @@ class ConvexPolytope(ProperDomain):
             if f.shape[0] == 1:
                 out.append(f)
                 continue
-            w = sampling.simplex_weights(counts[i], f.shape[0], seed + self.seed + i)
+            w = sampling.simplex_weights(counts[i], f.shape[0], seed + i)
             out.append(w @ f)
         return np.vstack(out)
 
     def interior_coords(self, n, seed=0):
         m = self.vertices.shape[0]
-        w = sampling.simplex_weights(n, m, seed + self.seed + 101)
+        w = sampling.simplex_weights(n, m, seed + 101)
         pts = w @ self.vertices
         # mix toward the centroid so samples stay strictly interior
         return 0.999 * pts + 0.001 * self.center[None, :]
@@ -504,43 +493,34 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
     pts = 0.995 * pts + 0.005 * np.asarray(inner.center)[None, :]
     m = pts.shape[0]
     idx = sampling.kronecker(budget, 2, seed + 17)
-    best = math.inf
 
     def to_outer(coords):
         """Outer chart coordinates of an (n, k) array of inner chart coordinates."""
         return affine_chart(outer.chart, chart_point(inner.chart, coords))
 
-    outer_chart_pts = to_outer(pts)
+    def ratios(a, b):
+        """C_inner / C_outer of each row pair of two (n, k) arrays of inner
+        chart coordinates: the Finsler ratio where C_outer < 1e-9, NaN where
+        the pair is not inside both chords."""
+        o = to_outer(np.vstack([a, b]))
+        oa, ob = o[:len(a)], o[len(a):]
+        (s_lo, s_hi), (o_lo, o_hi) = inner.chords(a, b - a), outer.chords(oa, ob - oa)
+        ok = np.flatnonzero((s_lo < 0.0) & (1.0 < s_hi) & (o_lo < 0.0) & (1.0 < o_hi))
+        ci = _log_cr_from_section(s_lo[ok], s_hi[ok])
+        co = _log_cr_from_section(o_lo[ok], o_hi[ok])
+        out = np.full(len(a), np.nan)
+        out[ok] = ci / np.where(co < 1e-9, 1.0, co)
+        near = ok[co < 1e-9]
+        if len(near):
+            out[near] = _finsler_ratios(inner, outer, a[near], oa[near], (b - a)[near],
+                                        (ob - oa)[near])
+        return out
 
-    def pair_ratio(pa, pb):
-        oa, ob = to_outer(np.array([pa, pb]))
-        try:
-            ci = _log_cr_from_section(*inner.section(pa, pb))
-            co = _log_cr_from_section(*outer.section(oa, ob))
-        except NotInDomain:
-            return math.inf
-        if co < 1e-9:
-            r = float(_finsler_ratios(inner, outer, pa[None, :], oa[None, :], (pb - pa)[None, :],
-                                      (ob - oa)[None, :])[0])
-            return math.inf if r != r else r  # NaN: no chord
-        return ci / co
-
-    incumbent = None
     i, j = (idx * m).astype(int).T
     i, j = i[i != j], j[i != j]
-    sections = [inner.chords(pts[i], pts[j] - pts[i]),
-                outer.chords(outer_chart_pts[i], outer_chart_pts[j] - outer_chart_pts[i])]
-    for s_lo, s_hi in sections:
-        if not ((s_lo < 0.0) & (1.0 < s_hi)).all():
-            raise NotInDomain("argument pair not inside the section")
-    ci, co = (_log_cr_from_section(*sec) for sec in sections)
-    ratios = ci / np.where(co < 1e-9, 1.0, co)
-    near = np.flatnonzero(co < 1e-9)
-    ratios[near] = _finsler_ratios(inner, outer, pts[i[near]], outer_chart_pts[i[near]],
-                                   pts[j[near]] - pts[i[near]],
-                                   outer_chart_pts[j[near]] - outer_chart_pts[i[near]])
-    if np.isnan(ratios).any():
-        raise NotInDomain("no chord through the base point")
+    grid = ratios(pts[i], pts[j])
+    if np.isnan(grid).any():
+        raise NotInDomain("argument pair not inside the section")
     # Finsler field scan over anchors x directions; rows without a chord are skipped
     k = inner.dim - 1
     n_dirs = max(8, budget // 32)
@@ -554,36 +534,34 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
     scan = _finsler_ratios(inner, outer, p_in, p_out, q_in - p_in, to_outer(q_in) - p_out)
     scan[np.isnan(scan)] = math.inf
     # the incumbent is the first minimum over the pairs, then the scan
-    ratios = np.concatenate([ratios, scan])
-    first = int(np.argmin(ratios))
-    if ratios[first] < best:
-        best = float(ratios[first])
-        incumbent = (np.concatenate([pts[i], p_in])[first].copy(),
-                     np.concatenate([pts[j], q_in])[first].copy())
+    ratio = np.concatenate([grid, scan])
+    first = int(np.argmin(ratio))
+    best = float(ratio[first])
+    if best == math.inf:
+        return best
     # seeded stochastic pair descent around the incumbent
-    if incumbent is not None:
-        rng = np.random.default_rng(seed + 41)
-        a, b = incumbent
-        spread = float(np.max(np.linalg.norm(pts - np.asarray(inner.center)[None, :], axis=1)))
-        step = 0.2 * max(spread, 1e-6)
-        while step > 1e-5 * spread:
-            improved = False
-            for _ in range(24):
-                a2 = a + step * rng.normal(size=a.shape)
-                b2 = b + step * rng.normal(size=b.shape)
-                if not (
-                    inner.contains_coords(a2[None, :], slack=-1e-12)[0]
-                    and inner.contains_coords(b2[None, :], slack=-1e-12)[0]
-                ):
-                    continue
-                if np.linalg.norm(a2 - b2) < 1e-12:
-                    continue
-                r = pair_ratio(a2, b2)
-                if r < best:
-                    best, a, b = r, a2, b2
-                    improved = True
-            if not improved:
-                step *= 0.5
+    rng = np.random.default_rng(seed + 41)
+    a, b = np.concatenate([pts[i], p_in])[first], np.concatenate([pts[j], q_in])[first]
+    spread = float(np.max(np.linalg.norm(pts - np.asarray(inner.center)[None, :], axis=1)))
+    step = 0.2 * max(spread, 1e-6)
+    while step > 1e-5 * spread:
+        improved = False
+        for _ in range(24):
+            a2 = a + step * rng.normal(size=a.shape)
+            b2 = b + step * rng.normal(size=b.shape)
+            if not (
+                inner.contains_coords(a2[None, :], slack=-1e-12)[0]
+                and inner.contains_coords(b2[None, :], slack=-1e-12)[0]
+            ):
+                continue
+            if np.linalg.norm(a2 - b2) < 1e-12:
+                continue
+            r = float(ratios(a2[None, :], b2[None, :])[0])
+            if r < best:  # False for NaN: no chord
+                best, a, b = r, a2, b2
+                improved = True
+        if not improved:
+            step *= 0.5
     return best
 
 

@@ -4,10 +4,11 @@ Prefix products (``linalg.PrefixProduct``) are renormalized by sup norm
 with the log determinant tracked separately, so on the projective line
 the image intervals and their metric diameters stay accurate at
 contraction scales far below machine epsilon (via determinant identities
-instead of subtractive cancellation). Singular value gaps come from the
-renormalized exterior powers the prefix product carries, in any
-dimension. Reported radius bounds are floored at the numerical
-resolution; the engine never claims sub-roundoff precision.
+instead of subtractive cancellation). The contracting paths form no
+singular gaps: only ``local_to_global_check`` reads them, one
+``linalg.gap_trace`` per element. Reported radius bounds are floored at
+the numerical resolution; the engine never claims sub-roundoff
+precision.
 
 ``contracting_limits`` pushes a batch of paths together: one
 (P, d, d) prefix stack, depth n of every path in one step, diameters
@@ -27,7 +28,7 @@ from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
 from .domains import ChartBall, ProperDomain, det2, zimmer_metrics
 from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
-from .linalg import Matrix, PrefixProduct, exterior_power, mathmap, minors, rowdot, svd
+from .linalg import Matrix, PrefixProduct, exterior_power, gap_trace, mathmap, minors, rowdot, svd
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -51,7 +52,6 @@ class PathResult:
     path: GPath
     limit: ProjPoint
     diameters: list
-    gaps: list
     radius_bound: float
 
     @property
@@ -96,8 +96,7 @@ def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
     Each path runs to its own depth. The limit is approximated by the
     prefix image of the next vertex domain's center (guaranteed
     interior). Diameters are measured in the metric of the path's first
-    vertex domain; gaps are the top singular gaps sigma1/sigma2 of the
-    prefix products, since the limit is a point of P(R^d).
+    vertex domain.
 
     Paths of one depth and one branch (exact arcs on RP^1, or sampled
     images) are pushed together, depth n of every path in one step, with
@@ -120,23 +119,21 @@ def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
     results = [None] * len(paths)
     for (n, rp1), idx in groups.items():
         batch = [paths[i] for i in idx]
-        prefix = PrefixProduct(rho.dim, 1, len(batch))
+        prefix = PrefixProduct(rho.dim, len(batch))
         factors = [[mats[p.words[j]] for p in batch] for j in range(n)]
         verts = [p.vertices[:n + 1] for p in batch]
-        if rp1:
-            out = _rp1_limits(prefix, factors, verts, system)
-        else:
-            out = _sampled_limits(prefix, factors, verts, system)
-        for i, p, (limit, diams, gaps, rbound) in zip(idx, batch, out):
-            results[i] = PathResult(path=p, limit=limit, diameters=diams, gaps=gaps,
-                                    radius_bound=rbound)
+        limits, diameters, rbound = (_rp1_limits if rp1 else _sampled_limits)(
+            prefix, factors, verts, system)
+        for i, p, x, diams, r in zip(idx, batch, limits, np.array(diameters).T.tolist(), rbound):
+            results[i] = PathResult(path=p, limit=ProjPoint(x), diameters=diams,
+                                    radius_bound=float(r))
     return results
 
 
 def _rp1_limits(prefix, factors, verts, system):
     """Exact branch: image arcs of the target arcs, diameters from a cross ratio.
 
-    Returns (limit, diameters, gaps, radius bound) per path.
+    Returns limit rows, a (P,) diameter array per depth, and radius bounds.
     """
     depth = len(factors)
     names = sorted(set(v for vs in verts for v in vs))
@@ -147,7 +144,7 @@ def _rp1_limits(prefix, factors, verts, system):
                      for a in arcs])  # (vertex, endpoint, xy)
     A, B = ends[V[:, 0], 0], ends[V[:, 0], 1]
     detAB = det2(A, B)
-    diameters, gaps = [], []
+    diameters = []
     for n in range(1, depth + 1):
         prefix.push(factors[n - 1])
         xy = ends[V[:, n]]
@@ -162,11 +159,10 @@ def _rp1_limits(prefix, factors, verts, system):
         diam = np.full(len(t), math.inf)
         diam[near] = np.abs(mathmap(math.log1p, -t[near]))
         diameters.append(diam)
-        gaps.append(prefix.gap())
     rbound = 0.5 * mathmap(math.asin, np.fmin(1.0, np.abs(det_xy))) + radius_floor(prefix.dim)
     centers = np.array([system.domain(v).center_point().coords for v in names])
     limit_img, _ = prefix.apply(centers[V[:, depth]][:, None, :])
-    return _per_path(limit_img[:, 0], diameters, gaps, rbound)
+    return limit_img[:, 0], diameters, rbound
 
 
 def _sampled_limits(prefix, factors, verts, system):
@@ -174,11 +170,11 @@ def _sampled_limits(prefix, factors, verts, system):
     16 interior and the center, seed 0), drawn once per vertex; diameters
     from ``zimmer_metrics`` of every third sample against the center image.
 
-    Returns (limit, diameters, gaps, radius bound) per path.
+    Returns limit rows, a (P,) diameter array per depth, and radius bounds.
     """
     depth, dim = len(factors), prefix.dim
     P = len(verts)
-    samples, diameters, gaps = {}, [], []
+    samples, diameters = {}, []
     last = [None] * P
     for n in range(1, depth + 1):
         prefix.push(factors[n - 1])
@@ -203,7 +199,6 @@ def _sampled_limits(prefix, factors, verts, system):
             d = zimmer_metrics(system.domain(home), xs.reshape(-1, dim), ys.reshape(-1, dim))
             diam[rows] = 2.0 * np.max(d.reshape(len(rows), -1), axis=1)
         diameters.append(diam)
-        gaps.append(prefix.gap())
     # the farthest sample image from the limit, in the rejection form of
     # fubini_study: atan2(|x - (x.c) c|, |x.c|) keeps angles below 1e-8
     imgs = np.stack(last)
@@ -211,14 +206,7 @@ def _sampled_limits(prefix, factors, verts, system):
     dots = rowdot(imgs, c)
     rej = np.linalg.norm(imgs - dots[..., None] * c, axis=-1)
     rbound = np.max(np.arctan2(rej, np.abs(dots)), axis=1) + radius_floor(dim)
-    return _per_path([img[-1] for img in last], diameters, gaps, rbound)
-
-
-def _per_path(limits, diameters, gaps, rbound):
-    diameters = np.array(diameters).T.tolist()
-    gaps = np.array(gaps).T.tolist()
-    return [(ProjPoint(x), d, g, float(r))
-            for x, d, g, r in zip(limits, diameters, gaps, rbound)]
+    return [img[-1] for img in last], diameters, rbound
 
 
 def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98) -> RateReport:
@@ -315,9 +303,7 @@ def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
         img = act_many(m, pts)
         diams.append(float(fubini_study_many(img, img, farthest=True)))
         limits.append(ProjPoint(np.mean(img * np.sign(img @ img[0])[:, None], axis=0)))
-    prefix = PrefixProduct(seq[0].dim, 1, len(seq))
-    prefix.push(seq)
-    gaps = prefix.gap().tolist()
+    gaps = [gap_trace([m], 1)[0] for m in seq]
 
     contraction = diams[-1] < diam_tol
     divergence = gaps[-1] > gap_threshold

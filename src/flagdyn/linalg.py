@@ -7,14 +7,15 @@ equal. Integral input also keeps an exact integer representative;
 with the coned-off graph of PGL(2, Z). Products of exact matrices keep
 only the exact entries until their float representative is first used.
 Singular values of single elements come from LAPACK with sign-normalized
-columns. Gaps of long products never decompose the product:
-``PrefixProduct`` accumulates the renormalized exterior powers a gap
-needs and reads each log sigma_1 ... sigma_j = log ||Lambda^j g|| from
-a top singular value. It holds a stack of P products, one per path, and
-pushes them together;
-``gap_trace`` is its P = 1 use. ``rowdot`` and ``mathmap`` are the
-row-by-row kernels that keep a batched row bit-identical to its one-row
-computation.
+columns. ``PrefixProduct`` holds a stack of P sup-renormalized running
+products, one per path, and pushes them together. ``gap_trace`` is the
+one reader of singular gaps of long products (the ``gaps`` command and
+``dynamics.local_to_global_check``); it never decomposes the product,
+but accumulates the renormalized exterior powers a gap needs beside a
+one-path ``PrefixProduct`` and reads each log sigma_1 ... sigma_j =
+log ||Lambda^j g|| from a top singular value. ``rowdot`` and
+``mathmap`` are the row-by-row kernels that keep a batched row
+bit-identical to its one-row computation.
 """
 
 from __future__ import annotations
@@ -323,62 +324,35 @@ class PrefixProduct:
 
     Row p of ``arr`` (shape (P, d, d)) is path p's product up to a positive
     scale, with ``logdet[p]`` its log |det| and ``det_sign[p]`` the sign.
-    For the gap of degree k the exterior powers of degrees k - 1, k, k + 1
-    (those in 2..d-1) are accumulated alongside as (P, C, C) stacks, each
-    sup-renormalized with its own running log scale per path. Since
-    sigma_1 ... sigma_j = ||Lambda^j g||, every gap comes from top singular
-    values only, which stay relatively accurate long after the small
-    singular values of ``arr`` have fallen below roundoff.
-
     Each path renormalizes on its own counter and every product is a
-    per-path LAPACK/BLAS call, so a path's values do not depend on the
-    paths stacked beside it. The Lambda^j blocks of a factor are computed
-    once per distinct ``Matrix`` object.
+    per-path BLAS call, so a path's values do not depend on the paths
+    stacked beside it.
     """
 
-    def __init__(self, dim: int, k: int = 1, paths: int = 1):
-        if not 1 <= k <= dim - 1:
-            raise BadDegree(f"k = {k} out of range for dimension {dim}")
+    def __init__(self, dim: int, paths: int = 1):
         self.dim = dim
-        self.k = k
         self.arr = np.tile(np.eye(dim), (paths, 1, 1))
         self.logdet = np.zeros(paths)
         self.det_sign = np.ones(paths)
         self._since_renorm = np.zeros(paths, dtype=int)
-        self._ext = {j: [np.tile(np.eye(math.comb(dim, j)), (paths, 1, 1)), np.zeros(paths)]
-                     for j in (k - 1, k, k + 1) if 2 <= j <= dim - 1}
-        self._blocks = {}  # (factor, j) -> Lambda^j block of the factor
 
     def push(self, factors):
         """Multiply each path's product on the right by its factor (P Matrix)."""
         distinct = list(dict.fromkeys(factors))
         if len(distinct) == 1:  # one factor for every path: broadcast it
-            def per_path(values):
-                return values[0]
+            arr, det_sign = distinct[0].arr, distinct[0].det_sign
         else:
             pos = {m: i for i, m in enumerate(distinct)}
             idx = [pos[m] for m in factors]
-
-            def per_path(values):
-                return np.stack(values)[idx]
-        self.arr = np.matmul(self.arr, per_path([m.arr for m in distinct]))
-        self.det_sign = self.det_sign * per_path([m.det_sign for m in distinct])
+            arr = np.stack([m.arr for m in distinct])[idx]
+            det_sign = np.array([m.det_sign for m in distinct])[idx]
+        self.arr = np.matmul(self.arr, arr)
+        self.det_sign = self.det_sign * det_sign
         self._since_renorm += 1
         top = np.abs(self.arr).max(axis=(1, 2))
         due = (self._since_renorm >= RENORM_EVERY) | (top > 1e12)
         if due.any():
             self._renorm(due, top)
-        for j, acc in self._ext.items():
-            e = np.matmul(acc[0], per_path([self._block(m, j) for m in distinct]))
-            s = np.abs(e).max(axis=(1, 2))
-            acc[0] = e / s[:, None, None]
-            acc[1] = acc[1] + mathmap(math.log, s)
-
-    def _block(self, m, j):
-        key = (m, j)
-        if key not in self._blocks:
-            self._blocks[key] = minors(m.arr, j)
-        return self._blocks[key]
 
     def _renorm(self, due, top):
         s = top[due]
@@ -400,35 +374,54 @@ class PrefixProduct:
         norms = np.linalg.norm(img, axis=-1)
         return img / norms[..., None], norms
 
-    def _log_top(self, j):
-        """log sigma_1 ... sigma_j of each product; 1 for j = 0, |det| for j = d."""
-        if j == 0:
-            return 0.0
-        if j == self.dim:
-            return self.logdet
-        if j == 1:
-            return mathmap(math.log, np.linalg.svd(self.arr, compute_uv=False)[:, 0])
-        ext, scale = self._ext[j]
-        # ext * exp(scale) is Lambda^j of the unit-|det| product, which is
-        # arr * exp(-logdet / d)
-        return (mathmap(math.log, np.linalg.svd(ext, compute_uv=False)[:, 0]) + scale
-                + j * self.logdet / self.dim)
-
-    def gap(self) -> np.ndarray:
-        """log sigma_k/sigma_{k+1} of each running product (scale-free), shape (P,)."""
-        k = self.k
-        return 2.0 * self._log_top(k) - self._log_top(k - 1) - self._log_top(k + 1)
-
 
 def gap_trace(factors, k: int):
-    """log(sigma_k / sigma_{k+1}) of each prefix product of the factors."""
+    """log(sigma_k / sigma_{k+1}) of each prefix product of the factors.
+
+    Since sigma_1 ... sigma_j = ||Lambda^j g||, every gap comes from top
+    singular values only, which stay relatively accurate long after the
+    small singular values of the product have fallen below roundoff. A
+    ``PrefixProduct`` gives degree 1 and log |det| (degree d); the
+    exterior powers of degrees k - 1, k, k + 1 that lie in 2..d-1 are
+    accumulated beside it as (1, C, C) stacks, each sup-renormalized with
+    its own running log scale. The Lambda^j block of a factor is computed
+    once per distinct ``Matrix`` object.
+    """
     if not factors:
         raise ValueError("empty sequence")
-    prefix = PrefixProduct(factors[0].dim, k)
+    dim = factors[0].dim
+    if not 1 <= k <= dim - 1:
+        raise BadDegree(f"k = {k} out of range for dimension {dim}")
+    prefix = PrefixProduct(dim)
+    ext = {j: [np.eye(math.comb(dim, j))[None], np.zeros(1)]
+           for j in (k - 1, k, k + 1) if 2 <= j <= dim - 1}
+    blocks = {}  # (factor, j) -> Lambda^j block of the factor
+
+    def log_top(j):
+        """log sigma_1 ... sigma_j of the product; 1 for j = 0, |det| for j = d."""
+        if j == 0:
+            return 0.0
+        if j == dim:
+            return prefix.logdet
+        if j == 1:
+            return mathmap(math.log, np.linalg.svd(prefix.arr, compute_uv=False)[:, 0])
+        acc, scale = ext[j]
+        # acc * exp(scale) is Lambda^j of the unit-|det| product, which is
+        # arr * exp(-logdet / d)
+        return (mathmap(math.log, np.linalg.svd(acc, compute_uv=False)[:, 0]) + scale
+                + j * prefix.logdet / dim)
+
     trace = []
     for m in factors:
         prefix.push([m])
-        trace.append(float(prefix.gap()[0]))
+        for j, acc in ext.items():
+            if (m, j) not in blocks:
+                blocks[m, j] = minors(m.arr, j)
+            e = np.matmul(acc[0], blocks[m, j])
+            s = np.abs(e).max(axis=(1, 2))
+            acc[0] = e / s[:, None, None]
+            acc[1] = acc[1] + mathmap(math.log, s)
+        trace.append(float((2.0 * log_top(k) - log_top(k - 1) - log_top(k + 1))[0]))
     return trace
 
 

@@ -141,6 +141,13 @@ def test_hilbert_without_points_or_domain_is_config_error(capsys, args):
     assert _config_error(["hilbert"] + args, capsys)
 
 
+@pytest.mark.parametrize("args", [["--interval", 0, "inf", "--points", 0, 0.5],
+                                  ["--interval", -1, 1, "--points", "nan", 0]],
+                         ids=["interval-inf", "points-nan"])
+def test_hilbert_non_finite_value_is_config_error(capsys, args):
+    assert _config_error(["hilbert"] + args, capsys)
+
+
 def test_probe_commands(tmp_path):
     assert run(["probe", "--config", CONFIGS / "jordan_diag.json", "--out", tmp_path]) == 0
     assert run(["probe", "--config", CONFIGS / "jordan_split.json", "--out", tmp_path]) == 1

@@ -183,17 +183,20 @@ def test_contraction_concentric_balls():
     assert lam > 1 + 1e-3
     # the minimum is the center Finsler ratio r_out / r_in
     assert lam == pytest.approx(5.0 / 3.0, rel=1e-6)
+    assert lam == 1.6666666666666663  # pinned bits
 
 
 def test_contraction_polygons_vs_grid_oracle():
     from scipy.spatial import ConvexHull
 
     rng = np.random.default_rng(5)
-    for _ in range(3):
+    for n in range(3):
         po = rand_polygon(rng)
         pi = ConvexPolytope(H3, 0.5 * po.vertices + 0.5 * po.center)
         lam = contraction_factor(pi, po, budget=512)
         assert lam > 1 + 1e-3
+        if n == 0:
+            assert lam == 1.869964403099163  # pinned bits
         # 20000 pairs, drawn as pair_in draws them, through the hulls' own facets
         w = rng.dirichlet(np.ones(len(pi.vertices)), 2 * 20000)
         pts = 0.999 * (w @ pi.vertices) + 0.001 * pi.center

@@ -470,14 +470,19 @@ def test_prefix_product_rows_do_not_depend_on_the_batch():
     factors = _d4_factors(3, 6) + [Matrix(np.diag([1e3, 1.0, 1.0, 1e-3]))]
     rng = np.random.default_rng(7)
     picks = rng.integers(0, 4, size=(30, 5))  # 30 pushes of 5 paths
-    stacked = PrefixProduct(4, 1, 5)
-    alone = [PrefixProduct(4, 1) for _ in range(5)]
+    coords = np.random.default_rng(8).normal(size=(6, 4))
+    stacked = PrefixProduct(4, 5)
+    alone = [PrefixProduct(4) for _ in range(5)]
     for row in picks:
         stacked.push([factors[i] for i in row])
         for prefix, i in zip(alone, row):
             prefix.push([factors[i]])
-        assert stacked.gap().tolist() == [float(p.gap()[0]) for p in alone]
+        img, norms = stacked.apply(coords)
+        for p, prefix in enumerate(alone):
+            one_img, one_norms = prefix.apply(coords)
+            assert np.array_equal(img[p], one_img[0]) and np.array_equal(norms[p], one_norms[0])
     assert np.array_equal(stacked.arr, np.vstack([p.arr for p in alone]))
+    assert stacked.det_sign.tolist() == [float(p.det_sign[0]) for p in alone]
     assert stacked.logdet.tolist() == [float(p.logdet[0]) for p in alone]
 
 
