@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -301,10 +302,12 @@ def cmd_hilbert(args):
         px, py = (number(v, "--points value") for v in args.points)
         if not b > a:
             raise ConfigError("interval must satisfy a < b")
+        # the metric is affine invariant, so it is measured on [-1, 1];
+        # halving each end first keeps the center c and radius r finite
+        c, r = a / 2 + b / 2, b / 2 - a / 2
         h = ProjHyperplane([0.0, 1.0])
-        omega = ChartBall(h, [(a + b) / 2], (b - a) / 2)
-        x = chart_point(h, [px])
-        y = chart_point(h, [py])
+        omega = ChartBall(h, [0.0], 1.0)
+        x, y = (chart_point(h, [(v - c) / r]) for v in (px, py))
     else:
         if args.config is None:
             raise ConfigError("hilbert needs --config or --interval")
@@ -329,9 +332,8 @@ def build_parser():
     ap.add_argument("--version", action="version", version=f"flagdyn {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a JSON run config")
+    def common(p):
+        p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
 
@@ -361,7 +363,9 @@ def build_parser():
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("hilbert", help="cross-ratio metric between two domain points")
-    common(p, needs_config=False)
+    # -1e300, -inf and nan are values; argparse alone takes only -1 and -1.5 for values
+    p._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|nan)$",
+                                            re.I)
     p.add_argument("--config", default=None, help="config with a hilbert section")
     p.add_argument("--interval", nargs=2, type=float, default=None,
                    metavar=("A", "B"), help="interval domain on the projective line")
@@ -386,6 +390,3 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -301,19 +301,20 @@ class RunConfig:
         if len(set(names)) < len(names):
             raise ConfigError(f"generator names repeat: {', '.join(names)}")
         for p in _objects(raw.get("peripherals", []), "peripherals", "peripheral",
-                          ("name", "generators", "truncation", "abelian", "parabolic_point")):
+                          ("name", "generators", "truncation", "parabolic_point")):
             name = _text(p.get("name"), "peripheral name")
             gens = _list(p.get("generators", []), f"peripheral {name} generators")
+            if len(gens) not in (1, 2):
+                raise ConfigError(f"peripheral {name} must have 1 or 2 generators, "
+                                  f"got {len(gens)}")
             for g in gens:
                 if _text(g, f"peripheral {name} generator") not in names:
                     raise ConfigError(f"peripheral {name} references unknown generator {g}")
-            abelian, point = p.get("abelian", True), p.get("parabolic_point")
-            if not isinstance(abelian, bool):
-                raise ConfigError(f"peripheral {name} abelian must be true or false")
+            point = p.get("parabolic_point")
             if point is not None:
                 point = vector(point, f"peripheral {name} parabolic_point", d)
             self.peripherals.append(Peripheral(name, list(gens), _at_least(
-                p.get("truncation", 40), f"peripheral {name} truncation", 1), abelian, point))
+                p.get("truncation", 40), f"peripheral {name} truncation", 1), point))
         return names
 
     def _read_graph(self, raw, names):

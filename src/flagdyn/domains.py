@@ -476,7 +476,7 @@ def nesting_margin(inner: ProperDomain, outer: ProperDomain, n: int = 128, seed:
 
 
 def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 512,
-                       seed: int = 0, min_margin: float = NESTING_MARGIN_DEFAULT) -> float:
+                       seed: int = 0) -> float:
     """Estimated lower contraction ratio inf C_inner(x,y) / C_outer(x,y) > 1.
 
     Requires the closure of ``inner`` strictly inside ``outer``. Finite
@@ -484,7 +484,7 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
     their Finsler ratio, minimized over an anchor/direction grid with
     local refinement around the incumbent.
     """
-    if nesting_margin(inner, outer, seed=seed) < min_margin:
+    if nesting_margin(inner, outer, seed=seed) < NESTING_MARGIN_DEFAULT:
         raise NotStrictlyNested("inner closure not inside outer with required margin")
     pts = np.vstack(
         [inner.interior_coords(budget // 2, seed), inner.boundary_coords(budget // 4, seed)]

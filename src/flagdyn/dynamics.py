@@ -28,7 +28,7 @@ from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
 from .domains import ChartBall, ProperDomain, det2, zimmer_metrics
 from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
-from .linalg import Matrix, PrefixProduct, exterior_power, gap_trace, mathmap, minors, rowdot, svd
+from .linalg import Matrix, PrefixProduct, gap_trace, mathmap, minors, rowdot, svd
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -41,6 +41,7 @@ from .projgeom import (
 from .words import GroupPresentation, invert_word, normalize_word, word_str
 
 RADIUS_FLOOR_PER_DIM = 1e-15
+MIN_R_SQUARED = 0.98
 
 
 def radius_floor(dim: int) -> float:
@@ -209,12 +210,12 @@ def _sampled_limits(prefix, factors, verts, system):
     return [img[-1] for img in last], diameters, rbound
 
 
-def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98) -> RateReport:
+def shrink_rates(results, depth_range=None) -> RateReport:
     """Least-squares exponential envelope of the recorded diameters.
 
     lambda2 is minus the fitted slope of log diameter versus depth;
     lambda1 is inflated so the bound dominates every data point. The fit
-    needs at least 5 distinct depths.
+    needs at least 5 distinct depths and R^2 at least ``MIN_R_SQUARED``.
     """
     xs, ys = [], []
     for r in results:
@@ -233,9 +234,9 @@ def shrink_rates(results, depth_range=None, r2_threshold: float = 0.98) -> RateR
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    if r2 < r2_threshold:
+    if r2 < MIN_R_SQUARED:
         raise InsufficientData(
-            f"exponential fit rejected: R^2 = {r2:.4f} < {r2_threshold}"
+            f"exponential fit rejected: R^2 = {r2:.4f} < {MIN_R_SQUARED}"
         )
     lambda2 = -float(slope)
     # inflate the prefactor so the envelope dominates every recorded point
@@ -284,19 +285,15 @@ class LocalGlobalReport:
     verdict: str
 
 
-def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
-                          diam_tol: float = 1e-3, gap_threshold: float = 5.0,
-                          n_samples: int = 64, seed: int = 0,
-                          limit_tol: float = 1e-2) -> LocalGlobalReport:
+def local_to_global_check(seq, U: ProperDomain, *, n_samples: int = 64,
+                          seed: int = 0) -> LocalGlobalReport:
     """Check both directions of the contraction/divergence equivalence.
 
-    Shrinking sampled images of U must come with exploding top singular
-    gaps and a consistent limit; exploding gaps with stable attracting
-    data must shrink U when U avoids the limiting repelling hyperplane.
-    Inconclusive verdicts are allowed and labeled.
+    Shrinking sampled images of U (FS diameter < 1e-3) must come with an
+    exploding top singular gap (> 5) and a consistent limit (within 1e-2);
+    exploding gaps with stable attracting data must shrink U when U avoids
+    the limiting repelling hyperplane. Inconclusive verdicts are labeled.
     """
-    if k != 1:
-        seq = [exterior_power(m, k) for m in seq]
     pts = np.vstack([U.boundary_points(n_samples, seed), U.interior_points(n_samples, seed)])
     diams, limits = [], []
     for m in seq:
@@ -305,21 +302,20 @@ def local_to_global_check(seq, U: ProperDomain, k: int = 1, *,
         limits.append(ProjPoint(np.mean(img * np.sign(img @ img[0])[:, None], axis=0)))
     gaps = [gap_trace([m], 1)[0] for m in seq]
 
-    contraction = diams[-1] < diam_tol
-    divergence = gaps[-1] > gap_threshold
+    contraction = diams[-1] < 1e-3
+    divergence = gaps[-1] > 5.0
 
     gaps_confirm = None
     limit_ok = None
     if contraction:
         gaps_confirm = divergence
         tail = limits[-max(2, len(limits) // 4):]
-        limit_ok = all(fubini_study(p, tail[-1]) < limit_tol for p in tail)
+        limit_ok = all(fubini_study(p, tail[-1]) < 1e-2 for p in tail)
 
     contraction_confirms = None
     if divergence:
         try:
-            att, rep = attracting_data(Matrix(seq[-1].arr, _trusted=True), 1,
-                                       gap_threshold=0.5)
+            att, rep = attracting_data(Matrix._of_floats(seq[-1].arr), 1, gap_threshold=0.5)
             margins = np.abs(pts @ rep.covector)
             if float(np.min(margins)) > 1e-3:
                 contraction_confirms = contraction

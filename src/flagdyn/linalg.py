@@ -95,12 +95,13 @@ class Matrix:
     the same code, so paths that only read ``key()`` never form floats. A
     float representative that underflows raises SingularInput there. A
     product or inverse of float matrices is trusted and canonicalized from
-    its fresh array as is (``_of_floats``).
+    its fresh array as is (``_of_floats``): a determinant that underflows
+    keeps the sup-norm scale instead of raising.
     """
 
     __slots__ = ("dim", "arr", "exact", "det_sign")
 
-    def __init__(self, entries, _trusted=False):
+    def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -117,7 +118,7 @@ class Matrix:
             exact = exact_canonical([int(x) for x in raw.flat], d)
             a = np.array(exact, dtype=float)
         self.exact = exact
-        self._set_floats(a, _trusted)
+        self._set_floats(a, False)
 
     @classmethod
     def _of_exact(cls, exact):
@@ -129,9 +130,9 @@ class Matrix:
 
     @classmethod
     def _of_floats(cls, a):
-        """Trusted Matrix of a fresh square float array: what
-        ``Matrix(a, _trusted=True)`` gives, without the constructor's copies
-        and its integrality probe."""
+        """Trusted Matrix of a square float array, which it does not write:
+        what the constructor gives, without its copies and integrality probe,
+        but also where the determinant underflows."""
         m = cls.__new__(cls)
         m.dim = len(a)
         m.exact = None

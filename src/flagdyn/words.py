@@ -3,7 +3,8 @@
 Words are tuples of (generator name, nonzero exponent) syllables.
 A GroupPresentation evaluates words to canonical projective matrices,
 caching products along prefixes, and enumerates truncated cofinite
-subsets of peripheral cosets in a declared, duplicate-free order.
+subsets of peripheral cosets in a declared, duplicate-free order. A
+peripheral is cyclic on one generator or rank-2 abelian on two.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ def invert_word(word: Word) -> Word:
 
 @dataclass
 class Peripheral:
-    """Declared peripheral subgroup with its enumeration parameters."""
+    """Declared peripheral subgroup with its enumeration parameters: cyclic
+    on one generator, rank-2 abelian on two, which must commute."""
 
     name: str
     generators: list
     truncation: int = 40
-    abelian: bool = True
     parabolic_point: object = None  # optional coordinates of the fixed point
 
     def enumerate_words(self, exclude_below: int = 1):
@@ -83,14 +84,14 @@ class Peripheral:
 
         Cyclic case: t^n for |n| in [exclude_below, truncation]. Rank-2
         abelian case: shells ordered by |i| + |j|. Duplicate-free by
-        construction.
+        construction. A config admits no other generator count.
         """
         if len(self.generators) == 1:
             t = self.generators[0]
             for n in range(max(1, exclude_below), self.truncation + 1):
                 yield ((t, n),)
                 yield ((t, -n),)
-        elif len(self.generators) == 2 and self.abelian:
+        else:
             t, u = self.generators
             for shell in range(max(1, exclude_below), self.truncation + 1):
                 for i in range(-shell, shell + 1):
@@ -99,11 +100,6 @@ class Peripheral:
                         w = normalize_word(((t, i), (u, jj)))
                         if w:
                             yield w
-        else:
-            raise EvaluationError(
-                f"unsupported peripheral rank for {self.name}: "
-                "only cyclic and rank-2 abelian enumerations are implemented"
-            )
 
 
 @dataclass
@@ -136,7 +132,7 @@ class GroupPresentation:
             if not w.is_identity(tol=1e-9):
                 raise EvaluationError(f"g g^-1 != id for generator {name}")
         for p in self.peripherals:
-            if p.abelian and len(p.generators) == 2:
+            if len(p.generators) == 2:
                 a, b = p.generators
                 comm = self.evaluate(((a, 1), (b, 1), (a, -1), (b, -1)))
                 if not comm.is_identity(tol=1e-9):

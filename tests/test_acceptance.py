@@ -298,14 +298,14 @@ def test_criterion_05_exponential_shrinking(schottky_cfg, single_loop_cfg):
     cert = verify_compatibility(graph, system, rho)
     paths, _ = enumerate_paths(graph, 25, "random", rho, seed=3, cap=12)
     results = [contracting_limit(p, rho, system, certificate=cert) for p in paths]
-    rep = shrink_rates(results, depth_range=(2, 25), r2_threshold=0.98)
+    rep = shrink_rates(results, depth_range=(2, 25))
     ok = rep.r_squared >= 0.98 and -rep.lambda2 <= -0.1
 
     rho1, graph1, system1 = _parts(single_loop_cfg)
     cert1 = verify_compatibility(graph1, system1, rho1)
     loop_paths, _ = enumerate_paths(graph1, 25, "random", rho1, cap=1)
     res1 = contracting_limit(loop_paths[0], rho1, system1, certificate=cert1)
-    rep1 = shrink_rates([res1], depth_range=(15, 25), r2_threshold=0.98)
+    rep1 = shrink_rates([res1], depth_range=(15, 25))
     # rate oracle: the Mobius derivative of x -> x/16 at the fixed point
     ok &= abs(rep1.lambda2 - 2 * math.log(4)) <= 0.1 * 2 * math.log(4)
     _report(5, "exponential shrink rates", ok, time.time() - t0, 60)
@@ -314,9 +314,9 @@ def test_criterion_05_exponential_shrinking(schottky_cfg, single_loop_cfg):
 def test_criterion_06_local_to_global(jordan_diag_cfg):
     t0 = time.time()
     A = jordan_diag_cfg.presentation(0.0).generators["A"].arr
-    seq = [Matrix(np.linalg.matrix_power(A, n), _trusted=True) for n in range(1, 201)]
+    seq = [Matrix._of_floats(np.linalg.matrix_power(A, n)) for n in range(1, 201)]
     ball = ChartBall(ProjHyperplane([0.0, 1.0, 0.0, 0.0]), [2.0, 0.6, 0.6], 0.05)
-    rep = local_to_global_check(seq, ball, 1, n_samples=32, gap_threshold=5.0)
+    rep = local_to_global_check(seq, ball, n_samples=32)
     ok = (
         rep.verdict == "P-divergent"
         and rep.fs_diameters[-1] < 1e-3
@@ -326,9 +326,9 @@ def test_criterion_06_local_to_global(jordan_diag_cfg):
     rot = np.eye(4)
     rot[:2, :2] = _rotation2(0.7)
     rot[2:, 2:] = _rotation2(1.3)
-    seq_r = [Matrix(np.linalg.matrix_power(rot, n), _trusted=True) for n in range(1, 60)]
+    seq_r = [Matrix._of_floats(np.linalg.matrix_power(rot, n)) for n in range(1, 60)]
     ball_r = ChartBall(ProjHyperplane([1.0, 0, 0, 0]), [0.2, 0.2, 0.2], 0.1)
-    rep_r = local_to_global_check(seq_r, ball_r, 1)
+    rep_r = local_to_global_check(seq_r, ball_r)
     ok &= rep_r.verdict == "not P-divergent"
     _report(6, "local-to-global contraction test", ok, time.time() - t0, 60)
 

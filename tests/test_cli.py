@@ -1,9 +1,13 @@
+import argparse
+import ast
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
 import operator
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +107,10 @@ def test_rates_single_loop(tmp_path):
     text = (tmp_path / "rates.txt").read_text()
     lam2 = float([l for l in text.splitlines() if l.startswith("lambda2")][0].split()[1])
     assert lam2 == pytest.approx(2 * math.log(4), rel=0.1)
+    # the bundled Schottky system fits its rates too
+    out = tmp_path / "schottky"
+    assert run(["rates", "--config", CONFIGS / "schottky.json", "--out", out]) == 0
+    assert (out / "rates.txt").exists()
 
 
 def test_gaps_command(tmp_path):
@@ -132,8 +140,30 @@ def test_gaps_alpha_beta_is_linear_in_n(tmp_path):
     assert all(abs(b - a - slope) < 1e-9 for a, b in zip(trace[9:], trace[10:]))
 
 
-def test_hilbert_interval():
+def test_hilbert_interval(capsys):
     assert run(["hilbert", "--interval", -1, 1, "--points", 0, 0.5]) == 0
+    assert capsys.readouterr().out == "1.0986122886681096  (exact)\n"
+
+
+@pytest.mark.parametrize("interval, points, value", [
+    # ends near the float maximum: the ball is the interval mapped to [-1, 1]
+    (("1e308", "1.7e308"), ("1.1e308", "1.2e308"), math.log(2.4)),
+    # negative values in exponent notation are values, not option strings
+    (("-1e300", "1e300"), ("-5e299", "5e299"), math.log(9)),
+], ids=["near-float-max", "negative-exponent-notation"])
+def test_hilbert_interval_at_extreme_scales(capsys, interval, points, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hilbert", "--interval", *interval, "--points", *points]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.endswith("  (exact)\n")
+    assert abs(float(out.out.split()[0]) - value) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("flag", [["--seed", 3], ["--out", "out"]], ids=["seed", "out"])
+def test_hilbert_has_no_seed_or_out(capsys, flag):
+    assert run(["hilbert", "--interval", -1, 1, "--points", 0, 0.5, *flag]) == 2
+    assert f"unrecognized arguments: {flag[0]} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["--interval", -1, 1], []])
@@ -142,8 +172,9 @@ def test_hilbert_without_points_or_domain_is_config_error(capsys, args):
 
 
 @pytest.mark.parametrize("args", [["--interval", 0, "inf", "--points", 0, 0.5],
+                                  ["--interval", "-inf", 1, "--points", 0, 0.5],
                                   ["--interval", -1, 1, "--points", "nan", 0]],
-                         ids=["interval-inf", "points-nan"])
+                         ids=["interval-inf", "interval-minus-inf", "points-nan"])
 def test_hilbert_non_finite_value_is_config_error(capsys, args):
     assert _config_error(["hilbert"] + args, capsys)
 
@@ -277,6 +308,31 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
     assert run(["no-such-command"]) == 2
     assert "usage:" in capsys.readouterr().err
     assert run(["certify", "--config", schottky, "--out", tmp_path / "c"]) == 0
+
+
+def _reads_and_calls(fn):
+    """The attributes ``fn`` reads of ``args``, and the names it calls."""
+    nodes = list(ast.walk(ast.parse(inspect.getsource(fn))))
+    return ({n.attr for n in nodes if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "args"},
+            {n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)})
+
+
+def test_every_subcommand_option_is_read():
+    # a flag no code reads does nothing: each subcommand dest is read as
+    # args.<dest> by its command function, or by _load when that calls it
+    from flagdyn import cli
+
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for command, parser in sub.choices.items():
+        reads, calls = _reads_and_calls(parser.get_default("func"))
+        if "_load" in calls:
+            reads |= _reads_and_calls(cli._load)[0]
+        unread += [f"{command} {a.dest}" for a in parser._actions
+                   if a.dest not in reads | {"help", "func", "command"}]
+    assert unread == []
 
 
 @pytest.mark.parametrize("command, name, edit", [
@@ -528,6 +584,13 @@ def _bad(name, command, edit, id):
     _bad("schottky.json", "certify", _set("graph", "edges", 5), "edges-number"),
     _bad("jordan_diag.json", "certify", _set("peripherals", 0, "abelian", "no"),
          "abelian-string"),
+    _bad("jordan_diag.json", "certify", _set("peripherals", 0, "abelian", True),
+         "peripheral-abelian-key"),
+    _bad("jordan_diag.json", "certify", _set("peripherals", 0, "generators", []),
+         "peripheral-no-generators"),
+    _bad("jordan_diag.json", "certify",
+         _set("peripherals", 0, "generators", ["alpha", "beta", "A"]),
+         "peripheral-three-generators"),
     _bad("pgl2z.json", "synthesize", _set("peripherals", 0, "generators", "ts"),
          "peripheral-generators-string"),
     _bad("single_loop.json", "gaps", _set("generators", 0, "matrix", 0, 0, 10**400),
@@ -643,6 +706,21 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, name, command, edi
     assert err == f"config error: unknown {message}\n"
 
 
+# the peripheral enumerations are cyclic and rank-2 abelian: any other
+# generator count stops every command that reads a group, at load
+@pytest.mark.parametrize("gens", [[], ["alpha", "beta", "A"]], ids=["none", "three"])
+@pytest.mark.parametrize("command", ["certify", "limitset", "rates", "probe", "synthesize"])
+def test_peripheral_rank_stops_every_command(tmp_path, capsys, command, gens):
+    raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
+    raw["peripherals"][0]["generators"] = gens
+    bad = tmp_path / "rank.json"
+    bad.write_text(json.dumps(raw))
+    assert run([command, "--config", bad, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (f"config error: peripheral pa must have 1 or 2 "
+                                       f"generators, got {len(gens)}\n")
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 # misspelt keys in three objects of schottky.json: every command refuses the
 # config at load, before it reads any section
 @pytest.mark.parametrize("command", ["certify", "limitset", "rates", "probe", "gaps",
@@ -729,7 +807,8 @@ def test_mutated_config_exits_without_traceback(tmp_path_factory, case, data):
     out = tmp_path_factory.mktemp("fuzz")
     (out / "mutated.json").write_text(json.dumps(raw))
     err = io.StringIO()
+    args = [command, "--config", out / "mutated.json"]
     with contextlib.redirect_stderr(err):
-        code = run([command, "--config", out / "mutated.json", "--out", out])
+        code = run(args + (["--out", out] if command != "hilbert" else []))
     assert code in ((2,) if kind == "extra" else (0, 1, 2))
     assert "Traceback" not in err.getvalue()

@@ -282,25 +282,25 @@ def systems_rotation3(rng):
 
 
 def test_local_global_diagonal_sequence():
-    seq = [Matrix(np.diag([2.0**n, 1.0, 2.0**-n]), _trusted=True) for n in range(1, 30)]
+    seq = [Matrix._of_floats(np.diag([2.0**n, 1.0, 2.0**-n])) for n in range(1, 30)]
     U = ChartBall(ProjHyperplane([1.0, 0, 0]), [0.3, 0.3], 0.2)
-    rep = local_to_global_check(seq, U, 1)
+    rep = local_to_global_check(seq, U)
     assert rep.verdict == "P-divergent"
     assert rep.gaps_confirm_contraction and rep.contraction_confirms_gaps
 
 
 def test_local_global_rotation_sequence():
-    seq = [Matrix(np.linalg.matrix_power(_rotation2(0.9), n), _trusted=True)
+    seq = [Matrix._of_floats(np.linalg.matrix_power(_rotation2(0.9), n))
            for n in range(1, 40)]
-    rep = local_to_global_check(seq, arc_ball(0.3, 0.2), 1)
+    rep = local_to_global_check(seq, arc_ball(0.3, 0.2))
     assert rep.verdict == "not P-divergent"
 
 
 def test_local_global_jordan_sequence(jordan_diag_cfg):
     A = jordan_diag_cfg.presentation(0.0).generators["A"].arr
-    seq = [Matrix(np.linalg.matrix_power(A, n), _trusted=True) for n in range(1, 201)]
+    seq = [Matrix._of_floats(np.linalg.matrix_power(A, n)) for n in range(1, 201)]
     U = ChartBall(ProjHyperplane([0.0, 1.0, 0, 0]), [2.0, 0.6, 0.6], 0.05)
-    rep = local_to_global_check(seq, U, 1, n_samples=32)
+    rep = local_to_global_check(seq, U, n_samples=32)
     assert rep.verdict == "P-divergent"
     assert rep.fs_diameters[-1] < 1e-3
     assert rep.gap_trace[-1] > 5.0

@@ -102,7 +102,7 @@ def test_singular_input_rejected():
 def test_inverse_of_a_singular_float_product_is_singular_input():
     # a product is trusted, so it may be singular in floats; its inverse is a
     # SingularInput, not a numpy LinAlgError
-    m = Matrix(np.ones((3, 3)), _trusted=True)
+    m = Matrix._of_floats(np.ones((3, 3)))
     with pytest.raises(SingularInput):
         m.inv()
 
@@ -568,16 +568,17 @@ def _same_floats(got, want):
 
 
 def test_float_products_and_inverses_equal_the_trusted_constructor(jordan_split_cfg):
-    # ``_of_floats`` skips the constructor's copies and integrality probe:
+    # ``_of_floats`` skips the constructor's copies and integrality probe, and
+    # where no determinant underflows it gives the constructor's floats:
     # every jordan power, its inverse and a product with M, for every probe t
     for t in jordan_split_cfg.probe:
         rho = jordan_split_cfg.presentation(t)
         g, m = rho.generators["A"], rho.generators["M"]
         power = g
         for _ in range(30):
-            _same_floats(power @ g, Matrix(power.arr @ g.arr, _trusted=True))
-            _same_floats(power @ m, Matrix(power.arr @ m.arr, _trusted=True))
-            _same_floats(power.inv(), Matrix(np.linalg.inv(power.arr), _trusted=True))
+            _same_floats(power @ g, Matrix(power.arr @ g.arr))
+            _same_floats(power @ m, Matrix(power.arr @ m.arr))
+            _same_floats(power.inv(), Matrix(np.linalg.inv(power.arr)))
             power = power @ g
 
 
@@ -587,9 +588,9 @@ def test_float_product_sign_flip_in_odd_dimension():
     raw = a.arr @ b.arr
     assert raw.reshape(-1)[np.argmax(np.abs(raw))] < 0  # the product is flipped
     got = a @ b
-    _same_floats(got, Matrix(raw, _trusted=True))
+    _same_floats(got, Matrix(raw))
     assert got.det_sign == 1.0  # det < 0 before the flip, and d = 3 is odd
-    _same_floats(got.inv(), Matrix(np.linalg.inv(got.arr), _trusted=True))
+    _same_floats(got.inv(), Matrix(np.linalg.inv(got.arr)))
 
 
 def test_float_product_with_collapsed_determinant_keeps_the_sup_scale():
@@ -599,5 +600,7 @@ def test_float_product_with_collapsed_determinant_keeps_the_sup_scale():
     sign, logdet = np.linalg.slogdet(raw / np.abs(raw).max())
     assert sign == 0 or logdet < -690.0  # the trusted underflow branch
     got = a @ b
-    _same_floats(got, Matrix(raw, _trusted=True))
-    assert got.arr.max() == pytest.approx(1.0)  # sup-norm scaled, not |det| = 1
+    # sup-norm scaled, not |det| = 1, where the constructor would raise
+    assert got.arr.tobytes() == (raw * math.exp(-math.log(np.abs(raw).max()))).tobytes()
+    with pytest.raises(SingularInput):
+        Matrix(raw)

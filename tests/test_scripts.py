@@ -1,7 +1,5 @@
-"""Every script under scripts/ imports; find_pingpong_power certifies the
-Jordan ping-pong data bundled in jordan_diag.json, and schottky_limit_set
-runs into a temporary directory. jordan_probe.py, which writes under out/,
-is imported only."""
+"""Every script under scripts/ imports, and find_pingpong_power certifies
+the Jordan ping-pong data bundled in jordan_diag.json."""
 
 import importlib.util
 import sys
@@ -35,9 +33,3 @@ def test_find_pingpong_power_passes_at_the_bundled_point(monkeypatch, capsys):
     assert lines[0].startswith("k= 24 radius=0.25 eps=0.02 ") and "[PASS]" in lines[0]
     assert lines[2].startswith("best: k=24 radius=0.25 ")
 
-
-def test_schottky_limit_set_writes_its_outputs(monkeypatch, tmp_path):
-    script = _import(SCRIPTS / "schottky_limit_set.py", monkeypatch)
-    assert script.main(["--out", str(tmp_path)]) == 0
-    for name in ("limit_set.csv", "limit_set.svg", "rates.txt"):
-        assert (tmp_path / name).exists()

@@ -72,12 +72,12 @@ def test_peripheral_declarations_checked():
             generators={"a": Matrix([[2, 1], [1, 1]])},
             peripherals=[Peripheral("p", ["missing"])],
         )
-    # declared-abelian peripherals must actually commute
+    # two-generator (rank-2 abelian) peripherals must actually commute
     with pytest.raises(EvaluationError):
         GroupPresentation(
             dim=2,
             generators={"a": Matrix([[2, 1], [1, 1]]), "b": Matrix([[1, 1], [1, 2]])},
-            peripherals=[Peripheral("p", ["a", "b"], abelian=True)],
+            peripherals=[Peripheral("p", ["a", "b"])],
         )
 
 
