@@ -118,15 +118,6 @@ class CompatibleSystem:
             raise MissingDomain(f"no domain assigned to vertex {v}")
         return self.domains[v]
 
-    def min_pairwise_gap(self):
-        """Smallest FS gap between distinct assigned domains (``pair_gap``)."""
-        doms = list(self.domains.values())
-        best = math.inf
-        for i in range(len(doms)):
-            for j in range(i + 1, len(doms)):
-                best = min(best, pair_gap(doms[i], doms[j], 128, 128, 0))
-        return best
-
 
 def pair_gap(a: ProperDomain, b: ProperDomain, n_boundary: int, n_interior: int,
              seed: int) -> float:

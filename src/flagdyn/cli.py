@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .automaton import check_divergence, peripheral_stability_probe, verify_compatibility
-from .config import RunConfig, number
+from .config import RunConfig, at_least, number
 from .domains import ChartBall, zimmer_metric
 from .dynamics import limit_set_sample, shrink_rates
 from .errors import ConfigError, FlagdynError
@@ -46,7 +46,8 @@ def _header(cfg: RunConfig, seed, extra=None):
 def _load(args):
     """The config, seed and output directory a command runs with."""
     cfg = RunConfig.load(args.config)
-    return cfg, cfg.seeds["master"] if args.seed is None else args.seed, Path(args.out)
+    seed = cfg.seeds["master"] if args.seed is None else at_least(args.seed, "--seed", 0)
+    return cfg, seed, Path(args.out)
 
 
 def _write(outdir: Path, name: str, text: str):
@@ -303,11 +304,13 @@ def cmd_hilbert(args):
         if not b > a:
             raise ConfigError("interval must satisfy a < b")
         # the metric is affine invariant, so it is measured on [-1, 1];
-        # halving each end first keeps the center c and radius r finite
+        # halving each end first keeps the center c and radius r finite. A
+        # point beyond [-2, 2] lies outside the ball either way; it is moved
+        # to -2 or 2 so that its lift stays finite
         c, r = a / 2 + b / 2, b / 2 - a / 2
         h = ProjHyperplane([0.0, 1.0])
         omega = ChartBall(h, [0.0], 1.0)
-        x, y = (chart_point(h, [(v - c) / r]) for v in (px, py))
+        x, y = (chart_point(h, [min(max((v - c) / r, -2.0), 2.0)]) for v in (px, py))
     else:
         if args.config is None:
             raise ConfigError("hilbert needs --config or --interval")

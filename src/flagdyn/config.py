@@ -108,7 +108,7 @@ def number(value, what, kind=float):
     return kind(value)
 
 
-def _at_least(value, what, low):
+def at_least(value, what, low):
     n = number(value, what, int)
     if n < low:
         raise ConfigError(f"{what} must be at least {low}, got {value!r}")
@@ -268,11 +268,11 @@ class RunConfig:
             raise ConfigError(f"dimension must be an integer in 2..{MAX_DIM}")
         self.dimension, self.raw, self.path, self.config_hash = dim, raw, path, config_hash
         seeds = _object(raw.get("seeds", {}), "seeds", ("master",))
-        self.seeds = {"master": _at_least(seeds.get("master", 7), "seeds.master", 0)}
+        self.seeds = {"master": at_least(seeds.get("master", 7), "seeds.master", 0)}
         budgets = _object(raw.get("budgets", {}), "budgets", self.DEFAULT_BUDGETS)
         # a sampled path needs two vertices to contract: depth is at least 2
-        self.budgets = {key: _at_least(budgets.get(key, n), f"budgets.{key}",
-                                       2 if key == "depth" else 1)
+        self.budgets = {key: at_least(budgets.get(key, n), f"budgets.{key}",
+                                      2 if key == "depth" else 1)
                         for key, n in self.DEFAULT_BUDGETS.items()}
         names = self._read_group(raw)
         self._read_graph(raw, names)
@@ -313,7 +313,7 @@ class RunConfig:
             point = p.get("parabolic_point")
             if point is not None:
                 point = vector(point, f"peripheral {name} parabolic_point", d)
-            self.peripherals.append(Peripheral(name, list(gens), _at_least(
+            self.peripherals.append(Peripheral(name, list(gens), at_least(
                 p.get("truncation", 40), f"peripheral {name} truncation", 1), point))
         return names
 
@@ -323,8 +323,7 @@ class RunConfig:
         graph = raw.get("graph")
         if graph is not None:
             graph = _object(graph, "graph", ("epsilon", "vertices", "edges"))
-            eps = graph.get("epsilon", "auto")
-            eps = eps if eps == "auto" else _positive(eps, "graph.epsilon")
+            eps = _positive(graph.get("epsilon"), "graph.epsilon")
             peripherals = {p.name: p for p in self.peripherals}
             vertices = {}
             for v in _list(graph.get("vertices", []), "graph.vertices"):
@@ -387,7 +386,7 @@ class RunConfig:
     def _read_commands(self, raw, names):
         """The sections of the rates, gaps, probe, hilbert and synthesize commands."""
         spec = _object(raw.get("rates", {}), "rates", ("depth", "paths", "depth_range"))
-        depth = _at_least(spec.get("depth", self.budgets["depth"]), "rates.depth", 2)
+        depth = at_least(spec.get("depth", self.budgets["depth"]), "rates.depth", 2)
         depth_range = _list(spec.get("depth_range", [2, depth]), "rates.depth_range")
         if len(depth_range) != 2:
             raise ConfigError(f"rates.depth_range must be [first, last], got {depth_range!r}")
@@ -395,7 +394,7 @@ class RunConfig:
         if not 1 <= first <= last <= depth:
             raise ConfigError(f"rates.depth_range must satisfy 1 <= first <= last <= "
                               f"rates.depth = {depth}, got {depth_range!r}")
-        self.rates = Rates(depth, _at_least(spec.get("paths", 12), "rates.paths", 1),
+        self.rates = Rates(depth, at_least(spec.get("paths", 12), "rates.paths", 1),
                            (first, last))
         self.gaps = self.probe = self.hilbert = None
         if raw.get("gaps") is not None:
@@ -405,7 +404,7 @@ class RunConfig:
             if not 1 <= k < self.dimension:
                 raise ConfigError(f"gaps.k must lie in 1..{self.dimension - 1}, got {k}")
             self.gaps = Gaps(spec["word"], word,
-                             _at_least(spec.get("count", 100), "gaps.count", 1), k,
+                             at_least(spec.get("count", 100), "gaps.count", 1), k,
                              number(spec.get("threshold", 5.0), "gaps.threshold"))
         if raw.get("probe") is not None:
             spec = _object(raw["probe"], "probe", ("t_grid",))
@@ -420,7 +419,7 @@ class RunConfig:
         spec = _object(raw.get("synthesis", {}), "synthesis", _SYNTHESIS_DEFAULTS)
         # integer fields take integers >= 0; epsilon and delta positive numbers
         self.synthesis = SynthesisParams(**{
-            key: _at_least(v, f"synthesis.{key}", 0) if isinstance(_SYNTHESIS_DEFAULTS[key], int)
+            key: at_least(v, f"synthesis.{key}", 0) if isinstance(_SYNTHESIS_DEFAULTS[key], int)
             else _positive(v, f"synthesis.{key}") for key, v in spec.items()})
         if not self.synthesis.balls_are_arcs():
             raise ConfigError("synthesis.epsilon and synthesis.delta must satisfy "
@@ -451,10 +450,6 @@ class RunConfig:
         if self._graph is None:
             raise ConfigError("config has no graph section")
         vertices, edges, eps = self._graph
-        if eps == "auto":
-            eps = 0.1 * self.system().min_pairwise_gap()
-            if not 0 < eps < math.inf:
-                raise ConfigError("auto epsilon failed: no positive gap between domains")
         try:
             return GammaGraph(vertices=vertices, edges=edges, epsilon=eps)
         except ValueError as exc:  # a vertex with no outgoing edge

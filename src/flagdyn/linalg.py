@@ -3,9 +3,11 @@
 Matrices are stored as canonical projective representatives: scaled to
 unit |det| and sign-normalized so equal elements of PGL(d, R) compare
 equal. Integral input also keeps an exact integer representative;
-``exact_canonical`` and ``exact_matmul`` are the one exact kernel, shared
-with the coned-off graph of PGL(2, Z). Products of exact matrices keep
-only the exact entries until their float representative is first used.
+``exact_canonical``, ``exact_matmul`` and its batched form ``exact_keys``
+are the one exact kernel, shared with the coned-off graph of PGL(2, Z)
+and synthesis. Every matrix gets its float representative when it is
+built, and ``_exact_floats`` is the one place where exact entries become
+floats: an entry beyond the float range raises SingularInput there.
 Singular values of single elements come from LAPACK with sign-normalized
 columns. ``PrefixProduct`` holds a stack of P sup-renormalized running
 products, one per path, and pushes them together. ``gap_trace`` is the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -69,6 +71,29 @@ def exact_matmul(a, b):
                            len(a))
 
 
+def exact_keys(factors, d):
+    """Canonical key rows (n, d * d) of every product of one integer d x d
+    matrix from each stack of ``factors`` (each (n_i, d, d) or (n_i, d * d)),
+    by batched matmul: int64 if d^(k-1) prod max|entry| < 2^62, else Python
+    ints. Each row is ``exact_canonical`` of its product, flattened."""
+    factors = [f.reshape(-1, d, d) for f in factors]
+    bound = d ** (len(factors) - 1) * math.prod(int(np.abs(f).max(initial=0)) for f in factors)
+    factors = [f.astype(np.int64 if bound < 2 ** 62 else object) for f in factors]
+    rows = reduce(lambda a, b: a[..., None, :, :] @ b, factors).reshape(-1, d * d)
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    rows *= np.where(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] < 0, -1, 1)[:, None]
+    return rows
+
+
+def _exact_floats(entries):
+    """Float array of exact integer entries (nested tuples or an integer
+    array); an entry beyond the floats raises SingularInput."""
+    try:
+        return np.asarray(entries, dtype=float)
+    except OverflowError as exc:
+        raise SingularInput(f"matrix entries exceed the float range: {exc}") from exc
+
+
 def _sign_canonical(arr):
     """Flip the global sign so the first entry of largest magnitude is positive.
 
@@ -90,42 +115,39 @@ class Matrix:
     the input was integral, so group elements can be deduplicated exactly.
 
     A constructed matrix is validated and gets its float representative at
-    once. A product or inverse of exact matrices keeps only ``exact``: its
-    float representative (with ``det_sign``) is computed on first use, by
-    the same code, so paths that only read ``key()`` never form floats. A
-    float representative that underflows raises SingularInput there. A
-    product or inverse of float matrices is trusted and canonicalized from
-    its fresh array as is (``_of_floats``): a determinant that underflows
+    once, and so does a product or inverse of exact matrices, from its
+    exact entries: entries beyond the floats, or a float determinant that
+    underflows, raise SingularInput where the matrix is built. A product
+    or inverse of float matrices is trusted and canonicalized from its
+    fresh array as is (``_of_floats``): a determinant that underflows
     keeps the sup-norm scale instead of raising.
     """
 
     __slots__ = ("dim", "arr", "exact", "det_sign")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        d = a.shape[0]
+        raw = np.array(entries)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+        d = raw.shape[0]
         if d > MAX_DIM:
             raise ValueError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
         self.dim = d
-
-        exact = None
-        raw = np.array(entries)
         if raw.dtype.kind in "iu" or (
             raw.dtype == object and all(isinstance(x, int) for x in raw.flat)
         ):
-            exact = exact_canonical([int(x) for x in raw.flat], d)
-            a = np.array(exact, dtype=float)
-        self.exact = exact
+            self.exact = exact_canonical([int(x) for x in raw.flat], d)
+            a = _exact_floats(self.exact)
+        else:
+            self.exact, a = None, raw.astype(float)
         self._set_floats(a, False)
 
     @classmethod
     def _of_exact(cls, exact):
-        """Matrix of a canonical exact tuple, its floats left for first use."""
+        """Matrix of a canonical exact tuple."""
         m = cls.__new__(cls)
-        m.dim = len(exact)
-        m.exact = exact
+        m.dim, m.exact = len(exact), exact
+        m._set_floats(_exact_floats(exact), False)
         return m
 
     @classmethod
@@ -138,13 +160,6 @@ class Matrix:
         m.exact = None
         m._set_floats(a, True)
         return m
-
-    def __getattr__(self, name):
-        # only reached for an unset slot: the floats of an exact product
-        if name in ("arr", "det_sign") and self.exact is not None:
-            self._set_floats(np.array(self.exact, dtype=float), False)
-            return getattr(self, name)
-        raise AttributeError(name)
 
     def _set_floats(self, a, trusted):
         d = self.dim
@@ -174,7 +189,7 @@ class Matrix:
         """``arr`` of each canonical exact element, given as the rows (n, d*d)
         of its entries: the steps of ``_set_floats`` on a stack, bit for bit
         (LAPACK per matrix, ``math`` log and exp per row)."""
-        a = rows.astype(float).reshape(-1, d, d)
+        a = _exact_floats(rows).reshape(-1, d, d)
         supnorm = np.abs(a).max(axis=(1, 2))
         sign, logdet = np.linalg.slogdet(a / supnorm[:, None, None])
         if (sign == 0).any() or (logdet < -690.0).any():

@@ -179,6 +179,21 @@ def test_hilbert_non_finite_value_is_config_error(capsys, args):
     assert _config_error(["hilbert"] + args, capsys)
 
 
+@pytest.mark.parametrize("interval, points", [
+    # X - c overflows to -inf on the far side of 0
+    (("1e308", "1.7e308"), ("-1.7e308", "1.2e308")),
+    # the norm of the lift of X overflows
+    (("-1", "1"), ("-1e308", "0")),
+], ids=["far-side-of-zero", "huge-lift"])
+def test_hilbert_point_far_outside_the_interval(capsys, interval, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hilbert", "--interval", *interval, "--points", *points]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: zimmer_metric arguments must lie in the domain\n"
+
+
 def test_probe_commands(tmp_path):
     assert run(["probe", "--config", CONFIGS / "jordan_diag.json", "--out", tmp_path]) == 0
     assert run(["probe", "--config", CONFIGS / "jordan_split.json", "--out", tmp_path]) == 1
@@ -196,8 +211,9 @@ def test_config_hash_embedded(tmp_path):
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"dimension": 2, "graph": {"vertices": [], "edges": [["x", "y"]]}})
+    with pytest.raises(ConfigError, match="references unknown vertex"):
+        RunConfig.from_dict({"dimension": 2, "graph": {"epsilon": 0.1, "vertices": [],
+                                                       "edges": [["x", "y"]]}})
     with pytest.raises(ConfigError, match="unknown budgets keys: boundary_sample"):
         RunConfig.from_dict({"dimension": 2, "budgets": {"boundary_sample": 10}})
     with pytest.raises(ConfigError):
@@ -371,6 +387,30 @@ def test_singular_generator_is_config_error(tmp_path, capsys, command):
     assert run([command, "--config", bad, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: generator g") and "Traceback" not in err
+
+
+# exact elements whose floats underflow or overflow: a derived generator
+# stops at load, a vertex label where the certifier evaluates it
+@pytest.mark.parametrize("matrix, derived, word, code, err", [
+    ([[2, 1], [1, 1]], "a^2000", "g", 2,
+     "config error: derived generator g = a^2000 is singular at t = 0.0: "
+     "matrix determinant underflows\n"),
+    ([[2, 1], [1, 1]], None, "a^2000", 1, "error: matrix determinant underflows\n"),
+    ([[10**160, 1], [0, 1]], None, "a^2", 1,
+     "error: matrix entries exceed the float range: int too large to convert to float\n"),
+], ids=["derived-a2000", "label-a2000", "label-a2-beyond-floats"])
+def test_exact_element_beyond_the_floats_exits_without_traceback(tmp_path, capsys, matrix,
+                                                                 derived, word, code, err):
+    raw = json.loads((CONFIGS / "single_loop.json").read_text())
+    raw["generators"] = [{"name": "a", "matrix": matrix}]
+    del raw["gaps"]
+    if derived:
+        raw["derived"] = [{"name": "g", "word": derived}]
+    raw["graph"]["vertices"][0]["word"] = word
+    bad = tmp_path / "exact.json"
+    bad.write_text(json.dumps(raw))
+    assert run(["certify", "--config", bad, "--out", tmp_path / "out"]) == code
+    assert capsys.readouterr().err == err
 
 
 def _eval_oracle(value, t):
@@ -582,6 +622,9 @@ def _bad(name, command, edit, id):
     _bad("schottky.json", "certify", _set("graph", []), "graph-list"),
     _bad("schottky.json", "certify", _set("graph", "vertices", "a+"), "vertices-string"),
     _bad("schottky.json", "certify", _set("graph", "edges", 5), "edges-number"),
+    _bad("schottky.json", "certify", lambda raw: raw["graph"].pop("epsilon"),
+         "graph-no-epsilon"),
+    _bad("schottky.json", "certify", _set("graph", "epsilon", "auto"), "graph-epsilon-auto"),
     _bad("jordan_diag.json", "certify", _set("peripherals", 0, "abelian", "no"),
          "abelian-string"),
     _bad("jordan_diag.json", "certify", _set("peripherals", 0, "abelian", True),
@@ -719,6 +762,16 @@ def test_peripheral_rank_stops_every_command(tmp_path, capsys, command, gens):
     assert capsys.readouterr().err == (f"config error: peripheral pa must have 1 or 2 "
                                        f"generators, got {len(gens)}\n")
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("command", ["certify", "limitset", "rates", "probe", "synthesize",
+                                     "gaps"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run([command, "--config", CONFIGS / "single_loop.json", "--seed", -1,
+                "--out", out]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be at least 0, got -1\n"
+    assert not out.exists()
 
 
 # misspelt keys in three objects of schottky.json: every command refuses the

@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from flagdyn.linalg import (
     PrefixProduct,
     cartan_projection,
     exact_canonical,
+    exact_keys,
     exact_matmul,
     exterior_power,
     flag_divergent,
@@ -434,6 +436,29 @@ def test_exact_canonical_pins():
     assert exact_matmul(((1, 1), (0, 1)), ((1, -1), (0, 1))) == ((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize("d, scale, dtype", [(2, 1, np.int64), (3, 1, np.int64),
+                                             (2, 2**40, object), (3, 2**40, object)])
+def test_exact_keys_match_exact_canonical_of_exact_matmul(d, scale, dtype):
+    # every product of one matrix from each of three random stacks; entries
+    # near 2^42 put the bound d^2 prod max|entry| past 2^62 (Python ints)
+    rng = np.random.default_rng(40 + d)
+    stacks = []
+    for n in (5, 4, 3):
+        mats = []
+        while len(mats) < n:
+            pairs = rng.integers(-5, 6, (d, d, 2))
+            a = [[int(x) * scale + int(y) for x, y in row] for row in pairs]
+            if round(np.linalg.det(np.array(a, dtype=float) / scale)) != 0:
+                mats.append(exact_canonical([x for row in a for x in row], d))
+        stacks.append(mats)
+    first, *rest = (np.array(m, dtype=object) for m in stacks)
+    rows = exact_keys([first.reshape(len(first), d * d), *rest], d)
+    assert rows.dtype == dtype
+    want = [[x for row in exact_canonical([x for r in reduce(exact_matmul, ms) for x in r], d)
+             for x in row] for ms in product(*stacks)]
+    assert rows.tolist() == want
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_det_sign_matches_the_determinant_of_arr(d):
     rng = np.random.default_rng(20 + d)
@@ -487,7 +512,7 @@ def test_prefix_product_rows_do_not_depend_on_the_batch():
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_lazy_exact_floats_equal_eager_construction(d):
+def test_exact_product_floats_equal_construction_from_entries(d):
     rng = np.random.default_rng(30 + d)
     gens = []
     while len(gens) < 4:
@@ -506,33 +531,48 @@ def test_lazy_exact_floats_equal_eager_construction(d):
         assert not m.arr.flags.writeable
 
 
-def test_exact_product_forms_no_floats_before_arr(monkeypatch):
+def test_exact_product_forms_floats_at_construction(monkeypatch):
     formed = []
     set_floats = Matrix._set_floats
-    monkeypatch.setattr(Matrix, "_set_floats",
-                        lambda self, a, trusted: formed.append(a) or set_floats(self, a, trusted))
+    monkeypatch.setattr(Matrix, "_set_floats", lambda self, a, trusted: (
+        formed.append((self, trusted)) or set_floats(self, a, trusted)))
     t = Matrix([[1, 1], [0, 1]])
     s = Matrix([[0, -1], [1, 0]])
     assert len(formed) == 2
-    m = (t @ s @ t.inv()).inv()
+    # one call per exact product and per inverse, as each is built
+    ts = t @ s
+    t_inv = t.inv()
+    p = ts @ t_inv
+    m = p.inv()
+    assert formed[2:] == [(ts, False), (t_inv, False), (p, False), (m, False)]
     assert m.key() == ("exact", 2, ((1, -2), (1, -1)))
-    assert len(formed) == 2
     assert m.det_sign == 1.0
-    assert len(formed) == 3
     # sign-canonical: the entry of largest magnitude is positive
     assert np.array_equal(m.arr, [[-1.0, 2.0], [-1.0, 1.0]])
-    assert len(formed) == 3
+    assert len(formed) == 6
 
 
 def test_exact_product_with_underflowing_floats_raises_when_they_are_formed():
     n = 10**80
     a, b = Matrix([[1, n], [0, 1]]), Matrix([[1, 0], [n, 1]])
-    m = a @ b  # |det| / sup^2 = n^-4: the float determinant underflows
-    assert m.exact == ((1 + n * n, n), (n, 1))
+    # |det| / sup^2 = n^-4: the float determinant of the product underflows
     with pytest.raises(SingularInput):
-        m.arr
+        a @ b
+    exact = exact_matmul(a.exact, b.exact)
+    assert exact == ((1 + n * n, n), (n, 1))
     with pytest.raises(SingularInput):
-        Matrix(np.array(m.exact, dtype=object))
+        Matrix(np.array(exact, dtype=object))
+
+
+def test_exact_entries_beyond_the_floats_raise_singular_input():
+    a = Matrix([[10**160, 1], [0, 1]])
+    with pytest.raises(SingularInput, match="float range"):
+        a @ a  # a 10^320 entry
+    with pytest.raises(SingularInput, match="float range"):
+        Matrix([[10**400, 1], [0, 1]])
+    rows = np.array([[1, 0, 0, 1], [10**320, 1, 0, 1]], dtype=object)
+    with pytest.raises(SingularInput, match="float range"):
+        Matrix.floats_of_exact(rows, 2)
 
 
 @pytest.mark.parametrize("d, scale", [(2, 1), (2, 10**28), (3, 1)])
