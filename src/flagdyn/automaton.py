@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import circle
-from .domains import ChartBall, ProperDomain
+from .domains import ChartBall, ProperDomain, chart_ball_arcs
 from .errors import BaseFails, EvaluationError, MissingDomain
 from .projgeom import ProjPoint, act_many, chart_point, fubini_study_many
 from .words import GroupPresentation, Word, concat, word_str
@@ -134,6 +135,12 @@ def _is_arc(dom):
     return isinstance(dom, ChartBall) and dom.dim == 2
 
 
+def _arcs(domains):
+    """The exact arc of each d = 2 ball among ``domains``, by vertex."""
+    balls = {v: dom for v, dom in domains.items() if _is_arc(dom)}
+    return dict(zip(balls, chart_ball_arcs(list(balls.values()))))
+
+
 @dataclass
 class EdgeRecord:
     edge: tuple
@@ -188,11 +195,12 @@ class Certificate:
     divergence: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    @property
+    # read once: the records and tails do not change after construction
+    @cached_property
     def ok(self):
         return all(r.ok for r in self.records) and all(t.ok for t in self.tails)
 
-    @property
+    @cached_property
     def min_margin(self):
         return min((r.margin for r in self.records), default=math.inf)
 
@@ -286,7 +294,7 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
     """
     graph.validate_labels(rho)
     domains = {v: system.domain(v) for v in graph.vertices}
-    arcs = {v: dom.arc() for v, dom in domains.items() if _is_arc(dom)}
+    arcs = _arcs(domains)
     words = {v: elements_of(label, rho, cap=element_cap)
              for v, label in graph.vertices.items()}
     mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
@@ -310,9 +318,9 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
             pts = _neighborhood_samples(domains[w], eps, n_boundary, n_interior, seed)
             bnd = domains[v].boundary_points(max(n_boundary, 128), seed + 1)
             margins, sizes = _sampled_edge(domains[v], pts, bnd, mats[v], sized[v])
-            n_samples, exact = pts.shape[0], False
+            margins, n_samples, exact = margins.tolist(), pts.shape[0], False
         records.extend(EdgeRecord(edge, word, m, m > 0, n_samples, exact)
-                       for word, m in zip(words[v], margins.tolist()))
+                       for word, m in zip(words[v], margins))
         if v in family:
             family[v].append((margins, sizes))
 
@@ -334,7 +342,8 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
 def _arc_edges(edges, arcs, eps, mats):
     """Exact per-element margins in arcs[v] and image radii of arcs[w] + eps,
     for each arc-to-arc edge (v, w) in order: one ``mobius_arcs`` call,
-    each source's matrices stacked once and repeated for each out-edge."""
+    each source's matrices stacked once and repeated for each out-edge.
+    Each edge's margins and radii are slices of one list each."""
     if not edges:
         return []
     stacks = {v: np.reshape([m.arr for m in mats[v]], (-1, 2, 2)) for v in {v for v, _ in edges}}
@@ -344,9 +353,10 @@ def _arc_edges(edges, arcs, eps, mats):
                         counts, axis=0)
     centers, radii = circle.mobius_arcs(np.concatenate([stacks[v] for v, _ in edges]),
                                         targets[:, 0], targets[:, 1])
-    margins = homes[:, 1] - (circle.angle_dists(homes[:, 0], centers) + radii)
-    splits = np.cumsum(counts)[:-1]
-    return zip(np.split(margins, splits), np.split(radii, splits))
+    margins = (homes[:, 1] - (circle.angle_dists(homes[:, 0], centers) + radii)).tolist()
+    radii = radii.tolist()
+    ends = np.cumsum([0] + counts).tolist()
+    return [(margins[lo:hi], radii[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def _sampled_edge(home, pts, bnd, mats, sized):
@@ -411,7 +421,7 @@ def check_divergence(graph: GammaGraph, system: CompatibleSystem,
     stacks = {v: np.stack([m.arr for m in ms]) for v, ms in mats.items()}
     probes = {v: np.vstack([U.interior_points(128, seed), U.boundary_points(128, seed)])
               for v, U in domains.items()}
-    arcs = {v: U.arc() for v, U in domains.items() if _is_arc(U)}
+    arcs = _arcs(domains)
     out = []
     for edge in graph.edges:
         v, w = edge

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import sampling
-from .circle import Arc, angle_of, arc_between, vec_of
+from .circle import HALF_TURN, Arc, arcs_between, vec_of
 from .errors import BadOrder, NotInDomain, NotStrictlyNested
 from .linalg import mathmap, rowdot
 from .projgeom import (
@@ -141,16 +141,9 @@ class ChartBall(ProperDomain):
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def arc(self) -> Arc:
-        """Exact arc representation (projective line domains only), built once."""
-        if self.dim != 2:
-            raise ValueError("arc() requires dimension 2")
-        if self._arc is None:
-            lo = chart_point(self.chart, self.center - self.radius)
-            hi = chart_point(self.chart, self.center + self.radius)
-            mid = chart_point(self.chart, self.center)
-            self._arc = arc_between(angle_of(lo.coords), angle_of(hi.coords),
-                                    through=angle_of(mid.coords))
-        return self._arc
+        """Exact arc representation (projective line domains only), built
+        once: the one-ball call of ``chart_ball_arcs``."""
+        return chart_ball_arcs([self])[0]
 
     def dual_covectors(self, n, seed=0):
         h = self.chart
@@ -163,6 +156,41 @@ class ChartBall(ProperDomain):
                 for u in dirs for s in offsets]
         arr = np.array(([h.covector] + covs)[:n])
         return arr / np.linalg.norm(arr, axis=1, keepdims=True)
+
+
+def chart_ball_arcs(balls):
+    """Exact arc of each d = 2 ball, formed together and kept on the balls
+    that had none.
+
+    The arc runs between the angles of the chart points center -+ radius,
+    on the side holding the center's. The chart bases, these points and
+    their angles are stacked rows over all balls, each row formed with
+    one-row kernels (``rowdot`` for the dots of ``chart_basis`` and
+    ``chart_point``, ``math.atan2`` as in ``angle_of``), so a ball's arc
+    does not depend on the other balls of the call.
+    """
+    todo = [b for b in balls if b._arc is None]
+    if todo:
+        if any(b.dim != 2 for b in todo):
+            raise ValueError("arc() requires dimension 2")
+        cov = np.array([b.chart.covector for b in todo])
+        # chart_basis: e_i minus its projection on the covector, normalized,
+        # i the index other than the covector's largest entry
+        basis = np.eye(2)[1 - np.argmax(np.abs(cov), axis=1)]
+        basis -= rowdot(cov, basis)[:, None] * cov
+        basis /= np.sqrt(rowdot(basis, basis))[:, None]
+        center, radius = np.array([(b.center[0], b.radius) for b in todo]).T
+        # chart_point of each ball's lo, hi, mid: unit lifts, sign-canonical
+        lifts = cov + np.array([center - radius, center + radius, center])[..., None] * basis
+        lifts /= np.sqrt(rowdot(lifts, lifts))[..., None]
+        x, y = lifts[..., 0], lifts[..., 1]
+        flip = np.where(np.abs(x) >= np.abs(y), x, y) < 0
+        lifts[flip] *= -1
+        lo, hi, mid = (np.array([math.atan2(v, u) % HALF_TURN for u, v in rows])
+                       for rows in lifts.tolist())
+        for b, c, r in zip(todo, *(a.tolist() for a in arcs_between(lo, hi, mid))):
+            b._arc = Arc(c, r)
+    return [b._arc for b in balls]
 
 
 def arc_ball(center_angle: float, radius_angle: float) -> ChartBall:

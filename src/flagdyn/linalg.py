@@ -4,10 +4,11 @@ Matrices are stored as canonical projective representatives: scaled to
 unit |det| and sign-normalized so equal elements of PGL(d, R) compare
 equal. Integral input also keeps an exact integer representative;
 ``exact_canonical``, ``exact_matmul`` and its batched form ``exact_keys``
-are the one exact kernel, shared with the coned-off graph of PGL(2, Z)
-and synthesis. Every matrix gets its float representative when it is
-built, and ``_exact_floats`` is the one place where exact entries become
-floats: an entry beyond the float range raises SingularInput there.
+(canonical rows by ``canonical_rows``) are the one exact kernel, shared
+with the coned-off graph of PGL(2, Z) and synthesis. Every matrix gets
+its float representative when it is built, and ``_exact_floats`` is the
+one place where exact entries become floats: an entry beyond the float
+range raises SingularInput there.
 Singular values of single elements come from LAPACK with sign-normalized
 columns. ``PrefixProduct`` holds a stack of P sup-renormalized running
 products, one per path, and pushes them together. ``gap_trace`` is the
@@ -79,7 +80,13 @@ def exact_keys(factors, d):
     factors = [f.reshape(-1, d, d) for f in factors]
     bound = d ** (len(factors) - 1) * math.prod(int(np.abs(f).max(initial=0)) for f in factors)
     factors = [f.astype(np.int64 if bound < 2 ** 62 else object) for f in factors]
-    rows = reduce(lambda a, b: a[..., None, :, :] @ b, factors).reshape(-1, d * d)
+    return canonical_rows(reduce(lambda a, b: a[..., None, :, :] @ b, factors).reshape(-1, d * d))
+
+
+def canonical_rows(rows):
+    """``exact_canonical`` of each row of an integer array (int64 or Python
+    ints), flattened, in place: each row divided by its gcd, its first
+    nonzero entry made positive."""
     rows //= np.gcd.reduce(rows, axis=1)[:, None]
     rows *= np.where(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] < 0, -1, 1)[:, None]
     return rows

@@ -68,14 +68,14 @@ def test_limitset_seed_changes_output(tmp_path):
 
 
 def test_limitset_builds_each_domain_arc_once(tmp_path, monkeypatch):
-    arc_between = domains.arc_between
+    arcs_between = domains.arcs_between
     built = []
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return arc_between(*args, **kwargs)
+    def counting(lo, hi, through):
+        built.extend(lo.tolist())  # one endpoint per arc built
+        return arcs_between(lo, hi, through)
 
-    monkeypatch.setattr(domains, "arc_between", counting)
+    monkeypatch.setattr(domains, "arcs_between", counting)
     assert run(["limitset", "--config", CONFIGS / "schottky.json", "--out", tmp_path]) == 0
     assert len(built) == 4  # one per domain of the four-vertex system
 

@@ -1,5 +1,8 @@
+import hashlib
+import math
 import random
 
+import numpy as np
 import pytest
 
 from flagdyn import conedoff
@@ -216,7 +219,7 @@ def _assert_coset_key_invariant(graph, t_name, seed):
     T = graph.truncation
 
     def key(word):
-        return graph._coset_key(graph.node_of_word(word)[1], p_name, t_name)
+        return graph._coset_key(graph.label(graph.node_of_word(word))[1], p_name, t_name)
 
     for g in _random_words(sorted(graph.pres.generators), 25, seed):
         rep, j = key(g)
@@ -235,8 +238,8 @@ def test_pgl2z_coset_members_share_a_cone(pgl2z):
     assert pgl2z.distance((), parse_word("t^24"), 6) == 2
     assert pgl2z.distance((), parse_word("t^25"), 6) == 3
     assert pgl2z.distance(parse_word("s t^3"), parse_word("s t^-22"), 6) == 2
-    assert pgl2z._coset_key(pgl2z.node_of_word(parse_word("s t^-20"))[1], "pt", "t") == (
-        pgl2z.node_of_word(parse_word("s"))[1], -20)
+    assert pgl2z._coset_key(pgl2z.label(pgl2z.node_of_word(parse_word("s t^-20")))[1],
+                            "pt", "t") == (pgl2z.label(pgl2z.node_of_word(parse_word("s")))[1], -20)
     # beyond the window a member is not adjacent to the cone
     far = parse_word("t^60")
     with pytest.raises(OutOfBall):
@@ -302,7 +305,7 @@ def _graph_of_kind(kind, truncation):
 def test_coned_graph_is_undirected(kind, truncation):
     graph = _graph_of_kind(kind, truncation)
     ball = _ball(graph, 3)
-    assert any(n[0] == "c" for n in ball)
+    assert any(graph.label(n)[0] == "c" for n in ball)
     for n in ball:
         for m in graph.neighbors(n):
             assert n in graph.neighbors(m), (n, m)
@@ -337,26 +340,37 @@ def test_warm_adjacency_matches_a_fresh_graph(kind, names, max_len):
     for v, w in _search_pairs(names, max_len):
         warm.distance(v, w, 16)
     ball = _ball(warm, 3)
-    assert any(n[0] == "c" for n in ball)
+    assert any(warm.label(n)[0] == "c" for n in ball)
+    cold_ids = {cold.label(n): n for n in _ball(cold, 3)}
     for n in ball:
         got = warm.neighbors(n)
-        assert type(got) is tuple and warm.neighbors(n) is got
-        assert got == cold.neighbors(n), n
-        # element nodes are interned: equal nodes are one object
-        assert all(m is warm._elems[m[1]] for m in got if m[0] == "e")
+        assert type(got) is np.ndarray and warm.neighbors(n) is got
+        labels = [warm.label(m) for m in got.tolist()]
+        assert labels == [cold.label(m) for m in cold.neighbors(cold_ids[warm.label(n)]).tolist()], n
+        # element nodes are interned: equal elements are one id
+        assert all(m == warm._elems[warm._keys[m]] for m, lab in zip(got.tolist(), labels)
+                   if lab[0] == "e")
+    assert len({warm.label(n) for n in ball}) == len(ball)
 
 
 @pytest.mark.parametrize("kind, names, max_len", KINDS)
 def test_searches_agree_between_warm_and_cold_graphs(kind, names, max_len):
     warm = _graph_of_kind(kind, 6)
     _ball(warm, 3)
+    def labelled(graph, dists):
+        return {graph.label(n): d for n, d in dists.items()}
+
     for v, w in _search_pairs(names, max_len):
         a, b = warm.node_of_word(v), warm.node_of_word(w)
         for _ in range(2):  # the second query is fully warm
             assert warm.distance(v, w, 16) == _graph_of_kind(kind, 6).distance(v, w, 16)
-            assert warm.geodesic(v, w, 16) == _graph_of_kind(kind, 6).geodesic(v, w, 16)
-            assert (warm.set_distances([a], [b, a], 16)
-                    == _graph_of_kind(kind, 6).set_distances([a], [b, a], 16))
+            cold = _graph_of_kind(kind, 6)
+            assert ([warm.label(n) for n in warm.geodesic(v, w, 16)]
+                    == [cold.label(n) for n in cold.geodesic(v, w, 16)])
+            cold = _graph_of_kind(kind, 6)
+            ca, cb = cold.node_of_word(v), cold.node_of_word(w)
+            assert (labelled(warm, warm.set_distances([a], [b, a], 16))
+                    == labelled(cold, cold.set_distances([ca], [cb, ca], 16)))
 
 
 @pytest.mark.parametrize("kind, names, max_len", KINDS)
@@ -371,9 +385,203 @@ def test_repeated_distance_on_a_warm_graph_multiplies_nothing(kind, names, max_l
         return lambda *args: products.append(1) or mul(*args)
 
     monkeypatch.setattr(conedoff, "_int_mul", counted(conedoff._int_mul))
+    monkeypatch.setattr(conedoff, "exact_keys", counted(conedoff.exact_keys))
     monkeypatch.setattr(conedoff, "free_reduce", counted(conedoff.free_reduce))
     assert [graph.distance(v, w, 16) for v, w in pairs] == want
     assert products == []
     # the counters do see the products of a cold graph
     assert [_graph_of_kind(kind, 6).distance(v, w, 16) for v, w in pairs] == want
     assert products
+
+
+# --- brute-force oracle: plain integer 2x2 products, no linalg kernel --------------
+
+
+def _canon(a, b, c, d):
+    g = math.gcd(math.gcd(a, b), math.gcd(c, d))
+    a, b, c, d = a // g, b // g, c // g, d // g
+    return (a, b, c, d) if next(x for x in (a, b, c, d) if x) > 0 else (-a, -b, -c, -d)
+
+
+def _times(g, h):
+    a, b, c, d = g
+    e, f, u, v = h
+    return _canon(a * e + b * u, a * f + b * v, c * e + d * u, c * f + d * v)
+
+
+class _OracleGraph:
+    """The truncated coned graph of a PGL(2, Z) presentation, node by node:
+    elements as canonical 4-tuples, coset keys by the frame arithmetic on
+    Python ints, one plain BFS per query."""
+
+    def __init__(self, gens, peripherals, truncation):
+        self.gens = {}
+        for name, ((a, b), (c, d)) in gens.items():
+            self.gens[name] = _canon(a, b, c, d)
+            self.gens[name + "^-1"] = _canon(d, -b, -c, a)
+        self.steps = [self.gens[k] for name in gens for k in (name, name + "^-1")]
+        self.truncation = truncation
+        self.peripherals = {}
+        for p_name, t_name in peripherals:
+            frame = conedoff._parabolic_frame(gens[t_name])
+            window = []
+            for j in range(-truncation, truncation + 1):
+                step = self.gens[t_name if j > 0 else t_name + "^-1"]
+                out = (1, 0, 0, 1)
+                for _ in range(abs(j)):
+                    out = _times(out, step)
+                window.append(out)
+            self.peripherals[p_name] = (frame, window)
+
+    def element(self, word):
+        out = (1, 0, 0, 1)
+        for name, exp in word:
+            for _ in range(abs(exp)):
+                out = _times(out, self.gens[name if exp > 0 else name + "^-1"])
+        return ("e", out)
+
+    @staticmethod
+    def coset(g, frame):
+        ((p, x), (q, y)), k = frame
+        g00, g01, g10, g11 = g
+        a, b, c, d = g00 * p + g01 * q, g00 * x + g01 * y, g10 * p + g11 * q, g10 * x + g11 * y
+        if a < 0 or (a == 0 and c < 0):
+            a, b, c, d = -a, -b, -c, -d
+        j = b // (k * a) if a else d // (k * c)
+        b, d = b - j * k * a, d - j * k * c
+        return _canon(a * y - b * q, b * p - a * x, c * y - d * q, d * p - c * x), j
+
+    def neighbors(self, node):
+        if node[0] == "c":
+            _, p_name, rep = node
+            return [("e", _times(rep, w)) for w in self.peripherals[p_name][1]]
+        out = [("e", _times(node[1], s)) for s in self.steps]
+        for p_name, (frame, _) in self.peripherals.items():
+            rep, j = self.coset(node[1], frame)
+            if abs(j) <= self.truncation:
+                out.append(("c", p_name, rep))
+        return out
+
+    def distances(self, sources, depth):
+        dist = dict.fromkeys(sources, 0)
+        frontier = list(dist)
+        for level in range(1, depth + 1):
+            nxt = []
+            for n in frontier:
+                for m in self.neighbors(n):
+                    if m not in dist:
+                        dist[m] = level
+                        nxt.append(m)
+            frontier = nxt
+        return dist
+
+
+def _oracle_label(graph, node):
+    """A graph node in the oracle's terms: rows flattened to 4-tuples."""
+    lab = graph.label(node)
+    flat = sum(lab[-1], ())
+    return ("e", flat) if lab[0] == "e" else ("c", lab[1], flat)
+
+
+GAMMA2 = {"a": Matrix([[1, 2], [0, 1]]), "b": Matrix([[1, 0], [2, 1]]),
+          "c": Matrix([[-3, -2], [2, 1]])}  # c = a^-1 b
+
+# (generators, peripherals, truncation, search radius, max step length)
+ORACLE_CASES = {
+    "pgl2z-T6": (MODULAR, [("pt", "t")], 6, 7, 7),
+    "gamma2-three-cusps": (GAMMA2, [("pa", "a"), ("pb", "b"), ("pc", "c")], 4, 5, 5),
+    "conjugated-k3": (dict(MODULAR, w=Matrix([[-5, 12], [-3, 7]])), [("p", "w")], 6, 5, 5),
+    # h's products pass 2^62 after one step, and its powers pass int64
+    "python-ints": (dict(MODULAR, h=Matrix([[2 ** 40 + 1, 2 ** 40], [1, 1]])),
+                    [("pt", "t")], 5, 4, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_searches_agree_with_a_brute_force_oracle(case):
+    gens, peripherals, truncation, radius, max_len = ORACLE_CASES[case]
+    rho = GroupPresentation(dim=2, generators=dict(gens))
+    graph = ConedGraph(Presentation(generators=sorted(gens), peripherals=peripherals,
+                                    kind="matrix", rho=rho), truncation=truncation)
+    oracle = _OracleGraph({n: m.exact for n, m in gens.items()}, peripherals, truncation)
+    names = sorted(gens)
+    starts = _random_words(names, 10, seed=7, max_len=3)
+    steps = [u for u in _random_words(names, 40, seed=8, max_len=max_len) if u]
+    seen = set()
+    for v, u in zip(starts, steps):
+        w = concat(v, u)
+        a, b = graph.node_of_word(v), graph.node_of_word(w)
+        assert _oracle_label(graph, a) == oracle.element(v)
+        want = oracle.distances([oracle.element(v)], radius)
+        target = oracle.element(w)
+        if target not in want:
+            with pytest.raises(OutOfBall):
+                graph.distance(v, w, radius)
+            continue
+        d = want[target]
+        seen.add(d)
+        assert graph.distance(v, w, radius) == d, (v, w)
+        geo = graph.geodesic(v, w, radius)
+        assert len(geo) - 1 == d
+        path = [_oracle_label(graph, n) for n in geo]
+        assert path[0] == oracle.element(v) and path[-1] == target
+        assert all(y in oracle.neighbors(x) for x, y in zip(path, path[1:]))
+        # distances of every geodesic node and both ends to the source set {a}
+        got = graph.set_distances([a], geo + [b], radius)
+        assert {_oracle_label(graph, n): g for n, g in got.items()} == {
+            n: want[n] for n in path}
+    assert max(seen) >= 3
+    if case == "python-ints":
+        assert any(type(k) is tuple for k in graph._elems)
+        assert any(type(k) is bytes for k in graph._elems)
+
+
+def test_set_distances_from_several_sources_agree_with_the_oracle():
+    gens, peripherals, truncation, _, _ = ORACLE_CASES["gamma2-three-cusps"]
+    rho = GroupPresentation(dim=2, generators=dict(gens))
+    graph = ConedGraph(Presentation(generators=sorted(gens), peripherals=peripherals,
+                                    kind="matrix", rho=rho), truncation=truncation)
+    oracle = _OracleGraph({n: m.exact for n, m in gens.items()}, peripherals, truncation)
+    sources = [parse_word(w) for w in ["a^3", "b^-2 a", "c b"]]
+    targets = [parse_word(w) for w in ["", "a^3", "a b^2", "c^-1 a^2 b", "b a^-1 c"]]
+    want = oracle.distances([oracle.element(w) for w in sources], 6)
+    got = graph.set_distances([graph.node_of_word(w) for w in sources],
+                              [graph.node_of_word(w) for w in targets], 6)
+    assert {_oracle_label(graph, n): d for n, d in got.items()} == {
+        oracle.element(w): want[oracle.element(w)] for w in targets}
+
+
+# the farthest prefixes of the two criterion-8 paths of the bundled pgl2z
+# synthesis (path seed 1), and the sha256 of repr of their geodesics' labels
+CRITERION_8_GEODESICS = [
+    ("t^-1 r t^-2 r t^-1 r t^-1 r t^-1 r t^-3", 10,
+     "8becbf2c0fe9b92b2f5c0cfc45c3a3ca5f004d6058cee69456b5f685dff8a2fe"),
+    ("r t^4 r t^3 r t r t^2", 9,
+     "100a63a3cfccf955699f11c502d6b2cad49e7e7223c4c56b325c2ac6ff414c2c"),
+]
+
+
+def test_criterion_8_geodesics_are_pinned(pgl2z_cfg):
+    rho = pgl2z_cfg.presentation()
+    graph = ConedGraph(Presentation(generators=sorted(rho.generators), peripherals=[("pt", "t")],
+                                    kind="matrix", rho=rho), truncation=28, max_nodes=2500000)
+    for word, length, digest in CRITERION_8_GEODESICS:
+        geo = [graph.label(n) for n in graph.geodesic((), parse_word(word), 16)]
+        assert len(geo) - 1 == length
+        assert hashlib.sha256(repr(geo).encode()).hexdigest() == digest, word
+
+
+def test_quasigeodesic_check_searches_once_per_distinct_prefix(pgl2z, monkeypatch):
+    searched = []
+    search = ConedGraph._bidirectional
+
+    def counted(self, w1, w2, radius):
+        searched.append((w1, w2))
+        return search(self, w1, w2, radius)
+
+    monkeypatch.setattr(ConedGraph, "_bidirectional", counted)
+    words = [parse_word(w) for w in ["t^3", "t^3 s", "t^3 s t^-2", "t^3 s", "t^3 s t^-2 r"]]
+    rep = quasigeodesic_check(pgl2z, words, radius=12, d_max=3)
+    distinct = [()] + list(dict.fromkeys(words))
+    assert searched == [((), w) for w in distinct]
+    assert rep.farthest_distance == max(pgl2z.distance((), w, 12) for w in words)

@@ -8,10 +8,12 @@ import pytest
 
 from flagdyn import circle, synth
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
-from flagdyn.circle import Arc, angle_dist, angle_of, angles, mobius_arc, vec_of
+from flagdyn.circle import Arc, angle_dist, angle_of, angles, arc_between, mobius_arc, vec_of
 from flagdyn.config import RunConfig
+from flagdyn.domains import ChartBall, chart_ball_arcs
 from flagdyn.errors import SynthesisFailed
 from flagdyn.linalg import Matrix
+from flagdyn.projgeom import chart_point
 from flagdyn.synth import (
     _CHUNK,
     _ROUND_ROWS,
@@ -127,6 +129,42 @@ def test_modular_arcs_and_points_pinned(modular_synthesis):
         "d68386db4b811b5322f4a7ba61c8184358c124b30e6f7682c72d20111a69dee0",
         "3953e1d8757c7cf2de330b8a39bc04c534bf75561a51504d1591f63cd9b9f780",
         "4eaf5e73ac4efeef3ecbe52d131eb7c7788d62fe2c1089fe51dc19cd2c65d65c"]
+
+
+@pytest.mark.parametrize("source", ["pgl2z-synthesis", "schottky", "single_loop"])
+def test_batched_chart_ball_arcs_equal_one_ball_arcs(source, request):
+    if source == "pgl2z-synthesis":
+        res = request.getfixturevalue("modular_synthesis")
+        system, vertices = res.system, res.graph.vertices
+    else:
+        cfg = request.getfixturevalue(f"{source}_cfg")
+        system, vertices = cfg.system(), cfg.graph().vertices
+    balls = [system.domain(v) for v in vertices]
+    balls = [b for b in balls if isinstance(b, ChartBall) and b.dim == 2]
+    assert balls
+
+    def uncached():
+        out = [copy.copy(b) for b in balls]
+        for b in out:
+            b._arc = None
+        return out
+
+    def bits(arcs):
+        return [(a.center.hex(), a.radius.hex()) for a in arcs]
+
+    # reference: each ball's chart points and angles through the one-point calls
+    ref = [arc_between(*(angle_of(chart_point(b.chart, b.center + s * b.radius).coords)
+                         for s in (-1, 1)),
+                       through=angle_of(chart_point(b.chart, b.center).coords))
+           for b in balls]
+    one = [b.arc() for b in uncached()]
+    batched = uncached()
+    many = chart_ball_arcs(batched)
+    assert bits(many) == bits(ref)
+    assert bits(one) == bits(ref)
+    # kept on the balls: their one-ball calls now return the same arcs
+    assert all(b.arc() is a for b, a in zip(batched, many))
+    assert chart_ball_arcs(batched) == many
 
 
 @pytest.fixture(scope="module")
