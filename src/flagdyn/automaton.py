@@ -10,10 +10,12 @@ domain, recording worst-case containment margins in the angle metric.
 Inclusions are tested on sampled boundary and interior points, edge by
 edge, except on the projective line: there images of arcs under 2x2
 matrices are exact, margins closed-form, and every arc-to-arc edge is
-decided in one batched call. Cofinite vertex labels are verified on a
-finite prefix plus a disclosed monotone-tail heuristic; the disclosure
-is part of the certificate. G-paths through the graph are drawn by
-seeded random choice.
+decided in one batched call. A certificate keeps its records as
+columns, one block per edge over one flat margin array, and builds
+``EdgeRecord`` objects only when they are read. Cofinite vertex labels
+are verified on a finite prefix plus a disclosed monotone-tail
+heuristic; the disclosure is part of the certificate. G-paths through
+the graph are drawn by seeded random choice.
 """
 
 from __future__ import annotations
@@ -188,21 +190,39 @@ class DivergenceWitness:
 
 @dataclass
 class Certificate:
-    records: list
+    """Per-edge record blocks as columns: block i is edge ``edges[i]``, its
+    source's element words ``words[i]``, their margins (the next
+    len(words[i]) entries of the flat ``margins`` array), and its
+    ``n_samples[i]`` and ``exact[i]``. ``records`` builds one ``EdgeRecord``
+    per element on first read; the verdict and the minimum margin are read
+    from the arrays."""
+    edges: list
+    words: list
+    margins: np.ndarray
+    n_samples: list
+    exact: list
     tails: list
     epsilon: float
     budgets: dict
     divergence: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    # read once: the records and tails do not change after construction
+    # read once: the columns and tails do not change after construction
+    @cached_property
+    def records(self):
+        margins = iter(self.margins.tolist())
+        return [EdgeRecord(edge, word, m, m > 0, n, exact)
+                for edge, words, n, exact in zip(self.edges, self.words, self.n_samples,
+                                                 self.exact)
+                for word, m in zip(words, margins)]
+
     @cached_property
     def ok(self):
-        return all(r.ok for r in self.records) and all(t.ok for t in self.tails)
+        return bool(np.all(self.margins > 0)) and all(t.ok for t in self.tails)
 
     @cached_property
     def min_margin(self):
-        return min((r.margin for r in self.records), default=math.inf)
+        return float(self.margins.min()) if self.margins.size else math.inf
 
     def first_failure(self):
         for r in self.records:
@@ -299,34 +319,47 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
              for v, label in graph.vertices.items()}
     mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
     eps = graph.epsilon
+    sized = {v: _tail_window(label, len(mats[v]), rho)[1]
+             for v, label in graph.vertices.items()}
 
-    records = []
+    # every edge's block of margins in one flat array, edge after edge: the
+    # arc-to-arc edges' rows scattered in from one batch, the sampled edges'
+    # blocks filled in one by one
+    edges = graph.edges
+    exact = [v in arcs and w in arcs for v, w in edges]
+    counts = np.array([len(words[v]) for v, _ in edges], dtype=int)
+    starts = np.cumsum(counts) - counts
+    arc = np.flatnonzero(exact)
+    arc_margins, radii, arc_starts = _arc_edges([edges[i] for i in arc], arcs, eps, mats)
+    margins = np.empty(int(counts.sum()))
+    at = np.repeat(starts[arc] - arc_starts, counts[arc]) + np.arange(len(arc_margins))
+    margins[at] = arc_margins
+    n_samples = [2] * len(edges)
     # per family vertex: (margins, tail sizes) of each outgoing edge, by element
     family = {v: [] for v, label in graph.vertices.items()
               if isinstance(label, ParabolicFamily)}
-    sized = {v: _tail_window(label, len(mats[v]), rho)[1]
-             for v, label in graph.vertices.items()}
-    arc_edges = iter(_arc_edges([e for e in graph.edges if e[0] in arcs and e[1] in arcs],
-                                arcs, eps, mats))
-    for edge in graph.edges:
-        v, w = edge
-        if v in arcs and w in arcs:
-            margins, sizes = next(arc_edges)
-            sizes = sizes[sized[v]:]
-            n_samples, exact = 2, True
-        else:
-            pts = _neighborhood_samples(domains[w], eps, n_boundary, n_interior, seed)
-            bnd = domains[v].boundary_points(max(n_boundary, 128), seed + 1)
-            margins, sizes = _sampled_edge(domains[v], pts, bnd, mats[v], sized[v])
-            margins, n_samples, exact = margins.tolist(), pts.shape[0], False
-        records.extend(EdgeRecord(edge, word, m, m > 0, n_samples, exact)
-                       for word, m in zip(words[v], margins))
+    arc_start = dict(zip(arc.tolist(), arc_starts.tolist()))
+    for i, (v, w) in enumerate(edges):
+        lo, hi = int(starts[i]), int(starts[i] + counts[i])
+        if exact[i]:
+            if v in family:
+                a = arc_start[i]
+                family[v].append((margins[lo:hi], radii[a + sized[v]:a + hi - lo]))
+            continue
+        pts = _neighborhood_samples(domains[w], eps, n_boundary, n_interior, seed)
+        bnd = domains[v].boundary_points(max(n_boundary, 128), seed + 1)
+        margins[lo:hi], sizes = _sampled_edge(domains[v], pts, bnd, mats[v], sized[v])
+        n_samples[i] = pts.shape[0]
         if v in family:
-            family[v].append((margins, sizes))
+            family[v].append((margins[lo:hi], sizes))
 
-    tails = [_tail(v, graph.vertices[v], edges, rho) for v, edges in family.items()]
+    tails = [_tail(v, graph.vertices[v], out, rho) for v, out in family.items()]
     return Certificate(
-        records=records,
+        edges=list(edges),
+        words=[words[v] for v, _ in edges],
+        margins=margins,
+        n_samples=n_samples,
+        exact=exact,
         tails=tails,
         epsilon=eps,
         budgets={
@@ -340,23 +373,29 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
 
 
 def _arc_edges(edges, arcs, eps, mats):
-    """Exact per-element margins in arcs[v] and image radii of arcs[w] + eps,
-    for each arc-to-arc edge (v, w) in order: one ``mobius_arcs`` call,
-    each source's matrices stacked once and repeated for each out-edge.
-    Each edge's margins and radii are slices of one list each."""
+    """Exact per-element margins in arcs[v] and image radii of arcs[w] + eps
+    for the arc-to-arc edges (v, w): one flat array each, edge after edge,
+    and each edge's first row in them. Each source's matrices are stacked
+    once and each target arc expanded once, in edge order (so the first
+    edge whose expansion covers RP^1 raises); the rows are gathered by index
+    for one ``mobius_arcs`` call."""
     if not edges:
-        return []
-    stacks = {v: np.reshape([m.arr for m in mats[v]], (-1, 2, 2)) for v in {v for v, _ in edges}}
-    counts = [len(mats[v]) for v, _ in edges]
-    homes = np.repeat([(arcs[v].center, arcs[v].radius) for v, _ in edges], counts, axis=0)
-    targets = np.repeat([(t.center, t.radius) for t in (arcs[w].expand(eps) for _, w in edges)],
-                        counts, axis=0)
-    centers, radii = circle.mobius_arcs(np.concatenate([stacks[v] for v, _ in edges]),
-                                        targets[:, 0], targets[:, 1])
-    margins = (homes[:, 1] - (circle.angle_dists(homes[:, 0], centers) + radii)).tolist()
-    radii = radii.tolist()
-    ends = np.cumsum([0] + counts).tolist()
-    return [(margins[lo:hi], radii[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
+    sources = {v: i for i, v in enumerate(dict.fromkeys(v for v, _ in edges))}
+    targets = {w: i for i, w in enumerate(dict.fromkeys(w for _, w in edges))}
+    stack = np.reshape([m.arr for v in sources for m in mats[v]], (-1, 2, 2))
+    homes = np.array([(arcs[v].center, arcs[v].radius) for v in sources])
+    expanded = np.array([(t.center, t.radius) for t in (arcs[w].expand(eps) for w in targets)])
+    sizes = np.array([len(mats[v]) for v in sources], dtype=int)
+    src = np.array([sources[v] for v, _ in edges], dtype=int)
+    counts = sizes[src]
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(edges)), counts)
+    rows = (np.cumsum(sizes) - sizes)[src[owner]] + np.arange(len(owner)) - starts[owner]
+    home = homes[src[owner]]
+    target = expanded[np.array([targets[w] for _, w in edges], dtype=int)[owner]]
+    centers, radii = circle.mobius_arcs(stack[rows], target[:, 0], target[:, 1])
+    return home[:, 1] - (circle.angle_dists(home[:, 0], centers) + radii), radii, starts
 
 
 def _sampled_edge(home, pts, bnd, mats, sized):

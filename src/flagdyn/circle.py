@@ -12,7 +12,7 @@ The array primitives: ``angles``, ``angle_dists``, ``arcs_between``
 (image arcs), whose n = 1 calls are ``arc_between`` and ``mobius_arc``;
 and ``sweep``, the one circular gap scan, over the sorted pieces of
 ``arc_pieces`` (kept sorted across insertions by ``insert_piece``), which
-``uncovered`` and ``cover_circle`` run.
+``cover_circle`` runs on (centers, radii) arrays.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ class Arc:
     def gap_to(self, other: "Arc") -> float:
         """FS gap between the closed arcs (0 if they meet)."""
         return max(0.0, angle_dist(self.center, other.center) - self.radius - other.radius)
+
+
+def check_radii(radii):
+    """Raise ``Arc``'s error for the first of ``radii`` that no arc has."""
+    bad = np.flatnonzero(~((radii >= 0) & (radii < HALF_TURN / 2)))
+    if bad.size:
+        Arc(0.0, float(radii[bad[0]]))
 
 
 def angles(vecs) -> np.ndarray:
@@ -167,22 +174,16 @@ def sweep(lo, length, tol: float = 1e-12):
     return pos[gap], ahead[gap]
 
 
-def uncovered(arcs, tol: float = 1e-12):
-    """Uncovered intervals (lo, hi) of RP^1 left by closed arcs, in sweep
-    order: ``sweep`` of their pieces, as a list of float pairs."""
-    lo, length, _ = arc_pieces([a.center for a in arcs], [a.radius for a in arcs])
-    return list(zip(*(x.tolist() for x in sweep(lo, length, tol))))
-
-
-def cover_circle(arcs):
-    """Greedy minimal subcover of RP^1 by closed arcs (Lee and Lee, IPL 1984).
+def cover_circle(centers, radii):
+    """Greedy minimal subcover of RP^1 by the closed arcs B(centers_i,
+    radii_i) (Lee and Lee, IPL 1984).
 
     Returns distinct indices of a covering subfamily, or None if the family
     leaves a gap. Starts on the arc reaching farthest past angle 0 (or past
     the first left endpoint if no arc wraps), then repeatedly takes the arc
     extending coverage farthest.
     """
-    lo, length, order = arc_pieces([a.center for a in arcs], [a.radius for a in arcs])
+    lo, length, order = arc_pieces(centers, radii)
     tol = 1e-12  # the default gap tolerance of sweep()
     if len(sweep(lo, length, tol)[0]):
         return None

@@ -179,7 +179,8 @@ class ConedGraph:
     graph depends only on the presentation and the truncation, so each
     node's adjacency is built once, for all nodes of a BFS level that
     need it together, and kept: a search that revisits a node multiplies
-    nothing.
+    nothing. ``max_nodes`` bounds the nodes one search visits (``OutOfBall``
+    past it); it bounds neither the nodes the graph interns nor its memory.
     """
 
     def __init__(self, pres: Presentation, truncation: int = 24,

@@ -77,7 +77,7 @@ def _check_certified(paths, certificate):
         return
     if not certificate.ok:
         raise NotCertified("certificate does not pass")
-    certified_edges = {r.edge for r in certificate.records}
+    certified_edges = set(certificate.edges)
     for path in paths:
         for e in zip(path.vertices, path.vertices[1:]):
             if e not in certified_edges:

@@ -15,6 +15,8 @@ dimension-2 presentation acting on the circle, from first principles:
   of points where it can expand at all, limits the exact tests to a few
   words per point, and the grid is searched in batched first-hit rounds,
   each point testing its next words in pool order until its first hit;
+  the hits stay columns of arrays, and a hit becomes a ``_Conical`` only
+  once the circle cover keeps it;
 * peripheral coset vertices are materialized adaptively: whenever the
   inner neighborhoods leave a gap on the circle, the nearest candidate
   coset point (enumerated in peripheral-power syllable form, since coset
@@ -63,12 +65,12 @@ from .circle import (
     angles,
     arc_between,
     arc_pieces,
+    check_radii,
     cover_circle,
     insert_piece,
     mobius_angle,
     mobius_arcs,
     sweep,
-    uncovered,
     vec_of,
 )
 from .domains import arc_ball
@@ -332,8 +334,8 @@ def _parabolic_vertex(rho, p_name, t_name, coset_word, p_angle, K_p, params):
 # the roundoff of the searcher's tests, so no passing row falls outside
 _WINDOW_SLACK = 1e-9
 # grid points searched together: bounds the (z, word) pairs held at once
-# (about 60 a point at pgl2z's parameters)
-_CHUNK = 128
+# (about 60 a point at pgl2z's parameters, so about 30k a chunk)
+_CHUNK = 512
 # rows a first-hit round tests at least: each live z takes a block of its
 # next pairs, the block doubling each round and at least this over the
 # live z, so rounds stay few and none carries only a handful of rows
@@ -450,10 +452,12 @@ class _ConicalSearcher:
         word = np.sort(self._pool_index[(w_lo <= key) & (key <= w_hi)])
         found = self._first_hits(zs, vec_of(zs[0])[None], word, np.zeros(len(word), dtype=int),
                                  np.array([0]), np.array([len(word)]))
-        return self._conicals(zs, found)[0]
+        hits = self._hits(zs, found)
+        return self.conicals(hits, [0])[0] if len(hits.at) else None
 
     def candidates(self, zs):
-        """First word in pool order expanding about each z, or None.
+        """The first word in pool order expanding about each z, as ``_Hits``
+        columns.
 
         The z are searched in chunks of ``_CHUNK`` in angle order, on their
         (z, word) pairs in windows, ordered by z then pool index.
@@ -478,7 +482,7 @@ class _ConicalSearcher:
             here = np.arange(lo, min(lo + _CHUNK, len(zs)))
             found += self._first_hits(zs, vz, word, order[pos], np.searchsorted(pos, here, "left"),
                                       np.searchsorted(pos, here, "right"))
-        return self._conicals(zs, found)
+        return self._hits(zs, found)
 
     def _first_hits(self, zs, vz, word, z_of, cursor, stop):
         """Both tests on the pairs (z_of[j], word[j]) in first-hit rounds,
@@ -512,17 +516,41 @@ class _ConicalSearcher:
             cursor, stop = cursor[live], stop[live]
         return found
 
-    def _conicals(self, zs, found):
-        """The ``_Conical`` of each z's first hit in ``found``, or None."""
-        out = [None] * len(zs)
-        if not found:
-            return out
-        w, z, pulls, cw, rw = map(np.concatenate, zip(*found))
+    def _hits(self, zs, found):
+        """The ``_Hits`` of the first hits in ``found``: their V arcs from one
+        ``mobius_arcs`` call, and every V and W radius checked as ``Arc``
+        checks it, hit by hit in ``found`` order."""
+        if not found:  # no z had a pair
+            found = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 3]
+        w, at, pulls, cw, rw = map(np.concatenate, zip(*found))
         vc, vr = mobius_arcs(self.mats[w], pulls % HALF_TURN, self.params.delta)
-        for i, j, pull, c, r, v_c, v_r in zip(*(x.tolist()
-                                                for x in (w, z, pulls, cw, rw, vc, vr))):
-            out[j] = _Conical(self.words[i], float(zs[j]), pull, Arc(v_c, v_r), Arc(c, r))
-        return out
+        check_radii(np.stack([vr, rw], axis=1).ravel())
+        z_order = np.argsort(at)
+        return _Hits(*(x[z_order] for x in (at, zs[at], w, pulls, vc % HALF_TURN, vr,
+                                            cw % HALF_TURN, rw)))
+
+    def conicals(self, hits, rows):
+        """The ``_Conical`` of each hit row in ``rows``."""
+        cols = (hits.z, hits.word, hits.pullback, hits.v_center, hits.v_radius, hits.w_center,
+                hits.w_radius)
+        return [_Conical(self.words[i], z, pull, Arc(vc, vr), Arc(wc, wr))
+                for z, i, pull, vc, vr, wc, wr in zip(*(x[rows].tolist() for x in cols))]
+
+
+@dataclass
+class _Hits:
+    """First hits as columns, one row per searched z with a hit, in the
+    order of the z: the z's position among them and its angle, the pool
+    index of its word, the pullback, and the centers and radii of the V
+    and W arcs."""
+    at: np.ndarray
+    z: np.ndarray
+    word: np.ndarray
+    pullback: np.ndarray
+    v_center: np.ndarray
+    v_radius: np.ndarray
+    w_center: np.ndarray
+    w_radius: np.ndarray
 
 
 @dataclass
@@ -640,14 +668,16 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
     searcher = _ConicalSearcher(rho, params, syllables)
     grid = [z for z in np.linspace(0.0, HALF_TURN, params.grid, endpoint=False)
             if not any(x.v.contains_angle(z) for x in parabolic.values())]
-    conical = [c for c in searcher.candidates(grid) if c is not None]
+    hits = searcher.candidates(grid)
+    conical = []  # the gap loop's conical vertices
 
     # --- adaptive parabolic materialization over uncovered gaps -------------
     # a full cover of the circle is required only when peripherals exist
     # the inner arcs' pieces stay sorted: each round inserts its new arc
     if peripherals:
-        inner = [x.v for x in parabolic.values()] + [c.v for c in conical]
-        lo, length, _ = arc_pieces([a.center for a in inner], [a.radius for a in inner])
+        inner = [x.v for x in parabolic.values()]
+        lo, length, _ = arc_pieces([a.center for a in inner] + hits.v_center.tolist(),
+                                   [a.radius for a in inner] + hits.v_radius.tolist())
         for _ in range(_MAX_PARABOLIC_ROUNDS):
             gaps = sweep(lo, length)
             if not len(gaps[0]):
@@ -670,14 +700,24 @@ def synthesize_rp1(rho: GroupPresentation, params: SynthesisParams | None = None
                     )
             lo, length = insert_piece(lo, length, cand.v)
 
-        arcs = [x.v for x in parabolic.values()] + [c.v for c in conical]
-        picked = cover_circle(arcs)
+        # the inner arcs in the order parabolic, grid hits, gap loop conicals
+        inner = [x.v for x in parabolic.values()]
+        centers = np.concatenate([[a.center for a in inner], hits.v_center,
+                                  [c.v.center for c in conical]])
+        radii = np.concatenate([[a.radius for a in inner], hits.v_radius,
+                                [c.v.radius for c in conical]])
+        picked = cover_circle(centers, radii)
         if picked is None:
-            raise SynthesisFailed(
-                "inner neighborhoods do not cover the boundary circle",
-                uncovered(arcs)[0][0] % HALF_TURN,
-            )
-        conical = [conical[i - len(parabolic)] for i in picked if i >= len(parabolic)]
+            raise SynthesisFailed("inner neighborhoods do not cover the boundary circle",
+                                  float(sweep(*arc_pieces(centers, radii)[:2])[0][0]) % HALF_TURN)
+        # a _Conical is built only for a picked grid hit
+        n_par, n_hits = len(inner), len(hits.at)
+        grid_rows = [i - n_par for i in picked if n_par <= i < n_par + n_hits]
+        built = iter(searcher.conicals(hits, grid_rows))
+        conical = [next(built) if i < n_par + n_hits else conical[i - n_par - n_hits]
+                   for i in picked if i >= n_par]
+    else:
+        conical = searcher.conicals(hits, np.arange(len(hits.at)))
 
     if not parabolic and not conical:
         raise SynthesisFailed("no expanding neighborhoods found on the grid")

@@ -207,10 +207,21 @@ def test_jordan_base_certifies(jordan_setup, jordan_diag_cfg):
 
 
 def test_tail_failure_describes_itself():
-    cert = Certificate(records=[], tails=[TailDisclosure("p", True, False, 8)],
-                       epsilon=0.1, budgets={})
+    cert = Certificate(edges=[], words=[], margins=np.zeros(0), n_samples=[], exact=[],
+                       tails=[TailDisclosure("p", True, False, 8)], epsilon=0.1, budgets={})
     assert not cert.ok
     assert cert.first_failure().describe() == "tail p"
+
+
+def test_a_zero_margin_fails():
+    cert = Certificate(edges=[("a", "b"), ("b", "a")], words=[[(("s", 1),)], [(("t", 1),)]],
+                       margins=np.array([0.3, 0.0]), n_samples=[2, 2], exact=[True, True],
+                       tails=[], epsilon=0.1, budgets={})
+    assert not cert.ok and cert.min_margin == 0.0
+    assert (cert.first_failure().edge, cert.first_failure().margin) == (("b", "a"), 0.0)
+    empty = Certificate(edges=[], words=[], margins=np.zeros(0), n_samples=[], exact=[],
+                        tails=[], epsilon=0.1, budgets={})
+    assert empty.ok and empty.min_margin == math.inf and empty.records == []
 
 
 def _count_verify_calls(monkeypatch):

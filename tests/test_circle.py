@@ -13,11 +13,20 @@ from flagdyn.circle import (
     mobius_arc,
     mobius_arcs,
     sweep,
-    uncovered,
 )
 
 PI = math.pi
 UNIT = PI / 16  # snapped families: endpoints on multiples of pi/16
+
+
+def _columns(arcs):
+    """The (centers, radii) arrays of closed arcs."""
+    return np.array([a.center for a in arcs]), np.array([a.radius for a in arcs])
+
+
+def _gaps(arcs, tol=1e-12):
+    """``sweep`` of the arcs' pieces, as a list of float pairs."""
+    return list(zip(*(g.tolist() for g in sweep(*arc_pieces(*_columns(arcs))[:2], tol))))
 
 
 def test_arc_between_shorter_side_and_through():
@@ -72,14 +81,14 @@ def test_mobius_arcs_against_sampled_images():
 
 def test_uncovered_reports_gaps_in_sweep_order():
     arcs = [Arc(0.5, 0.2), Arc(2.0, 0.3)]
-    gaps = uncovered(arcs)
+    gaps = _gaps(arcs)
     assert len(gaps) == 2
     (a_lo, a_hi), (b_lo, b_hi) = gaps
     assert (a_lo, a_hi) == pytest.approx((0.7, 1.7))
     # the second gap runs past pi, up to the first left endpoint plus pi
     assert (b_lo, b_hi) == pytest.approx((2.3, 0.3 + PI))
-    assert uncovered([Arc(0.5, 0.2), Arc(0.5 + PI / 2, PI / 2 - 0.2)]) == []
-    assert uncovered([]) == [(0.0, PI)]
+    assert _gaps([Arc(0.5, 0.2), Arc(0.5 + PI / 2, PI / 2 - 0.2)]) == []
+    assert _gaps([]) == [(0.0, PI)]
 
 
 def test_uncovered_counts_arcs_running_past_pi_at_the_sweep_start():
@@ -87,15 +96,15 @@ def test_uncovered_counts_arcs_running_past_pi_at_the_sweep_start():
     # covered by the arc from 2.8 that runs past pi; (0.4, 0.5) is not a gap
     wrap = Arc(3.3, 0.5)
     arcs = [Arc(0.3, 0.1), Arc(1.75, 1.25), wrap]
-    assert uncovered(arcs) == []
-    assert sorted(cover_circle(arcs)) == [1, 2]
-    gaps = uncovered([Arc(0.3, 0.1), wrap])
+    assert _gaps(arcs) == []
+    assert sorted(cover_circle(*_columns(arcs))) == [1, 2]
+    gaps = _gaps([Arc(0.3, 0.1), wrap])
     assert len(gaps) == 1
     assert gaps[0] == pytest.approx((3.8 - PI, 2.8))
 
 
 def _uncovered_reference(arcs, tol=1e-12):
-    """The pure-Python sweep ``uncovered`` had before it ran on arrays."""
+    """The gaps of a pure-Python sweep over the arcs' sorted pieces."""
     pieces = sorted(((a.center - a.radius) % PI, 2 * a.radius) for a in arcs)
     if not pieces:
         return [(0.0, PI)]
@@ -138,7 +147,7 @@ def test_uncovered_matches_the_pure_python_sweep(tol):
     for _ in range(4000):
         family = _random_family(rng, tol)
         ref = _uncovered_reference(family, tol)
-        assert uncovered(family, tol) == ref, family
+        assert _gaps(family, tol) == ref, family
         gaps += len(ref)
         pieces = sorted(((a.center - a.radius) % PI, 2 * a.radius) for a in family)
         exact_tol += any(b[0] == a[0] + a[1] + tol for a, b in zip(pieces, pieces[1:]))
@@ -163,7 +172,7 @@ def test_inserted_pieces_sweep_as_a_full_sort():
 
 def test_cover_circle_closing_on_start_arc_picks_it_once():
     arcs = [Arc(5 * UNIT, UNIT), Arc(13 * UNIT, 7 * UNIT)]
-    assert cover_circle(arcs) == [1, 0]
+    assert cover_circle(*_columns(arcs)) == [1, 0]
 
 
 def _snapped_covers(family):
@@ -186,7 +195,7 @@ def test_cover_circle_snapped_families():
     for _ in range(20000):
         family = [(rng.randrange(16), rng.randrange(1, 8))
                   for _ in range(rng.randrange(1, 7))]
-        picked = cover_circle([Arc(c * UNIT, r * UNIT) for c, r in family])
+        picked = cover_circle(*_columns([Arc(c * UNIT, r * UNIT) for c, r in family]))
         if not _snapped_covers(family):
             assert picked is None, family
             continue
@@ -216,7 +225,7 @@ def test_cover_circle_general_position_families():
     for _ in range(5000):
         family = [(rng.uniform(0, PI), rng.uniform(0.01, 0.6 * PI / 2))
                   for _ in range(rng.randrange(1, 12))]
-        picked = cover_circle([Arc(c, r) for c, r in family])
+        picked = cover_circle(*_columns([Arc(c, r) for c, r in family]))
         if not _covers_general(family):
             assert picked is None, family
             continue

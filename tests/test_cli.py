@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagdyn import domains
+from flagdyn import automaton, domains, synth
 from flagdyn.cli import main
 from flagdyn.config import _EXPR_NAMES, RunConfig
 from flagdyn.errors import ConfigError
@@ -78,6 +78,34 @@ def test_limitset_builds_each_domain_arc_once(tmp_path, monkeypatch):
     monkeypatch.setattr(domains, "arcs_between", counting)
     assert run(["limitset", "--config", CONFIGS / "schottky.json", "--out", tmp_path]) == 0
     assert len(built) == 4  # one per domain of the four-vertex system
+
+
+def test_synthesize_builds_no_record_and_few_conicals(tmp_path, monkeypatch):
+    # the run reads only the certificate's verdict and minimum margin, and
+    # builds a _Conical only for a kept grid hit or a candidate(z) call
+    counts = dict.fromkeys(["records", "conicals", "candidate hits"], 0)
+    record, conical = automaton.EdgeRecord, synth._Conical
+    candidate = synth._ConicalSearcher.candidate
+
+    def counted(name, make):
+        def build(*args):
+            counts[name] += 1
+            return make(*args)
+        return build
+
+    def counted_candidate(self, z):
+        got = candidate(self, z)
+        counts["candidate hits"] += got is not None
+        return got
+
+    monkeypatch.setattr(automaton, "EdgeRecord", counted("records", record))
+    monkeypatch.setattr(synth, "_Conical", counted("conicals", conical))
+    monkeypatch.setattr(synth._ConicalSearcher, "candidate", counted_candidate)
+    assert run(["synthesize", "--config", CONFIGS / "pgl2z.json", "--out", tmp_path]) == 0
+    vertices = json.loads((tmp_path / "synthesis.json").read_text())["vertices"]
+    singletons = sum(v["type"] == "singleton" for v in vertices)
+    assert counts["records"] == 0
+    assert singletons <= counts["conicals"] <= singletons + counts["candidate hits"]
 
 
 def test_limitset_refuses_failing_config(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -61,6 +62,38 @@ def test_modular_synthesis_certifies(modular_presentation, modular_synthesis):
                                 element_cap=60)
     assert cert.ok
     assert cert.min_margin > 0
+
+
+def test_certificate_builds_its_records_only_when_read(modular_presentation,
+                                                       modular_synthesis, pgl2z_cfg):
+    res = modular_synthesis
+    cert = verify_compatibility(res.graph, res.system, modular_presentation,
+                                element_cap=pgl2z_cfg.budgets["element_cap"])
+    assert cert.ok and cert.min_margin == 0.012248183250884948
+    assert "records" not in cert.__dict__
+    records = cert.records
+    assert "records" in cert.__dict__ and cert.records is records
+    assert [r.margin for r in records] == cert.margins.tolist()
+    assert [r.edge for r in records] == [e for e, ws in zip(cert.edges, cert.words) for _ in ws]
+    assert all(r.ok for r in records) and min(r.margin for r in records) == cert.min_margin
+
+
+@pytest.mark.parametrize("grid, counts, min_margin", [
+    # no grid point, and only 0.0, which lies in the parabolic hat at 0: the
+    # hit columns are empty and the gap loop places every conical vertex
+    (0, (366, 4794), 0.011649965911151236),
+    (1, (366, 4794), 0.011649965911151236),
+    # two grid points with a hit
+    (3, (349, 4406), 0.01188059425966348),
+])
+def test_synthesis_from_a_few_grid_hits_certifies(modular_presentation, pgl2z_cfg, grid,
+                                                   counts, min_margin):
+    res = synthesize_rp1(modular_presentation,
+                         dataclasses.replace(pgl2z_cfg.synthesis, grid=grid))
+    cert = verify_compatibility(res.graph, res.system, modular_presentation,
+                                element_cap=pgl2z_cfg.budgets["element_cap"])
+    assert (len(res.graph.vertices), len(res.graph.edges)) == counts
+    assert cert.ok and cert.min_margin == min_margin
 
 
 def test_modular_synthesis_has_parabolic_vertices(modular_synthesis):
@@ -276,11 +309,15 @@ def _full_pool_candidate(searcher, z):
 
 
 def _assert_search_matches_the_oracle(searcher, zs):
-    """``candidates`` on all zs at once, and ``candidate`` per z, equal the
-    full-pool oracle field for field; returns the oracle's hit indices."""
+    """``candidates`` on all zs at once, each z's row of its hit columns, and
+    ``candidate`` per z, equal the full-pool oracle field for field; returns
+    the oracle's hit indices."""
+    hits = searcher.candidates(zs)
+    assert (np.diff(hits.at) > 0).all()  # one row per z with a hit, in z order
+    rows = dict(zip(hits.at.tolist(), searcher.conicals(hits, np.arange(len(hits.at)))))
     hit_at = []
-    for z, batched in zip(zs, searcher.candidates(zs)):
-        ref = _full_pool_candidate(searcher, z)
+    for j, z in enumerate(zs):
+        batched, ref = rows.get(j), _full_pool_candidate(searcher, z)
         for got in (batched, searcher.candidate(z)):
             if ref is None:
                 assert got is None
@@ -323,14 +360,15 @@ def test_windowed_search_returns_the_first_hit_of_the_whole_pool(modular_present
     assert not _in_window(searcher, [0.0]).any()
     batch = sorted(zs + [zs[0]])
     # the last z with a hit before the boundary, moved up to it by copies of 0
-    k = max(k for k in range(_CHUNK) if _full_pool_candidate(searcher, batch[k]))
+    k = max(k for k in range(min(_CHUNK, len(batch)))
+            if _full_pool_candidate(searcher, batch[k]))
     batch = [0.0] * (_CHUNK - 1 - k) + batch + [batch[k]]
     assert sorted(batch)[_CHUNK - 1] == sorted(batch)[_CHUNK] == batch[-1]
     _assert_search_matches_the_oracle(searcher, batch)
     # 4 delta >= pi: every window is the whole circle, listed as two
     # intervals that both hold z = pi/2 (a hit there on schottky), and first
     # hits lie many rounds deep (on pgl2z); a full chunk's first four rounds
-    # take 2, 4, 8 and 16 pairs a z at most
+    # take 1, 2, 4 and 8 times -(-_ROUND_ROWS // _CHUNK) pairs a z at most
     four_rounds = sum(-(-_ROUND_ROWS // _CHUNK) * 2 ** r for r in range(4))
     ranks, twice = [], []
     for rho, delta, epsilon in [(modular_presentation, 0.9, 0.3),
@@ -353,6 +391,19 @@ def test_windowed_search_returns_the_first_hit_of_the_whole_pool(modular_present
 def pgl2z_searcher():
     cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
     return _ConicalSearcher(cfg.presentation(), cfg.synthesis)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128, 512, 4096])
+def test_hit_columns_do_not_depend_on_the_chunking(pgl2z_searcher, monkeypatch, chunk):
+    searcher = pgl2z_searcher
+    grid = np.linspace(0.0, math.pi, searcher.params.grid, endpoint=False)[::8]
+    want = searcher.candidates(grid)
+    monkeypatch.setattr(synth, "_CHUNK", chunk)
+    got = searcher.candidates(grid)
+    for field in dataclasses.fields(want):
+        a, b = getattr(want, field.name), getattr(got, field.name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), field.name
+    assert 100 < len(want.at) < len(grid)
 
 
 def test_windows_keep_every_passing_row_at_the_pgl2z_parameters(pgl2z_searcher):
@@ -416,7 +467,9 @@ def test_gap_loop_pieces_match_a_full_sweep_every_round(pgl2z_cfg, monkeypatch):
     def sweep(lo, length, tol=1e-12):
         gaps = circle.sweep(lo, length, tol)
         if tol == 1e-12:  # the gap loop's sweep, not a hull's
-            assert list(zip(*(g.tolist() for g in gaps))) == circle.uncovered(arcs)
+            full = circle.sweep(*circle.arc_pieces([a.center for a in arcs],
+                                                   [a.radius for a in arcs])[:2])
+            assert [g.tolist() for g in gaps] == [g.tolist() for g in full]
             rounds.append(len(gaps[0]))
         return gaps
 
