@@ -40,8 +40,7 @@ def main():
                                cap=40, elements_per_vertex=1)
     small = [p for p in paths
              if max((abs(e) for w in p.words for _, e in w), default=0) <= 24]
-    pres = Presentation(generators=sorted(rho.generators), peripherals=[("pt", "t")],
-                        kind="matrix", rho=rho)
+    pres = Presentation(generators=sorted(rho.generators), peripherals=[("pt", "t")], rho=rho)
     coned = ConedGraph(pres, truncation=28, max_nodes=2500000)
     for p in small[: args.paths]:
         prefixes, acc = [], ()

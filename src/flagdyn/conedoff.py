@@ -7,23 +7,24 @@ graph is undirected and depends only on the presentation and the
 truncation, not on search order. Two members of one window are at
 distance 2; a member beyond the window of its representative is not
 adjacent to the cone, and searches refuse (OutOfBall) rather than
-silently answer beyond the truncated ball. Elements of declared free
-presentations are free-reduced letter tuples; elements of PGL(2, Z)
-presentations are exact canonical 2x2 integer matrices. Either way an
+silently answer beyond the truncated ball. The group is a subgroup of
+PGL(2, Z) and its elements are exact canonical 2x2 integer matrices; a
+free group is given as a matrix group too, for instance Sanov's free
+subgroup generated by [[1, 2], [0, 1]] and [[1, 0], [2, 1]]. An
 element's key is computed from the element alone, and its coset's
 representative costs O(1).
 
-Nodes are integer ids, each given once. An element's key is its letter
-tuple (free kind) or its canonical integer row: the bytes of its int64
-row, or a tuple of Python ints once an entry passes int64. A cone's key
-is its peripheral and its representative's key. Each expanded node keeps
-its neighbours as an int array, and a search keeps its distances and BFS
-parents in arrays of its own. Searches grow one BFS level at a time: the
-neighbours of every frontier node not yet expanded are formed together
-(for PGL(2, Z), one batched ``exact_keys`` product per step kind and one
-vectorised coset-key computation, interned row by row), and the next
-level is one ``np.unique`` of the concatenated neighbours in order of
-first occurrence, so parents and order are those of a node-by-node BFS.
+Nodes are integer ids, each given once. An element's key is its
+canonical integer row: the bytes of its int64 row, or a tuple of Python
+ints once an entry passes int64. A cone's key is its peripheral and its
+representative's key. Each expanded node keeps its neighbours as an int
+array, and a search keeps its distances and BFS parents in arrays of its
+own. Searches grow one BFS level at a time: the neighbours of every
+frontier node not yet expanded are formed together (one batched
+``exact_keys`` product per step kind and one vectorised coset-key
+computation, interned row by row), and the next level is one
+``np.unique`` of the concatenated neighbours in order of first
+occurrence, so parents and order are those of a node-by-node BFS.
 ``quasigeodesic_check`` runs one bidirectional search per prefix and
 builds its geodesic from the farthest prefix's search.
 """
@@ -40,7 +41,8 @@ from .linalg import canonical_rows, exact_keys, exact_matmul
 from .words import GroupPresentation, Word, normalize_word
 
 # the product of two exact 2x2 elements given as row tuples: words and the
-# peripheral powers; bench/tracer.py counts calls through this module-level name
+# peripheral powers; looked up per call, so bench/tracer.py counts calls
+# through this module-level name
 _int_mul = exact_matmul
 
 _IDENTITY_2X2 = ((1, 0), (0, 1))
@@ -64,6 +66,12 @@ def _row_keys(rows):
 
 def _flat(key):
     return np.frombuffer(key, dtype=np.int64).tolist() if type(key) is bytes else list(key)
+
+
+def _elem(key):
+    """The 2x2 element behind an element key, as row tuples."""
+    a, b, c, d = _flat(key)
+    return ((a, b), (c, d))
 
 
 def _key_rows(keys):
@@ -110,35 +118,24 @@ def _is_parabolic(t):
     return a * d - b * c == 1 and abs(a + d) == 2 and (b, c) != (0, 0)
 
 
-def free_reduce(letters):
-    out = []
-    for let in letters:
-        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-            out.pop()
-        else:
-            out.append(let)
-    return tuple(out)
-
-
 @dataclass
 class Presentation:
-    """Group data for the coned graph: generators, peripherals, equality."""
+    """Group data for the coned graph: generators with exact integer 2x2
+    matrices in ``rho`` (a free group by free generating matrices), and
+    cyclic peripherals, each generated by a parabolic generator."""
 
     generators: list  # generator names
     peripherals: list  # (peripheral name, generator name) pairs, cyclic
-    kind: str = "free"  # 'free': reduced words; 'matrix': exact PGL(2, Z) tuples
-    rho: GroupPresentation | None = None
+    rho: GroupPresentation  # the generators' exact matrices
+    # the only kind; kept because bench/workloads.py passes kind="matrix"
+    kind: str = "matrix"
 
     def __post_init__(self):
-        if self.kind not in ("free", "matrix"):
+        if self.kind != "matrix":
             raise ValueError(f"unknown presentation kind {self.kind!r}")
         for p_name, t_name in self.peripherals:
             if t_name not in self.generators:
                 raise ValueError(f"peripheral {p_name} generator {t_name} is not a generator")
-        if self.kind == "free":
-            return
-        if self.rho is None:
-            raise ValueError("matrix presentations need an evaluation map")
         for name in self.generators:
             if name not in self.rho.generators:
                 raise ValueError(f"generator {name} has no matrix in the evaluation map")
@@ -172,15 +169,15 @@ class ConedGraph:
     """Lazy truncated coned-off Cayley graph with BFS distances.
 
     Undirected: element nodes are joined to ``g x^+-1`` for each
-    generator x, and cone nodes to ``rep t^j`` for |j| <= truncation. Free
-    presentations multiply by free reduction; matrix presentations by
-    the exact integer kernels of ``linalg``. Nodes are integer ids;
-    ``label`` gives a node as ``("e", g)`` or ``("c", p_name, rep)``. The
-    graph depends only on the presentation and the truncation, so each
-    node's adjacency is built once, for all nodes of a BFS level that
-    need it together, and kept: a search that revisits a node multiplies
-    nothing. ``max_nodes`` bounds the nodes one search visits (``OutOfBall``
-    past it); it bounds neither the nodes the graph interns nor its memory.
+    generator x, and cone nodes to ``rep t^j`` for |j| <= truncation.
+    Elements multiply by the exact integer kernels of ``linalg``. Nodes
+    are integer ids; ``label`` gives a node as ``("e", g)`` or
+    ``("c", p_name, rep)``. The graph depends only on the presentation
+    and the truncation, so each node's adjacency is built once, for all
+    nodes of a BFS level that need it together, and kept: a search that
+    revisits a node multiplies nothing. ``max_nodes`` bounds the nodes one
+    search visits (``OutOfBall`` past it); it bounds neither the nodes the
+    graph interns nor its memory.
     """
 
     def __init__(self, pres: Presentation, truncation: int = 24,
@@ -194,32 +191,20 @@ class ConedGraph:
         self._cone_of = {}  # cone node id -> its peripheral name
         self._adjacent = {}  # node id -> its neighbours' ids, once expanded
         self._words = {}  # word -> node id, for repeated queries
-        if pres.kind == "free":
-            self._identity = ()
-            self._mul = lambda g, h: free_reduce(g + h)
-            self._gens = {(name, s): ((name, s),) for name in pres.generators for s in (1, -1)}
-        else:
-            self._identity = _IDENTITY_2X2
-            # looked up per call, so a wrapped _int_mul sees every product
-            self._mul = lambda g, h: _int_mul(g, h)
-            self._gens = {}
-            for name in pres.generators:
-                g = pres.rho.generators[name]
-                self._gens[(name, 1)], self._gens[(name, -1)] = g.exact, g.inv().exact
-            self._gen_rows = _int_rows([sum(g, ()) for g in self._gens.values()])
-            self._frames = {p_name: _parabolic_frame(self._gens[(t_name, 1)])
-                            for p_name, t_name in pres.peripherals}
-        self._powers = {}
+        self._gens = {}
+        for name in pres.generators:
+            g = pres.rho.generators[name]
+            self._gens[(name, 1)], self._gens[(name, -1)] = g.exact, g.inv().exact
+        self._gen_rows = _int_rows([sum(g, ()) for g in self._gens.values()])
+        self._frames = {p_name: _parabolic_frame(self._gens[(t_name, 1)])
+                        for p_name, t_name in pres.peripherals}
+        self._window_rows = {}  # peripheral name -> rows of t^j, j = -truncation..truncation
         for p_name, t_name in pres.peripherals:
-            pows = {0: self._identity}
-            for j in range(1, truncation + 1):
-                pows[j] = self._mul(pows[j - 1], self._gens[(t_name, 1)])
-                pows[-j] = self._mul(pows[1 - j], self._gens[(t_name, -1)])
-            self._powers[p_name] = pows
-        if pres.kind == "matrix":
-            self._window_rows = {
-                p_name: _int_rows([sum(pows[j], ()) for j in range(-truncation, truncation + 1)])
-                for p_name, pows in self._powers.items()}
+            ups, downs = [_IDENTITY_2X2], [_IDENTITY_2X2]
+            for _ in range(truncation):
+                ups.append(_int_mul(ups[-1], self._gens[(t_name, 1)]))
+                downs.append(_int_mul(downs[-1], self._gens[(t_name, -1)]))
+            self._window_rows[p_name] = _int_rows([sum(g, ()) for g in downs[:0:-1] + ups])
 
     # -- nodes ----------------------------------------------------------------
 
@@ -247,46 +232,29 @@ class ConedGraph:
             self._cone_of[node] = p_name
         return node
 
-    def _elem(self, key):
-        if self.pres.kind == "free":
-            return key
-        a, b, c, d = _flat(key)
-        return ((a, b), (c, d))
-
     def label(self, node):
         """The node as ``("e", element)`` or ``("c", p_name, rep)``."""
         key = self._keys[node]
         if node not in self._cone_of:
-            return ("e", self._elem(key))
-        return ("c", key[0], self._elem(key[1]))
+            return ("e", _elem(key))
+        return ("c", key[0], _elem(key[1]))
 
     def node_of_word(self, word: Word):
         node = self._words.get(word)
         if node is None:
-            out = self._identity
+            out = _IDENTITY_2X2
             for name, exp in normalize_word(word):
                 step = self._gens[(name, 1 if exp > 0 else -1)]
                 for _ in range(abs(exp)):
-                    out = self._mul(out, step)
-            key = out if self.pres.kind == "free" else _row_key(sum(out, ()))
-            node = self._words[word] = self._node(key)
+                    out = _int_mul(out, step)
+            node = self._words[word] = self._node(_row_key(sum(out, ())))
         return node
 
-    def _coset_key(self, elem, p_name, t_name):
-        """(rep, j) with elem = rep t^j and rep the same on all of elem<t>.
-
-        Free kind: rep is elem with its trailing t letters stripped and j
-        their signed count. Matrix kind: the one-row call of
-        ``_coset_rows``.
-        """
-        if self.pres.kind == "free":
-            n = len(elem)
-            while n and elem[n - 1][0] == t_name:
-                n -= 1
-            return elem[:n], sum(s for _, s in elem[n:])
+    def _coset_key(self, elem, p_name):
+        """(rep, j) with elem = rep t^j and rep the same on all of elem<t>,
+        t the generator of ``p_name``: the one-row call of ``_coset_rows``."""
         reps, j = self._coset_rows(_int_rows([sum(elem, ())]), p_name)
-        (a, b, c, d), = reps.tolist()
-        return ((a, b), (c, d)), int(j[0])
+        return _elem(reps[0].tolist()), int(j[0])
 
     def _coset_rows(self, rows, p_name):
         """(reps, j) of each element row, with g = rep t^j.
@@ -325,14 +293,10 @@ class ConedGraph:
 
     def _expand(self, fresh):
         """Build the adjacency of each node of ``fresh`` (none expanded yet)."""
-        if self.pres.kind == "free":
-            for node in fresh:
-                self._adjacent[node] = self._free_adjacent(node)
-            return
         elems = [n for n in fresh if n not in self._cone_of]
         if elems:
             self._expand_elements(elems)
-        for p_name in self._powers:
+        for p_name in self._window_rows:
             cones = [n for n in fresh if self._cone_of.get(n) == p_name]
             if cones:
                 rows = exact_keys([_key_rows([self._keys[n][1] for n in cones]),
@@ -340,27 +304,13 @@ class ConedGraph:
                 for node, adj in zip(cones, self._nodes(_row_keys(rows)).reshape(len(cones), -1)):
                     self._adjacent[node] = adj
 
-    def _free_adjacent(self, node):
-        key, p_name = self._keys[node], self._cone_of.get(node)
-        if p_name is not None:
-            pows = self._powers[p_name]
-            return self._nodes([self._mul(key[1], pows[j])
-                                for j in range(-self.truncation, self.truncation + 1)])
-        cones = []
-        for p_name, t_name in self.pres.peripherals:
-            rep, j = self._coset_key(key, p_name, t_name)
-            if abs(j) <= self.truncation:
-                cones.append(self._cone(p_name, rep))
-        steps = self._nodes([self._mul(key, g) for g in self._gens.values()])
-        return np.concatenate([steps, np.array(cones, dtype=np.intp)])
-
     def _expand_elements(self, nodes):
-        """Matrix kind: each element's generator steps, then the cone of each
-        peripheral whose window holds it."""
+        """Each element's generator steps, then the cone of each peripheral
+        whose window holds it."""
         rows = _key_rows([self._keys[n] for n in nodes])
         table = [self._nodes(_row_keys(exact_keys([rows, self._gen_rows], 2)))
                  .reshape(len(nodes), -1)]
-        for p_name in self._powers:
+        for p_name in self._window_rows:
             reps, j = self._coset_rows(rows, p_name)
             near = np.flatnonzero(np.abs(j) <= self.truncation)
             cones = np.full((len(nodes), 1), -1, dtype=np.intp)

@@ -74,7 +74,7 @@ from .circle import (
     vec_of,
 )
 from .domains import arc_ball
-from .errors import SynthesisFailed
+from .errors import ConfigError, SynthesisFailed
 from .linalg import Matrix, exact_keys
 from .words import GroupPresentation, Word, concat, word_str
 
@@ -159,17 +159,30 @@ def _firsts(ids):
     return np.sort(np.unique(ids, return_index=True)[1])
 
 
-def _word_ball(rho: GroupPresentation, radius: int):
+# words plus next-length rows a generator ball may reach before that length
+# is formed: the rank-2 Schottky group's radius-10 ball (118,096 words) is
+# formed, its radius 11 is not
+_MAX_BALL_ROWS = 2 ** 18
+
+
+def _word_ball(rho: GroupPresentation, radius: int, setting: str = "word_radius"):
     """Nonidentity elements of the generator ball, by length then lex: their
     words and key rows. Each length is one key table of the last length's
     words times the generators; with exact generators, the last length's
     kept rows are its words' exact matrices, so they are multiplied and no
-    word is evaluated. An element keeps its first row only."""
+    word is evaluated. An element keeps its first row only. A ConfigError
+    naming ``synthesis.<setting>`` refuses a length whose table would take
+    the words and its rows past ``_MAX_BALL_ROWS``."""
     gens = [((name, e),) for name in sorted(rho.generators) for e in (1, -1)]
     frontier, words, rows = [()], [], _key_table(rho, [()])
     steps = [rho.power(name, e).exact for ((name, e),) in gens]
     exact = None not in steps
-    for _ in range(radius):
+    for reached in range(radius):
+        if len(words) + len(frontier) * len(gens) > _MAX_BALL_ROWS:
+            raise ConfigError(
+                f"synthesis.{setting} {radius} is too large: the word ball reached radius "
+                f"{reached} with {len(words)} words, and radius {reached + 1} would pass "
+                f"{_MAX_BALL_ROWS} rows")
         if exact:
             table = exact_keys([rows[len(rows) - len(frontier):], np.array(steps, dtype=object)],
                                rho.dim)
@@ -194,7 +207,7 @@ class _Syllables:
     and ``ids[t, a + L, u, v]``."""
 
     def __init__(self, rho, params):
-        self.short = [()] + _word_ball(rho, params.coset_ball)[0]
+        self.short = [()] + _word_ball(rho, params.coset_ball, "coset_ball")[0]
         self.ball, self.ball_rows = _word_ball(rho, params.word_radius)
         self.t_names = [p.generators[0] for p in rho.peripherals]
         self.lead_powers = L = params.lead_powers

@@ -371,8 +371,7 @@ def test_criterion_08_modular_synthesis(pgl2z_cfg):
         return max((abs(e) for w in p.words for _, e in w), default=0)
     usable = [p for p in paths if max_power(p) <= 24][:2]
     ok &= len(usable) == 2
-    pres = Presentation(generators=["t", "s", "r"], peripherals=[("pt", "t")],
-                        kind="matrix", rho=rho)
+    pres = Presentation(generators=["t", "s", "r"], peripherals=[("pt", "t")], rho=rho)
     cg = ConedGraph(pres, truncation=28, max_nodes=2500000)
     for p in usable:
         prefixes, acc = [], ()

@@ -288,6 +288,15 @@ def _config_error(args, capsys):
     return code == 2 and err.startswith("config error:") and "Traceback" not in err
 
 
+def test_synthesis_word_ball_past_its_bound_is_config_error(tmp_path, capsys, monkeypatch):
+    # pgl2z's radius-10 ball (1,491 words) passes a bound of 1,000 rows
+    monkeypatch.setattr(synth, "_MAX_BALL_ROWS", 1000)
+    code = run(["synthesize", "--config", CONFIGS / "pgl2z.json", "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error: synthesis.word_radius 10 is too large")
+    assert "Traceback" not in err
+
+
 def _set(*path_and_value):
     *path, value = path_and_value
 

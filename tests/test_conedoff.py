@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from flagdyn import conedoff
-from flagdyn.conedoff import (
-    ConedGraph,
-    Presentation,
-    free_reduce,
-    quasigeodesic_check,
-)
+from flagdyn.conedoff import ConedGraph, Presentation, quasigeodesic_check
 from flagdyn.errors import OutOfBall
 from flagdyn.linalg import Matrix
 from flagdyn.words import GroupPresentation, Peripheral, concat, parse_word
@@ -22,17 +17,24 @@ MODULAR = {
     "r": Matrix([[0, 1], [1, 0]]),
 }
 
+# Sanov's free subgroup of PGL(2, Z): a and b generate a free group, and
+# a is parabolic
+SANOV = {"a": Matrix([[1, 2], [0, 1]]), "b": Matrix([[1, 0], [2, 1]])}
+
+
+def _sanov(peripherals):
+    rho = GroupPresentation(dim=2, generators=dict(SANOV))
+    return Presentation(generators=["a", "b"], peripherals=peripherals, rho=rho)
+
 
 @pytest.fixture(scope="module")
 def f2_plain():
-    pres = Presentation(generators=["a", "b"], peripherals=[], kind="free")
-    return ConedGraph(pres)
+    return ConedGraph(_sanov([]))
 
 
 @pytest.fixture(scope="module")
 def f2_rel_a():
-    pres = Presentation(generators=["a", "b"], peripherals=[("pa", "a")], kind="free")
-    return ConedGraph(pres, truncation=16)
+    return ConedGraph(_sanov([("pa", "a")]), truncation=16)
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +44,8 @@ def pgl2z():
         generators=dict(MODULAR),
         peripherals=[Peripheral("pt", ["t"], truncation=40, parabolic_point=[1, 0])],
     )
-    pres = Presentation(generators=["t", "s", "r"], peripherals=[("pt", "t")],
-                        kind="matrix", rho=rho)
+    pres = Presentation(generators=["t", "s", "r"], peripherals=[("pt", "t")], rho=rho)
     return ConedGraph(pres, truncation=24)
-
-
-def test_free_reduce():
-    w = [("a", 1), ("a", -1), ("b", 1)]
-    assert free_reduce(w) == (("b", 1),)
-    assert free_reduce([]) == ()
 
 
 def test_generator_distance(f2_rel_a):
@@ -91,10 +86,8 @@ def test_metric_axioms_sampled(f2_rel_a):
 
 
 def test_truncation_monotone():
-    pres = Presentation(generators=["a", "b"], peripherals=[("pa", "a")], kind="free")
-    small = ConedGraph(pres, truncation=4)
-    big = ConedGraph(Presentation(generators=["a", "b"], peripherals=[("pa", "a")],
-                                  kind="free"), truncation=16)
+    small = ConedGraph(_sanov([("pa", "a")]), truncation=4)
+    big = ConedGraph(_sanov([("pa", "a")]), truncation=16)
     w = parse_word("b a^9 b")
     d_big = big.distance((), w, 10)
     d_small = small.distance((), w, 20)
@@ -129,7 +122,7 @@ def test_quasigeodesic_detour(f2_plain):
 
 def test_schottky_automaton_paths_quasigeodesic(f2_plain, schottky_cfg):
     # free-group normal forms are geodesics: automaton path prefixes at
-    # depth 12 stay within Hausdorff distance 1
+    # depth 12, read in Sanov's free group, stay within Hausdorff distance 1
     from flagdyn.automaton import enumerate_paths
     from flagdyn.words import concat
 
@@ -161,13 +154,13 @@ def test_matrix_presentation_rejects_inexact_generators():
     float_rho = GroupPresentation(dim=2, generators={"t": Matrix([[1, 1], [0, 1]]),
                                                      "h": Matrix([[2.0, 0.0], [0.0, 0.5]])})
     with pytest.raises(ValueError, match="generator h"):
-        Presentation(generators=["t", "h"], peripherals=[], kind="matrix", rho=float_rho)
+        Presentation(generators=["t", "h"], peripherals=[], rho=float_rho)
     rho3 = GroupPresentation(dim=3, generators={"u": Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])})
     with pytest.raises(ValueError, match="generator u"):
-        Presentation(generators=["u"], peripherals=[], kind="matrix", rho=rho3)
-    # every matrix-kind generator needs a matrix
+        Presentation(generators=["u"], peripherals=[], rho=rho3)
+    # every generator needs a matrix
     with pytest.raises(ValueError, match="generator x has no matrix"):
-        Presentation(generators=["t", "x"], peripherals=[], kind="matrix",
+        Presentation(generators=["t", "x"], peripherals=[],
                      rho=GroupPresentation(dim=2, generators=dict(MODULAR)))
 
 
@@ -178,20 +171,24 @@ def test_matrix_presentation_rejects_non_parabolic_peripherals():
     # hyperbolic, the identity, |trace| 2 with det -1, and the order-2 element s
     for name in ("h", "e", "m", "s"):
         with pytest.raises(ValueError, match=f"generator {name} is not parabolic"):
-            Presentation(generators=sorted(gens), peripherals=[("p", name)],
-                         kind="matrix", rho=rho)
-    Presentation(generators=sorted(gens), peripherals=[("p", "t")], kind="matrix", rho=rho)
+            Presentation(generators=sorted(gens), peripherals=[("p", name)], rho=rho)
+    Presentation(generators=sorted(gens), peripherals=[("p", "t")], rho=rho)
 
 
 def test_presentation_rejects_unknown_kind_and_names():
-    with pytest.raises(ValueError, match="unknown presentation kind 'bogus'"):
-        Presentation(generators=["a", "b"], peripherals=[], kind="bogus")
-    # a peripheral generator must be one of the generators, in either kind
+    sanov = GroupPresentation(dim=2, generators=dict(SANOV))
+    # "matrix" is the only kind: a free group is a matrix group too
+    for kind in ("bogus", "free"):
+        with pytest.raises(ValueError, match=f"unknown presentation kind '{kind}'"):
+            Presentation(generators=["a", "b"], peripherals=[], rho=sanov, kind=kind)
+    assert Presentation(generators=["a", "b"], peripherals=[], rho=sanov,
+                        kind="matrix").kind == "matrix"
+    # a peripheral generator must be one of the generators, in either group
     with pytest.raises(ValueError, match="peripheral pc generator c is not a generator"):
-        Presentation(generators=["a", "b"], peripherals=[("pc", "c")], kind="free")
+        Presentation(generators=["a", "b"], peripherals=[("pc", "c")], rho=sanov)
     rho = GroupPresentation(dim=2, generators=dict(MODULAR))
     with pytest.raises(ValueError, match="peripheral pc generator c is not a generator"):
-        Presentation(generators=["t", "s"], peripherals=[("pc", "c")], kind="matrix", rho=rho)
+        Presentation(generators=["t", "s"], peripherals=[("pc", "c")], rho=rho)
 
 
 def _random_words(names, count, seed, max_len=6):
@@ -204,8 +201,9 @@ def _random_words(names, count, seed, max_len=6):
     return out
 
 
-# (kind, generator names, max word length) of the search tests
-KINDS = [("free", ["a", "b"], 3), ("matrix", ["t", "s", "r"], 5)]
+# (group, generator names, max word length) of the search tests: "free" is
+# Sanov's free group with peripheral <a>, "matrix" is PGL(2, Z) with <t>
+GROUPS = [("free", ["a", "b"], 3), ("matrix", ["t", "s", "r"], 5)]
 
 
 def _search_pairs(names, max_len):
@@ -219,11 +217,11 @@ def _assert_coset_key_invariant(graph, t_name, seed):
     T = graph.truncation
 
     def key(word):
-        return graph._coset_key(graph.label(graph.node_of_word(word))[1], p_name, t_name)
+        return graph._coset_key(graph.label(graph.node_of_word(word))[1], p_name)
 
     for g in _random_words(sorted(graph.pres.generators), 25, seed):
         rep, j = key(g)
-        assert graph._coset_key(rep, p_name, t_name) == (rep, 0), g
+        assert graph._coset_key(rep, p_name) == (rep, 0), g
         for m in (1, -1, T, -T, 3 * T, -3 * T, 400, -400):
             assert key(concat(g, ((t_name, m),))) == (rep, j + m), (g, m)
         assert key(concat(g, (("s", 1),)))[0] != rep, g
@@ -239,7 +237,7 @@ def test_pgl2z_coset_members_share_a_cone(pgl2z):
     assert pgl2z.distance((), parse_word("t^25"), 6) == 3
     assert pgl2z.distance(parse_word("s t^3"), parse_word("s t^-22"), 6) == 2
     assert pgl2z._coset_key(pgl2z.label(pgl2z.node_of_word(parse_word("s t^-20")))[1],
-                            "pt", "t") == (pgl2z.label(pgl2z.node_of_word(parse_word("s")))[1], -20)
+                            "pt") == (pgl2z.label(pgl2z.node_of_word(parse_word("s")))[1], -20)
     # beyond the window a member is not adjacent to the cone
     far = parse_word("t^60")
     with pytest.raises(OutOfBall):
@@ -256,8 +254,7 @@ def test_pgl2z_coset_members_share_a_cone(pgl2z):
 def test_coset_key_of_conjugated_or_non_unit_peripheral(name, matrix):
     gens = dict(MODULAR, **{name: Matrix(matrix)})
     rho = GroupPresentation(dim=2, generators=gens)
-    pres = Presentation(generators=sorted(gens), peripherals=[("p", name)],
-                        kind="matrix", rho=rho)
+    pres = Presentation(generators=sorted(gens), peripherals=[("p", name)], rho=rho)
     graph = ConedGraph(pres, truncation=6)
     _assert_coset_key_invariant(graph, name, seed=5)
     assert graph.distance(parse_word(f"r {name}^2"), parse_word(f"r {name}^-4"), 6) == 2
@@ -292,18 +289,18 @@ def _plain_bfs_distance(graph, a, b):
     return dist[b]
 
 
-def _graph_of_kind(kind, truncation):
-    if kind == "free":
-        pres = Presentation(generators=["a", "b"], peripherals=[("pa", "a")], kind="free")
+def _graph_of(group, truncation):
+    if group == "free":
+        pres = _sanov([("pa", "a")])
     else:
         pres = Presentation(generators=["t", "s", "r"], peripherals=[("pt", "t")],
-                            kind="matrix", rho=GroupPresentation(dim=2, generators=dict(MODULAR)))
+                            rho=GroupPresentation(dim=2, generators=dict(MODULAR)))
     return ConedGraph(pres, truncation=truncation)
 
 
-@pytest.mark.parametrize("kind, truncation", [("free", 16), ("matrix", 6)])
-def test_coned_graph_is_undirected(kind, truncation):
-    graph = _graph_of_kind(kind, truncation)
+@pytest.mark.parametrize("group, truncation", [("free", 16), ("matrix", 6)])
+def test_coned_graph_is_undirected(group, truncation):
+    graph = _graph_of(group, truncation)
     ball = _ball(graph, 3)
     assert any(graph.label(n)[0] == "c" for n in ball)
     for n in ball:
@@ -311,12 +308,12 @@ def test_coned_graph_is_undirected(kind, truncation):
             assert n in graph.neighbors(m), (n, m)
 
 
-@pytest.mark.parametrize("kind, names, max_len", KINDS)
-def test_searches_agree_with_plain_bfs(kind, names, max_len):
+@pytest.mark.parametrize("group, names, max_len", GROUPS)
+def test_searches_agree_with_plain_bfs(group, names, max_len):
     # truncation 6, so the pairs cross cone windows
-    graph = _graph_of_kind(kind, 6)
+    graph = _graph_of(group, 6)
     pairs = _search_pairs(names, max_len)
-    if kind == "free":
+    if group == "free":
         pairs += [((), parse_word("a^10")), ((), parse_word("a^10 b"))]
     got = []
     for v, w in pairs:
@@ -326,7 +323,7 @@ def test_searches_agree_with_plain_bfs(kind, names, max_len):
         assert _plain_bfs_distance(graph, a, b) == d, (v, w)
         got.append(d)
     assert max(got) >= 3
-    if kind == "free":
+    if group == "free":
         # one cone hop to a^6, then the letters beyond the window
         assert got[-2:] == [6, 7]
 
@@ -334,9 +331,9 @@ def test_searches_agree_with_plain_bfs(kind, names, max_len):
 # --- memoized adjacency ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind, names, max_len", KINDS)
-def test_warm_adjacency_matches_a_fresh_graph(kind, names, max_len):
-    warm, cold = _graph_of_kind(kind, 6), _graph_of_kind(kind, 6)
+@pytest.mark.parametrize("group, names, max_len", GROUPS)
+def test_warm_adjacency_matches_a_fresh_graph(group, names, max_len):
+    warm, cold = _graph_of(group, 6), _graph_of(group, 6)
     for v, w in _search_pairs(names, max_len):
         warm.distance(v, w, 16)
     ball = _ball(warm, 3)
@@ -353,9 +350,9 @@ def test_warm_adjacency_matches_a_fresh_graph(kind, names, max_len):
     assert len({warm.label(n) for n in ball}) == len(ball)
 
 
-@pytest.mark.parametrize("kind, names, max_len", KINDS)
-def test_searches_agree_between_warm_and_cold_graphs(kind, names, max_len):
-    warm = _graph_of_kind(kind, 6)
+@pytest.mark.parametrize("group, names, max_len", GROUPS)
+def test_searches_agree_between_warm_and_cold_graphs(group, names, max_len):
+    warm = _graph_of(group, 6)
     _ball(warm, 3)
     def labelled(graph, dists):
         return {graph.label(n): d for n, d in dists.items()}
@@ -363,20 +360,20 @@ def test_searches_agree_between_warm_and_cold_graphs(kind, names, max_len):
     for v, w in _search_pairs(names, max_len):
         a, b = warm.node_of_word(v), warm.node_of_word(w)
         for _ in range(2):  # the second query is fully warm
-            assert warm.distance(v, w, 16) == _graph_of_kind(kind, 6).distance(v, w, 16)
-            cold = _graph_of_kind(kind, 6)
+            assert warm.distance(v, w, 16) == _graph_of(group, 6).distance(v, w, 16)
+            cold = _graph_of(group, 6)
             assert ([warm.label(n) for n in warm.geodesic(v, w, 16)]
                     == [cold.label(n) for n in cold.geodesic(v, w, 16)])
-            cold = _graph_of_kind(kind, 6)
+            cold = _graph_of(group, 6)
             ca, cb = cold.node_of_word(v), cold.node_of_word(w)
             assert (labelled(warm, warm.set_distances([a], [b, a], 16))
                     == labelled(cold, cold.set_distances([ca], [cb, ca], 16)))
 
 
-@pytest.mark.parametrize("kind, names, max_len", KINDS)
-def test_repeated_distance_on_a_warm_graph_multiplies_nothing(kind, names, max_len,
+@pytest.mark.parametrize("group, names, max_len", GROUPS)
+def test_repeated_distance_on_a_warm_graph_multiplies_nothing(group, names, max_len,
                                                               monkeypatch):
-    graph = _graph_of_kind(kind, 6)
+    graph = _graph_of(group, 6)
     pairs = _search_pairs(names, max_len)
     want = [graph.distance(v, w, 16) for v, w in pairs]
     products = []
@@ -386,11 +383,10 @@ def test_repeated_distance_on_a_warm_graph_multiplies_nothing(kind, names, max_l
 
     monkeypatch.setattr(conedoff, "_int_mul", counted(conedoff._int_mul))
     monkeypatch.setattr(conedoff, "exact_keys", counted(conedoff.exact_keys))
-    monkeypatch.setattr(conedoff, "free_reduce", counted(conedoff.free_reduce))
     assert [graph.distance(v, w, 16) for v, w in pairs] == want
     assert products == []
     # the counters do see the products of a cold graph
-    assert [_graph_of_kind(kind, 6).distance(v, w, 16) for v, w in pairs] == want
+    assert [_graph_of(group, 6).distance(v, w, 16) for v, w in pairs] == want
     assert products
 
 
@@ -483,12 +479,14 @@ def _oracle_label(graph, node):
     return ("e", flat) if lab[0] == "e" else ("c", lab[1], flat)
 
 
-GAMMA2 = {"a": Matrix([[1, 2], [0, 1]]), "b": Matrix([[1, 0], [2, 1]]),
-          "c": Matrix([[-3, -2], [2, 1]])}  # c = a^-1 b
+GAMMA2 = dict(SANOV, c=Matrix([[-3, -2], [2, 1]]))  # c = a^-1 b
 
 # (generators, peripherals, truncation, search radius, max step length)
 ORACLE_CASES = {
     "pgl2z-T6": (MODULAR, [("pt", "t")], 6, 7, 7),
+    # the free-group tests' graph at truncation 4, where a window centred on a
+    # coset's frame representative is not the one centred on its shortest word
+    "sanov-T4": (SANOV, [("pa", "a")], 4, 6, 5),
     "gamma2-three-cusps": (GAMMA2, [("pa", "a"), ("pb", "b"), ("pc", "c")], 4, 5, 5),
     "conjugated-k3": (dict(MODULAR, w=Matrix([[-5, 12], [-3, 7]])), [("p", "w")], 6, 5, 5),
     # h's products pass 2^62 after one step, and its powers pass int64
@@ -501,8 +499,8 @@ ORACLE_CASES = {
 def test_searches_agree_with_a_brute_force_oracle(case):
     gens, peripherals, truncation, radius, max_len = ORACLE_CASES[case]
     rho = GroupPresentation(dim=2, generators=dict(gens))
-    graph = ConedGraph(Presentation(generators=sorted(gens), peripherals=peripherals,
-                                    kind="matrix", rho=rho), truncation=truncation)
+    graph = ConedGraph(Presentation(generators=sorted(gens), peripherals=peripherals, rho=rho),
+                       truncation=truncation)
     oracle = _OracleGraph({n: m.exact for n, m in gens.items()}, peripherals, truncation)
     names = sorted(gens)
     starts = _random_words(names, 10, seed=7, max_len=3)
@@ -539,8 +537,8 @@ def test_searches_agree_with_a_brute_force_oracle(case):
 def test_set_distances_from_several_sources_agree_with_the_oracle():
     gens, peripherals, truncation, _, _ = ORACLE_CASES["gamma2-three-cusps"]
     rho = GroupPresentation(dim=2, generators=dict(gens))
-    graph = ConedGraph(Presentation(generators=sorted(gens), peripherals=peripherals,
-                                    kind="matrix", rho=rho), truncation=truncation)
+    graph = ConedGraph(Presentation(generators=sorted(gens), peripherals=peripherals, rho=rho),
+                       truncation=truncation)
     oracle = _OracleGraph({n: m.exact for n, m in gens.items()}, peripherals, truncation)
     sources = [parse_word(w) for w in ["a^3", "b^-2 a", "c b"]]
     targets = [parse_word(w) for w in ["", "a^3", "a b^2", "c^-1 a^2 b", "b a^-1 c"]]
@@ -564,7 +562,7 @@ CRITERION_8_GEODESICS = [
 def test_criterion_8_geodesics_are_pinned(pgl2z_cfg):
     rho = pgl2z_cfg.presentation()
     graph = ConedGraph(Presentation(generators=sorted(rho.generators), peripherals=[("pt", "t")],
-                                    kind="matrix", rho=rho), truncation=28, max_nodes=2500000)
+                                    rho=rho), truncation=28, max_nodes=2500000)
     for word, length, digest in CRITERION_8_GEODESICS:
         geo = [graph.label(n) for n in graph.geodesic((), parse_word(word), 16)]
         assert len(geo) - 1 == length

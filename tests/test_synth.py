@@ -12,7 +12,7 @@ from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
 from flagdyn.circle import Arc, angle_dist, angle_of, angles, arc_between, mobius_arc, vec_of
 from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, chart_ball_arcs
-from flagdyn.errors import SynthesisFailed
+from flagdyn.errors import ConfigError, SynthesisFailed
 from flagdyn.linalg import Matrix
 from flagdyn.projgeom import chart_point
 from flagdyn.synth import (
@@ -618,6 +618,28 @@ def test_word_ball_matches_the_per_word_bfs(rho, params):
         want_words, want_rows = _per_word_ball(rho, radius)
         assert words == want_words
         assert rows.shape == want_rows.shape and (rows == want_rows).all()
+
+
+def test_word_ball_refuses_a_length_past_its_bound(monkeypatch):
+    # rank 2: 4, 12, 36 words at lengths 1-3; length 4 is 36 x 4 = 144 rows
+    rho = RunConfig.load(str(CONFIGS / "schottky.json")).presentation()
+    want = _word_ball(rho, 3)
+    monkeypatch.setattr(synth, "_MAX_BALL_ROWS", 64)  # length 3: 16 words + 12 x 4 rows
+    words, rows = _word_ball(rho, 3)
+    assert words == want[0] and (rows == want[1]).all()
+    with pytest.raises(ConfigError, match=r"^synthesis.word_radius 6 is too large: the word "
+                       r"ball reached radius 3 with 52 words, and radius 4 would pass 64 rows$"):
+        _word_ball(rho, 6)
+    monkeypatch.setattr(synth, "_MAX_BALL_ROWS", 63)
+    with pytest.raises(ConfigError, match="synthesis.coset_ball 3 .* reached radius 2 with 16"):
+        _word_ball(rho, 3, "coset_ball")
+
+
+def test_pgl2z_word_ball_is_far_inside_the_bound():
+    cfg = RunConfig.load(str(CONFIGS / "pgl2z.json"))
+    words, _ = _word_ball(cfg.presentation(), cfg.synthesis.word_radius)
+    # each check sees at most the ball's words and six generator rows per word
+    assert len(words) == 1491 and 7 * len(words) < synth._MAX_BALL_ROWS
 
 
 @pytest.mark.parametrize("case", [0, 2], ids=["pgl2z", "python-ints"])
