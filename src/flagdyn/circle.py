@@ -9,7 +9,7 @@ RP^1 are exact up to roundoff (no sampling).
 
 The array primitives: ``angles``, ``angle_dists``, ``arcs_between``
 (arcs from endpoints, with the one rule for the side) and ``mobius_arcs``
-(image arcs), whose n = 1 calls are ``arc_between`` and ``mobius_arc``;
+(image arcs), with ``arc_between`` the n = 1 call of ``arcs_between``;
 and ``sweep``, the one circular gap scan, over the sorted pieces of
 ``arc_pieces`` (kept sorted across insertions by ``insert_piece``), which
 ``cover_circle`` runs on (centers, radii) arrays.
@@ -127,12 +127,6 @@ def mobius_arcs(mats, centers, radii):
     ends = [angles(np.einsum("nij,nj->ni", mats, np.stack([np.cos(t), np.sin(t)], axis=1)))
             for t in (centers - radii, centers + radii, centers)]
     return arcs_between(*ends)
-
-
-def mobius_arc(m, arc: Arc) -> Arc:
-    """``mobius_arcs`` for one matrix."""
-    c, r = mobius_arcs(np.asarray(m)[None], arc.center, arc.radius)
-    return Arc(float(c[0]), float(r[0]))
 
 
 def arc_pieces(centers, radii):

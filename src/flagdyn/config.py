@@ -27,8 +27,8 @@ import numpy as np
 
 from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
 from .domains import ChartBall, ConvexPolytope, SampledSet, arc_ball
-from .errors import ConfigError, DegenerateImage, EvaluationError, SingularInput
-from .linalg import MAX_DIM, Matrix
+from .errors import BadDegree, ConfigError, DegenerateImage, EvaluationError, SingularInput
+from .linalg import MAX_DIM, Matrix, gap_degrees
 from .projgeom import ProjHyperplane, ProjPoint
 from .synth import SynthesisParams
 from .words import GroupPresentation, Peripheral, parse_word, word_str
@@ -401,8 +401,10 @@ class RunConfig:
             spec = _object(raw["gaps"], "gaps", ("word", "count", "k", "threshold"))
             word = config_word(spec.get("word"), "gaps.word", names)
             k = number(spec.get("k", 1), "gaps.k", int)
-            if not 1 <= k < self.dimension:
-                raise ConfigError(f"gaps.k must lie in 1..{self.dimension - 1}, got {k}")
+            try:
+                gap_degrees(self.dimension, k)
+            except BadDegree as exc:  # its message starts with "k"
+                raise ConfigError(f"gaps.{exc}") from exc
             self.gaps = Gaps(spec["word"], word,
                              at_least(spec.get("count", 100), "gaps.count", 1), k,
                              number(spec.get("threshold", 5.0), "gaps.threshold"))

@@ -13,8 +13,9 @@ precision.
 ``contracting_limits`` pushes a batch of paths together: one
 (P, d, d) prefix stack, depth n of every path in one step, diameters
 from one cross-ratio array on RP^1 or one ``domains.zimmer_metrics``
-call per (home, target) vertex pair otherwise. ``contracting_limit`` is
-its one-path call, and every path's result is bit-identical to it.
+call per (home, target) vertex pair otherwise. A path's result is
+bit-identical whatever paths are batched with it, so one path is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
 from .domains import ChartBall, ProperDomain, det2, zimmer_metrics
-from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound
-from .linalg import Matrix, PrefixProduct, gap_trace, mathmap, minors, rowdot, svd
+from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound, SingularInput
+from .linalg import Matrix, PrefixProduct, gap_trace, mathmap, minors, rowdot
 from .projgeom import (
     ProjHyperplane,
     ProjPoint,
@@ -82,12 +83,6 @@ def _check_certified(paths, certificate):
         for e in zip(path.vertices, path.vertices[1:]):
             if e not in certified_edges:
                 raise NotCertified(f"path edge {e} not covered by the certificate")
-
-
-def contracting_limit(path: GPath, rho: GroupPresentation, system: CompatibleSystem,
-                      certificate=None) -> PathResult:
-    """``contracting_limits`` of one path."""
-    return contracting_limits([path], rho, system, certificate=certificate)[0]
 
 
 def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
@@ -258,14 +253,19 @@ def limit_set_sample(graph: GammaGraph, rho: GroupPresentation,
 
 def attracting_data(m: Matrix, k: int = 1, gap_threshold: float = 0.1):
     """Attracting k-plane (as a point behind the exterior power) and the
-    repelling hyperplane (bottom right-singular span, as a dual point)."""
-    dec = svd(m)
-    gap = math.log(dec.sigma[k - 1] / dec.sigma[k])
+    repelling hyperplane (bottom right-singular span, as a dual point).
+
+    The singular vectors come from LAPACK as they are: flipping a column
+    flips every Pluecker coordinate of the frame, and ``ProjPoint`` and
+    ``ProjHyperplane`` canonicalize the sign.
+    """
+    u, sigma, vt = np.linalg.svd(m.arr)
+    if sigma[-1] <= 0.0:
+        raise SingularInput("vanishing singular value")
+    gap = math.log(sigma[k - 1] / sigma[k])
     if gap <= gap_threshold:
         raise GapTooSmall(f"gap {gap:.3e} below threshold {gap_threshold}")
-    att = _pluecker(dec.u[:, :k])
-    rep = _pluecker(dec.v[:, :k])
-    return ProjPoint(att), ProjHyperplane(rep)
+    return ProjPoint(_pluecker(u[:, :k])), ProjHyperplane(_pluecker(vt[:k].T))
 
 
 def _pluecker(cols: np.ndarray) -> np.ndarray:

@@ -9,22 +9,21 @@ with the coned-off graph of PGL(2, Z) and synthesis. Every matrix gets
 its float representative when it is built, and ``_exact_floats`` is the
 one place where exact entries become floats: an entry beyond the float
 range raises SingularInput there.
-Singular values of single elements come from LAPACK with sign-normalized
-columns. ``PrefixProduct`` holds a stack of P sup-renormalized running
+``PrefixProduct`` holds a stack of P sup-renormalized running
 products, one per path, and pushes them together. ``gap_trace`` is the
 one reader of singular gaps of long products (the ``gaps`` command and
 ``dynamics.local_to_global_check``); it never decomposes the product,
 but accumulates the renormalized exterior powers a gap needs beside a
 one-path ``PrefixProduct`` and reads each log sigma_1 ... sigma_j =
-log ||Lambda^j g|| from a top singular value. ``rowdot`` and
-``mathmap`` are the row-by-row kernels that keep a batched row
-bit-identical to its one-row computation.
+log ||Lambda^j g|| from a top singular value. ``gap_degrees`` is the
+one rule for the degrees k a gap may have; the config loader applies
+it too. ``rowdot`` and ``mathmap`` are the row-by-row kernels that keep
+a batched row bit-identical to its one-row computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import BadDegree, SingularInput
 
 MAX_DIM = 20
-MAX_EXT_DIM = 200
+MAX_EXT_DIM = 924  # C(12, 6): every degree at d <= 12
 RENORM_EVERY = 8
 
 
@@ -242,57 +241,6 @@ class Matrix:
         return f"Matrix(dim={self.dim}, exact={self.exact is not None})"
 
 
-@dataclass(frozen=True)
-class SingularDecomposition:
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
-class CartanVector:
-    dim: int
-    mu: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.mu))) > 1e-9:
-            raise ValueError("Cartan vector entries must sum to zero")
-        if np.any(np.diff(self.mu) > 1e-12):
-            raise ValueError("Cartan vector entries must be non-increasing")
-
-
-def svd(m: Matrix) -> SingularDecomposition:
-    """LAPACK SVD of a single element.
-
-    Column signs of u are normalized so the largest-magnitude entry of each
-    column is nonnegative (v follows), which makes the result deterministic.
-    """
-    a = m.arr
-    u, sigma, vt = np.linalg.svd(a)
-    if sigma[-1] <= 0.0:
-        raise SingularInput("vanishing singular value")
-    cols = np.arange(m.dim)
-    signs = np.where(u[np.argmax(np.abs(u), axis=0), cols] < 0, -1.0, 1.0)
-    u = u * signs
-    v = vt.T * signs
-    residual = float(np.max(np.abs((u * sigma) @ v.T - a)))
-    return SingularDecomposition(u=u, sigma=sigma, v=v, residual=residual)
-
-
-def cartan_projection(m: Matrix) -> CartanVector:
-    """Sorted log singular values, shifted to sum to zero."""
-    sigma = svd(m).sigma
-    mu = np.log(sigma)
-    mu = mu - np.mean(mu)
-    return CartanVector(dim=m.dim, mu=mu)
-
-
-def simple_root_gaps(cv: CartanVector) -> np.ndarray:
-    """gaps[i] = mu[i] - mu[i+1]; gaps[k-1] is the log sigma_k/sigma_{k+1} observable."""
-    return -np.diff(cv.mu)
-
-
 @lru_cache(maxsize=None)
 def _subsets(n, k):
     idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
@@ -329,17 +277,6 @@ def mathmap(fn, values):
         return fn(values)
     values = np.asarray(values, dtype=float)
     return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
-
-
-def exterior_power(m: Matrix, k: int) -> Matrix:
-    """k-th exterior power: entry (I, J) is the (I, J) minor, k-subsets in lex order."""
-    d = m.dim
-    if not 1 <= k <= d - 1:
-        raise BadDegree(f"k = {k} out of range for dimension {d}")
-    n = math.comb(d, k)
-    if n > MAX_EXT_DIM:
-        raise BadDegree(f"C({d},{k}) = {n} exceeds the supported cap {MAX_EXT_DIM}")
-    return Matrix(minors(m.arr, k))
 
 
 class PrefixProduct:
@@ -398,6 +335,23 @@ class PrefixProduct:
         return img / norms[..., None], norms
 
 
+def gap_degrees(dim: int, k: int) -> list:
+    """The exterior degrees j in {k - 1, k, k + 1} that lie in 2..dim-1,
+    whose Lambda^j blocks the gap log(sigma_k / sigma_{k+1}) reads.
+
+    Raises BadDegree unless k lies in 1..dim-1 and each block is at most
+    ``MAX_EXT_DIM`` wide: ``minors`` stacks C(dim, j)^2 j x j blocks at once.
+    """
+    if not 1 <= k <= dim - 1:
+        raise BadDegree(f"k must lie in 1..{dim - 1}, got {k}")
+    degrees = [j for j in (k - 1, k, k + 1) if 2 <= j <= dim - 1]
+    for j in degrees:
+        if math.comb(dim, j) > MAX_EXT_DIM:
+            raise BadDegree(f"k = {k} needs exterior degree {j} of dimension "
+                            f"C({dim},{j}) = {math.comb(dim, j)}, past the cap {MAX_EXT_DIM}")
+    return degrees
+
+
 def gap_trace(factors, k: int):
     """log(sigma_k / sigma_{k+1}) of each prefix product of the factors.
 
@@ -408,16 +362,14 @@ def gap_trace(factors, k: int):
     exterior powers of degrees k - 1, k, k + 1 that lie in 2..d-1 are
     accumulated beside it as (1, C, C) stacks, each sup-renormalized with
     its own running log scale. The Lambda^j block of a factor is computed
-    once per distinct ``Matrix`` object.
+    once per distinct ``Matrix`` object. Degrees past ``gap_degrees`` raise
+    BadDegree before any block is built.
     """
     if not factors:
         raise ValueError("empty sequence")
     dim = factors[0].dim
-    if not 1 <= k <= dim - 1:
-        raise BadDegree(f"k = {k} out of range for dimension {dim}")
+    ext = {j: [np.eye(math.comb(dim, j))[None], np.zeros(1)] for j in gap_degrees(dim, k)}
     prefix = PrefixProduct(dim)
-    ext = {j: [np.eye(math.comb(dim, j))[None], np.zeros(1)]
-           for j in (k - 1, k, k + 1) if 2 <= j <= dim - 1}
     blocks = {}  # (factor, j) -> Lambda^j block of the factor
 
     def log_top(j):

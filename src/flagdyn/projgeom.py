@@ -114,11 +114,6 @@ def act_many(m, coords):
     return img / norms
 
 
-def opposition_margin(p: ProjPoint, h: ProjHyperplane) -> float:
-    """|<covector, coords>| for unit representatives: 0 means incident."""
-    return abs(float(h.covector @ p.coords))
-
-
 def chart_basis(h: ProjHyperplane) -> np.ndarray:
     """Orthonormal completion of the chart covector, deterministic.
 

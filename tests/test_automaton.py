@@ -20,7 +20,7 @@ from flagdyn.automaton import (
     peripheral_stability_probe,
     verify_compatibility,
 )
-from flagdyn.circle import Arc, mobius_arc, vec_of
+from flagdyn.circle import Arc, mobius_arcs, vec_of
 from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, ConvexPolytope, arc_ball
 from flagdyn.errors import BaseFails, EvaluationError, MissingDomain
@@ -48,7 +48,8 @@ def test_one_vertex_attracting_interval(single_loop_cfg):
     # closed-form oracle: the interval image under x -> x/16 in the chart
     target = system.domain("v").arc().expand(graph.epsilon)
     g = rho.generators["g"].arr
-    img = mobius_arc(g, target)
+    c, r = mobius_arcs(g[None], target.center, target.radius)
+    img = Arc(float(c[0]), float(r[0]))
     home = system.domain("v").arc()
     oracle_margin = home.margin_of_arc(img)
     assert cert.min_margin == pytest.approx(oracle_margin, abs=1e-12)
@@ -69,7 +70,9 @@ def test_schottky_certifies_with_oracle_margin(schottky):
     oracle = math.inf
     for v, w in graph.edges:
         m = rho.evaluate(graph.vertices[v].word)
-        img = mobius_arc(m.arr, system.domain(w).arc().expand(graph.epsilon))
+        target = system.domain(w).arc().expand(graph.epsilon)
+        c, r = mobius_arcs(m.arr[None], target.center, target.radius)
+        img = Arc(float(c[0]), float(r[0]))
         oracle = min(oracle, system.domain(v).arc().margin_of_arc(img))
     assert cert.min_margin == pytest.approx(oracle, abs=1e-6)
 
@@ -123,7 +126,9 @@ def test_nesting_transitivity(schottky):
     for (u, v) in [("a+", "b+"), ("b+", "a-")]:
         for (v2, w) in [(v, x) for (y, x) in graph.edges if y == v]:
             m = rho.evaluate(graph.vertices[u].word) @ rho.evaluate(graph.vertices[v].word)
-            img = mobius_arc(m.arr, system.domain(w).arc().expand(eps))
+            target = system.domain(w).arc().expand(eps)
+            c, r = mobius_arcs(m.arr[None], target.center, target.radius)
+            img = Arc(float(c[0]), float(r[0]))
             assert system.domain(u).arc().margin_of_arc(img) > 0
 
 
@@ -392,7 +397,8 @@ def _reference_certificate(graph, system, rho, *, n_boundary, n_interior, elemen
             m = rho.evaluate(word)
             if automaton._is_arc(home) and automaton._is_arc(target):
                 t, h = target.arc().expand(eps), home.arc()
-                img = mobius_arc(m.arr, t)
+                c, r = mobius_arcs(m.arr[None], t.center, t.radius)
+                img = Arc(float(c[0]), float(r[0]))
                 margin = h.radius - (circle.angle_dist(h.center, img.center) + img.radius)
                 size, n_samples, exact = img.radius, 2, True
             else:

@@ -494,6 +494,32 @@ def test_bad_gaps_section_is_config_error(tmp_path, capsys, edit):
     assert _config_error(["gaps", "--config", bad, "--out", tmp_path], capsys)
 
 
+def _diagonal_gaps_config(path, d, k):
+    diag = [[2.0 ** (d // 2 - i) if i == j else 0.0 for j in range(d)] for i in range(d)]
+    path.write_text(json.dumps({"dimension": d, "generators": [{"name": "g", "matrix": diag}],
+                                "gaps": {"word": "g", "count": 3, "k": k}}))
+    return path
+
+
+@pytest.mark.parametrize("d, k", [(13, 6), (16, 8)])
+def test_gaps_degree_past_the_exterior_cap_is_config_error(tmp_path, capsys, d, k):
+    # C(13, 5) = 1287 and C(16, 7) = 11440 pass MAX_EXT_DIM = C(12, 6) = 924:
+    # refused at load, before gap_trace builds any block
+    bad = _diagonal_gaps_config(tmp_path / "wide.json", d, k)
+    assert run(["gaps", "--config", bad, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: gaps.k = {k} needs exterior degree")
+    assert "past the cap 924" in err and "Traceback" not in err
+
+
+def test_gaps_degree_within_the_exterior_cap_runs(tmp_path, capsys):
+    # diag(2^6, ..., 2^-5): every gap log 2 per factor, and C(12, 4) = 495
+    cfg = _diagonal_gaps_config(tmp_path / "d12.json", 12, 3)
+    assert run(["gaps", "--config", cfg, "--out", tmp_path]) == 0
+    final = capsys.readouterr().out.split(";")[0].removeprefix("final gap ")
+    assert float(final) == pytest.approx(3 * math.log(2), rel=1e-12)
+
+
 def test_separation_only_failure_is_named(tmp_path, capsys):
     raw = json.loads((CONFIGS / "schottky.json").read_text())
     raw["delta_separation"] = [["a+", "b+", 3.0]]

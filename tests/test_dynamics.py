@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from flagdyn.automaton import CompatibleSystem, GPath, enumerate_paths, verify_compatibility
+from flagdyn.circle import Arc, angle_dist, angle_of, mobius_arcs
 from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, arc_ball, zimmer_metric
 from flagdyn.dynamics import (
+    _pluecker,
     attracting_data,
-    contracting_limit,
     contracting_limits,
     equivariance_check,
     limit_set_sample,
@@ -54,7 +55,7 @@ def _rotation2(theta):
 def test_loop_limit_is_attracting_point(certified_loop):
     rho, graph, system, cert = certified_loop
     paths, _ = enumerate_paths(graph, 15, "random", rho, cap=1)
-    res = contracting_limit(paths[0], rho, system, certificate=cert)
+    res = contracting_limits([paths[0]], rho, system, certificate=cert)[0]
     assert fubini_study(res.limit, ProjPoint([1.0, 0.0])) < 1e-9
     assert all(b <= a * (1 + 1e-9) for a, b in zip(res.diameters[1:], res.diameters[2:]))
 
@@ -63,7 +64,7 @@ def test_loop_rate_matches_mobius_derivative(certified_loop):
     # contraction of x -> x/16 at the fixed point is 1/16 per step
     rho, graph, system, cert = certified_loop
     paths, _ = enumerate_paths(graph, 20, "random", rho, cap=1)
-    res = contracting_limit(paths[0], rho, system, certificate=cert)
+    res = contracting_limits([paths[0]], rho, system, certificate=cert)[0]
     rep = shrink_rates([res], depth_range=(5, 20))
     assert rep.lambda2 == pytest.approx(2 * math.log(4), rel=0.1)
     assert rep.r_squared >= 0.98
@@ -72,7 +73,7 @@ def test_loop_rate_matches_mobius_derivative(certified_loop):
 def test_rate_bound_dominates(certified_loop):
     rho, graph, system, cert = certified_loop
     paths, _ = enumerate_paths(graph, 18, "random", rho, cap=1)
-    res = contracting_limit(paths[0], rho, system, certificate=cert)
+    res = contracting_limits([paths[0]], rho, system, certificate=cert)[0]
     rep = shrink_rates([res], depth_range=(3, 18))
     for n, d in enumerate(res.diameters, start=1):
         if rep.depth_range[0] <= n <= rep.depth_range[1]:
@@ -81,20 +82,16 @@ def test_rate_bound_dominates(certified_loop):
 
 def test_schottky_limits_match_interval_ifs(certified_schottky):
     # oracle: iterated Mobius images of the target interval
-    from flagdyn.circle import mobius_arc
-
     rho, graph, system, cert = certified_schottky
     paths, _ = enumerate_paths(graph, 12, "random", rho, seed=9, cap=10)
     for p in paths:
-        res = contracting_limit(p, rho, system, certificate=cert)
+        res = contracting_limits([p], rho, system, certificate=cert)[0]
         arc = system.domain(p.vertices[-1]).arc()
         m = Matrix.identity(2)
         for w in p.words:
             m = m @ rho.evaluate(w)
-        img = mobius_arc(m.arr, arc)
-        from flagdyn.circle import angle_dist, angle_of
-
-        assert angle_dist(angle_of(res.limit.coords), img.center) <= img.radius + 1e-9
+        c, r = mobius_arcs(m.arr[None], arc.center, arc.radius)
+        assert angle_dist(angle_of(res.limit.coords), c[0]) <= r[0] + 1e-9
 
 
 def test_prefix_shift_identity(certified_schottky):
@@ -104,17 +101,15 @@ def test_prefix_shift_identity(certified_schottky):
     rho, graph, system, cert = certified_schottky
     paths, _ = enumerate_paths(graph, 14, "random", rho, seed=5, cap=8)
     for p in paths:
-        res = contracting_limit(p, rho, system, certificate=cert)
+        res = contracting_limits([p], rho, system, certificate=cert)[0]
         rest = GPath(p.vertices[1:], p.words[1:])
-        res_rest = contracting_limit(rest, rho, system, certificate=cert)
+        res_rest = contracting_limits([rest], rho, system, certificate=cert)[0]
         lhs = res.limit
         rhs = act(rho.evaluate(p.words[0]), res_rest.limit)
         assert fubini_study(lhs, rhs) <= 2 * (res.radius_bound + res_rest.radius_bound)
 
 
 def test_monotone_nesting_along_paths(certified_schottky):
-    from flagdyn.circle import mobius_arc
-
     rho, graph, system, cert = certified_schottky
     paths, _ = enumerate_paths(graph, 10, "random", rho, seed=3, cap=6)
     for p in paths:
@@ -122,7 +117,9 @@ def test_monotone_nesting_along_paths(certified_schottky):
         prev = None
         for n, w in enumerate(p.words):
             m = m @ rho.evaluate(w)
-            img = mobius_arc(m.arr, system.domain(p.vertices[n + 1]).arc())
+            arc = system.domain(p.vertices[n + 1]).arc()
+            c, r = mobius_arcs(m.arr[None], arc.center, arc.radius)
+            img = Arc(float(c[0]), float(r[0]))
             if prev is not None:
                 assert prev.margin_of_arc(img) >= -1e-12
             prev = img
@@ -132,9 +129,9 @@ def test_limit_stability_depth_refinement(certified_schottky):
     rho, graph, system, cert = certified_schottky
     paths, _ = enumerate_paths(graph, 20, "random", rho, seed=13, cap=5)
     for p in paths:
-        r15 = contracting_limit(GPath(p.vertices[:16], p.words[:15]), rho, system,
-                                certificate=cert)
-        r20 = contracting_limit(p, rho, system, certificate=cert)
+        r15 = contracting_limits([GPath(p.vertices[:16], p.words[:15])], rho, system,
+                                 certificate=cert)[0]
+        r20 = contracting_limits([p], rho, system, certificate=cert)[0]
         assert fubini_study(r15.limit, r20.limit) <= r15.radius_bound + 1e-15
 
 
@@ -151,7 +148,7 @@ def test_uncertified_path_rejected(certified_schottky, schottky_repelling_cfg):
     bad = verify_compatibility(graph, schottky_repelling_cfg.system(), rho)
     paths, _ = enumerate_paths(graph, 5, "random", rho, seed=1, cap=1)
     with pytest.raises(NotCertified):
-        contracting_limit(paths[0], rho, system, certificate=bad)
+        contracting_limits([paths[0]], rho, system, certificate=bad)[0]
 
 
 def test_flat_diameters_rejected():
@@ -170,8 +167,6 @@ def test_limit_set_cantor_gaps(certified_schottky):
     rho, graph, system, cert = certified_schottky
     results = limit_set_sample(graph, rho, system, depth=20, count=500, seed=4,
                                certificate=cert)
-    from flagdyn.circle import angle_dist, angle_of
-
     centers = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
     for r in results:
         a = angle_of(r.limit.coords)
@@ -202,8 +197,6 @@ def test_limit_set_invariance(certified_schottky):
     rho, graph, system, cert = certified_schottky
     results = limit_set_sample(graph, rho, system, 18, 100, seed=6, certificate=cert)
     doms = [system.domain(v).arc() for v in graph.vertices]
-    from flagdyn.circle import angle_of
-
     for r in results:
         q = act(rho.generators["a"], r.limit)
         assert any(d.contains_angle(angle_of(q.coords), slack=1e-9) for d in doms)
@@ -250,6 +243,20 @@ def test_attracting_data_transpose_duality():
     assert abs(float(att_t.coords @ rep.covector)) > 1 - 1e-10
 
 
+def test_attracting_data_ignores_column_signs():
+    # attracting_data takes LAPACK's singular vectors as they are: flipping
+    # any columns of a frame gives the same ProjPoint bits
+    rng = np.random.default_rng(8)
+    for d in range(2, 6):
+        for _ in range(20):
+            u = np.linalg.svd(rng.normal(size=(d, d)))[0]
+            for k in range(1, d):
+                want = ProjPoint(_pluecker(u[:, :k])).coords
+                for _ in range(4):
+                    s = rng.choice([-1.0, 1.0], size=k)
+                    assert ProjPoint(_pluecker(u[:, :k] * s)).coords.tobytes() == want.tobytes()
+
+
 def test_attracting_data_gap_threshold():
     with pytest.raises(GapTooSmall):
         attracting_data(Matrix(_rotation2(0.3)), 1)
@@ -259,10 +266,7 @@ def test_attracting_data_contraction_bound():
     rng = np.random.default_rng(5)
     m = Matrix(np.diag([200.0, 1.0, 0.7]) @ systems_rotation3(rng))
     att, rep = attracting_data(m, 1)
-    dec_ratio = None
-    from flagdyn.linalg import svd
-
-    s = svd(m).sigma
+    s = np.linalg.svd(m.arr, compute_uv=False)
     for _ in range(100):
         v = rng.normal(size=3)
         p = ProjPoint(v)
@@ -313,7 +317,7 @@ def test_local_global_jordan_sequence(jordan_diag_cfg):
 def test_equivariance_schottky(certified_schottky):
     rho, graph, system, cert = certified_schottky
     paths, _ = enumerate_paths(graph, 20, "random", rho, seed=11, cap=100)
-    results = [contracting_limit(p, rho, system, certificate=cert) for p in paths]
+    results = contracting_limits(paths, rho, system, certificate=cert)
     out = equivariance_check(graph, rho, system, parse_word("a"), results,
                              certificate=cert)
     assert out["pass"]
@@ -326,7 +330,7 @@ def test_equivariance_corrupted_rep_fails(certified_schottky):
 
     rho, graph, system, cert = certified_schottky
     paths, _ = enumerate_paths(graph, 15, "random", rho, seed=12, cap=30)
-    results = [contracting_limit(p, rho, system, certificate=cert) for p in paths]
+    results = contracting_limits(paths, rho, system, certificate=cert)
     bad = GroupPresentation(
         dim=2,
         generators={"a": Matrix([[1.0, 0.4], [0.2, 1.0]]), "b": rho.generators["b"]},
@@ -348,7 +352,7 @@ def test_rp1_diameters_match_zimmer_metric_of_image_endpoints(diag):
     dom = arc_ball(0.0, 0.3)
     system = CompatibleSystem(domains={"v": dom})
     path = GPath(["v"] * 4, [parse_word("g")] * 3)
-    res = contracting_limit(path, rho, system)
+    res = contracting_limits([path], rho, system)[0]
     ends = np.array([[math.cos(0.3), -math.sin(0.3)], [math.cos(0.3), math.sin(0.3)]])
     for n, diam in enumerate(res.diameters, start=1):
         x, y = ends @ np.linalg.matrix_power(np.diag(diag), n).T
@@ -363,7 +367,7 @@ def test_off_domain_image_has_infinite_diameter():
     )
     rho = GroupPresentation(dim=3, generators={"g": Matrix.identity(3)})
     path = GPath(["u", "w", "w"], [parse_word("g")] * 2)
-    res = contracting_limit(path, rho, system)
+    res = contracting_limits([path], rho, system)[0]
     assert res.diameters == [math.inf, math.inf]
     # in one batch with it: h translates the smaller V at W's center into U,
     # so this path's depth 1 images lie inside U and only its depth 2 image
@@ -459,6 +463,6 @@ def test_batched_paths_match_one_path_calls(name):
     paths += [GPath(p.vertices[:5], p.words[:4]) for p in paths[:2]]
     batch = contracting_limits(paths, rho, system)
     for path, res in zip(paths, batch):
-        one = contracting_limit(path, rho, system)
+        one = contracting_limits([path], rho, system)[0]
         assert res == one
         assert res.depth == path.depth

@@ -1,7 +1,9 @@
 """flagdyn modules import no private (underscore) names from one another,
 import one another only at module level, import no name they never use,
 never call eval or exec, catch no exception more broadly than by its
-own type, and leave the raw config JSON to config.py."""
+own type, and leave the raw config JSON to config.py; every public
+function and class has a caller outside the tests, but for the listed
+paper checks."""
 
 import ast
 from pathlib import Path
@@ -98,3 +100,47 @@ def test_only_config_reads_the_raw_config():
     found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
              for hit in _raw_reads(path)]
     assert found == []
+
+
+ROOT = SRC.parents[1]
+
+# Public names no program file calls: paper checks that only the acceptance
+# suite runs, each kept for its criterion until a ROADMAP direction reads it.
+PAPER_CHECKS = {
+    "cross_ratio": "criterion 1",
+    "zimmer_metric_sampled": "criterion 2",
+    "contraction_factor": "criterion 3; direction 3",
+    "rp1_contraction_lambda": "criterion 3; direction 3",
+    "local_to_global_check": "criterion 6; direction 9",
+    "equivariance_check": "criterion 9",
+}
+
+
+def _public_definitions(path):
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name
+
+
+def _names_outside_definitions(path):
+    """Names (``ast.Name`` ids and ``ast.Attribute`` attrs) used in a file,
+    each with the top-level definition it sits in (None at module level)."""
+    tree = ast.parse(path.read_text())
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_public_name_has_a_caller():
+    # named somewhere outside its own definition, in the package, bench/ or
+    # scripts/: code only tests reach is deleted, not kept
+    defined = {name for path in SRC.glob("*.py") for name in _public_definitions(path)}
+    files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    named = {name for path in files for name, owner in _names_outside_definitions(path)
+             if name != owner}
+    assert sorted(defined - named) == sorted(PAPER_CHECKS)

@@ -9,7 +9,7 @@ import pytest
 
 from flagdyn import circle, synth
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
-from flagdyn.circle import Arc, angle_dist, angle_of, angles, arc_between, mobius_arc, vec_of
+from flagdyn.circle import Arc, angle_dist, angle_of, angles, arc_between, mobius_arcs, vec_of
 from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, chart_ball_arcs
 from flagdyn.errors import ConfigError, SynthesisFailed
@@ -139,8 +139,12 @@ def test_modular_edges_follow_the_pairwise_rule(modular_presentation, modular_sy
     hat = _fundamental_interval(modular_presentation, "t", 0.0).expand(0.05)
     edges = []
     for v, label in res.graph.vertices.items():
-        source = hat if isinstance(label, ParabolicFamily) else mobius_arc(
-            _adjugates(modular_presentation.evaluate(label.word).arr), res.inner_sets[v])
+        source = hat
+        if not isinstance(label, ParabolicFamily):
+            inner = res.inner_sets[v]
+            c, r = mobius_arcs(_adjugates(modular_presentation.evaluate(label.word).arr)[None],
+                               inner.center, inner.radius)
+            source = Arc(float(c[0]), float(r[0]))
         edges.extend((v, w) for w in res.graph.vertices if source.intersects(res.inner_sets[w]))
     assert res.graph.edges == edges
 
@@ -253,14 +257,14 @@ def test_schottky_synthesis_limits_match_hand_built(schottky_synthesis, schottky
     # the ping-pong intervals of schottky.json
     from flagdyn.automaton import enumerate_paths
     from flagdyn.circle import angle_of
-    from flagdyn.dynamics import contracting_limit
+    from flagdyn.dynamics import contracting_limits
 
     rho = schottky_rotated
     res = schottky_synthesis
     paths, _ = enumerate_paths(res.graph, 10, "random", rho, seed=3, cap=20)
     hand = [d.arc().expand(0.05) for d in schottky_cfg.system().domains.values()]
     for p in paths:
-        r = contracting_limit(p, rho, res.system)
+        r = contracting_limits([p], rho, res.system)[0]
         a = angle_of(r.limit.coords)
         assert any(arc.contains_angle(a, slack=1e-9) for arc in hand)
 
@@ -300,7 +304,8 @@ def _full_pool_candidate(searcher, z):
     if not ok.any():
         return None
     i = int(np.argmax(ok))
-    v = mobius_arc(searcher.mats[i], Arc(float(pulls[i]), p.delta))
+    c, r = mobius_arcs(searcher.mats[i:i + 1], float(pulls[i]), p.delta)
+    v = Arc(float(c[0]), float(r[0]))
     w_lo, w_hi = searcher._window_bounds
     listed = (w_lo <= z % math.pi) & (z % math.pi <= w_hi)
     rank = int(np.count_nonzero(listed & (np.arange(len(w_lo)) % len(searcher.words) < i)))
