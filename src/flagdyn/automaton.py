@@ -10,12 +10,13 @@ domain, recording worst-case containment margins in the angle metric.
 Inclusions are tested on sampled boundary and interior points, edge by
 edge, except on the projective line: there images of arcs under 2x2
 matrices are exact, margins closed-form, and every arc-to-arc edge is
-decided in one batched call. A certificate keeps its records as
-columns, one block per edge over one flat margin array, and builds
-``EdgeRecord`` objects only when they are read. Cofinite vertex labels
-are verified on a finite prefix plus a disclosed monotone-tail
-heuristic; the disclosure is part of the certificate. G-paths through
-the graph are drawn by seeded random choice.
+decided in one batched call. The labels are checked in the certifying
+pass that enumerates them, before any domain is read. A certificate
+keeps its records as columns, one block per edge over one flat margin
+array, and builds ``EdgeRecord`` objects only when they are read.
+Cofinite vertex labels are verified on a finite prefix plus a disclosed
+monotone-tail heuristic; the disclosure is part of the certificate.
+G-paths through the graph are drawn by seeded random choice.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .words import GroupPresentation, Word, concat, word_str
 
 # entries of a stacked chunk's (image rows, boundary rows) distance table: 0.5 MiB
 _CHUNK = 1 << 16
+# enumeration elements of a label checked for repeats
+_LABEL_PREFIX = 12
 
 
 @dataclass(frozen=True)
@@ -69,35 +72,9 @@ class GammaGraph:
         if dead:
             raise ValueError(f"vertices with no outgoing edge: {dead}")
 
-    def validate_labels(self, rho: GroupPresentation):
-        """Singletons must be nonidentity; enumerations nonempty, duplicate-free.
 
-        Matrix-level duplicates are checked on a short prefix only: large
-        powers of a parabolic converge projectively, so float keys of
-        distant enumeration elements collide without being equal in the
-        group. The word enumeration itself is duplicate-free by
-        construction.
-        """
-        for vid, label in self.vertices.items():
-            if isinstance(label, Singleton):
-                if rho.evaluate(label.word).is_identity():
-                    raise EvaluationError(f"vertex {vid} is labeled by the identity")
-            else:
-                seen = {}
-                for w in elements_of(label, rho, cap=12):
-                    k = rho.evaluate(w).key()
-                    if k in seen:
-                        raise EvaluationError(
-                            f"duplicate element in enumeration of {vid}: "
-                            f"{word_str(seen[k])} == {word_str(w)}"
-                        )
-                    seen[k] = w
-                if not seen:
-                    raise EvaluationError(f"vertex {vid} is labeled by no element")
-
-
-def elements_of(label, rho: GroupPresentation, cap=None):
-    """Element words of a vertex label in enumeration order (truncated)."""
+def elements_of(label, rho: GroupPresentation, cap: int):
+    """The first ``cap`` element words of a vertex label, in enumeration order."""
     if isinstance(label, Singleton):
         return [label.word]
     p = rho.peripheral(label.peripheral)
@@ -107,7 +84,7 @@ def elements_of(label, rho: GroupPresentation, cap=None):
         if full in label.excluded or not full:
             continue
         out.append(full)
-        if cap is not None and len(out) >= cap:
+        if len(out) >= cap:
             break
     return out
 
@@ -122,14 +99,12 @@ class CompatibleSystem:
         return self.domains[v]
 
 
-def pair_gap(a: ProperDomain, b: ProperDomain, n_boundary: int, n_interior: int,
-             seed: int) -> float:
+def pair_gap(a: ProperDomain, b: ProperDomain) -> float:
     """FS gap between two domains: exact for arcs, else the minimum over
-    ``n_boundary`` boundary and ``n_interior`` interior samples of each."""
+    64 boundary and 32 interior samples of each, drawn at seed 0."""
     if _is_arc(a) and _is_arc(b):
         return a.arc().gap_to(b.arc())
-    pa = np.vstack([a.boundary_points(n_boundary, seed), a.interior_points(n_interior, seed)])
-    pb = np.vstack([b.boundary_points(n_boundary, seed), b.interior_points(n_interior, seed)])
+    pa, pb = (np.vstack([d.boundary_points(64), d.interior_points(32)]) for d in (a, b))
     return float(fubini_study_many(pa, pb))
 
 
@@ -309,15 +284,18 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
 
     Exact interval arithmetic on the projective line; sampled containment
     with positive-margin requirement otherwise. Each vertex label is
-    enumerated and evaluated once. Cofinite labels get a monotone-tail
-    disclosure.
+    enumerated and evaluated once, to at least ``_LABEL_PREFIX`` elements
+    for ``_check_label``, and its first ``element_cap`` are certified.
+    Cofinite labels get a monotone-tail disclosure.
     """
-    graph.validate_labels(rho)
+    words, mats = {}, {}
+    for v, label in graph.vertices.items():
+        ws = elements_of(label, rho, cap=max(element_cap, _LABEL_PREFIX))
+        ms = [rho.evaluate(w) for w in ws]
+        _check_label(v, label, ws[:_LABEL_PREFIX], ms[:_LABEL_PREFIX])
+        words[v], mats[v] = ws[:element_cap], ms[:element_cap]
     domains = {v: system.domain(v) for v in graph.vertices}
     arcs = _arcs(domains)
-    words = {v: elements_of(label, rho, cap=element_cap)
-             for v, label in graph.vertices.items()}
-    mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
     eps = graph.epsilon
     sized = {v: _tail_window(label, len(mats[v]), rho)[1]
              for v, label in graph.vertices.items()}
@@ -370,6 +348,29 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
         },
         metadata=metadata or {},
     )
+
+
+def _check_label(vid, label, words, mats):
+    """Raise for an identity singleton, or for a family whose first elements
+    ``words``, evaluated to ``mats``, are none or repeat a matrix key.
+
+    Only a short prefix is checked: large powers of a parabolic converge
+    projectively, so float keys of distant enumeration elements collide
+    without being equal in the group. The word enumeration itself is
+    duplicate-free by construction.
+    """
+    if isinstance(label, Singleton):
+        if mats[0].is_identity():
+            raise EvaluationError(f"vertex {vid} is labeled by the identity")
+        return
+    seen = {}
+    for w, m in zip(words, mats):
+        if (k := m.key()) in seen:
+            raise EvaluationError(f"duplicate element in enumeration of {vid}: "
+                                  f"{word_str(seen[k])} == {word_str(w)}")
+        seen[k] = w
+    if not seen:
+        raise EvaluationError(f"vertex {vid} is labeled by no element")
 
 
 def _arc_edges(edges, arcs, eps, mats):

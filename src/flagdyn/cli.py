@@ -319,7 +319,7 @@ def cmd_hilbert(args):
             raise ConfigError("hilbert command needs a hilbert section {domain, x, y} "
                               "or --interval")
         omega, x, y = hilbert
-    val = zimmer_metric(omega, x, y, budget=4096)
+    val = zimmer_metric(omega, x, y)
     exact = "exact" if omega.exact_metric else "sampled lower bound"
     print(f"{_fmt(val)}  ({exact})")
     return 0

@@ -432,7 +432,8 @@ class RunConfig:
 
     def presentation(self, t: float = 0.0) -> GroupPresentation:
         """The group at parameter t: only matrices with an entry in t are built
-        here. A generator or derived word singular at t is a ConfigError."""
+        here. A generator or derived word singular at t, or a relation the
+        presentation checks that fails at t, is a ConfigError."""
         gens = {name: m if isinstance(m, Matrix) else _matrix(f"{name} at t = {t}", m, t)
                 for name, m in self._generators.items()}
         # each presentation inverts all its generators, and only the derived
@@ -447,6 +448,8 @@ class RunConfig:
                                      peripherals=self.peripherals)
         except SingularInput as exc:
             raise ConfigError(f"{what} is singular at t = {t}: {exc}") from exc
+        except EvaluationError as exc:  # g g^-1 or a peripheral commutator is not id
+            raise ConfigError(f"{exc} at t = {t}") from exc
 
     def graph(self) -> GammaGraph:
         if self._graph is None:
@@ -465,4 +468,4 @@ class RunConfig:
     def check_separation(self, system: CompatibleSystem):
         """User-declared FS separation table, checked not derived."""
         return [(a, b, gap, actual) for a, b, gap in self._separation
-                if (actual := pair_gap(system.domain(a), system.domain(b), 64, 32, 0)) < gap]
+                if (actual := pair_gap(system.domain(a), system.domain(b))) < gap]

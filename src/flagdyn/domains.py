@@ -5,7 +5,9 @@ For balls and convex polytopes in a chart the metric is computed exactly
 from the two boundary points of the line section through the argument
 pair (the supremum over dual hyperplane pairs is attained at supporting
 hyperplanes of the section). For sampled unions only a lower bound over
-sampled dual pairs is available and is flagged as such.
+sampled dual pairs is available and is flagged as such; one code path
+computes it, over the pairs of ``DUAL_BUDGET`` dual covectors drawn at
+seed 0.
 
 The metric works on arrays: ``zimmer_metrics`` takes two (n, d) arrays of
 points and the domains' ``chords`` take stacked lines, each row with the
@@ -37,6 +39,8 @@ from .projgeom import (
 )
 
 NESTING_MARGIN_DEFAULT = 1e-3
+# dual covectors drawn for the sampled metric of a union
+DUAL_BUDGET = 4096
 
 
 class ProperDomain:
@@ -404,28 +408,26 @@ def _log_cr_from_section(s_lo, s_hi):
     return abs(mathmap(math.log1p, t))
 
 
-def zimmer_metric(omega: ProperDomain, x: ProjPoint, y: ProjPoint, budget: int = 4096,
-                  seed: int = 0) -> float:
+def zimmer_metric(omega: ProperDomain, x: ProjPoint, y: ProjPoint) -> float:
     """Cross-ratio metric on a proper domain: ``zimmer_metrics`` of one pair.
 
     Raises NotInDomain where that gives inf.
     """
-    val = float(zimmer_metrics(omega, x.coords[None, :], y.coords[None, :], budget, seed)[0])
+    val = float(zimmer_metrics(omega, x.coords[None, :], y.coords[None, :])[0])
     if val == math.inf:
         raise NotInDomain("zimmer_metric arguments must lie in the domain")
     return val
 
 
-def zimmer_metrics(omega: ProperDomain, xs, ys, budget: int = 4096,
-                   seed: int = 0) -> np.ndarray:
+def zimmer_metrics(omega: ProperDomain, xs, ys) -> np.ndarray:
     """Cross-ratio metric of each row pair of two (n, d) arrays of unit rows.
 
     Exact (line-section) values for balls and polytopes; sampled lower
-    bounds over dual pairs for sampled unions (``omega.exact_metric``
-    distinguishes the two). A pair with a point outside the domain, or
-    without a line section through it, gives inf; a coincident pair
-    gives 0. Each row is computed with the kernels of a one-row call, so
-    its value does not depend on the rows beside it.
+    bounds over the pairs of ``DUAL_BUDGET`` dual covectors for sampled
+    unions (``omega.exact_metric`` distinguishes the two). A pair with a
+    point outside the domain, or without a line section through it, gives
+    inf; a coincident pair gives 0. Each row is computed with the kernels
+    of a one-row call, so its value does not depend on the rows beside it.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -447,7 +449,7 @@ def zimmer_metrics(omega: ProperDomain, xs, ys, budget: int = 4096,
         out[rows[ok]] = _log_cr_from_section(s_lo[ok], s_hi[ok])
         return out
     try:
-        covs = omega.dual_covectors(budget, seed)
+        covs = omega.dual_covectors(DUAL_BUDGET)
     except NotInDomain:  # no separating hyperplane: no finite lower bound
         return out
     out[rows] = _sampled_metrics(covs, xs[rows], ys[rows])
@@ -471,16 +473,6 @@ def _sampled_metrics(covs, xs, ys):
         out.append(np.max(np.where(ok, ratios, -math.inf), axis=1)
                    + np.max(np.where(ok, -ratios, -math.inf), axis=1))
     return np.concatenate(out)
-
-
-def zimmer_metric_sampled(omega: ProperDomain, x: ProjPoint, y: ProjPoint,
-                          budget: int = 4096, seed: int = 0) -> float:
-    """Lower bound: sup over sampled dual pairs of |log cross-ratio|.
-
-    ``budget`` hyperplane samples probe budget**2 pairs.
-    """
-    covs = omega.dual_covectors(budget, seed)
-    return float(_sampled_metrics(covs, x.coords[None, :], y.coords[None, :])[0])
 
 
 def finsler_factors(omega: ProperDomain, coords, directions) -> np.ndarray:

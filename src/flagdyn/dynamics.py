@@ -56,10 +56,6 @@ class PathResult:
     diameters: list
     radius_bound: float
 
-    @property
-    def depth(self):
-        return len(self.diameters)
-
 
 @dataclass
 class RateReport:
@@ -68,9 +64,6 @@ class RateReport:
     r_squared: float
     depth_range: tuple
     n_paths: int
-
-    def bound(self, n):
-        return self.lambda1 * math.exp(-self.lambda2 * n)
 
 
 def _check_certified(paths, certificate):

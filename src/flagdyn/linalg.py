@@ -205,10 +205,6 @@ class Matrix:
         flip = flat[np.arange(len(a)), np.argmax(np.abs(flat), axis=1)] < 0
         return np.where(flip[:, None, None], -a, a)
 
-    @classmethod
-    def identity(cls, d):
-        return cls(np.eye(d))
-
     def __matmul__(self, other):
         if self.exact is not None and other.exact is not None:
             return Matrix._of_exact(exact_matmul(self.exact, other.exact))
@@ -267,14 +263,12 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mathmap(fn, values):
-    """``fn`` from ``math`` on each entry of an array (on a float, just ``fn``).
+    """``fn`` from ``math`` on each entry of an array.
 
     numpy's vectorized exp and log differ from ``math`` in the last bit on
     some inputs; batched results stay bit-identical to one-row calls that
     use ``math``.
     """
-    if isinstance(values, float):
-        return fn(values)
     values = np.asarray(values, dtype=float)
     return np.array([fn(v) for v in values.ravel().tolist()]).reshape(values.shape)
 

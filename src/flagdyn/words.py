@@ -127,9 +127,9 @@ class GroupPresentation:
         self._check_relations()
 
     def _check_relations(self):
+        # evaluate would normalize g g^-1 to the identity word: multiply
         for name in self.generators:
-            w = self.evaluate(((name, 1), (name, -1)))
-            if not w.is_identity(tol=1e-9):
+            if not (self.power(name, 1) @ self.power(name, -1)).is_identity(tol=1e-9):
                 raise EvaluationError(f"g g^-1 != id for generator {name}")
         for p in self.peripherals:
             if len(p.generators) == 2:

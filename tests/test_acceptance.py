@@ -20,10 +20,10 @@ from flagdyn.conedoff import ConedGraph, Presentation, quasigeodesic_check
 from flagdyn.domains import (
     ChartBall,
     ConvexPolytope,
+    SampledSet,
     contraction_factor,
     rp1_contraction_lambda,
     zimmer_metric,
-    zimmer_metric_sampled,
 )
 from flagdyn.dynamics import (
     contracting_limits,
@@ -97,7 +97,7 @@ def test_criterion_02_zimmer_metric_vs_oracle():
                 continue
             pa, pb = chart_point(h3, a), chart_point(h3, b)
             exact = zimmer_metric(poly, pa, pb)
-            sampled = zimmer_metric_sampled(poly, pa, pb, budget=10000)
+            sampled = zimmer_metric(SampledSet([poly]), pa, pb)
             if exact > 1e-9:
                 ok &= abs(sampled - exact) <= 0.02 * exact
             pairs_checked += 1

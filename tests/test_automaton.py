@@ -618,17 +618,20 @@ def test_each_label_enumerated_once_per_vertex(schottky, monkeypatch):
     monkeypatch.setattr(automaton, "elements_of", counted)
     verify_compatibility(graph, system, rho, element_cap=5)
     assert len(graph.edges) > len(graph.vertices)
-    assert caps.count(5) == len(graph.vertices)
+    # one enumeration per vertex, long enough for the label check's 12 elements
+    assert caps == [12] * len(graph.vertices)
 
 
 def test_order_two_peripheral_generator_is_a_duplicate():
-    # t = t^-1 in PGL(2), so the enumeration t, t^-1 repeats an element
+    # t = t^-1 in PGL(2), so the enumeration t, t^-1 repeats an element; the
+    # label check reads 12 elements even when fewer are certified
     rho = GroupPresentation(dim=2, generators={"t": Matrix([[0, 1], [1, 0]])},
                             peripherals=[Peripheral("pt", ["t"], truncation=3)])
     graph = GammaGraph({"p": ParabolicFamily((), "pt")}, [("p", "p")], 0.02)
     system = CompatibleSystem({"p": arc_ball(0.0, 0.3)})
-    with pytest.raises(EvaluationError, match="duplicate element in enumeration of p"):
-        verify_compatibility(graph, system, rho)
+    for element_cap in (1, 64):
+        with pytest.raises(EvaluationError, match="duplicate element in enumeration of p"):
+            verify_compatibility(graph, system, rho, element_cap=element_cap)
 
 
 @pytest.mark.parametrize("label", [

@@ -141,6 +141,23 @@ def test_rates_single_loop(tmp_path):
     assert (out / "rates.txt").exists()
 
 
+def test_rates_fit_rejected_exits_1(tmp_path, capsys):
+    # single_loop's one path gives depths 2..5 in this range: fewer than 5
+    raw = json.loads((CONFIGS / "single_loop.json").read_text())
+    raw["rates"]["depth_range"] = [2, 5]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(raw))
+    assert run(["rates", "--config", short, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().out == "rate fit rejected: need at least 5 depths, got 4\n"
+    assert not (tmp_path / "out" / "rates.txt").exists()
+
+
+def test_synthesize_needs_dimension_2(tmp_path, capsys):
+    code = run(["synthesize", "--config", CONFIGS / "jordan_diag.json", "--out", tmp_path])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: synthesis requires dimension 2\n"
+
+
 def test_gaps_command(tmp_path):
     assert run(["gaps", "--config", CONFIGS / "single_loop.json", "--out", tmp_path]) == 0
     rows = (tmp_path / "gaps.csv").read_text().splitlines()
@@ -518,6 +535,36 @@ def test_gaps_degree_within_the_exterior_cap_runs(tmp_path, capsys):
     assert run(["gaps", "--config", cfg, "--out", tmp_path]) == 0
     final = capsys.readouterr().out.split(";")[0].removeprefix("final gap ")
     assert float(final) == pytest.approx(3 * math.log(2), rel=1e-12)
+
+
+def test_sampled_separation_table_checked(tmp_path):
+    # d = 4 chart balls: the gap is a sampled minimum, not an arc gap
+    raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
+    raw["delta_separation"] = [["va", "vb", 0.01], ["va", "vb", 3.0]]
+    sep = tmp_path / "sep.json"
+    sep.write_text(json.dumps(raw))
+    assert run(["certify", "--config", sep, "--out", tmp_path]) == 1
+    report = (tmp_path / "certificate_report.txt").read_text().splitlines()
+    failures = report[report.index("separation table FAILURES:") + 1:][:2]
+    assert failures[0].startswith("  va vs vb: required 3.0, measured ")
+    assert 0.01 < float(failures[0].rsplit(" ", 1)[1]) < 3.0
+    assert not failures[1].startswith("  ")  # the 0.01 row passes
+
+
+@pytest.mark.parametrize("name, edit, err", [
+    # g g^-1 is 8e-4 off I for this nearly singular generator
+    ("schottky.json", _set("generators", 0, "matrix", [[1, 1], [1, 1 + 1e-13]]),
+     "config error: g g^-1 != id for generator a at t = 0.0\n"),
+    ("jordan_diag.json", _set("peripherals", 0, "generators", ["alpha", "beta"]),
+     "config error: declared abelian peripheral pa does not commute at t = 0.0\n"),
+], ids=["inverse", "commutator"])
+def test_failed_relation_check_is_config_error(tmp_path, capsys, name, edit, err):
+    raw = json.loads((CONFIGS / name).read_text())
+    edit(raw)
+    bad = tmp_path / "relation.json"
+    bad.write_text(json.dumps(raw))
+    assert run(["certify", "--config", bad, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_separation_only_failure_is_named(tmp_path, capsys):

@@ -12,7 +12,6 @@ from flagdyn.domains import (
     nesting_margin,
     rp1_contraction_lambda,
     zimmer_metric,
-    zimmer_metric_sampled,
     zimmer_metrics,
 )
 import flagdyn.projgeom as projgeom
@@ -127,7 +126,7 @@ def test_sampled_sup_is_lower_bound_and_close():
                 continue
             pa, pb = chart_point(H3, a), chart_point(H3, b)
             exact = zimmer_metric(poly, pa, pb)
-            sampled = zimmer_metric_sampled(poly, pa, pb, budget=10000)
+            sampled = zimmer_metric(SampledSet([poly]), pa, pb)
             assert sampled <= exact + 1e-9
             if exact > 1e-6:
                 worst = max(worst, (exact - sampled) / exact)
@@ -154,7 +153,7 @@ def test_union_metric_is_sampled_flagged():
     assert not union.exact_metric
     x = chart_point(H3, [-0.3, 0.0])
     y = chart_point(H3, [-0.25, 0.05])
-    val = zimmer_metric(union, x, y, budget=2000)
+    val = zimmer_metric(union, x, y)
     assert val > 0
 
 
@@ -520,13 +519,13 @@ def test_zimmer_metrics_rows_outside_or_coincident(omega):
     on_chart = np.linalg.svd(omega.chart.covector[None, :])[2][-1]  # in the chart hyperplane
     xs = [ProjPoint(x) for x in (near[0], near[1], far, near[2], on_chart)]
     ys = [ProjPoint(y) for y in (near[1], near[1], near[0], far, near[0])]
-    got = zimmer_metrics(omega, [p.coords for p in xs], [q.coords for q in ys], budget=256)
+    got = zimmer_metrics(omega, [p.coords for p in xs], [q.coords for q in ys])
     assert 0.0 < got[0] < math.inf
     assert got[1] == 0.0
     assert got[2:].tolist() == [math.inf] * 3
     for p, q, val in zip(xs, ys, got):
         if val == math.inf:
             with pytest.raises(NotInDomain):
-                zimmer_metric(omega, p, q, budget=256)
+                zimmer_metric(omega, p, q)
         else:
-            assert zimmer_metric(omega, p, q, budget=256) == val
+            assert zimmer_metric(omega, p, q) == val

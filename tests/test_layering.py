@@ -2,8 +2,8 @@
 import one another only at module level, import no name they never use,
 never call eval or exec, catch no exception more broadly than by its
 own type, and leave the raw config JSON to config.py; every public
-function and class has a caller outside the tests, but for the listed
-paper checks."""
+function and class, and every public method and property of a public
+class, has a caller outside the tests, but for the listed exceptions."""
 
 import ast
 from pathlib import Path
@@ -108,11 +108,19 @@ ROOT = SRC.parents[1]
 # suite runs, each kept for its criterion until a ROADMAP direction reads it.
 PAPER_CHECKS = {
     "cross_ratio": "criterion 1",
-    "zimmer_metric_sampled": "criterion 2",
     "contraction_factor": "criterion 3; direction 3",
     "rp1_contraction_lambda": "criterion 3; direction 3",
     "local_to_global_check": "criterion 6; direction 9",
     "equivariance_check": "criterion 9",
+}
+
+
+# Public methods and properties no program file names, matched by attribute
+# name, each kept for its reason.
+UNCALLED_METHODS = {
+    "distance": "ConedGraph's public metric",
+    "geodesic": "ConedGraph's public metric",
+    "intersects": "Arc's edge rule, the reference tests/test_synth.py checks edges against",
 }
 
 
@@ -123,24 +131,36 @@ def _public_definitions(path):
             yield node.name
 
 
-def _names_outside_definitions(path):
-    """Names (``ast.Name`` ids and ``ast.Attribute`` attrs) used in a file,
-    each with the top-level definition it sits in (None at module level)."""
-    tree = ast.parse(path.read_text())
-    for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
+def _public_methods(path):
+    """Public methods and properties of the public classes of a file."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name
+
+
+def _names_outside_definitions(node, owners=frozenset()):
+    """Names (``ast.Name`` ids and ``ast.Attribute`` attrs) used under an
+    AST node, each with the names of the definitions it sits in."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        owners = owners | {node.name}
+    if isinstance(node, ast.Name):
+        yield node.id, owners
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, owners
+    for child in ast.iter_child_nodes(node):
+        yield from _names_outside_definitions(child, owners)
 
 
 def test_every_public_name_has_a_caller():
     # named somewhere outside its own definition, in the package, bench/ or
     # scripts/: code only tests reach is deleted, not kept
     defined = {name for path in SRC.glob("*.py") for name in _public_definitions(path)}
+    methods = {name for path in SRC.glob("*.py") for name in _public_methods(path)}
     files = [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-    named = {name for path in files for name, owner in _names_outside_definitions(path)
-             if name != owner}
+    named = {name for path in files
+             for name, owners in _names_outside_definitions(ast.parse(path.read_text()))
+             if name not in owners}
     assert sorted(defined - named) == sorted(PAPER_CHECKS)
+    assert sorted(methods - named) == sorted(UNCALLED_METHODS)

@@ -45,7 +45,7 @@ def test_act_identity_and_roundtrip():
     for _ in range(50):
         d = int(rng.integers(2, 6))
         p = rand_point(rng, d)
-        assert fubini_study(act(Matrix.identity(d), p), p) < 1e-15
+        assert fubini_study(act(Matrix(np.eye(d)), p), p) < 1e-15
         g = rand_matrix(rng, d)
         back = act(g.inv(), act(g, p))
         assert fubini_study(back, p) < 1e-10
