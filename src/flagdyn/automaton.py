@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import circle
-from .domains import ChartBall, ProperDomain, chart_ball_arcs
+from .domains import ProperDomain, chart_ball_arcs
 from .errors import BaseFails, EvaluationError, MissingDomain
 from .projgeom import ProjPoint, act_many, chart_point, fubini_study_many
 from .words import GroupPresentation, Word, concat, word_str
@@ -102,19 +102,30 @@ class CompatibleSystem:
 def pair_gap(a: ProperDomain, b: ProperDomain) -> float:
     """FS gap between two domains: exact for arcs, else the minimum over
     64 boundary and 32 interior samples of each, drawn at seed 0."""
-    if _is_arc(a) and _is_arc(b):
+    if a.is_arc and b.is_arc:
         return a.arc().gap_to(b.arc())
     pa, pb = (np.vstack([d.boundary_points(64), d.interior_points(32)]) for d in (a, b))
     return float(fubini_study_many(pa, pb))
 
 
-def _is_arc(dom):
-    return isinstance(dom, ChartBall) and dom.dim == 2
+@dataclass
+class SeparationFailure:
+    """A separation table row (a, b, required gap) that ``pair_gap`` misses."""
+    a: str
+    b: str
+    required: float
+    measured: float
+
+    def __str__(self):
+        return f"{self.a} vs {self.b}: required {self.required}, measured {self.measured:.17g}"
+
+    def describe(self):
+        return f"separation {self}"
 
 
 def _arcs(domains):
     """The exact arc of each d = 2 ball among ``domains``, by vertex."""
-    balls = {v: dom for v, dom in domains.items() if _is_arc(dom)}
+    balls = {v: dom for v, dom in domains.items() if dom.is_arc}
     return dict(zip(balls, chart_ball_arcs(list(balls.values()))))
 
 
@@ -170,7 +181,8 @@ class Certificate:
     len(words[i]) entries of the flat ``margins`` array), and its
     ``n_samples[i]`` and ``exact[i]``. ``records`` builds one ``EdgeRecord``
     per element on first read; the verdict and the minimum margin are read
-    from the arrays."""
+    from the arrays. The verdict also requires every tail and an empty
+    ``separation``, the failing rows of the separation table."""
     edges: list
     words: list
     margins: np.ndarray
@@ -179,6 +191,7 @@ class Certificate:
     tails: list
     epsilon: float
     budgets: dict
+    separation: list = field(default_factory=list)
     divergence: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -193,7 +206,8 @@ class Certificate:
 
     @cached_property
     def ok(self):
-        return bool(np.all(self.margins > 0)) and all(t.ok for t in self.tails)
+        return (bool(np.all(self.margins > 0)) and all(t.ok for t in self.tails)
+                and not self.separation)
 
     @cached_property
     def min_margin(self):
@@ -206,7 +220,7 @@ class Certificate:
         for t in self.tails:
             if not t.ok:
                 return t
-        return None
+        return self.separation[0] if self.separation else None
 
     def to_dict(self):
         return {
@@ -279,8 +293,9 @@ def _containment_margin(system_dom: ProperDomain, imgs: np.ndarray, bnd: np.ndar
 def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
                          rho: GroupPresentation, *, n_boundary: int = 64,
                          n_interior: int = 64, element_cap: int = 64,
-                         seed: int = 0, metadata: dict | None = None) -> Certificate:
-    """Check alpha * N(U_w, eps) inside U_v for every edge and element.
+                         seed: int = 0, separation=(), metadata: dict | None = None) -> Certificate:
+    """Check alpha * N(U_w, eps) inside U_v for every edge and element, and
+    the (a, b, gap) rows of the ``separation`` table.
 
     Exact interval arithmetic on the projective line; sampled containment
     with positive-margin requirement otherwise. Each vertex label is
@@ -339,6 +354,8 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
         n_samples=n_samples,
         exact=exact,
         tails=tails,
+        separation=[SeparationFailure(a, b, gap, got) for a, b, gap in separation
+                    if (got := pair_gap(system.domain(a), system.domain(b))) < gap],
         epsilon=eps,
         budgets={
             "boundary_samples": n_boundary,

@@ -9,10 +9,9 @@ RP^1 are exact up to roundoff (no sampling).
 
 The array primitives: ``angles``, ``angle_dists``, ``arcs_between``
 (arcs from endpoints, with the one rule for the side) and ``mobius_arcs``
-(image arcs), with ``arc_between`` the n = 1 call of ``arcs_between``;
-and ``sweep``, the one circular gap scan, over the sorted pieces of
-``arc_pieces`` (kept sorted across insertions by ``insert_piece``), which
-``cover_circle`` runs on (centers, radii) arrays.
+(image arcs); and ``sweep``, the one circular gap scan, over the sorted
+pieces of ``arc_pieces`` (kept sorted across insertions by
+``insert_piece``), which ``cover_circle`` runs on (centers, radii) arrays.
 """
 
 from __future__ import annotations
@@ -113,11 +112,6 @@ def arcs_between(a, b, through=None):
     other = angle_dists(through, centers) > radii + 1e-12
     return (np.where(other, (centers + HALF_TURN / 2) % HALF_TURN, centers),
             np.where(other, HALF_TURN / 2 - radii, radii))
-
-
-def arc_between(a: float, b: float, through: float | None = None) -> Arc:
-    """``arcs_between`` for one pair of endpoints."""
-    return Arc(*map(float, arcs_between(a, b, through)))
 
 
 def mobius_arcs(mats, centers, radii):

@@ -61,13 +61,13 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
     rho = cfg.presentation()
     graph = cfg.graph()
     system = cfg.system()
-    sep_failures = cfg.check_separation(system)
     cert = verify_compatibility(
         graph, system, rho,
         n_boundary=cfg.budgets["boundary_samples"],
         n_interior=cfg.budgets["interior_samples"],
         element_cap=cfg.budgets["element_cap"],
         seed=seed,
+        separation=cfg.separation,
         metadata={"config_hash": cfg.config_hash, "seed": seed},
     )
     if cert.ok:
@@ -82,21 +82,17 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
             f"diameters nonincreasing = {t.diameters_nonincreasing} "
             f"({t.checked} elements checked; heuristic, disclosed)"
         )
-    sep_lines = [f"{a} vs {b}: required {want}, measured {_fmt(got)}"
-                 for a, b, want, got in sep_failures]
-    if sep_lines:
+    if cert.separation:
         report.append("separation table FAILURES:")
-        report.extend("  " + line for line in sep_lines)
+        report.extend(f"  {s}" for s in cert.separation)
     inconclusive = [d for d in cert.divergence if not d.conclusive]
     if cert.divergence:
         report.append(
             f"divergence witnesses: {len(cert.divergence) - len(inconclusive)}"
             f"/{len(cert.divergence)} conclusive"
         )
-    # the first failing record, else the first separation failure; None on a pass
     first = cert.first_failure()
-    failure = (first.describe() if first is not None
-               else f"separation {sep_lines[0]}" if sep_lines else None)
+    failure = None if first is None else first.describe()
     report.append(f"verdict {'FAIL' if failure else 'PASS'}")
     if failure:
         report.append(f"first failing record: {failure}")

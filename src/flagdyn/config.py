@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton, pair_gap
+from .automaton import CompatibleSystem, GammaGraph, ParabolicFamily, Singleton
 from .domains import ChartBall, ConvexPolytope, SampledSet, arc_ball
 from .errors import BadDegree, ConfigError, DegenerateImage, EvaluationError, SingularInput
 from .linalg import MAX_DIM, Matrix, gap_degrees
@@ -318,7 +318,7 @@ class RunConfig:
         return names
 
     def _read_graph(self, raw, names):
-        """Vertex labels, edges and epsilon; domains; the separation table."""
+        """The graph of vertex labels, edges and epsilon; domains; the separation table."""
         self._graph = None
         graph = raw.get("graph")
         if graph is not None:
@@ -337,19 +337,21 @@ class RunConfig:
                 vertices[vid] = _label(v, vid, kind, names, peripherals)
             edges = []
             for e in _list(graph.get("edges", []), "graph.edges"):
-                if not (isinstance(e, list) and len(e) == 2
-                        and all(isinstance(x, str) and x in vertices for x in e)):
-                    raise ConfigError(f"edge {e} references unknown vertex")
+                if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)):
+                    raise ConfigError(f"edge {e} must be a list of two vertex ids")
                 edges.append(tuple(e))
-            self._graph = (vertices, edges, eps)
+            try:
+                self._graph = GammaGraph(vertices=vertices, edges=edges, epsilon=eps)
+            except ValueError as exc:  # an unknown vertex, or one with no outgoing edge
+                raise ConfigError(f"graph: {exc}") from exc
         domains = raw.get("domains", {})
         if not isinstance(domains, dict):
             raise ConfigError("domains must be an object")
         for vid in domains:
-            if self._graph is not None and vid not in self._graph[0]:
+            if self._graph is not None and vid not in self._graph.vertices:
                 raise ConfigError(f"domain assigned to unknown vertex {vid}")
         self._domains = {vid: self._domain(spec) for vid, spec in domains.items()}
-        self._separation = []
+        self.separation = []
         for row in _list(raw.get("delta_separation", []), "delta_separation"):
             if not isinstance(row, list) or len(row) != 3:
                 raise ConfigError(f"delta_separation row {row!r} must be [id, id, gap]")
@@ -357,7 +359,7 @@ class RunConfig:
             if not {a, b} <= self._domains.keys():
                 raise ConfigError(f"delta_separation row {row!r} names an unknown vertex")
             gap = number(row[2], f"delta_separation gap of {a} vs {b}")
-            self._separation.append((a, b, gap))
+            self.separation.append((a, b, gap))
 
     def _domain(self, spec):
         kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -454,18 +456,9 @@ class RunConfig:
     def graph(self) -> GammaGraph:
         if self._graph is None:
             raise ConfigError("config has no graph section")
-        vertices, edges, eps = self._graph
-        try:
-            return GammaGraph(vertices=vertices, edges=edges, epsilon=eps)
-        except ValueError as exc:  # a vertex with no outgoing edge
-            raise ConfigError(f"graph: {exc}") from exc
+        return self._graph
 
     def system(self) -> CompatibleSystem:
         if not self._domains:
             raise ConfigError("config has no domains section")
         return CompatibleSystem(domains=dict(self._domains))
-
-    def check_separation(self, system: CompatibleSystem):
-        """User-declared FS separation table, checked not derived."""
-        return [(a, b, gap, actual) for a, b, gap in self._separation
-                if (actual := pair_gap(system.domain(a), system.domain(b))) < gap]

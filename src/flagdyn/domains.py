@@ -44,13 +44,17 @@ DUAL_BUDGET = 4096
 
 
 class ProperDomain:
-    """Common interface: containment oracle, samplers, exact line sections."""
+    """What every domain kind provides: a ``chart`` and ``center``, containment,
+    samplers (the counts asked for are requests), outward normals, dual
+    covectors, and line sections where ``exact_metric`` is set."""
 
     exact_metric = False
+    # an exact arc of RP^1, with ``arc()``: a chart ball of dimension 2
+    is_arc = False
 
     @property
     def dim(self):
-        raise NotImplementedError
+        return self.chart.dim
 
     def contains_coords(self, coords, slack=0.0):
         """Vectorized chart-coordinate containment for an (n, k) array."""
@@ -84,6 +88,10 @@ class ProperDomain:
         raise NotImplementedError
 
     def center_point(self) -> ProjPoint:
+        return chart_point(self.chart, self.center)
+
+    def outward_normals(self, coords):
+        """Unit outward chart normals at an (n, k) array of boundary coordinates."""
         raise NotImplementedError
 
     def chords(self, coords, directions):
@@ -105,11 +113,8 @@ class ChartBall(ProperDomain):
         if self.center.shape != (chart.dim - 1,):
             raise ValueError("center has wrong chart dimension")
         self.radius = float(radius)
+        self.is_arc = chart.dim == 2
         self._arc = None
-
-    @property
-    def dim(self):
-        return self.chart.dim
 
     def contains_coords(self, coords, slack=0.0):
         d = np.linalg.norm(coords - self.center[None, :], axis=1)
@@ -126,9 +131,6 @@ class ChartBall(ProperDomain):
         k = self.dim - 1
         pts = sampling.ball_points(n, k, seed + 1)
         return self.center[None, :] + 0.999 * self.radius * pts
-
-    def center_point(self):
-        return chart_point(self.chart, self.center)
 
     def chords(self, coords, directions):
         # roots of |p + s d - center|^2 = radius^2; NaN for a degenerate section
@@ -244,10 +246,6 @@ class ConvexPolytope(ProperDomain):
             self._facets = [verts[s] for s in hull.simplices]
         self.center = np.mean(self.vertices, axis=0)
 
-    @property
-    def dim(self):
-        return self.chart.dim
-
     def contains_coords(self, coords, slack=0.0):
         vals = coords @ self.normals.T - self.offsets[None, :]
         return np.all(vals < slack, axis=1)
@@ -279,9 +277,6 @@ class ConvexPolytope(ProperDomain):
         pts = w @ self.vertices
         # mix toward the centroid so samples stay strictly interior
         return 0.999 * pts + 0.001 * self.center[None, :]
-
-    def center_point(self):
-        return chart_point(self.chart, self.center)
 
     def chords(self, coords, directions):
         # facet scan: each facet not parallel to the line bounds s on one
@@ -334,9 +329,7 @@ class ConvexPolytope(ProperDomain):
 
 
 class SampledSet(ProperDomain):
-    """Finite union of chart balls sharing one chart; metric is sampled only."""
-
-    exact_metric = False
+    """Finite union of domains of any kind sharing one chart; sampled metric."""
 
     def __init__(self, members):
         if not members:
@@ -345,10 +338,6 @@ class SampledSet(ProperDomain):
         self.chart = members[0].chart
         if any(m.chart != self.chart for m in members):
             raise ValueError("members must share one chart")
-
-    @property
-    def dim(self):
-        return self.chart.dim
 
     def contains_coords(self, coords, slack=0.0):
         out = np.zeros(coords.shape[0], dtype=bool)
@@ -376,8 +365,15 @@ class SampledSet(ProperDomain):
     def center(self):
         return self.members[0].center
 
-    def center_point(self):
-        return self.members[0].center_point()
+    def outward_normals(self, coords):
+        """Each row's normal in the first member on whose boundary it lies
+        (within 1e-9), else in the first member."""
+        owner = np.argmax([m.contains_coords(coords, 1e-9) & ~m.contains_coords(coords, -1e-9)
+                           for m in self.members], axis=0)
+        out = np.empty(coords.shape)
+        for i, m in enumerate(self.members):
+            out[owner == i] = m.outward_normals(coords[owner == i])
+        return out
 
     def dual_covectors(self, n, seed=0):
         cands = np.vstack([m.dual_covectors(n, seed + 13 * i) for i, m in enumerate(self.members)])

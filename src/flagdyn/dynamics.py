@@ -27,7 +27,7 @@ import numpy as np
 
 from . import circle
 from .automaton import CompatibleSystem, GammaGraph, GPath, enumerate_paths
-from .domains import ChartBall, ProperDomain, det2, zimmer_metrics
+from .domains import ProperDomain, det2, zimmer_metrics
 from .errors import GapTooSmall, InsufficientData, NotCertified, PathNotFound, SingularInput
 from .linalg import Matrix, PrefixProduct, gap_trace, mathmap, minors, rowdot
 from .projgeom import (
@@ -102,8 +102,7 @@ def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
                 mats[w] = rho.evaluate(w)
     groups = {}
     for i, path in enumerate(paths):
-        rp1 = rho.dim == 2 and all(isinstance(system.domain(v), ChartBall)
-                                   for v in path.vertices)
+        rp1 = all(system.domain(v).is_arc for v in path.vertices)
         groups.setdefault((path.depth, rp1), []).append(i)
     results = [None] * len(paths)
     for (n, rp1), idx in groups.items():
@@ -155,16 +154,17 @@ def _rp1_limits(prefix, factors, verts, system):
 
 
 def _sampled_limits(prefix, factors, verts, system):
-    """Sampled branch: images of each target domain's samples (32 boundary,
-    16 interior and the center, seed 0), drawn once per vertex; diameters
-    from ``zimmer_metrics`` of every third sample against the center image.
+    """Sampled branch: images of each target domain's samples (32 boundary
+    and 16 interior asked for at seed 0, then the center), drawn once per
+    vertex; diameters from ``zimmer_metrics`` of every third sample against
+    the center image. A path's limit and radius bound read its own block.
 
     Returns limit rows, a (P,) diameter array per depth, and radius bounds.
     """
     depth, dim = len(factors), prefix.dim
     P = len(verts)
     samples, diameters = {}, []
-    last = [None] * P
+    limits, rbound = np.empty((P, dim)), np.empty(P)
     for n in range(1, depth + 1):
         prefix.push(factors[n - 1])
         pairs = {}
@@ -180,22 +180,21 @@ def _sampled_limits(prefix, factors, verts, system):
                     U.center_point().coords[None, :],
                 ])
             img, _ = prefix.apply(samples[target], rows)
-            for r, block in zip(rows, img):
-                last[r] = block
+            if n == depth:
+                # the farthest sample image from the limit, in the rejection form of
+                # fubini_study: atan2(|x - (x.c) c|, |x.c|) keeps angles below 1e-8
+                c = img[:, -1:]
+                dots = rowdot(img, c)
+                rej = np.linalg.norm(img - dots[..., None] * c, axis=-1)
+                limits[rows] = img[:, -1]
+                rbound[rows] = np.max(np.arctan2(rej, np.abs(dots)), axis=1) + radius_floor(dim)
             # each image point scaled as ProjPoint scales it
             xs = unit_rows(img[:, :-1:3])
             ys = np.broadcast_to(unit_rows(img[:, -1:]), xs.shape)
             d = zimmer_metrics(system.domain(home), xs.reshape(-1, dim), ys.reshape(-1, dim))
             diam[rows] = 2.0 * np.max(d.reshape(len(rows), -1), axis=1)
         diameters.append(diam)
-    # the farthest sample image from the limit, in the rejection form of
-    # fubini_study: atan2(|x - (x.c) c|, |x.c|) keeps angles below 1e-8
-    imgs = np.stack(last)
-    c = imgs[:, -1:]
-    dots = rowdot(imgs, c)
-    rej = np.linalg.norm(imgs - dots[..., None] * c, axis=-1)
-    rbound = np.max(np.arctan2(rej, np.abs(dots)), axis=1) + radius_floor(dim)
-    return [img[-1] for img in last], diameters, rbound
+    return limits, diameters, rbound
 
 
 def shrink_rates(results, depth_range=None) -> RateReport:

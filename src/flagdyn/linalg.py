@@ -58,8 +58,8 @@ def exact_canonical(flat, d):
 def exact_matmul(a, b):
     """Canonical product of two exact integer matrices given as row tuples.
 
-    The 2x2 product is unrolled: the coned-off graph of PGL(2, Z) makes
-    millions of these.
+    The 2x2 product, the size of every bundled integer presentation, is
+    written out entry by entry.
     """
     if len(a) == 2:
         (a00, a01), (a10, a11) = a

@@ -63,8 +63,8 @@ from .circle import (
     angle_dists,
     angle_of,
     angles,
-    arc_between,
     arc_pieces,
+    arcs_between,
     check_radii,
     cover_circle,
     insert_piece,
@@ -258,7 +258,7 @@ def _fundamental_interval(rho: GroupPresentation, t_name: str, p_angle: float) -
     tq = mobius_angle(t, q)
     if angle_dist(q, tq) < 1e-12:
         raise SynthesisFailed("declared peripheral generator fixes the antipode", p_angle)
-    arc = arc_between(q, tq)
+    arc = Arc(*map(float, arcs_between(q, tq)))
     return arc.complement() if arc.contains_angle(p_angle) else arc
 
 

@@ -161,7 +161,7 @@ def _reference_divergence(graph, system, rho, seed=0):
             found, best = None, 0.0
             if np.all(U_v.contains_points(act_many(m, probes[w]), slack=1e-12)):
                 pre = act_many(m.inv(), probes[v])
-                if automaton._is_arc(U_w):
+                if U_w.is_arc:
                     arc = U_w.arc()
                     escape = circle.angle_dists(circle.angles(pre), arc.center) - arc.radius
                     i = int(np.argmax(escape))
@@ -395,7 +395,7 @@ def _reference_certificate(graph, system, rho, *, n_boundary, n_interior, elemen
         home, target = system.domain(v), system.domain(w)
         for i, word in enumerate(elements_of(graph.vertices[v], rho, cap=element_cap)):
             m = rho.evaluate(word)
-            if automaton._is_arc(home) and automaton._is_arc(target):
+            if home.is_arc and target.is_arc:
                 t, h = target.arc().expand(eps), home.arc()
                 c, r = mobius_arcs(m.arr[None], t.center, t.radius)
                 img = Arc(float(c[0]), float(r[0]))

@@ -575,6 +575,69 @@ def test_separation_only_failure_is_named(tmp_path, capsys):
     assert run(["certify", "--config", bad, "--out", tmp_path]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL first failing record: separation a+ vs b+: required 3.0")
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["verdict"] == "fail"
+    assert all(r["pass"] for r in cert["records"]) and cert["divergence"] == []
+
+
+def test_vertex_without_outgoing_edge_fails_every_command_at_load(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "single_loop.json").read_text())
+    raw["graph"]["vertices"].append({"id": "dead", "type": "singleton", "word": "g"})
+    bad = tmp_path / "dead.json"
+    bad.write_text(json.dumps(raw))
+    err = "config error: graph: vertices with no outgoing edge: ['dead']\n"
+    for command in ("certify", "gaps"):
+        assert run([command, "--config", bad, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == err
+    assert not (tmp_path / "gaps.csv").exists()
+
+
+def _tan_balls(*centers):
+    """Chart balls of radius 0.2 about tan(c) in the chart [1, 0]."""
+    return [{"kind": "chart_ball", "chart": [1, 0], "center": [math.tan(c)], "radius": 0.2}
+            for c in centers]
+
+
+_VA = {"kind": "chart_ball", "chart": [1, 0, 0, 0], "center": [0, 0, 0], "radius": 0.25}
+# config, domains replaced, exit code of every command. Each config mixes
+# kinds whose samplers return different counts: a d = 2 ball has 2 boundary
+# rows and 16 interior ones, the three-ball union 2 and 15; a d = 4 ball 32
+# boundary rows, a union with a half-radius ball inside it 16, a cube 36
+MIXED_KINDS = {
+    "schottky-union-polytope": ("schottky.json", {
+        "a+": {"kind": "union", "members": _tan_balls(-0.1, 0.0, 0.1)},
+        "b+": {"kind": "polytope", "chart": [1, 1],
+               "vertices": [[-math.tan(0.3)], [math.tan(0.3)]]}}, 0),
+    "jordan-union": ("jordan_diag.json", {
+        "va": {"kind": "union", "members": [_VA, dict(_VA, radius=0.125)]}}, 0),
+    "jordan-cube": ("jordan_diag.json", {
+        "va": {"kind": "polytope", "chart": [1, 0, 0, 0],
+               "vertices": [[x, y, z] for x in (-.16, .16) for y in (-.16, .16)
+                            for z in (-.16, .16)]}}, 0),
+    "jordan-polytope": ("jordan_diag.json", {
+        "va": {"kind": "polytope", "chart": [1, 0, 0, 0],
+               "vertices": [[.25, 0, 0], [-.2, .1, 0], [0, -.22, .05], [0, .05, .24],
+                            [.05, 0, -.2], [-.1, -.1, -.1]]}}, 1),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_KINDS)
+def test_every_domain_kind_runs_every_command(tmp_path, capsys, name):
+    source, domains, code = MIXED_KINDS[name]
+    raw = json.loads((CONFIGS / source).read_text())
+    raw["domains"].update(domains)
+    raw["budgets"]["path_count"] = 6
+    raw["rates"] = {"depth": 12, "paths": 3}
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(raw))
+    commands = ["certify", "limitset", "rates"] + (["probe"] if raw["dimension"] == 4 else [])
+    for command in commands:
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == code, command
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        rows = (tmp_path / "limitset" / "limit_set.csv").read_text().splitlines()[2:]
+        assert len(rows) == 6
+        assert all(0 < float(r.rsplit(",", 1)[1]) < 1e-6 for r in rows)  # radius bounds
 
 
 @pytest.mark.parametrize("name, command, edit", [

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from flagdyn.domains import (
     ChartBall,
     ConvexPolytope,
+    ProperDomain,
     SampledSet,
     contraction_factor,
     finsler_factors,
@@ -529,3 +531,46 @@ def test_zimmer_metrics_rows_outside_or_coincident(omega):
                 zimmer_metric(omega, p, q)
         else:
             assert zimmer_metric(omega, p, q) == val
+
+
+# the members ProperDomain declares and leaves to each kind; chords only
+# where exact_metric is set
+CONTRACT = {"contains_coords", "boundary_coords", "interior_coords", "outward_normals",
+            "dual_covectors", "chords"}
+
+
+def _kinds(cls=ProperDomain):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _kinds(sub)
+
+
+def test_every_domain_kind_implements_the_contract():
+    kinds = list(_kinds())
+    assert {k.__name__ for k in kinds} == {"ChartBall", "ConvexPolytope", "SampledSet"}
+    for kind in kinds:
+        needed = CONTRACT if kind.exact_metric else CONTRACT - {"chords"}
+        missing = sorted(m for m in needed
+                         if getattr(kind, m, None) in (None, getattr(ProperDomain, m, None)))
+        assert missing == [], kind.__name__
+    stubs = {name for name, f in vars(ProperDomain).items()
+             if inspect.isfunction(f) and "raise NotImplementedError" in inspect.getsource(f)}
+    assert stubs == CONTRACT
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_union_outward_normals_point_out_of_the_union(dim):
+    # a ball and a polytope that overlap: each boundary row takes the normal of
+    # the member it lies on, and a step along it leaves the union
+    k = dim - 1
+    h = ProjHyperplane(np.eye(dim)[-1])
+    box = np.array(np.meshgrid(*[[0.0, 0.6]] * k)).reshape(k, -1).T
+    union = SampledSet([ChartBall(h, np.full(k, -0.2), 0.4), ConvexPolytope(h, box)])
+    rows = union.boundary_coords(64, 3)
+    normals = union.outward_normals(rows)
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
+    assert not union.contains_coords(rows + 1e-6 * normals).any()
+    assert union.contains_coords(rows - 1e-6 * normals).all()
+    on_ball = np.abs(np.linalg.norm(rows + 0.2, axis=1) - 0.4) < 1e-9
+    assert 0 < on_ball.sum() < len(rows)
+    assert np.allclose(normals[on_ball], (rows[on_ball] + 0.2) / 0.4)

@@ -9,7 +9,7 @@ import pytest
 
 from flagdyn import circle, synth
 from flagdyn.automaton import ParabolicFamily, Singleton, verify_compatibility
-from flagdyn.circle import Arc, angle_dist, angle_of, angles, arc_between, mobius_arcs, vec_of
+from flagdyn.circle import Arc, angle_dist, angle_of, angles, arcs_between, mobius_arcs, vec_of
 from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, chart_ball_arcs
 from flagdyn.errors import ConfigError, SynthesisFailed
@@ -190,9 +190,9 @@ def test_batched_chart_ball_arcs_equal_one_ball_arcs(source, request):
         return [(a.center.hex(), a.radius.hex()) for a in arcs]
 
     # reference: each ball's chart points and angles through the one-point calls
-    ref = [arc_between(*(angle_of(chart_point(b.chart, b.center + s * b.radius).coords)
-                         for s in (-1, 1)),
-                       through=angle_of(chart_point(b.chart, b.center).coords))
+    ref = [Arc(*map(float, arcs_between(
+        *(angle_of(chart_point(b.chart, b.center + s * b.radius).coords) for s in (-1, 1)),
+        through=angle_of(chart_point(b.chart, b.center).coords))))
            for b in balls]
     one = [b.arc() for b in uncached()]
     batched = uncached()
