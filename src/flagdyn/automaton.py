@@ -30,7 +30,7 @@ import numpy as np
 from . import circle
 from .domains import ProperDomain, chart_ball_arcs
 from .errors import BaseFails, EvaluationError, MissingDomain
-from .projgeom import ProjPoint, act_many, chart_point, fubini_study_many
+from .projgeom import act_many, chart_point, fubini_study_many
 from .words import GroupPresentation, Word, concat, word_str
 
 # entries of a stacked chunk's (image rows, boundary rows) distance table: 0.5 MiB
@@ -123,12 +123,6 @@ class SeparationFailure:
         return f"separation {self}"
 
 
-def _arcs(domains):
-    """The exact arc of each d = 2 ball among ``domains``, by vertex."""
-    balls = {v: dom for v, dom in domains.items() if dom.is_arc}
-    return dict(zip(balls, chart_ball_arcs(list(balls.values()))))
-
-
 @dataclass
 class EdgeRecord:
     edge: tuple
@@ -166,15 +160,6 @@ class TailDisclosure:
 
 
 @dataclass
-class DivergenceWitness:
-    edge: tuple
-    word: Word
-    witness: object  # ProjPoint or None
-    margin: float
-    conclusive: bool
-
-
-@dataclass
 class Certificate:
     """Per-edge record blocks as columns: block i is edge ``edges[i]``, its
     source's element words ``words[i]``, their margins (the next
@@ -192,7 +177,6 @@ class Certificate:
     epsilon: float
     budgets: dict
     separation: list = field(default_factory=list)
-    divergence: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
     # read once: the columns and tails do not change after construction
@@ -249,15 +233,9 @@ class Certificate:
                 }
                 for t in self.tails
             ],
-            "divergence": [
-                {
-                    "edge": list(d.edge),
-                    "element": word_str(d.word),
-                    "witness": None if d.witness is None else list(d.witness.coords),
-                    "margin": d.margin,
-                    "conclusive": d.conclusive,
-                }
-                for d in self.divergence
+            "separation": [
+                {"a": s.a, "b": s.b, "required": s.required, "measured": s.measured}
+                for s in self.separation
             ],
             "metadata": self.metadata,
         }
@@ -310,7 +288,8 @@ def verify_compatibility(graph: GammaGraph, system: CompatibleSystem,
         _check_label(v, label, ws[:_LABEL_PREFIX], ms[:_LABEL_PREFIX])
         words[v], mats[v] = ws[:element_cap], ms[:element_cap]
     domains = {v: system.domain(v) for v in graph.vertices}
-    arcs = _arcs(domains)
+    balls = {v: dom for v, dom in domains.items() if dom.is_arc}
+    arcs = dict(zip(balls, chart_ball_arcs(list(balls.values()))))
     eps = graph.epsilon
     sized = {v: _tail_window(label, len(mats[v]), rho)[1]
              for v, label in graph.vertices.items()}
@@ -459,60 +438,6 @@ def _tail(v, label, edges, rho):
     a, b = tail_d[:-1], tail_d[1:]
     diams_ok = bool(np.all(b <= a + 1e-6 + 0.01 * np.abs(a)))
     return TailDisclosure(v, margins_ok, diams_ok, n)
-
-
-def check_divergence(graph: GammaGraph, system: CompatibleSystem,
-                     rho: GroupPresentation, *, seed: int = 0) -> list:
-    """Witness proper inclusion: a point of U_v outside alpha * closure(U_w).
-
-    Equivalently the witness pulls back outside the closure of U_w under
-    alpha^-1. Searches the first 8 elements of each label with 128 interior
-    and 128 boundary samples per domain; inconclusive searches are
-    reported, not raised. Labels are enumerated and evaluated, and the
-    samples drawn, once per vertex; each edge maps the probes by all its
-    elements, and pulls them back by the nested ones, in one stack each.
-    """
-    domains = {v: system.domain(v) for v in graph.vertices}
-    words = {v: elements_of(label, rho, cap=8) for v, label in graph.vertices.items()}
-    mats = {v: [rho.evaluate(w) for w in ws] for v, ws in words.items()}
-    stacks = {v: np.stack([m.arr for m in ms]) for v, ms in mats.items()}
-    probes = {v: np.vstack([U.interior_points(128, seed), U.boundary_points(128, seed)])
-              for v, U in domains.items()}
-    arcs = _arcs(domains)
-    out = []
-    for edge in graph.edges:
-        v, w = edge
-        U_v, U_w, arc_w = domains[v], domains[w], arcs.get(w)
-        # an escape point only witnesses PROPER inclusion when the
-        # inclusion itself holds: an isometry label produces escapes
-        # without nesting and must come back inconclusive
-        nested = U_v.contains_points(act_many(stacks[v], probes[w]), slack=1e-12).all(axis=1)
-        found = {}
-        if nested.any():
-            idx = np.flatnonzero(nested).tolist()
-            pre = act_many(np.stack([mats[v][i].inv().arr for i in idx]), probes[v])
-            found = dict(zip(idx, _escapes(pre, U_w, arc_w)))
-        for i, word in enumerate(words[v]):
-            point, gap = found.get(i, (None, 0.0))
-            out.append(DivergenceWitness(edge, word, point, gap, point is not None))
-    return out
-
-
-def _escapes(pre, U_w, arc_w):
-    """(witness, margin) of each point cloud of the (j, n, d) stack ``pre``:
-    its first row farthest past arc_w on the projective line, else its
-    first row outside closure(U_w) (to slack 1e-12) with margin 1e-12;
-    (None, 0.0) when no row escapes."""
-    if arc_w is not None:
-        escape = circle.angle_dists(circle.angles(pre), arc_w.center) - arc_w.radius
-        first = escape.argmax(axis=1)
-        gaps = escape[np.arange(len(pre)), first]
-    else:
-        outside = ~U_w.contains_points(pre, slack=1e-12)
-        first = outside.argmax(axis=1)
-        gaps = np.where(outside.any(axis=1), 1e-12, 0.0)
-    return [(ProjPoint(rows[i]), g) if g > 0 else (None, 0.0)
-            for rows, i, g in zip(pre, first.tolist(), gaps.tolist())]
 
 
 def peripheral_stability_probe(family, graph: GammaGraph, system: CompatibleSystem,

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .automaton import check_divergence, peripheral_stability_probe, verify_compatibility
+from .automaton import peripheral_stability_probe, verify_compatibility
 from .config import RunConfig, at_least, number
 from .domains import ChartBall, zimmer_metric
 from .dynamics import limit_set_sample, shrink_rates
@@ -70,8 +70,6 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
         separation=cfg.separation,
         metadata={"config_hash": cfg.config_hash, "seed": seed},
     )
-    if cert.ok:
-        cert.divergence = check_divergence(graph, system, rho, seed=seed)
     report = _header(cfg, seed, [f"epsilon {_fmt(graph.epsilon)}"])
     report.append(f"records {len(cert.records)}  min margin {_fmt(cert.min_margin)}")
     for r in cert.records:
@@ -85,12 +83,6 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
     if cert.separation:
         report.append("separation table FAILURES:")
         report.extend(f"  {s}" for s in cert.separation)
-    inconclusive = [d for d in cert.divergence if not d.conclusive]
-    if cert.divergence:
-        report.append(
-            f"divergence witnesses: {len(cert.divergence) - len(inconclusive)}"
-            f"/{len(cert.divergence)} conclusive"
-        )
     first = cert.first_failure()
     failure = None if first is None else first.describe()
     report.append(f"verdict {'FAIL' if failure else 'PASS'}")

@@ -338,6 +338,7 @@ class SampledSet(ProperDomain):
         self.chart = members[0].chart
         if any(m.chart != self.chart for m in members):
             raise ValueError("members must share one chart")
+        self._duals = {}  # (n, seed) -> dual covectors, read-only
 
     def contains_coords(self, coords, slack=0.0):
         out = np.zeros(coords.shape[0], dtype=bool)
@@ -376,6 +377,10 @@ class SampledSet(ProperDomain):
         return out
 
     def dual_covectors(self, n, seed=0):
+        """Drawn once per (n, seed): the draw depends on nothing else, and
+        the metric asks for the same covectors at every call."""
+        if (n, seed) in self._duals:
+            return self._duals[n, seed]
         cands = np.vstack([m.dual_covectors(n, seed + 13 * i) for i, m in enumerate(self.members)])
         closure = np.vstack(
             [self.boundary_points(max(64, 8 * len(self.members)), seed),
@@ -383,10 +388,12 @@ class SampledSet(ProperDomain):
         )
         vals = cands @ closure.T
         sep = np.all(vals > 1e-9, axis=1) | np.all(vals < -1e-9, axis=1)
-        kept = cands[sep]
+        kept = cands[sep][:n]
         if kept.shape[0] == 0:
             raise NotInDomain("no separating hyperplane found for the union")
-        return kept[:n]
+        kept.flags.writeable = False
+        self._duals[n, seed] = kept
+        return kept
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +505,12 @@ def contraction_factor(inner: ProperDomain, outer: ProperDomain, budget: int = 5
     Requires the closure of ``inner`` strictly inside ``outer``. Finite
     pairs are sampled in the inner domain; coincident limits contribute
     their Finsler ratio, minimized over an anchor/direction grid with
-    local refinement around the incumbent.
+    local refinement around the incumbent. Both domains need line sections
+    (``exact_metric``): a sampled union raises NotInDomain.
     """
+    if not (inner.exact_metric and outer.exact_metric):
+        raise NotInDomain("contraction_factor needs the line sections of both domains; "
+                          "a sampled union has none")
     if nesting_margin(inner, outer, seed=seed) < NESTING_MARGIN_DEFAULT:
         raise NotStrictlyNested("inner closure not inside outer with required margin")
     pts = np.vstack(

@@ -14,7 +14,6 @@ from flagdyn.automaton import (
     ParabolicFamily,
     Singleton,
     TailDisclosure,
-    check_divergence,
     elements_of,
     enumerate_paths,
     peripheral_stability_probe,
@@ -25,7 +24,7 @@ from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, ConvexPolytope, arc_ball
 from flagdyn.errors import BaseFails, EvaluationError, MissingDomain
 from flagdyn.linalg import Matrix
-from flagdyn.projgeom import ProjHyperplane, ProjPoint, act_many, fubini_study_many
+from flagdyn.projgeom import ProjHyperplane, act_many
 from flagdyn.words import GroupPresentation, Peripheral, parse_word
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -132,65 +131,19 @@ def test_nesting_transitivity(schottky):
             assert system.domain(u).arc().margin_of_arc(img) > 0
 
 
-def test_divergence_witnesses(schottky):
-    rho, graph, system = schottky
-    out = check_divergence(graph, system, rho)
-    assert out and all(d.conclusive for d in out)
-
-
-def test_divergence_rotation_inconclusive():
+def test_rotation_label_fails_its_margin():
+    # an isometry maps the ball onto a ball of the same size, so its image
+    # of the neighborhood is never inside: the record's margin is negative
     c, s = math.cos(0.9), math.sin(0.9)
     rho = GroupPresentation(dim=2, generators={"r": Matrix([[c, -s], [s, c]])})
     graph = GammaGraph(
         vertices={"v": Singleton(parse_word("r"))}, edges=[("v", "v")], epsilon=0.01
     )
     system = CompatibleSystem(domains={"v": arc_ball(0.0, 0.4)})
-    out = check_divergence(graph, system, rho)
-    assert all(not d.conclusive for d in out)
-
-
-def _reference_divergence(graph, system, rho, seed=0):
-    """``check_divergence`` one edge and one element at a time."""
-    probes = {v: np.vstack([U.interior_points(128, seed), U.boundary_points(128, seed)])
-              for v, U in system.domains.items()}
-    out = []
-    for v, w in graph.edges:
-        U_v, U_w = system.domain(v), system.domain(w)
-        for word in elements_of(graph.vertices[v], rho, cap=8):
-            m = rho.evaluate(word)
-            found, best = None, 0.0
-            if np.all(U_v.contains_points(act_many(m, probes[w]), slack=1e-12)):
-                pre = act_many(m.inv(), probes[v])
-                if U_w.is_arc:
-                    arc = U_w.arc()
-                    escape = circle.angle_dists(circle.angles(pre), arc.center) - arc.radius
-                    i = int(np.argmax(escape))
-                    if escape[i] > 0:
-                        found, best = pre[i], float(escape[i])
-                else:
-                    outside = ~U_w.contains_points(pre, slack=1e-12)
-                    if np.any(outside):
-                        found, best = pre[np.argmax(outside)], 1e-12
-            coords = None if found is None else ProjPoint(found).coords.tolist()
-            out.append(((v, w), word, coords, best, found is not None))
-    return out
-
-
-@pytest.mark.parametrize("case", [
-    lambda: _parts(RunConfig.load(CONFIGS / "schottky.json")),
-    lambda: _parts(RunConfig.load(CONFIGS / "jordan_diag.json")),
-    lambda: _jordan_with_singleton(),
-    lambda: _diagonal_rank2_case(),
-    lambda: _modular_family(),
-    *(lambda seed=seed: _random_arc_case(seed) for seed in range(3)),
-], ids=["schottky", "jordan-d4", "jordan-singleton", "rank-2-family", "modular",
-        *(f"random-arcs-{seed}" for seed in range(3))])
-def test_stacked_divergence_matches_the_per_element_search(case):
-    rho, graph, system = case()
-    got = [(d.edge, d.word, None if d.witness is None else d.witness.coords.tolist(),
-             d.margin, d.conclusive) for d in check_divergence(graph, system, rho)]
-    assert got == _reference_divergence(graph, system, rho)
-    assert all(type(d[3]) is float for d in got)
+    cert = verify_compatibility(graph, system, rho)
+    assert not cert.ok and cert.min_margin < 0
+    first = cert.first_failure()
+    assert (first.edge, first.word) == (("v", "v"), parse_word("r"))
 
 
 # --- peripheral stability -------------------------------------------------------

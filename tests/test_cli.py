@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -577,7 +578,10 @@ def test_separation_only_failure_is_named(tmp_path, capsys):
     assert out.startswith("FAIL first failing record: separation a+ vs b+: required 3.0")
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["verdict"] == "fail"
-    assert all(r["pass"] for r in cert["records"]) and cert["divergence"] == []
+    assert all(r["pass"] for r in cert["records"])
+    [row] = cert["separation"]
+    assert (row["a"], row["b"], row["required"]) == ("a+", "b+", 3.0)
+    assert 0 < row["measured"] < 3.0
 
 
 def test_vertex_without_outgoing_edge_fails_every_command_at_load(tmp_path, capsys):
@@ -621,15 +625,22 @@ MIXED_KINDS = {
 }
 
 
-@pytest.mark.parametrize("name", MIXED_KINDS)
-def test_every_domain_kind_runs_every_command(tmp_path, capsys, name):
-    source, domains, code = MIXED_KINDS[name]
+def _mixed(tmp_path, name):
+    """Write the MIXED_KINDS config ``name`` to tmp_path / "mixed.json"."""
+    source, domains, _ = MIXED_KINDS[name]
     raw = json.loads((CONFIGS / source).read_text())
     raw["domains"].update(domains)
     raw["budgets"]["path_count"] = 6
     raw["rates"] = {"depth": 12, "paths": 3}
     cfg = tmp_path / "mixed.json"
     cfg.write_text(json.dumps(raw))
+    return cfg, raw
+
+
+@pytest.mark.parametrize("name", MIXED_KINDS)
+def test_every_domain_kind_runs_every_command(tmp_path, capsys, name):
+    code = MIXED_KINDS[name][2]
+    cfg, raw = _mixed(tmp_path, name)
     commands = ["certify", "limitset", "rates"] + (["probe"] if raw["dimension"] == 4 else [])
     for command in commands:
         assert run([command, "--config", cfg, "--out", tmp_path / command]) == code, command
@@ -638,6 +649,46 @@ def test_every_domain_kind_runs_every_command(tmp_path, capsys, name):
         rows = (tmp_path / "limitset" / "limit_set.csv").read_text().splitlines()[2:]
         assert len(rows) == 6
         assert all(0 < float(r.rsplit(",", 1)[1]) < 1e-6 for r in rows)  # radius bounds
+
+
+def test_union_limitset_draws_dual_covectors_once(tmp_path, capsys, monkeypatch):
+    calls, draws = [], {}
+    memo, member = domains.SampledSet.dual_covectors, domains.ChartBall.dual_covectors
+
+    def counted(self, n, seed=0):
+        calls.append((id(self), n, seed))
+        return memo(self, n, seed)
+
+    def drawn(self, n, seed=0):
+        draws[id(self), n, seed] = draws.get((id(self), n, seed), 0) + 1
+        return member(self, n, seed)
+
+    monkeypatch.setattr(domains.SampledSet, "dual_covectors", counted)
+    monkeypatch.setattr(domains.ChartBall, "dual_covectors", drawn)
+    cfg, _ = _mixed(tmp_path, "jordan-union")
+    assert run(["limitset", "--config", cfg, "--out", tmp_path]) == 0
+    # each union member is drawn from once per draw of the union
+    assert len(draws) == 2 * len(set(calls)) and set(draws.values()) == {1}
+    assert len(calls) > len(set(calls))
+
+
+def test_union_limitset_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    _mixed(tmp_path, "jordan-union")
+    monkeypatch.chdir(tmp_path)  # the header names the config by this relative path
+    assert run(["limitset", "--config", "mixed.json", "--out", "out"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "limit_set.csv").read_bytes()).hexdigest()
+    assert digest == "e51a5af8b7e9670285b3eee69d77770f17c318a1acbf7f8a2245069a6ca8e524"
+
+
+@pytest.mark.parametrize("command, name, code", [
+    ("certify", "schottky.json", 0), ("limitset", "schottky.json", 0),
+    ("rates", "schottky.json", 0), ("certify", "schottky_repelling.json", 1)])
+def test_certificate_keys(tmp_path, capsys, command, name, code):
+    assert run([command, "--config", CONFIGS / name, "--out", tmp_path]) == code
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert sorted(cert) == ["budgets", "epsilon", "metadata", "min_margin", "records",
+                            "separation", "tail_disclosures", "verdict"]
+    assert cert["separation"] == []
 
 
 @pytest.mark.parametrize("name, command, edit", [

@@ -215,6 +215,34 @@ def test_contraction_requires_strict_nesting():
         contraction_factor(inner, outer)
 
 
+def test_union_dual_covectors_are_drawn_once_and_read_only():
+    def union():
+        return SampledSet([ChartBall(H3, [-0.3, 0.0], 0.2), ChartBall(H3, [0.3, 0.0], 0.2)])
+
+    u = union()
+    covs = u.dual_covectors(256, seed=3)
+    assert u.dual_covectors(256, seed=3) is covs and not covs.flags.writeable
+    assert np.array_equal(covs, union().dual_covectors(256, seed=3))
+    assert not np.array_equal(u.dual_covectors(256, seed=4), covs)
+
+
+@pytest.mark.parametrize("union_is", ["inner", "outer"])
+def test_contraction_factor_on_a_union_names_the_missing_sections(union_is, monkeypatch):
+    inner, outer = ChartBall(H3, [0.0, 0.0], 0.3), ChartBall(H3, [0.0, 0.0], 0.5)
+    if union_is == "inner":
+        inner = SampledSet([inner])
+    else:
+        outer = SampledSet([outer])
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before the domains were checked")
+
+    monkeypatch.setattr(SampledSet, "boundary_coords", sampled)
+    monkeypatch.setattr(SampledSet, "interior_coords", sampled)
+    with pytest.raises(NotInDomain, match="line sections of both domains"):
+        contraction_factor(inner, outer)
+
+
 def test_nesting_margin_sign():
     inner = ChartBall(H3, [0.0, 0.0], 0.3)
     outer = ChartBall(H3, [0.0, 0.0], 0.5)
