@@ -24,7 +24,6 @@ from .errors import ConfigError, FlagdynError
 from .linalg import flag_divergent, gap_trace
 from .projgeom import ProjHyperplane, chart_point
 from .synth import synthesize_rp1
-from .words import word_str
 
 
 def _fmt(x):
@@ -50,6 +49,14 @@ def _load(args):
     return cfg, seed, Path(args.out)
 
 
+def _certifying(cfg: RunConfig, seed):
+    """The ``verify_compatibility`` budgets, seed and metadata of every command."""
+    return {"n_boundary": cfg.budgets["boundary_samples"],
+            "n_interior": cfg.budgets["interior_samples"],
+            "element_cap": cfg.budgets["element_cap"], "seed": seed,
+            "metadata": {"config_hash": cfg.config_hash, "seed": seed}}
+
+
 def _write(outdir: Path, name: str, text: str):
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
@@ -61,15 +68,8 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
     rho = cfg.presentation()
     graph = cfg.graph()
     system = cfg.system()
-    cert = verify_compatibility(
-        graph, system, rho,
-        n_boundary=cfg.budgets["boundary_samples"],
-        n_interior=cfg.budgets["interior_samples"],
-        element_cap=cfg.budgets["element_cap"],
-        seed=seed,
-        separation=cfg.separation,
-        metadata={"config_hash": cfg.config_hash, "seed": seed},
-    )
+    cert = verify_compatibility(graph, system, rho, separation=cfg.separation,
+                                **_certifying(cfg, seed))
     report = _header(cfg, seed, [f"epsilon {_fmt(graph.epsilon)}"])
     report.append(f"records {len(cert.records)}  min margin {_fmt(cert.min_margin)}")
     for r in cert.records:
@@ -89,7 +89,7 @@ def _run_certify(cfg: RunConfig, seed: int, outdir: Path):
     if failure:
         report.append(f"first failing record: {failure}")
     _write(outdir, "certificate_report.txt", "\n".join(report) + "\n")
-    _write(outdir, "certificate.json", json.dumps(cert.to_dict(), indent=1, sort_keys=True))
+    _write(outdir, "certificate.json", json.dumps(cert.to_dict(), sort_keys=True))
     return failure, cert, (rho, graph, system)
 
 
@@ -191,12 +191,7 @@ def cmd_probe(args):
     if cfg.probe is None:
         raise ConfigError("probe command needs a probe section with a t_grid list")
     results, first_fail = peripheral_stability_probe(
-        cfg.presentation, cfg.graph(), cfg.system(), cfg.probe,
-        n_boundary=cfg.budgets["boundary_samples"],
-        n_interior=cfg.budgets["interior_samples"],
-        element_cap=cfg.budgets["element_cap"],
-        seed=seed,
-    )
+        cfg.presentation, cfg.graph(), cfg.system(), cfg.probe, **_certifying(cfg, seed))
     report = _header(cfg, seed)
     for t, cert in results:
         line = f"t = {_fmt(t)}: {'pass' if cert.ok else 'FAIL'} (min margin {_fmt(cert.min_margin)})"
@@ -215,11 +210,7 @@ def cmd_synthesize(args):
         raise ConfigError("synthesis requires dimension 2")
     rho = cfg.presentation()
     res = synthesize_rp1(rho, cfg.synthesis)
-    cert = verify_compatibility(
-        res.graph, res.system, rho,
-        element_cap=cfg.budgets["element_cap"], seed=seed,
-        metadata={"config_hash": cfg.config_hash, "seed": seed},
-    )
+    cert = verify_compatibility(res.graph, res.system, rho, **_certifying(cfg, seed))
     n_par = sum(1 for v in res.graph.vertices.values() if not hasattr(v, "word"))
     report = _header(cfg, seed) + [
         f"vertices {len(res.graph.vertices)} (parabolic {n_par})",
@@ -228,39 +219,17 @@ def cmd_synthesize(args):
         f"certificate: {'PASS' if cert.ok else 'FAIL'} min margin {_fmt(cert.min_margin)}",
     ]
     _write(outdir, "synthesis.txt", "\n".join(report) + "\n")
-    graph_json = {
-        "vertices": [
-            {
-                "id": vid,
-                **(
-                    {"type": "singleton", "word": _word_text(label.word)}
-                    if hasattr(label, "word")
-                    else {
-                        "type": "parabolic",
-                        "peripheral": label.peripheral,
-                        "coset_word": _word_text(label.coset_word),
-                        "min_power": label.exclude_below,
-                    }
-                ),
-            }
-            for vid, label in sorted(res.graph.vertices.items())
-        ],
-        "edges": sorted([list(e) for e in res.graph.edges]),
-        "epsilon": res.graph.epsilon,
-        "boundary_points": {v: res.boundary_points[v] for v in sorted(res.boundary_points)},
-        "certificate_pass": cert.ok,
-        "config_hash": cfg.config_hash,
-    }
-    _write(outdir, "synthesis.json", json.dumps(graph_json, indent=1, sort_keys=True))
+    automaton = cfg.with_automaton(res.graph, res.boundary_points)
+    _write(outdir, "automaton.json", json.dumps(automaton, sort_keys=True))
+    # the graph section again, for bench/workloads.py, which reads this file
+    _write(outdir, "synthesis.json", json.dumps(
+        {**automaton["graph"], "certificate_pass": cert.ok, "config_hash": cfg.config_hash},
+        sort_keys=True))
     print(
         f"synthesized {len(res.graph.vertices)} vertices / {len(res.graph.edges)} edges; "
         f"certificate {'PASS' if cert.ok else 'FAIL'}"
     )
     return 0 if cert.ok else 1
-
-
-def _word_text(word):
-    return "" if not word else word_str(word)
 
 
 def cmd_gaps(args):

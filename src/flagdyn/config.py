@@ -462,3 +462,28 @@ class RunConfig:
         if not self._domains:
             raise ConfigError("config has no domains section")
         return CompatibleSystem(domains=dict(self._domains))
+
+    # -- writing ---------------------------------------------------------------
+
+    def with_automaton(self, graph: GammaGraph, points: dict) -> dict:
+        """This config's JSON with ``graph``, in its vertex and edge order, and
+        for each vertex v the arc of radius epsilon about angle ``points[v]``:
+        what ``_read_graph`` reads back. The separation table is dropped, as
+        its rows name the vertices that ``graph`` replaces."""
+        def text(word):  # the identity is "", which parse_word reads back
+            return word_str(word) if word else ""
+
+        def vertex(vid, label):
+            if isinstance(label, Singleton):
+                return {"id": vid, "type": "singleton", "word": text(label.word)}
+            return {"id": vid, "type": "parabolic", "peripheral": label.peripheral,
+                    "coset_word": text(label.coset_word), "min_power": label.exclude_below,
+                    "excluded": [text(w) for w in label.excluded]}
+
+        raw = {key: v for key, v in self.raw.items() if key != "delta_separation"}
+        raw["graph"] = {"epsilon": graph.epsilon,
+                        "vertices": [vertex(v, label) for v, label in graph.vertices.items()],
+                        "edges": [list(e) for e in graph.edges]}
+        raw["domains"] = {v: {"kind": "arc", "center_angle": points[v],
+                              "radius_angle": graph.epsilon} for v in graph.vertices}
+        return raw

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagdyn import automaton, domains, synth
+from flagdyn import automaton, cli, domains, synth
 from flagdyn.cli import main
 from flagdyn.config import _EXPR_NAMES, RunConfig
 from flagdyn.errors import ConfigError
@@ -81,9 +81,13 @@ def test_limitset_builds_each_domain_arc_once(tmp_path, monkeypatch):
     assert len(built) == 4  # one per domain of the four-vertex system
 
 
-def test_synthesize_builds_no_record_and_few_conicals(tmp_path, monkeypatch):
-    # the run reads only the certificate's verdict and minimum margin, and
-    # builds a _Conical only for a kept grid hit or a candidate(z) call
+@pytest.fixture(scope="module")
+def pgl2z_synthesis(tmp_path_factory):
+    """One ``synthesize`` run on pgl2z: its output directory, the
+    SynthesisResult and Certificate it built, and how many records,
+    _Conicals and candidate hits it built."""
+    out = tmp_path_factory.mktemp("synthesize-pgl2z")
+    built = {}
     counts = dict.fromkeys(["records", "conicals", "candidate hits"], 0)
     record, conical = automaton.EdgeRecord, synth._Conical
     candidate = synth._ConicalSearcher.candidate
@@ -99,14 +103,73 @@ def test_synthesize_builds_no_record_and_few_conicals(tmp_path, monkeypatch):
         counts["candidate hits"] += got is not None
         return got
 
-    monkeypatch.setattr(automaton, "EdgeRecord", counted("records", record))
-    monkeypatch.setattr(synth, "_Conical", counted("conicals", conical))
-    monkeypatch.setattr(synth._ConicalSearcher, "candidate", counted_candidate)
-    assert run(["synthesize", "--config", CONFIGS / "pgl2z.json", "--out", tmp_path]) == 0
-    vertices = json.loads((tmp_path / "synthesis.json").read_text())["vertices"]
+    def kept(name, make):
+        def keep(*args, **kwargs):
+            built[name] = make(*args, **kwargs)
+            return built[name]
+        return keep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "EdgeRecord", counted("records", record))
+        mp.setattr(synth, "_Conical", counted("conicals", conical))
+        mp.setattr(synth._ConicalSearcher, "candidate", counted_candidate)
+        mp.setattr(cli, "synthesize_rp1", kept("res", cli.synthesize_rp1))
+        mp.setattr(cli, "verify_compatibility", kept("cert", cli.verify_compatibility))
+        assert run(["synthesize", "--config", CONFIGS / "pgl2z.json", "--out", out]) == 0
+    return out, built["res"], built["cert"], counts
+
+
+def test_synthesize_builds_no_record_and_few_conicals(pgl2z_synthesis):
+    # the run reads only the certificate's verdict and minimum margin, and
+    # builds a _Conical only for a kept grid hit or a candidate(z) call
+    out, _, _, counts = pgl2z_synthesis
+    vertices = json.loads((out / "synthesis.json").read_text())["vertices"]
     singletons = sum(v["type"] == "singleton" for v in vertices)
     assert counts["records"] == 0
     assert singletons <= counts["conicals"] <= singletons + counts["candidate hits"]
+
+
+def test_synthesized_automaton_is_a_config(pgl2z_synthesis, tmp_path, capsys):
+    # certify on the written automaton reproduces synthesize's certificate:
+    # its budgets, and every record's edge, element and margin in order
+    out, _, cert, _ = pgl2z_synthesis
+    automaton_json = out / "automaton.json"
+    assert run(["certify", "--config", automaton_json, "--out", tmp_path]) == 0
+    assert capsys.readouterr().out == "PASS min margin 0.012248183250884948\n"
+    got = json.loads((tmp_path / "certificate.json").read_text())
+    want = json.loads(json.dumps(cert.to_dict()))
+    assert len(got["records"]) == 24085
+    assert {**got, "metadata": None} == {**want, "metadata": None}
+    assert run(["limitset", "--config", automaton_json, "--out", tmp_path]) == 0
+    assert capsys.readouterr().out.endswith("limit_set.csv (100 points)\n")
+
+
+def test_synthesized_automaton_loads_as_its_graph(pgl2z_synthesis):
+    out, res, _, _ = pgl2z_synthesis
+    cfg = RunConfig.load(out / "automaton.json")
+    graph = cfg.graph()
+    assert list(graph.vertices.items()) == list(res.graph.vertices.items())
+    assert graph.edges == res.graph.edges
+    assert graph.epsilon == res.graph.epsilon
+    assert graph.vertices["p:pt:id"].coset_word == ()
+    arcs = {v: d.arc() for v, d in cfg.system().domains.items()}
+    assert arcs == {v: d.arc() for v, d in res.system.domains.items()}
+    assert cfg.separation == []
+
+
+def test_synthesize_replaces_a_configs_own_graph(tmp_path, capsys):
+    # schottky.json has its own graph, domains and separation table
+    raw = json.loads((CONFIGS / "schottky.json").read_text())
+    raw["synthesis"] = {"word_radius": 6, "grid": 720}
+    path = tmp_path / "schottky_synthesis.json"
+    path.write_text(json.dumps(raw))
+    assert run(["synthesize", "--config", path, "--out", tmp_path]) == 0
+    assert capsys.readouterr().out == "synthesized 92 vertices / 716 edges; certificate PASS\n"
+    cfg = RunConfig.load(tmp_path / "automaton.json")
+    assert (len(cfg.graph().vertices), len(cfg.graph().edges)) == (92, 716)
+    assert "delta_separation" not in cfg.raw and cfg.separation == []
+    assert run(["certify", "--config", tmp_path / "automaton.json", "--out", tmp_path]) == 0
+    assert capsys.readouterr().out == "PASS min margin 0.025667026032962115\n"
 
 
 def test_limitset_refuses_failing_config(tmp_path):
@@ -358,8 +421,6 @@ def test_bad_synthesis_value_exits_without_traceback(tmp_path, capsys, key, valu
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, capsys):
-    from flagdyn import cli
-
     ap = cli.build_parser()
     assert cli.build_parser() is ap
     first = ap.parse_args(["limitset", "--config", "a.json", "--svg", "--seed", "3"])
@@ -392,8 +453,6 @@ def _reads_and_calls(fn):
 def test_every_subcommand_option_is_read():
     # a flag no code reads does nothing: each subcommand dest is read as
     # args.<dest> by its command function, or by _load when that calls it
-    from flagdyn import cli
-
     (sub,) = [a for a in cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
     unread = []
