@@ -127,6 +127,7 @@ class SeparationFailure:
 class EdgeRecord:
     edge: tuple
     word: Word
+    element: str  # word_str(word)
     margin: float
     ok: bool
     n_samples: int
@@ -135,7 +136,7 @@ class EdgeRecord:
     def describe(self):
         status = "pass" if self.ok else "FAIL"
         return (
-            f"{self.edge[0]} -> {self.edge[1]}  alpha = {word_str(self.word):24s} "
+            f"{self.edge[0]} -> {self.edge[1]}  alpha = {self.element:24s} "
             f"margin = {self.margin:+.6e}  [{status}]"
         )
 
@@ -165,7 +166,8 @@ class Certificate:
     source's element words ``words[i]``, their margins (the next
     len(words[i]) entries of the flat ``margins`` array), and its
     ``n_samples[i]`` and ``exact[i]``. ``records`` builds one ``EdgeRecord``
-    per element on first read; the verdict and the minimum margin are read
+    per element on first read, with the element texts formed once per
+    source vertex; the verdict and the minimum margin are read
     from the arrays. The verdict also requires every tail and an empty
     ``separation``, the failing rows of the separation table."""
     edges: list
@@ -183,10 +185,14 @@ class Certificate:
     @cached_property
     def records(self):
         margins = iter(self.margins.tolist())
-        return [EdgeRecord(edge, word, m, m > 0, n, exact)
+        texts = {}
+        for (v, _), words in zip(self.edges, self.words):
+            if v not in texts:
+                texts[v] = [word_str(w) for w in words]
+        return [EdgeRecord(edge, word, text, m, m > 0, n, exact)
                 for edge, words, n, exact in zip(self.edges, self.words, self.n_samples,
                                                  self.exact)
-                for word, m in zip(words, margins)]
+                for word, text, m in zip(words, texts[edge[0]], margins)]
 
     @cached_property
     def ok(self):
@@ -215,7 +221,7 @@ class Certificate:
             "records": [
                 {
                     "edge": list(r.edge),
-                    "element": word_str(r.word),
+                    "element": r.element,
                     "margin": r.margin,
                     "pass": r.ok,
                     "samples": r.n_samples,

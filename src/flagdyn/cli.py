@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 pass, 1 certification/criterion failure, 2 usage or config
-error. Machine-readable outputs embed the config hash and seeds, and are
-byte-identical across runs with the same config and seed.
+error. Outputs are byte-identical across runs with the same config and
+seed; the README lists which of them embed the config hash, the seed and
+the budgets.
 """
 
 from __future__ import annotations

@@ -438,16 +438,15 @@ class RunConfig:
         presentation checks that fails at t, is a ConfigError."""
         gens = {name: m if isinstance(m, Matrix) else _matrix(f"{name} at t = {t}", m, t)
                 for name, m in self._generators.items()}
-        # each presentation inverts all its generators, and only the derived
-        # generator added last is new to it, so a SingularInput names that one
+        # a SingularInput names the generator built or inverted last
         what = "a generator"
         try:
+            rho = GroupPresentation(dim=self.dimension, generators=gens)
             for name, word in self._derived:
-                base = GroupPresentation(dim=self.dimension, generators=dict(gens))
                 what = f"derived generator {name} = {word_str(word)}"
-                gens[name] = base.evaluate(word)
-            return GroupPresentation(dim=self.dimension, generators=gens,
-                                     peripherals=self.peripherals)
+                rho.derive(name, word)
+            rho.add_peripherals(self.peripherals)
+            return rho
         except SingularInput as exc:
             raise ConfigError(f"{what} is singular at t = {t}: {exc}") from exc
         except EvaluationError as exc:  # g g^-1 or a peripheral commutator is not id

@@ -64,11 +64,15 @@ class ProperDomain:
         """Containment mask of an (..., d) array of ambient rows, one test
         over all of them.
 
-        Rows incident to the chart hyperplane lie outside every domain.
+        Rows incident to the chart hyperplane lie outside every domain; the
+        others are mapped as ``affine_chart`` maps them.
         """
+        h = self.chart
         rows = pts.reshape(-1, pts.shape[-1])
-        inside = in_chart(self.chart, rows)
-        inside[inside] = self.contains_coords(affine_chart(self.chart, rows[inside]), slack)
+        inside = in_chart(h, rows)
+        kept = rows[inside]
+        inside[inside] = self.contains_coords((kept / (kept @ h.covector)[:, None]) @ h.basis.T,
+                                              slack)
         return inside.reshape(pts.shape[:-1])
 
     def boundary_coords(self, n, seed=0):

@@ -215,9 +215,16 @@ def fubini_study_many(pts_a, pts_b, *, farthest=False, axis=None):
     The float kernel atan2(sqrt(max(1 - c^2, 0)), c) is non-increasing in
     c = |dot|, so it runs on the reduced |dot| and gives the bits of the
     same reduction over all pairwise distances. The largest |dot| is
-    max(max dot, -min dot), read without an |dot| table.
+    max(max dot, -min dot), read without an |dot| table. A per-row
+    reduction runs down the columns of the transposed table ``pts_b @
+    pts_a.T``, which numpy reduces much faster than along short rows; that
+    BLAS product can round a dot 1 or 2 ulp away from ``pts_a @ pts_b.T``
+    on some row counts.
     """
-    dots = pts_a @ pts_b.T
+    if axis == 1:
+        dots, axis = pts_b @ pts_a.T, 0
+    else:
+        dots = pts_a @ pts_b.T
     if farthest:
         c = np.abs(dots).min(axis=axis)
     else:

@@ -120,23 +120,41 @@ class GroupPresentation:
         self._powers = {}
         for name, m in self.generators.items():
             self._powers[(name, 1)], self._powers[(name, -1)] = m, m.inv()
-        for p in self.peripherals:
+        for name in self.generators:
+            self._check_inverse(name)
+        peripherals, self.peripherals = self.peripherals, []
+        self.add_peripherals(peripherals)
+
+    def _check_inverse(self, name):
+        # evaluate would normalize g g^-1 to the identity word: multiply
+        if not (self.power(name, 1) @ self.power(name, -1)).is_identity(tol=1e-9):
+            raise EvaluationError(f"g g^-1 != id for generator {name}")
+
+    def derive(self, name: str, word: Word):
+        """Add the generator ``name``, the value of ``word`` in the generators
+        so far, with its inverse, checked as the constructor checks its own."""
+        m = self.generators[name] = self.evaluate(word)
+        if m.exact is None and self._cache[()].exact is not None:
+            # the float identity the constructor would give; words cached
+            # under the exact one go with it
+            self._cache = {(): Matrix(np.eye(self.dim))}
+        self._powers[(name, 1)], self._powers[(name, -1)] = m, m.inv()
+        self._check_inverse(name)
+
+    def add_peripherals(self, peripherals):
+        """Declare ``peripherals``: their generators must exist, and those of
+        a rank-2 one must commute."""
+        for p in peripherals:
             for g in p.generators:
                 if g not in self.generators:
                     raise EvaluationError(f"peripheral {p.name} uses unknown generator {g}")
-        self._check_relations()
-
-    def _check_relations(self):
-        # evaluate would normalize g g^-1 to the identity word: multiply
-        for name in self.generators:
-            if not (self.power(name, 1) @ self.power(name, -1)).is_identity(tol=1e-9):
-                raise EvaluationError(f"g g^-1 != id for generator {name}")
-        for p in self.peripherals:
+        for p in peripherals:
             if len(p.generators) == 2:
                 a, b = p.generators
                 comm = self.evaluate(((a, 1), (b, 1), (a, -1), (b, -1)))
                 if not comm.is_identity(tol=1e-9):
                     raise EvaluationError(f"declared abelian peripheral {p.name} does not commute")
+        self.peripherals = [*self.peripherals, *peripherals]
 
     def power(self, name: str, exp: int) -> Matrix:
         """g^exp for the generator g, built as g^(n-1) @ g^(+-1) from the

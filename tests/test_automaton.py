@@ -24,7 +24,13 @@ from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, ConvexPolytope, arc_ball
 from flagdyn.errors import BaseFails, EvaluationError, MissingDomain
 from flagdyn.linalg import Matrix
-from flagdyn.projgeom import ProjHyperplane, act_many
+from flagdyn.projgeom import (
+    ProjHyperplane,
+    act_many,
+    affine_chart,
+    fubini_study_many,
+    in_chart,
+)
 from flagdyn.words import GroupPresentation, Peripheral, parse_word
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -335,6 +341,30 @@ def _reference_margin_and_size(home, img, bnd):
     dists = fs(np.max(np.abs(img @ bnd.T), axis=1))
     margin = float(np.min(np.where(inside, dists, -dists)))
     return margin, float(fs(np.min(np.abs(img @ img.T))))
+
+
+def test_jordan_edge_kernels_keep_the_bits_of_their_former_forms(jordan_diag_cfg):
+    # the stacked tables of each jordan edge, as ``_sampled_edge`` forms them:
+    # the per-row FS distances equal those read along the rows of the
+    # untransposed table, and containment equals in_chart then affine_chart
+    rho, graph, system = _parts(jordan_diag_cfg)
+    step = automaton._CHUNK // (152 * 128)
+    for v, w in graph.edges:
+        home = system.domain(v)
+        pts = automaton._neighborhood_samples(system.domain(w), graph.epsilon, 64, 24, 7)
+        bnd = home.boundary_points(128, 8)
+        mats = [rho.evaluate(word) for word in elements_of(graph.vertices[v], rho, cap=32)]
+        arrs = np.stack([m.arr for m in mats])
+        for lo in range(0, len(mats), step):
+            imgs = act_many(arrs[lo:lo + step], pts)
+            rows = imgs.reshape(-1, 4)
+            dots = rows @ bnd.T
+            c = np.clip(np.maximum(dots.max(1), -dots.min(1)), 0.0, 1.0)
+            want = np.arctan2(np.sqrt(np.clip(1.0 - c * c, 0.0, None)), c)
+            assert fubini_study_many(rows, bnd, axis=1).tobytes() == want.tobytes()
+            inside = in_chart(home.chart, rows)
+            inside[inside] = home.contains_coords(affine_chart(home.chart, rows[inside]))
+            assert np.array_equal(home.contains_points(imgs), inside.reshape(imgs.shape[:-1]))
 
 
 def _reference_certificate(graph, system, rho, *, n_boundary, n_interior, element_cap,

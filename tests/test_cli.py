@@ -310,6 +310,29 @@ def test_probe_commands(tmp_path):
     assert "first failing t: 0.01" in text
 
 
+@pytest.mark.parametrize("command, name, code, digest", [
+    ("certify", "jordan_diag", 0,
+     "c6b444f07ea1c2859d701d60e03870ae96c28a703f70787c9057633863e383a4"),
+    ("probe", "jordan_split", 1,
+     "98e8361b0f916528c09db74f5b0742d6cec8d4b77c8d5828ddfbd724ee5b7bf3"),
+    ("probe", "jordan_diag", 0,
+     "1d214236a45ac02ea2902d07c8765c035ac817e58e8bd41e8c9a1ff13873c483"),
+])
+def test_sampled_d4_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch, command, name, code,
+                                             digest):
+    # the sampled d = 4 margins at seed 7: certificate.json's records, and
+    # probe.txt, whose header names the config by this relative path
+    monkeypatch.chdir(CONFIGS.parent)
+    assert run([command, "--config", f"configs/{name}.json", "--seed", 7,
+                "--out", tmp_path]) == code
+    if command == "certify":
+        records = json.loads((tmp_path / "certificate.json").read_text())["records"]
+        blob = json.dumps(records, sort_keys=True).encode()
+    else:
+        blob = (tmp_path / "probe.txt").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_config_hash_embedded(tmp_path):
     cfg = RunConfig.load(CONFIGS / "schottky.json")
     run(["certify", "--config", CONFIGS / "schottky.json", "--out", tmp_path])

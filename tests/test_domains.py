@@ -266,6 +266,33 @@ def test_contraction_factor_point_on_outer_chart_hyperplane():
         contraction_factor(*_touching_outer_chart())
 
 
+def _contains_points_by_affine_chart(dom, pts, slack=0.0):
+    """Containment as ``in_chart`` then ``affine_chart`` of the kept rows."""
+    rows = pts.reshape(-1, pts.shape[-1])
+    inside = in_chart(dom.chart, rows)
+    inside[inside] = dom.contains_coords(affine_chart(dom.chart, rows[inside]), slack)
+    return inside.reshape(pts.shape[:-1])
+
+
+@pytest.mark.parametrize("kind", ["ball", "polytope", "union"])
+def test_contains_points_equals_the_affine_chart_composition(kind):
+    rng = np.random.default_rng(7)
+    h = ProjHyperplane([1.0, 0.5, -0.25, 0.3])
+    ball = ChartBall(h, [0.1, 0.0, -0.1], 0.6)
+    dom = {"ball": ball,
+           "polytope": ConvexPolytope(h, rng.uniform(-0.7, 0.7, (12, 3))),
+           "union": SampledSet([ball, ChartBall(h, [0.5, 0.2, 0.0], 0.4)])}[kind]
+    pts = chart_point(h, rng.uniform(-1.2, 1.2, (119, 3)))
+    pts = np.vstack([pts, h.basis[0], rng.normal(size=(8, 4))]).reshape(4, 32, 4)
+    for slack in (0.0, 1e-3):
+        got = dom.contains_points(pts, slack)
+        want = _contains_points_by_affine_chart(dom, pts, slack)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert 0 < got.sum() < got.size
+    # the row on the chart hyperplane stays outside
+    assert not in_chart(h, h.basis[0]) and not got[3, 23]
+
+
 # --- the projective line contraction constant ---------------------------------
 
 

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from flagdyn import config
+from flagdyn.config import RunConfig
 from flagdyn.errors import EvaluationError
 from flagdyn.linalg import Matrix
 from flagdyn.words import (
@@ -176,3 +181,59 @@ def test_cache_hit_skips_normalization(free2, monkeypatch):
     # a word that is not normal form misses, is normalized once and hits
     assert free2.evaluate((("a", 1), ("b", 1), ("b", 0), ("a", -1))) is m
     assert len(calls) == 1
+
+
+def _per_word_presentation(cfg, t):
+    """The presentation as built before derived generators were added in
+    place: a new base presentation per derived word, then one of every
+    generator."""
+    gens = {name: m if isinstance(m, Matrix) else config._matrix(name, m, t)
+            for name, m in cfg._generators.items()}
+    for name, word in cfg._derived:
+        gens[name] = GroupPresentation(dim=cfg.dimension, generators=dict(gens)).evaluate(word)
+    return GroupPresentation(dim=cfg.dimension, generators=gens, peripherals=cfg.peripherals)
+
+
+def _jordan_with_gamma():
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "jordan_diag.json").read_text())
+    raw["derived"].append({"name": "gamma", "word": "alpha beta"})
+    return raw, [0.0, 0.01, 0.05], ["alpha^3", "beta^-2", "gamma", "gamma^-2 alpha",
+                                     "A^5 M", "alpha beta^-1 gamma^2"]
+
+
+def _exact_d3():
+    # exact generators whose d = 3 inverse is a float: the derived c is a
+    # float matrix, so words in a and b alone evaluate in floats
+    raw = {"dimension": 3,
+           "generators": [{"name": "a", "matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]},
+                          {"name": "b", "matrix": [[1, 0, 0], [1, 1, 0], [0, 0, 1]]}],
+           "derived": [{"name": "c", "word": "a^-1 b"}, {"name": "e", "word": "c a^2"}]}
+    return raw, [0.0], ["a b", "a^3 b^-2", "c", "e^-1 c", "a e"]
+
+
+@pytest.mark.parametrize("case", [_jordan_with_gamma, _exact_d3], ids=["jordan-gamma", "exact-d3"])
+def test_derived_generators_keep_the_bits_of_per_word_presentations(case):
+    raw, grid, texts = case()
+    cfg = RunConfig.from_dict(raw)
+    for t in grid:
+        got, want = cfg.presentation(t), _per_word_presentation(cfg, t)
+        assert list(got.generators) == list(want.generators)
+        for text in [*got.generators, *texts]:
+            m, n = got.evaluate(parse_word(text)), want.evaluate(parse_word(text))
+            assert m.exact == n.exact and m.arr.tobytes() == n.arr.tobytes(), (t, text)
+            assert m.det_sign == n.det_sign
+
+
+def test_presentation_builds_each_power_ladder_once(jordan_diag_cfg, monkeypatch):
+    # alpha = A^24 and beta = M A^24 M^-1 share the 23 products A^2 .. A^24
+    steps = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        steps.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    rho = jordan_diag_cfg.presentation(0.01)
+    assert sum(b is rho.generators["A"] for b in steps) == 23
