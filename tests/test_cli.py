@@ -8,6 +8,9 @@ import io
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -308,6 +311,32 @@ def test_probe_commands(tmp_path):
     assert run(["probe", "--config", CONFIGS / "jordan_split.json", "--out", tmp_path]) == 1
     text = (tmp_path / "probe.txt").read_text()
     assert "first failing t: 0.01" in text
+
+
+# One fresh process runs the sampled d = 4 commands, then lists the scipy
+# modules it imported: scipy is loaded only for a d >= 3 polytope's hull.
+_SCIPY_FREE_RUN = """
+import json, sys
+from flagdyn.cli import main
+cfg, out = sys.argv[1:]
+codes = [main([c, "--config", cfg, "--out", f"{out}/{c}"])
+         for c in ("certify", "probe", "limitset", "rates", "gaps")]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_sampled_d4_commands_import_no_scipy(tmp_path):
+    raw = json.loads((CONFIGS / "jordan_diag.json").read_text())
+    raw["gaps"] = {"word": "alpha beta", "count": 20, "k": 1}
+    cfg = tmp_path / "jordan.json"
+    cfg.write_text(json.dumps(raw))
+    src = str(CONFIGS.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(cfg), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0, 0], []]
 
 
 @pytest.mark.parametrize("command, name, code, digest", [

@@ -1,9 +1,10 @@
 """flagdyn modules import no private (underscore) names from one another,
 import one another only at module level, import no name they never use,
 never call eval or exec, catch no exception more broadly than by its
-own type, and leave the raw config JSON to config.py; every public
-function and class, and every public method and property of a public
-class, has a caller outside the tests, but for the listed exceptions."""
+own type, leave the raw config JSON to config.py, and import scipy only
+lazily, for a polytope's hull; every public function and class, and
+every public method and property of a public class, has a caller outside
+the tests, but for the listed exceptions."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,25 @@ def test_no_private_names_imported_across_modules():
 def test_no_function_local_flagdyn_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _function_local_imports(path)]
     assert found == []
+
+
+def _scipy_imports(path):
+    """Each scipy import of a file, with the function it sits in ("" at module level)."""
+    tree = ast.parse(path.read_text())
+    owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                 else [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [])
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield f"{path.name}:{owner.get(id(node), '')}: {', '.join(names)}"
+
+
+def test_scipy_is_imported_only_for_a_polytope_hull():
+    # scipy.spatial's ConvexHull, lazily, where a d >= 3 polytope needs its facets
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _scipy_imports(path)]
+    assert found == ["domains.py:__init__: scipy.spatial"]
 
 
 def _unused_imports(path):
