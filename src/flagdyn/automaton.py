@@ -16,7 +16,8 @@ keeps its records as columns, one block per edge over one flat margin
 array, and builds ``EdgeRecord`` objects only when they are read.
 Cofinite vertex labels are verified on a finite prefix plus a disclosed
 monotone-tail heuristic; the disclosure is part of the certificate.
-G-paths through the graph are drawn by seeded random choice.
+G-paths through the graph are drawn by seeded random choice, with
+numpy's bounded-integer picks taken from raw blocks of its stream.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .words import GroupPresentation, Word, concat, word_str
 _CHUNK = 1 << 16
 # enumeration elements of a label checked for repeats
 _LABEL_PREFIX = 12
+# raw 32-bit values drawn per numpy call when sampling paths
+_RAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -474,13 +477,52 @@ def peripheral_stability_probe(family, graph: GammaGraph, system: CompatibleSyst
 class GPath:
     vertices: list
     words: list
+    texts: list = field(default=None, repr=False)  # word_str of each word
+
+    def __post_init__(self):
+        if self.texts is None:
+            self.texts = [word_str(w) for w in self.words]
 
     @property
     def depth(self):
         return len(self.words)
 
     def code(self):
-        return "|".join(word_str(w) for w in self.words)
+        return "|".join(self.texts)
+
+
+def seeded_picker(rng: np.random.Generator, block: int = _RAW_BLOCK):
+    """``pick(options)``, equal pick for pick to
+    ``options[int(rng.integers(len(options)))]`` for 1 <= len(options) < 2**32.
+
+    numpy draws a bound n < 2**32 by Lemire's multiply-shift over its raw
+    32-bit stream ("Fast random integer generation in an interval", ACM
+    TOMACS 2019): m = x * n for a raw x, redrawn while the low 32 bits of m
+    fall below 2**32 mod n, and the pick is m >> 32. This runs it in Python
+    integers over raw blocks of ``block`` values, which
+    ``integers(0, 2**32, dtype=np.uint32)`` returns unchanged, instead of one
+    numpy call per pick. One option draws nothing, as in numpy.
+    """
+    def raw():
+        while True:
+            yield from rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist()
+
+    draw = raw().__next__
+
+    def pick(options):
+        n = len(options)
+        if n == 1:
+            return options[0]
+        if not 1 < n < 1 << 32:
+            raise ValueError(f"cannot pick from {n} options")
+        m = draw() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = draw() * n
+        return options[m >> 32]
+
+    return pick
 
 
 def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "random",
@@ -491,39 +533,39 @@ def enumerate_paths(graph: GammaGraph, depth: int, strategy: str = "random",
     Each step draws an element of the current vertex label (a parabolic
     vertex offers its first ``elements_per_vertex`` enumeration elements)
     and, before the last step, an out-neighbor; a path lands on its last
-    vertex's first out-neighbor. ``strategy`` must be "random" and the
-    second return value is always False: both are kept for
-    ``bench/workloads.py``, which passes the one and unpacks the other.
+    vertex's first out-neighbor. Picks are ``seeded_picker``'s, equal to
+    ``Generator.integers`` on ``default_rng(seed)``. ``strategy`` must be
+    "random" and the second return value is always False: both are kept
+    for ``bench/workloads.py``, which passes the one and unpacks the other.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if strategy != "random":
         raise ValueError(f"unknown strategy {strategy!r}")
-    elems = {v: elements_of(label, rho, cap=elements_per_vertex)
+    # each label's (word, text) pairs: a path's code joins texts formed here once
+    steps = {v: [(w, word_str(w)) for w in elements_of(label, rho, cap=elements_per_vertex)]
              for v, label in graph.vertices.items()}
     adj = {v: [] for v in graph.vertices}
     for x, w in graph.edges:
         adj[x].append(w)
     adj = {v: sorted(ws) for v, ws in adj.items()}
-    rng = np.random.default_rng(seed)
-
-    def pick(options):
-        # integers(1) returns 0 and leaves the stream alone, so a lone
-        # option needs no draw
-        return options[0] if len(options) == 1 else options[int(rng.integers(len(options)))]
+    pick = seeded_picker(np.random.default_rng(seed))
 
     paths = []
     starts = sorted(graph.vertices)
     for _ in range(cap):
-        vpath, wpath = [pick(starts)], []
+        cur = pick(starts)
+        vpath, wpath, tpath = [cur], [], []
         for step in range(depth):
-            cur = vpath[-1]
-            if not elems[cur]:
+            if not steps[cur]:
                 break
-            wpath.append(pick(elems[cur]))
+            w, t = pick(steps[cur])
+            wpath.append(w)
+            tpath.append(t)
             if step < depth - 1:
-                vpath.append(pick(adj[cur]))
+                cur = pick(adj[cur])
+                vpath.append(cur)
         else:
-            vpath.append(adj[vpath[-1]][0])
-            paths.append(GPath(vpath, wpath))
+            vpath.append(adj[cur][0])
+            paths.append(GPath(vpath, wpath, tpath))
     return paths, False

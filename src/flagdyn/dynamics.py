@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -72,10 +73,10 @@ def _check_certified(paths, certificate):
     if not certificate.ok:
         raise NotCertified("certificate does not pass")
     certified_edges = set(certificate.edges)
-    for path in paths:
-        for e in zip(path.vertices, path.vertices[1:]):
-            if e not in certified_edges:
-                raise NotCertified(f"path edge {e} not covered by the certificate")
+    # each distinct edge once, in first-occurrence order
+    for e in dict.fromkeys(chain.from_iterable(zip(p.vertices, p.vertices[1:]) for p in paths)):
+        if e not in certified_edges:
+            raise NotCertified(f"path edge {e} not covered by the certificate")
 
 
 def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
@@ -95,15 +96,12 @@ def contracting_limits(paths, rho: GroupPresentation, system: CompatibleSystem,
     _check_certified(paths, certificate)
     if min((path.depth for path in paths), default=2) < 2:
         raise ValueError("depth must be >= 2")
-    mats = {}
-    for path in paths:
-        for w in path.words:
-            if w not in mats:
-                mats[w] = rho.evaluate(w)
+    mats = {w: rho.evaluate(w) for w in dict.fromkeys(chain.from_iterable(p.words for p in paths))}
+    arcs = {v for v in dict.fromkeys(chain.from_iterable(p.vertices for p in paths))
+            if system.domain(v).is_arc}
     groups = {}
     for i, path in enumerate(paths):
-        rp1 = all(system.domain(v).is_arc for v in path.vertices)
-        groups.setdefault((path.depth, rp1), []).append(i)
+        groups.setdefault((path.depth, arcs.issuperset(path.vertices)), []).append(i)
     results = [None] * len(paths)
     for (n, rp1), idx in groups.items():
         batch = [paths[i] for i in idx]

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import math
 from pathlib import Path
 
@@ -17,9 +19,11 @@ from flagdyn.automaton import (
     elements_of,
     enumerate_paths,
     peripheral_stability_probe,
+    seeded_picker,
     verify_compatibility,
 )
 from flagdyn.circle import Arc, mobius_arcs, vec_of
+from flagdyn.cli import main
 from flagdyn.config import RunConfig
 from flagdyn.domains import ChartBall, ConvexPolytope, arc_ball
 from flagdyn.errors import BaseFails, EvaluationError, MissingDomain
@@ -295,13 +299,67 @@ def _every_step_paths(graph, depth, rho, seed, cap, elements_per_vertex=2):
     return paths
 
 
-@pytest.mark.parametrize("stem", ["schottky", "single_loop", "jordan_diag", "jordan_split"])
-def test_paths_equal_the_every_step_sampler(stem):
-    rho, graph, _ = _parts(RunConfig.load(CONFIGS / f"{stem}.json"))
+@pytest.fixture(scope="module")
+def pgl2z_automaton_cfg(tmp_path_factory):
+    """The automaton.json that ``synthesize configs/pgl2z.json`` writes: its
+    out-degrees vary, and each parabolic vertex offers 2 elements."""
+    out = tmp_path_factory.mktemp("pgl2z")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synthesize", "--config", str(CONFIGS / "pgl2z.json"),
+                     "--out", str(out)]) == 0
+    return RunConfig.load(out / "automaton.json")
+
+
+@pytest.mark.parametrize("stem, depth, cap", [
+    *(pytest.param(stem, 6, 25, id=stem)
+      for stem in ["schottky", "single_loop", "jordan_diag", "jordan_split"]),
+    pytest.param("pgl2z_automaton", 20, 200, id="pgl2z_automaton"),
+])
+def test_paths_equal_the_every_step_sampler(request, stem, depth, cap):
+    rho, graph, _ = _parts(request.getfixturevalue(f"{stem}_cfg"))
     for seed in range(5):
-        paths, _ = enumerate_paths(graph, 6, "random", rho, seed=seed, cap=25)
+        paths, _ = enumerate_paths(graph, depth, "random", rho, seed=seed, cap=cap)
         assert [(p.vertices, p.words) for p in paths] == _every_step_paths(
-            graph, 6, rho, seed, 25)
+            graph, depth, rho, seed, cap)
+
+
+def test_pgl2z_automaton_is_irregular(pgl2z_automaton_cfg):
+    graph = pgl2z_automaton_cfg.graph()
+    assert len({sum(x == v for x, _ in graph.edges) for v in graph.vertices}) > 1
+    parabolic = [label for label in graph.vertices.values() if isinstance(label, ParabolicFamily)]
+    rho = pgl2z_automaton_cfg.presentation()
+    assert parabolic and all(len(elements_of(label, rho, cap=2)) == 2 for label in parabolic)
+
+
+def _mixed_bounds(seed, size=600):
+    """One option, a few options, within 10 of 2**32 - 1 (the rejection test
+    runs on nearly every draw), and just above 2**31 (about half the draws
+    are redrawn)."""
+    r = np.random.default_rng(1000 + seed)
+    return [[1, int(r.integers(2, 40)), (1 << 32) - 1 - int(r.integers(11)),
+             (1 << 31) + int(r.integers(1, 11))][k] for k in r.integers(4, size=size)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_seeded_picker_equals_scalar_integers(block):
+    redrawn = 0
+    for seed in range(100):
+        bounds = _mixed_bounds(seed)
+        pick = seeded_picker(np.random.default_rng(seed), block)
+        rng = np.random.default_rng(seed)
+        assert [pick(range(n)) for n in bounds] == [int(rng.integers(n)) for n in bounds]
+        # one raw value per pick from more than one option leaves the stream
+        # where the picks left it only if no pick was redrawn
+        raw = np.random.default_rng(seed)
+        raw.integers(0, 1 << 32, size=sum(n > 1 for n in bounds), dtype=np.uint32)
+        redrawn += raw.bit_generator.state != rng.bit_generator.state
+    assert redrawn == 100
+
+
+@pytest.mark.parametrize("n", [0, 1 << 32, 1 << 40])
+def test_seeded_picker_bounds(n):
+    with pytest.raises(ValueError):
+        seeded_picker(np.random.default_rng(0))(range(n))
 
 
 def test_a_draw_from_one_option_leaves_the_stream_alone():

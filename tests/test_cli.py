@@ -362,6 +362,26 @@ def test_sampled_d4_outputs_keep_their_bytes(tmp_path, capsys, monkeypatch, comm
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command, name, seed, out, digest", [
+    ("limitset", "schottky", 7, "limit_set.csv",
+     "7a082dceddbc84805632fafb9cabe8931888e3496ef3511399f933adbf7312fc"),
+    ("limitset", "schottky", 3, "limit_set.csv",
+     "4688ded4024ca6054298abf017b81104643c41c76728e612c683a92750b3cace"),
+    ("rates", "single_loop", 7, "rates.txt",
+     "759e444f993757ce80cf0bfefdbca75c571c6bd4e7c1815082e89a4565ba2869"),
+    ("rates", "schottky", 7, "rates.txt",
+     "b3cd13cb71988f46219cbc7823d566e35905bc67665aacc2ff16e111dc4ba9c5"),
+])
+def test_rp1_sampled_outputs_keep_their_bytes(tmp_path, monkeypatch, command, name, seed, out,
+                                              digest):
+    # seeded RP^1 path sampling: limit_set.csv lists each path's code, and
+    # rates.txt its fit; both headers name the config by this relative path
+    monkeypatch.chdir(CONFIGS.parent)
+    assert run([command, "--config", f"configs/{name}.json", "--seed", seed,
+                "--out", tmp_path]) == 0
+    assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == digest
+
+
 def test_config_hash_embedded(tmp_path):
     cfg = RunConfig.load(CONFIGS / "schottky.json")
     run(["certify", "--config", CONFIGS / "schottky.json", "--out", tmp_path])

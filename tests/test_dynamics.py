@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,19 @@ def test_uncertified_path_rejected(certified_schottky, schottky_repelling_cfg):
     paths, _ = enumerate_paths(graph, 5, "random", rho, seed=1, cap=1)
     with pytest.raises(NotCertified):
         contracting_limits([paths[0]], rho, system, certificate=bad)[0]
+
+
+def test_the_first_uncovered_edge_is_named(certified_schottky):
+    # the first path is covered; the second holds the first uncovered edge,
+    # ahead of the third path's
+    rho, _, system, cert = certified_schottky
+    a, b = parse_word("a"), parse_word("b")
+    paths = [GPath(["a+", "a+", "b+"], [a, a]),
+             GPath(["a+", "b+", "b-", "a-"], [a, b, b]),
+             GPath(["a-", "a+", "a+"], [a, a])]
+    with pytest.raises(NotCertified,
+                       match=re.escape("path edge ('b+', 'b-') not covered by the certificate")):
+        contracting_limits(paths, rho, system, certificate=cert)
 
 
 def test_flat_diameters_rejected():
